@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .constants import CODATA, GAMMA_E, HBAR, MU0, dipolar_prefactor
+from .constants import GAMMA_E, HBAR, MU0, dipolar_prefactor
 from .dynamics import (
     ObservableSeries,
     Propagator,

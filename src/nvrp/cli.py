@@ -45,6 +45,7 @@ from .presets import (
     two_nucleus_config,
 )
 from .signal import (
+    _default_t_max,
     aligned_prefactor,
     observable_series,
     signal_single_molecule,
@@ -282,6 +283,7 @@ def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     theta = np.deg2rad(float(cfg.params.get("theta_deg", 0.0)))
     phi = np.deg2rad(float(cfg.params.get("phi_deg", 0.0)))
     grid = grid_from_spec(cfg.params.get("b_grid", [0.05, 10.0, 24]), log=True)
+    t_max = _default_t_max(rp)
     gamma = cfg.sensor.gamma_hz
     rows = []
     for b in grid:
@@ -299,7 +301,6 @@ def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     # contrast traces at the central field point
     b_mid = float(grid[len(grid) // 2])
     geom = coupling_geometry(r_nm, theta, phi)
-    t_max = 5.0 / rp.effective_decay_rate
     t_grid = np.linspace(0.0, t_max, 2048, endpoint=False)
     contrasts = peak_contrast(rp, FieldConfig(b_mid, theta, phi), geom, t_grid)
     p2 = write_csv(
@@ -337,10 +338,9 @@ def run_anisotropy_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list
 def _yield_at_theta0(rp: RadicalPairConfig, b_mT: float) -> float:
     layout = rp.layout()
     h = build_rp_hamiltonian(rp, FieldConfig(b_mT, 0.0, 0.0))
-    factor = rp.effective_decay_rate / rp.recombination_rate if rp.recombination_rate else 1.0
-    prop = make_propagator(h, rp.recombination_rate, factor)
+    prop = make_propagator(h, rp.effective_decay_rate)
     rho0 = initial_state(rp.initial_state, layout)
-    t_max = 5.0 / rp.effective_decay_rate
+    t_max = _default_t_max(rp)
     n = nyquist_samples(prop, t_max)
     return singlet_yield_mean(rho0, prop, layout, rp.effective_decay_rate, t_max, n)
 
@@ -437,8 +437,7 @@ def run_oracle_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
     b = float(cfg.params.get("b_mT", 0.05))
     field = FieldConfig(b, 0.0, 0.0)
     h = build_rp_hamiltonian(rp, field)
-    factor = rp.effective_decay_rate / rp.recombination_rate if rp.recombination_rate else 1.0
-    prop = make_propagator(h, rp.recombination_rate, factor)
+    prop = make_propagator(h, rp.effective_decay_rate)
     rho0 = initial_state(rp.initial_state, layout)
 
     lam_max = float(np.max(np.abs(prop.eigenvalues)))

@@ -9,7 +9,6 @@ between MHz- and mT-quoted couplings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 #: vacuum permeability, T m / A (CODATA 2018)
 MU0 = 1.25663706212e-6
@@ -25,18 +24,6 @@ MT_TO_RAD_PER_S = GAMMA_E * 1e-3
 
 #: nanometre in metres
 NM = 1e-9
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fixed CODATA constants used in dipolar prefactors and signal units."""
-
-    mu0: float = MU0
-    hbar: float = HBAR
-    gamma_e: float = GAMMA_E
-
-
-CODATA = PhysicalConstants()
 
 
 def dipolar_prefactor(r_nm: float) -> float:

@@ -91,18 +91,17 @@ class Propagator:
         return np.exp(-self.decay_rate * t) * (v @ rho_t @ v.conj().T)
 
 
-def make_propagator(
-    h: np.ndarray, k: float, decay_convention_factor: float = 1.0
-) -> Propagator:
+def make_propagator(h: np.ndarray, k_eff: float) -> Propagator:
     """Diagonalise a Hermitian Hamiltonian and attach the decay rate.
 
-    ``decay_convention_factor`` is 1 for the rate_k reading and 2 for
-    rate_2k.  Rejects non-Hermitian input and aborts when the
-    reconstruction residual exceeds 1e-8 * ||H||.
+    ``k_eff`` is the trace-decay rate, already resolved for the decay
+    convention (``RadicalPairConfig.effective_decay_rate``).  Rejects
+    non-Hermitian input and aborts when the reconstruction residual
+    exceeds 1e-8 * ||H||.
     """
     h = np.asarray(h, dtype=complex)
-    if k < 0:
-        raise PhysicsError(f"decay rate must be >= 0, got {k}")
+    if k_eff < 0:
+        raise PhysicsError(f"decay rate must be >= 0, got {k_eff}")
     hnorm = np.linalg.norm(h)
     if hnorm > 0 and np.linalg.norm(h - h.conj().T) > 1e-10 * hnorm:
         raise PhysicsError("propagator generator must be Hermitian")
@@ -112,7 +111,7 @@ def make_propagator(
         raise NumericalError(
             f"eigendecomposition residual {residual:.3e} exceeds 1e-8 * ||H|| = {1e-8 * hnorm:.3e}"
         )
-    return Propagator(eigenvalues=w, eigenvectors=v, decay_rate=k * decay_convention_factor)
+    return Propagator(eigenvalues=w, eigenvectors=v, decay_rate=k_eff)
 
 
 @dataclass(frozen=True)

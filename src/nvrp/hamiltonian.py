@@ -13,6 +13,12 @@ with every tensor optionally rotated into the sensor frame.  Its secular
 part (diagonal in the singlet-triplet basis) contains the longitudinal
 Zeeman term, the exchange term, and the secular dipolar pattern
 D_s (3 S1z S2z - S1 . S2).
+
+Every term acts on at most two spins, so each is assembled on its local
+space (the 4-dimensional electron pair, or one electron and one nucleus)
+and added into the full matrix in place with ``spincore.add_two_site``.
+The electron terms are summed into one 4x4 block first.  The same path
+serves every dimension; no d x d product is formed.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,8 +36,8 @@ from .spincore import (
     Rotation,
     SpinSpecies,
     SpinSystemLayout,
+    add_two_site,
     rotate_tensor,
-    site_operators,
     spin_matrices,
     symmetrize,
 )
@@ -286,64 +291,25 @@ def build_nv_hamiltonian(nv: NVParams, b0z_mT: float) -> np.ndarray:
     return omega * np.kron(jz, eye_n) + a_par * np.kron(jz, i_nz)
 
 
-@lru_cache(maxsize=8)
-def _pair_operators(layout: SpinSystemLayout):
-    """Cached electron operators for a layout: (S1, S2, Ssum, S1.S2)."""
-    s1 = site_operators(layout, 0)
-    s2 = site_operators(layout, 1)
-    ssum = tuple(a + b for a, b in zip(s1, s2))
-    s1s2 = sum(s1[i] @ s2[i] for i in range(3))
-    s1s2.setflags(write=False)
-    return s1, s2, ssum, s1s2
+def _bilinear_basis(partner_spin: float) -> np.ndarray:
+    """(3, 3, 2m, 2m) stack of s_a x i_b: an electron and one partner spin."""
+    s = spin_matrices(SpinSpecies.electron())
+    i = spin_matrices(SpinSpecies("partner", partner_spin))
+    basis = np.array([[np.kron(s_a, i_b) for i_b in i] for s_a in s])
+    basis.setflags(write=False)
+    return basis
 
 
-@lru_cache(maxsize=8)
-def _pair_products(layout: SpinSystemLayout) -> np.ndarray:
-    """Cached (3, 3, d, d) stack of S1a S2b for small systems."""
-    s1 = site_operators(layout, 0)
-    s2 = site_operators(layout, 1)
-    d = layout.total_dimension
-    prods = np.empty((3, 3, d, d), dtype=complex)
-    for a in range(3):
-        for b in range(3):
-            prods[a, b] = s1[a] @ s2[b]
-    prods.setflags(write=False)
-    return prods
+#: two-site bilinear bases, keyed by the partner's spin quantum number
+_BASIS = {spin: _bilinear_basis(spin) for spin in (0.5, 1.0)}
 
-
-@lru_cache(maxsize=8)
-def _hyperfine_products(layout: SpinSystemLayout, electron_site: int, nuc_site: int):
-    """Cached (3, 3, d, d) stack of S_a I_b products for one nucleus."""
-    s_ops = site_operators(layout, electron_site)
-    i_ops = site_operators(layout, nuc_site)
-    d = layout.total_dimension
-    prods = np.empty((3, 3, d, d), dtype=complex)
-    for a in range(3):
-        for b in range(3):
-            prods[a, b] = s_ops[a] @ i_ops[b]
-    prods.setflags(write=False)
-    return prods
-
-
-#: above this dimension the cached (3,3,d,d) product stacks get too large
-_PRODUCT_CACHE_MAX_DIM = 512
-
-
-def _contract_tensor(
-    tensor_rad: np.ndarray, layout: SpinSystemLayout, electron_site: int, nuc_site: int
-) -> np.ndarray:
-    """sum_ab T_ab S_a I_b, using cached products for small systems."""
-    if layout.total_dimension <= _PRODUCT_CACHE_MAX_DIM:
-        prods = _hyperfine_products(layout, electron_site, nuc_site)
-        return np.einsum("ab,abij->ij", tensor_rad, prods)
-    s_ops = site_operators(layout, electron_site)
-    i_ops = site_operators(layout, nuc_site)
-    h = np.zeros((layout.total_dimension,) * 2, dtype=complex)
-    for a in range(3):
-        combo = sum(tensor_rad[a, b] * i_ops[b] for b in range(3) if tensor_rad[a, b])
-        if isinstance(combo, np.ndarray):
-            h += s_ops[a] @ combo
-    return h
+#: electron-pair operators on the 4-dimensional (S1, S2) space
+_PAIR = _BASIS[0.5]
+_S1S2 = np.trace(_PAIR)
+_SSUM = tuple(
+    np.kron(s, np.eye(2)) + np.kron(np.eye(2), s)
+    for s in spin_matrices(SpinSpecies.electron())
+)
 
 
 def build_rp_hamiltonian(
@@ -358,36 +324,30 @@ def build_rp_hamiltonian(
     """
     rot = rotation if rotation is not None else Rotation.identity()
     layout = cfg.layout()
-    s1, s2, ssum, s1s2 = _pair_operators(layout)
-    d = layout.total_dimension
-    h = np.zeros((d, d), dtype=complex)
+    pair = np.zeros((4, 4), dtype=complex)
 
     b_rad = field_cfg.vector_mT() * MT_TO_RAD_PER_S
     for i in range(3):
         if b_rad[i]:
-            h -= b_rad[i] * ssum[i]
+            pair -= b_rad[i] * _SSUM[i]
 
     j_rad = cfg.j_exchange_mT * MT_TO_RAD_PER_S
     if j_rad:
-        h -= 2.0 * j_rad * s1s2
+        pair -= 2.0 * j_rad * _S1S2
 
     dip = rotate_tensor(rot, cfg.dipolar_mT()) * MT_TO_RAD_PER_S
     if np.any(dip):
-        if d <= _PRODUCT_CACHE_MAX_DIM:
-            h += np.einsum("ab,abij->ij", dip, _pair_products(layout))
-        else:
-            for a in range(3):
-                combo = sum(dip[a, b] * s2[b] for b in range(3) if dip[a, b])
-                if isinstance(combo, np.ndarray):
-                    h += s1[a] @ combo
+        pair += np.einsum("ab,abij->ij", dip, _PAIR)
 
+    d = layout.total_dimension
+    h = np.zeros((d, d), dtype=complex)
+    add_two_site(h, pair, 0, 1, layout)
     n1 = len(cfg.nuclei_radical1)
     for idx, nuc in enumerate(cfg.nuclei):
-        electron_site = 0 if idx < n1 else 1
-        nuc_site = 2 + idx
         a_rad = rotate_tensor(rot, nuc.tensor_mT) * MT_TO_RAD_PER_S
         if np.any(a_rad):
-            h += _contract_tensor(a_rad, layout, electron_site, nuc_site)
+            local = np.einsum("ab,abij->ij", a_rad, _BASIS[nuc.species.spin])
+            add_two_site(h, local, 0 if idx < n1 else 1, 2 + idx, layout)
     return h
 
 
@@ -404,7 +364,6 @@ def split_secular(
     """
     rot = rotation if rotation is not None else Rotation.identity()
     layout = cfg.layout()
-    s1, s2, ssum, s1s2 = _pair_operators(layout)
     h_full = build_rp_hamiltonian(cfg, field_cfg, rot)
 
     bz_rad = field_cfg.vector_mT()[2] * MT_TO_RAD_PER_S
@@ -412,7 +371,9 @@ def split_secular(
     dip = rotate_tensor(rot, cfg.dipolar_mT()) * MT_TO_RAD_PER_S
     d_s = 0.5 * (dip[2, 2] - np.trace(dip) / 3.0)
 
-    h_d = -bz_rad * ssum[2] - 2.0 * j_rad * s1s2 + d_s * (3.0 * (s1[2] @ s2[2]) - s1s2)
+    pair = -bz_rad * _SSUM[2] - 2.0 * j_rad * _S1S2 + d_s * (3.0 * _PAIR[2, 2] - _S1S2)
+    h_d = np.zeros_like(h_full)
+    add_two_site(h_d, pair, 0, 1, layout)
     return h_d, h_full - h_d
 
 
@@ -424,12 +385,13 @@ def build_coupling_hamiltonian(
     This is the radical-pair factor multiplying Jz; the x and y cross
     terms are kept in full (they are never negligible at low field).
     """
-    _, _, ssum, _ = _pair_operators(layout)
-    d = layout.total_dimension
-    h = np.zeros((d, d), dtype=complex)
+    pair = np.zeros((4, 4), dtype=complex)
     for i, d_ci in enumerate(geom.d_c):
         if d_ci:
-            h += geom.d_r * d_ci * ssum[i]
+            pair += geom.d_r * d_ci * _SSUM[i]
+    d = layout.total_dimension
+    h = np.zeros((d, d), dtype=complex)
+    add_two_site(h, pair, 0, 1, layout)
     return h
 
 

@@ -35,7 +35,6 @@ from .dynamics import (
 )
 from .errors import PhysicsError
 from .hamiltonian import (
-    DecayConvention,
     FieldConfig,
     RadicalPairConfig,
     SensorParams,
@@ -123,10 +122,6 @@ def signal_single_molecule(series: ObservableSeries, r_nm: float) -> SignalTrace
     )
 
 
-def _decay_factor(cfg: RadicalPairConfig) -> float:
-    return 1.0 if cfg.decay_convention is DecayConvention.RATE_K else 2.0
-
-
 def _default_t_max(cfg: RadicalPairConfig) -> float:
     if cfg.effective_decay_rate == 0:
         raise PhysicsError("t_max must be given explicitly when the decay rate is zero")
@@ -143,7 +138,7 @@ def observable_series(
     """Evolve one molecule and return its s_tilde time series."""
     layout = cfg.layout()
     h = build_rp_hamiltonian(cfg, field_cfg, rotation)
-    prop = make_propagator(h, cfg.recombination_rate, _decay_factor(cfg))
+    prop = make_propagator(h, cfg.effective_decay_rate)
     rho0 = initial_state(cfg.initial_state, layout)
     geom = coupling_geometry(r_nm, field_cfg.theta, field_cfg.phi, rotation)
     return evolve_observables(rho0, prop, t_grid, geom, layout)
@@ -164,7 +159,7 @@ def integrated_observables(
     """
     layout = cfg.layout()
     h = build_rp_hamiltonian(cfg, field_cfg, rotation)
-    prop = make_propagator(h, cfg.recombination_rate, _decay_factor(cfg))
+    prop = make_propagator(h, cfg.effective_decay_rate)
     rho0 = initial_state(cfg.initial_state, layout)
     t_max = t_max if t_max is not None else _default_t_max(cfg)
     n = nyquist_samples(prop, t_max, min_samples)

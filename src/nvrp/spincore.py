@@ -1,8 +1,9 @@
 """Spin-operator algebra for multi-spin radical-pair systems.
 
 Single-spin angular momentum matrices (spin 1/2 and spin 1), Kronecker
-embedding into a product Hilbert space, and rotation of 3x3 coupling
-tensors between molecular and sensor frames.
+embedding into a product Hilbert space, in-place addition of two-site
+operators, and rotation of 3x3 coupling tensors between molecular and
+sensor frames.
 
 Conventions
 -----------
@@ -17,7 +18,8 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -90,7 +92,7 @@ class SpinSystemLayout:
 
     @property
     def total_dimension(self) -> int:
-        return int(np.prod(self.dimensions))
+        return math.prod(self.dimensions)
 
     @property
     def nuclear_dimension(self) -> int:
@@ -134,6 +136,38 @@ def embed(local: np.ndarray, site: int, layout: SpinSystemLayout) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
+def add_two_site(
+    h: np.ndarray, local: np.ndarray, site_a: int, site_b: int, layout: SpinSystemLayout
+) -> None:
+    """Add a two-site operator into ``h`` in place: h += local x I(elsewhere).
+
+    ``local`` acts on the product space of ``site_a`` (major factor) and
+    ``site_b`` (minor factor), with ``site_a < site_b``.  The sum runs
+    through a writeable diagonal view of ``h``, so only the d * d_a * d_b
+    entries the operator can reach are touched.
+    """
+    dims = layout.dimensions
+    if not 0 <= site_a < site_b < len(dims):
+        raise ValueError(
+            f"sites ({site_a}, {site_b}) must satisfy 0 <= a < b < {len(dims)}"
+        )
+    da, db = dims[site_a], dims[site_b]
+    if local.shape != (da * db, da * db):
+        raise ValueError(
+            f"operator of shape {local.shape} does not fit sites ({site_a}, {site_b}) "
+            f"with dimensions ({da}, {db})"
+        )
+    if h.shape != (math.prod(dims),) * 2 or not h.flags.c_contiguous:
+        raise ValueError("h must be a C-contiguous d x d array for the layout")
+    pre = math.prod(dims[:site_a])
+    mid = math.prod(dims[site_a + 1 : site_b])
+    post = math.prod(dims[site_b + 1 :])
+    blocks = np.einsum(
+        "pambqpAmBq->pmqabAB", h.reshape(pre, da, mid, db, post, pre, da, mid, db, post)
+    )
+    blocks += local.reshape(da, db, da, db)
+
+
 @lru_cache(maxsize=64)
 def site_operators(layout: SpinSystemLayout, site: int) -> tuple[np.ndarray, ...]:
     """Cached embedded (Sx, Sy, Sz) for one site of a layout."""
@@ -145,15 +179,9 @@ def site_operators(layout: SpinSystemLayout, site: int) -> tuple[np.ndarray, ...
 
 @dataclass(frozen=True)
 class Rotation:
-    """A proper rotation, stored as its 3x3 matrix.
-
-    ``euler_angles`` is kept when the rotation was built from Euler angles
-    (x-y-z convention, see :func:`euler_rotation`); it is ``None`` for
-    rotations constructed directly from a matrix.
-    """
+    """A proper rotation, stored as its 3x3 matrix."""
 
     matrix: np.ndarray
-    euler_angles: tuple[float, float, float] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -167,7 +195,7 @@ class Rotation:
 
     @classmethod
     def identity(cls) -> "Rotation":
-        return cls(np.eye(3), euler_angles=(0.0, 0.0, 0.0))
+        return cls(np.eye(3))
 
     @property
     def is_identity(self) -> bool:
@@ -192,7 +220,7 @@ def _axis_rotation(axis: int, angle: float) -> np.ndarray:
 def euler_rotation(alpha: float, beta: float, gamma: float) -> Rotation:
     """Rotation Rx(alpha) . Ry(beta) . Rz(gamma); identity at zero angles."""
     m = _axis_rotation(0, alpha) @ _axis_rotation(1, beta) @ _axis_rotation(2, gamma)
-    return Rotation(m, euler_angles=(alpha, beta, gamma))
+    return Rotation(m)
 
 
 def rotate_tensor(rotation: Rotation, tensor: np.ndarray) -> np.ndarray:

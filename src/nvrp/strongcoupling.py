@@ -200,8 +200,7 @@ def peak_contrast(
     layout = cfg.layout()
     rho0 = initial_state(cfg.initial_state, layout)
     h0 = build_rp_hamiltonian(cfg, field_cfg, geom.rotation)
-    factor = cfg.effective_decay_rate / cfg.recombination_rate if cfg.recombination_rate else 1.0
-    prop = make_propagator(h0, cfg.recombination_rate, factor)
+    prop = make_propagator(h0, cfg.effective_decay_rate)
     t_grid = np.asarray(t_grid, dtype=float)
 
     def contrast_at(geometry: CouplingGeometry) -> np.ndarray:

@@ -112,8 +112,7 @@ def _oracle_deviation(cfg, b_mT: float, t_max: float = 1e-6) -> float:
     layout = cfg.layout()
     h = build_rp_hamiltonian(cfg, FieldConfig(b_mT, 0.0, 0.0))
     k = cfg.effective_decay_rate
-    prop = make_propagator(h, cfg.recombination_rate,
-                           k / cfg.recombination_rate if cfg.recombination_rate else 1.0)
+    prop = make_propagator(h, k)
     rho0 = initial_state(cfg.initial_state, layout)
     s1 = site_operators(layout, 0)
     s2 = site_operators(layout, 1)

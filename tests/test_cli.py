@@ -120,13 +120,23 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_physics_error_exit_code(tmp_path, capsys):
-    payload = _minimal_angle_sweep()
-    payload["radical_pair"]["recombination_rate"] = -1.0
+@pytest.mark.parametrize(
+    "kind, params, rate, message",
+    [
+        ("angle-sweep", None, -1.0, "recombination"),
+        ("peak-count", {"b_grid": [0.05, 1.0, 3], "r_nm": 5.0}, 0.0, "decay rate"),
+    ],
+    ids=["negative-rate", "peak-count-zero-rate"],
+)
+def test_physics_error_exit_code(tmp_path, capsys, kind, params, rate, message):
+    payload = _minimal_angle_sweep(kind=kind)
+    if params is not None:
+        payload["params"] = params
+    payload["radical_pair"]["recombination_rate"] = rate
     del payload["radical_pair"]["lifetime_us"]
     path = _write_config(tmp_path, payload)
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 3
-    assert "recombination" in capsys.readouterr().err.lower()
+    assert message in capsys.readouterr().err.lower()
 
 
 def test_run_angle_sweep_config(tmp_path):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nvrp.constants import GAMMA_E, MT_TO_RAD_PER_S
 from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import (
     FieldConfig,
+    Nucleus,
     NVParams,
+    RadicalPairConfig,
     Regime,
     SensorParams,
     build_coupling_hamiltonian,
@@ -19,7 +22,7 @@ from nvrp.hamiltonian import (
     coupling_geometry,
     split_secular,
 )
-from nvrp.spincore import euler_rotation, isotropic_tensor
+from nvrp.spincore import SpinSpecies, euler_rotation, isotropic_tensor, site_operators
 
 from conftest import make_pair
 
@@ -120,6 +123,60 @@ def test_rotation_preserves_spectrum():
     assert np.allclose(
         np.linalg.eigvalsh(h0), np.linalg.eigvalsh(h1), atol=1e-9 * np.linalg.norm(h0)
     )
+
+
+def _bilinear(t, ops_a, ops_b):
+    """Dense sum_ab T_ab A_a B_b of two embedded spin vectors."""
+    return sum(t[a, b] * (ops_a[a] @ ops_b[b]) for a in range(3) for b in range(3))
+
+
+@given(
+    hnp.arrays(float, (5, 3, 3), elements=st.floats(-2.0, 2.0)),
+    st.tuples(ANGLES, ANGLES, ANGLES),
+    st.floats(0.0, 5.0),
+    ANGLES,
+    st.floats(0.0, 2 * np.pi, exclude_max=True),
+    st.floats(-1.0, 1.0),
+)
+@settings(max_examples=10, deadline=None)
+def test_assembly_matches_dense_definition(raw, euler, b, theta, phi, j):
+    # mixed spins and sites: radical 1 = (H, N14), radical 2 = (N14, H), d = 144
+    t = 0.5 * (raw + raw.transpose(0, 2, 1))
+    proton, n14 = SpinSpecies("H", 0.5), SpinSpecies("N14", 1.0)
+    cfg = RadicalPairConfig(
+        nuclei_radical1=(Nucleus(proton, t[0]), Nucleus(n14, t[1])),
+        nuclei_radical2=(Nucleus(n14, t[2]), Nucleus(proton, t[3])),
+        j_exchange_mT=j,
+        dipolar_tensor_mT=t[4],
+    )
+    rot = euler_rotation(*euler)
+    field = FieldConfig(b, theta, phi)
+    layout = cfg.layout()
+    assert layout.total_dimension == 144
+    s1, s2 = site_operators(layout, 0), site_operators(layout, 1)
+    r = rot.matrix
+    b_rad = field.vector_mT() * MT_TO_RAD_PER_S
+    dip = r @ t[4] @ r.T * MT_TO_RAD_PER_S
+    exchange = -2.0 * j * MT_TO_RAD_PER_S * _bilinear(np.eye(3), s1, s2)
+    zeeman = -sum(b_rad[i] * (s1[i] + s2[i]) for i in range(3))
+
+    expected = zeeman + exchange + _bilinear(dip, s1, s2)
+    for idx, electron in enumerate((s1, s1, s2, s2)):
+        a_rad = r @ t[idx] @ r.T * MT_TO_RAD_PER_S
+        expected = expected + _bilinear(a_rad, electron, site_operators(layout, 2 + idx))
+    h = build_rp_hamiltonian(cfg, field, rot)
+    assert np.linalg.norm(h - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    d_s = 0.5 * (dip[2, 2] - np.trace(dip) / 3.0)
+    secular = np.diag([-1.0, -1.0, 2.0])
+    expected_d = -b_rad[2] * (s1[2] + s2[2]) + exchange + d_s * _bilinear(secular, s1, s2)
+    h_d, _ = split_secular(cfg, field, rot)
+    assert np.linalg.norm(h_d - expected_d) <= 1e-13 * np.linalg.norm(expected_d)
+
+    geom = coupling_geometry(6.0, theta, phi)
+    expected_c = geom.d_r * sum(geom.d_c[i] * (s1[i] + s2[i]) for i in range(3))
+    h_c = build_coupling_hamiltonian(geom, layout)
+    assert np.linalg.norm(h_c - expected_c) <= 1e-13 * np.linalg.norm(expected_c)
 
 
 # -- secular split ----------------------------------------------------------

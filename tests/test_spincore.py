@@ -9,6 +9,7 @@ from nvrp.spincore import (
     Rotation,
     SpinSpecies,
     SpinSystemLayout,
+    add_two_site,
     diagonal_tensor,
     embed,
     euler_rotation,
@@ -94,6 +95,44 @@ def test_embed_dimension_mismatch_rejected():
     layout = SpinSystemLayout.for_radical_pair()
     with pytest.raises(ValueError, match="does not fit"):
         embed(np.eye(3), 0, layout)
+
+
+def _unit(n, i, j):
+    m = np.zeros((n, n), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def test_add_two_site_matches_embedded_products():
+    # non-adjacent sites (e2 and H1): a spin-1 site between, a spin-1/2 site after
+    layout = SpinSystemLayout.for_radical_pair(
+        (SpinSpecies("N", 1.0), SpinSpecies("H1", 0.5)), (SpinSpecies("H2", 0.5),)
+    )
+    rng = np.random.default_rng(1)
+    local = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = np.ones((layout.total_dimension,) * 2, dtype=complex)
+    add_two_site(h, local, 1, 3, layout)
+    blocks = local.reshape(2, 2, 2, 2)
+    expected = np.ones_like(h) + sum(
+        blocks[i, k, j, l] * (embed(_unit(2, i, j), 1, layout) @ embed(_unit(2, k, l), 3, layout))
+        for i in range(2) for j in range(2) for k in range(2) for l in range(2)
+    )
+    assert np.array_equal(h, expected)
+
+
+@pytest.mark.parametrize(
+    "site_a, site_b, local_dim, h_order, match",
+    [
+        (2, 0, 6, "C", "must satisfy"),
+        (0, 2, 4, "C", "does not fit"),
+        (0, 2, 6, "F", "C-contiguous"),
+    ],
+)
+def test_add_two_site_rejects_bad_input(site_a, site_b, local_dim, h_order, match):
+    layout = SpinSystemLayout.for_radical_pair((SpinSpecies("N", 1.0),))
+    h = np.zeros((12, 12), dtype=complex, order=h_order)
+    with pytest.raises(ValueError, match=match):
+        add_two_site(h, np.eye(local_dim), site_a, site_b, layout)
 
 
 def test_euler_identity():
