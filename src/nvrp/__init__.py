@@ -10,7 +10,7 @@ from .dynamics import (
     initial_state,
     make_propagator,
     singlet_probability,
-    singlet_yield,
+    singlet_yield_mean,
 )
 from .ensemble import EnsembleSpec, EnsembleStatistics, OrientationMode, ensemble_sweep
 from .errors import ConfigError, NumericalError, PhysicsError

@@ -18,13 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, load_config, validate_params
-from .dynamics import (
-    _expectation_series,
-    initial_state,
-    make_propagator,
-    nyquist_samples,
-    singlet_yield_mean,
-)
+from .dynamics import _expectation_series, _pair_spin_ops, nyquist_samples, singlet_yield_mean
 from .ensemble import EnsembleSpec, OrientationMode, ensemble_sweep
 from .errors import ConfigError, NumericalError, PhysicsError
 from .hamiltonian import (
@@ -50,13 +44,13 @@ from .signal import (
     observable_series,
     signal_single_molecule,
     single_molecule_prefactor,
+    solve_pair,
     spectrum,
     sweep_field_angle,
     sweep_field_magnitude,
     with_exchange,
     with_lifetime,
 )
-from .spincore import site_operators
 from .strongcoupling import count_resolved_peaks, level_structure, peak_contrast
 
 
@@ -153,6 +147,11 @@ def run_coupling_map(cfg: ExperimentConfig, out: Path, threads: int) -> list[Pat
     return [path]
 
 
+def _t_max(cfg: ExperimentConfig) -> float | None:
+    value = cfg.params.get("t_max_us")
+    return None if value is None else float(value) * 1e-6
+
+
 def run_time_trace(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     rp = _require_rp(cfg)
     b = float(cfg.params.get("b_mT", 1.16))
@@ -160,9 +159,12 @@ def run_time_trace(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     phi = np.deg2rad(float(cfg.params.get("phi_deg", 0.0)))
     r_nm = float(cfg.params.get("r_nm", 10.0))
     n = int(cfg.params.get("n_samples", 32768))
-    if "t_max_us" not in cfg.params and rp.effective_decay_rate == 0:
-        raise ConfigError("params.t_max_us: required when the decay rate is zero")
-    t_max = float(cfg.params.get("t_max_us", 5e6 / rp.effective_decay_rate)) * 1e-6
+    t_max = _t_max(cfg)
+    if t_max is None:
+        if rp.effective_decay_rate == 0:
+            raise ConfigError("params.t_max_us: required when the decay rate is zero")
+        # five lifetimes in microseconds, then seconds: 5.0 / k rounds differently
+        t_max = 5e6 / rp.effective_decay_rate * 1e-6
     t_grid = np.linspace(0.0, t_max, n, endpoint=False)
     series = observable_series(rp, FieldConfig(b, theta, phi), t_grid, r_nm=r_nm)
     trace = signal_single_molecule(series, r_nm)
@@ -186,18 +188,11 @@ def run_time_trace(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     return [p1, p2]
 
 
-def _t_max(cfg: ExperimentConfig) -> float | None:
-    value = cfg.params.get("t_max_us")
-    return None if value is None else float(value) * 1e-6
-
-
 def run_field_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     rp = _require_rp(cfg)
     grid = grid_from_spec(cfg.params.get("b_grid", [0.01, 50.0, 60]), log=True)
     result = sweep_field_magnitude(
         rp,
-        theta=0.0,
-        phi=0.0,
         b_grid_mT=grid,
         sensor=cfg.sensor,
         prefactor=_prefactor(cfg),
@@ -312,102 +307,72 @@ def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     return [p1, p2]
 
 
-def run_anisotropy_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
-    cases = cfg.params.get("cases", ["iso", "axial1", "axial2", "axial3", "rhombic"])
-    b = float(cfg.params.get("b_mT", 0.05))
-    j = float(cfg.params.get("j_mT", 0.25))
-    thetas = _theta_grid(cfg.params)
-    pref = single_molecule_prefactor(float(cfg.params.get("r_nm", 10.0)))
-    rows = []
-    for case in cases:
-        rp = one_nucleus_config(case, j_exchange_mT=j)
-        result = sweep_field_angle(
-            rp, b_mT=b, theta_grid=thetas, phi=0.0, sensor=cfg.sensor,
-            prefactor=pref, normalize=True, threads=threads,
-        )
-        rows.extend(_sweep_rows(result, prefix_cols=[case]))
-    path = write_csv(
-        out / "anisotropy_sweep.csv",
-        _base_comments(cfg) | {"b_mT": b, "j_mT": j, "sweep": "theta, rad"},
-        ["case"] + _SWEEP_HEADER,
-        rows,
-    )
-    return [path]
+def _anisotropy_cases(params: dict) -> tuple[list, dict[str, Any]]:
+    j = float(params.get("j_mT", 0.25))
+    cases = params.get("cases", ["iso", "axial1", "axial2", "axial3", "rhombic"])
+    pairs = [(case, one_nucleus_config(case, j_exchange_mT=j)) for case in cases]
+    return pairs, {"j_mT": j, "sweep": "theta, rad"}
+
+
+def _exchange_cases(params: dict) -> tuple[list, dict[str, Any]]:
+    case = params.get("case", "axial3")
+    r_rp = params.get("r_rp_nm", 2.5)
+    base = one_nucleus_config(case, r_rp_nm=r_rp)
+    j_grid = [float(j) for j in params.get("j_grid_mT", [0.0, 0.25, 0.5, 1.0])]
+    return [(j, with_exchange(base, j)) for j in j_grid], {"case": case, "r_rp_nm": r_rp}
+
+
+def _lifetime_cases(params: dict) -> tuple[list, dict[str, Any]]:
+    case = params.get("case", "axial3")
+    taus_us = [float(t) for t in params.get("tau_us", [1.0, 2.5, 5.0, 10.0, 25.0])]
+    if any(t2 <= t1 for t1, t2 in zip(taus_us, taus_us[1:])):
+        raise ConfigError("params.tau_us: lifetime grid must be strictly increasing")
+    base = two_nucleus_config(case)
+    return [(tau, with_lifetime(base, tau * 1e-6)) for tau in taus_us], {"case": case}
+
+
+#: kind -> (scanned column, its (value, pair) list and comments from params,
+#: default theta grid, write a summary CSV instead of normalising)
+_SCANS = {
+    "anisotropy-sweep": ("case", _anisotropy_cases, [0.0, 180.0, 181], False),
+    "exchange-sweep": ("j_mT", _exchange_cases, [0.0, 180.0, 61], True),
+    "lifetime-sweep": ("tau_us", _lifetime_cases, [0.0, 180.0, 61], True),
+}
 
 
 def _yield_at_theta0(rp: RadicalPairConfig, b_mT: float) -> float:
-    layout = rp.layout()
-    h = build_rp_hamiltonian(rp, FieldConfig(b_mT, 0.0, 0.0))
-    prop = make_propagator(h, rp.effective_decay_rate)
-    rho0 = initial_state(rp.initial_state, layout)
+    prop, rho0 = solve_pair(rp, FieldConfig(b_mT, 0.0, 0.0))
     t_max = _default_t_max(rp)
     n = nyquist_samples(prop, t_max)
-    return singlet_yield_mean(rho0, prop, layout, rp.effective_decay_rate, t_max, n)
+    return singlet_yield_mean(rho0, prop, rp.layout(), rp.effective_decay_rate, t_max, n)
 
 
-def run_exchange_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
-    case = cfg.params.get("case", "axial3")
-    j_grid = [float(j) for j in cfg.params.get("j_grid_mT", [0.0, 0.25, 0.5, 1.0])]
-    r_rp = cfg.params.get("r_rp_nm", 2.5)
+def run_parameter_scan(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
+    """One angle sweep per value of a scanned pair parameter (see ``_SCANS``)."""
+    column, make_cases, theta_default, summarize = _SCANS[cfg.kind]
+    pairs, scan_comments = make_cases(cfg.params)
     b = float(cfg.params.get("b_mT", 0.05))
-    thetas = _theta_grid(cfg.params, [0.0, 180.0, 61])
+    thetas = _theta_grid(cfg.params, theta_default)
     pref = single_molecule_prefactor(float(cfg.params.get("r_nm", 10.0)))
-    base = one_nucleus_config(case, r_rp_nm=r_rp)
     rows, summary = [], []
-    for j in j_grid:
-        rp = with_exchange(base, j)
+    for value, rp in pairs:
         result = sweep_field_angle(
             rp, b_mT=b, theta_grid=thetas, phi=0.0, sensor=cfg.sensor,
-            prefactor=pref, normalize=False, threads=threads,
+            prefactor=pref, normalize=not summarize, threads=threads,
         )
-        rows.extend(_sweep_rows(result, prefix_cols=[j]))
-        summary.append([j, float(np.max(np.abs(result.x_integrated))), _yield_at_theta0(rp, b)])
-    p1 = write_csv(
-        out / "exchange_sweep.csv",
-        _base_comments(cfg) | {"b_mT": b, "case": case, "r_rp_nm": r_rp},
-        ["j_mT"] + _SWEEP_HEADER,
-        rows,
-    )
-    p2 = write_csv(
-        out / "exchange_summary.csv",
-        _base_comments(cfg) | {"note": "max over theta grid and both components"},
-        ["j_mT", "max_abs_X_I", "singlet_yield_theta0"],
-        summary,
-    )
-    return [p1, p2]
-
-
-def run_lifetime_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
-    case = cfg.params.get("case", "axial3")
-    taus_us = [float(t) for t in cfg.params.get("tau_us", [1.0, 2.5, 5.0, 10.0, 25.0])]
-    if any(t2 <= t1 for t1, t2 in zip(taus_us, taus_us[1:])):
-        raise ConfigError("params.tau_us: lifetime grid must be strictly increasing")
-    b = float(cfg.params.get("b_mT", 0.05))
-    thetas = _theta_grid(cfg.params, [0.0, 180.0, 61])
-    pref = single_molecule_prefactor(float(cfg.params.get("r_nm", 10.0)))
-    base = two_nucleus_config(case)
-    rows, summary = [], []
-    for tau in taus_us:
-        rp = with_lifetime(base, tau * 1e-6)
-        result = sweep_field_angle(
-            rp, b_mT=b, theta_grid=thetas, phi=0.0, sensor=cfg.sensor,
-            prefactor=pref, normalize=False, threads=threads,
-        )
-        rows.extend(_sweep_rows(result, prefix_cols=[tau]))
-        summary.append([tau, float(np.max(np.abs(result.x_integrated))), _yield_at_theta0(rp, b)])
-    p1 = write_csv(
-        out / "lifetime_sweep.csv",
-        _base_comments(cfg) | {"b_mT": b, "case": case},
-        ["tau_us"] + _SWEEP_HEADER,
-        rows,
-    )
-    p2 = write_csv(
-        out / "lifetime_summary.csv",
-        _base_comments(cfg) | {"note": "max over theta grid and both components"},
-        ["tau_us", "max_abs_X_I", "singlet_yield_theta0"],
-        summary,
-    )
-    return [p1, p2]
+        rows.extend(_sweep_rows(result, prefix_cols=[value]))
+        if summarize:
+            peak = float(np.max(np.abs(result.x_integrated)))
+            summary.append([value, peak, _yield_at_theta0(rp, b)])
+    stem = cfg.kind.removesuffix("-sweep")
+    comments = _base_comments(cfg) | {"b_mT": b} | scan_comments
+    files = [write_csv(out / f"{stem}_sweep.csv", comments, [column] + _SWEEP_HEADER, rows)]
+    if summarize:
+        note = {"note": "max over theta grid and both components"}
+        header = [column, "max_abs_X_I", "singlet_yield_theta0"]
+        path = out / f"{stem}_summary.csv"
+        files.append(write_csv(path, _base_comments(cfg) | note, header, summary))
+    return files
 
 
 _RUNNERS = {
@@ -417,9 +382,9 @@ _RUNNERS = {
     "angle-sweep": run_angle_sweep,
     "ensemble": run_ensemble,
     "peak-count": run_peak_count,
-    "anisotropy-sweep": run_anisotropy_sweep,
-    "exchange-sweep": run_exchange_sweep,
-    "lifetime-sweep": run_lifetime_sweep,
+    "anisotropy-sweep": run_parameter_scan,
+    "exchange-sweep": run_parameter_scan,
+    "lifetime-sweep": run_parameter_scan,
 }
 
 
@@ -436,18 +401,15 @@ def run_oracle_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
         )
     b = float(cfg.params.get("b_mT", 0.05))
     field = FieldConfig(b, 0.0, 0.0)
-    h = build_rp_hamiltonian(rp, field)
-    prop = make_propagator(h, rp.effective_decay_rate)
-    rho0 = initial_state(rp.initial_state, layout)
+    prop, rho0 = solve_pair(rp, field)
+    h = build_rp_hamiltonian(rp, field)  # RK4 integrates H itself
 
     lam_max = float(np.max(np.abs(prop.eigenvalues)))
     dt = 0.02 / max(lam_max, rp.effective_decay_rate, 1.0)
     t_max = 2e-6
     n_steps = max(int(round(t_max / dt)), 100)
     dt = t_max / n_steps
-    s1 = site_operators(layout, 0)
-    s2 = site_operators(layout, 1)
-    ops = [s1[i] + s2[i] for i in range(3)]
+    ops = _pair_spin_ops(layout)
     res = rk4_evolve(rho0, h, rp.effective_decay_rate, dt, t_max, observables=ops)
     exact = _expectation_series(prop, rho0, ops, res.t_grid)
     deviation = float(np.max(np.abs(exact - res.observables)))

@@ -246,9 +246,7 @@ def _canonical_value(value: Any) -> Any:
 _KIND_PARAMS: dict[str, tuple[str, ...]] = {
     "coupling-map": ("r_nm", "theta_deg"),
     "time-trace": ("system", "b_mT", "theta_deg", "phi_deg", "r_nm", "n_samples", "t_max_us"),
-    "field-sweep": (
-        "system", "b_grid", "theta_deg", "phi_deg", "scale", "r_nm", "densify", "t_max_us"
-    ),
+    "field-sweep": ("system", "b_grid", "scale", "r_nm", "densify", "t_max_us"),
     "angle-sweep": (
         "system", "b_mT", "theta_deg", "phi_deg", "scale", "r_nm", "normalize", "t_max_us"
     ),

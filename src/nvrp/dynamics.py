@@ -233,24 +233,6 @@ def evolve_observables(
     return ObservableSeries(t_grid=t_grid, s_tilde=s_tilde, pair_spin=pair)
 
 
-def time_averaged_observables(
-    rho0: np.ndarray,
-    prop: Propagator,
-    geom: CouplingGeometry,
-    layout: SpinSystemLayout,
-    t_max: float,
-    n_samples: int,
-) -> np.ndarray:
-    """Sample means of s_tilde over a uniform grid, via the closed form.
-
-    Identical (up to rounding) to ``evolve_observables`` followed by a
-    mean over samples, but with cost independent of ``n_samples``.
-    """
-    dt = t_max / n_samples
-    means = _expectation_means(prop, rho0, _pair_spin_ops(layout), dt, n_samples)
-    return geom.d_c * means
-
-
 def nyquist_samples(prop: Propagator, t_max: float, minimum: int = 4096) -> int:
     """Smallest power-of-two sample count resolving the spectral spread."""
     spread = prop.spectral_spread
@@ -266,23 +248,6 @@ def singlet_probability(rho: np.ndarray, layout: SpinSystemLayout) -> float:
     return float(np.real(np.trace(singlet_projector(layout) @ rho)))
 
 
-def singlet_probability_series(
-    rho0: np.ndarray, prop: Propagator, t_grid: np.ndarray, layout: SpinSystemLayout
-) -> np.ndarray:
-    """Tr[rho(t) P_S] on a uniform grid."""
-    _check_uniform_grid(np.asarray(t_grid, dtype=float))
-    return _expectation_series(prop, rho0, [singlet_projector(layout)], np.asarray(t_grid))[0]
-
-
-def singlet_yield(probabilities: np.ndarray, k: float, dt: float) -> float:
-    """phi_s = k dt sum_t Tr[rho(t) P_S], the rate-weighted singlet yield.
-
-    The grid behind ``probabilities`` should extend to at least five
-    lifetimes; the truncation error is then below exp(-5).
-    """
-    return float(k * dt * np.sum(probabilities))
-
-
 def singlet_yield_mean(
     rho0: np.ndarray,
     prop: Propagator,
@@ -291,7 +256,12 @@ def singlet_yield_mean(
     t_max: float,
     n_samples: int,
 ) -> float:
-    """Closed-form singlet yield on a uniform grid of n samples."""
+    """phi_s = k dt sum_j Tr[rho(t_j) P_S], t_j = j dt, dt = t_max / n.
+
+    The rate-weighted singlet yield, summed in closed form.  ``t_max``
+    should reach at least five lifetimes; the truncation error is then
+    below exp(-5).
+    """
     dt = t_max / n_samples
     mean = _expectation_means(prop, rho0, [singlet_projector(layout)], dt, n_samples)[0]
     return float(k * dt * mean * n_samples)

@@ -22,10 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import GAMMA_E, dipolar_prefactor
 from .errors import PhysicsError
 from .hamiltonian import CouplingGeometry, FieldConfig, RadicalPairConfig, coupling_geometry
-from .signal import _parallel_map, integrated_observables
+from .signal import _parallel_map, integrated_observables, single_molecule_prefactor
 from .spincore import Rotation, euler_rotation
 
 
@@ -65,14 +64,13 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class EnsembleStatistics:
-    """Per-sweep-point mean and variance of X_i^I across realizations."""
+    """Per-field mean and variance of X_i^I across realizations."""
 
     grid: np.ndarray
     mean: np.ndarray  # (3, n)
     variance: np.ndarray  # (3, n)
     mode: OrientationMode
     seed: int
-    sweep_kind: str
 
 
 def _haar_rotation(rng: np.random.Generator) -> Rotation:
@@ -135,65 +133,33 @@ def realization_rngs(spec: EnsembleSpec) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in seqs]
 
 
-def _radial_prefactor(r_nm: float) -> float:
-    return abs(dipolar_prefactor(r_nm)) / GAMMA_E
-
-
 def ensemble_sweep(
     cfg: RadicalPairConfig,
     spec: EnsembleSpec,
-    b_grid_mT: Sequence[float] | None = None,
-    theta_grid: Sequence[float] | None = None,
-    b_mT: float | None = None,
-    theta: float = 0.0,
-    phi: float = 0.0,
-    t_max: float | None = None,
+    b_grid_mT: Sequence[float],
     threads: int = 1,
 ) -> EnsembleStatistics:
-    """Mean and variance of the summed molecular signal per sweep point.
+    """Mean and variance of the summed molecular signal against field magnitude.
 
-    Exactly one of ``b_grid_mT`` (magnitude sweep at fixed ``theta``) and
-    ``theta_grid`` (angle sweep at fixed ``b_mT``) must be given.  Every
-    molecule contributes its own rotated evolution scaled by the
-    point-dipole factor at its distance; aligned realizations share one
-    evolution per sweep point.
+    The field lies on the sensor axis (theta = 0).  Every molecule
+    contributes its own rotated evolution scaled by the point-dipole
+    factor at its distance; aligned molecules share one evolution per
+    field, computed before the workers start.
     """
-    if (b_grid_mT is None) == (theta_grid is None):
-        raise PhysicsError("give exactly one of b_grid_mT and theta_grid")
-    if theta_grid is not None and b_mT is None:
-        raise PhysicsError("an angle sweep needs the fixed field magnitude b_mT")
-
-    if b_grid_mT is not None:
-        grid = np.asarray(b_grid_mT, dtype=float)
-        fields = [FieldConfig(b, theta, phi) for b in grid]
-        sweep_kind = "field_magnitude_mT"
-    else:
-        grid = np.asarray(theta_grid, dtype=float)
-        fields = [FieldConfig(b_mT, th, phi) for th in grid]
-        sweep_kind = "theta_rad"
-
+    grid = np.asarray(b_grid_mT, dtype=float)
+    fields = [FieldConfig(b, 0.0, 0.0) for b in grid]
     realizations = [sample_realization(spec, rng) for rng in realization_rngs(spec)]
 
-    # rotation-distinct evolutions dominate the cost; cache identity ones
-    aligned_cache: dict[int, np.ndarray] = {}
+    aligned = []
+    if any(g.rotation.is_identity for mols in realizations for g in mols):
+        aligned = [integrated_observables(cfg, f) for f in fields]
 
     def molecule_signal(geom: CouplingGeometry, i_field: int) -> np.ndarray:
         if geom.rotation.is_identity:
-            if i_field not in aligned_cache:
-                aligned_cache[i_field] = integrated_observables(
-                    cfg, fields[i_field], None, t_max=t_max
-                )
-            raw = aligned_cache[i_field]
+            raw = aligned[i_field]
         else:
-            raw = integrated_observables(cfg, fields[i_field], geom.rotation, t_max=t_max)
-        return _radial_prefactor(geom.r_nm) * raw
-
-    # warm the aligned cache serially so threaded workers only read it
-    if any(g.rotation.is_identity for mols in realizations for g in mols):
-        for i_field in range(grid.shape[0]):
-            aligned_cache[i_field] = integrated_observables(
-                cfg, fields[i_field], None, t_max=t_max
-            )
+            raw = integrated_observables(cfg, fields[i_field], geom.rotation)
+        return single_molecule_prefactor(geom.r_nm) * raw
 
     def realization_total(molecules: list[CouplingGeometry]) -> np.ndarray:
         out = np.zeros((3, grid.shape[0]))
@@ -210,5 +176,4 @@ def ensemble_sweep(
         variance=np.var(totals, axis=0),
         mode=spec.orientation_mode,
         seed=spec.seed,
-        sweep_kind=sweep_kind,
     )

@@ -26,6 +26,7 @@ import numpy as np
 from .constants import GAMMA_E, HBAR, MU0, dipolar_prefactor
 from .dynamics import (
     ObservableSeries,
+    Propagator,
     _expectation_means,
     _pair_spin_ops,
     evolve_observables,
@@ -128,6 +129,19 @@ def _default_t_max(cfg: RadicalPairConfig) -> float:
     return 5.0 / cfg.effective_decay_rate
 
 
+def solve_pair(
+    cfg: RadicalPairConfig, field_cfg: FieldConfig, rotation: Rotation | None = None
+) -> tuple[Propagator, np.ndarray]:
+    """The propagator of H_RP with its decay rate, and the initial state rho0.
+
+    Every signal, yield and contrast starts from this pair:
+    rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag.
+    """
+    h = build_rp_hamiltonian(cfg, field_cfg, rotation)
+    prop = make_propagator(h, cfg.effective_decay_rate)
+    return prop, initial_state(cfg.initial_state, cfg.layout())
+
+
 def observable_series(
     cfg: RadicalPairConfig,
     field_cfg: FieldConfig,
@@ -136,12 +150,9 @@ def observable_series(
     r_nm: float = 10.0,
 ) -> ObservableSeries:
     """Evolve one molecule and return its s_tilde time series."""
-    layout = cfg.layout()
-    h = build_rp_hamiltonian(cfg, field_cfg, rotation)
-    prop = make_propagator(h, cfg.effective_decay_rate)
-    rho0 = initial_state(cfg.initial_state, layout)
+    prop, rho0 = solve_pair(cfg, field_cfg, rotation)
     geom = coupling_geometry(r_nm, field_cfg.theta, field_cfg.phi, rotation)
-    return evolve_observables(rho0, prop, t_grid, geom, layout)
+    return evolve_observables(rho0, prop, t_grid, geom, cfg.layout())
 
 
 def integrated_observables(
@@ -149,7 +160,6 @@ def integrated_observables(
     field_cfg: FieldConfig,
     rotation: Rotation | None = None,
     t_max: float | None = None,
-    min_samples: int = 4096,
 ) -> np.ndarray:
     """Sample-mean of s_tilde over a Nyquist-resolved uniform grid.
 
@@ -157,13 +167,10 @@ def integrated_observables(
     sample count per point adapts to the spectral spread of H, which
     leaves the closed-form mean exact for the grid actually used.
     """
-    layout = cfg.layout()
-    h = build_rp_hamiltonian(cfg, field_cfg, rotation)
-    prop = make_propagator(h, cfg.effective_decay_rate)
-    rho0 = initial_state(cfg.initial_state, layout)
+    prop, rho0 = solve_pair(cfg, field_cfg, rotation)
     t_max = t_max if t_max is not None else _default_t_max(cfg)
-    n = nyquist_samples(prop, t_max, min_samples)
-    means = _expectation_means(prop, rho0, _pair_spin_ops(layout), t_max / n, n)
+    n = nyquist_samples(prop, t_max)
+    means = _expectation_means(prop, rho0, _pair_spin_ops(cfg.layout()), t_max / n, n)
     geom = coupling_geometry(1.0, field_cfg.theta, field_cfg.phi)
     return geom.d_c * means
 
@@ -257,32 +264,24 @@ def log_field_grid(
 
 def sweep_field_magnitude(
     cfg: RadicalPairConfig,
-    theta: float,
-    phi: float,
     b_grid_mT: Sequence[float],
     sensor: SensorParams,
     prefactor: float | None = None,
     t_max: float | None = None,
-    allow_tilted: bool = False,
     densify: bool = False,
     threads: int = 1,
 ) -> SweepResult:
-    """X_i^I against field magnitude at fixed direction.
+    """X_i^I against field magnitude, with the field on the sensor axis.
 
-    theta = 0 is enforced (the two-level sensor approximation) unless
-    ``allow_tilted``.  With ``densify`` a second pass adds a 5x denser
-    patch of points around the detected maximum of |X_z^I|.
+    The field stays at theta = 0: large transverse fields break the
+    two-level sensor approximation.  With ``densify`` a second pass adds
+    a 5x denser patch of points around the detected maximum of |X_z^I|.
     """
-    if theta != 0.0 and not allow_tilted:
-        raise PhysicsError(
-            "magnitude sweeps run at theta = 0 unless allow_tilted is set "
-            "(large transverse fields break the two-level sensor approximation)"
-        )
     pref = prefactor if prefactor is not None else aligned_prefactor(sensor)
     b_grid = np.asarray(b_grid_mT, dtype=float)
 
     def point(b: float) -> np.ndarray:
-        return pref * integrated_observables(cfg, FieldConfig(b, theta, phi), t_max=t_max)
+        return pref * integrated_observables(cfg, FieldConfig(b, 0.0, 0.0), t_max=t_max)
 
     values = np.stack(_parallel_map(point, b_grid, threads), axis=1)
 

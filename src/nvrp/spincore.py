@@ -195,7 +195,8 @@ class Rotation:
 
     @classmethod
     def identity(cls) -> "Rotation":
-        return cls(np.eye(3))
+        """The shared identity rotation (validated once; its matrix is read-only)."""
+        return _IDENTITY
 
     @property
     def is_identity(self) -> bool:
@@ -204,6 +205,10 @@ class Rotation:
     def compose(self, other: "Rotation") -> "Rotation":
         """Return the rotation 'self after other'."""
         return Rotation(self.matrix @ other.matrix)
+
+
+_IDENTITY = Rotation(np.eye(3))
+_IDENTITY.matrix.setflags(write=False)
 
 
 def _axis_rotation(axis: int, angle: float) -> np.ndarray:

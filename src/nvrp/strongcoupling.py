@@ -19,11 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .constants import dipolar_prefactor
-from .dynamics import (
-    _expectation_series,
-    initial_state,
-    make_propagator,
-)
+from .dynamics import _expectation_series
 from .errors import PhysicsError
 from .hamiltonian import (
     CouplingGeometry,
@@ -35,6 +31,7 @@ from .hamiltonian import (
     build_rp_hamiltonian,
     classify_regime,
 )
+from .signal import solve_pair
 
 #: eigenvalue gap below which states count as one degenerate cluster, rad/s
 DEGENERACY_GAP = 1e-6
@@ -197,10 +194,7 @@ def peak_contrast(
     contributes its aligned-frame factor, beta the 2 pi factor, all times
     the number density.
     """
-    layout = cfg.layout()
-    rho0 = initial_state(cfg.initial_state, layout)
-    h0 = build_rp_hamiltonian(cfg, field_cfg, geom.rotation)
-    prop = make_propagator(h0, cfg.effective_decay_rate)
+    prop, rho0 = solve_pair(cfg, field_cfg, geom.rotation)
     t_grid = np.asarray(t_grid, dtype=float)
 
     def contrast_at(geometry: CouplingGeometry) -> np.ndarray:

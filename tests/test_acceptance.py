@@ -222,9 +222,7 @@ def test_criterion_5_lfe_shape():
     with Budget("criterion 5", 600.0) as budget:
         cfg = one_nucleus_config("axial3")
         grid = log_field_grid(0.01, 50.0, 60)
-        res = sweep_field_magnitude(
-            cfg, 0.0, 0.0, grid, SENSOR, prefactor=PREFACTOR_10NM
-        )
+        res = sweep_field_magnitude(cfg, grid, SENSOR, prefactor=PREFACTOR_10NM)
         z = np.abs(res.x_integrated[2])
         i_max = int(np.argmax(z))
         dominant = [

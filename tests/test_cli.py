@@ -8,8 +8,11 @@ import pytest
 
 from nvrp.cli import experiment_from_preset, main, run
 from nvrp.config import load_config, parse_experiment
+from nvrp.dynamics import nyquist_samples, singlet_yield_mean
 from nvrp.errors import ConfigError
-from nvrp.presets import ALIASES, PRESETS, get_preset
+from nvrp.hamiltonian import FieldConfig
+from nvrp.presets import ALIASES, PRESETS, get_preset, one_nucleus_config
+from nvrp.signal import solve_pair, with_exchange
 
 
 def _read_csv_rows(path: Path) -> list[str]:
@@ -115,9 +118,17 @@ def test_bad_type_diagnostic(tmp_path):
 
 
 def test_schema_error_exit_code(tmp_path, capsys):
-    path = _write_config(tmp_path, {"kind": "angle-sweep", "bogus": 1})
-    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "bogus" in capsys.readouterr().err
+    # field sweeps run on the sensor axis, so they take no field angles
+    field_sweep = _minimal_angle_sweep(
+        kind="field-sweep", params={"b_grid": [0.1, 1.0, 3], "theta_deg": 60}
+    )
+    for payload, key in (
+        ({"kind": "angle-sweep", "bogus": 1}, "bogus"),
+        (field_sweep, "params.theta_deg"),
+    ):
+        path = _write_config(tmp_path, payload)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -137,6 +148,45 @@ def test_physics_error_exit_code(tmp_path, capsys, kind, params, rate, message):
     path = _write_config(tmp_path, payload)
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 3
     assert message in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("t_max_us, code", [(1.0, 0), (None, 2)], ids=["t-max", "no-t-max"])
+def test_time_trace_zero_rate(tmp_path, capsys, t_max_us, code):
+    payload = _minimal_angle_sweep(kind="time-trace")
+    payload["params"] = {"b_mT": 0.05, "n_samples": 1024}
+    if t_max_us is not None:
+        payload["params"]["t_max_us"] = t_max_us
+    payload["radical_pair"]["recombination_rate"] = 0.0
+    del payload["radical_pair"]["lifetime_us"]
+    path = _write_config(tmp_path, payload)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == code
+    if code == 0:
+        assert len(_read_csv_rows(tmp_path / "o" / "time_trace.csv")) == 1 + 1024
+    else:
+        assert "t_max_us" in capsys.readouterr().err
+
+
+def test_exchange_sweep_runner(tmp_path):
+    cfg = parse_experiment(
+        {
+            "kind": "exchange-sweep",
+            "params": {"j_grid_mT": [0.0, 0.5], "theta_deg": [0.0, 180.0, 5]},
+        }
+    )
+    run(cfg, tmp_path)
+    rows = _read_csv_rows(tmp_path / "exchange_sweep.csv")
+    assert rows[0].split(",")[0] == "j_mT"
+    assert len(rows) == 1 + 2 * 5
+    summary = _read_csv_rows(tmp_path / "exchange_summary.csv")
+    assert summary[0] == "j_mT,max_abs_X_I,singlet_yield_theta0"
+    base = one_nucleus_config("axial3", r_rp_nm=2.5)
+    for row, j in zip(summary[1:], (0.0, 0.5)):
+        rp = with_exchange(base, j)
+        prop, rho0 = solve_pair(rp, FieldConfig(0.05, 0.0, 0.0))
+        k = rp.effective_decay_rate
+        t_max = 5.0 / k
+        y = singlet_yield_mean(rho0, prop, rp.layout(), k, t_max, nyquist_samples(prop, t_max))
+        assert row.split(",")[2] == f"{y:.12g}"
 
 
 def test_run_angle_sweep_config(tmp_path):

@@ -9,10 +9,7 @@ from nvrp.dynamics import (
     make_propagator,
     nyquist_samples,
     singlet_probability,
-    singlet_probability_series,
-    singlet_yield,
     singlet_yield_mean,
-    time_averaged_observables,
 )
 from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import (
@@ -22,6 +19,7 @@ from nvrp.hamiltonian import (
     coupling_geometry,
 )
 from nvrp.oracle import rk4_evolve
+from nvrp.signal import integrated_observables, solve_pair
 from nvrp.spincore import SpinSystemLayout, site_operators
 
 from conftest import make_pair
@@ -179,17 +177,15 @@ def test_undersampled_grid_rejected(axial3_pair):
 
 def test_time_averaged_matches_materialized_mean(axial3_pair):
     cfg = axial3_pair
-    layout = cfg.layout()
-    h = build_rp_hamiltonian(cfg, FieldConfig(0.05, 0.4, 0.0))
-    prop = make_propagator(h, cfg.recombination_rate)
-    rho0 = initial_state(S, layout)
+    field = FieldConfig(0.05, 0.4, 0.0)
+    prop, rho0 = solve_pair(cfg, field)
     geom = coupling_geometry(10.0, 0.4, 0.0)
     t_max = 5.0 / cfg.recombination_rate
-    n = 8192
+    n = nyquist_samples(prop, t_max)  # the grid integrated_observables averages over
     t = np.linspace(0.0, t_max, n, endpoint=False)
-    series = evolve_observables(rho0, prop, t, geom, layout)
+    series = evolve_observables(rho0, prop, t, geom, cfg.layout())
     direct = np.mean(series.s_tilde, axis=1)
-    closed = time_averaged_observables(rho0, prop, geom, layout, t_max, n)
+    closed = integrated_observables(cfg, field, t_max=t_max)
     assert np.allclose(direct, closed, rtol=1e-10, atol=1e-15)
 
 
@@ -228,9 +224,7 @@ def test_yield_saturates_for_singlet_conserving_hamiltonian():
     rho0 = initial_state(S, layout)
     t_max = 5.0 / k
     n = 16384
-    t = np.linspace(0.0, t_max, n, endpoint=False)
-    probs = singlet_probability_series(rho0, prop, t, layout)
-    ys = singlet_yield(probs, k, t_max / n)
+    ys = singlet_yield_mean(rho0, prop, layout, k, t_max, n)
     expected = 1.0 - np.exp(-k * t_max)
     # left-endpoint Riemann sum overshoots by ~k dt / 2
     assert ys == pytest.approx(expected, rel=2e-4)
@@ -261,10 +255,7 @@ def test_yield_against_rk4_oracle(axial3_pair):
     t_max = 5.0 / k
     n = 4096
     dt_grid = t_max / n
-    probs = singlet_probability_series(
-        rho0, prop, np.linspace(0.0, t_max, n, endpoint=False), layout
-    )
-    ys_eigen = singlet_yield(probs, k, dt_grid)
+    ys_eigen = singlet_yield_mean(rho0, prop, layout, k, t_max, n)
 
     # oracle on a coarser recorded grid but fine integration steps
     lam = float(np.max(np.abs(prop.eigenvalues)))
@@ -273,7 +264,7 @@ def test_yield_against_rk4_oracle(axial3_pair):
         rho0, h, k, dt_grid / sub, t_max, observables=[singlet_projector(layout)],
         record_every=sub,
     )
-    ys_oracle = singlet_yield(res.observables[0][:n], k, dt_grid)
+    ys_oracle = k * dt_grid * np.sum(res.observables[0][:n])
     assert ys_eigen == pytest.approx(ys_oracle, abs=1e-4)
 
 

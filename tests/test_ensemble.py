@@ -1,7 +1,6 @@
 """Ensemble sampling and the orientation-averaged statistics."""
 
 import numpy as np
-import pytest
 
 from nvrp.ensemble import (
     EnsembleSpec,
@@ -11,7 +10,6 @@ from nvrp.ensemble import (
     realization_rngs,
     sample_realization,
 )
-from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import FieldConfig
 from nvrp.presets import one_nucleus_config
 from nvrp.signal import integrated_observables, single_molecule_prefactor
@@ -111,14 +109,6 @@ def test_random_orientation_variance_positive_two_seed_sets():
         spec = _spec(seed=seed, n_realizations=6, n_molecules=2)
         stats = ensemble_sweep(cfg, spec, b_grid_mT=[1.2])
         assert stats.variance[2, 0] > 0.0
-
-
-def test_sweep_argument_validation():
-    cfg = one_nucleus_config("axial3")
-    with pytest.raises(PhysicsError, match="exactly one"):
-        ensemble_sweep(cfg, _spec())
-    with pytest.raises(PhysicsError, match="b_mT"):
-        ensemble_sweep(cfg, _spec(), theta_grid=[0.1, 0.2])
 
 
 def test_aligned_mean_is_radial_average_of_single_molecule():

@@ -180,11 +180,6 @@ def test_volume_needs_eight_alpha_nodes():
 # -- magnitude sweep -----------------------------------------------------------
 
 
-def test_magnitude_sweep_requires_axial_field(axial3_pair, sensor):
-    with pytest.raises(PhysicsError, match="theta = 0"):
-        sweep_field_magnitude(axial3_pair, 0.3, 0.0, [0.1, 1.0], sensor)
-
-
 def test_symmetric_iso_zero_field_null(sensor):
     # equal isotropic tensors, no dipolar: at B = 0 the full rotational
     # symmetry forces every component to vanish
@@ -198,7 +193,7 @@ def test_symmetric_iso_zero_field_null(sensor):
 
 def test_high_field_suppression(axial3_pair, sensor):
     grid = log_field_grid(0.01, 50.0, 24)
-    res = sweep_field_magnitude(axial3_pair, 0.0, 0.0, grid, sensor)
+    res = sweep_field_magnitude(axial3_pair, grid, sensor)
     z = np.abs(res.x_integrated[2])
     assert z[-1] < 0.10 * np.max(z)
 
@@ -211,7 +206,7 @@ def test_lfe_peak_location_against_oracle(axial3_pair, sensor):
     from nvrp.spincore import site_operators
 
     grid = log_field_grid(0.1, 5.0, 18)
-    res = sweep_field_magnitude(axial3_pair, 0.0, 0.0, grid, sensor)
+    res = sweep_field_magnitude(axial3_pair, grid, sensor)
     z = np.abs(res.x_integrated[2])
     i_peak = int(np.argmax(z))
     assert 0 < i_peak < len(grid) - 1
@@ -241,7 +236,7 @@ def test_lfe_peak_location_against_oracle(axial3_pair, sensor):
 
 def test_densify_adds_points(axial3_pair, sensor):
     grid = log_field_grid(0.1, 5.0, 10)
-    res = sweep_field_magnitude(axial3_pair, 0.0, 0.0, grid, sensor, densify=True)
+    res = sweep_field_magnitude(axial3_pair, grid, sensor, densify=True)
     assert res.grid.shape[0] > 10
     assert np.all(np.diff(res.grid) > 0)
 

@@ -157,6 +157,13 @@ def test_rotation_rejects_reflection():
         Rotation(np.diag([1.0, 1.0, -1.0]))
 
 
+def test_identity_is_shared_and_read_only():
+    r = Rotation.identity()
+    assert r is Rotation.identity()
+    assert r.is_identity
+    assert not r.matrix.flags.writeable
+
+
 def test_rotate_tensor_identity():
     t = diagonal_tensor(1.0, 2.0, 3.0)
     assert np.allclose(rotate_tensor(Rotation.identity(), t), t)
