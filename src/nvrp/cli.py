@@ -166,7 +166,7 @@ def run_time_trace(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
         # five lifetimes in microseconds, then seconds: 5.0 / k rounds differently
         t_max = 5e6 / rp.effective_decay_rate * 1e-6
     t_grid = np.linspace(0.0, t_max, n, endpoint=False)
-    series = observable_series(rp, FieldConfig(b, theta, phi), t_grid, r_nm=r_nm)
+    series = observable_series(rp, FieldConfig(b, theta, phi), t_grid)
     trace = signal_single_molecule(series, r_nm)
     spec = spectrum(trace)
     comments = _base_comments(cfg) | {"b_mT": b, "r_nm": r_nm}
@@ -194,7 +194,6 @@ def run_field_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path
     result = sweep_field_magnitude(
         rp,
         b_grid_mT=grid,
-        sensor=cfg.sensor,
         prefactor=_prefactor(cfg),
         t_max=_t_max(cfg),
         densify=bool(cfg.params.get("densify", False)),
@@ -218,7 +217,6 @@ def run_angle_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path
         b_mT=b,
         theta_grid=thetas,
         phi=np.deg2rad(float(cfg.params.get("phi_deg", 0.0))),
-        sensor=cfg.sensor,
         prefactor=_prefactor(cfg),
         t_max=_t_max(cfg),
         normalize=bool(cfg.params.get("normalize", True)),
@@ -239,14 +237,13 @@ def run_ensemble(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     n_real = int(cfg.params.get("n_realizations", 50))
     n_mol = cfg.params.get("n_molecules")
     r_range = tuple(cfg.params.get("r_range_nm", (cfg.sensor.r1_nm, cfg.sensor.r2_nm)))
-    seed = int(cfg.params.get("seed", cfg.seed))
     rows = []
     for mode in (OrientationMode.ALIGNED, OrientationMode.RANDOM_EULER):
         spec = EnsembleSpec(
             n_realizations=n_real,
             orientation_mode=mode,
             r_range_nm=r_range,
-            seed=seed,
+            seed=cfg.seed,
             density_per_nm3=None if n_mol is not None else cfg.sensor.density_per_nm3,
             n_molecules=None if n_mol is None else int(n_mol),
         )
@@ -260,7 +257,7 @@ def run_ensemble(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
                     stats.mean[2, i],
                     stats.variance[2, i],
                     mode.value,
-                    seed,
+                    cfg.seed,
                 ]
             )
     path = write_csv(
@@ -280,9 +277,9 @@ def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     grid = grid_from_spec(cfg.params.get("b_grid", [0.05, 10.0, 24]), log=True)
     t_max = _default_t_max(rp)
     gamma = cfg.sensor.gamma_hz
+    geom = coupling_geometry(r_nm, theta, phi)
     rows = []
     for b in grid:
-        geom = coupling_geometry(r_nm, theta, phi)
         levels = level_structure(rp, FieldConfig(float(b), theta, phi), geom, cfg.sensor)
         peaks = count_resolved_peaks(levels, gamma)
         for c, m in zip(peaks.centers_hz, peaks.multiplicities):
@@ -295,7 +292,6 @@ def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     )
     # contrast traces at the central field point
     b_mid = float(grid[len(grid) // 2])
-    geom = coupling_geometry(r_nm, theta, phi)
     t_grid = np.linspace(0.0, t_max, 2048, endpoint=False)
     contrasts = peak_contrast(rp, FieldConfig(b_mid, theta, phi), geom, t_grid)
     p2 = write_csv(
@@ -357,8 +353,8 @@ def run_parameter_scan(cfg: ExperimentConfig, out: Path, threads: int) -> list[P
     rows, summary = [], []
     for value, rp in pairs:
         result = sweep_field_angle(
-            rp, b_mT=b, theta_grid=thetas, phi=0.0, sensor=cfg.sensor,
-            prefactor=pref, normalize=not summarize, threads=threads,
+            rp, b_mT=b, theta_grid=thetas, phi=0.0, prefactor=pref,
+            normalize=not summarize, threads=threads,
         )
         rows.extend(_sweep_rows(result, prefix_cols=[value]))
         if summarize:
@@ -436,7 +432,7 @@ def experiment_from_preset(preset: Preset, seed: int | None) -> ExperimentConfig
         radical_pair=rp,
         sensor=preset.sensor if preset.sensor is not None else SensorParams(),
         params=params,
-        seed=seed if seed is not None else int(params.get("seed", 0)),
+        seed=seed if seed is not None else 0,
     )
 
 

@@ -27,19 +27,6 @@ from .hamiltonian import (
 )
 from .spincore import SpinSpecies
 
-#: experiment kinds the runner understands
-KINDS = (
-    "coupling-map",
-    "time-trace",
-    "field-sweep",
-    "angle-sweep",
-    "ensemble",
-    "peak-count",
-    "anisotropy-sweep",
-    "exchange-sweep",
-    "lifetime-sweep",
-)
-
 _MISSING = object()
 
 
@@ -250,12 +237,15 @@ _KIND_PARAMS: dict[str, tuple[str, ...]] = {
     "angle-sweep": (
         "system", "b_mT", "theta_deg", "phi_deg", "scale", "r_nm", "normalize", "t_max_us"
     ),
-    "ensemble": ("system", "b_grid", "n_realizations", "n_molecules", "seed", "r_range_nm"),
+    "ensemble": ("system", "b_grid", "n_realizations", "n_molecules", "r_range_nm"),
     "peak-count": ("system", "r_nm", "b_grid", "theta_deg", "phi_deg"),
     "anisotropy-sweep": ("cases", "b_mT", "j_mT", "theta_deg", "r_nm"),
     "exchange-sweep": ("case", "j_grid_mT", "r_rp_nm", "b_mT", "theta_deg", "r_nm"),
     "lifetime-sweep": ("case", "tau_us", "b_mT", "theta_deg", "r_nm"),
 }
+
+#: experiment kinds the runner understands
+KINDS = tuple(_KIND_PARAMS)
 
 
 def validate_params(kind: str, params: dict[str, Any]) -> dict[str, Any]:

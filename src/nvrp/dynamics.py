@@ -30,6 +30,9 @@ from .spincore import SpinSystemLayout, site_operators
 
 _SQRT2 = np.sqrt(2.0)
 
+#: fewest samples of a closed-form mean, a power of two
+MIN_SAMPLES = 4096
+
 
 @lru_cache(maxsize=32)
 def electron_pair_state(kind: InitialElectronState) -> np.ndarray:
@@ -125,14 +128,6 @@ class ObservableSeries:
     t_grid: np.ndarray
     s_tilde: np.ndarray
     pair_spin: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.t_grid.shape[0]
-
-    @property
-    def dt(self) -> float:
-        return float(self.t_grid[1] - self.t_grid[0]) if self.n_samples > 1 else 0.0
 
 
 def _check_uniform_grid(t_grid: np.ndarray) -> float:
@@ -233,10 +228,10 @@ def evolve_observables(
     return ObservableSeries(t_grid=t_grid, s_tilde=s_tilde, pair_spin=pair)
 
 
-def nyquist_samples(prop: Propagator, t_max: float, minimum: int = 4096) -> int:
-    """Smallest power-of-two sample count resolving the spectral spread."""
+def nyquist_samples(prop: Propagator, t_max: float) -> int:
+    """Smallest power-of-two count, at least MIN_SAMPLES, resolving the spectral spread."""
     spread = prop.spectral_spread
-    n = minimum
+    n = MIN_SAMPLES
     if spread > 0:
         required = int(np.ceil(1.05 * t_max * spread / np.pi)) + 1
         n = max(n, required)

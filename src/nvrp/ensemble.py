@@ -1,11 +1,11 @@
 """Monte Carlo statistics of the signal from many molecules.
 
-Each realization draws a set of molecules in the sensing shell: distance
-uniform in ``r_range``, position angles uniform on the hemisphere, and an
-orientation that is either the identity (aligned mode) or random.
-Random orientations default to the Haar measure on SO(3) (via uniform
-quaternions); a ``uniform_angles`` flag reproduces the literal recipe of
-independently uniform Euler angles instead.
+Each realization draws a set of molecules in the sensing shell: a
+distance uniform in ``r_range`` and an orientation that is either the
+identity (aligned mode) or Haar-random on SO(3) (via uniform
+quaternions).  The sensor couples to a molecule through its distance and
+its orientation only (the d_c coefficients follow the field direction),
+so no position angles are drawn.
 
 A realization's signal is the sum of its molecules' signals (the map
 from magnetisation to field is linear); statistics are taken across
@@ -23,9 +23,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PhysicsError
-from .hamiltonian import CouplingGeometry, FieldConfig, RadicalPairConfig, coupling_geometry
+from .hamiltonian import FieldConfig, RadicalPairConfig
 from .signal import _parallel_map, integrated_observables, single_molecule_prefactor
-from .spincore import Rotation, euler_rotation
+from .spincore import Rotation
+
+#: cap on the Poisson-drawn molecule count of one realization
+MAX_MOLECULES = 100
 
 
 class OrientationMode(enum.Enum):
@@ -43,8 +46,6 @@ class EnsembleSpec:
     seed: int = 0
     density_per_nm3: float | None = 5e-2
     n_molecules: int | None = None
-    max_molecules: int = 100
-    uniform_angles: bool = False
 
     def __post_init__(self) -> None:
         if self.n_realizations < 1:
@@ -69,11 +70,9 @@ class EnsembleStatistics:
     grid: np.ndarray
     mean: np.ndarray  # (3, n)
     variance: np.ndarray  # (3, n)
-    mode: OrientationMode
-    seed: int
 
 
-def _haar_rotation(rng: np.random.Generator) -> Rotation:
+def random_rotation(rng: np.random.Generator) -> Rotation:
     """Haar-uniform rotation from a normalised Gaussian quaternion."""
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
@@ -88,42 +87,29 @@ def _haar_rotation(rng: np.random.Generator) -> Rotation:
     return Rotation(m)
 
 
-def random_rotation(rng: np.random.Generator, uniform_angles: bool = False) -> Rotation:
-    """Random molecular orientation: Haar by default, literal Euler on request."""
-    if uniform_angles:
-        a, b, g = rng.uniform(0.0, 2 * np.pi, size=3)
-        return euler_rotation(a, b, g)
-    return _haar_rotation(rng)
-
-
 def _molecule_count(spec: EnsembleSpec, rng: np.random.Generator) -> int:
     if spec.n_molecules is not None:
         return spec.n_molecules
     mean = spec.density_per_nm3 * spec.shell_volume_nm3()
-    return int(min(max(rng.poisson(mean), 1), spec.max_molecules))
+    return int(min(max(rng.poisson(mean), 1), MAX_MOLECULES))
 
 
 def sample_realization(
     spec: EnsembleSpec, rng: np.random.Generator
-) -> list[CouplingGeometry]:
-    """Draw one realization's molecules as coupling geometries.
+) -> list[tuple[float, Rotation]]:
+    """Draw one realization's molecules as (distance in nm, rotation) pairs.
 
-    Distances are uniform in ``r_range``; (alpha, beta) are area-uniform
-    on the hemisphere; the rotation follows the orientation mode.  The
-    field-direction coefficients are filled in by the sweep, so theta is
-    set to zero here.
+    Distances are uniform in ``r_range``; the rotation follows the
+    orientation mode.
     """
-    n = _molecule_count(spec, rng)
     out = []
-    for _ in range(n):
+    for _ in range(_molecule_count(spec, rng)):
         r = rng.uniform(*spec.r_range_nm)
-        alpha = float(np.arccos(rng.uniform(0.0, 1.0)))
-        beta = float(rng.uniform(0.0, 2 * np.pi))
         if spec.orientation_mode is OrientationMode.ALIGNED:
             rot = Rotation.identity()
         else:
-            rot = random_rotation(rng, spec.uniform_angles)
-        out.append(coupling_geometry(r, 0.0, 0.0, rotation=rot, alpha=alpha, beta=beta))
+            rot = random_rotation(rng)
+        out.append((r, rot))
     return out
 
 
@@ -150,30 +136,25 @@ def ensemble_sweep(
     fields = [FieldConfig(b, 0.0, 0.0) for b in grid]
     realizations = [sample_realization(spec, rng) for rng in realization_rngs(spec)]
 
-    aligned = []
-    if any(g.rotation.is_identity for mols in realizations for g in mols):
-        aligned = [integrated_observables(cfg, f) for f in fields]
+    aligned = spec.orientation_mode is OrientationMode.ALIGNED
+    shared = [integrated_observables(cfg, f) for f in fields] if aligned else []
 
-    def molecule_signal(geom: CouplingGeometry, i_field: int) -> np.ndarray:
-        if geom.rotation.is_identity:
-            raw = aligned[i_field]
+    def molecule_signal(r_nm: float, rotation: Rotation, i_field: int) -> np.ndarray:
+        if aligned:
+            raw = shared[i_field]
         else:
-            raw = integrated_observables(cfg, fields[i_field], geom.rotation)
-        return single_molecule_prefactor(geom.r_nm) * raw
+            raw = integrated_observables(cfg, fields[i_field], rotation)
+        return single_molecule_prefactor(r_nm) * raw
 
-    def realization_total(molecules: list[CouplingGeometry]) -> np.ndarray:
+    def realization_total(molecules: list[tuple[float, Rotation]]) -> np.ndarray:
         out = np.zeros((3, grid.shape[0]))
         for i_field in range(grid.shape[0]):
-            contributions = [molecule_signal(g, i_field) for g in molecules]
+            contributions = [molecule_signal(r, rot, i_field) for r, rot in molecules]
             out[:, i_field] = np.sum(contributions, axis=0)
         return out
 
     totals = np.stack(_parallel_map(realization_total, realizations, threads))
 
     return EnsembleStatistics(
-        grid=grid,
-        mean=np.mean(totals, axis=0),
-        variance=np.var(totals, axis=0),
-        mode=spec.orientation_mode,
-        seed=spec.seed,
+        grid=grid, mean=np.mean(totals, axis=0), variance=np.var(totals, axis=0)
     )

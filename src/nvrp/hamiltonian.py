@@ -166,12 +166,6 @@ class RadicalPairConfig:
         k = self.recombination_rate
         return k if self.decay_convention is DecayConvention.RATE_K else 2.0 * k
 
-    @property
-    def lifetime(self) -> float:
-        """RP lifetime 1/k_eff in seconds (inf for k = 0)."""
-        k = self.effective_decay_rate
-        return math.inf if k == 0 else 1.0 / k
-
 
 @dataclass(frozen=True)
 class FieldConfig:
@@ -240,8 +234,6 @@ class CouplingGeometry:
     d_cz: float
     g_eff: float
     rotation: Rotation = field(default_factory=Rotation.identity)
-    alpha: float = 0.0
-    beta: float = 0.0
 
     @property
     def d_c(self) -> np.ndarray:
@@ -253,8 +245,6 @@ def coupling_geometry(
     theta: float,
     phi: float = 0.0,
     rotation: Rotation | None = None,
-    alpha: float = 0.0,
-    beta: float = 0.0,
 ) -> CouplingGeometry:
     """Geometry record for a molecule at distance r with field at (theta, phi)."""
     if r_nm <= 0:
@@ -272,8 +262,6 @@ def coupling_geometry(
         d_cz=d_cz,
         g_eff=g_eff,
         rotation=rotation if rotation is not None else Rotation.identity(),
-        alpha=alpha,
-        beta=beta,
     )
 
 

@@ -208,7 +208,7 @@ def _presets() -> dict[str, Preset]:
             "aligned vs randomly oriented molecular ensembles (mean and variance)",
             "ensemble",
             {"system": "fadtrp-2n", "b_grid": [0.05, 10.0, 10], "n_realizations": 50,
-             "n_molecules": 20, "seed": 2024},
+             "n_molecules": 20},
         ),
         Preset(
             "fig6c-peak-count",

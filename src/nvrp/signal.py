@@ -64,15 +64,10 @@ class SignalTrace:
 
     t_grid: np.ndarray
     x: np.ndarray  # shape (3, n)
-    provenance: str
 
     @property
     def dt(self) -> float:
         return float(self.t_grid[1] - self.t_grid[0])
-
-    @property
-    def duration(self) -> float:
-        return float(self.t_grid[-1] - self.t_grid[0]) + self.dt
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,6 @@ class SweepResult:
     NaN elsewhere (angle sweeps only).
     """
 
-    sweep_kind: str
     grid: np.ndarray
     x_integrated: np.ndarray
     normalized: np.ndarray | None = None
@@ -112,15 +106,13 @@ def aligned_prefactor(sensor: SensorParams) -> float:
 def signal_max(series: ObservableSeries, sensor: SensorParams) -> SignalTrace:
     """Aligned-frame maximum signal of a sensing shell, in Tesla."""
     pref = aligned_prefactor(sensor)
-    return SignalTrace(t_grid=series.t_grid, x=pref * series.s_tilde, provenance="max_aligned")
+    return SignalTrace(t_grid=series.t_grid, x=pref * series.s_tilde)
 
 
 def signal_single_molecule(series: ObservableSeries, r_nm: float) -> SignalTrace:
     """Signal of a single molecule at distance r, in Tesla."""
     pref = single_molecule_prefactor(r_nm)
-    return SignalTrace(
-        t_grid=series.t_grid, x=pref * series.s_tilde, provenance="single_molecule"
-    )
+    return SignalTrace(t_grid=series.t_grid, x=pref * series.s_tilde)
 
 
 def _default_t_max(cfg: RadicalPairConfig) -> float:
@@ -147,11 +139,14 @@ def observable_series(
     field_cfg: FieldConfig,
     t_grid: np.ndarray,
     rotation: Rotation | None = None,
-    r_nm: float = 10.0,
 ) -> ObservableSeries:
-    """Evolve one molecule and return its s_tilde time series."""
+    """Evolve one molecule and return its s_tilde time series.
+
+    s_tilde does not depend on the molecule's distance; a distance enters
+    only through the prefactor that turns it into Tesla.
+    """
     prop, rho0 = solve_pair(cfg, field_cfg, rotation)
-    geom = coupling_geometry(r_nm, field_cfg.theta, field_cfg.phi, rotation)
+    geom = coupling_geometry(1.0, field_cfg.theta, field_cfg.phi)
     return evolve_observables(rho0, prop, t_grid, geom, cfg.layout())
 
 
@@ -195,20 +190,17 @@ def spectrum(trace: SignalTrace) -> SignalSpectrum:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts for the sensing-volume angular integrals."""
+    """Node count for the sensing-volume polar-angle integral."""
 
     n_alpha: int = 8
-    n_beta: int = 16
-    beta_symmetric: bool = True
 
     def __post_init__(self) -> None:
         if self.n_alpha < 8:
             raise ValueError(f"alpha quadrature needs >= 8 nodes, got {self.n_alpha}")
-        if self.n_beta < 1:
-            raise ValueError("beta quadrature needs >= 1 node")
 
 
-OrientationField = Callable[[float, float], Rotation]
+#: molecular orientation as a function of the polar position angle alpha
+OrientationField = Callable[[float], Rotation]
 
 
 def signal_volume(
@@ -219,54 +211,39 @@ def signal_volume(
     quadrature: QuadratureSpec = QuadratureSpec(),
     orientation: OrientationField | None = None,
 ) -> SignalTrace:
-    """Sensing-volume signal with an optional orientation field R(alpha, beta).
+    """Sensing-volume signal with an optional orientation field R(alpha).
 
     The radial integral is analytic (log(r2/r1)); alpha is integrated by
-    Gauss-Legendre on [0, pi/2] against sin(alpha); beta contributes a
-    2 pi factor when the orientation is beta-independent, otherwise a
-    periodic rectangle rule.  With the identity orientation this reduces
-    to :func:`signal_max` (to quadrature accuracy).
+    Gauss-Legendre on [0, pi/2] against sin(alpha).  The orientation does
+    not depend on the azimuth beta, so the beta integral is the factor
+    2 pi.  With the identity orientation this reduces to
+    :func:`signal_max` (to quadrature accuracy).
     """
     density_si = sensor.density_per_nm3 * 1e27
     radial = (MU0 * GAMMA_E * HBAR / (4 * math.pi)) * math.log(sensor.r2_nm / sensor.r1_nm)
 
     nodes, weights = np.polynomial.legendre.leggauss(quadrature.n_alpha)
     alphas = 0.5 * (nodes + 1.0) * (math.pi / 2)
-    w_alpha = 0.5 * (math.pi / 2) * weights * np.sin(alphas)
-
-    if orientation is None or quadrature.beta_symmetric:
-        betas = np.array([0.0])
-        w_beta = np.array([2 * math.pi])
-    else:
-        betas = np.linspace(0.0, 2 * math.pi, quadrature.n_beta, endpoint=False)
-        w_beta = np.full(quadrature.n_beta, 2 * math.pi / quadrature.n_beta)
+    # the last factor, 2 pi, is the beta integral
+    w_alpha = 0.5 * (math.pi / 2) * weights * np.sin(alphas) * (2 * math.pi)
 
     t_grid = np.asarray(t_grid, dtype=float)
     total = np.zeros((3, t_grid.shape[0]))
     cache: dict[bytes, np.ndarray] = {}
     for a, wa in zip(alphas, w_alpha):
-        for b, wb in zip(betas, w_beta):
-            rot = orientation(a, b) if orientation is not None else Rotation.identity()
-            key = np.round(rot.matrix, 14).tobytes()
-            if key not in cache:
-                series = observable_series(cfg, field_cfg, t_grid, rot)
-                cache[key] = series.s_tilde
-            total += wa * wb * cache[key]
-    return SignalTrace(t_grid=t_grid, x=density_si * radial * total, provenance="volume")
-
-
-def log_field_grid(
-    b_min_mT: float = 0.01, b_max_mT: float = 50.0, n_points: int = 60
-) -> np.ndarray:
-    """Logarithmic field-magnitude grid (default 10 uT to 50 mT, 60 points)."""
-    return np.logspace(math.log10(b_min_mT), math.log10(b_max_mT), n_points)
+        rot = orientation(a) if orientation is not None else Rotation.identity()
+        key = np.round(rot.matrix, 14).tobytes()
+        if key not in cache:
+            series = observable_series(cfg, field_cfg, t_grid, rot)
+            cache[key] = series.s_tilde
+        total += wa * cache[key]
+    return SignalTrace(t_grid=t_grid, x=density_si * radial * total)
 
 
 def sweep_field_magnitude(
     cfg: RadicalPairConfig,
     b_grid_mT: Sequence[float],
-    sensor: SensorParams,
-    prefactor: float | None = None,
+    prefactor: float,
     t_max: float | None = None,
     densify: bool = False,
     threads: int = 1,
@@ -276,12 +253,13 @@ def sweep_field_magnitude(
     The field stays at theta = 0: large transverse fields break the
     two-level sensor approximation.  With ``densify`` a second pass adds
     a 5x denser patch of points around the detected maximum of |X_z^I|.
+    ``prefactor`` is the Tesla scale (:func:`single_molecule_prefactor` or
+    :func:`aligned_prefactor`).
     """
-    pref = prefactor if prefactor is not None else aligned_prefactor(sensor)
     b_grid = np.asarray(b_grid_mT, dtype=float)
 
     def point(b: float) -> np.ndarray:
-        return pref * integrated_observables(cfg, FieldConfig(b, 0.0, 0.0), t_max=t_max)
+        return prefactor * integrated_observables(cfg, FieldConfig(b, 0.0, 0.0), t_max=t_max)
 
     values = np.stack(_parallel_map(point, b_grid, threads), axis=1)
 
@@ -297,7 +275,7 @@ def sweep_field_magnitude(
             b_grid = np.concatenate([b_grid, extra])[order]
             values = np.concatenate([values, extra_vals], axis=1)[:, order]
 
-    return SweepResult(sweep_kind="field_magnitude_mT", grid=b_grid, x_integrated=values)
+    return SweepResult(grid=b_grid, x_integrated=values)
 
 
 def sweep_field_angle(
@@ -305,8 +283,7 @@ def sweep_field_angle(
     b_mT: float,
     theta_grid: Sequence[float],
     phi: float,
-    sensor: SensorParams,
-    prefactor: float | None = None,
+    prefactor: float,
     t_max: float | None = None,
     normalize: bool = False,
     threads: int = 1,
@@ -315,12 +292,12 @@ def sweep_field_angle(
 
     With ``normalize``, each component is divided by its angular factor
     d_ci(theta, phi) wherever |d_ci| > 1e-3; undefined points are NaN.
+    ``prefactor`` is the Tesla scale, as in :func:`sweep_field_magnitude`.
     """
-    pref = prefactor if prefactor is not None else aligned_prefactor(sensor)
     thetas = np.asarray(theta_grid, dtype=float)
 
     def point(th: float) -> np.ndarray:
-        return pref * integrated_observables(cfg, FieldConfig(b_mT, th, phi), t_max=t_max)
+        return prefactor * integrated_observables(cfg, FieldConfig(b_mT, th, phi), t_max=t_max)
 
     values = np.stack(_parallel_map(point, thetas, threads), axis=1)
     normalized = None
@@ -330,9 +307,7 @@ def sweep_field_angle(
         )
         with np.errstate(divide="ignore", invalid="ignore"):
             normalized = np.where(np.abs(d_c) > NORMALIZE_EPS, values / d_c, np.nan)
-    return SweepResult(
-        sweep_kind="theta_rad", grid=thetas, x_integrated=values, normalized=normalized
-    )
+    return SweepResult(grid=thetas, x_integrated=values, normalized=normalized)
 
 
 def with_exchange(cfg: RadicalPairConfig, j_mT: float) -> RadicalPairConfig:

@@ -198,10 +198,6 @@ class Rotation:
         """The shared identity rotation (validated once; its matrix is read-only)."""
         return _IDENTITY
 
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.allclose(self.matrix, np.eye(3), atol=1e-15))
-
     def compose(self, other: "Rotation") -> "Rotation":
         """Return the rotation 'self after other'."""
         return Rotation(self.matrix @ other.matrix)

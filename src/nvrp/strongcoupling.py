@@ -36,6 +36,9 @@ from .signal import solve_pair
 #: eigenvalue gap below which states count as one degenerate cluster, rad/s
 DEGENERACY_GAP = 1e-6
 
+#: Gauss-Legendre nodes of the radial sensing-volume integral in peak_contrast
+RADIAL_NODES = 8
+
 
 @dataclass(frozen=True)
 class LevelStructure:
@@ -94,22 +97,20 @@ def level_structure(
     field_cfg: FieldConfig,
     geom: CouplingGeometry,
     sensor: SensorParams | None = None,
-    enforce_regime: bool = True,
 ) -> LevelStructure:
     """Conditional level structure of the coupled sensor-pair system.
 
     The |0>-manifold generator is H_RP; the |1>-manifold generator is
     H_RP + D_r sum_i d_ci (S1i + S2i).  In the strong-coupling analysis
-    the caller should be in the strong regime; pass ``enforce_regime``
-    False (or no sensor) to skip the check.
+    the caller should be in the strong regime; with a ``sensor`` given,
+    a weak-regime geometry draws a warning.
     """
-    if enforce_regime and sensor is not None:
-        if classify_regime(geom.g_eff, sensor) is not Regime.STRONG:
-            warnings.warn(
-                "level_structure called in the weak-coupling regime "
-                "(g_eff <= Gamma); peaks will not be resolvable",
-                stacklevel=2,
-            )
+    if sensor is not None and classify_regime(geom.g_eff, sensor) is not Regime.STRONG:
+        warnings.warn(
+            "level_structure called in the weak-coupling regime "
+            "(g_eff <= Gamma); peaks will not be resolvable",
+            stacklevel=2,
+        )
     layout = cfg.layout()
     h0 = build_rp_hamiltonian(cfg, field_cfg, geom.rotation)
     coupling = build_coupling_hamiltonian(geom, layout)
@@ -135,26 +136,15 @@ def level_structure(
     )
 
 
-def count_resolved_peaks(
-    levels: LevelStructure,
-    gamma_hz: float,
-    contrasts: np.ndarray | None = None,
-    min_contrast: float | None = None,
-) -> PeakSet:
+def count_resolved_peaks(levels: LevelStructure, gamma_hz: float) -> PeakSet:
     """Greedy clustering of transition frequencies at resolution Gamma.
 
     Transitions are swept in ascending frequency; a new cluster opens when
     the gap to the current cluster's running center exceeds ``gamma_hz``.
-    Optionally drops transitions whose peak contrast |C_n| never reaches
-    ``min_contrast`` before clustering.
     """
     if gamma_hz <= 0:
         raise PhysicsError(f"resolution linewidth must be positive, got {gamma_hz}")
     freqs = np.sort(levels.transition_freqs_hz)
-    if contrasts is not None and min_contrast is not None:
-        order = np.argsort(levels.transition_freqs_hz)
-        keep = np.max(np.abs(contrasts), axis=1)[order] >= min_contrast
-        freqs = freqs[keep]
     centers: list[float] = []
     counts: list[int] = []
     members: list[float] = []
@@ -180,7 +170,6 @@ def peak_contrast(
     geom: CouplingGeometry,
     t_grid: np.ndarray,
     sensor: SensorParams | None = None,
-    n_radial: int = 8,
 ) -> np.ndarray:
     """Population-difference contrast C_n(t) per transition, shape (d, n_t).
 
@@ -189,16 +178,16 @@ def peak_contrast(
     C_n(t) = <P_psi'_n>(t) - <P_psi_n>(t).
 
     With ``sensor`` given, the single-molecule contrast is replaced by the
-    sensing-volume integral: Gauss-Legendre in r against r^2 (the
-    |1>-manifold states depend on r through D_r), the alpha integral
-    contributes its aligned-frame factor, beta the 2 pi factor, all times
-    the number density.
+    sensing-volume integral: Gauss-Legendre in r against r^2 at
+    ``RADIAL_NODES`` nodes (the |1>-manifold states depend on r through
+    D_r), the alpha integral contributes its aligned-frame factor, beta
+    the 2 pi factor, all times the number density.
     """
     prop, rho0 = solve_pair(cfg, field_cfg, geom.rotation)
     t_grid = np.asarray(t_grid, dtype=float)
 
     def contrast_at(geometry: CouplingGeometry) -> np.ndarray:
-        levels = level_structure(cfg, field_cfg, geometry, enforce_regime=False)
+        levels = level_structure(cfg, field_cfg, geometry)
         projectors = []
         for n in range(levels.n_transitions):
             p1 = np.outer(levels.states_1[:, n], levels.states_1[:, n].conj())
@@ -211,7 +200,7 @@ def peak_contrast(
     if sensor is None:
         return contrast_at(geom)
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    nodes, weights = np.polynomial.legendre.leggauss(RADIAL_NODES)
     r1, r2 = sensor.r1_nm, sensor.r2_nm
     rs = 0.5 * (nodes + 1.0) * (r2 - r1) + r1
     w_r = 0.5 * (r2 - r1) * weights * rs**2  # nm^3 weights

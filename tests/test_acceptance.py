@@ -36,13 +36,13 @@ from nvrp.hamiltonian import (
 from nvrp.oracle import rk4_evolve
 from nvrp.presets import (
     fadtrp_config,
+    grid_from_spec,
     one_nucleus_config,
     strongcoupling_config,
     two_nucleus_config,
 )
 from nvrp.signal import (
     integrated_observables,
-    log_field_grid,
     observable_series,
     signal_single_molecule,
     single_molecule_prefactor,
@@ -53,7 +53,6 @@ from nvrp.signal import (
 from nvrp.spincore import site_operators
 from nvrp.strongcoupling import count_resolved_peaks, level_structure
 
-SENSOR = SensorParams()
 PREFACTOR_10NM = single_molecule_prefactor(10.0)
 
 
@@ -182,7 +181,7 @@ def test_criterion_3_symmetry_null():
         cfg = one_nucleus_config("iso", j_exchange_mT=0.25)
         thetas = np.deg2rad(np.linspace(0.0, 180.0, 181))
         res = sweep_field_angle(
-            cfg, 0.05, thetas, 0.0, SENSOR, prefactor=PREFACTOR_10NM
+            cfg, 0.05, thetas, 0.0, prefactor=PREFACTOR_10NM
         )
         worst_x = float(np.max(np.abs(res.x_integrated[0])))
         worst_z = float(np.max(np.abs(res.x_integrated[2])))
@@ -221,8 +220,8 @@ def test_criterion_5_lfe_shape():
     """One dominant low-field maximum below 5 mT; high-field tail < 10%."""
     with Budget("criterion 5", 600.0) as budget:
         cfg = one_nucleus_config("axial3")
-        grid = log_field_grid(0.01, 50.0, 60)
-        res = sweep_field_magnitude(cfg, grid, SENSOR, prefactor=PREFACTOR_10NM)
+        grid = grid_from_spec([0.01, 50.0, 60], log=True)
+        res = sweep_field_magnitude(cfg, grid, prefactor=PREFACTOR_10NM)
         z = np.abs(res.x_integrated[2])
         i_max = int(np.argmax(z))
         dominant = [
@@ -246,7 +245,7 @@ def _spike_metrics(case: str) -> tuple[float, float]:
     cfg = one_nucleus_config(case, j_exchange_mT=0.25)
     th_deg = np.arange(55.0, 125.25, 0.5)
     res = sweep_field_angle(
-        cfg, 0.05, np.deg2rad(th_deg), 0.0, SENSOR, prefactor=PREFACTOR_10NM
+        cfg, 0.05, np.deg2rad(th_deg), 0.0, prefactor=PREFACTOR_10NM
     )
     y = np.abs(res.x_integrated[2])
     # first local maximum above 90 degrees (the profile is symmetric)
@@ -298,7 +297,7 @@ def test_criterion_7_exchange_trend():
         for j in (0.0, 0.25, 0.5, 1.0):
             cfg = with_exchange(base, j)
             res = sweep_field_angle(
-                cfg, 0.05, thetas, 0.0, SENSOR, prefactor=PREFACTOR_10NM
+                cfg, 0.05, thetas, 0.0, prefactor=PREFACTOR_10NM
             )
             maxima.append(float(np.max(np.abs(res.x_integrated))))
             layout = cfg.layout()
@@ -326,7 +325,7 @@ def test_criterion_8_ensemble_averaging():
     """Random orientations suppress the aligned ensemble's peak feature."""
     with Budget("criterion 8", 1800.0) as budget:
         cfg = fadtrp_config(2)
-        grid = log_field_grid(0.1, 5.0, 14)
+        grid = grid_from_spec([0.1, 5.0, 14], log=True)
         common = dict(
             n_realizations=50,
             r_range_nm=(5.0, 20.0),
@@ -371,7 +370,7 @@ def test_criterion_9_strong_coupling_bounds():
 
         bare = RadicalPairConfig(recombination_rate=2e5)
         bare_ok = True
-        for b in log_field_grid(0.05, 10.0, 16):
+        for b in grid_from_spec([0.05, 10.0, 16], log=True):
             levels = level_structure(bare, FieldConfig(float(b), 0.0, 0.0), geom)
             bare_ok &= count_resolved_peaks(levels, gamma).count <= 4
 
@@ -380,7 +379,7 @@ def test_criterion_9_strong_coupling_bounds():
         bound = 2 ** (n_nuclei + 2)
         assert cfg.layout().total_dimension == bound == 64
         peaks_ok = True
-        for b in log_field_grid(0.05, 10.0, 16):
+        for b in grid_from_spec([0.05, 10.0, 16], log=True):
             levels = level_structure(cfg, FieldConfig(float(b), 0.0, 0.0), geom)
             peaks_ok &= count_resolved_peaks(levels, gamma).count <= bound
 
@@ -413,7 +412,7 @@ def test_criterion_10_signal_magnitude():
     with Budget("criterion 10", 120.0) as budget:
         cfg = fadtrp_config(2)
         t = np.linspace(0.0, 25e-6, 32768, endpoint=False)
-        series = observable_series(cfg, FieldConfig(1.16, 0.0, 0.0), t, r_nm=10.0)
+        series = observable_series(cfg, FieldConfig(1.16, 0.0, 0.0), t)
         trace = signal_single_molecule(series, 10.0)
         peak = float(np.max(np.abs(trace.x[2])))
     ok = 10e-9 < peak < 10e-6

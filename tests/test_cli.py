@@ -1,16 +1,18 @@
 """CLI behaviour: presets, config files, exit codes, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nvrp import cli
 from nvrp.cli import experiment_from_preset, main, run
-from nvrp.config import load_config, parse_experiment
+from nvrp.config import _KIND_PARAMS, KINDS, ExperimentConfig, load_config, parse_experiment
 from nvrp.dynamics import nyquist_samples, singlet_yield_mean
 from nvrp.errors import ConfigError
-from nvrp.hamiltonian import FieldConfig
+from nvrp.hamiltonian import FieldConfig, SensorParams
 from nvrp.presets import ALIASES, PRESETS, get_preset, one_nucleus_config
 from nvrp.signal import solve_pair, with_exchange
 
@@ -122,9 +124,12 @@ def test_schema_error_exit_code(tmp_path, capsys):
     field_sweep = _minimal_angle_sweep(
         kind="field-sweep", params={"b_grid": [0.1, 1.0, 3], "theta_deg": 60}
     )
+    # the top-level seed is the only seed
+    ensemble = _minimal_angle_sweep(kind="ensemble", params={"n_molecules": 1, "seed": 3})
     for payload, key in (
         ({"kind": "angle-sweep", "bogus": 1}, "bogus"),
         (field_sweep, "params.theta_deg"),
+        (ensemble, "params.seed"),
     ):
         path = _write_config(tmp_path, payload)
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -208,11 +213,11 @@ def test_same_seed_byte_identical(tmp_path):
         {
             "kind": "ensemble",
             "radical_pair": _minimal_angle_sweep()["radical_pair"],
+            "seed": 42,
             "params": {
                 "b_grid": [0.2, 2.0, 3],
                 "n_realizations": 3,
                 "n_molecules": 2,
-                "seed": 42,
             },
         }
     )
@@ -221,6 +226,64 @@ def test_same_seed_byte_identical(tmp_path):
     assert (tmp_path / "a" / "ensemble.csv").read_bytes() == (
         tmp_path / "b" / "ensemble.csv"
     ).read_bytes()
+
+
+def test_seed_option_reaches_ensemble(tmp_path, monkeypatch):
+    # fig5-ensemble with a reduced sampling plan, run through --preset
+    fig5 = get_preset("fig5-ensemble")
+    small = dataclasses.replace(
+        fig5, params=dict(fig5.params, b_grid=[0.5, 1.0, 2], n_realizations=2, n_molecules=1)
+    )
+    monkeypatch.setattr(cli, "get_preset", lambda name: small)
+    bodies = []
+    for seed in ("5", "6"):
+        out = tmp_path / seed
+        assert main(["--preset", "fig5-ensemble", "--seed", seed, "--out", str(out)]) == 0
+        text = (out / "ensemble.csv").read_text()
+        assert f"# seed: {seed}\n" in text
+        rows = [r.split(",") for r in _read_csv_rows(out / "ensemble.csv")[1:]]
+        assert {r[-1] for r in rows} == {seed}
+        bodies.append([r[:-1] for r in rows])
+    assert bodies[0] != bodies[1]
+
+
+class _RecordingParams(dict):
+    """A params mapping that records the keys read through ``get``."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+#: a small run of every experiment kind
+_SMALL_PARAMS = {
+    "coupling-map": {"r_nm": [5.0, 10.0, 2], "theta_deg": [0.0, 90.0, 2]},
+    "time-trace": {"n_samples": 1024, "t_max_us": 0.5},
+    "field-sweep": {"b_grid": [0.1, 1.0, 2]},
+    "angle-sweep": {"theta_deg": [0.0, 90.0, 2]},
+    "ensemble": {"b_grid": [0.5, 1.0, 2], "n_realizations": 1, "n_molecules": 1},
+    "peak-count": {"b_grid": [0.5, 1.0, 2]},
+    "anisotropy-sweep": {"cases": ["iso"], "theta_deg": [0.0, 90.0, 2]},
+    "exchange-sweep": {"j_grid_mT": [0.0], "theta_deg": [0.0, 90.0, 2]},
+    "lifetime-sweep": {"tau_us": [5.0], "theta_deg": [0.0, 90.0, 2]},
+}
+
+
+def test_runners_cover_kinds_and_read_their_params(tmp_path):
+    assert set(cli._RUNNERS) == set(KINDS) == set(_SMALL_PARAMS)
+    for kind in KINDS:
+        params = _RecordingParams(_SMALL_PARAMS[kind])
+        cfg = ExperimentConfig(
+            kind=kind, radical_pair=one_nucleus_config("axial3"), sensor=SensorParams(),
+            params=params,
+        )
+        run(cfg, tmp_path / kind)
+        # "system" is resolved by presets before the runner starts
+        assert params.read == set(_KIND_PARAMS[kind]) - {"system"}, kind
 
 
 def test_threads_do_not_change_output(tmp_path):

@@ -1,8 +1,15 @@
 """Ensemble sampling and the orientation-averaged statistics."""
 
-import numpy as np
+import dataclasses
+import math
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nvrp.dynamics import _expectation_means, _pair_spin_ops, nyquist_samples
 from nvrp.ensemble import (
+    MAX_MOLECULES,
     EnsembleSpec,
     OrientationMode,
     ensemble_sweep,
@@ -12,7 +19,10 @@ from nvrp.ensemble import (
 )
 from nvrp.hamiltonian import FieldConfig
 from nvrp.presets import one_nucleus_config
-from nvrp.signal import integrated_observables, single_molecule_prefactor
+from nvrp.signal import integrated_observables, single_molecule_prefactor, solve_pair
+from nvrp.spincore import Rotation
+
+from conftest import make_pair
 
 
 def _spec(**kw):
@@ -31,9 +41,9 @@ def _spec(**kw):
 def test_aligned_mode_gives_identity_rotations():
     spec = _spec(orientation_mode=OrientationMode.ALIGNED)
     rng = realization_rngs(spec)[0]
-    for geom in sample_realization(spec, rng):
-        assert geom.rotation.is_identity
-        assert 5.0 <= geom.r_nm <= 20.0
+    for r_nm, rotation in sample_realization(spec, rng):
+        assert rotation is Rotation.identity()
+        assert 5.0 <= r_nm <= 20.0
 
 
 def test_same_seed_bitwise_identical():
@@ -41,9 +51,9 @@ def test_same_seed_bitwise_identical():
     a = [sample_realization(spec, rng) for rng in realization_rngs(spec)]
     b = [sample_realization(spec, rng) for rng in realization_rngs(spec)]
     for mols_a, mols_b in zip(a, b):
-        for ga, gb in zip(mols_a, mols_b):
-            assert ga.r_nm == gb.r_nm
-            assert np.array_equal(ga.rotation.matrix, gb.rotation.matrix)
+        for (r_a, rot_a), (r_b, rot_b) in zip(mols_a, mols_b):
+            assert r_a == r_b
+            assert np.array_equal(rot_a.matrix, rot_b.matrix)
 
 
 def test_so3_uniformity_mean():
@@ -57,21 +67,15 @@ def test_so3_uniformity_mean():
     assert np.max(np.abs(mean)) < 3.0 * np.sqrt(1.0 / 3.0 / n)
 
 
-def test_uniform_angle_mode_runs():
-    rng = np.random.default_rng(7)
-    r = random_rotation(rng, uniform_angles=True)
-    assert abs(np.linalg.det(r.matrix) - 1.0) < 1e-12
-
-
 def test_poisson_count_clamped():
     spec = EnsembleSpec(
         n_realizations=1, r_range_nm=(5.0, 20.0), seed=1,
-        density_per_nm3=5e-2, max_molecules=100,
+        density_per_nm3=5e-2,
     )
     rng = realization_rngs(spec)[0]
     mols = sample_realization(spec, rng)
     # shell holds ~825 molecules at this density; the clamp caps at 100
-    assert len(mols) == 100
+    assert len(mols) == MAX_MOLECULES
 
 
 def test_degenerate_aligned_ensemble_equals_single_molecule():
@@ -96,9 +100,9 @@ def test_realization_linearity():
     rng = realization_rngs(spec)[0]
     molecules = sample_realization(spec, rng)
     total = np.zeros(3)
-    for g in molecules:
-        raw = integrated_observables(cfg, FieldConfig(1.2, 0.0, 0.0), g.rotation)
-        total += single_molecule_prefactor(g.r_nm) * raw
+    for r_nm, rotation in molecules:
+        raw = integrated_observables(cfg, FieldConfig(1.2, 0.0, 0.0), rotation)
+        total += single_molecule_prefactor(r_nm) * raw
     stats = ensemble_sweep(cfg, spec, b_grid_mT=[1.2])
     assert np.allclose(stats.mean[:, 0], total, rtol=1e-10)
 
@@ -118,7 +122,59 @@ def test_aligned_mean_is_radial_average_of_single_molecule():
     raw = integrated_observables(cfg, FieldConfig(1.0, 0.0, 0.0))
     expected = np.zeros(3)
     for rng in realization_rngs(spec):
-        for geom in sample_realization(spec, rng):
-            expected += single_molecule_prefactor(geom.r_nm) * raw
+        for r_nm, _ in sample_realization(spec, rng):
+            expected += single_molecule_prefactor(r_nm) * raw
     expected /= spec.n_realizations
     assert np.allclose(stats.mean[:, 0], expected, rtol=1e-10)
+
+
+# -- rotational covariance -----------------------------------------------------
+
+#: nuclear spins of radicals 1 and 2; every layout has a spin-1 nucleus, d = 12 to 36
+_LAYOUTS = [((1.0,), ()), ((1.0,), (0.5,)), ((1.0, 0.5), ()), ((1.0,), (1.0,))]
+
+
+def _field_along(vector_mT: np.ndarray) -> FieldConfig:
+    b = float(np.linalg.norm(vector_mT))
+    theta = math.acos(min(1.0, max(-1.0, vector_mT[2] / b)))
+    phi = math.atan2(vector_mT[1], vector_mT[0]) % (2 * math.pi)
+    return FieldConfig(b, theta, phi if phi < 2 * math.pi else 0.0)
+
+
+def _pair_spin_means(cfg, field_cfg, rotation, t_max, n):
+    prop, rho0 = solve_pair(cfg, field_cfg, rotation)
+    return _expectation_means(prop, rho0, _pair_spin_ops(cfg.layout()), t_max / n, n)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_LAYOUTS))
+@settings(max_examples=20, deadline=None)
+def test_pair_spin_means_are_rotation_covariant(seed, spins):
+    """m(R, B) = R m(I, R^T B) for the raw time-averaged <S1 + S2>.
+
+    The Zeeman term is isotropic and rho0 = |S0><S0| x I / d_nuc is
+    invariant under a global spin rotation, so rotating every coupling
+    tensor by R is the same as rotating the field by R^T and the result
+    back by R.  Every ensemble average rests on this convention.
+    """
+    rng = np.random.default_rng(seed)
+
+    def symmetric():
+        a = rng.normal(size=(3, 3))
+        return a + a.T
+
+    spins1, spins2 = spins
+    cfg = make_pair(
+        tensors1=[symmetric() for _ in spins1], tensors2=[symmetric() for _ in spins2],
+        spins1=spins1, spins2=spins2, j_mT=rng.uniform(-0.5, 0.5),
+    )
+    cfg = dataclasses.replace(cfg, dipolar_tensor_mT=rng.normal(size=(3, 3)))
+    direction = rng.normal(size=3)
+    field = _field_along(rng.uniform(0.1, 3.0) * direction / np.linalg.norm(direction))
+    rotation = random_rotation(rng)
+    r = rotation.matrix
+
+    t_max = 5.0 / cfg.effective_decay_rate
+    n = nyquist_samples(solve_pair(cfg, field, rotation)[0], t_max)
+    rotated = _pair_spin_means(cfg, field, rotation, t_max, n)
+    back = r @ _pair_spin_means(cfg, _field_along(r.T @ field.vector_mT()), None, t_max, n)
+    assert np.linalg.norm(rotated - back) <= 1e-10 * np.linalg.norm(back)

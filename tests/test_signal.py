@@ -5,12 +5,12 @@ import pytest
 
 from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import FieldConfig, SensorParams
+from nvrp.presets import grid_from_spec
 from nvrp.signal import (
     QuadratureSpec,
     SignalTrace,
     aligned_prefactor,
     integrated_observables,
-    log_field_grid,
     observable_series,
     signal_max,
     signal_single_molecule,
@@ -29,7 +29,7 @@ from conftest import make_pair
 def _const_trace(values, n=64, dt=1e-8):
     t = np.arange(n) * dt
     x = np.tile(np.asarray(values, dtype=float)[:, None], (1, n))
-    return SignalTrace(t_grid=t, x=x, provenance="test")
+    return SignalTrace(t_grid=t, x=x)
 
 
 # -- prefactors and linear maps ----------------------------------------------
@@ -84,7 +84,7 @@ def test_integrated_antisymmetric_trace():
     t = np.arange(n) * 1e-8
     ramp = np.linspace(-1.0, 1.0, n)
     x = np.stack([ramp, ramp, ramp])
-    assert np.allclose(time_integrated(SignalTrace(t, x, "test")), 0.0, atol=1e-16)
+    assert np.allclose(time_integrated(SignalTrace(t, x)), 0.0, atol=1e-16)
 
 
 def test_axial_field_zeroes_transverse_integrals(fadtrp2, sensor):
@@ -103,7 +103,7 @@ def test_spectrum_of_sinusoid():
     t = np.arange(n) * dt
     f0 = 2.0e6
     x = np.stack([np.sin(2 * np.pi * f0 * t)] * 3) * 1e-9
-    spec = spectrum(SignalTrace(t, x, "test"))
+    spec = spectrum(SignalTrace(t, x))
     peak = spec.freq_hz[np.argmax(spec.magnitude[0])]
     assert peak == pytest.approx(f0, abs=spec.freq_hz[1])
 
@@ -118,7 +118,7 @@ def test_spectrum_parseval():
     rng = np.random.default_rng(3)
     n, dt = 1024, 1e-8
     x = np.stack([rng.normal(size=n)] * 3) * 1e-9
-    trace = SignalTrace(np.arange(n) * dt, x, "test")
+    trace = SignalTrace(np.arange(n) * dt, x)
     spec = spectrum(trace)
     mags = spec.magnitude[0] / dt
     weights = np.full(mags.shape, 2.0)
@@ -163,7 +163,7 @@ def test_volume_quadrature_self_convergence(sensor):
     t = np.linspace(0.0, 1e-6, 512, endpoint=False)
     field = FieldConfig(0.3, 0.4, 0.0)
 
-    def orientation(alpha, beta):
+    def orientation(alpha):
         return euler_rotation(0.0, 0.1 * alpha, 0.0)
 
     coarse = signal_volume(cfg, field, sensor, t, QuadratureSpec(n_alpha=8), orientation)
@@ -192,8 +192,8 @@ def test_symmetric_iso_zero_field_null(sensor):
 
 
 def test_high_field_suppression(axial3_pair, sensor):
-    grid = log_field_grid(0.01, 50.0, 24)
-    res = sweep_field_magnitude(axial3_pair, grid, sensor)
+    grid = grid_from_spec([0.01, 50.0, 24], log=True)
+    res = sweep_field_magnitude(axial3_pair, grid, aligned_prefactor(sensor))
     z = np.abs(res.x_integrated[2])
     assert z[-1] < 0.10 * np.max(z)
 
@@ -205,8 +205,8 @@ def test_lfe_peak_location_against_oracle(axial3_pair, sensor):
     from nvrp.oracle import rk4_evolve
     from nvrp.spincore import site_operators
 
-    grid = log_field_grid(0.1, 5.0, 18)
-    res = sweep_field_magnitude(axial3_pair, grid, sensor)
+    grid = grid_from_spec([0.1, 5.0, 18], log=True)
+    res = sweep_field_magnitude(axial3_pair, grid, aligned_prefactor(sensor))
     z = np.abs(res.x_integrated[2])
     i_peak = int(np.argmax(z))
     assert 0 < i_peak < len(grid) - 1
@@ -235,8 +235,8 @@ def test_lfe_peak_location_against_oracle(axial3_pair, sensor):
 
 
 def test_densify_adds_points(axial3_pair, sensor):
-    grid = log_field_grid(0.1, 5.0, 10)
-    res = sweep_field_magnitude(axial3_pair, grid, sensor, densify=True)
+    grid = grid_from_spec([0.1, 5.0, 10], log=True)
+    res = sweep_field_magnitude(axial3_pair, grid, aligned_prefactor(sensor), densify=True)
     assert res.grid.shape[0] > 10
     assert np.all(np.diff(res.grid) > 0)
 
@@ -247,7 +247,7 @@ def test_densify_adds_points(axial3_pair, sensor):
 def test_angle_sweep_zeros_and_normalization(axial3_pair, sensor):
     thetas = np.linspace(0.0, np.pi, 45)
     res = sweep_field_angle(
-        axial3_pair, 0.05, thetas, 0.0, sensor, normalize=True
+        axial3_pair, 0.05, thetas, 0.0, aligned_prefactor(sensor), normalize=True
     )
     # theta = 0: transverse components vanish identically
     assert res.x_integrated[0, 0] == 0.0
@@ -270,7 +270,7 @@ def test_angle_sweep_spike_presence(sensor):
 
     cfg = one_nucleus_config("axial3", j_exchange_mT=0.25)
     thetas = np.deg2rad(np.arange(60.0, 120.5, 1.0))
-    res = sweep_field_angle(cfg, 0.05, thetas, 0.0, sensor)
+    res = sweep_field_angle(cfg, 0.05, thetas, 0.0, aligned_prefactor(sensor))
     z = np.abs(res.x_integrated[2])
     i90 = int(np.argmin(np.abs(thetas - np.pi / 2)))
     near = z[max(i90 - 25, 0) : i90 + 26]

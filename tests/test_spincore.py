@@ -160,7 +160,7 @@ def test_rotation_rejects_reflection():
 def test_identity_is_shared_and_read_only():
     r = Rotation.identity()
     assert r is Rotation.identity()
-    assert r.is_identity
+    assert np.array_equal(r.matrix, np.eye(3))
     assert not r.matrix.flags.writeable
 
 

@@ -221,7 +221,7 @@ def test_volume_contrast_shape(bare_pair):
     t = np.linspace(0.0, 1e-6, 64, endpoint=False)
     c = peak_contrast(
         bare_pair, FieldConfig(0.5, 0.0, 0.0), _geom(), t,
-        sensor=SensorParams(), n_radial=8,
+        sensor=SensorParams(),
     )
     assert c.shape == (4, 64)
     assert np.all(np.isfinite(c))
