@@ -238,7 +238,7 @@ def run_ensemble(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     n_mol = cfg.params.get("n_molecules")
     r_range = tuple(cfg.params.get("r_range_nm", (cfg.sensor.r1_nm, cfg.sensor.r2_nm)))
     rows = []
-    for mode in (OrientationMode.ALIGNED, OrientationMode.RANDOM_EULER):
+    for mode in (OrientationMode.ALIGNED, OrientationMode.HAAR):
         spec = EnsembleSpec(
             n_realizations=n_real,
             orientation_mode=mode,
@@ -337,10 +337,10 @@ _SCANS = {
 
 
 def _yield_at_theta0(rp: RadicalPairConfig, b_mT: float) -> float:
-    prop, rho0 = solve_pair(rp, FieldConfig(b_mT, 0.0, 0.0))
+    prop, _ = solve_pair(rp, FieldConfig(b_mT, 0.0, 0.0))
     t_max = _default_t_max(rp)
     n = nyquist_samples(prop, t_max)
-    return singlet_yield_mean(rho0, prop, rp.layout(), rp.effective_decay_rate, t_max, n)
+    return singlet_yield_mean(prop, rp.initial_state, rp.effective_decay_rate, t_max, n)
 
 
 def run_parameter_scan(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:

@@ -14,7 +14,14 @@ expectation value and every time average is then evaluated in the
 eigenbasis.  Uniform time grids additionally admit a closed-form mean
 over samples (a geometric series per eigenvalue pair), which is what the
 field sweeps use: it is algebraically identical to averaging the sampled
-series, at O(d^2) cost independent of the grid length.
+series, independent of the grid length.
+
+The closed-form mean uses the structure of the model: rho0 = |s><s| x
+I/d_nuc has rank d_nuc = d/4, and every averaged observable is a 4x4
+electron-pair matrix x I_nuc.  A mean then costs one d x d x d product,
+one d x d/4 x d product and O(d^2) work besides, on top of ``eigh`` and
+the reconstruction residual of :func:`make_propagator`; no operator is
+taken to the eigenbasis.
 """
 
 from __future__ import annotations
@@ -26,12 +33,15 @@ import numpy as np
 
 from .errors import NumericalError, PhysicsError
 from .hamiltonian import CouplingGeometry, InitialElectronState
-from .spincore import SpinSystemLayout, site_operators
+from .spincore import SpinSpecies, SpinSystemLayout, site_operators, spin_matrices
 
 _SQRT2 = np.sqrt(2.0)
 
 #: fewest samples of a closed-form mean, a power of two
 MIN_SAMPLES = 4096
+
+#: time samples per block of a time-series evaluation
+SERIES_CHUNK = 2048
 
 
 @lru_cache(maxsize=32)
@@ -45,18 +55,38 @@ def electron_pair_state(kind: InitialElectronState) -> np.ndarray:
     return v
 
 
+def _pair_spin_matrices() -> np.ndarray:
+    s = spin_matrices(SpinSpecies.electron())
+    eye = np.eye(2, dtype=complex)
+    ops = np.stack([np.kron(m, eye) + np.kron(eye, m) for m in s])
+    ops.setflags(write=False)
+    return ops
+
+
+#: S1i + S2i (i = x, y, z) on the 4-dimensional two-electron space, shape (3, 4, 4)
+ELECTRON_PAIR_SPIN = _pair_spin_matrices()
+
+
+@lru_cache(maxsize=32)
 def initial_state(kind: InitialElectronState, layout: SpinSystemLayout) -> np.ndarray:
-    """rho0 = |S0><S0| (or |T0><T0|) tensor I/d_nuc; trace 1."""
+    """rho0 = |S0><S0| (or |T0><T0|) tensor I/d_nuc; trace 1.  Cached, read-only."""
     v = electron_pair_state(kind)
     rho_e = np.outer(v, v.conj())
     d_nuc = layout.nuclear_dimension
-    return np.kron(rho_e, np.eye(d_nuc, dtype=complex) / d_nuc)
+    rho0 = np.kron(rho_e, np.eye(d_nuc, dtype=complex) / d_nuc)
+    rho0.setflags(write=False)
+    return rho0
+
+
+def electron_singlet_projector() -> np.ndarray:
+    """|S0><S0| on the 4-dimensional two-electron space."""
+    v = electron_pair_state(InitialElectronState.SINGLET)
+    return np.outer(v, v.conj())
 
 
 def singlet_projector(layout: SpinSystemLayout) -> np.ndarray:
     """P_S = |S0><S0| tensor I on the full space."""
-    v = electron_pair_state(InitialElectronState.SINGLET)
-    return np.kron(np.outer(v, v.conj()), np.eye(layout.nuclear_dimension, dtype=complex))
+    return np.kron(electron_singlet_projector(), np.eye(layout.nuclear_dimension, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -156,48 +186,95 @@ def _expectation_series(
     """<O_m(t)> for each operator, shape (len(ops), len(t_grid)).
 
     Evaluated as sum_nm (O~^T * rho~)_nm exp(-(k + i omega_nm) t) with
-    omega_nm = lambda_n - lambda_m.
+    omega_nm = lambda_n - lambda_m, in blocks of ``SERIES_CHUNK`` times.
     """
     rho_e = prop.to_eigenbasis(rho0)
-    phases = np.exp(np.outer(t_grid, -1j * prop.eigenvalues))  # (n_t, d)
-    decay = np.exp(-prop.decay_rate * np.asarray(t_grid))
+    mats = [prop.to_eigenbasis(op).T * rho_e for op in ops]  # M_nm = O~_mn rho~_nm
+    t_grid = np.asarray(t_grid)
     out = np.empty((len(ops), len(t_grid)))
-    for m, op in enumerate(ops):
-        mat = prop.to_eigenbasis(op).T * rho_e  # M_nm = O~_mn rho~_nm
-        out[m] = np.real(np.einsum("tn,nm,tm->t", phases, mat, phases.conj(), optimize=True))
-    out *= decay[None, :]
+    for lo in range(0, len(t_grid), SERIES_CHUNK):
+        t = t_grid[lo : lo + SERIES_CHUNK]
+        phases = np.exp(np.outer(t, -1j * prop.eigenvalues))  # (chunk, d)
+        phases_conj = phases.conj()
+        for m, mat in enumerate(mats):
+            out[m, lo : lo + len(t)] = np.real(
+                np.einsum("tn,nm,tm->t", phases, mat, phases_conj, optimize=True)
+            )
+    out *= np.exp(-prop.decay_rate * t_grid)[None, :]
     return out
 
 
 def _geometric_mean_weights(prop: Propagator, dt: float, n: int) -> np.ndarray:
-    """(1/n) sum_{j=0}^{n-1} z_nm^j with z_nm = exp((-k - i omega_nm) dt)."""
+    """G_nm = (1/n) sum_{j=0}^{n-1} z_nm^j with z_nm = exp((-k - i omega_nm) dt).
+
+    G is Hermitian, so only the strict upper triangle is evaluated, as
+    expm1(n x) / expm1(x) / n with x = (-k - i omega_nm) dt; the lower
+    triangle is its conjugate and the diagonal (omega = 0) is real.
+    Where expm1(x) vanishes (k = 0 and exactly degenerate levels) every
+    z^j is 1, and so is the weight.
+    """
     lam = prop.eigenvalues
-    w = (-prop.decay_rate - 1j * (lam[:, None] - lam[None, :])) * dt
+    d = lam.shape[0]
 
-    def cexpm1(x):
-        small = np.abs(x) < 1e-4
-        direct = np.exp(np.where(small, 0.0, x)) - 1.0
-        series = x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0)))
-        return np.where(small, series, direct)
+    def ratio(x):
+        den = np.expm1(x)
+        zero = np.abs(den) < 1e-300
+        num = np.expm1(x * n)
+        num[zero] = n
+        den[zero] = 1.0
+        num /= den
+        num /= n
+        return num
 
-    num = cexpm1(w * n)
-    den = cexpm1(w)
-    zero = np.abs(den) < 1e-300
-    geo = np.where(zero, 1.0, num / np.where(zero, 1.0, den) / n)
+    rows, cols = _upper_triangle(d)
+    x = np.empty(rows.shape[0], dtype=complex)
+    x.real = -prop.decay_rate * dt
+    x.imag = (lam[cols] - lam[rows]) * dt
+    upper = ratio(x)
+    geo = np.empty((d, d), dtype=complex)
+    geo[rows, cols] = upper
+    geo[cols, rows] = upper.conj()
+    geo.flat[:: d + 1] = ratio(np.array([-prop.decay_rate * dt], dtype=complex))
     return geo
 
 
+@lru_cache(maxsize=8)
+def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a d x d matrix."""
+    rows, cols = np.triu_indices(d, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _expectation_means(
-    prop: Propagator, rho0: np.ndarray, ops: list[np.ndarray], dt: float, n: int
+    prop: Propagator,
+    state: InitialElectronState,
+    electron_ops: np.ndarray,
+    dt: float,
+    n: int,
 ) -> np.ndarray:
-    """Mean over the n uniform samples of <O_m(t_j)>, t_j = j dt."""
-    rho_e = prop.to_eigenbasis(rho0)
-    geo = _geometric_mean_weights(prop, dt, n)
-    out = np.empty(len(ops))
-    for m, op in enumerate(ops):
-        mat = prop.to_eigenbasis(op).T * rho_e
-        out[m] = float(np.real(np.sum(mat * geo)))
-    return out
+    """Mean over the n uniform samples of <o_m x I_nuc>(t_j), t_j = j dt.
+
+    ``electron_ops`` are 4x4 operators on the two electrons, shape
+    (n_ops, 4, 4); rho0 = |s><s| x I/d_nuc for the electron state
+    ``state``.  With V4 = V.reshape(4, d_nuc, d) and
+    W = sum_a s_a conj(V4[a]) (d_nuc x d), the eigenbasis state is
+    rho~ = W^T conj(W) / d_nuc.  The mean of O = o x I_nuc is
+    Tr(O V (rho~ o G) V^dag) = Re sum_ab o_ab E_ab, where
+    E_ab = sum_kn conj(V4[a, k, n]) Y4[b, k, n] and Y = V (rho~ o G).
+    """
+    v = prop.eigenvectors
+    d = prop.dim
+    d_nuc = d // 4
+    v4 = v.reshape(4, d_nuc * d)
+    s = electron_pair_state(state)
+    w = (s.conj() @ v4).conj().reshape(d_nuc, d)
+    rho_e = w.T @ (w.conj() / d_nuc)
+    rho_e *= _geometric_mean_weights(prop, dt, n)
+    y = v @ rho_e
+    e = v4.conj() @ y.reshape(4, d_nuc * d).T
+    return np.real(np.einsum("mab,ab->m", electron_ops, e))
 
 
 def _pair_spin_ops(layout: SpinSystemLayout) -> list[np.ndarray]:
@@ -244,19 +321,18 @@ def singlet_probability(rho: np.ndarray, layout: SpinSystemLayout) -> float:
 
 
 def singlet_yield_mean(
-    rho0: np.ndarray,
     prop: Propagator,
-    layout: SpinSystemLayout,
+    state: InitialElectronState,
     k: float,
     t_max: float,
     n_samples: int,
 ) -> float:
     """phi_s = k dt sum_j Tr[rho(t_j) P_S], t_j = j dt, dt = t_max / n.
 
-    The rate-weighted singlet yield, summed in closed form.  ``t_max``
-    should reach at least five lifetimes; the truncation error is then
-    below exp(-5).
+    The rate-weighted singlet yield from rho0 = |state><state| x I/d_nuc,
+    summed in closed form.  ``t_max`` should reach at least five
+    lifetimes; the truncation error is then below exp(-5).
     """
     dt = t_max / n_samples
-    mean = _expectation_means(prop, rho0, [singlet_projector(layout)], dt, n_samples)[0]
+    mean = _expectation_means(prop, state, electron_singlet_projector()[None], dt, n_samples)[0]
     return float(k * dt * mean * n_samples)

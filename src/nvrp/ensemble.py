@@ -33,7 +33,7 @@ MAX_MOLECULES = 100
 
 class OrientationMode(enum.Enum):
     ALIGNED = "aligned"
-    RANDOM_EULER = "random_euler"
+    HAAR = "haar"
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class EnsembleSpec:
     """Sampling plan for a molecular ensemble."""
 
     n_realizations: int = 50
-    orientation_mode: OrientationMode = OrientationMode.RANDOM_EULER
+    orientation_mode: OrientationMode = OrientationMode.HAAR
     r_range_nm: tuple[float, float] = (5.0, 20.0)
     seed: int = 0
     density_per_nm3: float | None = 5e-2

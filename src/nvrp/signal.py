@@ -25,10 +25,10 @@ import numpy as np
 
 from .constants import GAMMA_E, HBAR, MU0, dipolar_prefactor
 from .dynamics import (
+    ELECTRON_PAIR_SPIN,
     ObservableSeries,
     Propagator,
     _expectation_means,
-    _pair_spin_ops,
     evolve_observables,
     initial_state,
     make_propagator,
@@ -162,10 +162,10 @@ def integrated_observables(
     sample count per point adapts to the spectral spread of H, which
     leaves the closed-form mean exact for the grid actually used.
     """
-    prop, rho0 = solve_pair(cfg, field_cfg, rotation)
+    prop, _ = solve_pair(cfg, field_cfg, rotation)
     t_max = t_max if t_max is not None else _default_t_max(cfg)
     n = nyquist_samples(prop, t_max)
-    means = _expectation_means(prop, rho0, _pair_spin_ops(cfg.layout()), t_max / n, n)
+    means = _expectation_means(prop, cfg.initial_state, ELECTRON_PAIR_SPIN, t_max / n, n)
     geom = coupling_geometry(1.0, field_cfg.theta, field_cfg.phi)
     return geom.d_c * means
 

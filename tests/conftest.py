@@ -1,5 +1,7 @@
 """Shared fixtures: small reference systems used across the suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,22 @@ def make_pair(
         recombination_rate=k,
         initial_state=initial,
     )
+
+
+#: nuclear spins of radicals 1 and 2; every layout has a spin-1 nucleus, d = 12 to 36
+SPIN1_LAYOUTS = [((1.0,), ()), ((1.0,), (0.5,)), ((1.0, 0.5), ()), ((1.0,), (1.0,))]
+
+
+def random_pair(rng, spins, initial=InitialElectronState.SINGLET) -> RadicalPairConfig:
+    """Random symmetric hyperfine tensors, exchange and full dipolar tensor for a layout."""
+
+    def symmetric():
+        a = rng.normal(size=(3, 3))
+        return a + a.T
+
+    spins1, spins2 = spins
+    cfg = make_pair(
+        tensors1=[symmetric() for _ in spins1], tensors2=[symmetric() for _ in spins2],
+        spins1=spins1, spins2=spins2, j_mT=rng.uniform(-0.5, 0.5), initial=initial,
+    )
+    return dataclasses.replace(cfg, dipolar_tensor_mT=rng.normal(size=(3, 3)))

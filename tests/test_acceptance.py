@@ -300,14 +300,12 @@ def test_criterion_7_exchange_trend():
                 cfg, 0.05, thetas, 0.0, prefactor=PREFACTOR_10NM
             )
             maxima.append(float(np.max(np.abs(res.x_integrated))))
-            layout = cfg.layout()
             h = build_rp_hamiltonian(cfg, FieldConfig(0.05, 0.0, 0.0))
             prop = make_propagator(h, cfg.recombination_rate)
-            rho0 = initial_state(cfg.initial_state, layout)
             t_max = 5.0 / cfg.recombination_rate
             n = nyquist_samples(prop, t_max)
             yields.append(
-                singlet_yield_mean(rho0, prop, layout, cfg.recombination_rate, t_max, n)
+                singlet_yield_mean(prop, cfg.initial_state, cfg.recombination_rate, t_max, n)
             )
         yield_ok = all(a <= b + 1e-12 for a, b in zip(yields, yields[1:]))
         signal_ok = all(a >= b - 1e-15 for a, b in zip(maxima, maxima[1:]))
@@ -342,7 +340,7 @@ def test_criterion_8_ensemble_averaging():
         b_peak = float(grid[i_peak])
         aligned_mean = abs(float(aligned.mean[2, i_peak]))
 
-        spec = EnsembleSpec(orientation_mode=OrientationMode.RANDOM_EULER, **common)
+        spec = EnsembleSpec(orientation_mode=OrientationMode.HAAR, **common)
         random1 = ensemble_sweep(cfg, spec, b_grid_mT=[b_peak])
         random2 = ensemble_sweep(cfg, spec, b_grid_mT=[b_peak])
         reproducible = random1.mean.tobytes() == random2.mean.tobytes() and (

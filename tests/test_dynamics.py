@@ -1,9 +1,20 @@
 """State preparation, eigen-propagation, observables, and the singlet yield."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvrp.dynamics import (
+    ELECTRON_PAIR_SPIN,
+    SERIES_CHUNK,
+    Propagator,
+    _expectation_means,
+    _expectation_series,
+    _geometric_mean_weights,
+    electron_singlet_projector,
     evolve_observables,
     initial_state,
     make_propagator,
@@ -11,6 +22,7 @@ from nvrp.dynamics import (
     singlet_probability,
     singlet_yield_mean,
 )
+from nvrp.ensemble import random_rotation
 from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import (
     FieldConfig,
@@ -22,7 +34,7 @@ from nvrp.oracle import rk4_evolve
 from nvrp.signal import integrated_observables, solve_pair
 from nvrp.spincore import SpinSystemLayout, site_operators
 
-from conftest import make_pair
+from conftest import SPIN1_LAYOUTS, make_pair, random_pair
 
 S = InitialElectronState.SINGLET
 T0 = InitialElectronState.TRIPLET_ZERO
@@ -189,6 +201,81 @@ def test_time_averaged_matches_materialized_mean(axial3_pair):
     assert np.allclose(direct, closed, rtol=1e-10, atol=1e-15)
 
 
+def test_series_blocks_join_at_chunk_boundaries(axial3_pair):
+    prop, rho0 = solve_pair(axial3_pair, FieldConfig(0.3, 0.6, 1.0))
+    ops = _pair_ops(axial3_pair.layout())
+    t = np.arange(SERIES_CHUNK + 3) * 2e-9
+    series = _expectation_series(prop, rho0, ops, t)
+    for j in (0, SERIES_CHUNK - 1, SERIES_CHUNK, SERIES_CHUNK + 2):
+        rho_t = prop.evolve(rho0, t[j])
+        direct = [np.real(np.trace(op @ rho_t)) for op in ops]
+        assert np.allclose(series[:, j], direct, rtol=0, atol=1e-13)
+
+
+# -- closed-form means ---------------------------------------------------------
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SPIN1_LAYOUTS), st.sampled_from([S, T0]))
+@settings(max_examples=30, deadline=None)
+def test_fused_means_match_dense_definition(seed, spins, state):
+    """The low-rank, fused means equal Re sum (V^dag O V)^T o (V^dag rho0 V) o G.
+
+    O = o x I_nuc for the three pair-spin components and the singlet
+    projector, on random layouts with a Haar-rotated molecule, a random
+    field and a full dipolar tensor.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = random_pair(rng, spins, initial=state)
+    field = FieldConfig(
+        rng.uniform(0.1, 3.0), rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi)
+    )
+    prop, rho0 = solve_pair(cfg, field, random_rotation(rng))
+    t_max = 5.0 / cfg.effective_decay_rate
+    n = nyquist_samples(prop, t_max)
+    electron_ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
+
+    fused = _expectation_means(prop, state, electron_ops, t_max / n, n)
+
+    v = prop.eigenvectors
+    rho_e = v.conj().T @ rho0 @ v
+    geo = _geometric_mean_weights(prop, t_max / n, n)
+    eye = np.eye(cfg.layout().nuclear_dimension)
+    dense = np.array(
+        [np.real(np.sum((v.conj().T @ np.kron(o, eye) @ v).T * rho_e * geo)) for o in electron_ops]
+    )
+    assert np.max(np.abs(fused - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.sampled_from([0.0, 2e5]))
+@settings(max_examples=30, deadline=None)
+def test_geometric_weights_match_direct_sum(seed, d, k):
+    """G_nm = (1/n) sum_j z_nm^j for n = 16, with degenerate and near-degenerate levels."""
+    rng = np.random.default_rng(seed)
+    dt = 1e-8
+    lam = rng.normal(size=d) / dt
+    lam[1] = lam[0]  # exactly degenerate
+    lam[2] = lam[0] + 1e-7 / dt  # nearly degenerate
+    lam = np.sort(lam)
+    prop = Propagator(eigenvalues=lam, eigenvectors=np.eye(d), decay_rate=k)
+    n = 16
+    geo = _geometric_mean_weights(prop, dt, n)
+    z = np.exp((-k - 1j * (lam[:, None] - lam[None, :])) * dt)
+    direct = sum(z**j for j in range(n)) / n
+    assert np.array_equal(geo, geo.conj().T)
+    assert np.max(np.abs(geo - direct)) < 1e-13
+
+
+def test_geometric_weights_of_zero_generator_are_one():
+    # nucleus-free pair, B = 0, J = 0, no dipolar term, k = 0: H = 0, every z = 1
+    cfg = make_pair(k=0.0)
+    h = build_rp_hamiltonian(cfg, FieldConfig(0.0, 0.0, 0.0))
+    assert not np.any(h)
+    prop = make_propagator(h, cfg.effective_decay_rate)
+    assert prop.decay_rate == 0.0
+    geo = _geometric_mean_weights(prop, 1e-8, 4096)
+    assert np.array_equal(geo, np.ones((4, 4)))
+
+
 # -- trace law and positivity -------------------------------------------------
 
 
@@ -217,14 +304,12 @@ def test_singlet_probability_of_initial_states():
 def test_yield_saturates_for_singlet_conserving_hamiltonian():
     # B along z with no hyperfine: [H, P_S] = 0, so phi_s -> 1 - e^(-k T)
     cfg = make_pair(j_mT=0.3)
-    layout = cfg.layout()
     h = build_rp_hamiltonian(cfg, FieldConfig(1.0, 0.0, 0.0))
     k = cfg.recombination_rate
     prop = make_propagator(h, k)
-    rho0 = initial_state(S, layout)
     t_max = 5.0 / k
     n = 16384
-    ys = singlet_yield_mean(rho0, prop, layout, k, t_max, n)
+    ys = singlet_yield_mean(prop, S, k, t_max, n)
     expected = 1.0 - np.exp(-k * t_max)
     # left-endpoint Riemann sum overshoots by ~k dt / 2
     assert ys == pytest.approx(expected, rel=2e-4)
@@ -233,12 +318,10 @@ def test_yield_saturates_for_singlet_conserving_hamiltonian():
 
 def test_yield_zero_from_orthogonal_sector():
     cfg = make_pair(j_mT=0.3, initial=T0)
-    layout = cfg.layout()
     h = build_rp_hamiltonian(cfg, FieldConfig(1.0, 0.0, 0.0))
     k = cfg.recombination_rate
     prop = make_propagator(h, k)
-    rho0 = initial_state(T0, layout)
-    ys = singlet_yield_mean(rho0, prop, layout, k, 5.0 / k, 4096)
+    ys = singlet_yield_mean(prop, T0, k, 5.0 / k, 4096)
     assert abs(ys) < 1e-12
 
 
@@ -255,7 +338,7 @@ def test_yield_against_rk4_oracle(axial3_pair):
     t_max = 5.0 / k
     n = 4096
     dt_grid = t_max / n
-    ys_eigen = singlet_yield_mean(rho0, prop, layout, k, t_max, n)
+    ys_eigen = singlet_yield_mean(prop, S, k, t_max, n)
 
     # oracle on a coarser recorded grid but fine integration steps
     lam = float(np.max(np.abs(prop.eigenvalues)))

@@ -1,13 +1,12 @@
 """Ensemble sampling and the orientation-averaged statistics."""
 
-import dataclasses
 import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvrp.dynamics import _expectation_means, _pair_spin_ops, nyquist_samples
+from nvrp.dynamics import ELECTRON_PAIR_SPIN, _expectation_means, nyquist_samples
 from nvrp.ensemble import (
     MAX_MOLECULES,
     EnsembleSpec,
@@ -22,13 +21,13 @@ from nvrp.presets import one_nucleus_config
 from nvrp.signal import integrated_observables, single_molecule_prefactor, solve_pair
 from nvrp.spincore import Rotation
 
-from conftest import make_pair
+from conftest import SPIN1_LAYOUTS, random_pair
 
 
 def _spec(**kw):
     base = dict(
         n_realizations=4,
-        orientation_mode=OrientationMode.RANDOM_EULER,
+        orientation_mode=OrientationMode.HAAR,
         r_range_nm=(5.0, 20.0),
         seed=11,
         density_per_nm3=None,
@@ -130,9 +129,6 @@ def test_aligned_mean_is_radial_average_of_single_molecule():
 
 # -- rotational covariance -----------------------------------------------------
 
-#: nuclear spins of radicals 1 and 2; every layout has a spin-1 nucleus, d = 12 to 36
-_LAYOUTS = [((1.0,), ()), ((1.0,), (0.5,)), ((1.0, 0.5), ()), ((1.0,), (1.0,))]
-
 
 def _field_along(vector_mT: np.ndarray) -> FieldConfig:
     b = float(np.linalg.norm(vector_mT))
@@ -142,11 +138,11 @@ def _field_along(vector_mT: np.ndarray) -> FieldConfig:
 
 
 def _pair_spin_means(cfg, field_cfg, rotation, t_max, n):
-    prop, rho0 = solve_pair(cfg, field_cfg, rotation)
-    return _expectation_means(prop, rho0, _pair_spin_ops(cfg.layout()), t_max / n, n)
+    prop, _ = solve_pair(cfg, field_cfg, rotation)
+    return _expectation_means(prop, cfg.initial_state, ELECTRON_PAIR_SPIN, t_max / n, n)
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from(_LAYOUTS))
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SPIN1_LAYOUTS))
 @settings(max_examples=20, deadline=None)
 def test_pair_spin_means_are_rotation_covariant(seed, spins):
     """m(R, B) = R m(I, R^T B) for the raw time-averaged <S1 + S2>.
@@ -157,17 +153,7 @@ def test_pair_spin_means_are_rotation_covariant(seed, spins):
     back by R.  Every ensemble average rests on this convention.
     """
     rng = np.random.default_rng(seed)
-
-    def symmetric():
-        a = rng.normal(size=(3, 3))
-        return a + a.T
-
-    spins1, spins2 = spins
-    cfg = make_pair(
-        tensors1=[symmetric() for _ in spins1], tensors2=[symmetric() for _ in spins2],
-        spins1=spins1, spins2=spins2, j_mT=rng.uniform(-0.5, 0.5),
-    )
-    cfg = dataclasses.replace(cfg, dipolar_tensor_mT=rng.normal(size=(3, 3)))
+    cfg = random_pair(rng, spins)
     direction = rng.normal(size=3)
     field = _field_along(rng.uniform(0.1, 3.0) * direction / np.linalg.norm(direction))
     rotation = random_rotation(rng)
