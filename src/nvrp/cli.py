@@ -56,7 +56,8 @@ from .strongcoupling import count_resolved_peaks, level_structure, peak_contrast
 
 def _fmt(value: Any) -> str:
     if isinstance(value, (float, np.floating)):
-        return f"{value:.12g}"
+        # -0.0 (e.g. d_ci = 0 times a negative mean) carries only the sign of round-off
+        return "0" if value == 0 else f"{value:.12g}"
     return str(value)
 
 

@@ -22,6 +22,13 @@ electron-pair matrix x I_nuc.  A mean then costs one d x d x d product,
 one d x d/4 x d product and O(d^2) work besides, on top of ``eigh`` and
 the reconstruction residual of :func:`make_propagator`; no operator is
 taken to the eigenbasis.
+
+``eigh`` is LAPACK's divide-and-conquer ``zheevd`` (numpy) below
+``EVR_MIN_DIM`` and the faster MRRR driver ``zheevr`` (scipy; Dhillon,
+Parlett & Voemel, ACM TOMS 32, 533 (2006)) from there on.  MRRR keeps
+tight clusters less orthogonal, which the residual cannot see, so every
+propagator also checks V^dag (V x) = x on fixed probe vectors.  The two
+drivers agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalError, PhysicsError
 from .hamiltonian import CouplingGeometry, InitialElectronState
@@ -42,6 +50,14 @@ MIN_SAMPLES = 4096
 
 #: time samples per block of a time-series evaluation
 SERIES_CHUNK = 2048
+
+#: smallest dimension diagonalised by ``zheevr`` rather than ``zheevd``.  BENCH_6.json
+#: (``bench/eigh_drivers.py``, one BLAS thread): 68 against 97 ms at d = 432, 555 against
+#: 883 ms at d = 864; overlapping quartiles at d = 288, zheevd faster at d <= 216.
+EVR_MIN_DIM = 432
+
+#: probe vectors of the orthogonality check in :func:`make_propagator`
+PROBE_VECTORS = 4
 
 
 @lru_cache(maxsize=32)
@@ -124,13 +140,38 @@ class Propagator:
         return np.exp(-self.decay_rate * t) * (v @ rho_t @ v.conj().T)
 
 
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a Hermitian matrix.
+
+    ``zheevd`` (numpy) below ``EVR_MIN_DIM``, ``zheevr`` (scipy) from it on.
+    The eigenvectors are C-ordered either way: scipy returns them
+    Fortran-ordered, and the means' row reshapes would copy them.
+    """
+    if h.shape[0] < EVR_MIN_DIM:
+        return np.linalg.eigh(h)
+    w, v = scipy.linalg.eigh(h, check_finite=False, driver="evr")
+    return w, np.ascontiguousarray(v)
+
+
+@lru_cache(maxsize=8)
+def _probe_vectors(d: int) -> np.ndarray:
+    """Fixed unit vectors, shape (d, PROBE_VECTORS), Gaussian with seed 0; read-only."""
+    x = np.random.default_rng(0).standard_normal((d, PROBE_VECTORS)).astype(complex)
+    x /= np.linalg.norm(x, axis=0)
+    x.setflags(write=False)
+    return x
+
+
 def make_propagator(h: np.ndarray, k_eff: float) -> Propagator:
     """Diagonalise a Hermitian Hamiltonian and attach the decay rate.
 
     ``k_eff`` is the trace-decay rate, already resolved for the decay
     convention (``RadicalPairConfig.effective_decay_rate``).  Rejects
     non-Hermitian input and aborts when the reconstruction residual
-    exceeds 1e-8 * ||H||.
+    exceeds 1e-8 * ||H|| or when ||V^dag (V x) - x|| exceeds 1e-8 on any
+    probe vector.  The residual is blind to a loss of orthogonality
+    among eigenvectors of eigenvalues near zero (V = Q (I + E) changes it
+    only by Q (E Lambda + Lambda E^dag) Q^dag); the O(d^2) probe sees it.
     """
     h = np.asarray(h, dtype=complex)
     if k_eff < 0:
@@ -138,12 +179,17 @@ def make_propagator(h: np.ndarray, k_eff: float) -> Propagator:
     hnorm = np.linalg.norm(h)
     if hnorm > 0 and np.linalg.norm(h - h.conj().T) > 1e-10 * hnorm:
         raise PhysicsError("propagator generator must be Hermitian")
-    w, v = np.linalg.eigh(h)
+    w, v = _eigh(h)
     residual = np.linalg.norm((v * w) @ v.conj().T - h)
     if hnorm > 0 and residual > 1e-8 * hnorm:
         raise NumericalError(
             f"eigendecomposition residual {residual:.3e} exceeds 1e-8 * ||H|| = {1e-8 * hnorm:.3e}"
         )
+    x = _probe_vectors(h.shape[0])
+    back = (v.T @ (v @ x).conj()).conj()  # V^dag V x without a conjugated copy of V
+    loss = np.max(np.linalg.norm(back - x, axis=0))
+    if loss > 1e-8:
+        raise NumericalError(f"eigenvector orthogonality loss {loss:.3e} exceeds 1e-8")
     return Propagator(eigenvalues=w, eigenvectors=v, decay_rate=k_eff)
 
 
@@ -181,15 +227,18 @@ def _require_resolved(prop: Propagator, dt: float) -> None:
 
 
 def _expectation_series(
-    prop: Propagator, rho0: np.ndarray, ops: list[np.ndarray], t_grid: np.ndarray
+    prop: Propagator, rho0: np.ndarray, ops: list[np.ndarray], t_grid: np.ndarray,
+    eigenbasis: bool = False,
 ) -> np.ndarray:
     """<O_m(t)> for each operator, shape (len(ops), len(t_grid)).
 
     Evaluated as sum_nm (O~^T * rho~)_nm exp(-(k + i omega_nm) t) with
     omega_nm = lambda_n - lambda_m, in blocks of ``SERIES_CHUNK`` times.
+    With ``eigenbasis`` set, ``ops`` are already O~ = V^dag O V.
     """
     rho_e = prop.to_eigenbasis(rho0)
-    mats = [prop.to_eigenbasis(op).T * rho_e for op in ops]  # M_nm = O~_mn rho~_nm
+    # M_nm = O~_mn rho~_nm
+    mats = [(op if eigenbasis else prop.to_eigenbasis(op)).T * rho_e for op in ops]
     t_grid = np.asarray(t_grid)
     out = np.empty((len(ops), len(t_grid)))
     for lo in range(0, len(t_grid), SERIES_CHUNK):
@@ -208,18 +257,26 @@ def _geometric_mean_weights(prop: Propagator, dt: float, n: int) -> np.ndarray:
     """G_nm = (1/n) sum_{j=0}^{n-1} z_nm^j with z_nm = exp((-k - i omega_nm) dt).
 
     G is Hermitian, so only the strict upper triangle is evaluated, as
-    expm1(n x) / expm1(x) / n with x = (-k - i omega_nm) dt; the lower
+    (z^n - 1) / expm1(x) / n with x = (-k - i omega_nm) dt; the lower
     triangle is its conjugate and the diagonal (omega = 0) is real.
+    With T = n dt and k T >= 1 the numerator
+    is the outer product z_nm^n - 1 = exp(-k T) p_n conj(p_m) - 1 of the
+    d phases p = exp(-i lambda T).  Since |z^n| = exp(-k T), forming it
+    adds a relative error of at most about
+    (1 + 4 exp(-k T) / (1 - exp(-k T))) eps: 3.3 eps at k T = 1 and
+    1.03 eps at the default T = 5/k, on top of the rounding of the phase
+    arguments that expm1(n x) carries too.  Below k T = 1 that bound grows
+    like 1/(k T), and the numerator is expm1(n x).
     Where expm1(x) vanishes (k = 0 and exactly degenerate levels) every
     z^j is 1, and so is the weight.
     """
     lam = prop.eigenvalues
     d = lam.shape[0]
+    k_dt = prop.decay_rate * dt
 
-    def ratio(x):
+    def ratio(x, num):
         den = np.expm1(x)
         zero = np.abs(den) < 1e-300
-        num = np.expm1(x * n)
         num[zero] = n
         den[zero] = 1.0
         num /= den
@@ -228,13 +285,20 @@ def _geometric_mean_weights(prop: Propagator, dt: float, n: int) -> np.ndarray:
 
     rows, cols = _upper_triangle(d)
     x = np.empty(rows.shape[0], dtype=complex)
-    x.real = -prop.decay_rate * dt
+    x.real = -k_dt
     x.imag = (lam[cols] - lam[rows]) * dt
-    upper = ratio(x)
+    if k_dt * n >= 1.0:
+        p = np.exp(-1j * (n * dt) * lam)
+        num = (np.exp(-k_dt * n) * p)[rows] * p.conj()[cols]
+        num -= 1.0
+    else:
+        num = np.expm1(x * n)
+    upper = ratio(x, num)
     geo = np.empty((d, d), dtype=complex)
     geo[rows, cols] = upper
     geo[cols, rows] = upper.conj()
-    geo.flat[:: d + 1] = ratio(np.array([-prop.decay_rate * dt], dtype=complex))
+    x_diag = np.array([-k_dt], dtype=complex)
+    geo.flat[:: d + 1] = ratio(x_diag, np.expm1(x_diag * n))
     return geo
 
 

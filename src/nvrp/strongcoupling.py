@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .constants import dipolar_prefactor
-from .dynamics import _expectation_series
+from .dynamics import _eigh, _expectation_series
 from .errors import PhysicsError
 from .hamiltonian import (
     CouplingGeometry,
@@ -86,7 +86,7 @@ def _stabilize_degenerate(w: np.ndarray, v: np.ndarray, op: np.ndarray) -> np.nd
         if j - i > 1:
             block = v[:, i:j]
             sub = block.conj().T @ op @ block
-            _, u = np.linalg.eigh(0.5 * (sub + sub.conj().T))
+            _, u = _eigh(0.5 * (sub + sub.conj().T))
             v[:, i:j] = block @ u
         i = j
     return v
@@ -116,8 +116,8 @@ def level_structure(
     coupling = build_coupling_hamiltonian(geom, layout)
     h1 = h0 + coupling
 
-    w0, v0 = np.linalg.eigh(h0)
-    w1, v1 = np.linalg.eigh(h1)
+    w0, v0 = _eigh(h0)
+    w1, v1 = _eigh(h1)
     v0 = _stabilize_degenerate(w0, v0, coupling)
     v1 = _stabilize_degenerate(w1, v1, coupling)
 
@@ -188,14 +188,14 @@ def peak_contrast(
 
     def contrast_at(geometry: CouplingGeometry) -> np.ndarray:
         levels = level_structure(cfg, field_cfg, geometry)
-        projectors = []
-        for n in range(levels.n_transitions):
-            p1 = np.outer(levels.states_1[:, n], levels.states_1[:, n].conj())
-            p0_state = levels.states_0[:, levels.pairing[n]]
-            p0 = np.outer(p0_state, p0_state.conj())
-            projectors.extend([p1, p0])
-        series = _expectation_series(prop, rho0, projectors, t_grid)
-        return series[0::2] - series[1::2]
+        # eigenbasis coefficients c = V^dag psi of each |psi'_n>, then of its matched |psi_n>;
+        # the projector |psi><psi| is c c^dag there
+        states = np.concatenate([levels.states_1, levels.states_0[:, levels.pairing]], axis=1)
+        coeffs = prop.eigenvectors.conj().T @ states
+        projectors = [np.outer(c, c.conj()) for c in coeffs.T]
+        series = _expectation_series(prop, rho0, projectors, t_grid, eigenbasis=True)
+        n = levels.n_transitions
+        return series[:n] - series[n:]
 
     if sensor is None:
         return contrast_at(geom)

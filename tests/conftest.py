@@ -93,3 +93,24 @@ def random_pair(rng, spins, initial=InitialElectronState.SINGLET) -> RadicalPair
         spins1=spins1, spins2=spins2, j_mT=rng.uniform(-0.5, 0.5), initial=initial,
     )
     return dataclasses.replace(cfg, dipolar_tensor_mT=rng.normal(size=(3, 3)))
+
+
+def skew_null_pair(eigh, eps=1e-3):
+    """Wrap an eigensolver so that it returns a non-orthogonal V.
+
+    The two eigenvectors of smallest |eigenvalue| are mixed, V' = V (I + E)
+    with E_ij = E_ji = eps: V'^dag V' - I = 2E + E^2, while
+    V' diag(w) V'^dag - H gains only terms of order eps * (w_i, w_j).  On a
+    spectrum with two zero eigenvalues the residual cannot see the change.
+    """
+
+    def corrupted(h):
+        w, v = eigh(h)
+        i, j = np.argsort(np.abs(w))[:2]
+        v = v.copy()
+        vi = v[:, i].copy()
+        v[:, i] += eps * v[:, j]
+        v[:, j] += eps * vi
+        return w, v
+
+    return corrupted

@@ -7,14 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvrp import cli
-from nvrp.cli import experiment_from_preset, main, run
+from nvrp import cli, dynamics
+from nvrp.cli import _fmt, experiment_from_preset, main, run
 from nvrp.config import _KIND_PARAMS, KINDS, ExperimentConfig, load_config, parse_experiment
 from nvrp.dynamics import nyquist_samples, singlet_yield_mean
 from nvrp.errors import ConfigError
 from nvrp.hamiltonian import FieldConfig, SensorParams
 from nvrp.presets import ALIASES, PRESETS, get_preset, one_nucleus_config
 from nvrp.signal import solve_pair, with_exchange
+
+from conftest import skew_null_pair
 
 
 def _read_csv_rows(path: Path) -> list[str]:
@@ -169,6 +171,29 @@ def test_time_trace_zero_rate(tmp_path, capsys, t_max_us, code):
         assert len(_read_csv_rows(tmp_path / "o" / "time_trace.csv")) == 1 + 1024
     else:
         assert "t_max_us" in capsys.readouterr().err
+
+
+def test_orthogonality_loss_exits_4(tmp_path, capsys, monkeypatch):
+    # Zeeman-only pair: two zero levels, whose mixing the residual cannot see
+    payload = {
+        "kind": "angle-sweep",
+        "radical_pair": {"j_exchange_mT": 0.0, "lifetime_us": 5.0},
+        "params": {"b_mT": 0.05, "theta_deg": [0.0, 180.0, 3], "r_nm": 10.0},
+    }
+    path = _write_config(tmp_path, payload)
+    monkeypatch.setattr(dynamics, "_eigh", skew_null_pair(dynamics._eigh))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert "orthogonality" in capsys.readouterr().err
+
+
+def test_fmt_writes_signed_zero_as_zero():
+    assert _fmt(-0.0) == "0"
+    assert _fmt(np.float64(-0.0)) == "0"
+    assert _fmt(0.0 * -1.5e-9) == "0"
+    assert _fmt(-1e-300) == "-1e-300"
+    assert _fmt(-0.25) == "-0.25"
+    assert _fmt(1.0 / 3.0) == "0.333333333333"
+    assert _fmt(-3) == "-3"
 
 
 def test_exchange_sweep_runner(tmp_path):

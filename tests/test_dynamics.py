@@ -1,12 +1,15 @@
 """State preparation, eigen-propagation, observables, and the singlet yield."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvrp import dynamics
 from nvrp.dynamics import (
     ELECTRON_PAIR_SPIN,
     SERIES_CHUNK,
@@ -23,7 +26,7 @@ from nvrp.dynamics import (
     singlet_yield_mean,
 )
 from nvrp.ensemble import random_rotation
-from nvrp.errors import PhysicsError
+from nvrp.errors import NumericalError, PhysicsError
 from nvrp.hamiltonian import (
     FieldConfig,
     InitialElectronState,
@@ -31,10 +34,11 @@ from nvrp.hamiltonian import (
     coupling_geometry,
 )
 from nvrp.oracle import rk4_evolve
+from nvrp.presets import fadtrp_config
 from nvrp.signal import integrated_observables, solve_pair
 from nvrp.spincore import SpinSystemLayout, site_operators
 
-from conftest import SPIN1_LAYOUTS, make_pair, random_pair
+from conftest import SPIN1_LAYOUTS, make_pair, random_pair, skew_null_pair
 
 S = InitialElectronState.SINGLET
 T0 = InitialElectronState.TRIPLET_ZERO
@@ -116,6 +120,49 @@ def test_unitary_part_preserves_spectrum():
 def test_non_hermitian_rejected():
     with pytest.raises(PhysicsError, match="Hermitian"):
         make_propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
+
+
+def test_orthogonality_probe_catches_what_the_residual_misses(monkeypatch):
+    # Zeeman only (no nuclei, J = 0, no dipolar term): levels -w, 0, 0, +w
+    cfg = make_pair()
+    h = build_rp_hamiltonian(cfg, FieldConfig(0.05, 0.3, 0.2))
+    corrupted = skew_null_pair(np.linalg.eigh)
+    w, v = corrupted(h)
+    assert np.linalg.norm((v * w) @ v.conj().T - h) < 1e-12 * np.linalg.norm(h)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(4)) > 1e-3
+    make_propagator(h, cfg.effective_decay_rate)  # the true eigenvectors pass
+    monkeypatch.setattr(dynamics, "_eigh", corrupted)
+    with pytest.raises(NumericalError, match="orthogonality"):
+        make_propagator(h, cfg.effective_decay_rate)
+
+
+def test_drivers_agree_on_integrated_observables(monkeypatch):
+    """zheevr (scipy) and zheevd (numpy) give the same means at d >= EVR_MIN_DIM.
+
+    fadtrp-3n nuclei on the flavin, fadtrp-2n nuclei on the tryptophan
+    (d = 432), Haar rotation, two fields.
+    """
+    fad3 = fadtrp_config(3)
+    cfg = dataclasses.replace(fad3, nuclei_radical2=fadtrp_config(2).nuclei_radical2)
+    d = cfg.layout().total_dimension
+    assert d >= dynamics.EVR_MIN_DIM
+    rotation = random_rotation(np.random.default_rng(6))
+    fields = [FieldConfig(0.4, 0.7, 2.1), FieldConfig(2.5, 2.0, 0.4)]
+
+    drivers = []
+    real_eigh = scipy.linalg.eigh
+
+    def spy(*args, **kwargs):
+        drivers.append(kwargs["driver"])
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    evr = np.array([integrated_observables(cfg, f, rotation) for f in fields])
+    assert drivers == ["evr", "evr"]
+    monkeypatch.setattr(dynamics, "EVR_MIN_DIM", d + 1)
+    evd = np.array([integrated_observables(cfg, f, rotation) for f in fields])
+    assert drivers == ["evr", "evr"]
+    assert np.all(np.abs(evr - evd) <= 1e-12 * np.max(np.abs(evd), axis=0))
 
 
 def test_propagator_composition():
@@ -246,23 +293,47 @@ def test_fused_means_match_dense_definition(seed, spins, state):
     assert np.max(np.abs(fused - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.sampled_from([0.0, 2e5]))
-@settings(max_examples=30, deadline=None)
-def test_geometric_weights_match_direct_sum(seed, d, k):
-    """G_nm = (1/n) sum_j z_nm^j for n = 16, with degenerate and near-degenerate levels."""
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.sampled_from([0.0, 0.032, 1.0, 5.0]))
+@settings(max_examples=40, deadline=None)
+def test_geometric_weights_match_direct_sum(seed, d, k_t_max):
+    """G_nm = (1/n) sum_j z_nm^j for n = 16, with degenerate and near-degenerate levels.
+
+    k t_max = 0 and 0.032 (k = 2e5 /s) take the expm1 numerators, 1 (the
+    threshold) and 5 (the default t_max = 5/k) the phase numerators.
+    """
     rng = np.random.default_rng(seed)
     dt = 1e-8
+    n = 16
+    k = k_t_max / (n * dt)
     lam = rng.normal(size=d) / dt
     lam[1] = lam[0]  # exactly degenerate
     lam[2] = lam[0] + 1e-7 / dt  # nearly degenerate
     lam = np.sort(lam)
     prop = Propagator(eigenvalues=lam, eigenvectors=np.eye(d), decay_rate=k)
-    n = 16
     geo = _geometric_mean_weights(prop, dt, n)
     z = np.exp((-k - 1j * (lam[:, None] - lam[None, :])) * dt)
     direct = sum(z**j for j in range(n)) / n
     assert np.array_equal(geo, geo.conj().T)
     assert np.max(np.abs(geo - direct)) < 1e-13
+
+
+def test_phase_numerators_match_expm1_at_sweep_size(fadtrp2):
+    """The phase and expm1 numerators give the same weights on a fadtrp-2n sweep point.
+
+    Nyquist sample count at the default t_max = 5/k.  The phases
+    lambda t_max reach ~1e4 rad, and both forms round their arguments
+    differently (2.5e-14 relative at most here).
+    """
+    rotation = random_rotation(np.random.default_rng(3))
+    prop, _ = solve_pair(fadtrp2, FieldConfig(1.16, 0.4, 0.0), rotation)
+    t_max = 5.0 / prop.decay_rate
+    n = nyquist_samples(prop, t_max)
+    dt = t_max / n
+    geo = _geometric_mean_weights(prop, dt, n)
+    x = (-prop.decay_rate - 1j * (prop.eigenvalues[:, None] - prop.eigenvalues[None, :])) * dt
+    reference = np.expm1(x * n) / np.expm1(x) / n
+    assert np.max(np.abs(prop.eigenvalues)) * t_max > 1e4
+    assert np.max(np.abs(geo - reference) / np.abs(reference)) < 1e-12
 
 
 def test_geometric_weights_of_zero_generator_are_one():

@@ -184,6 +184,33 @@ def test_contrast_matches_rk4_on_toy_pair(bare_pair):
     assert np.max(np.abs(c - oracle_contrast)) < 1e-6
 
 
+def test_contrast_matches_full_space_projectors():
+    """The eigenbasis projectors c c^dag, c = V^dag psi, reproduce the full-space formula.
+
+    Strong-coupling system (d = 64), off-axis field and coupling, 2048
+    samples over five lifetimes as in the peak-count runner.
+    """
+    from nvrp.dynamics import _expectation_series
+    from nvrp.signal import solve_pair
+
+    cfg = strongcoupling_config()
+    field = FieldConfig(0.5, 0.9, 0.3)
+    geom = coupling_geometry(5.0, 0.9, 0.3)
+    t = np.linspace(0.0, 5.0 / cfg.effective_decay_rate, 2048, endpoint=False)
+    contrast = peak_contrast(cfg, field, geom, t)
+
+    levels = level_structure(cfg, field, geom)
+    prop, rho0 = solve_pair(cfg, field, geom.rotation)
+    projs = []
+    for n in range(levels.n_transitions):
+        p1 = np.outer(levels.states_1[:, n], levels.states_1[:, n].conj())
+        p0_state = levels.states_0[:, levels.pairing[n]]
+        projs.extend([p1, np.outer(p0_state, p0_state.conj())])
+    series = _expectation_series(prop, rho0, projs, t)
+    reference = series[0::2] - series[1::2]
+    assert np.max(np.abs(contrast - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 def test_projector_completeness_tracks_trace():
     cfg = strongcoupling_config()
     field = FieldConfig(0.5, 0.0, 0.0)
