@@ -9,7 +9,6 @@ from .dynamics import (
     evolve_observables,
     initial_state,
     make_propagator,
-    singlet_probability,
     singlet_yield_mean,
 )
 from .ensemble import EnsembleSpec, EnsembleStatistics, OrientationMode, ensemble_sweep
@@ -29,20 +28,16 @@ from .hamiltonian import (
     build_rp_hamiltonian,
     classify_regime,
     coupling_geometry,
-    split_secular,
 )
 from .oracle import OracleResult, rk4_evolve
 from .signal import (
     SignalSpectrum,
     SignalTrace,
     SweepResult,
-    signal_max,
     signal_single_molecule,
-    signal_volume,
     spectrum,
     sweep_field_angle,
     sweep_field_magnitude,
-    time_integrated,
 )
 from .spincore import (
     Rotation,

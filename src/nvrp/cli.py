@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -164,8 +165,7 @@ def run_time_trace(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     if t_max is None:
         if rp.effective_decay_rate == 0:
             raise ConfigError("params.t_max_us: required when the decay rate is zero")
-        # five lifetimes in microseconds, then seconds: 5.0 / k rounds differently
-        t_max = 5e6 / rp.effective_decay_rate * 1e-6
+        t_max = _default_t_max(rp)
     t_grid = np.linspace(0.0, t_max, n, endpoint=False)
     series = observable_series(rp, FieldConfig(b, theta, phi), t_grid)
     trace = signal_single_molecule(series, r_nm)
@@ -492,17 +492,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             cfg = load_config(args.config)
             if args.seed is not None:
-                cfg = ExperimentConfig(
-                    kind=cfg.kind,
-                    radical_pair=cfg.radical_pair,
-                    sensor=cfg.sensor,
-                    params=cfg.params,
-                    seed=args.seed,
-                )
+                cfg = dataclasses.replace(cfg, seed=args.seed)
         files = run(cfg, args.out, threads=args.threads, oracle=args.oracle)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3

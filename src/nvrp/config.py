@@ -149,7 +149,7 @@ def parse_sensor(raw: Any, where: str = "sensor") -> SensorParams:
         raise ConfigError(f"{where}: expected an object")
     raw = dict(raw)
     kwargs = {}
-    for key in ("t2", "depth_nm", "r1_nm", "r2_nm", "density_per_nm3"):
+    for key in ("t2", "r1_nm", "r2_nm", "density_per_nm3"):
         value = _take(raw, key, where, None)
         if value is not None:
             kwargs[key] = _number(value, _ctx(where, key))
@@ -202,7 +202,6 @@ class ExperimentConfig:
         s = self.sensor
         out["sensor"] = {
             "t2": s.t2,
-            "depth_nm": s.depth_nm,
             "r1_nm": s.r1_nm,
             "r2_nm": s.r2_nm,
             "density_per_nm3": s.density_per_nm3,

@@ -41,7 +41,7 @@ import scipy.linalg
 
 from .errors import NumericalError, PhysicsError
 from .hamiltonian import CouplingGeometry, InitialElectronState
-from .spincore import SpinSpecies, SpinSystemLayout, site_operators, spin_matrices
+from .spincore import SpinSystemLayout, site_operators
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -71,18 +71,6 @@ def electron_pair_state(kind: InitialElectronState) -> np.ndarray:
     return v
 
 
-def _pair_spin_matrices() -> np.ndarray:
-    s = spin_matrices(SpinSpecies.electron())
-    eye = np.eye(2, dtype=complex)
-    ops = np.stack([np.kron(m, eye) + np.kron(eye, m) for m in s])
-    ops.setflags(write=False)
-    return ops
-
-
-#: S1i + S2i (i = x, y, z) on the 4-dimensional two-electron space, shape (3, 4, 4)
-ELECTRON_PAIR_SPIN = _pair_spin_matrices()
-
-
 @lru_cache(maxsize=32)
 def initial_state(kind: InitialElectronState, layout: SpinSystemLayout) -> np.ndarray:
     """rho0 = |S0><S0| (or |T0><T0|) tensor I/d_nuc; trace 1.  Cached, read-only."""
@@ -98,11 +86,6 @@ def electron_singlet_projector() -> np.ndarray:
     """|S0><S0| on the 4-dimensional two-electron space."""
     v = electron_pair_state(InitialElectronState.SINGLET)
     return np.outer(v, v.conj())
-
-
-def singlet_projector(layout: SpinSystemLayout) -> np.ndarray:
-    """P_S = |S0><S0| tensor I on the full space."""
-    return np.kron(electron_singlet_projector(), np.eye(layout.nuclear_dimension, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -377,11 +360,6 @@ def nyquist_samples(prop: Propagator, t_max: float) -> int:
         required = int(np.ceil(1.05 * t_max * spread / np.pi)) + 1
         n = max(n, required)
     return 1 << (n - 1).bit_length()
-
-
-def singlet_probability(rho: np.ndarray, layout: SpinSystemLayout) -> float:
-    """Tr[rho (|S0><S0| tensor I)]."""
-    return float(np.real(np.trace(singlet_projector(layout) @ rho)))
 
 
 def singlet_yield_mean(

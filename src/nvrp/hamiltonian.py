@@ -9,10 +9,7 @@ The radical-pair Hamiltonian is
     H_RP = -gamma_e B . (S1 + S2) - 2 J_ex S1 . S2 + S1 . D . S2
            + sum_i S1 . A_1i . I_1i + sum_j S2 . A_2j . I_2j
 
-with every tensor optionally rotated into the sensor frame.  Its secular
-part (diagonal in the singlet-triplet basis) contains the longitudinal
-Zeeman term, the exchange term, and the secular dipolar pattern
-D_s (3 S1z S2z - S1 . S2).
+with every tensor optionally rotated into the sensor frame.
 
 Every term acts on at most two spins, so each is assembled on its local
 space (the 4-dimensional electron pair, or one electron and one nucleus)
@@ -192,10 +189,9 @@ class FieldConfig:
 
 @dataclass(frozen=True)
 class SensorParams:
-    """NV sensing parameters: dephasing, depth, sensing shell, density."""
+    """NV sensing parameters: dephasing, sensing shell, density."""
 
     t2: float = 10e-6
-    depth_nm: float = 5.0
     r1_nm: float = 5.0
     r2_nm: float = 20.0
     density_per_nm3: float = 5e-2
@@ -294,10 +290,12 @@ _BASIS = {spin: _bilinear_basis(spin) for spin in (0.5, 1.0)}
 #: electron-pair operators on the 4-dimensional (S1, S2) space
 _PAIR = _BASIS[0.5]
 _S1S2 = np.trace(_PAIR)
-_SSUM = tuple(
-    np.kron(s, np.eye(2)) + np.kron(np.eye(2), s)
-    for s in spin_matrices(SpinSpecies.electron())
+
+#: S1i + S2i (i = x, y, z) on the 4-dimensional two-electron space, shape (3, 4, 4)
+ELECTRON_PAIR_SPIN = np.stack(
+    [np.kron(s, np.eye(2)) + np.kron(np.eye(2), s) for s in spin_matrices(SpinSpecies.electron())]
 )
+ELECTRON_PAIR_SPIN.setflags(write=False)
 
 
 def build_rp_hamiltonian(
@@ -317,7 +315,7 @@ def build_rp_hamiltonian(
     b_rad = field_cfg.vector_mT() * MT_TO_RAD_PER_S
     for i in range(3):
         if b_rad[i]:
-            pair -= b_rad[i] * _SSUM[i]
+            pair -= b_rad[i] * ELECTRON_PAIR_SPIN[i]
 
     j_rad = cfg.j_exchange_mT * MT_TO_RAD_PER_S
     if j_rad:
@@ -339,32 +337,6 @@ def build_rp_hamiltonian(
     return h
 
 
-def split_secular(
-    cfg: RadicalPairConfig,
-    field_cfg: FieldConfig,
-    rotation: Rotation | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split H_RP into (H_d, H_nd) with H_d diagonal in the S/T basis.
-
-    H_d = -gamma_e B_z (S1z + S2z) - 2 J_ex S1.S2 + D_s (3 S1z S2z - S1.S2),
-    where D_s = (D'_zz - tr D'/3) / 2 of the rotated dipolar tensor.
-    H_nd = H_RP - H_d, exactly.
-    """
-    rot = rotation if rotation is not None else Rotation.identity()
-    layout = cfg.layout()
-    h_full = build_rp_hamiltonian(cfg, field_cfg, rot)
-
-    bz_rad = field_cfg.vector_mT()[2] * MT_TO_RAD_PER_S
-    j_rad = cfg.j_exchange_mT * MT_TO_RAD_PER_S
-    dip = rotate_tensor(rot, cfg.dipolar_mT()) * MT_TO_RAD_PER_S
-    d_s = 0.5 * (dip[2, 2] - np.trace(dip) / 3.0)
-
-    pair = -bz_rad * _SSUM[2] - 2.0 * j_rad * _S1S2 + d_s * (3.0 * _PAIR[2, 2] - _S1S2)
-    h_d = np.zeros_like(h_full)
-    add_two_site(h_d, pair, 0, 1, layout)
-    return h_d, h_full - h_d
-
-
 def build_coupling_hamiltonian(
     geom: CouplingGeometry, layout: SpinSystemLayout
 ) -> np.ndarray:
@@ -376,7 +348,7 @@ def build_coupling_hamiltonian(
     pair = np.zeros((4, 4), dtype=complex)
     for i, d_ci in enumerate(geom.d_c):
         if d_ci:
-            pair += geom.d_r * d_ci * _SSUM[i]
+            pair += geom.d_r * d_ci * ELECTRON_PAIR_SPIN[i]
     d = layout.total_dimension
     h = np.zeros((d, d), dtype=complex)
     add_two_site(h, pair, 0, 1, layout)

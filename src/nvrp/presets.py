@@ -156,11 +156,8 @@ def strongcoupling_config() -> RadicalPairConfig:
 
 EARTH_FIELD_MT = 0.05
 
-#: default sensing parameters for the weak-coupling studies
-WEAK_SENSOR = SensorParams(t2=10e-6, depth_nm=5.0, r1_nm=5.0, r2_nm=20.0, density_per_nm3=5e-2)
-
 #: long-T2 sensor for the strong-coupling study
-STRONG_SENSOR = SensorParams(t2=1e-3, depth_nm=5.0, r1_nm=5.0, r2_nm=20.0, density_per_nm3=5e-2)
+STRONG_SENSOR = SensorParams(t2=1e-3, r1_nm=5.0, r2_nm=20.0, density_per_nm3=5e-2)
 
 
 @dataclass(frozen=True)

@@ -8,24 +8,23 @@ scales:
 * aligned shell of density xi:  x_i(t) = (xi mu0 gamma_e hbar / 2)
                                           * log(r2/r1) * s_tilde_i(t)
 
-The second form is the aligned-frame maximum of the sensing-volume
-integral; its radial part is analytic because the r^-3 prefactor meets
-the r^2 volume element.  The time-integrated signal X_i^I is the plain
-sample mean of a trace (units Tesla): "per second" in the quantity's
-name is a label, not an extra 1/s factor.
+The second form is the single-molecule scale integrated over a shell
+r1 < r < r2 of aligned molecules; its radial part is analytic because
+the r^-3 prefactor meets the r^2 volume element.  The time-integrated
+signal X_i^I is the plain sample mean of a trace (units Tesla): "per
+second" in the quantity's name is a label, not an extra 1/s factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .constants import GAMMA_E, HBAR, MU0, dipolar_prefactor
 from .dynamics import (
-    ELECTRON_PAIR_SPIN,
     ObservableSeries,
     Propagator,
     _expectation_means,
@@ -36,6 +35,7 @@ from .dynamics import (
 )
 from .errors import PhysicsError
 from .hamiltonian import (
+    ELECTRON_PAIR_SPIN,
     FieldConfig,
     RadicalPairConfig,
     SensorParams,
@@ -103,12 +103,6 @@ def aligned_prefactor(sensor: SensorParams) -> float:
     return 0.5 * density_si * MU0 * GAMMA_E * HBAR * math.log(sensor.r2_nm / sensor.r1_nm)
 
 
-def signal_max(series: ObservableSeries, sensor: SensorParams) -> SignalTrace:
-    """Aligned-frame maximum signal of a sensing shell, in Tesla."""
-    pref = aligned_prefactor(sensor)
-    return SignalTrace(t_grid=series.t_grid, x=pref * series.s_tilde)
-
-
 def signal_single_molecule(series: ObservableSeries, r_nm: float) -> SignalTrace:
     """Signal of a single molecule at distance r, in Tesla."""
     pref = single_molecule_prefactor(r_nm)
@@ -170,13 +164,6 @@ def integrated_observables(
     return geom.d_c * means
 
 
-def time_integrated(trace: SignalTrace) -> np.ndarray:
-    """X_i^I: the sample mean of each component, Tesla."""
-    if trace.x.shape[1] == 0:
-        raise ValueError("cannot integrate an empty trace")
-    return np.mean(trace.x, axis=1)
-
-
 def spectrum(trace: SignalTrace) -> SignalSpectrum:
     """One-sided DFT magnitude; the zero bin equals duration * X^I."""
     n = trace.x.shape[1]
@@ -186,58 +173,6 @@ def spectrum(trace: SignalTrace) -> SignalSpectrum:
     mag = np.abs(np.fft.rfft(trace.x, axis=1)) * dt
     freq = np.fft.rfftfreq(n, dt)
     return SignalSpectrum(freq_hz=freq, magnitude=mag)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node count for the sensing-volume polar-angle integral."""
-
-    n_alpha: int = 8
-
-    def __post_init__(self) -> None:
-        if self.n_alpha < 8:
-            raise ValueError(f"alpha quadrature needs >= 8 nodes, got {self.n_alpha}")
-
-
-#: molecular orientation as a function of the polar position angle alpha
-OrientationField = Callable[[float], Rotation]
-
-
-def signal_volume(
-    cfg: RadicalPairConfig,
-    field_cfg: FieldConfig,
-    sensor: SensorParams,
-    t_grid: np.ndarray,
-    quadrature: QuadratureSpec = QuadratureSpec(),
-    orientation: OrientationField | None = None,
-) -> SignalTrace:
-    """Sensing-volume signal with an optional orientation field R(alpha).
-
-    The radial integral is analytic (log(r2/r1)); alpha is integrated by
-    Gauss-Legendre on [0, pi/2] against sin(alpha).  The orientation does
-    not depend on the azimuth beta, so the beta integral is the factor
-    2 pi.  With the identity orientation this reduces to
-    :func:`signal_max` (to quadrature accuracy).
-    """
-    density_si = sensor.density_per_nm3 * 1e27
-    radial = (MU0 * GAMMA_E * HBAR / (4 * math.pi)) * math.log(sensor.r2_nm / sensor.r1_nm)
-
-    nodes, weights = np.polynomial.legendre.leggauss(quadrature.n_alpha)
-    alphas = 0.5 * (nodes + 1.0) * (math.pi / 2)
-    # the last factor, 2 pi, is the beta integral
-    w_alpha = 0.5 * (math.pi / 2) * weights * np.sin(alphas) * (2 * math.pi)
-
-    t_grid = np.asarray(t_grid, dtype=float)
-    total = np.zeros((3, t_grid.shape[0]))
-    cache: dict[bytes, np.ndarray] = {}
-    for a, wa in zip(alphas, w_alpha):
-        rot = orientation(a) if orientation is not None else Rotation.identity()
-        key = np.round(rot.matrix, 14).tobytes()
-        if key not in cache:
-            series = observable_series(cfg, field_cfg, t_grid, rot)
-            cache[key] = series.s_tilde
-        total += wa * cache[key]
-    return SignalTrace(t_grid=t_grid, x=density_si * radial * total)
 
 
 def sweep_field_magnitude(

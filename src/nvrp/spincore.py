@@ -198,10 +198,6 @@ class Rotation:
         """The shared identity rotation (validated once; its matrix is read-only)."""
         return _IDENTITY
 
-    def compose(self, other: "Rotation") -> "Rotation":
-        """Return the rotation 'self after other'."""
-        return Rotation(self.matrix @ other.matrix)
-
 
 _IDENTITY = Rotation(np.eye(3))
 _IDENTITY.matrix.setflags(write=False)

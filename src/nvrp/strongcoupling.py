@@ -1,5 +1,8 @@
 """Strong-coupling level analysis: conditional spectra and peak contrasts.
 
+Everything here is per molecule: one ``CouplingGeometry`` fixes its
+distance and the field direction.
+
 When the coupling exceeds the dephasing linewidth, the sensor transition
 splits into resonances at offsets f_n = (E'_n - E_n) / 2 pi, where E_n
 and E'_n are eigenvalues of the pair Hamiltonian alone and of the pair
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .constants import dipolar_prefactor
 from .dynamics import _eigh, _expectation_series
 from .errors import PhysicsError
 from .hamiltonian import (
@@ -36,9 +38,6 @@ from .signal import solve_pair
 #: eigenvalue gap below which states count as one degenerate cluster, rad/s
 DEGENERACY_GAP = 1e-6
 
-#: Gauss-Legendre nodes of the radial sensing-volume integral in peak_contrast
-RADIAL_NODES = 8
-
 
 @dataclass(frozen=True)
 class LevelStructure:
@@ -49,9 +48,7 @@ class LevelStructure:
     offset (E'_n - E_pairing[n]) / 2 pi from the bare sensor transition.
     """
 
-    energies_0: np.ndarray
     states_0: np.ndarray
-    energies_1: np.ndarray
     states_1: np.ndarray
     pairing: np.ndarray
     transition_freqs_hz: np.ndarray
@@ -67,7 +64,6 @@ class PeakSet:
 
     centers_hz: np.ndarray
     multiplicities: np.ndarray
-    gamma_hz: float
 
     @property
     def count(self) -> int:
@@ -127,9 +123,7 @@ def level_structure(
     pairing[col] = row
     freqs = (w1 - w0[pairing]) / (2 * np.pi)
     return LevelStructure(
-        energies_0=w0,
         states_0=v0,
-        energies_1=w1,
         states_1=v1,
         pairing=pairing,
         transition_freqs_hz=freqs,
@@ -160,7 +154,6 @@ def count_resolved_peaks(levels: LevelStructure, gamma_hz: float) -> PeakSet:
     return PeakSet(
         centers_hz=np.asarray(centers),
         multiplicities=np.asarray(counts, dtype=int),
-        gamma_hz=gamma_hz,
     )
 
 
@@ -169,53 +162,21 @@ def peak_contrast(
     field_cfg: FieldConfig,
     geom: CouplingGeometry,
     t_grid: np.ndarray,
-    sensor: SensorParams | None = None,
 ) -> np.ndarray:
     """Population-difference contrast C_n(t) per transition, shape (d, n_t).
 
     The pair evolves under H_RP alone (the pulsed scheme keeps the sensor
     in |0>, no backaction) with the uniform recombination decay.
-    C_n(t) = <P_psi'_n>(t) - <P_psi_n>(t).
-
-    With ``sensor`` given, the single-molecule contrast is replaced by the
-    sensing-volume integral: Gauss-Legendre in r against r^2 at
-    ``RADIAL_NODES`` nodes (the |1>-manifold states depend on r through
-    D_r), the alpha integral contributes its aligned-frame factor, beta
-    the 2 pi factor, all times the number density.
+    C_n(t) = <P_psi'_n>(t) - <P_psi_n>(t) for one molecule at ``geom``.
     """
     prop, rho0 = solve_pair(cfg, field_cfg, geom.rotation)
     t_grid = np.asarray(t_grid, dtype=float)
-
-    def contrast_at(geometry: CouplingGeometry) -> np.ndarray:
-        levels = level_structure(cfg, field_cfg, geometry)
-        # eigenbasis coefficients c = V^dag psi of each |psi'_n>, then of its matched |psi_n>;
-        # the projector |psi><psi| is c c^dag there
-        states = np.concatenate([levels.states_1, levels.states_0[:, levels.pairing]], axis=1)
-        coeffs = prop.eigenvectors.conj().T @ states
-        projectors = [np.outer(c, c.conj()) for c in coeffs.T]
-        series = _expectation_series(prop, rho0, projectors, t_grid, eigenbasis=True)
-        n = levels.n_transitions
-        return series[:n] - series[n:]
-
-    if sensor is None:
-        return contrast_at(geom)
-
-    nodes, weights = np.polynomial.legendre.leggauss(RADIAL_NODES)
-    r1, r2 = sensor.r1_nm, sensor.r2_nm
-    rs = 0.5 * (nodes + 1.0) * (r2 - r1) + r1
-    w_r = 0.5 * (r2 - r1) * weights * rs**2  # nm^3 weights
-    density = sensor.density_per_nm3
-    total = None
-    for r, w in zip(rs, w_r):
-        g = CouplingGeometry(
-            r_nm=r,
-            d_r=dipolar_prefactor(r),
-            d_cx=geom.d_cx,
-            d_cy=geom.d_cy,
-            d_cz=geom.d_cz,
-            g_eff=geom.g_eff,
-            rotation=geom.rotation,
-        )
-        c = contrast_at(g)
-        total = w * c if total is None else total + w * c
-    return density * 2 * np.pi * total
+    levels = level_structure(cfg, field_cfg, geom)
+    # eigenbasis coefficients c = V^dag psi of each |psi'_n>, then of its matched |psi_n>;
+    # the projector |psi><psi| is c c^dag there
+    states = np.concatenate([levels.states_1, levels.states_0[:, levels.pairing]], axis=1)
+    coeffs = prop.eigenvectors.conj().T @ states
+    projectors = [np.outer(c, c.conj()) for c in coeffs.T]
+    series = _expectation_series(prop, rho0, projectors, t_grid, eigenbasis=True)
+    n = levels.n_transitions
+    return series[:n] - series[n:]

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nvrp.dynamics import electron_singlet_projector
 from nvrp.hamiltonian import (
     FieldConfig,
     InitialElectronState,
@@ -13,7 +14,7 @@ from nvrp.hamiltonian import (
     SensorParams,
 )
 from nvrp.presets import fadtrp_config, one_nucleus_config
-from nvrp.spincore import SpinSpecies, isotropic_tensor
+from nvrp.spincore import SpinSpecies, SpinSystemLayout, isotropic_tensor
 
 
 @pytest.fixture
@@ -74,6 +75,11 @@ def make_pair(
         recombination_rate=k,
         initial_state=initial,
     )
+
+
+def singlet_projector(layout: SpinSystemLayout) -> np.ndarray:
+    """P_S = |S0><S0| tensor I_nuc on the full space."""
+    return np.kron(electron_singlet_projector(), np.eye(layout.nuclear_dimension, dtype=complex))
 
 
 #: nuclear spins of radicals 1 and 2; every layout has a spin-1 nucleus, d = 12 to 36

@@ -128,10 +128,13 @@ def test_schema_error_exit_code(tmp_path, capsys):
     )
     # the top-level seed is the only seed
     ensemble = _minimal_angle_sweep(kind="ensemble", params={"n_molecules": 1, "seed": 3})
+    # the sensor depth reaches no output, so it is not a key
+    depth = _minimal_angle_sweep(sensor={"t2": 1e-5, "depth_nm": 5.0})
     for payload, key in (
         ({"kind": "angle-sweep", "bogus": 1}, "bogus"),
         (field_sweep, "params.theta_deg"),
         (ensemble, "params.seed"),
+        (depth, "sensor.depth_nm"),
     ):
         path = _write_config(tmp_path, payload)
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from nvrp import dynamics
 from nvrp.dynamics import (
-    ELECTRON_PAIR_SPIN,
     SERIES_CHUNK,
     Propagator,
     _expectation_means,
@@ -22,12 +21,12 @@ from nvrp.dynamics import (
     initial_state,
     make_propagator,
     nyquist_samples,
-    singlet_probability,
     singlet_yield_mean,
 )
 from nvrp.ensemble import random_rotation
 from nvrp.errors import NumericalError, PhysicsError
 from nvrp.hamiltonian import (
+    ELECTRON_PAIR_SPIN,
     FieldConfig,
     InitialElectronState,
     build_rp_hamiltonian,
@@ -38,7 +37,7 @@ from nvrp.presets import fadtrp_config
 from nvrp.signal import integrated_observables, solve_pair
 from nvrp.spincore import SpinSystemLayout, site_operators
 
-from conftest import SPIN1_LAYOUTS, make_pair, random_pair, skew_null_pair
+from conftest import SPIN1_LAYOUTS, make_pair, random_pair, singlet_projector, skew_null_pair
 
 S = InitialElectronState.SINGLET
 T0 = InitialElectronState.TRIPLET_ZERO
@@ -368,8 +367,9 @@ def test_trace_law_and_positivity(axial3_pair):
 
 def test_singlet_probability_of_initial_states():
     layout = SpinSystemLayout.for_radical_pair()
-    assert singlet_probability(initial_state(S, layout), layout) == pytest.approx(1.0)
-    assert singlet_probability(initial_state(T0, layout), layout) == pytest.approx(0.0, abs=1e-14)
+    p_s = singlet_projector(layout)
+    assert np.real(np.trace(p_s @ initial_state(S, layout))) == pytest.approx(1.0)
+    assert np.real(np.trace(p_s @ initial_state(T0, layout))) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_yield_saturates_for_singlet_conserving_hamiltonian():
@@ -397,8 +397,6 @@ def test_yield_zero_from_orthogonal_sector():
 
 
 def test_yield_against_rk4_oracle(axial3_pair):
-    from nvrp.dynamics import singlet_projector
-
     cfg = axial3_pair
     layout = cfg.layout()
     h = build_rp_hamiltonian(cfg, FieldConfig(0.05, 0.0, 0.0))

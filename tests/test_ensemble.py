@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvrp.dynamics import ELECTRON_PAIR_SPIN, _expectation_means, nyquist_samples
+from nvrp.dynamics import _expectation_means, nyquist_samples
 from nvrp.ensemble import (
     MAX_MOLECULES,
     EnsembleSpec,
@@ -16,7 +16,7 @@ from nvrp.ensemble import (
     realization_rngs,
     sample_realization,
 )
-from nvrp.hamiltonian import FieldConfig
+from nvrp.hamiltonian import ELECTRON_PAIR_SPIN, FieldConfig
 from nvrp.presets import one_nucleus_config
 from nvrp.signal import integrated_observables, single_molecule_prefactor, solve_pair
 from nvrp.spincore import Rotation

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nvrp.constants import GAMMA_E, MT_TO_RAD_PER_S
+from nvrp.constants import GAMMA_E, MT_TO_RAD_PER_S, dipolar_prefactor
 from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import (
     FieldConfig,
@@ -20,7 +20,6 @@ from nvrp.hamiltonian import (
     build_rp_hamiltonian,
     classify_regime,
     coupling_geometry,
-    split_secular,
 )
 from nvrp.spincore import SpinSpecies, euler_rotation, isotropic_tensor, site_operators
 
@@ -167,45 +166,20 @@ def test_assembly_matches_dense_definition(raw, euler, b, theta, phi, j):
     h = build_rp_hamiltonian(cfg, field, rot)
     assert np.linalg.norm(h - expected) <= 1e-13 * np.linalg.norm(expected)
 
-    d_s = 0.5 * (dip[2, 2] - np.trace(dip) / 3.0)
-    secular = np.diag([-1.0, -1.0, 2.0])
-    expected_d = -b_rad[2] * (s1[2] + s2[2]) + exchange + d_s * _bilinear(secular, s1, s2)
-    h_d, _ = split_secular(cfg, field, rot)
-    assert np.linalg.norm(h_d - expected_d) <= 1e-13 * np.linalg.norm(expected_d)
-
     geom = coupling_geometry(6.0, theta, phi)
     expected_c = geom.d_r * sum(geom.d_c[i] * (s1[i] + s2[i]) for i in range(3))
     h_c = build_coupling_hamiltonian(geom, layout)
     assert np.linalg.norm(h_c - expected_c) <= 1e-13 * np.linalg.norm(expected_c)
 
 
-# -- secular split ----------------------------------------------------------
-
-
-def test_split_secular_sums_exactly():
-    cfg = make_pair(
-        tensors1=[np.diag([-0.2, -0.2, 1.76])], spins1=[1.0], j_mT=0.25, r_rp_nm=2.0
-    )
-    field = FieldConfig(0.7, 0.4, 0.2)
-    h = build_rp_hamiltonian(cfg, field)
-    h_d, h_nd = split_secular(cfg, field)
-    assert np.array_equal(h_d + h_nd, h) or np.linalg.norm(h_d + h_nd - h) == 0.0
-
-
-def test_split_secular_transverse_field_no_zeeman():
-    cfg = make_pair(j_mT=0.0)
-    b = 2.0
-    h_d, _ = split_secular(cfg, FieldConfig(b, np.pi / 2, 0.0))
-    # zero up to the floating-point representation of cos(pi/2)
-    assert np.linalg.norm(h_d) < 1e-12 * b * MT_TO_RAD_PER_S
+# -- secular electron-pair terms ----------------------------------------------
 
 
 def test_secular_diagonal_in_singlet_triplet_basis():
-    cfg = make_pair(
-        tensors1=[np.diag([0.3, 0.3, 0.9])], spins1=[0.5], j_mT=0.4, r_rp_nm=2.0
-    )
-    h_d, _ = split_secular(cfg, FieldConfig(1.0, 0.3, 0.0))
-    # electron basis {T+, T0, T-, S0} tensored with nuclear z basis
+    # no nuclei and the field on z: Zeeman, exchange and the point-dipole
+    # pattern are all secular, so H_RP is diagonal in {T+, T0, T-, S0}
+    cfg = make_pair(j_mT=0.4, r_rp_nm=2.0)
+    h = build_rp_hamiltonian(cfg, FieldConfig(1.0, 0.0, 0.0))
     s2 = 1 / np.sqrt(2)
     u_e = np.array(
         [
@@ -215,18 +189,17 @@ def test_secular_diagonal_in_singlet_triplet_basis():
             [0, s2, -s2, 0],
         ]
     ).T
-    u = np.kron(u_e, np.eye(2))
-    transformed = u.conj().T @ h_d @ u
+    transformed = u_e.conj().T @ h @ u_e
     off = transformed - np.diag(np.diag(transformed))
-    assert np.linalg.norm(off) < 1e-9 * np.linalg.norm(h_d)
+    assert np.linalg.norm(off) < 1e-9 * np.linalg.norm(h)
 
 
 def test_secular_dipolar_strength_at_2nm():
     # |D_s| / 2 pi at r_RP = 2 nm is about 6.5 MHz
     cfg = make_pair(r_rp_nm=2.0)
-    h_d, _ = split_secular(cfg, FieldConfig(0.0, 0.0, 0.0))
+    h = build_rp_hamiltonian(cfg, FieldConfig(0.0, 0.0, 0.0))
     # pull D_s back out of the operator: <T+| pattern |T+> = D_s / 2
-    w = np.linalg.eigvalsh(h_d)
+    w = np.linalg.eigvalsh(h)
     d_s = 2.0 * np.max(np.abs(w)) / 2.0  # pattern eigenvalues are {D_s/2, -D_s}
     assert np.max(np.abs(w)) / (2 * np.pi) == pytest.approx(6.5046e6, rel=2e-2)
     assert d_s > 0
@@ -323,7 +296,18 @@ def test_classify_tie_is_weak_with_warning():
 
 
 def test_nondipolar_secular_remainder_vanishes():
-    # no hyperfine, field along z, point-dipole coupling: everything is secular
+    # no hyperfine, field along z, point-dipole coupling: H_RP is exactly
+    # -gamma_e B (S1z + S2z) - 2 J S1.S2 + D_s (3 S1z S2z - S1.S2)
     cfg = make_pair(j_mT=0.5, r_rp_nm=2.0)
-    _, h_nd = split_secular(cfg, FieldConfig(1.0, 0.0, 0.0))
-    assert np.linalg.norm(h_nd) < 1e-9
+    b = 1.0
+    h = build_rp_hamiltonian(cfg, FieldConfig(b, 0.0, 0.0))
+    layout = cfg.layout()
+    s1, s2 = site_operators(layout, 0), site_operators(layout, 1)
+    s1s2 = _bilinear(np.eye(3), s1, s2)
+    d_s = dipolar_prefactor(2.0)
+    secular = (
+        -b * MT_TO_RAD_PER_S * (s1[2] + s2[2])
+        - 2.0 * 0.5 * MT_TO_RAD_PER_S * s1s2
+        + d_s * (3.0 * s1[2] @ s2[2] - s1s2)
+    )
+    assert np.linalg.norm(h - secular) < 1e-12 * np.linalg.norm(h)

@@ -7,21 +7,17 @@ from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import FieldConfig, SensorParams
 from nvrp.presets import grid_from_spec
 from nvrp.signal import (
-    QuadratureSpec,
     SignalTrace,
     aligned_prefactor,
     integrated_observables,
     observable_series,
-    signal_max,
     signal_single_molecule,
-    signal_volume,
     single_molecule_prefactor,
     spectrum,
     sweep_field_angle,
     sweep_field_magnitude,
-    time_integrated,
 )
-from nvrp.spincore import euler_rotation, isotropic_tensor
+from nvrp.spincore import isotropic_tensor
 
 from conftest import make_pair
 
@@ -35,30 +31,41 @@ def _const_trace(values, n=64, dt=1e-8):
 # -- prefactors and linear maps ----------------------------------------------
 
 
-def test_zero_series_zero_trace(axial3_pair, sensor):
+def test_zero_series_zero_trace(axial3_pair):
     t = np.linspace(0.0, 5e-6, 1024, endpoint=False)
     series = observable_series(axial3_pair, FieldConfig(0.05, 0.0, 0.0), t)
     zeroed = series.__class__(
         t_grid=series.t_grid, s_tilde=np.zeros_like(series.s_tilde),
         pair_spin=series.pair_spin,
     )
-    assert np.all(signal_max(zeroed, sensor).x == 0.0)
+    assert np.all(signal_single_molecule(zeroed, 10.0).x == 0.0)
 
 
-def test_density_linearity(axial3_pair):
-    t = np.linspace(0.0, 5e-6, 8192, endpoint=False)
-    series = observable_series(axial3_pair, FieldConfig(1.0, 0.0, 0.0), t)
-    s1 = signal_max(series, SensorParams(density_per_nm3=0.05))
-    s2 = signal_max(series, SensorParams(density_per_nm3=0.10))
-    assert np.allclose(s2.x, 2.0 * s1.x)
+def test_density_linearity():
+    a1 = aligned_prefactor(SensorParams(density_per_nm3=0.05))
+    a2 = aligned_prefactor(SensorParams(density_per_nm3=0.10))
+    assert a2 == pytest.approx(2.0 * a1, rel=1e-15)
 
 
-def test_log_ratio_invariance(axial3_pair):
-    t = np.linspace(0.0, 5e-6, 8192, endpoint=False)
-    series = observable_series(axial3_pair, FieldConfig(1.0, 0.0, 0.0), t)
-    s1 = signal_max(series, SensorParams(r1_nm=5.0, r2_nm=20.0))
-    s2 = signal_max(series, SensorParams(r1_nm=10.0, r2_nm=40.0))
-    assert np.allclose(s1.x, s2.x)
+def test_log_ratio_invariance():
+    a1 = aligned_prefactor(SensorParams(r1_nm=5.0, r2_nm=20.0))
+    a2 = aligned_prefactor(SensorParams(r1_nm=10.0, r2_nm=40.0))
+    assert a1 == pytest.approx(a2, rel=1e-15)
+
+
+def test_volume_matches_aligned_max():
+    # the aligned-shell scale is the single-molecule scale integrated over the
+    # shell: density x 2 pi (beta) x 1 (alpha: sin over [0, pi/2]) x the radial
+    # integral of r^2 |D_r| / gamma_e, here by Gauss-Legendre in r
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    for sensor in (SensorParams(), SensorParams(r1_nm=3.0, r2_nm=30.0, density_per_nm3=0.2)):
+        r1, r2 = sensor.r1_nm, sensor.r2_nm
+        rs = 0.5 * (nodes + 1.0) * (r2 - r1) + r1
+        scale = np.array([single_molecule_prefactor(r) for r in rs])
+        radial_m3 = 0.5 * (r2 - r1) * np.sum(weights * rs**2 * scale) * 1e-27
+        density_si = sensor.density_per_nm3 * 1e27
+        volume = density_si * 2 * np.pi * radial_m3
+        assert aligned_prefactor(sensor) == pytest.approx(volume, rel=1e-10)
 
 
 def test_shell_ordering_enforced():
@@ -72,19 +79,6 @@ def test_single_molecule_scale_at_10nm():
 
 
 # -- time integration ----------------------------------------------------------
-
-
-def test_integrated_constant_trace():
-    trace = _const_trace([1.0e-9, -2.0e-9, 5.0e-10])
-    assert np.allclose(time_integrated(trace), [1.0e-9, -2.0e-9, 5.0e-10])
-
-
-def test_integrated_antisymmetric_trace():
-    n = 128
-    t = np.arange(n) * 1e-8
-    ramp = np.linspace(-1.0, 1.0, n)
-    x = np.stack([ramp, ramp, ramp])
-    assert np.allclose(time_integrated(SignalTrace(t, x)), 0.0, atol=1e-16)
 
 
 def test_axial_field_zeroes_transverse_integrals(fadtrp2, sensor):
@@ -139,42 +133,6 @@ def test_spectrum_band_limited(fadtrp2):
     z = spec.magnitude[2]
     above = spec.freq_hz > 100e6
     assert np.max(z[above]) < 1e-3 * np.max(z)
-
-
-# -- sensing-volume quadrature ----------------------------------------------
-
-
-def test_volume_matches_aligned_max(axial3_pair, sensor):
-    t = np.linspace(0.0, 2e-6, 1024, endpoint=False)
-    series = observable_series(axial3_pair, FieldConfig(0.3, 0.5, 0.0), t)
-    vol = signal_volume(axial3_pair, FieldConfig(0.3, 0.5, 0.0), sensor, t)
-    ref = signal_max(series, sensor)
-    scale = np.max(np.abs(ref.x))
-    assert np.max(np.abs(vol.x - ref.x)) < 1e-3 * scale
-
-
-def test_volume_quadrature_self_convergence(sensor):
-    # a gently varying orientation field: the integrated response is an
-    # extremely structured function of orientation, so wide swings need
-    # far more than 8 nodes (see the aligned-limit test for that regime)
-    cfg = make_pair(
-        tensors1=[np.diag([-0.2, -0.2, 1.76])], spins1=[1.0], j_mT=0.25
-    )
-    t = np.linspace(0.0, 1e-6, 512, endpoint=False)
-    field = FieldConfig(0.3, 0.4, 0.0)
-
-    def orientation(alpha):
-        return euler_rotation(0.0, 0.1 * alpha, 0.0)
-
-    coarse = signal_volume(cfg, field, sensor, t, QuadratureSpec(n_alpha=8), orientation)
-    fine = signal_volume(cfg, field, sensor, t, QuadratureSpec(n_alpha=32), orientation)
-    scale = np.max(np.abs(fine.x))
-    assert np.max(np.abs(coarse.x - fine.x)) < 1e-4 * scale
-
-
-def test_volume_needs_eight_alpha_nodes():
-    with pytest.raises(ValueError, match=">= 8"):
-        QuadratureSpec(n_alpha=4)
 
 
 # -- magnitude sweep -----------------------------------------------------------

@@ -200,5 +200,5 @@ def test_rotate_tensor_group_action(a1, b1, g1, a2, b2, g2):
     r1 = euler_rotation(a1, b1, g1)
     r2 = euler_rotation(a2, b2, g2)
     chained = rotate_tensor(r2, rotate_tensor(r1, t))
-    composed = rotate_tensor(r2.compose(r1), t)
+    composed = rotate_tensor(Rotation(r2.matrix @ r1.matrix), t)
     assert np.allclose(chained, composed, atol=1e-10)

@@ -18,7 +18,7 @@ from nvrp.strongcoupling import (
     peak_contrast,
 )
 
-from conftest import make_pair
+from conftest import make_pair, singlet_projector
 
 
 def _geom(r_nm=5.0, theta=0.0):
@@ -49,7 +49,6 @@ def test_singlet_level_shifts_second_order():
     field the triplet admixture acquires a net spin and the shift turns
     linear, so the quadratic law is a zero-field statement.
     """
-    from nvrp.dynamics import singlet_projector
     from nvrp.presets import one_nucleus_config
 
     cfg = one_nucleus_config("axial3")
@@ -72,9 +71,7 @@ def test_singlet_level_shifts_second_order():
 
 def test_cluster_all_identical():
     levels = LevelStructure(
-        energies_0=np.zeros(3),
         states_0=np.eye(3),
-        energies_1=np.zeros(3),
         states_1=np.eye(3),
         pairing=np.arange(3),
         transition_freqs_hz=np.array([100.0, 100.0, 100.0]),
@@ -86,9 +83,7 @@ def test_cluster_all_identical():
 
 def test_cluster_widely_spaced():
     levels = LevelStructure(
-        energies_0=np.zeros(4),
         states_0=np.eye(4),
-        energies_1=np.zeros(4),
         states_1=np.eye(4),
         pairing=np.arange(4),
         transition_freqs_hz=np.array([0.0, 100.0, 200.0, 300.0]),
@@ -241,14 +236,3 @@ def test_transition_continuity_in_field():
     span = np.max(f1) - np.min(f1)
     assert np.max(np.abs(np.sort(f2) - np.sort(f1))) < 0.2 * span
 
-
-def test_volume_contrast_shape(bare_pair):
-    from nvrp.hamiltonian import SensorParams
-
-    t = np.linspace(0.0, 1e-6, 64, endpoint=False)
-    c = peak_contrast(
-        bare_pair, FieldConfig(0.5, 0.0, 0.0), _geom(), t,
-        sensor=SensorParams(),
-    )
-    assert c.shape == (4, 64)
-    assert np.all(np.isfinite(c))
