@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -62,20 +62,38 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+#: rows formatted and written at a time by :func:`write_csv`
+CSV_BLOCK_ROWS = 4096
+
+
+def _format_column(values: Any) -> list[str]:
+    """``_fmt`` of every value; float arrays are formatted whole."""
+    col = np.asarray(values)
+    if col.dtype.kind != "f":
+        return [_fmt(v) for v in values]
+    # + 0.0 turns -0.0 into 0.0, which ".12g" writes as "0"
+    return [format(v, ".12g") for v in (col + 0.0).tolist()]
+
+
 def write_csv(
     path: Path,
     comments: dict[str, Any],
     header: Sequence[str],
-    rows: Iterable[Sequence[Any]],
+    columns: Sequence[Any],
 ) -> Path:
-    """CSV with a leading '# key: value' comment block."""
+    """CSV with a leading '# key: value' comment block; one entry of ``columns`` per header.
+
+    Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time.
+    """
+    n = len(columns[0])
     with open(path, "w", newline="") as fh:
         for key, value in comments.items():
             fh.write(f"# {key}: {value}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            block = [_format_column(col[lo : lo + CSV_BLOCK_ROWS]) for col in columns]
+            writer.writerows(zip(*block))
     return path
 
 
@@ -112,20 +130,18 @@ def _require_rp(cfg: ExperimentConfig) -> RadicalPairConfig:
     return cfg.radical_pair
 
 
-def _sweep_rows(result, prefix_cols: Sequence[Any] = ()) -> list[list[Any]]:
-    rows = []
+def _sweep_columns(result) -> list[np.ndarray]:
+    """The columns of ``_SWEEP_HEADER``; the normalised ones are NaN when absent."""
+    x = result.x_integrated
     norm = result.normalized
-    for i, v in enumerate(result.grid):
-        row = list(prefix_cols) + [
-            v,
-            result.x_integrated[0, i],
-            result.x_integrated[1, i],
-            result.x_integrated[2, i],
-            norm[0, i] if norm is not None else float("nan"),
-            norm[2, i] if norm is not None else float("nan"),
-        ]
-        rows.append(row)
-    return rows
+    if norm is None:
+        norm = np.full_like(x, np.nan)
+    return [result.grid, x[0], x[1], x[2], norm[0], norm[2]]
+
+
+def _concat_columns(parts: Sequence[Sequence[Any]]) -> list[np.ndarray]:
+    """Stack column sets: column i of the result is column i of every part in turn."""
+    return [np.concatenate(cols) for cols in zip(*parts)]
 
 
 _SWEEP_HEADER = ["sweep_value", "X_x_I", "X_y_I", "X_z_I", "X_x_I_norm", "X_z_I_norm"]
@@ -135,18 +151,12 @@ def run_coupling_map(cfg: ExperimentConfig, out: Path, threads: int) -> list[Pat
     r_lo, r_hi, nr = cfg.params.get("r_nm", [5.0, 30.0, 26])
     radii = np.linspace(r_lo, r_hi, int(nr))
     thetas = np.deg2rad(grid_from_spec(cfg.params.get("theta_deg", [0.0, 180.0, 37])))
-    rows = []
-    for r in radii:
-        for th in thetas:
-            g = coupling_geometry(float(r), float(th), 0.0)
-            rows.append([r, th, g.g_eff / (2 * np.pi)])
-    path = write_csv(
-        out / "coupling_map.csv",
-        _base_comments(cfg) | {"columns": "r_nm, theta_rad, g_eff_over_2pi_hz"},
-        ["r_nm", "theta_rad", "g_eff_over_2pi_hz"],
-        rows,
-    )
-    return [path]
+    r_col, th_col = (a.ravel() for a in np.meshgrid(radii, thetas, indexing="ij"))
+    g_col = [coupling_geometry(float(r), float(th), 0.0).g_eff / (2 * np.pi)
+             for r, th in zip(r_col, th_col)]
+    header = ["r_nm", "theta_rad", "g_eff_over_2pi_hz"]
+    comments = _base_comments(cfg) | {"columns": ", ".join(header)}
+    return [write_csv(out / "coupling_map.csv", comments, header, [r_col, th_col, g_col])]
 
 
 def _t_max(cfg: ExperimentConfig) -> float | None:
@@ -171,21 +181,11 @@ def run_time_trace(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     trace = signal_single_molecule(series, r_nm)
     spec = spectrum(trace)
     comments = _base_comments(cfg) | {"b_mT": b, "r_nm": r_nm}
-    p1 = write_csv(
-        out / "time_trace.csv",
-        comments,
-        ["t_s", "X_x_T", "X_y_T", "X_z_T"],
-        ([t, trace.x[0, i], trace.x[1, i], trace.x[2, i]] for i, t in enumerate(t_grid)),
-    )
-    p2 = write_csv(
-        out / "spectrum.csv",
-        comments | {"note": "one-sided DFT magnitude, Tesla*s"},
-        ["freq_hz", "mag_x", "mag_y", "mag_z"],
-        (
-            [f, spec.magnitude[0, i], spec.magnitude[1, i], spec.magnitude[2, i]]
-            for i, f in enumerate(spec.freq_hz)
-        ),
-    )
+    header = ["t_s", "X_x_T", "X_y_T", "X_z_T"]
+    p1 = write_csv(out / "time_trace.csv", comments, header, [t_grid, *trace.x])
+    comments |= {"note": "one-sided DFT magnitude, Tesla*s"}
+    header = ["freq_hz", "mag_x", "mag_y", "mag_z"]
+    p2 = write_csv(out / "spectrum.csv", comments, header, [spec.freq_hz, *spec.magnitude])
     return [p1, p2]
 
 
@@ -200,13 +200,8 @@ def run_field_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path
         densify=bool(cfg.params.get("densify", False)),
         threads=threads,
     )
-    path = write_csv(
-        out / "field_sweep.csv",
-        _base_comments(cfg) | {"sweep": "field magnitude, mT"},
-        _SWEEP_HEADER,
-        _sweep_rows(result),
-    )
-    return [path]
+    comments = _base_comments(cfg) | {"sweep": "field magnitude, mT"}
+    return [write_csv(out / "field_sweep.csv", comments, _SWEEP_HEADER, _sweep_columns(result))]
 
 
 def run_angle_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
@@ -223,13 +218,8 @@ def run_angle_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path
         normalize=bool(cfg.params.get("normalize", True)),
         threads=threads,
     )
-    path = write_csv(
-        out / "angle_sweep.csv",
-        _base_comments(cfg) | {"sweep": "field polar angle, rad", "b_mT": b},
-        _SWEEP_HEADER,
-        _sweep_rows(result),
-    )
-    return [path]
+    comments = _base_comments(cfg) | {"sweep": "field polar angle, rad", "b_mT": b}
+    return [write_csv(out / "angle_sweep.csv", comments, _SWEEP_HEADER, _sweep_columns(result))]
 
 
 def run_ensemble(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
@@ -238,7 +228,7 @@ def run_ensemble(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     n_real = int(cfg.params.get("n_realizations", 50))
     n_mol = cfg.params.get("n_molecules")
     r_range = tuple(cfg.params.get("r_range_nm", (cfg.sensor.r1_nm, cfg.sensor.r2_nm)))
-    rows = []
+    parts = []
     for mode in (OrientationMode.ALIGNED, OrientationMode.HAAR):
         spec = EnsembleSpec(
             n_realizations=n_real,
@@ -249,25 +239,12 @@ def run_ensemble(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
             n_molecules=None if n_mol is None else int(n_mol),
         )
         stats = ensemble_sweep(rp, spec, b_grid_mT=grid, threads=threads)
-        for i, b in enumerate(stats.grid):
-            rows.append(
-                [
-                    b,
-                    stats.mean[0, i],
-                    stats.variance[0, i],
-                    stats.mean[2, i],
-                    stats.variance[2, i],
-                    mode.value,
-                    cfg.seed,
-                ]
-            )
-    path = write_csv(
-        out / "ensemble.csv",
-        _base_comments(cfg) | {"sweep": "field magnitude, mT"},
-        ["sweep_value", "mean_X_x_I", "var_X_x_I", "mean_X_z_I", "var_X_z_I", "mode", "seed"],
-        rows,
-    )
-    return [path]
+        n = len(stats.grid)
+        parts.append([stats.grid, stats.mean[0], stats.variance[0], stats.mean[2],
+                      stats.variance[2], [mode.value] * n, [cfg.seed] * n])
+    comments = _base_comments(cfg) | {"sweep": "field magnitude, mT"}
+    header = ["sweep_value", "mean_X_x_I", "var_X_x_I", "mean_X_z_I", "var_X_z_I", "mode", "seed"]
+    return [write_csv(out / "ensemble.csv", comments, header, _concat_columns(parts))]
 
 
 def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
@@ -279,28 +256,21 @@ def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     t_max = _default_t_max(rp)
     gamma = cfg.sensor.gamma_hz
     geom = coupling_geometry(r_nm, theta, phi)
-    rows = []
+    parts = []
     for b in grid:
         levels = level_structure(rp, FieldConfig(float(b), theta, phi), geom, cfg.sensor)
         peaks = count_resolved_peaks(levels, gamma)
-        for c, m in zip(peaks.centers_hz, peaks.multiplicities):
-            rows.append([b, c, m])
-    p1 = write_csv(
-        out / "peak_count.csv",
-        _base_comments(cfg) | {"gamma_hz": gamma, "r_nm": r_nm},
-        ["b_mT", "peak_center_offset_hz", "multiplicity"],
-        rows,
-    )
+        parts.append([np.full(peaks.count, b), peaks.centers_hz, peaks.multiplicities])
+    comments = _base_comments(cfg) | {"gamma_hz": gamma, "r_nm": r_nm}
+    header = ["b_mT", "peak_center_offset_hz", "multiplicity"]
+    p1 = write_csv(out / "peak_count.csv", comments, header, _concat_columns(parts))
     # contrast traces at the central field point
     b_mid = float(grid[len(grid) // 2])
     t_grid = np.linspace(0.0, t_max, 2048, endpoint=False)
     contrasts = peak_contrast(rp, FieldConfig(b_mid, theta, phi), geom, t_grid)
-    p2 = write_csv(
-        out / "peak_contrast.csv",
-        _base_comments(cfg) | {"b_mT": b_mid, "note": "C_n(t) per transition"},
-        ["t_s"] + [f"C_{n}" for n in range(contrasts.shape[0])],
-        ([t] + list(contrasts[:, i]) for i, t in enumerate(t_grid)),
-    )
+    comments = _base_comments(cfg) | {"b_mT": b_mid, "note": "C_n(t) per transition"}
+    header = ["t_s"] + [f"C_{n}" for n in range(contrasts.shape[0])]
+    p2 = write_csv(out / "peak_contrast.csv", comments, header, [t_grid, *contrasts])
     return [p1, p2]
 
 
@@ -351,24 +321,25 @@ def run_parameter_scan(cfg: ExperimentConfig, out: Path, threads: int) -> list[P
     b = float(cfg.params.get("b_mT", 0.05))
     thetas = _theta_grid(cfg.params, theta_default)
     pref = single_molecule_prefactor(float(cfg.params.get("r_nm", 10.0)))
-    rows, summary = [], []
+    parts, summary = [], []
     for value, rp in pairs:
         result = sweep_field_angle(
             rp, b_mT=b, theta_grid=thetas, phi=0.0, prefactor=pref,
             normalize=not summarize, threads=threads,
         )
-        rows.extend(_sweep_rows(result, prefix_cols=[value]))
+        parts.append([[value] * len(thetas), *_sweep_columns(result)])
         if summarize:
             peak = float(np.max(np.abs(result.x_integrated)))
-            summary.append([value, peak, _yield_at_theta0(rp, b)])
+            summary.append([[value], [peak], [_yield_at_theta0(rp, b)]])
     stem = cfg.kind.removesuffix("-sweep")
     comments = _base_comments(cfg) | {"b_mT": b} | scan_comments
-    files = [write_csv(out / f"{stem}_sweep.csv", comments, [column] + _SWEEP_HEADER, rows)]
+    header = [column] + _SWEEP_HEADER
+    files = [write_csv(out / f"{stem}_sweep.csv", comments, header, _concat_columns(parts))]
     if summarize:
         note = {"note": "max over theta grid and both components"}
         header = [column, "max_abs_X_I", "singlet_yield_theta0"]
         path = out / f"{stem}_summary.csv"
-        files.append(write_csv(path, _base_comments(cfg) | note, header, summary))
+        files.append(write_csv(path, _base_comments(cfg) | note, header, _concat_columns(summary)))
     return files
 
 
@@ -414,7 +385,7 @@ def run_oracle_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
         out / "oracle_check.csv",
         _base_comments(cfg) | {"dt_s": dt, "t_max_s": t_max},
         ["max_abs_deviation", "dt_s", "n_steps"],
-        [[deviation, dt, n_steps]],
+        [[deviation], [dt], [n_steps]],
     )
     print(f"oracle cross-check: max observable deviation {deviation:.3e}")
     if deviation > 1e-6:

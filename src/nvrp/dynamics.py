@@ -23,6 +23,12 @@ one d x d/4 x d product and O(d^2) work besides, on top of ``eigh`` and
 the reconstruction residual of :func:`make_propagator`; no operator is
 taken to the eigenbasis.
 
+A time series of T uniform samples costs T d^2 per evaluated operator
+plus one T_b x d phase table exp(-i lambda b dt) per call (T_b <=
+``SERIES_CHUNK`` rows), reused for every block after a d-phase shift.
+Only the components the sensor weights (d_ci != 0) are evaluated.  A
+transition projector |psi><psi| costs T d^2 / 4 through the rank-d/4 state.
+
 ``eigh`` is LAPACK's divide-and-conquer ``zheevd`` (numpy) below
 ``EVR_MIN_DIM`` and the faster MRRR driver ``zheevr`` (scipy; Dhillon,
 Parlett & Voemel, ACM TOMS 32, 533 (2006)) from there on.  MRRR keeps
@@ -48,8 +54,11 @@ _SQRT2 = np.sqrt(2.0)
 #: fewest samples of a closed-form mean, a power of two
 MIN_SAMPLES = 4096
 
-#: time samples per block of a time-series evaluation
+#: most time samples per block of a time-series evaluation
 SERIES_CHUNK = 2048
+
+#: most complex entries of one block's product in a time series (8 MB)
+SERIES_BLOCK_ENTRIES = 1 << 19
 
 #: smallest dimension diagonalised by ``zheevr`` rather than ``zheevd``.  BENCH_6.json
 #: (``bench/eigh_drivers.py``, one BLAS thread): 68 against 97 ms at d = 432, 555 against
@@ -181,58 +190,99 @@ class ObservableSeries:
     """Uniform time grid plus the weighted pair-spin expectations.
 
     ``s_tilde`` has shape (3, n): s_tilde[i] = d_ci * <S1i + S2i>(t),
-    dimensionless.  ``pair_spin`` holds the raw <S1i + S2i>(t).
+    dimensionless; exactly +0.0 where d_ci = 0.
     """
 
     t_grid: np.ndarray
     s_tilde: np.ndarray
-    pair_spin: np.ndarray
 
 
 def _check_uniform_grid(t_grid: np.ndarray) -> float:
+    """Spacing of a uniform 1-D grid, its span over n - 1; ValueError otherwise."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.shape[0] < 2:
         raise ValueError("time grid must be a 1-D array with at least two samples")
-    dts = np.diff(t_grid)
-    dt = dts[0]
-    if np.max(np.abs(dts - dt)) > 1e-9 * abs(dt):
+    dt = (t_grid[-1] - t_grid[0]) / (t_grid.shape[0] - 1)
+    if np.max(np.abs(np.diff(t_grid) - dt)) > 1e-9 * abs(dt):
         raise ValueError("time grid must be uniform")
     return float(dt)
 
 
-def _require_resolved(prop: Propagator, dt: float) -> None:
-    spread = prop.spectral_spread
-    if spread > 0 and dt >= np.pi / spread:
-        raise ValueError(
-            f"time grid undersamples the dynamics: dt = {dt:.3e} s but the "
-            f"largest eigenvalue gap needs dt < {np.pi / spread:.3e} s"
-        )
+def _phase_blocks(prop: Propagator, t_grid: np.ndarray, columns: int):
+    """Yield (lo, table, shift), exp(-i lambda t_{lo+b}) = table[b] * shift, on a uniform grid.
+
+    The table exp(-i lambda b dt) is built once per call, the shift
+    exp(-i lambda t_lo) once per block.  A block has at most ``SERIES_CHUNK``
+    rows, fewer where ``columns`` entries per row exceed ``SERIES_BLOCK_ENTRIES``.
+    """
+    dt = _check_uniform_grid(t_grid)
+    n = t_grid.shape[0]
+    rows = max(1, min(SERIES_CHUNK, SERIES_BLOCK_ENTRIES // max(columns, 1), n))
+    lam = prop.eigenvalues
+    table = np.exp(np.outer(np.arange(rows) * dt, -1j * lam))
+    for lo in range(0, n, rows):
+        yield lo, table[: n - lo], np.exp(-1j * lam * t_grid[lo])
 
 
 def _expectation_series(
-    prop: Propagator, rho0: np.ndarray, ops: list[np.ndarray], t_grid: np.ndarray,
-    eigenbasis: bool = False,
+    prop: Propagator, rho0: np.ndarray, ops: list[np.ndarray], t_grid: np.ndarray
 ) -> np.ndarray:
-    """<O_m(t)> for each operator, shape (len(ops), len(t_grid)).
+    """<O_m(t)> for each operator on a uniform grid (else ValueError), shape (m, n_t).
 
-    Evaluated as sum_nm (O~^T * rho~)_nm exp(-(k + i omega_nm) t) with
-    omega_nm = lambda_n - lambda_m, in blocks of ``SERIES_CHUNK`` times.
-    With ``eigenbasis`` set, ``ops`` are already O~ = V^dag O V.
+    Re sum_nj p_n M_nj conj(p_j) exp(-k t) with p = exp(-i lambda t) and
+    M_nj = rho~_nj O~_jn.  Per block the start phases D are folded into each
+    M as D M D^dag, one GEMM takes the phase table against the stacked M
+    (d x m d), and a row-wise dot with the conjugate table ends each sample.
     """
+    t_grid = np.asarray(t_grid, dtype=float)
     rho_e = prop.to_eigenbasis(rho0)
-    # M_nm = O~_mn rho~_nm
-    mats = [(op if eigenbasis else prop.to_eigenbasis(op)).T * rho_e for op in ops]
-    t_grid = np.asarray(t_grid)
-    out = np.empty((len(ops), len(t_grid)))
-    for lo in range(0, len(t_grid), SERIES_CHUNK):
-        t = t_grid[lo : lo + SERIES_CHUNK]
-        phases = np.exp(np.outer(t, -1j * prop.eigenvalues))  # (chunk, d)
-        phases_conj = phases.conj()
-        for m, mat in enumerate(mats):
-            out[m, lo : lo + len(t)] = np.real(
-                np.einsum("tn,nm,tm->t", phases, mat, phases_conj, optimize=True)
-            )
-    out *= np.exp(-prop.decay_rate * t_grid)[None, :]
+    # mats[n, m, j] = O~_m,jn rho~_nj
+    mats = np.stack([prop.to_eigenbasis(op).T * rho_e for op in ops], axis=1)
+    d, m = mats.shape[:2]
+    out = np.empty((m, t_grid.shape[0]))
+    for lo, table, shift in _phase_blocks(prop, t_grid, m * d):
+        folded = (shift[:, None, None] * mats * shift.conj()).reshape(d, m * d)
+        y = (table @ folded).view(float).reshape(-1, m, 2 * d)
+        # Re sum_j y_bmj conj(table_bj): a real dot over the (re, im) pairs
+        dots = np.matmul(y, table.view(float)[:, :, None])
+        out[:, lo : lo + len(table)] = dots[:, :, 0].T
+    out *= np.exp(-prop.decay_rate * t_grid)
+    return out
+
+
+def _state_factor(prop: Propagator, state: InitialElectronState) -> np.ndarray:
+    """W = sum_a s_a conj(V4[a]), shape (d_nuc, d), with V4 = V.reshape(4, d_nuc, d).
+
+    For rho0 = |s><s| x I/d_nuc the eigenbasis state is rho~ = W^T conj(W) / d_nuc.
+    """
+    d = prop.dim
+    s = electron_pair_state(state)
+    return (s.conj() @ prop.eigenvectors.reshape(4, -1)).conj().reshape(d // 4, d)
+
+
+def _projector_series(
+    prop: Propagator, state: InitialElectronState, coeffs: np.ndarray, t_grid: np.ndarray
+) -> np.ndarray:
+    """<|psi><psi|>(t) for each column c = V^dag psi of ``coeffs``, shape (n_cols, n_t).
+
+    rho0 = |s><s| x I/d_nuc for the electron state ``state``.  With W from
+    :func:`_state_factor`, <P>(t) = exp(-k t) / d_nuc * ||W diag(p(t)) conj(c)||^2,
+    p = exp(-i lambda t).  Per block one GEMM takes the phase table against
+    Z[m, (a, c)] = W_am conj(c_m) shift_m (d x d_nuc n_cols): a quarter of
+    the work of the full projectors c c^dag.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    w = _state_factor(prop, state)
+    d_nuc, d = w.shape
+    n_cols = coeffs.shape[1]
+    z = w.T[:, :, None] * coeffs.conj()[:, None, :]  # (d, d_nuc, n_cols)
+    out = np.empty((n_cols, t_grid.shape[0]))
+    for lo, table, shift in _phase_blocks(prop, t_grid, d_nuc * n_cols):
+        a = (table @ (shift[:, None, None] * z).reshape(d, -1)).view(float)
+        norms = np.square(a).reshape(-1, d_nuc, 2 * n_cols).sum(axis=1)
+        norms = norms.reshape(-1, n_cols, 2).sum(axis=2)
+        out[:, lo : lo + len(table)] = norms.T
+    out *= np.exp(-prop.decay_rate * t_grid) / d_nuc
     return out
 
 
@@ -305,22 +355,19 @@ def _expectation_means(
 
     ``electron_ops`` are 4x4 operators on the two electrons, shape
     (n_ops, 4, 4); rho0 = |s><s| x I/d_nuc for the electron state
-    ``state``.  With V4 = V.reshape(4, d_nuc, d) and
-    W = sum_a s_a conj(V4[a]) (d_nuc x d), the eigenbasis state is
-    rho~ = W^T conj(W) / d_nuc.  The mean of O = o x I_nuc is
+    ``state``; rho~ = W^T conj(W) / d_nuc with W from :func:`_state_factor`
+    and V4 = V.reshape(4, d_nuc, d).  The mean of O = o x I_nuc is
     Tr(O V (rho~ o G) V^dag) = Re sum_ab o_ab E_ab, where
     E_ab = sum_kn conj(V4[a, k, n]) Y4[b, k, n] and Y = V (rho~ o G).
     """
     v = prop.eigenvectors
-    d = prop.dim
-    d_nuc = d // 4
-    v4 = v.reshape(4, d_nuc * d)
-    s = electron_pair_state(state)
-    w = (s.conj() @ v4).conj().reshape(d_nuc, d)
+    w = _state_factor(prop, state)
+    d_nuc = w.shape[0]
     rho_e = w.T @ (w.conj() / d_nuc)
     rho_e *= _geometric_mean_weights(prop, dt, n)
     y = v @ rho_e
-    e = v4.conj() @ y.reshape(4, d_nuc * d).T
+    v4 = v.reshape(4, -1)
+    e = v4.conj() @ y.reshape(4, -1).T
     return np.real(np.einsum("mab,ab->m", electron_ops, e))
 
 
@@ -339,17 +386,25 @@ def evolve_observables(
 ) -> ObservableSeries:
     """Time series of the coupling-weighted collective spin components.
 
-    Returns s_tilde[i](t) = d_ci <S1i + S2i>(t) for i in {x, y, z}.  The
+    Returns s_tilde[i](t) = d_ci <S1i + S2i>(t) for i in {x, y, z}.  Only
+    the components with d_ci != 0 are evaluated; the others are +0.0.  The
     grid must be uniform and resolve the largest eigenvalue gap
     (dt < pi / spread), otherwise a ValueError reports the required dt.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    dt = _check_uniform_grid(t_grid)
-    _require_resolved(prop, dt)
+    dt, spread = _check_uniform_grid(t_grid), prop.spectral_spread
+    if spread > 0 and dt >= np.pi / spread:
+        raise ValueError(
+            f"time grid undersamples the dynamics: dt = {dt:.3e} s but the "
+            f"largest eigenvalue gap needs dt < {np.pi / spread:.3e} s"
+        )
     ops = _pair_spin_ops(layout)
-    pair = _expectation_series(prop, rho0, ops, t_grid)
-    s_tilde = geom.d_c[:, None] * pair
-    return ObservableSeries(t_grid=t_grid, s_tilde=s_tilde, pair_spin=pair)
+    weighted = np.flatnonzero(geom.d_c)
+    s_tilde = np.zeros((3, t_grid.shape[0]))
+    if weighted.size:
+        series = _expectation_series(prop, rho0, [ops[i] for i in weighted], t_grid)
+        s_tilde[weighted] = geom.d_c[weighted, None] * series
+    return ObservableSeries(t_grid=t_grid, s_tilde=s_tilde)
 
 
 def nyquist_samples(prop: Propagator, t_max: float) -> int:

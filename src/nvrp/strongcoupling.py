@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .dynamics import _eigh, _expectation_series
+from .dynamics import _eigh, _projector_series
 from .errors import PhysicsError
 from .hamiltonian import (
     CouplingGeometry,
@@ -168,15 +168,16 @@ def peak_contrast(
     The pair evolves under H_RP alone (the pulsed scheme keeps the sensor
     in |0>, no backaction) with the uniform recombination decay.
     C_n(t) = <P_psi'_n>(t) - <P_psi_n>(t) for one molecule at ``geom``.
+    Each sample is exact, and ``t_grid`` need not resolve the spectrum:
+    fig6c's 2048 samples over five lifetimes have dt = 12.2 ns against
+    pi / spread = 6.9 ns (1.76x the Nyquist interval), so its C_n(t) must
+    not be Fourier-transformed.
     """
-    prop, rho0 = solve_pair(cfg, field_cfg, geom.rotation)
-    t_grid = np.asarray(t_grid, dtype=float)
+    prop, _ = solve_pair(cfg, field_cfg, geom.rotation)
     levels = level_structure(cfg, field_cfg, geom)
-    # eigenbasis coefficients c = V^dag psi of each |psi'_n>, then of its matched |psi_n>;
-    # the projector |psi><psi| is c c^dag there
+    # eigenbasis coefficients c = V^dag psi of each |psi'_n>, then of its matched |psi_n>
     states = np.concatenate([levels.states_1, levels.states_0[:, levels.pairing]], axis=1)
     coeffs = prop.eigenvectors.conj().T @ states
-    projectors = [np.outer(c, c.conj()) for c in coeffs.T]
-    series = _expectation_series(prop, rho0, projectors, t_grid, eigenbasis=True)
+    series = _projector_series(prop, cfg.initial_state, coeffs, t_grid)
     n = levels.n_transitions
     return series[:n] - series[n:]

@@ -390,3 +390,38 @@ def test_missing_radical_pair_is_config_error(tmp_path, capsys):
     path = _write_config(tmp_path, {"kind": "time-trace", "params": {"b_mT": 0.5}})
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "radical_pair" in capsys.readouterr().err
+
+
+def test_write_csv_matches_row_writer(tmp_path):
+    """Column-wise formatting writes the bytes of csv.writer over the per-value rule.
+
+    Mixed columns: signed zeros, NaN, infinities, 1e-300, ints and the
+    fig5 mode strings, over more rows than one block.
+    """
+    import csv
+
+    def fmt(value):
+        if isinstance(value, (float, np.floating)):
+            return "0" if value == 0 else f"{value:.12g}"
+        return str(value)
+
+    n = cli.CSV_BLOCK_ROWS + 5
+    rng = np.random.default_rng(3)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    floats[:6] = [-0.0, 0.0, np.nan, 1e-300, -np.inf, 1.0 / 3.0]
+    ints = rng.integers(-5, 40, n)
+    modes = np.array(["aligned", "haar"])[rng.integers(0, 2, n)]
+    seeds = [7] * n
+    columns = [floats, ints, list(modes), seeds, np.full(n, -0.0)]
+    header = ["x", "count", "mode", "seed", "zero"]
+    comments = {"kind": "test", "units": "none"}
+
+    path = cli.write_csv(tmp_path / "new.csv", comments, header, columns)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        for key, value in comments.items():
+            fh.write(f"# {key}: {value}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([fmt(v) for v in row])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -197,10 +197,9 @@ def test_conserved_z_magnetization_stays_zero():
     h = build_rp_hamiltonian(cfg, FieldConfig(1.0, 0.0, 0.0))
     prop = make_propagator(h, 0.0)
     rho0 = initial_state(S, layout)
-    geom = coupling_geometry(10.0, 0.0, 0.0)
     t = np.linspace(0.0, 2e-6, 1024, endpoint=False)
-    series = evolve_observables(rho0, prop, t, geom, layout)
-    assert np.max(np.abs(series.pair_spin[2])) < 1e-12
+    series = _expectation_series(prop, rho0, _pair_ops(layout)[2:], t)
+    assert np.max(np.abs(series)) < 1e-12
 
 
 def test_observables_match_rk4_oracle(one_proton_pair):
@@ -210,16 +209,16 @@ def test_observables_match_rk4_oracle(one_proton_pair):
     k = cfg.recombination_rate
     prop = make_propagator(h, k)
     rho0 = initial_state(S, layout)
-    geom = coupling_geometry(10.0, 0.0, 0.0)
 
     lam = float(np.max(np.abs(prop.eigenvalues)))
     dt = 0.02 / lam
     t_max = 2e-6
     n = int(round(t_max / dt))
     dt = t_max / n
-    res = rk4_evolve(rho0, h, k, dt, t_max, observables=_pair_ops(layout), record_every=8)
-    series = evolve_observables(rho0, prop, res.t_grid, geom, layout)
-    assert np.max(np.abs(series.pair_spin - res.observables)) < 1e-6
+    ops = _pair_ops(layout)
+    res = rk4_evolve(rho0, h, k, dt, t_max, observables=ops, record_every=8)
+    series = _expectation_series(prop, rho0, ops, res.t_grid)
+    assert np.max(np.abs(series - res.observables)) < 1e-6
 
 
 def test_undersampled_grid_rejected(axial3_pair):
@@ -256,6 +255,47 @@ def test_series_blocks_join_at_chunk_boundaries(axial3_pair):
         rho_t = prop.evolve(rho0, t[j])
         direct = [np.real(np.trace(op @ rho_t)) for op in ops]
         assert np.allclose(series[:, j], direct, rtol=0, atol=1e-13)
+
+
+def test_series_matches_evolve_at_late_times():
+    # fadtrp-2n at 1.16 mT: the last samples reach lambda t ~ 3e4 rad, where the
+    # phases are one table row times a block-start phase; 3 SERIES_CHUNK + 5 samples
+    cfg = fadtrp_config(2)
+    prop, rho0 = solve_pair(cfg, FieldConfig(1.16, 0.5, 0.2))
+    ops = _pair_ops(cfg.layout())
+    n = 3 * SERIES_CHUNK + 5
+    t = np.linspace(0.0, 25e-6, n, endpoint=False)
+    assert np.max(np.abs(prop.eigenvalues)) * t[-1] > 1e4
+    series = _expectation_series(prop, rho0, ops, t)
+    scale = np.max(np.abs(series))
+    for j in (n - 1, n - 2, 2 * SERIES_CHUNK, 2 * SERIES_CHUNK - 1, n // 2 + 7):
+        rho_t = prop.evolve(rho0, t[j])
+        direct = [np.real(np.trace(op @ rho_t)) for op in ops]
+        assert np.max(np.abs(series[:, j] - direct)) <= 1e-12 * scale
+
+
+def test_unweighted_components_are_exact_zeros(axial3_pair):
+    # theta = 0: d_cx = d_cy = 0, only z is evaluated; phi = 0 also zeroes d_cy off-axis
+    layout = axial3_pair.layout()
+    ops = _pair_ops(layout)
+    t = np.linspace(0.0, 2e-6, 1000, endpoint=False)
+    for theta, zero in ((0.0, [0, 1]), (0.7, [1])):
+        prop, rho0 = solve_pair(axial3_pair, FieldConfig(0.3, theta, 0.0))
+        geom = coupling_geometry(10.0, theta, 0.0)
+        s_tilde = evolve_observables(rho0, prop, t, geom, layout).s_tilde
+        assert np.all(s_tilde[zero] == 0.0) and not np.any(np.signbit(s_tilde[zero]))
+        for i in sorted(set(range(3)) - set(zero)):
+            # the stacked product may round differently from a single operator's
+            want = geom.d_c[i] * _expectation_series(prop, rho0, [ops[i]], t)[0]
+            assert np.max(np.abs(s_tilde[i] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_non_uniform_grid_rejected(axial3_pair):
+    prop, rho0 = solve_pair(axial3_pair, FieldConfig(0.3, 0.0, 0.0))
+    ops = _pair_ops(axial3_pair.layout())
+    t = np.linspace(0.0, 1e-6, 64) ** 2 * 1e6
+    with pytest.raises(ValueError, match="uniform"):
+        _expectation_series(prop, rho0, ops, t)
 
 
 # -- closed-form means ---------------------------------------------------------

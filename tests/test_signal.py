@@ -34,10 +34,7 @@ def _const_trace(values, n=64, dt=1e-8):
 def test_zero_series_zero_trace(axial3_pair):
     t = np.linspace(0.0, 5e-6, 1024, endpoint=False)
     series = observable_series(axial3_pair, FieldConfig(0.05, 0.0, 0.0), t)
-    zeroed = series.__class__(
-        t_grid=series.t_grid, s_tilde=np.zeros_like(series.s_tilde),
-        pair_spin=series.pair_spin,
-    )
+    zeroed = series.__class__(t_grid=series.t_grid, s_tilde=np.zeros_like(series.s_tilde))
     assert np.all(signal_single_molecule(zeroed, 10.0).x == 0.0)
 
 
