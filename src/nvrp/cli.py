@@ -256,18 +256,20 @@ def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     t_max = _default_t_max(rp)
     gamma = cfg.sensor.gamma_hz
     geom = coupling_geometry(r_nm, theta, phi)
+    i_mid = len(grid) // 2  # the contrast traces are taken at the central field point
     parts = []
-    for b in grid:
+    for i, b in enumerate(grid):
         levels = level_structure(rp, FieldConfig(float(b), theta, phi), geom, cfg.sensor)
-        peaks = count_resolved_peaks(levels, gamma)
+        if i == i_mid:
+            mid_levels = levels
+        peaks = count_resolved_peaks(levels.transition_freqs_hz, gamma)
         parts.append([np.full(peaks.count, b), peaks.centers_hz, peaks.multiplicities])
     comments = _base_comments(cfg) | {"gamma_hz": gamma, "r_nm": r_nm}
     header = ["b_mT", "peak_center_offset_hz", "multiplicity"]
     p1 = write_csv(out / "peak_count.csv", comments, header, _concat_columns(parts))
-    # contrast traces at the central field point
-    b_mid = float(grid[len(grid) // 2])
+    b_mid = float(grid[i_mid])
     t_grid = np.linspace(0.0, t_max, 2048, endpoint=False)
-    contrasts = peak_contrast(rp, FieldConfig(b_mid, theta, phi), geom, t_grid)
+    contrasts = peak_contrast(mid_levels, rp.initial_state, t_grid)
     comments = _base_comments(cfg) | {"b_mT": b_mid, "note": "C_n(t) per transition"}
     header = ["t_s"] + [f"C_{n}" for n in range(contrasts.shape[0])]
     p2 = write_csv(out / "peak_contrast.csv", comments, header, [t_grid, *contrasts])
@@ -311,7 +313,7 @@ def _yield_at_theta0(rp: RadicalPairConfig, b_mT: float) -> float:
     prop, _ = solve_pair(rp, FieldConfig(b_mT, 0.0, 0.0))
     t_max = _default_t_max(rp)
     n = nyquist_samples(prop, t_max)
-    return singlet_yield_mean(prop, rp.initial_state, rp.effective_decay_rate, t_max, n)
+    return singlet_yield_mean(prop, rp.initial_state, t_max, n)
 
 
 def run_parameter_scan(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:

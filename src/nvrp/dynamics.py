@@ -418,13 +418,9 @@ def nyquist_samples(prop: Propagator, t_max: float) -> int:
 
 
 def singlet_yield_mean(
-    prop: Propagator,
-    state: InitialElectronState,
-    k: float,
-    t_max: float,
-    n_samples: int,
+    prop: Propagator, state: InitialElectronState, t_max: float, n_samples: int
 ) -> float:
-    """phi_s = k dt sum_j Tr[rho(t_j) P_S], t_j = j dt, dt = t_max / n.
+    """phi_s = k dt sum_j Tr[rho(t_j) P_S], t_j = j dt, dt = t_max / n, k = prop.decay_rate.
 
     The rate-weighted singlet yield from rho0 = |state><state| x I/d_nuc,
     summed in closed form.  ``t_max`` should reach at least five
@@ -432,4 +428,4 @@ def singlet_yield_mean(
     """
     dt = t_max / n_samples
     mean = _expectation_means(prop, state, electron_singlet_projector()[None], dt, n_samples)[0]
-    return float(k * dt * mean * n_samples)
+    return float(prop.decay_rate * dt * mean * n_samples)

@@ -29,7 +29,6 @@ class OracleResult:
     observables: np.ndarray | None
     states: list[np.ndarray] | None
     dt: float
-    local_error_estimate: float
 
 
 def rk4_evolve(
@@ -88,12 +87,9 @@ def rk4_evolve(
             if store_states:
                 states.append(rho.copy())
 
-    # classical local truncation estimate for a smooth linear flow
-    local_err = (dt * scale) ** 5 if scale > 0 else 0.0
     return OracleResult(
         t_grid=np.asarray(t_rec),
         observables=np.asarray(obs_rec).T if observables else None,
         states=states,
         dt=dt,
-        local_error_estimate=local_err,
     )

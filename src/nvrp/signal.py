@@ -27,6 +27,7 @@ from .constants import GAMMA_E, HBAR, MU0, dipolar_prefactor
 from .dynamics import (
     ObservableSeries,
     Propagator,
+    _check_uniform_grid,
     _expectation_means,
     evolve_observables,
     initial_state,
@@ -64,10 +65,6 @@ class SignalTrace:
 
     t_grid: np.ndarray
     x: np.ndarray  # shape (3, n)
-
-    @property
-    def dt(self) -> float:
-        return float(self.t_grid[1] - self.t_grid[0])
 
 
 @dataclass(frozen=True)
@@ -165,13 +162,10 @@ def integrated_observables(
 
 
 def spectrum(trace: SignalTrace) -> SignalSpectrum:
-    """One-sided DFT magnitude; the zero bin equals duration * X^I."""
-    n = trace.x.shape[1]
-    if n < 2:
-        raise ValueError("spectrum needs at least two samples")
-    dt = trace.dt
+    """One-sided DFT magnitude of a uniformly sampled trace; the zero bin is duration * X^I."""
+    dt = _check_uniform_grid(trace.t_grid)
     mag = np.abs(np.fft.rfft(trace.x, axis=1)) * dt
-    freq = np.fft.rfftfreq(n, dt)
+    freq = np.fft.rfftfreq(trace.x.shape[1], dt)
     return SignalSpectrum(freq_hz=freq, magnitude=mag)
 
 

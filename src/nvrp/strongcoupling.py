@@ -11,6 +11,10 @@ two manifolds are matched by maximum overlap (Hungarian assignment on
 |<psi_m|psi'_n>|^2); nearly degenerate clusters are rotated to diagonalise
 the coupling operator inside the cluster first, which makes the matching
 stable.
+
+Each manifold is diagonalised once, by the checked ``make_propagator``; the
+contrasts evolve under the |0>-manifold propagator the ``LevelStructure``
+keeps, so nothing here builds or diagonalises a Hamiltonian twice.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .dynamics import _eigh, _projector_series
+from .dynamics import Propagator, _eigh, _projector_series, make_propagator
 from .errors import PhysicsError
 from .hamiltonian import (
     CouplingGeometry,
     FieldConfig,
+    InitialElectronState,
     RadicalPairConfig,
     Regime,
     SensorParams,
@@ -33,7 +38,6 @@ from .hamiltonian import (
     build_rp_hamiltonian,
     classify_regime,
 )
-from .signal import solve_pair
 
 #: eigenvalue gap below which states count as one degenerate cluster, rad/s
 DEGENERACY_GAP = 1e-6
@@ -46,12 +50,15 @@ class LevelStructure:
     ``pairing[n]`` is the index of the |0>-manifold state matched to the
     n-th |1>-manifold state; ``transition_freqs_hz[n]`` is the resonance
     offset (E'_n - E_pairing[n]) / 2 pi from the bare sensor transition.
+    ``propagator`` is that of H_RP at the pair's decay rate; ``states_0`` are
+    its eigenvectors, rotated within degenerate clusters.
     """
 
     states_0: np.ndarray
     states_1: np.ndarray
     pairing: np.ndarray
     transition_freqs_hz: np.ndarray
+    propagator: Propagator
 
     @property
     def n_transitions(self) -> int:
@@ -70,9 +77,9 @@ class PeakSet:
         return self.centers_hz.shape[0]
 
 
-def _stabilize_degenerate(w: np.ndarray, v: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Rotate degenerate eigenvector clusters to diagonalise ``op`` within."""
-    v = v.copy()
+def _stabilize_degenerate(prop: Propagator, op: np.ndarray) -> np.ndarray:
+    """The eigenvectors, degenerate clusters rotated to diagonalise ``op`` within."""
+    w, v = prop.eigenvalues, prop.eigenvectors.copy()
     i = 0
     n = w.shape[0]
     while i < n:
@@ -107,30 +114,28 @@ def level_structure(
             "(g_eff <= Gamma); peaks will not be resolvable",
             stacklevel=2,
         )
-    layout = cfg.layout()
     h0 = build_rp_hamiltonian(cfg, field_cfg, geom.rotation)
-    coupling = build_coupling_hamiltonian(geom, layout)
-    h1 = h0 + coupling
-
-    w0, v0 = _eigh(h0)
-    w1, v1 = _eigh(h1)
-    v0 = _stabilize_degenerate(w0, v0, coupling)
-    v1 = _stabilize_degenerate(w1, v1, coupling)
+    coupling = build_coupling_hamiltonian(geom, cfg.layout())
+    prop = make_propagator(h0, cfg.effective_decay_rate)
+    prop1 = make_propagator(h0 + coupling, cfg.effective_decay_rate)
+    v0 = _stabilize_degenerate(prop, coupling)
+    v1 = _stabilize_degenerate(prop1, coupling)
 
     overlap = np.abs(v0.conj().T @ v1) ** 2  # overlap[m, n] = |<psi_m|psi'_n>|^2
     row, col = linear_sum_assignment(-overlap)
-    pairing = np.empty(w1.shape[0], dtype=int)
+    pairing = np.empty(prop1.dim, dtype=int)
     pairing[col] = row
-    freqs = (w1 - w0[pairing]) / (2 * np.pi)
+    freqs = (prop1.eigenvalues - prop.eigenvalues[pairing]) / (2 * np.pi)
     return LevelStructure(
         states_0=v0,
         states_1=v1,
         pairing=pairing,
         transition_freqs_hz=freqs,
+        propagator=prop,
     )
 
 
-def count_resolved_peaks(levels: LevelStructure, gamma_hz: float) -> PeakSet:
+def count_resolved_peaks(freqs_hz: np.ndarray, gamma_hz: float) -> PeakSet:
     """Greedy clustering of transition frequencies at resolution Gamma.
 
     Transitions are swept in ascending frequency; a new cluster opens when
@@ -138,7 +143,7 @@ def count_resolved_peaks(levels: LevelStructure, gamma_hz: float) -> PeakSet:
     """
     if gamma_hz <= 0:
         raise PhysicsError(f"resolution linewidth must be positive, got {gamma_hz}")
-    freqs = np.sort(levels.transition_freqs_hz)
+    freqs = np.sort(freqs_hz)
     centers: list[float] = []
     counts: list[int] = []
     members: list[float] = []
@@ -158,26 +163,23 @@ def count_resolved_peaks(levels: LevelStructure, gamma_hz: float) -> PeakSet:
 
 
 def peak_contrast(
-    cfg: RadicalPairConfig,
-    field_cfg: FieldConfig,
-    geom: CouplingGeometry,
-    t_grid: np.ndarray,
+    levels: LevelStructure, state: InitialElectronState, t_grid: np.ndarray
 ) -> np.ndarray:
     """Population-difference contrast C_n(t) per transition, shape (d, n_t).
 
-    The pair evolves under H_RP alone (the pulsed scheme keeps the sensor
+    The pair starts from |state><state| x I/d_nuc and evolves under
+    ``levels.propagator``: H_RP alone (the pulsed scheme keeps the sensor
     in |0>, no backaction) with the uniform recombination decay.
-    C_n(t) = <P_psi'_n>(t) - <P_psi_n>(t) for one molecule at ``geom``.
+    C_n(t) = <P_psi'_n>(t) - <P_psi_n>(t) for the molecule ``levels`` describes.
     Each sample is exact, and ``t_grid`` need not resolve the spectrum:
     fig6c's 2048 samples over five lifetimes have dt = 12.2 ns against
     pi / spread = 6.9 ns (1.76x the Nyquist interval), so its C_n(t) must
     not be Fourier-transformed.
     """
-    prop, _ = solve_pair(cfg, field_cfg, geom.rotation)
-    levels = level_structure(cfg, field_cfg, geom)
+    prop = levels.propagator
     # eigenbasis coefficients c = V^dag psi of each |psi'_n>, then of its matched |psi_n>
     states = np.concatenate([levels.states_1, levels.states_0[:, levels.pairing]], axis=1)
     coeffs = prop.eigenvectors.conj().T @ states
-    series = _projector_series(prop, cfg.initial_state, coeffs, t_grid)
+    series = _projector_series(prop, state, coeffs, t_grid)
     n = levels.n_transitions
     return series[:n] - series[n:]

@@ -301,12 +301,10 @@ def test_criterion_7_exchange_trend():
             )
             maxima.append(float(np.max(np.abs(res.x_integrated))))
             h = build_rp_hamiltonian(cfg, FieldConfig(0.05, 0.0, 0.0))
-            prop = make_propagator(h, cfg.recombination_rate)
-            t_max = 5.0 / cfg.recombination_rate
+            prop = make_propagator(h, cfg.effective_decay_rate)
+            t_max = 5.0 / cfg.effective_decay_rate
             n = nyquist_samples(prop, t_max)
-            yields.append(
-                singlet_yield_mean(prop, cfg.initial_state, cfg.recombination_rate, t_max, n)
-            )
+            yields.append(singlet_yield_mean(prop, cfg.initial_state, t_max, n))
         yield_ok = all(a <= b + 1e-12 for a, b in zip(yields, yields[1:]))
         signal_ok = all(a >= b - 1e-15 for a, b in zip(maxima, maxima[1:]))
     ok = yield_ok and signal_ok
@@ -370,7 +368,7 @@ def test_criterion_9_strong_coupling_bounds():
         bare_ok = True
         for b in grid_from_spec([0.05, 10.0, 16], log=True):
             levels = level_structure(bare, FieldConfig(float(b), 0.0, 0.0), geom)
-            bare_ok &= count_resolved_peaks(levels, gamma).count <= 4
+            bare_ok &= count_resolved_peaks(levels.transition_freqs_hz, gamma).count <= 4
 
         cfg = strongcoupling_config()
         n_nuclei = len(cfg.nuclei)
@@ -379,14 +377,13 @@ def test_criterion_9_strong_coupling_bounds():
         peaks_ok = True
         for b in grid_from_spec([0.05, 10.0, 16], log=True):
             levels = level_structure(cfg, FieldConfig(float(b), 0.0, 0.0), geom)
-            peaks_ok &= count_resolved_peaks(levels, gamma).count <= bound
+            peaks_ok &= count_resolved_peaks(levels.transition_freqs_hz, gamma).count <= bound
 
         # completeness: sum_n <P_psi_n>(t) = exp(-k t)
         field = FieldConfig(0.5, 0.0, 0.0)
         levels = level_structure(cfg, field, geom)
-        h0 = build_rp_hamiltonian(cfg, field)
-        k = cfg.recombination_rate
-        prop = make_propagator(h0, k)
+        prop = levels.propagator
+        k = prop.decay_rate
         rho0 = initial_state(cfg.initial_state, cfg.layout())
         t = np.linspace(0.0, 25e-6, 32)
         projs = [

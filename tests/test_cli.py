@@ -218,7 +218,7 @@ def test_exchange_sweep_runner(tmp_path):
         prop, _ = solve_pair(rp, FieldConfig(0.05, 0.0, 0.0))
         k = rp.effective_decay_rate
         t_max = 5.0 / k
-        y = singlet_yield_mean(prop, rp.initial_state, k, t_max, nyquist_samples(prop, t_max))
+        y = singlet_yield_mean(prop, rp.initial_state, t_max, nyquist_samples(prop, t_max))
         assert row.split(",")[2] == f"{y:.12g}"
 
 

@@ -27,6 +27,7 @@ from nvrp.ensemble import random_rotation
 from nvrp.errors import NumericalError, PhysicsError
 from nvrp.hamiltonian import (
     ELECTRON_PAIR_SPIN,
+    DecayConvention,
     FieldConfig,
     InitialElectronState,
     build_rp_hamiltonian,
@@ -413,18 +414,21 @@ def test_singlet_probability_of_initial_states():
 
 
 def test_yield_saturates_for_singlet_conserving_hamiltonian():
-    # B along z with no hyperfine: [H, P_S] = 0, so phi_s -> 1 - e^(-k T)
-    cfg = make_pair(j_mT=0.3)
-    h = build_rp_hamiltonian(cfg, FieldConfig(1.0, 0.0, 0.0))
-    k = cfg.recombination_rate
-    prop = make_propagator(h, k)
-    t_max = 5.0 / k
-    n = 16384
-    ys = singlet_yield_mean(prop, S, k, t_max, n)
-    expected = 1.0 - np.exp(-k * t_max)
-    # left-endpoint Riemann sum overshoots by ~k dt / 2
-    assert ys == pytest.approx(expected, rel=2e-4)
-    assert 0.0 <= ys <= 1.0
+    # B along z with no hyperfine: [H, P_S] = 0, so phi_s -> 1 - e^(-k_eff T)
+    rate_k = make_pair(j_mT=0.3)
+    rate_2k = dataclasses.replace(rate_k, decay_convention=DecayConvention.RATE_2K)
+    assert rate_2k.effective_decay_rate == 2.0 * rate_k.effective_decay_rate
+    for cfg in (rate_k, rate_2k):
+        h = build_rp_hamiltonian(cfg, FieldConfig(1.0, 0.0, 0.0))
+        k = cfg.effective_decay_rate
+        prop = make_propagator(h, k)
+        t_max = 5.0 / k
+        n = 16384
+        ys = singlet_yield_mean(prop, S, t_max, n)
+        expected = 1.0 - np.exp(-k * t_max)
+        # left-endpoint Riemann sum overshoots by ~k dt / 2
+        assert ys == pytest.approx(expected, rel=2e-4)
+        assert 0.0 <= ys <= 1.0
 
 
 def test_yield_zero_from_orthogonal_sector():
@@ -432,7 +436,7 @@ def test_yield_zero_from_orthogonal_sector():
     h = build_rp_hamiltonian(cfg, FieldConfig(1.0, 0.0, 0.0))
     k = cfg.recombination_rate
     prop = make_propagator(h, k)
-    ys = singlet_yield_mean(prop, T0, k, 5.0 / k, 4096)
+    ys = singlet_yield_mean(prop, T0, 5.0 / k, 4096)
     assert abs(ys) < 1e-12
 
 
@@ -447,7 +451,7 @@ def test_yield_against_rk4_oracle(axial3_pair):
     t_max = 5.0 / k
     n = 4096
     dt_grid = t_max / n
-    ys_eigen = singlet_yield_mean(prop, S, k, t_max, n)
+    ys_eigen = singlet_yield_mean(prop, S, t_max, n)
 
     # oracle on a coarser recorded grid but fine integration steps
     lam = float(np.max(np.abs(prop.eigenvalues)))

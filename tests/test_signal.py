@@ -121,6 +121,13 @@ def test_spectrum_parseval():
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+def test_spectrum_rejects_non_uniform_trace():
+    t = np.arange(64) * 1e-8
+    t[40:] += 1e-10
+    with pytest.raises(ValueError, match="uniform"):
+        spectrum(SignalTrace(t, np.zeros((3, 64))))
+
+
 def test_spectrum_band_limited(fadtrp2):
     # oscillation content of the flavin pair at 1.16 mT dies off within tens of MHz
     t = np.linspace(0.0, 25e-6, 32768, endpoint=False)

@@ -1,18 +1,22 @@
 """Conditional level structure, peak clustering, and contrasts."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from nvrp.dynamics import initial_state, make_propagator
-from nvrp.errors import PhysicsError
+from nvrp import cli, dynamics, strongcoupling
+from nvrp.config import ExperimentConfig
+from nvrp.dynamics import initial_state
+from nvrp.errors import NumericalError, PhysicsError
 from nvrp.hamiltonian import (
     FieldConfig,
+    build_coupling_hamiltonian,
     build_rp_hamiltonian,
     coupling_geometry,
 )
-from nvrp.presets import strongcoupling_config
+from nvrp.presets import STRONG_SENSOR, strongcoupling_config
 from nvrp.strongcoupling import (
-    LevelStructure,
     count_resolved_peaks,
     level_structure,
     peak_contrast,
@@ -70,25 +74,13 @@ def test_singlet_level_shifts_second_order():
 
 
 def test_cluster_all_identical():
-    levels = LevelStructure(
-        states_0=np.eye(3),
-        states_1=np.eye(3),
-        pairing=np.arange(3),
-        transition_freqs_hz=np.array([100.0, 100.0, 100.0]),
-    )
-    peaks = count_resolved_peaks(levels, gamma_hz=10.0)
+    peaks = count_resolved_peaks(np.array([100.0, 100.0, 100.0]), gamma_hz=10.0)
     assert peaks.count == 1
     assert peaks.multiplicities[0] == 3
 
 
 def test_cluster_widely_spaced():
-    levels = LevelStructure(
-        states_0=np.eye(4),
-        states_1=np.eye(4),
-        pairing=np.arange(4),
-        transition_freqs_hz=np.array([0.0, 100.0, 200.0, 300.0]),
-    )
-    peaks = count_resolved_peaks(levels, gamma_hz=10.0)
+    peaks = count_resolved_peaks(np.array([0.0, 100.0, 200.0, 300.0]), gamma_hz=10.0)
     assert peaks.count == 4
     assert np.all(np.diff(peaks.centers_hz) >= 10.0)
 
@@ -96,14 +88,14 @@ def test_cluster_widely_spaced():
 def test_cluster_gamma_positive():
     levels = _levels_for(make_pair())
     with pytest.raises(PhysicsError, match="positive"):
-        count_resolved_peaks(levels, gamma_hz=0.0)
+        count_resolved_peaks(levels.transition_freqs_hz, gamma_hz=0.0)
 
 
 def test_peak_count_monotone_in_resolution():
     cfg = strongcoupling_config()
     levels = _levels_for(cfg, b=0.5)
-    coarse = count_resolved_peaks(levels, gamma_hz=1e3)
-    fine = count_resolved_peaks(levels, gamma_hz=1e2)
+    coarse = count_resolved_peaks(levels.transition_freqs_hz, gamma_hz=1e3)
+    fine = count_resolved_peaks(levels.transition_freqs_hz, gamma_hz=1e2)
     assert fine.count >= coarse.count
 
 
@@ -112,7 +104,7 @@ def test_peak_count_bounded_by_dimension():
     dim = cfg.layout().total_dimension
     for b in (0.05, 0.5, 5.0):
         levels = _levels_for(cfg, b=b)
-        peaks = count_resolved_peaks(levels, gamma_hz=318.0)
+        peaks = count_resolved_peaks(levels.transition_freqs_hz, gamma_hz=318.0)
         assert peaks.count <= dim
 
 
@@ -124,8 +116,6 @@ def test_contrast_zero_for_maximally_mixed(bare_pair):
     t = np.linspace(0.0, 1e-6, 256, endpoint=False)
     # build the contrast series by hand for a maximally mixed state
     levels = level_structure(cfg, FieldConfig(0.5, 0.0, 0.0), geom)
-    h0 = build_rp_hamiltonian(cfg, FieldConfig(0.5, 0.0, 0.0))
-    prop = make_propagator(h0, 0.0)
     rho_mixed = np.eye(4) / 4.0
     from nvrp.dynamics import _expectation_series
 
@@ -137,7 +127,7 @@ def test_contrast_zero_for_maximally_mixed(bare_pair):
             levels.states_0[:, levels.pairing[n]].conj(),
         )
         projs.extend([p1, p0])
-    series = _expectation_series(prop, rho_mixed, projs, t)
+    series = _expectation_series(levels.propagator, rho_mixed, projs, t)
     contrast = series[0::2] - series[1::2]
     assert np.max(np.abs(contrast)) < 1e-12
 
@@ -146,7 +136,8 @@ def test_contrast_initially_zero_for_identical_projector_pairs(bare_pair):
     # transitions whose |0> and |1> states coincide start at zero contrast
     geom = _geom(r_nm=1e5)
     t = np.linspace(0.0, 1e-6, 128, endpoint=False)
-    c = peak_contrast(bare_pair, FieldConfig(0.5, 0.0, 0.0), geom, t)
+    levels = level_structure(bare_pair, FieldConfig(0.5, 0.0, 0.0), geom)
+    c = peak_contrast(levels, bare_pair.initial_state, t)
     assert np.max(np.abs(c[:, 0])) < 1e-9
 
 
@@ -175,7 +166,7 @@ def test_contrast_matches_rk4_on_toy_pair(bare_pair):
         projs.extend([p1, p0])
     res = rk4_evolve(rho0, h0, k, t_max / n, t_max, observables=projs, record_every=64)
     oracle_contrast = res.observables[0::2] - res.observables[1::2]
-    c = peak_contrast(cfg, field, geom, res.t_grid)
+    c = peak_contrast(levels, cfg.initial_state, res.t_grid)
     assert np.max(np.abs(c - oracle_contrast)) < 1e-6
 
 
@@ -192,9 +183,9 @@ def test_contrast_matches_full_space_projectors():
     field = FieldConfig(0.5, 0.9, 0.3)
     geom = coupling_geometry(5.0, 0.9, 0.3)
     t = np.linspace(0.0, 5.0 / cfg.effective_decay_rate, 2048, endpoint=False)
-    contrast = peak_contrast(cfg, field, geom, t)
-
     levels = level_structure(cfg, field, geom)
+    contrast = peak_contrast(levels, cfg.initial_state, t)
+
     prop, rho0 = solve_pair(cfg, field, geom.rotation)
     projs = []
     for n in range(levels.n_transitions):
@@ -211,9 +202,8 @@ def test_projector_completeness_tracks_trace():
     field = FieldConfig(0.5, 0.0, 0.0)
     geom = _geom()
     levels = level_structure(cfg, field, geom)
-    h0 = build_rp_hamiltonian(cfg, field)
-    k = cfg.recombination_rate
-    prop = make_propagator(h0, k)
+    prop = levels.propagator
+    k = prop.decay_rate
     rho0 = initial_state(cfg.initial_state, cfg.layout())
     from nvrp.dynamics import _expectation_series
 
@@ -236,3 +226,47 @@ def test_transition_continuity_in_field():
     span = np.max(f1) - np.min(f1)
     assert np.max(np.abs(np.sort(f2) - np.sort(f1))) < 0.2 * span
 
+
+
+def test_level_structure_checks_the_coupled_manifold(monkeypatch):
+    # a decomposition of H_RP + coupling that misses the residual bound
+    cfg = strongcoupling_config()
+    field = FieldConfig(0.5, 0.4, 0.0)
+    geom = coupling_geometry(5.0, 0.4, 0.0)
+    h1 = build_rp_hamiltonian(cfg, field) + build_coupling_hamiltonian(geom, cfg.layout())
+    real_eigh = dynamics._eigh
+
+    def corrupted(h):
+        w, v = real_eigh(h)
+        if np.array_equal(h, h1):
+            w = w.copy()
+            w[0] += 1e-6 * np.linalg.norm(h)
+        return w, v
+
+    level_structure(cfg, field, geom)
+    monkeypatch.setattr(dynamics, "_eigh", corrupted)
+    with pytest.raises(NumericalError, match="residual"):
+        level_structure(cfg, field, geom)
+
+
+def test_peak_count_diagonalises_each_manifold_once(tmp_path, monkeypatch):
+    """Five field points: one checked eigh per manifold and point, none for the contrast."""
+    cfg = ExperimentConfig(
+        kind="peak-count", radical_pair=strongcoupling_config(), sensor=STRONG_SENSOR,
+        params={"r_nm": 5.0, "b_grid": [0.5, 2.0, 5]},
+    )
+    d = cfg.radical_pair.layout().total_dimension
+    callers = []
+
+    def counting(eigh):
+        def spy(h):
+            if h.shape[0] == d:
+                callers.append(sys._getframe(1).f_code.co_name)
+            return eigh(h)
+
+        return spy
+
+    monkeypatch.setattr(dynamics, "_eigh", counting(dynamics._eigh))
+    monkeypatch.setattr(strongcoupling, "_eigh", counting(strongcoupling._eigh))
+    cli.run(cfg, tmp_path)
+    assert callers == ["make_propagator"] * 10
