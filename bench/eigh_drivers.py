@@ -2,29 +2,41 @@
 
 Usage (from the root of a checkout):
 
-    python3 bench/eigh_drivers.py                      # writes BENCH_6.json
+    python3 bench/eigh_drivers.py                      # complex set, writes BENCH_6.json
+    python3 bench/eigh_drivers.py --set real           # real set, writes BENCH_10.json
     python3 bench/eigh_drivers.py --seconds 4 --out /tmp/eigh.json
 
-For each dimension the harness builds a few radical-pair Hamiltonians
-(B = 1 mT in a random direction, Haar-random molecular rotation, fixed
-seed) and diagonalises them with numpy's ``eigh`` (LAPACK ``zheevd``)
-and with ``scipy.linalg.eigh(check_finite=False)`` using the
-divide-and-conquer (``evd``) and MRRR (``evr``) drivers.  The drivers run
-round-robin, in a rotating order, so that machine drift falls on all
-three alike.  It reports the median and quartiles of the wall time per
-call, the relative reconstruction residual ||V diag(w) V^dag - H|| / ||H||,
-the orthogonality error ||V^dag V - I|| (Frobenius norms) and the
-largest eigenvalue difference from numpy's, relative to max|w|.
-``evr_crossover_dim`` is the smallest measured dimension at and above which
-``evr`` is faster than numpy beyond the timing spread; it backs
-``nvrp.dynamics.EVR_MIN_DIM``.
+The complex set holds, for each dimension, a few radical-pair
+Hamiltonians with B = 1 mT in a random direction and a Haar-random
+molecular rotation (fixed seed).  The real set holds the same systems
+with B = 1 mT at a random polar angle, phi = 0 and the identity
+orientation: every shipped tensor is diagonal in the molecular frame, so
+these Hamiltonians have an exactly zero imaginary part and are passed as
+real symmetric float64 matrices.  Each is diagonalised with numpy's
+``eigh`` (LAPACK ``zheevd``, or ``dsyevd`` on the real set) and with
+``scipy.linalg.eigh(check_finite=False)`` using the divide-and-conquer
+(``evd``) and MRRR (``evr``) drivers.  On the real set, ``numpy_complex``
+also times numpy's ``zheevd`` on the same matrices stored as complex,
+which is what diagonalising them without the real path costs.  The
+drivers run round-robin, in a rotating order, so that machine drift falls
+on all of them alike.  It reports the median and quartiles of the wall
+time per call, the relative reconstruction residual
+||V diag(w) V^dag - H|| / ||H||, the orthogonality error ||V^dag V - I||
+(Frobenius norms) and the largest eigenvalue difference from numpy's,
+relative to max|w|.  ``evr_crossover_dim`` is the smallest measured
+dimension at and above which ``evr`` is faster than numpy beyond the
+timing spread; on the complex set it backs ``nvrp.dynamics.EVR_MIN_DIM``.
+``faster_than_numpy`` lists, per dimension, the drivers whose upper
+quartile lies below numpy's lower quartile; on the real set it backs the
+choice of numpy's ``dsyevd`` at every dimension.
 
 The dimensions are the shipped systems (axial3 d = 12, strongcoupling
-d = 64, fadtrp-2n d = 216, fadtrp-3n d = 864) plus two systems built
-from the fadtrp-3n nuclei (d = 288 and 432) that bracket the crossover.
-BLAS is pinned to one thread in both bundled OpenBLAS copies (numpy's
-and scipy's): the thread variables are set before numpy is imported,
-and the libraries' own thread counts are read back and recorded.
+d = 64, fadtrp-2n d = 216, fadtrp-3n d = 864); the complex set adds two
+systems built from the fadtrp-3n nuclei (d = 288 and 432) that bracket
+the crossover.  BLAS is pinned to one thread in both bundled OpenBLAS
+copies (numpy's and scipy's): the thread variables are set before numpy
+is imported, and the libraries' own thread counts are read back and
+recorded.
 """
 
 from __future__ import annotations
@@ -66,6 +78,10 @@ DRIVERS = {
 MATRICES = 3
 #: fewest timed calls per driver and dimension
 MIN_CALLS = 9
+#: measured dimensions of each matrix set
+SET_DIMS = {"complex": (12, 64, 216, 288, 432, 864), "real": (12, 64, 216, 864)}
+#: the file each matrix set writes by default
+SET_OUT = {"complex": "BENCH_6.json", "real": "BENCH_10.json"}
 
 
 def _systems() -> dict[int, object]:
@@ -80,12 +96,18 @@ def _systems() -> dict[int, object]:
     }
 
 
-def _hamiltonians(cfg, d: int, seed: int) -> list[np.ndarray]:
+def _hamiltonians(cfg, d: int, seed: int, real: bool) -> list[np.ndarray]:
     rng = np.random.default_rng([seed, d])
     out = []
     for _ in range(MATRICES):
-        field = FieldConfig(1.0, math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi))
-        h = build_rp_hamiltonian(cfg, field, random_rotation(rng))
+        theta = math.acos(rng.uniform(-1.0, 1.0))
+        if real:
+            h = build_rp_hamiltonian(cfg, FieldConfig(1.0, theta, 0.0))
+            assert not h.imag.any()
+            h = np.ascontiguousarray(h.real)
+        else:
+            field = FieldConfig(1.0, theta, rng.uniform(0.0, 2 * math.pi))
+            h = build_rp_hamiltonian(cfg, field, random_rotation(rng))
         assert h.shape == (d, d)
         out.append(h)
     return out
@@ -105,25 +127,29 @@ def _quartiles(times: list[float]) -> dict[str, float]:
     return {"median_ms": 1e3 * med, "q1_ms": 1e3 * q1, "q3_ms": 1e3 * q3, "calls": len(times)}
 
 
-def measure(d: int, cfg, seconds: float, seed: int) -> dict:
-    hs = _hamiltonians(cfg, d, seed)
+def measure(d: int, cfg, seconds: float, seed: int, real: bool = False) -> dict:
+    hs = _hamiltonians(cfg, d, seed, real)
+    # driver -> (solver, the matrices it is given)
+    cases = {name: (fn, hs) for name, fn in DRIVERS.items()}
+    if real:
+        cases["numpy_complex"] = (DRIVERS["numpy"], [h.astype(complex) for h in hs])
     refs = [np.linalg.eigh(h)[0] for h in hs]
-    accuracy = {name: [] for name in DRIVERS}
-    for h, w_ref in zip(hs, refs):
-        for name, fn in DRIVERS.items():
-            w, v = fn(h)
+    accuracy = {name: [] for name in cases}
+    for k, (h, w_ref) in enumerate(zip(hs, refs)):
+        for name, (fn, mats) in cases.items():
+            w, v = fn(mats[k])
             accuracy[name].append(_accuracy(h, w, v, w_ref))
 
-    names = list(DRIVERS)
+    names = list(cases)
     times = {name: [] for name in names}
     start = time.perf_counter()
     i = 0
     while i < MIN_CALLS or time.perf_counter() - start < seconds:
-        h = hs[i % MATRICES]
-        order = names[i % 3 :] + names[: i % 3]
-        for name in order:
+        shift = i % len(names)
+        for name in names[shift:] + names[:shift]:
+            fn, mats = cases[name]
             t0 = time.perf_counter()
-            DRIVERS[name](h)
+            fn(mats[i % MATRICES])
             times[name].append(time.perf_counter() - t0)
         i += 1
 
@@ -134,7 +160,9 @@ def measure(d: int, cfg, seconds: float, seed: int) -> dict:
             _quartiles(times[name]),
             **{key: max(a[key] for a in acc) for key in acc[0]},
         )
-    return {"dim": d, "drivers": drivers}
+    ref = drivers["numpy"]
+    faster = [name for name in names if drivers[name]["q3_ms"] < ref["q1_ms"]]
+    return {"dim": d, "drivers": drivers, "faster_than_numpy": faster}
 
 
 def crossover(rows: list[dict]) -> int | None:
@@ -191,16 +219,20 @@ def environment() -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--set", choices=sorted(SET_DIMS), default="complex", help="matrix set")
     parser.add_argument("--seconds", type=float, default=8.0, help="timing budget per dimension")
     parser.add_argument("--seed", type=int, default=6)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_6.json")
+    parser.add_argument("--out", type=Path, default=None, help="default: the set's BENCH file")
     args = parser.parse_args(argv)
+    real = args.set == "real"
+    out = args.out if args.out is not None else ROOT / SET_OUT[args.set]
 
     env = environment()
     print(json.dumps(env))
+    systems = _systems()
     rows = []
-    for d, cfg in sorted(_systems().items()):
-        row = measure(d, cfg, args.seconds, args.seed)
+    for d in SET_DIMS[args.set]:
+        row = measure(d, systems[d], args.seconds, args.seed, real)
         rows.append(row)
         cells = "  ".join(
             f"{name} {r['median_ms']:.2f} [{r['q1_ms']:.2f}, {r['q3_ms']:.2f}] ms "
@@ -211,6 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     result = {
         "benchmark": "bench/eigh_drivers.py",
         "command": " ".join(["python3", "bench/eigh_drivers.py", *(argv or sys.argv[1:])]),
+        "matrix_set": args.set,
         "seconds_per_dim": args.seconds,
         "seed": args.seed,
         "matrices_per_dim": MATRICES,
@@ -219,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         "evr_crossover_dim": crossover(rows),
     }
     print(f"evr crossover: d = {result['evr_crossover_dim']}")
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 
 

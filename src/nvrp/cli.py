@@ -109,7 +109,11 @@ def _base_comments(cfg: ExperimentConfig) -> dict[str, Any]:
 
 def _theta_grid(params: dict, default: list[float] | None = None) -> np.ndarray:
     spec = params.get("theta_deg", default or [0.0, 180.0, 181])
-    return np.deg2rad(grid_from_spec(spec))
+    return np.deg2rad(grid_from_spec(spec, name="params.theta_deg"))
+
+
+def _b_grid(params: dict, default: list[float]) -> np.ndarray:
+    return grid_from_spec(params.get("b_grid", default), log=True, name="params.b_grid")
 
 
 def _prefactor(cfg: ExperimentConfig) -> float:
@@ -150,7 +154,7 @@ _SWEEP_HEADER = ["sweep_value", "X_x_I", "X_y_I", "X_z_I", "X_x_I_norm", "X_z_I_
 def run_coupling_map(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     r_lo, r_hi, nr = cfg.params.get("r_nm", [5.0, 30.0, 26])
     radii = np.linspace(r_lo, r_hi, int(nr))
-    thetas = np.deg2rad(grid_from_spec(cfg.params.get("theta_deg", [0.0, 180.0, 37])))
+    thetas = _theta_grid(cfg.params, [0.0, 180.0, 37])
     r_col, th_col = (a.ravel() for a in np.meshgrid(radii, thetas, indexing="ij"))
     g_col = [coupling_geometry(float(r), float(th), 0.0).g_eff / (2 * np.pi)
              for r, th in zip(r_col, th_col)]
@@ -191,7 +195,7 @@ def run_time_trace(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
 
 def run_field_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     rp = _require_rp(cfg)
-    grid = grid_from_spec(cfg.params.get("b_grid", [0.01, 50.0, 60]), log=True)
+    grid = _b_grid(cfg.params, [0.01, 50.0, 60])
     result = sweep_field_magnitude(
         rp,
         b_grid_mT=grid,
@@ -224,7 +228,7 @@ def run_angle_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path
 
 def run_ensemble(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     rp = _require_rp(cfg)
-    grid = grid_from_spec(cfg.params.get("b_grid", [0.05, 10.0, 10]), log=True)
+    grid = _b_grid(cfg.params, [0.05, 10.0, 10])
     n_real = int(cfg.params.get("n_realizations", 50))
     n_mol = cfg.params.get("n_molecules")
     r_range = tuple(cfg.params.get("r_range_nm", (cfg.sensor.r1_nm, cfg.sensor.r2_nm)))
@@ -252,7 +256,7 @@ def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     r_nm = float(cfg.params.get("r_nm", 5.0))
     theta = np.deg2rad(float(cfg.params.get("theta_deg", 0.0)))
     phi = np.deg2rad(float(cfg.params.get("phi_deg", 0.0)))
-    grid = grid_from_spec(cfg.params.get("b_grid", [0.05, 10.0, 24]), log=True)
+    grid = _b_grid(cfg.params, [0.05, 10.0, 24])
     t_max = _default_t_max(rp)
     gamma = cfg.sensor.gamma_hz
     geom = coupling_geometry(r_nm, theta, phi)

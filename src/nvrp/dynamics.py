@@ -21,7 +21,10 @@ I/d_nuc has rank d_nuc = d/4, and every averaged observable is a 4x4
 electron-pair matrix x I_nuc.  A mean then costs one d x d x d product,
 one d x d/4 x d product and O(d^2) work besides, on top of ``eigh`` and
 the reconstruction residual of :func:`make_propagator`; no operator is
-taken to the eigenbasis.
+taken to the eigenbasis.  With real eigenvectors (below) the d x d x d
+product is one real d x d x 2d GEMM over the real and imaginary parts of
+its complex factor, half the flops of the complex product, and the
+residual is a real GEMM, a quarter of them.
 
 A time series of T uniform samples costs T d^2 per evaluated operator
 plus one T_b x d phase table exp(-i lambda b dt) per call (T_b <=
@@ -29,12 +32,19 @@ plus one T_b x d phase table exp(-i lambda b dt) per call (T_b <=
 Only the components the sensor weights (d_ci != 0) are evaluated.  A
 transition projector |psi><psi| costs T d^2 / 4 through the rank-d/4 state.
 
-``eigh`` is LAPACK's divide-and-conquer ``zheevd`` (numpy) below
-``EVR_MIN_DIM`` and the faster MRRR driver ``zheevr`` (scipy; Dhillon,
-Parlett & Voemel, ACM TOMS 32, 533 (2006)) from there on.  MRRR keeps
-tight clusters less orthogonal, which the residual cannot see, so every
-propagator also checks V^dag (V x) = x on fixed probe vectors.  The two
-drivers agree to rounding, not bit for bit.
+A Hamiltonian whose imaginary part is exactly zero (every shipped system
+at phi = 0 in its molecular frame) is diagonalised as a real symmetric
+matrix by LAPACK's ``dsyevd`` (numpy), and its eigenvectors stay real.
+At one BLAS thread ``dsyevd`` takes 6.0 against 16.7 ms for ``zheevd`` at
+d = 216 and 170 against 972 ms at d = 864, and scipy's real ``evd`` and
+``evr`` are no faster beyond the timing spread at any measured d
+(BENCH_10.json, ``bench/eigh_drivers.py --set real``).  Any other
+Hamiltonian is complex: ``eigh`` is then the divide-and-conquer ``zheevd``
+(numpy) below ``EVR_MIN_DIM`` and the faster MRRR driver ``zheevr`` (scipy;
+Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)) from there on.  MRRR
+keeps tight clusters less orthogonal, which the residual cannot see, so
+every propagator, real or complex, also checks V^dag (V x) = x on fixed
+probe vectors.  The drivers agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -60,9 +70,10 @@ SERIES_CHUNK = 2048
 #: most complex entries of one block's product in a time series (8 MB)
 SERIES_BLOCK_ENTRIES = 1 << 19
 
-#: smallest dimension diagonalised by ``zheevr`` rather than ``zheevd``.  BENCH_6.json
-#: (``bench/eigh_drivers.py``, one BLAS thread): 68 against 97 ms at d = 432, 555 against
-#: 883 ms at d = 864; overlapping quartiles at d = 288, zheevd faster at d <= 216.
+#: smallest dimension of a complex H diagonalised by ``zheevr`` rather than ``zheevd``; a real
+#: H takes ``dsyevd`` at every d.  BENCH_6.json (``bench/eigh_drivers.py``, one BLAS thread):
+#: 68 against 97 ms at d = 432, 555 against 883 ms at d = 864; overlapping quartiles at
+#: d = 288, zheevd faster at d <= 216.
 EVR_MIN_DIM = 432
 
 #: probe vectors of the orthogonality check in :func:`make_propagator`
@@ -71,8 +82,8 @@ PROBE_VECTORS = 4
 
 @lru_cache(maxsize=32)
 def electron_pair_state(kind: InitialElectronState) -> np.ndarray:
-    """|S0> or |T0> on the 4-dimensional two-electron space."""
-    v = np.zeros(4, dtype=complex)
+    """|S0> or |T0> on the 4-dimensional two-electron space; real."""
+    v = np.zeros(4)
     sign = -1.0 if kind is InitialElectronState.SINGLET else 1.0
     v[1] = 1.0 / _SQRT2
     v[2] = sign / _SQRT2
@@ -82,19 +93,18 @@ def electron_pair_state(kind: InitialElectronState) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def initial_state(kind: InitialElectronState, layout: SpinSystemLayout) -> np.ndarray:
-    """rho0 = |S0><S0| (or |T0><T0|) tensor I/d_nuc; trace 1.  Cached, read-only."""
+    """rho0 = |S0><S0| (or |T0><T0|) tensor I/d_nuc; real, trace 1.  Cached, read-only."""
     v = electron_pair_state(kind)
-    rho_e = np.outer(v, v.conj())
     d_nuc = layout.nuclear_dimension
-    rho0 = np.kron(rho_e, np.eye(d_nuc, dtype=complex) / d_nuc)
+    rho0 = np.kron(np.outer(v, v), np.eye(d_nuc) / d_nuc)
     rho0.setflags(write=False)
     return rho0
 
 
 def electron_singlet_projector() -> np.ndarray:
-    """|S0><S0| on the 4-dimensional two-electron space."""
+    """|S0><S0| on the 4-dimensional two-electron space; real."""
     v = electron_pair_state(InitialElectronState.SINGLET)
-    return np.outer(v, v.conj())
+    return np.outer(v, v)
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,8 @@ class Propagator:
 
     eigenvalues are in rad/s; ``decay_rate`` is the effective trace-decay
     rate k_eff in 1/s (already doubled for the rate_2k convention).
+    ``eigenvectors`` are float64 when the generator was real (see
+    :func:`make_propagator`), complex128 otherwise.
     """
 
     eigenvalues: np.ndarray
@@ -132,14 +144,29 @@ class Propagator:
         return np.exp(-self.decay_rate * t) * (v @ rho_t @ v.conj().T)
 
 
+def _real_if_exact(h: np.ndarray) -> np.ndarray:
+    """``h`` as float64 when its imaginary part is exactly zero, else ``h`` itself.
+
+    The one place that chooses between real and complex arithmetic: no
+    tolerance, so a complex Hermitian matrix with any nonzero imaginary
+    entry keeps the complex path.
+    """
+    if np.iscomplexobj(h):
+        return np.ascontiguousarray(h.real) if not h.imag.any() else h
+    return np.asarray(h, dtype=float)
+
+
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors of a Hermitian matrix.
 
-    ``zheevd`` (numpy) below ``EVR_MIN_DIM``, ``zheevr`` (scipy) from it on.
-    The eigenvectors are C-ordered either way: scipy returns them
+    A matrix with an exactly zero imaginary part is real symmetric and goes
+    to ``dsyevd`` (numpy), with real eigenvectors.  A complex one goes to
+    ``zheevd`` (numpy) below ``EVR_MIN_DIM`` and to ``zheevr`` (scipy) from it
+    on.  The eigenvectors are C-ordered either way: scipy returns them
     Fortran-ordered, and the means' row reshapes would copy them.
     """
-    if h.shape[0] < EVR_MIN_DIM:
+    h = _real_if_exact(h)
+    if not np.iscomplexobj(h) or h.shape[0] < EVR_MIN_DIM:
         return np.linalg.eigh(h)
     w, v = scipy.linalg.eigh(h, check_finite=False, driver="evr")
     return w, np.ascontiguousarray(v)
@@ -147,8 +174,8 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _probe_vectors(d: int) -> np.ndarray:
-    """Fixed unit vectors, shape (d, PROBE_VECTORS), Gaussian with seed 0; read-only."""
-    x = np.random.default_rng(0).standard_normal((d, PROBE_VECTORS)).astype(complex)
+    """Fixed real unit vectors, shape (d, PROBE_VECTORS), Gaussian with seed 0; read-only."""
+    x = np.random.default_rng(0).standard_normal((d, PROBE_VECTORS))
     x /= np.linalg.norm(x, axis=0)
     x.setflags(write=False)
     return x
@@ -164,8 +191,11 @@ def make_propagator(h: np.ndarray, k_eff: float) -> Propagator:
     probe vector.  The residual is blind to a loss of orthogonality
     among eigenvectors of eigenvalues near zero (V = Q (I + E) changes it
     only by Q (E Lambda + Lambda E^dag) Q^dag); the O(d^2) probe sees it.
+    A generator with an exactly zero imaginary part is diagonalised in real
+    arithmetic and gets real eigenvectors; the three checks and their
+    bounds are the same for either dtype.
     """
-    h = np.asarray(h, dtype=complex)
+    h = _real_if_exact(np.asarray(h))
     if k_eff < 0:
         raise PhysicsError(f"decay rate must be >= 0, got {k_eff}")
     hnorm = np.linalg.norm(h)
@@ -254,6 +284,7 @@ def _state_factor(prop: Propagator, state: InitialElectronState) -> np.ndarray:
     """W = sum_a s_a conj(V4[a]), shape (d_nuc, d), with V4 = V.reshape(4, d_nuc, d).
 
     For rho0 = |s><s| x I/d_nuc the eigenbasis state is rho~ = W^T conj(W) / d_nuc.
+    W is real when V is.
     """
     d = prop.dim
     s = electron_pair_state(state)
@@ -344,6 +375,15 @@ def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def _real_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for real ``a`` and complex ``b``, as one real GEMM on b's (re, im) pairs.
+
+    ``a`` is not upcast to complex: the product takes the real and the
+    imaginary part of ``b`` together, as the columns of its float view.
+    """
+    return (a @ np.ascontiguousarray(b).view(float)).view(complex)
+
+
 def _expectation_means(
     prop: Propagator,
     state: InitialElectronState,
@@ -359,15 +399,22 @@ def _expectation_means(
     and V4 = V.reshape(4, d_nuc, d).  The mean of O = o x I_nuc is
     Tr(O V (rho~ o G) V^dag) = Re sum_ab o_ab E_ab, where
     E_ab = sum_kn conj(V4[a, k, n]) Y4[b, k, n] and Y = V (rho~ o G).
+    With real eigenvectors W and rho~ are real too, and both products are
+    real GEMMs on the real and imaginary parts of their complex factor.
     """
     v = prop.eigenvectors
     w = _state_factor(prop, state)
     d_nuc = w.shape[0]
     rho_e = w.T @ (w.conj() / d_nuc)
-    rho_e *= _geometric_mean_weights(prop, dt, n)
-    y = v @ rho_e
+    rho_g = _geometric_mean_weights(prop, dt, n)
+    np.multiply(rho_e, rho_g, out=rho_g)
     v4 = v.reshape(4, -1)
-    e = v4.conj() @ y.reshape(4, -1).T
+    if np.iscomplexobj(v):
+        y = v @ rho_g
+        e = v4.conj() @ y.reshape(4, -1).T
+    else:
+        y = _real_times(v, rho_g)
+        e = _real_times(v4, y.reshape(4, -1).T)
     return np.real(np.einsum("mab,ab->m", electron_ops, e))
 
 

@@ -25,6 +25,7 @@ from typing import Any
 
 import numpy as np
 
+from .errors import ConfigError
 from .hamiltonian import (
     InitialElectronState,
     Nucleus,
@@ -285,9 +286,11 @@ def system_config(name: str) -> RadicalPairConfig:
     return systems[name]()
 
 
-def grid_from_spec(spec: list[float], log: bool = False) -> np.ndarray:
-    """[lo, hi, n] -> linear or log grid."""
+def grid_from_spec(spec: list[float], log: bool = False, name: str = "grid") -> np.ndarray:
+    """[lo, hi, n] -> linear or log grid; ConfigError naming ``name`` when n < 1."""
     lo, hi, n = spec
+    if int(n) < 1:
+        raise ConfigError(f"{name}: grid {list(spec)} must have at least one point, got {n}")
     if log:
         return np.logspace(math.log10(lo), math.log10(hi), int(n))
     return np.linspace(lo, hi, int(n))

@@ -12,8 +12,10 @@ Conventions
   nuclei of radical 1 and then the nuclei of radical 2.  This keeps the
   singlet/triplet projectors block operators on the leading 4-dimensional
   electron factor.
-* Dense complex matrices throughout; the largest system built at desk
-  scale is 864-dimensional, where dense Hermitian solvers win.
+* Dense complex matrices; the largest system built at desk scale is
+  864-dimensional, where dense Hermitian solvers win.  A Hamiltonian
+  assembled from them can still have an exactly zero imaginary part, and
+  ``dynamics.make_propagator`` then diagonalises it in real arithmetic.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .dynamics import Propagator, _eigh, _projector_series, make_propagator
+from .dynamics import Propagator, _eigh, _projector_series, _real_if_exact, make_propagator
 from .errors import PhysicsError
 from .hamiltonian import (
     CouplingGeometry,
@@ -78,8 +78,14 @@ class PeakSet:
 
 
 def _stabilize_degenerate(prop: Propagator, op: np.ndarray) -> np.ndarray:
-    """The eigenvectors, degenerate clusters rotated to diagonalise ``op`` within."""
-    w, v = prop.eigenvalues, prop.eigenvectors.copy()
+    """The eigenvectors, degenerate clusters rotated to diagonalise ``op`` within.
+
+    The result has the dtype of the eigenvectors and ``op`` together: real
+    eigenvectors stay real unless ``op`` has a nonzero imaginary entry.
+    """
+    op = _real_if_exact(op)
+    w = prop.eigenvalues
+    v = prop.eigenvectors.astype(np.result_type(prop.eigenvectors, op))
     i = 0
     n = w.shape[0]
     while i < n:

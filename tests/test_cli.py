@@ -177,16 +177,41 @@ def test_time_trace_zero_rate(tmp_path, capsys, t_max_us, code):
 
 
 def test_orthogonality_loss_exits_4(tmp_path, capsys, monkeypatch):
-    # Zeeman-only pair: two zero levels, whose mixing the residual cannot see
+    # Zeeman-only pair: two zero levels, whose mixing the residual cannot see.
+    # At phi = 0 the Hamiltonian is real, so the corrupted V is real too.
     payload = {
         "kind": "angle-sweep",
         "radical_pair": {"j_exchange_mT": 0.0, "lifetime_us": 5.0},
         "params": {"b_mT": 0.05, "theta_deg": [0.0, 180.0, 3], "r_nm": 10.0},
     }
     path = _write_config(tmp_path, payload)
-    monkeypatch.setattr(dynamics, "_eigh", skew_null_pair(dynamics._eigh))
+    corrupted = skew_null_pair(dynamics._eigh)
+    dtypes = []
+
+    def recording(h):
+        w, v = corrupted(h)
+        dtypes.append(v.dtype)
+        return w, v
+
+    monkeypatch.setattr(dynamics, "_eigh", recording)
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4
     assert "orthogonality" in capsys.readouterr().err
+    assert dtypes == [np.float64]
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("peak-count", {"r_nm": 5.0, "b_grid": [0.5, 1.0, 0]}),
+        ("field-sweep", {"r_nm": 10.0, "b_grid": [0.5, 1.0, 0]}),
+    ],
+    ids=["peak-count", "field-sweep"],
+)
+def test_empty_grid_exits_2(tmp_path, capsys, kind, params):
+    path = _write_config(tmp_path, _minimal_angle_sweep(kind=kind, params=params))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "params.b_grid" in err and "[0.5, 1.0, 0]" in err
 
 
 def test_fmt_writes_signed_zero_as_zero():

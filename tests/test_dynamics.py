@@ -35,7 +35,7 @@ from nvrp.hamiltonian import (
 )
 from nvrp.oracle import rk4_evolve
 from nvrp.presets import fadtrp_config
-from nvrp.signal import integrated_observables, solve_pair
+from nvrp.signal import integrated_observables, observable_series, solve_pair
 from nvrp.spincore import SpinSystemLayout, site_operators
 
 from conftest import SPIN1_LAYOUTS, make_pair, random_pair, singlet_projector, skew_null_pair
@@ -123,17 +123,22 @@ def test_non_hermitian_rejected():
 
 
 def test_orthogonality_probe_catches_what_the_residual_misses(monkeypatch):
-    # Zeeman only (no nuclei, J = 0, no dipolar term): levels -w, 0, 0, +w
+    # Zeeman only (no nuclei, J = 0, no dipolar term): levels -w, 0, 0, +w.
+    # phi = 0.2 gives a complex H and V, phi = 0 a real H and a real V.
     cfg = make_pair()
-    h = build_rp_hamiltonian(cfg, FieldConfig(0.05, 0.3, 0.2))
-    corrupted = skew_null_pair(np.linalg.eigh)
-    w, v = corrupted(h)
-    assert np.linalg.norm((v * w) @ v.conj().T - h) < 1e-12 * np.linalg.norm(h)
-    assert np.linalg.norm(v.conj().T @ v - np.eye(4)) > 1e-3
-    make_propagator(h, cfg.effective_decay_rate)  # the true eigenvectors pass
-    monkeypatch.setattr(dynamics, "_eigh", corrupted)
-    with pytest.raises(NumericalError, match="orthogonality"):
-        make_propagator(h, cfg.effective_decay_rate)
+    real_eigh = dynamics._eigh
+    for phi, dtype in ((0.2, np.complex128), (0.0, np.float64)):
+        h = build_rp_hamiltonian(cfg, FieldConfig(0.05, 0.3, phi))
+        corrupted = skew_null_pair(real_eigh)
+        w, v = corrupted(h)
+        assert v.dtype == dtype
+        assert np.linalg.norm((v * w) @ v.conj().T - h) < 1e-12 * np.linalg.norm(h)
+        assert np.linalg.norm(v.conj().T @ v - np.eye(4)) > 1e-3
+        monkeypatch.setattr(dynamics, "_eigh", real_eigh)
+        make_propagator(h, cfg.effective_decay_rate)  # the true eigenvectors pass
+        monkeypatch.setattr(dynamics, "_eigh", corrupted)
+        with pytest.raises(NumericalError, match="orthogonality"):
+            make_propagator(h, cfg.effective_decay_rate)
 
 
 def test_drivers_agree_on_integrated_observables(monkeypatch):
@@ -163,6 +168,49 @@ def test_drivers_agree_on_integrated_observables(monkeypatch):
     evd = np.array([integrated_observables(cfg, f, rotation) for f in fields])
     assert drivers == ["evr", "evr"]
     assert np.all(np.abs(evr - evd) <= 1e-12 * np.max(np.abs(evd), axis=0))
+
+
+def test_real_generator_takes_the_real_path(fadtrp2):
+    """Only an exactly real H (phi = 0, molecular frame) gets float64 eigenvectors."""
+    field = FieldConfig(1.0, 0.7, 0.0)
+    prop, rho0 = solve_pair(fadtrp2, field)
+    assert prop.eigenvectors.dtype == np.float64
+    assert rho0.dtype == np.float64
+    haar = random_rotation(np.random.default_rng(3))
+    for prop in (
+        solve_pair(fadtrp2, field, haar)[0],
+        solve_pair(fadtrp2, FieldConfig(1.0, 0.7, 0.3))[0],
+    ):
+        assert prop.eigenvectors.dtype == np.complex128
+
+
+def test_real_path_agrees_with_complex_path(fadtrp2, monkeypatch):
+    """Means, series and yields from dsyevd match those from zheevd on the same H.
+
+    fadtrp-2n (d = 216) at phi = 0; each column within 1e-12 of its max.
+    """
+    cfg = fadtrp2
+    fields = [FieldConfig(b, th, 0.0) for b, th in [(0.05, 0.0), (1.0, 0.7), (3.0, 2.2)]]
+    t_max = 5.0 / cfg.effective_decay_rate
+    # 512 samples at half the Nyquist interval of each field's real-path spectrum
+    grids = [np.arange(512) * (0.5 * np.pi / solve_pair(cfg, f)[0].spectral_spread) for f in fields]
+
+    def results():
+        means, series, yields = [], [], []
+        for field, t in zip(fields, grids):
+            means.append(integrated_observables(cfg, field))
+            prop, _ = solve_pair(cfg, field)
+            series.append(observable_series(cfg, field, t).s_tilde)
+            n = nyquist_samples(prop, t_max)
+            yields.append(singlet_yield_mean(prop, cfg.initial_state, t_max, n))
+        return np.array(means), np.concatenate(series, axis=1).T, np.array(yields)[:, None]
+
+    real = results()
+    # the complex path on the same H: zheevd on H cast to complex
+    monkeypatch.setattr(dynamics, "_eigh", lambda h: np.linalg.eigh(np.asarray(h, dtype=complex)))
+    assert solve_pair(cfg, fields[1])[0].eigenvectors.dtype == np.complex128
+    for got, ref in zip(real, results()):
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
 
 
 def test_propagator_composition():

@@ -7,7 +7,7 @@ import pytest
 
 from nvrp import cli, dynamics, strongcoupling
 from nvrp.config import ExperimentConfig
-from nvrp.dynamics import initial_state
+from nvrp.dynamics import initial_state, make_propagator
 from nvrp.errors import NumericalError, PhysicsError
 from nvrp.hamiltonian import (
     FieldConfig,
@@ -17,6 +17,7 @@ from nvrp.hamiltonian import (
 )
 from nvrp.presets import STRONG_SENSOR, strongcoupling_config
 from nvrp.strongcoupling import (
+    _stabilize_degenerate,
     count_resolved_peaks,
     level_structure,
     peak_contrast,
@@ -228,8 +229,26 @@ def test_transition_continuity_in_field():
 
 
 
+@pytest.mark.parametrize("phi, dtype", [(0.0, np.float64), (0.3, np.complex128)])
+def test_stabilized_states_take_the_operators_dtype(bare_pair, phi, dtype):
+    """Real eigenvectors stay real for a real operator and turn complex for a complex one.
+
+    Zeeman levels of the bare pair along z: -w, 0, 0, +w.  Inside the
+    zero-level cluster the stabilised states diagonalise the operator.
+    """
+    prop = make_propagator(build_rp_hamiltonian(bare_pair, FieldConfig(0.5, 0.0, 0.0)), 0.0)
+    assert prop.eigenvectors.dtype == np.float64
+    op = build_coupling_hamiltonian(coupling_geometry(5.0, 0.4, phi), bare_pair.layout())
+    v = _stabilize_degenerate(prop, op)
+    assert v.dtype == dtype
+    assert np.allclose(v.conj().T @ v, np.eye(4), atol=1e-14)
+    sub = v[:, 1:3].conj().T @ op @ v[:, 1:3]
+    assert abs(sub[0, 1]) < 1e-12 * np.linalg.norm(op)
+
+
 def test_level_structure_checks_the_coupled_manifold(monkeypatch):
-    # a decomposition of H_RP + coupling that misses the residual bound
+    # a decomposition of H_RP + coupling that misses the residual bound; at
+    # phi = 0 both are real, so the corrupted V is real
     cfg = strongcoupling_config()
     field = FieldConfig(0.5, 0.4, 0.0)
     geom = coupling_geometry(5.0, 0.4, 0.0)
@@ -239,6 +258,7 @@ def test_level_structure_checks_the_coupled_manifold(monkeypatch):
     def corrupted(h):
         w, v = real_eigh(h)
         if np.array_equal(h, h1):
+            assert v.dtype == np.float64
             w = w.copy()
             w[0] += 1e-6 * np.linalg.norm(h)
         return w, v
