@@ -147,9 +147,7 @@ class Propagator:
 def _real_if_exact(h: np.ndarray) -> np.ndarray:
     """``h`` as float64 when its imaginary part is exactly zero, else ``h`` itself.
 
-    The one place that chooses between real and complex arithmetic: no
-    tolerance, so a complex Hermitian matrix with any nonzero imaginary
-    entry keeps the complex path.
+    The one choice between real and complex arithmetic, without tolerance.
     """
     if np.iscomplexobj(h):
         return np.ascontiguousarray(h.real) if not h.imag.any() else h
@@ -376,11 +374,7 @@ def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _real_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for real ``a`` and complex ``b``, as one real GEMM on b's (re, im) pairs.
-
-    ``a`` is not upcast to complex: the product takes the real and the
-    imaginary part of ``b`` together, as the columns of its float view.
-    """
+    """a @ b for real ``a`` and complex ``b``: one real GEMM on b's float view, ``a`` not upcast."""
     return (a @ np.ascontiguousarray(b).view(float)).view(complex)
 
 

@@ -126,19 +126,18 @@ def test_orthogonality_probe_catches_what_the_residual_misses(monkeypatch):
     # Zeeman only (no nuclei, J = 0, no dipolar term): levels -w, 0, 0, +w.
     # phi = 0.2 gives a complex H and V, phi = 0 a real H and a real V.
     cfg = make_pair()
-    real_eigh = dynamics._eigh
     for phi, dtype in ((0.2, np.complex128), (0.0, np.float64)):
         h = build_rp_hamiltonian(cfg, FieldConfig(0.05, 0.3, phi))
-        corrupted = skew_null_pair(real_eigh)
+        corrupted = skew_null_pair(dynamics._eigh)
         w, v = corrupted(h)
         assert v.dtype == dtype
         assert np.linalg.norm((v * w) @ v.conj().T - h) < 1e-12 * np.linalg.norm(h)
         assert np.linalg.norm(v.conj().T @ v - np.eye(4)) > 1e-3
-        monkeypatch.setattr(dynamics, "_eigh", real_eigh)
         make_propagator(h, cfg.effective_decay_rate)  # the true eigenvectors pass
-        monkeypatch.setattr(dynamics, "_eigh", corrupted)
-        with pytest.raises(NumericalError, match="orthogonality"):
-            make_propagator(h, cfg.effective_decay_rate)
+        with monkeypatch.context() as patched:
+            patched.setattr(dynamics, "_eigh", corrupted)
+            with pytest.raises(NumericalError, match="orthogonality"):
+                make_propagator(h, cfg.effective_decay_rate)
 
 
 def test_drivers_agree_on_integrated_observables(monkeypatch):
