@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible physics,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -18,7 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, load_config, validate_params
+from .config import ExperimentConfig, build_experiment, load_config, read_params
 from .dynamics import _expectation_series, _pair_spin_ops, nyquist_samples, singlet_yield_mean
 from .ensemble import EnsembleSpec, OrientationMode, ensemble_sweep
 from .errors import ConfigError, NumericalError, PhysicsError
@@ -31,12 +30,11 @@ from .hamiltonian import (
 )
 from .oracle import MAX_DIM, rk4_evolve
 from .presets import (
+    EARTH_FIELD_MT,
     Preset,
     get_preset,
-    grid_from_spec,
     list_presets,
     one_nucleus_config,
-    system_config,
     two_nucleus_config,
 )
 from .signal import (
@@ -83,17 +81,19 @@ def write_csv(
 ) -> Path:
     """CSV with a leading '# key: value' comment block; one entry of ``columns`` per header.
 
-    Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time.
+    Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time, as the
+    bytes ``csv.writer`` would write: comma-separated, CRLF-terminated.
+    No field is quoted; numbers never need it, and the only string
+    columns hold names from fixed option sets (``config.PARAMS``).
     """
     n = len(columns[0])
     with open(path, "w", newline="") as fh:
         for key, value in comments.items():
             fh.write(f"# {key}: {value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for lo in range(0, n, CSV_BLOCK_ROWS):
             block = [_format_column(col[lo : lo + CSV_BLOCK_ROWS]) for col in columns]
-            writer.writerows(zip(*block))
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*block))
     return path
 
 
@@ -107,29 +107,20 @@ def _base_comments(cfg: ExperimentConfig) -> dict[str, Any]:
     }
 
 
-def _theta_grid(params: dict, default: list[float] | None = None) -> np.ndarray:
-    spec = params.get("theta_deg", default or [0.0, 180.0, 181])
-    return np.deg2rad(grid_from_spec(spec, name="params.theta_deg"))
-
-
-def _b_grid(params: dict, default: list[float]) -> np.ndarray:
-    return grid_from_spec(params.get("b_grid", default), log=True, name="params.b_grid")
-
-
-def _prefactor(cfg: ExperimentConfig) -> float:
-    scale = cfg.params.get("scale", "single_molecule")
-    if scale == "single_molecule":
-        return single_molecule_prefactor(float(cfg.params.get("r_nm", 10.0)))
-    if scale == "max_aligned":
+def _prefactor(cfg: ExperimentConfig, p: dict[str, Any]) -> float:
+    if p["scale"] == "max_aligned":
         return aligned_prefactor(cfg.sensor)
-    raise ConfigError(f"params.scale: unknown scale {scale!r}")
+    return single_molecule_prefactor(p["r_nm"])
+
+
+def _t_max(p: dict[str, Any]) -> float | None:
+    return None if p["t_max_us"] is None else p["t_max_us"] * 1e-6
 
 
 def _require_rp(cfg: ExperimentConfig) -> RadicalPairConfig:
     if cfg.radical_pair is None:
         raise ConfigError(
-            f"radical_pair: required for kind {cfg.kind!r} "
-            "(give the section or params.system in a preset)"
+            f"radical_pair: required for kind {cfg.kind!r} (give the section or params.system)"
         )
     return cfg.radical_pair
 
@@ -152,10 +143,9 @@ _SWEEP_HEADER = ["sweep_value", "X_x_I", "X_y_I", "X_z_I", "X_x_I_norm", "X_z_I_
 
 
 def run_coupling_map(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
-    r_lo, r_hi, nr = cfg.params.get("r_nm", [5.0, 30.0, 26])
-    radii = np.linspace(r_lo, r_hi, int(nr))
-    thetas = _theta_grid(cfg.params, [0.0, 180.0, 37])
-    r_col, th_col = (a.ravel() for a in np.meshgrid(radii, thetas, indexing="ij"))
+    p = read_params(cfg.kind, cfg.params)
+    thetas = np.deg2rad(p["theta_deg"])
+    r_col, th_col = (a.ravel() for a in np.meshgrid(p["r_nm"], thetas, indexing="ij"))
     g_col = [coupling_geometry(float(r), float(th), 0.0).g_eff / (2 * np.pi)
              for r, th in zip(r_col, th_col)]
     header = ["r_nm", "theta_rad", "g_eff_over_2pi_hz"]
@@ -163,24 +153,17 @@ def run_coupling_map(cfg: ExperimentConfig, out: Path, threads: int) -> list[Pat
     return [write_csv(out / "coupling_map.csv", comments, header, [r_col, th_col, g_col])]
 
 
-def _t_max(cfg: ExperimentConfig) -> float | None:
-    value = cfg.params.get("t_max_us")
-    return None if value is None else float(value) * 1e-6
-
-
 def run_time_trace(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     rp = _require_rp(cfg)
-    b = float(cfg.params.get("b_mT", 1.16))
-    theta = np.deg2rad(float(cfg.params.get("theta_deg", 0.0)))
-    phi = np.deg2rad(float(cfg.params.get("phi_deg", 0.0)))
-    r_nm = float(cfg.params.get("r_nm", 10.0))
-    n = int(cfg.params.get("n_samples", 32768))
-    t_max = _t_max(cfg)
+    p = read_params(cfg.kind, cfg.params)
+    b, r_nm = p["b_mT"], p["r_nm"]
+    theta, phi = np.deg2rad(p["theta_deg"]), np.deg2rad(p["phi_deg"])
+    t_max = _t_max(p)
     if t_max is None:
         if rp.effective_decay_rate == 0:
             raise ConfigError("params.t_max_us: required when the decay rate is zero")
         t_max = _default_t_max(rp)
-    t_grid = np.linspace(0.0, t_max, n, endpoint=False)
+    t_grid = np.linspace(0.0, t_max, p["n_samples"], endpoint=False)
     series = observable_series(rp, FieldConfig(b, theta, phi), t_grid)
     trace = signal_single_molecule(series, r_nm)
     spec = spectrum(trace)
@@ -195,13 +178,13 @@ def run_time_trace(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
 
 def run_field_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     rp = _require_rp(cfg)
-    grid = _b_grid(cfg.params, [0.01, 50.0, 60])
+    p = read_params(cfg.kind, cfg.params)
     result = sweep_field_magnitude(
         rp,
-        b_grid_mT=grid,
-        prefactor=_prefactor(cfg),
-        t_max=_t_max(cfg),
-        densify=bool(cfg.params.get("densify", False)),
+        b_grid_mT=p["b_grid"],
+        prefactor=_prefactor(cfg, p),
+        t_max=_t_max(p),
+        densify=p["densify"],
         threads=threads,
     )
     comments = _base_comments(cfg) | {"sweep": "field magnitude, mT"}
@@ -210,16 +193,16 @@ def run_field_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path
 
 def run_angle_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     rp = _require_rp(cfg)
-    b = float(cfg.params.get("b_mT", 1.16))
-    thetas = _theta_grid(cfg.params)
+    p = read_params(cfg.kind, cfg.params)
+    b = p["b_mT"]
     result = sweep_field_angle(
         rp,
         b_mT=b,
-        theta_grid=thetas,
-        phi=np.deg2rad(float(cfg.params.get("phi_deg", 0.0))),
-        prefactor=_prefactor(cfg),
-        t_max=_t_max(cfg),
-        normalize=bool(cfg.params.get("normalize", True)),
+        theta_grid=np.deg2rad(p["theta_deg"]),
+        phi=np.deg2rad(p["phi_deg"]),
+        prefactor=_prefactor(cfg, p),
+        t_max=_t_max(p),
+        normalize=p["normalize"],
         threads=threads,
     )
     comments = _base_comments(cfg) | {"sweep": "field polar angle, rad", "b_mT": b}
@@ -228,21 +211,20 @@ def run_angle_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path
 
 def run_ensemble(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     rp = _require_rp(cfg)
-    grid = _b_grid(cfg.params, [0.05, 10.0, 10])
-    n_real = int(cfg.params.get("n_realizations", 50))
-    n_mol = cfg.params.get("n_molecules")
-    r_range = tuple(cfg.params.get("r_range_nm", (cfg.sensor.r1_nm, cfg.sensor.r2_nm)))
+    p = read_params(cfg.kind, cfg.params)
+    n_mol = p["n_molecules"]
+    r_range = tuple(p["r_range_nm"] or (cfg.sensor.r1_nm, cfg.sensor.r2_nm))
     parts = []
     for mode in (OrientationMode.ALIGNED, OrientationMode.HAAR):
         spec = EnsembleSpec(
-            n_realizations=n_real,
+            n_realizations=p["n_realizations"],
             orientation_mode=mode,
             r_range_nm=r_range,
             seed=cfg.seed,
             density_per_nm3=None if n_mol is not None else cfg.sensor.density_per_nm3,
-            n_molecules=None if n_mol is None else int(n_mol),
+            n_molecules=n_mol,
         )
-        stats = ensemble_sweep(rp, spec, b_grid_mT=grid, threads=threads)
+        stats = ensemble_sweep(rp, spec, b_grid_mT=p["b_grid"], threads=threads)
         n = len(stats.grid)
         parts.append([stats.grid, stats.mean[0], stats.variance[0], stats.mean[2],
                       stats.variance[2], [mode.value] * n, [cfg.seed] * n])
@@ -253,10 +235,9 @@ def run_ensemble(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
 
 def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     rp = _require_rp(cfg)
-    r_nm = float(cfg.params.get("r_nm", 5.0))
-    theta = np.deg2rad(float(cfg.params.get("theta_deg", 0.0)))
-    phi = np.deg2rad(float(cfg.params.get("phi_deg", 0.0)))
-    grid = _b_grid(cfg.params, [0.05, 10.0, 24])
+    p = read_params(cfg.kind, cfg.params)
+    r_nm, grid = p["r_nm"], p["b_grid"]
+    theta, phi = np.deg2rad(p["theta_deg"]), np.deg2rad(p["phi_deg"])
     t_max = _default_t_max(rp)
     gamma = cfg.sensor.gamma_hz
     geom = coupling_geometry(r_nm, theta, phi)
@@ -280,36 +261,30 @@ def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     return [p1, p2]
 
 
-def _anisotropy_cases(params: dict) -> tuple[list, dict[str, Any]]:
-    j = float(params.get("j_mT", 0.25))
-    cases = params.get("cases", ["iso", "axial1", "axial2", "axial3", "rhombic"])
-    pairs = [(case, one_nucleus_config(case, j_exchange_mT=j)) for case in cases]
+def _anisotropy_cases(p: dict[str, Any]) -> tuple[list, dict[str, Any]]:
+    j = p["j_mT"]
+    pairs = [(case, one_nucleus_config(case, j_exchange_mT=j)) for case in p["cases"]]
     return pairs, {"j_mT": j, "sweep": "theta, rad"}
 
 
-def _exchange_cases(params: dict) -> tuple[list, dict[str, Any]]:
-    case = params.get("case", "axial3")
-    r_rp = params.get("r_rp_nm", 2.5)
+def _exchange_cases(p: dict[str, Any]) -> tuple[list, dict[str, Any]]:
+    case, r_rp = p["case"], p["r_rp_nm"]
     base = one_nucleus_config(case, r_rp_nm=r_rp)
-    j_grid = [float(j) for j in params.get("j_grid_mT", [0.0, 0.25, 0.5, 1.0])]
-    return [(j, with_exchange(base, j)) for j in j_grid], {"case": case, "r_rp_nm": r_rp}
+    return [(j, with_exchange(base, j)) for j in p["j_grid_mT"]], {"case": case, "r_rp_nm": r_rp}
 
 
-def _lifetime_cases(params: dict) -> tuple[list, dict[str, Any]]:
-    case = params.get("case", "axial3")
-    taus_us = [float(t) for t in params.get("tau_us", [1.0, 2.5, 5.0, 10.0, 25.0])]
-    if any(t2 <= t1 for t1, t2 in zip(taus_us, taus_us[1:])):
-        raise ConfigError("params.tau_us: lifetime grid must be strictly increasing")
-    base = two_nucleus_config(case)
-    return [(tau, with_lifetime(base, tau * 1e-6)) for tau in taus_us], {"case": case}
+def _lifetime_cases(p: dict[str, Any]) -> tuple[list, dict[str, Any]]:
+    base = two_nucleus_config(p["case"])
+    pairs = [(tau, with_lifetime(base, tau * 1e-6)) for tau in p["tau_us"]]
+    return pairs, {"case": p["case"]}
 
 
 #: kind -> (scanned column, its (value, pair) list and comments from params,
-#: default theta grid, write a summary CSV instead of normalising)
+#: write a summary CSV instead of normalising)
 _SCANS = {
-    "anisotropy-sweep": ("case", _anisotropy_cases, [0.0, 180.0, 181], False),
-    "exchange-sweep": ("j_mT", _exchange_cases, [0.0, 180.0, 61], True),
-    "lifetime-sweep": ("tau_us", _lifetime_cases, [0.0, 180.0, 61], True),
+    "anisotropy-sweep": ("case", _anisotropy_cases, False),
+    "exchange-sweep": ("j_mT", _exchange_cases, True),
+    "lifetime-sweep": ("tau_us", _lifetime_cases, True),
 }
 
 
@@ -322,11 +297,12 @@ def _yield_at_theta0(rp: RadicalPairConfig, b_mT: float) -> float:
 
 def run_parameter_scan(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     """One angle sweep per value of a scanned pair parameter (see ``_SCANS``)."""
-    column, make_cases, theta_default, summarize = _SCANS[cfg.kind]
-    pairs, scan_comments = make_cases(cfg.params)
-    b = float(cfg.params.get("b_mT", 0.05))
-    thetas = _theta_grid(cfg.params, theta_default)
-    pref = single_molecule_prefactor(float(cfg.params.get("r_nm", 10.0)))
+    column, make_cases, summarize = _SCANS[cfg.kind]
+    p = read_params(cfg.kind, cfg.params)
+    pairs, scan_comments = make_cases(p)
+    b = p["b_mT"]
+    thetas = np.deg2rad(p["theta_deg"])
+    pref = single_molecule_prefactor(p["r_nm"])
     parts, summary = [], []
     for value, rp in pairs:
         result = sweep_field_angle(
@@ -364,17 +340,17 @@ _RUNNERS = {
 
 def run_oracle_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
     """Cross-check the eigen-propagator against the RK4 reference."""
+    p = read_params(cfg.kind, cfg.params)
     rp = cfg.radical_pair
     if rp is None:
-        rp = one_nucleus_config(cfg.params.get("cases", ["axial3"])[0])
+        rp = one_nucleus_config(p.get("cases", ["axial3"])[0])
     layout = rp.layout()
     if layout.total_dimension > MAX_DIM:
         raise PhysicsError(
             f"oracle cross-check handles dim <= {MAX_DIM}, system has "
             f"{layout.total_dimension}"
         )
-    b = float(cfg.params.get("b_mT", 0.05))
-    field = FieldConfig(b, 0.0, 0.0)
+    field = FieldConfig(p.get("b_mT", EARTH_FIELD_MT), 0.0, 0.0)
     prop, rho0 = solve_pair(rp, field)
     h = build_rp_hamiltonian(rp, field)  # RK4 integrates H itself
 
@@ -402,15 +378,9 @@ def run_oracle_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def experiment_from_preset(preset: Preset, seed: int | None) -> ExperimentConfig:
-    params = dict(preset.params)
-    validate_params(preset.kind, params)
-    rp = system_config(params["system"]) if "system" in params else None
-    return ExperimentConfig(
-        kind=preset.kind,
-        radical_pair=rp,
-        sensor=preset.sensor if preset.sensor is not None else SensorParams(),
-        params=params,
-        seed=seed if seed is not None else 0,
+    sensor = preset.sensor if preset.sensor is not None else SensorParams()
+    return build_experiment(
+        preset.kind, None, sensor, preset.params, seed if seed is not None else 0
     )
 
 

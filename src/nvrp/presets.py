@@ -19,13 +19,9 @@ single-radical observable at zero).
 from __future__ import annotations
 
 import difflib
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
-from .errors import ConfigError
 from .hamiltonian import (
     InitialElectronState,
     Nucleus,
@@ -273,24 +269,17 @@ def list_presets() -> list[tuple[str, str]]:
     return [(p.name, p.description) for p in PRESETS.values()]
 
 
+#: the named spin systems a preset or config file selects through ``params.system``
+SYSTEMS = {
+    "fadtrp-2n": lambda: fadtrp_config(2),
+    "fadtrp-3n": lambda: fadtrp_config(3),
+    "pydma": pydma_config,
+    "strongcoupling": strongcoupling_config,
+}
+
+
 def system_config(name: str) -> RadicalPairConfig:
     """Resolve a named spin system used inside presets."""
-    systems = {
-        "fadtrp-2n": lambda: fadtrp_config(2),
-        "fadtrp-3n": lambda: fadtrp_config(3),
-        "pydma": pydma_config,
-        "strongcoupling": strongcoupling_config,
-    }
-    if name not in systems:
-        raise KeyError(f"unknown system {name!r}; options: {sorted(systems)}")
-    return systems[name]()
-
-
-def grid_from_spec(spec: list[float], log: bool = False, name: str = "grid") -> np.ndarray:
-    """[lo, hi, n] -> linear or log grid; ConfigError naming ``name`` when n < 1."""
-    lo, hi, n = spec
-    if int(n) < 1:
-        raise ConfigError(f"{name}: grid {list(spec)} must have at least one point, got {n}")
-    if log:
-        return np.logspace(math.log10(lo), math.log10(hi), int(n))
-    return np.linspace(lo, hi, int(n))
+    if name not in SYSTEMS:
+        raise KeyError(f"unknown system {name!r}; options: {sorted(SYSTEMS)}")
+    return SYSTEMS[name]()

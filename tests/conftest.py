@@ -1,6 +1,7 @@
 """Shared fixtures: small reference systems used across the suite."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,11 @@ def earth_field() -> FieldConfig:
 @pytest.fixture
 def sensor() -> SensorParams:
     return SensorParams()
+
+
+def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n fields from lo to hi, evenly spaced in log10, as a params ``b_grid`` makes them."""
+    return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
 def make_pair(

@@ -36,7 +36,6 @@ from nvrp.hamiltonian import (
 from nvrp.oracle import rk4_evolve
 from nvrp.presets import (
     fadtrp_config,
-    grid_from_spec,
     one_nucleus_config,
     strongcoupling_config,
     two_nucleus_config,
@@ -52,6 +51,8 @@ from nvrp.signal import (
 )
 from nvrp.spincore import site_operators
 from nvrp.strongcoupling import count_resolved_peaks, level_structure
+
+from conftest import log_grid
 
 PREFACTOR_10NM = single_molecule_prefactor(10.0)
 
@@ -220,7 +221,7 @@ def test_criterion_5_lfe_shape():
     """One dominant low-field maximum below 5 mT; high-field tail < 10%."""
     with Budget("criterion 5", 600.0) as budget:
         cfg = one_nucleus_config("axial3")
-        grid = grid_from_spec([0.01, 50.0, 60], log=True)
+        grid = log_grid(0.01, 50.0, 60)
         res = sweep_field_magnitude(cfg, grid, prefactor=PREFACTOR_10NM)
         z = np.abs(res.x_integrated[2])
         i_max = int(np.argmax(z))
@@ -321,7 +322,7 @@ def test_criterion_8_ensemble_averaging():
     """Random orientations suppress the aligned ensemble's peak feature."""
     with Budget("criterion 8", 1800.0) as budget:
         cfg = fadtrp_config(2)
-        grid = grid_from_spec([0.1, 5.0, 14], log=True)
+        grid = log_grid(0.1, 5.0, 14)
         common = dict(
             n_realizations=50,
             r_range_nm=(5.0, 20.0),
@@ -366,7 +367,7 @@ def test_criterion_9_strong_coupling_bounds():
 
         bare = RadicalPairConfig(recombination_rate=2e5)
         bare_ok = True
-        for b in grid_from_spec([0.05, 10.0, 16], log=True):
+        for b in log_grid(0.05, 10.0, 16):
             levels = level_structure(bare, FieldConfig(float(b), 0.0, 0.0), geom)
             bare_ok &= count_resolved_peaks(levels.transition_freqs_hz, gamma).count <= 4
 
@@ -375,7 +376,7 @@ def test_criterion_9_strong_coupling_bounds():
         bound = 2 ** (n_nuclei + 2)
         assert cfg.layout().total_dimension == bound == 64
         peaks_ok = True
-        for b in grid_from_spec([0.05, 10.0, 16], log=True):
+        for b in log_grid(0.05, 10.0, 16):
             levels = level_structure(cfg, FieldConfig(float(b), 0.0, 0.0), geom)
             peaks_ok &= count_resolved_peaks(levels.transition_freqs_hz, gamma).count <= bound
 

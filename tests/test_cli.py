@@ -9,7 +9,14 @@ import pytest
 
 from nvrp import cli, dynamics
 from nvrp.cli import _fmt, experiment_from_preset, main, run
-from nvrp.config import _KIND_PARAMS, KINDS, ExperimentConfig, load_config, parse_experiment
+from nvrp.config import (
+    KINDS,
+    PARAMS,
+    ExperimentConfig,
+    load_config,
+    parse_experiment,
+    read_params,
+)
 from nvrp.dynamics import nyquist_samples, singlet_yield_mean
 from nvrp.errors import ConfigError
 from nvrp.hamiltonian import FieldConfig, SensorParams
@@ -17,6 +24,9 @@ from nvrp.presets import ALIASES, PRESETS, get_preset, one_nucleus_config
 from nvrp.signal import solve_pair, with_exchange
 
 from conftest import skew_null_pair
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _read_csv_rows(path: Path) -> list[str]:
@@ -66,6 +76,36 @@ def test_every_preset_validates():
         reparsed = parse_experiment(json.loads(json.dumps(cfg.canonical_dict())))
         assert reparsed.kind == cfg.kind
         assert reparsed.config_hash() == cfg.config_hash()
+
+
+#: config_hash() of every preset and shipped config file, computed before the
+#: params were typed through config.PARAMS; the hash heads every CSV and manifest
+_PINNED_HASHES = {
+    "fig3-coupling-map": "155dd3b257e7e2fe31b92cb572b4bfebeb9250b8792a164c77a543cca31a7db5",
+    "fig4a-time-trace": "f0402408283bb38a99c055e803de9d9feca648e50690edb82eb25057d6f295e1",
+    "fig4c-field-sweep": "3fc0db51ae55038fe23d4c16782c26678b1b4a1a75f857bcf43beaa615c49119",
+    "fig4e-angle-sweep": "14e6e66b15c5997d2c2b9f1a8da5eeb0ce13b146d0122333de111aa3ef274bd3",
+    "fig5-ensemble": "b347e6ae687a9d951591cba7f205bebea0b589418ee2cd818fd3b228cdb16ff1",
+    "fig6c-peak-count": "5a1fd3b0d26ee42d04612e552013dfd03d34238b012c1d020fc9523902bb07eb",
+    "fig7-hyperfine-anisotropy": "d43594ecce6399a3dc70dbb3fcb35b58c771c09755bc9033d7dcb863574a4b3e",
+    "fig8-exchange-sweep": "58ce2f5812492a5c631c314e6643575023be289aa3fe2046e4410406c42a542d",
+    "fig9-lifetime-sweep": "e0bde6e98669be8b50ab3e1bd5022652192c25ee161512342eaeb0e53056732f",
+    "fig7-hyperfine-anisotropy-iso": "8dfdf7489500584151d2c79c6c6dc0e5ed5173d9251e27c8c1ad5065b06b8e33",
+    "fig7-hyperfine-anisotropy-axial1": "c7b67542db57de53638759de9b7d438a30aa80394ddb872cebf39ae0b8aa5acf",
+    "fig7-hyperfine-anisotropy-axial2": "77e5a899c11d67cb6dc14cafb9d29cd7e9fbd14072f859712b74ae2bf1875449",
+    "fig7-hyperfine-anisotropy-axial3": "6ad66cde7baac0ae02f740f415f7b9a2850d50e11805f0b25e78bf4b1c45cbd9",
+    "fig7-hyperfine-anisotropy-rhombic": "ca278ee0dd7a6fe731909456da396edb99626cf1c31cbbac5a8f5cf11213c401",
+    "fadtrp_2n_angle_sweep.json": "6381fb0a04f0ec1fbe38b9cce070a0ea2d1f39a4678709d63a72d35633365863",
+    "fadtrp_2n_field_sweep.json": "50fe64419031bf190fc5e777f7102f28639560b60815ca039e1db7d6ad8ebebc",
+    "pydma_angle_sweep.json": "201b283c197ff66a0117c4e89c6f6ada100cabfd4e6a6792d8fb69757ef3854d",
+}
+
+
+def test_config_hashes_are_pinned():
+    hashes = {name: experiment_from_preset(p, seed=None).config_hash() for name, p in PRESETS.items()}
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        hashes[path.name] = load_config(path).config_hash()
+    assert hashes == _PINNED_HASHES
 
 
 # -- config files ---------------------------------------------------------------
@@ -200,18 +240,92 @@ def test_orthogonality_loss_exits_4(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kind, params",
+    "kind, key, params",
     [
-        ("peak-count", {"r_nm": 5.0, "b_grid": [0.5, 1.0, 0]}),
-        ("field-sweep", {"r_nm": 10.0, "b_grid": [0.5, 1.0, 0]}),
+        ("peak-count", "b_grid", {"r_nm": 5.0, "b_grid": [0.5, 1.0, 0]}),
+        ("field-sweep", "b_grid", {"r_nm": 10.0, "b_grid": [0.5, 1.0, 0]}),
+        ("coupling-map", "r_nm", {"r_nm": [5, 30, 0]}),
     ],
-    ids=["peak-count", "field-sweep"],
+    ids=["peak-count", "field-sweep", "coupling-map"],
 )
-def test_empty_grid_exits_2(tmp_path, capsys, kind, params):
+def test_empty_grid_exits_2(tmp_path, capsys, kind, key, params):
     path = _write_config(tmp_path, _minimal_angle_sweep(kind=kind, params=params))
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "params.b_grid" in err and "[0.5, 1.0, 0]" in err
+    assert f"params.{key}" in err and str(params[key]) in err
+
+
+#: (kind, params, the key the diagnostic must name): wrong types and out-of-range values
+_BAD_PARAMS = [
+    ("time-trace", {"r_nm": [1, 2]}, "r_nm"),
+    ("time-trace", {"theta_deg": [0, 90, 3]}, "theta_deg"),
+    ("exchange-sweep", {"j_grid_mT": []}, "j_grid_mT"),
+    ("anisotropy-sweep", {"cases": ["nope"]}, "cases"),
+    ("coupling-map", {"r_nm": [5, 30, 0]}, "r_nm"),
+    ("angle-sweep", {"normalize": "false"}, "normalize"),
+    ("field-sweep", {"densify": "no"}, "densify"),
+    ("ensemble", {"n_realizations": 2.7}, "n_realizations"),
+    ("angle-sweep", {"b_mT": None}, "b_mT"),
+    ("angle-sweep", {"theta_deg": [0, 180, 2.5]}, "theta_deg"),
+    ("angle-sweep", {"theta_deg": [0, 180]}, "theta_deg"),
+    ("angle-sweep", {"system": "nope"}, "system"),
+    ("angle-sweep", {"t_max_us": 0.0}, "t_max_us"),
+    ("time-trace", {"n_samples": 1}, "n_samples"),
+    ("time-trace", {"r_nm": 0.0}, "r_nm"),
+    ("field-sweep", {"b_grid": [0.0, 1.0, 3]}, "b_grid"),
+    ("field-sweep", {"scale": "huge"}, "scale"),
+    ("ensemble", {"n_molecules": 0}, "n_molecules"),
+    ("ensemble", {"n_realizations": 0}, "n_realizations"),
+    ("ensemble", {"r_range_nm": [5.0]}, "r_range_nm"),
+    ("ensemble", {"r_range_nm": [-5.0, 20.0]}, "r_range_nm"),
+    ("ensemble", {"r_range_nm": [20.0, 5.0]}, "r_range_nm"),
+    ("peak-count", {"r_nm": -5.0}, "r_nm"),
+    ("coupling-map", {"theta_deg": ["a", 90, 3]}, "theta_deg"),
+    ("anisotropy-sweep", {"cases": "iso"}, "cases"),
+    ("exchange-sweep", {"case": "nope"}, "case"),
+    ("exchange-sweep", {"r_rp_nm": -1.0}, "r_rp_nm"),
+    ("exchange-sweep", {"j_grid_mT": [0.0, True]}, "j_grid_mT"),
+    ("lifetime-sweep", {"tau_us": [5.0, 2.5]}, "tau_us"),
+    ("lifetime-sweep", {"tau_us": [0.0, 2.5]}, "tau_us"),
+    ("anisotropy-sweep", {"b_mT": float("nan")}, "b_mT"),
+    ("coupling-map", {"r_nm": [5.0, float("inf"), 3]}, "r_nm"),
+]
+
+
+def _bad_config_exits_2(tmp_path, capsys, kind, params, key):
+    path = _write_config(tmp_path, _minimal_angle_sweep(kind=kind, params=params))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2, (kind, params)
+    assert f"params.{key}" in capsys.readouterr().err, (kind, params)
+
+
+@pytest.mark.parametrize("kind, params, key", _BAD_PARAMS)
+def test_bad_param_value_exits_2(tmp_path, capsys, kind, params, key):
+    _bad_config_exits_2(tmp_path, capsys, kind, params, key)
+
+
+def test_every_param_rejects_a_wrong_type(tmp_path, capsys):
+    # an object is a valid value of no parameter
+    for kind in KINDS:
+        for key in PARAMS[kind]:
+            _bad_config_exits_2(tmp_path, capsys, kind, {key: {"lo": 1}}, key)
+
+
+def test_params_system_resolves_like_a_preset(tmp_path, capsys):
+    fig4e = get_preset("fig4e-angle-sweep")
+    small = dataclasses.replace(fig4e, params=dict(fig4e.params, theta_deg=[0.0, 180.0, 7]))
+    run(experiment_from_preset(small, seed=None), tmp_path / "preset")
+    path = _write_config(tmp_path, {"kind": small.kind, "params": small.params})
+    assert main(["--config", str(path), "--out", str(tmp_path / "file")]) == 0
+    csv_name = "angle_sweep.csv"
+    assert (tmp_path / "file" / csv_name).read_bytes() == (
+        tmp_path / "preset" / csv_name
+    ).read_bytes()
+    # a radical_pair section must be the pair params.system names
+    payload = _minimal_angle_sweep()
+    payload["params"]["system"] = "fadtrp-2n"
+    path = _write_config(tmp_path, payload)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "params.system" in capsys.readouterr().err
 
 
 def test_fmt_writes_signed_zero_as_zero():
@@ -301,15 +415,15 @@ def test_seed_option_reaches_ensemble(tmp_path, monkeypatch):
 
 
 class _RecordingParams(dict):
-    """A params mapping that records the keys read through ``get``."""
+    """The reader's typed params, recording the keys read from them into ``read``."""
 
-    def __init__(self, params):
+    def __init__(self, params, read):
         super().__init__(params)
-        self.read = set()
+        self.read = read
 
-    def get(self, key, default=None):
+    def __getitem__(self, key):
         self.read.add(key)
-        return super().get(key, default)
+        return super().__getitem__(key)
 
 
 #: a small run of every experiment kind
@@ -326,17 +440,21 @@ _SMALL_PARAMS = {
 }
 
 
-def test_runners_cover_kinds_and_read_their_params(tmp_path):
+def test_runners_cover_kinds_and_read_their_params(tmp_path, monkeypatch):
     assert set(cli._RUNNERS) == set(KINDS) == set(_SMALL_PARAMS)
+    read = set()
+    monkeypatch.setattr(
+        cli, "read_params", lambda kind, params: _RecordingParams(read_params(kind, params), read)
+    )
     for kind in KINDS:
-        params = _RecordingParams(_SMALL_PARAMS[kind])
+        read.clear()
         cfg = ExperimentConfig(
             kind=kind, radical_pair=one_nucleus_config("axial3"), sensor=SensorParams(),
-            params=params,
+            params=_SMALL_PARAMS[kind],
         )
         run(cfg, tmp_path / kind)
-        # "system" is resolved by presets before the runner starts
-        assert params.read == set(_KIND_PARAMS[kind]) - {"system"}, kind
+        # "system" is resolved into the radical pair before the runner starts
+        assert read == set(PARAMS[kind]) - {"system"}, kind
 
 
 def test_threads_do_not_change_output(tmp_path):
@@ -400,10 +518,7 @@ def test_oracle_mode(tmp_path, capsys):
 
 
 def test_shipped_example_configs_load():
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[1] / "configs"
-    files = sorted(root.glob("*.json"))
+    files = sorted(CONFIG_DIR.glob("*.json"))
     assert files, "example config files are missing"
     for f in files:
         cfg = load_config(f)

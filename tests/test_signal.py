@@ -5,7 +5,6 @@ import pytest
 
 from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import FieldConfig, SensorParams
-from nvrp.presets import grid_from_spec
 from nvrp.signal import (
     SignalTrace,
     aligned_prefactor,
@@ -19,7 +18,7 @@ from nvrp.signal import (
 )
 from nvrp.spincore import isotropic_tensor
 
-from conftest import make_pair
+from conftest import log_grid, make_pair
 
 
 def _const_trace(values, n=64, dt=1e-8):
@@ -154,7 +153,7 @@ def test_symmetric_iso_zero_field_null(sensor):
 
 
 def test_high_field_suppression(axial3_pair, sensor):
-    grid = grid_from_spec([0.01, 50.0, 24], log=True)
+    grid = log_grid(0.01, 50.0, 24)
     res = sweep_field_magnitude(axial3_pair, grid, aligned_prefactor(sensor))
     z = np.abs(res.x_integrated[2])
     assert z[-1] < 0.10 * np.max(z)
@@ -167,7 +166,7 @@ def test_lfe_peak_location_against_oracle(axial3_pair, sensor):
     from nvrp.oracle import rk4_evolve
     from nvrp.spincore import site_operators
 
-    grid = grid_from_spec([0.1, 5.0, 18], log=True)
+    grid = log_grid(0.1, 5.0, 18)
     res = sweep_field_magnitude(axial3_pair, grid, aligned_prefactor(sensor))
     z = np.abs(res.x_integrated[2])
     i_peak = int(np.argmax(z))
@@ -197,7 +196,7 @@ def test_lfe_peak_location_against_oracle(axial3_pair, sensor):
 
 
 def test_densify_adds_points(axial3_pair, sensor):
-    grid = grid_from_spec([0.1, 5.0, 10], log=True)
+    grid = log_grid(0.1, 5.0, 10)
     res = sweep_field_magnitude(axial3_pair, grid, aligned_prefactor(sensor), densify=True)
     assert res.grid.shape[0] > 10
     assert np.all(np.diff(res.grid) > 0)
