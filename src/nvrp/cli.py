@@ -107,22 +107,24 @@ def _base_comments(cfg: ExperimentConfig) -> dict[str, Any]:
     }
 
 
-def _prefactor(cfg: ExperimentConfig, p: dict[str, Any]) -> float:
+#: an experiment's params as ``config.read_params`` returns them
+Params = dict[str, Any]
+
+
+def _prefactor(cfg: ExperimentConfig, p: Params) -> float:
     if p["scale"] == "max_aligned":
         return aligned_prefactor(cfg.sensor)
     return single_molecule_prefactor(p["r_nm"])
 
 
-def _t_max(p: dict[str, Any]) -> float | None:
-    return None if p["t_max_us"] is None else p["t_max_us"] * 1e-6
-
-
-def _require_rp(cfg: ExperimentConfig) -> RadicalPairConfig:
-    if cfg.radical_pair is None:
-        raise ConfigError(
-            f"radical_pair: required for kind {cfg.kind!r} (give the section or params.system)"
-        )
-    return cfg.radical_pair
+def _window(rp: RadicalPairConfig, p: Params) -> float:
+    """The signal window T in s: ``params.t_max_us`` if the kind takes and gives it, else 5/k."""
+    if "t_max_us" in p:
+        if p["t_max_us"] is not None:
+            return p["t_max_us"] * 1e-6
+        if rp.effective_decay_rate == 0:
+            raise ConfigError("params.t_max_us: required when the decay rate is zero")
+    return _default_t_max(rp)
 
 
 def _sweep_columns(result) -> list[np.ndarray]:
@@ -142,8 +144,7 @@ def _concat_columns(parts: Sequence[Sequence[Any]]) -> list[np.ndarray]:
 _SWEEP_HEADER = ["sweep_value", "X_x_I", "X_y_I", "X_z_I", "X_x_I_norm", "X_z_I_norm"]
 
 
-def run_coupling_map(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
-    p = read_params(cfg.kind, cfg.params)
+def run_coupling_map(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
     thetas = np.deg2rad(p["theta_deg"])
     r_col, th_col = (a.ravel() for a in np.meshgrid(p["r_nm"], thetas, indexing="ij"))
     g_col = [coupling_geometry(float(r), float(th), 0.0).g_eff / (2 * np.pi)
@@ -153,17 +154,11 @@ def run_coupling_map(cfg: ExperimentConfig, out: Path, threads: int) -> list[Pat
     return [write_csv(out / "coupling_map.csv", comments, header, [r_col, th_col, g_col])]
 
 
-def run_time_trace(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
-    rp = _require_rp(cfg)
-    p = read_params(cfg.kind, cfg.params)
+def run_time_trace(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
+    rp = cfg.radical_pair
     b, r_nm = p["b_mT"], p["r_nm"]
     theta, phi = np.deg2rad(p["theta_deg"]), np.deg2rad(p["phi_deg"])
-    t_max = _t_max(p)
-    if t_max is None:
-        if rp.effective_decay_rate == 0:
-            raise ConfigError("params.t_max_us: required when the decay rate is zero")
-        t_max = _default_t_max(rp)
-    t_grid = np.linspace(0.0, t_max, p["n_samples"], endpoint=False)
+    t_grid = np.linspace(0.0, _window(rp, p), p["n_samples"], endpoint=False)
     series = observable_series(rp, FieldConfig(b, theta, phi), t_grid)
     trace = signal_single_molecule(series, r_nm)
     spec = spectrum(trace)
@@ -176,14 +171,13 @@ def run_time_trace(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     return [p1, p2]
 
 
-def run_field_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
-    rp = _require_rp(cfg)
-    p = read_params(cfg.kind, cfg.params)
+def run_field_sweep(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
+    rp = cfg.radical_pair
     result = sweep_field_magnitude(
         rp,
         b_grid_mT=p["b_grid"],
         prefactor=_prefactor(cfg, p),
-        t_max=_t_max(p),
+        t_max=_window(rp, p),
         densify=p["densify"],
         threads=threads,
     )
@@ -191,9 +185,8 @@ def run_field_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path
     return [write_csv(out / "field_sweep.csv", comments, _SWEEP_HEADER, _sweep_columns(result))]
 
 
-def run_angle_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
-    rp = _require_rp(cfg)
-    p = read_params(cfg.kind, cfg.params)
+def run_angle_sweep(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
+    rp = cfg.radical_pair
     b = p["b_mT"]
     result = sweep_field_angle(
         rp,
@@ -201,7 +194,7 @@ def run_angle_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path
         theta_grid=np.deg2rad(p["theta_deg"]),
         phi=np.deg2rad(p["phi_deg"]),
         prefactor=_prefactor(cfg, p),
-        t_max=_t_max(p),
+        t_max=_window(rp, p),
         normalize=p["normalize"],
         threads=threads,
     )
@@ -209,9 +202,7 @@ def run_angle_sweep(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path
     return [write_csv(out / "angle_sweep.csv", comments, _SWEEP_HEADER, _sweep_columns(result))]
 
 
-def run_ensemble(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
-    rp = _require_rp(cfg)
-    p = read_params(cfg.kind, cfg.params)
+def run_ensemble(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
     n_mol = p["n_molecules"]
     r_range = tuple(p["r_range_nm"] or (cfg.sensor.r1_nm, cfg.sensor.r2_nm))
     parts = []
@@ -224,7 +215,7 @@ def run_ensemble(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
             density_per_nm3=None if n_mol is not None else cfg.sensor.density_per_nm3,
             n_molecules=n_mol,
         )
-        stats = ensemble_sweep(rp, spec, b_grid_mT=p["b_grid"], threads=threads)
+        stats = ensemble_sweep(cfg.radical_pair, spec, b_grid_mT=p["b_grid"], threads=threads)
         n = len(stats.grid)
         parts.append([stats.grid, stats.mean[0], stats.variance[0], stats.mean[2],
                       stats.variance[2], [mode.value] * n, [cfg.seed] * n])
@@ -233,12 +224,11 @@ def run_ensemble(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
     return [write_csv(out / "ensemble.csv", comments, header, _concat_columns(parts))]
 
 
-def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
-    rp = _require_rp(cfg)
-    p = read_params(cfg.kind, cfg.params)
+def run_peak_count(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
+    rp = cfg.radical_pair
     r_nm, grid = p["r_nm"], p["b_grid"]
     theta, phi = np.deg2rad(p["theta_deg"]), np.deg2rad(p["phi_deg"])
-    t_max = _default_t_max(rp)
+    t_max = _window(rp, p)
     gamma = cfg.sensor.gamma_hz
     geom = coupling_geometry(r_nm, theta, phi)
     i_mid = len(grid) // 2  # the contrast traces are taken at the central field point
@@ -255,25 +245,31 @@ def run_peak_count(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]
     b_mid = float(grid[i_mid])
     t_grid = np.linspace(0.0, t_max, 2048, endpoint=False)
     contrasts = peak_contrast(mid_levels, rp.initial_state, t_grid)
-    comments = _base_comments(cfg) | {"b_mT": b_mid, "note": "C_n(t) per transition"}
+    step = t_grid[1] * mid_levels.propagator.spectral_spread / np.pi
+    comments = _base_comments(cfg) | {
+        "b_mT": b_mid,
+        "note": "C_n(t) per transition",
+        "sampling": f"t_s step {step:.3g}x the Nyquist interval pi/spread: the samples are "
+        "exact, but above 1x C_n aliases under a Fourier transform",
+    }
     header = ["t_s"] + [f"C_{n}" for n in range(contrasts.shape[0])]
     p2 = write_csv(out / "peak_contrast.csv", comments, header, [t_grid, *contrasts])
     return [p1, p2]
 
 
-def _anisotropy_cases(p: dict[str, Any]) -> tuple[list, dict[str, Any]]:
+def _anisotropy_cases(p: Params) -> tuple[list, dict[str, Any]]:
     j = p["j_mT"]
     pairs = [(case, one_nucleus_config(case, j_exchange_mT=j)) for case in p["cases"]]
     return pairs, {"j_mT": j, "sweep": "theta, rad"}
 
 
-def _exchange_cases(p: dict[str, Any]) -> tuple[list, dict[str, Any]]:
+def _exchange_cases(p: Params) -> tuple[list, dict[str, Any]]:
     case, r_rp = p["case"], p["r_rp_nm"]
     base = one_nucleus_config(case, r_rp_nm=r_rp)
     return [(j, with_exchange(base, j)) for j in p["j_grid_mT"]], {"case": case, "r_rp_nm": r_rp}
 
 
-def _lifetime_cases(p: dict[str, Any]) -> tuple[list, dict[str, Any]]:
+def _lifetime_cases(p: Params) -> tuple[list, dict[str, Any]]:
     base = two_nucleus_config(p["case"])
     pairs = [(tau, with_lifetime(base, tau * 1e-6)) for tau in p["tau_us"]]
     return pairs, {"case": p["case"]}
@@ -288,31 +284,26 @@ _SCANS = {
 }
 
 
-def _yield_at_theta0(rp: RadicalPairConfig, b_mT: float) -> float:
-    prop, _ = solve_pair(rp, FieldConfig(b_mT, 0.0, 0.0))
-    t_max = _default_t_max(rp)
-    n = nyquist_samples(prop, t_max)
-    return singlet_yield_mean(prop, rp.initial_state, t_max, n)
-
-
-def run_parameter_scan(cfg: ExperimentConfig, out: Path, threads: int) -> list[Path]:
+def run_parameter_scan(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
     """One angle sweep per value of a scanned pair parameter (see ``_SCANS``)."""
     column, make_cases, summarize = _SCANS[cfg.kind]
-    p = read_params(cfg.kind, cfg.params)
     pairs, scan_comments = make_cases(p)
     b = p["b_mT"]
     thetas = np.deg2rad(p["theta_deg"])
     pref = single_molecule_prefactor(p["r_nm"])
     parts, summary = [], []
     for value, rp in pairs:
+        t_max = _window(rp, p)
         result = sweep_field_angle(
-            rp, b_mT=b, theta_grid=thetas, phi=0.0, prefactor=pref,
+            rp, b_mT=b, theta_grid=thetas, phi=0.0, prefactor=pref, t_max=t_max,
             normalize=not summarize, threads=threads,
         )
         parts.append([[value] * len(thetas), *_sweep_columns(result)])
         if summarize:
             peak = float(np.max(np.abs(result.x_integrated)))
-            summary.append([[value], [peak], [_yield_at_theta0(rp, b)]])
+            prop, _ = solve_pair(rp, FieldConfig(b, 0.0, 0.0))  # the singlet yield at theta = 0
+            phi_s = singlet_yield_mean(prop, rp.initial_state, t_max, nyquist_samples(prop, t_max))
+            summary.append([[value], [peak], [phi_s]])
     stem = cfg.kind.removesuffix("-sweep")
     comments = _base_comments(cfg) | {"b_mT": b} | scan_comments
     header = [column] + _SWEEP_HEADER
@@ -332,18 +323,23 @@ _RUNNERS = {
     "angle-sweep": run_angle_sweep,
     "ensemble": run_ensemble,
     "peak-count": run_peak_count,
-    "anisotropy-sweep": run_parameter_scan,
-    "exchange-sweep": run_parameter_scan,
-    "lifetime-sweep": run_parameter_scan,
+    **dict.fromkeys(_SCANS, run_parameter_scan),
 }
 
 
-def run_oracle_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    """Cross-check the eigen-propagator against the RK4 reference."""
-    p = read_params(cfg.kind, cfg.params)
-    rp = cfg.radical_pair
-    if rp is None:
-        rp = one_nucleus_config(p.get("cases", ["axial3"])[0])
+def run_oracle_check(cfg: ExperimentConfig, p: Params, out: Path) -> list[Path]:
+    """Cross-check the eigen-propagator against the RK4 reference.
+
+    The pair checked is the first one the experiment runs, at its ``b_mT``
+    (the Earth's field for kinds without one), with the field on the z axis.
+    """
+    if cfg.kind in _SCANS:
+        pairs, _ = _SCANS[cfg.kind][1](p)
+        rp = pairs[0][1]
+    elif "system" in p:
+        rp = cfg.radical_pair
+    else:
+        raise ConfigError(f"--oracle: kind {cfg.kind!r} runs no radical pair")
     layout = rp.layout()
     if layout.total_dimension > MAX_DIM:
         raise PhysicsError(
@@ -379,22 +375,25 @@ def run_oracle_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def experiment_from_preset(preset: Preset, seed: int | None) -> ExperimentConfig:
     sensor = preset.sensor if preset.sensor is not None else SensorParams()
-    return build_experiment(
-        preset.kind, None, sensor, preset.params, seed if seed is not None else 0
-    )
+    return build_experiment(preset.kind, None, sensor, preset.params, seed or 0)
 
 
 def run(
     cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1, oracle: bool = False
 ) -> list[Path]:
     """Execute one experiment; returns the list of written files."""
+    started = time.time()
+    p = read_params(cfg.kind, cfg.params)
+    if "system" in p and cfg.radical_pair is None:
+        raise ConfigError(
+            f"radical_pair: required for kind {cfg.kind!r} (give the section or params.system)"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
     if oracle:
-        files = run_oracle_check(cfg, out)
+        files = run_oracle_check(cfg, p, out)
     else:
-        files = _RUNNERS[cfg.kind](cfg, out, threads)
+        files = _RUNNERS[cfg.kind](cfg, p, out, threads)
     manifest = {
         "config_hash": cfg.config_hash(),
         "config": cfg.canonical_dict(),

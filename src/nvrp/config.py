@@ -1,20 +1,22 @@
 """Experiment configuration: strict parsing, canonical form, hashing.
 
-Config files are JSON with sections mirroring the domain types.  Parsing
-is strict: unknown keys are rejected, every diagnostic names the failing
-field (JSONPath-style), and a parsed configuration can be re-serialised
-to a canonical dictionary for round-trip comparison and hashing.  Each
-experiment kind's ``params`` are declared once, in :data:`PARAMS`, with
-a value parser and a default per key; :func:`read_params` is how every
-runner reads them.
+Config files are JSON with sections mirroring the domain types.  Every
+JSON object is read by one table-driven reader: each section declares its
+keys once, with a value parser and a default per key (:data:`EXPERIMENT`,
+:data:`RADICAL_PAIR`, :data:`NUCLEUS`, :data:`SENSOR` and, per experiment
+kind, :data:`PARAMS`).  The reader rejects unknown and missing required
+keys, every diagnostic names the failing field (JSONPath-style), and the
+canonical dictionary used for round-trip comparison and hashing takes its
+keys from the same tables.
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -31,19 +33,40 @@ from .hamiltonian import (
 from .presets import ANISOTROPY_CASES, SYSTEMS, system_config
 from .spincore import SpinSpecies
 
-_MISSING = object()
+#: a value parser: (raw JSON value, its path for diagnostics) -> typed value
+Parser = Callable[[Any, str], Any]
+
+#: a JSON object's keys: key -> (value parser, default); a default of ``...`` marks a required key
+Fields = dict[str, tuple[Parser, Any]]
 
 
 def _ctx(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
-def _take(section: dict, key: str, where: str, default: Any = _MISSING) -> Any:
-    if key in section:
-        return section.pop(key)
-    if default is _MISSING:
-        raise ConfigError(f"{_ctx(where, key)}: required field is missing")
-    return default
+def _read(table: Fields, raw: Any, where: str) -> dict[str, Any]:
+    """Every key of ``table``, parsed from the JSON object ``raw``, with absent keys' defaults.
+
+    An unknown key or an absent required one is rejected, named by its path.
+    """
+    for key in _object(raw, where or "top level"):
+        if key not in table:
+            raise ConfigError(f"{_ctx(where, key)}: unknown field")
+    out = {}
+    for key, (parse, default) in table.items():
+        if key not in raw and default is ...:
+            raise ConfigError(f"{_ctx(where, key)}: required field is missing")
+        out[key] = parse(raw.get(key, default), _ctx(where, key))
+    return out
+
+
+# -- value parsers ---------------------------------------------------------------
+
+
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object")
+    return value
 
 
 def _number(value: Any, where: str) -> float:
@@ -78,165 +101,6 @@ def _matrix3(value: Any, where: str) -> np.ndarray:
     return m
 
 
-def _reject_unknown(section: dict, where: str) -> None:
-    if section:
-        key = sorted(section)[0]
-        raise ConfigError(f"{_ctx(where, key)}: unknown field")
-
-
-def _parse_nucleus(raw: Any, where: str) -> Nucleus:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object")
-    raw = dict(raw)
-    label = _string(_take(raw, "label", where), _ctx(where, "label"))
-    spin = _number(_take(raw, "spin", where), _ctx(where, "spin"))
-    tensor = _matrix3(_take(raw, "tensor_mT", where), _ctx(where, "tensor_mT"))
-    _reject_unknown(raw, where)
-    try:
-        species = SpinSpecies(label, spin)
-    except ValueError as exc:
-        raise ConfigError(f"{_ctx(where, 'spin')}: {exc}") from exc
-    return Nucleus(species, tensor)
-
-
-def parse_radical_pair(raw: Any, where: str = "radical_pair") -> RadicalPairConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object")
-    raw = dict(raw)
-    nuclei1 = [
-        _parse_nucleus(n, f"{where}.nuclei_radical1[{i}]")
-        for i, n in enumerate(_take(raw, "nuclei_radical1", where, []))
-    ]
-    nuclei2 = [
-        _parse_nucleus(n, f"{where}.nuclei_radical2[{i}]")
-        for i, n in enumerate(_take(raw, "nuclei_radical2", where, []))
-    ]
-    j_mT = _number(_take(raw, "j_exchange_mT", where, 0.0), _ctx(where, "j_exchange_mT"))
-    dip = _take(raw, "dipolar_tensor_mT", where, None)
-    dip = None if dip is None else _matrix3(dip, _ctx(where, "dipolar_tensor_mT"))
-    r_rp = _take(raw, "r_rp_nm", where, None)
-    r_rp = None if r_rp is None else _number(r_rp, _ctx(where, "r_rp_nm"))
-    k = _take(raw, "recombination_rate", where, None)
-    tau = _take(raw, "lifetime_us", where, None)
-    if (k is None) == (tau is None):
-        raise ConfigError(
-            f"{where}: give exactly one of recombination_rate and lifetime_us"
-        )
-    rate = (
-        _number(k, _ctx(where, "recombination_rate"))
-        if k is not None
-        else 1.0 / (_number(tau, _ctx(where, "lifetime_us")) * 1e-6)
-    )
-    init = _string(
-        _take(raw, "initial_state", where, "singlet"),
-        _ctx(where, "initial_state"),
-        ("singlet", "triplet_zero"),
-    )
-    decay = _string(
-        _take(raw, "decay_convention", where, "rate_k"),
-        _ctx(where, "decay_convention"),
-        ("rate_k", "rate_2k"),
-    )
-    _reject_unknown(raw, where)
-    return RadicalPairConfig(
-        nuclei_radical1=tuple(nuclei1),
-        nuclei_radical2=tuple(nuclei2),
-        j_exchange_mT=j_mT,
-        dipolar_tensor_mT=dip,
-        r_rp_nm=r_rp,
-        recombination_rate=rate,
-        initial_state=InitialElectronState(init),
-        decay_convention=DecayConvention(decay),
-    )
-
-
-def parse_sensor(raw: Any, where: str = "sensor") -> SensorParams:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object")
-    raw = dict(raw)
-    kwargs = {}
-    for key in ("t2", "r1_nm", "r2_nm", "density_per_nm3"):
-        value = _take(raw, key, where, None)
-        if value is not None:
-            kwargs[key] = _number(value, _ctx(where, key))
-    _reject_unknown(raw, where)
-    return SensorParams(**kwargs)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A validated experiment: kind, spin system, sensor, parameters."""
-
-    kind: str
-    radical_pair: RadicalPairConfig | None
-    sensor: SensorParams
-    params: dict[str, Any]
-    seed: int = 0
-
-    def canonical_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind, "seed": self.seed}
-        if self.radical_pair is not None:
-            out["radical_pair"] = _canonical_pair(self.radical_pair)
-        s = self.sensor
-        out["sensor"] = {
-            "t2": s.t2,
-            "r1_nm": s.r1_nm,
-            "r2_nm": s.r2_nm,
-            "density_per_nm3": s.density_per_nm3,
-        }
-        out["params"] = _canonical_value(self.params)
-        return out
-
-    def config_hash(self) -> str:
-        payload = json.dumps(self.canonical_dict(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()
-
-
-def _canonical_pair(rp: RadicalPairConfig) -> dict[str, Any]:
-    def nuclei(group: tuple[Nucleus, ...]) -> list[dict[str, Any]]:
-        return [
-            {
-                "label": n.species.label,
-                "spin": n.species.spin,
-                "tensor_mT": np.asarray(n.tensor_mT).tolist(),
-            }
-            for n in group
-        ]
-
-    return {
-        "nuclei_radical1": nuclei(rp.nuclei_radical1),
-        "nuclei_radical2": nuclei(rp.nuclei_radical2),
-        "j_exchange_mT": rp.j_exchange_mT,
-        "dipolar_tensor_mT": (
-            None if rp.dipolar_tensor_mT is None else np.asarray(rp.dipolar_tensor_mT).tolist()
-        ),
-        "r_rp_nm": rp.r_rp_nm,
-        "recombination_rate": rp.recombination_rate,
-        "initial_state": rp.initial_state.value,
-        "decay_convention": rp.decay_convention.value,
-    }
-
-
-def _canonical_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {k: _canonical_value(value[k]) for k in sorted(value)}
-    if isinstance(value, (list, tuple)):
-        return [_canonical_value(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, float) and math.isnan(value):
-        raise ConfigError("NaN is not a valid configuration value")
-    return value
-
-
-# -- experiment parameters ---------------------------------------------------
-
-#: a value parser: (raw JSON value, its path for diagnostics) -> typed value
-Parser = Callable[[Any, str], Any]
-
-
 def _positive(value: Any, where: str) -> float:
     x = _number(value, where)
     if not x > 0:
@@ -269,12 +133,21 @@ def _optional(parse: Parser) -> Parser:
     return lambda value, where: None if value is None else parse(value, where)
 
 
-def _list(item: Parser, size: int | None = None, increasing: bool = False) -> Parser:
-    """A non-empty list (of exactly ``size`` entries if given) of ``item`` values."""
+def _member(kind: type[enum.Enum]) -> Parser:
+    """The member of the enum ``kind`` whose value the string names."""
+    return lambda value, where: kind(_string(value, where, tuple(m.value for m in kind)))
+
+
+def _list(
+    item: Parser, size: int | None = None, increasing: bool = False, empty: bool = False
+) -> Parser:
+    """A list of ``item`` values: non-empty unless ``empty``, of exactly ``size`` if given."""
 
     def parse(value: Any, where: str) -> list:
-        if not isinstance(value, (list, tuple)) or not value or size not in (None, len(value)):
-            wanted = f"a list of {size}" if size else "a non-empty list"
+        if not isinstance(value, (list, tuple)) or size not in (None, len(value)) or not (
+            value or empty
+        ):
+            wanted = f"a list of {size}" if size else "a list" if empty else "a non-empty list"
             raise ConfigError(f"{where}: expected {wanted}, got {value!r}")
         values = [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
         if increasing and any(b <= a for a, b in zip(values, values[1:])):
@@ -306,8 +179,8 @@ _SCALE = (_choice("single_molecule", "max_aligned"), "single_molecule")
 _T_MAX = (_optional(_positive), None)
 _CASE = _choice(*ANISOTROPY_CASES)
 
-#: kind -> its settable params: key -> (value parser, default); every key is optional
-PARAMS: dict[str, dict[str, tuple[Parser, Any]]] = {
+#: kind -> the keys of its ``params`` object; every key is optional
+PARAMS: dict[str, Fields] = {
     "coupling-map": {
         "r_nm": (_grid(_positive), [5.0, 30.0, 26]),
         "theta_deg": (_grid(_number), [0.0, 180.0, 37]),
@@ -381,16 +254,115 @@ PARAMS: dict[str, dict[str, tuple[Parser, Any]]] = {
 KINDS = tuple(PARAMS)
 
 
+# -- the other sections, and the objects built from them -------------------------
+
+
+def _parse_nucleus(raw: Any, where: str) -> Nucleus:
+    f = _read(NUCLEUS, raw, where)
+    try:
+        species = SpinSpecies(f["label"], f["spin"])
+    except ValueError as exc:
+        raise ConfigError(f"{_ctx(where, 'spin')}: {exc}") from exc
+    return Nucleus(species, f["tensor_mT"])
+
+
+def parse_radical_pair(raw: Any, where: str) -> RadicalPairConfig:
+    f = _read(RADICAL_PAIR, raw, where)
+    k, tau = f.pop("recombination_rate"), f.pop("lifetime_us")
+    if (k is None) == (tau is None):
+        raise ConfigError(f"{where}: give exactly one of recombination_rate and lifetime_us")
+    return RadicalPairConfig(**f, recombination_rate=k if tau is None else 1.0 / (tau * 1e-6))
+
+
+def parse_sensor(raw: Any, where: str) -> SensorParams:
+    """The sensor section; null stands for the section left out."""
+    return SensorParams(**_read(SENSOR, {} if raw is None else raw, where))
+
+
+NUCLEUS: Fields = {
+    "label": (_string, ...),
+    "spin": (_number, ...),
+    "tensor_mT": (_matrix3, ...),
+}
+
+#: ``recombination_rate`` (1/s) and ``lifetime_us`` spell one parameter: give exactly one
+RADICAL_PAIR: Fields = {
+    "nuclei_radical1": (_list(_parse_nucleus, empty=True), []),
+    "nuclei_radical2": (_list(_parse_nucleus, empty=True), []),
+    "j_exchange_mT": (_number, 0.0),
+    "dipolar_tensor_mT": (_optional(_matrix3), None),
+    "r_rp_nm": (_optional(_number), None),
+    "recombination_rate": (_optional(_number), None),
+    "lifetime_us": (_optional(_positive), None),
+    "initial_state": (_member(InitialElectronState), "singlet"),
+    "decay_convention": (_member(DecayConvention), "rate_k"),
+}
+
+#: every field of ``SensorParams``, with its default
+SENSOR: Fields = {f.name: (_number, f.default) for f in fields(SensorParams)}
+
+EXPERIMENT: Fields = {
+    "notes": (_string, ""),
+    "kind": (_choice(*KINDS), ...),
+    "seed": (_integer, 0),
+    "radical_pair": (_optional(parse_radical_pair), None),
+    "sensor": (parse_sensor, None),
+    "params": (_object, {}),
+}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A validated experiment: kind, spin system, sensor, parameters."""
+
+    kind: str
+    radical_pair: RadicalPairConfig | None
+    sensor: SensorParams
+    params: dict[str, Any]
+    seed: int = 0
+
+    def canonical_dict(self) -> dict[str, Any]:
+        out = {"kind": self.kind, "seed": self.seed, "sensor": self.sensor, "params": self.params}
+        if self.radical_pair is not None:
+            out["radical_pair"] = self.radical_pair
+        return _canonical_value(out)
+
+    def config_hash(self) -> str:
+        payload = json.dumps(self.canonical_dict(), sort_keys=True).encode()
+        return hashlib.sha256(payload).hexdigest()
+
+
+def _canonical_value(value: Any) -> Any:
+    """``value`` as plain JSON data; a section becomes an object with its table's keys."""
+    if isinstance(value, RadicalPairConfig):  # the rate stands for both of its spellings
+        value = {key: getattr(value, key) for key in RADICAL_PAIR if key != "lifetime_us"}
+    elif isinstance(value, SensorParams):
+        value = {key: getattr(value, key) for key in SENSOR}
+    elif isinstance(value, Nucleus):
+        value = {"label": value.species.label, "spin": value.species.spin,
+                 "tensor_mT": value.tensor_mT}
+    if isinstance(value, dict):
+        return {k: _canonical_value(value[k]) for k in sorted(value)}
+    if isinstance(value, (list, tuple)):
+        return [_canonical_value(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, float) and math.isnan(value):
+        raise ConfigError("NaN is not a valid configuration value")
+    return value
+
+
 def read_params(kind: str, params: dict[str, Any]) -> dict[str, Any]:
     """Every parameter of ``kind``, parsed, with the defaults of absent keys filled in.
 
     Keys that ``kind`` does not take are ignored here; :func:`build_experiment`
     rejects them before a run.
     """
-    return {
-        key: parse(params.get(key, default), f"params.{key}")
-        for key, (parse, default) in PARAMS[kind].items()
-    }
+    return _read(PARAMS[kind], {k: v for k, v in params.items() if k in PARAMS[kind]}, "params")
 
 
 def build_experiment(
@@ -407,15 +379,12 @@ def build_experiment(
     pair, which a given ``radical_pair`` must then equal.  ``params`` is
     kept as given, so the config hash covers exactly what was written.
     """
-    for key in params:
-        if key not in PARAMS[kind]:
-            raise ConfigError(f"params.{key}: unknown field for kind {kind!r}")
-    system = read_params(kind, params).get("system")
+    system = _read(PARAMS[kind], params, "params").get("system")
     if system is not None:
         named = system_config(system)
         if radical_pair is None:
             radical_pair = named
-        elif _canonical_pair(radical_pair) != _canonical_pair(named):
+        elif _canonical_value(radical_pair) != _canonical_value(named):
             raise ConfigError(
                 f"params.system: {system!r} differs from the radical_pair section"
             )
@@ -424,23 +393,8 @@ def build_experiment(
 
 def parse_experiment(raw: Any) -> ExperimentConfig:
     """Validate a raw JSON object into an ExperimentConfig."""
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected a JSON object")
-    raw = dict(raw)
-    notes = _take(raw, "notes", "", "")
-    if not isinstance(notes, str):
-        raise ConfigError("notes: expected a string")
-    kind = _string(_take(raw, "kind", ""), "kind", KINDS)
-    seed = _integer(_take(raw, "seed", "", 0), "seed")
-    rp_raw = _take(raw, "radical_pair", "", None)
-    rp = None if rp_raw is None else parse_radical_pair(rp_raw)
-    sensor_raw = _take(raw, "sensor", "", None)
-    sensor = SensorParams() if sensor_raw is None else parse_sensor(sensor_raw)
-    params_raw = _take(raw, "params", "", {})
-    if not isinstance(params_raw, dict):
-        raise ConfigError("params: expected an object")
-    _reject_unknown(raw, "")
-    return build_experiment(kind, rp, sensor, params_raw, seed)
+    f = _read(EXPERIMENT, raw, "")
+    return build_experiment(f["kind"], f["radical_pair"], f["sensor"], f["params"], f["seed"])
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

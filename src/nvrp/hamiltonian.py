@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,19 +229,13 @@ class CouplingGeometry:
     d_cy: float
     d_cz: float
     g_eff: float
-    rotation: Rotation = field(default_factory=Rotation.identity)
 
     @property
     def d_c(self) -> np.ndarray:
         return np.array([self.d_cx, self.d_cy, self.d_cz])
 
 
-def coupling_geometry(
-    r_nm: float,
-    theta: float,
-    phi: float = 0.0,
-    rotation: Rotation | None = None,
-) -> CouplingGeometry:
+def coupling_geometry(r_nm: float, theta: float, phi: float = 0.0) -> CouplingGeometry:
     """Geometry record for a molecule at distance r with field at (theta, phi)."""
     if r_nm <= 0:
         raise PhysicsError(f"sensor-molecule distance must be positive, got {r_nm} nm")
@@ -250,15 +244,7 @@ def coupling_geometry(
     d_cy = 1.5 * math.sin(2 * theta) * math.sin(phi)
     d_cz = 3 * math.cos(theta) ** 2 - 1
     g_eff = 2.0 * abs(d_r) * math.sqrt(d_cx**2 + d_cy**2 + d_cz**2)
-    return CouplingGeometry(
-        r_nm=r_nm,
-        d_r=d_r,
-        d_cx=d_cx,
-        d_cy=d_cy,
-        d_cz=d_cz,
-        g_eff=g_eff,
-        rotation=rotation if rotation is not None else Rotation.identity(),
-    )
+    return CouplingGeometry(r_nm=r_nm, d_r=d_r, d_cx=d_cx, d_cy=d_cy, d_cz=d_cz, g_eff=g_eff)
 
 
 def build_nv_hamiltonian(nv: NVParams, b0z_mT: float) -> np.ndarray:

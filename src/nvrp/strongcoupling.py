@@ -120,7 +120,7 @@ def level_structure(
             "(g_eff <= Gamma); peaks will not be resolvable",
             stacklevel=2,
         )
-    h0 = build_rp_hamiltonian(cfg, field_cfg, geom.rotation)
+    h0 = build_rp_hamiltonian(cfg, field_cfg)
     coupling = build_coupling_hamiltonian(geom, cfg.layout())
     prop = make_propagator(h0, cfg.effective_decay_rate)
     prop1 = make_propagator(h0 + coupling, cfg.effective_decay_rate)

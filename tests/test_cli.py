@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from nvrp.config import (
     KINDS,
     PARAMS,
     ExperimentConfig,
+    _canonical_value,
     load_config,
     parse_experiment,
     read_params,
@@ -170,11 +172,20 @@ def test_schema_error_exit_code(tmp_path, capsys):
     ensemble = _minimal_angle_sweep(kind="ensemble", params={"n_molecules": 1, "seed": 3})
     # the sensor depth reaches no output, so it is not a key
     depth = _minimal_angle_sweep(sensor={"t2": 1e-5, "depth_nm": 5.0})
+    # one reader serves every section: wrong types and absent required keys
+    not_a_list, no_spin, zero_lifetime = (_minimal_angle_sweep() for _ in range(3))
+    not_a_list["radical_pair"]["nuclei_radical1"] = 5
+    del no_spin["radical_pair"]["nuclei_radical1"][0]["spin"]
+    zero_lifetime["radical_pair"]["lifetime_us"] = 0.0
     for payload, key in (
         ({"kind": "angle-sweep", "bogus": 1}, "bogus"),
         (field_sweep, "params.theta_deg"),
         (ensemble, "params.seed"),
         (depth, "sensor.depth_nm"),
+        (not_a_list, "radical_pair.nuclei_radical1:"),
+        (no_spin, "radical_pair.nuclei_radical1[0].spin:"),
+        (zero_lifetime, "radical_pair.lifetime_us:"),
+        (_minimal_angle_sweep(sensor={"t2": "long"}), "sensor.t2:"),
     ):
         path = _write_config(tmp_path, payload)
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -200,10 +211,20 @@ def test_physics_error_exit_code(tmp_path, capsys, kind, params, rate, message):
     assert message in capsys.readouterr().err.lower()
 
 
+#: a small run of each kind that takes params.t_max_us, and the CSV it writes
+_WINDOWED = {
+    "time-trace": ({"b_mT": 0.05, "n_samples": 1024}, "time_trace.csv", 1024),
+    "field-sweep": ({"b_grid": [0.1, 1.0, 2]}, "field_sweep.csv", 2),
+    "angle-sweep": ({"b_mT": 0.05, "theta_deg": [0.0, 90.0, 3]}, "angle_sweep.csv", 3),
+}
+
+
+@pytest.mark.parametrize("kind", list(_WINDOWED))
 @pytest.mark.parametrize("t_max_us, code", [(1.0, 0), (None, 2)], ids=["t-max", "no-t-max"])
-def test_time_trace_zero_rate(tmp_path, capsys, t_max_us, code):
-    payload = _minimal_angle_sweep(kind="time-trace")
-    payload["params"] = {"b_mT": 0.05, "n_samples": 1024}
+def test_time_trace_zero_rate(tmp_path, capsys, t_max_us, code, kind):
+    # every kind that takes params.t_max_us needs it when the pair does not decay
+    params, csv_name, rows = _WINDOWED[kind]
+    payload = _minimal_angle_sweep(kind=kind, params=dict(params))
     if t_max_us is not None:
         payload["params"]["t_max_us"] = t_max_us
     payload["radical_pair"]["recombination_rate"] = 0.0
@@ -211,9 +232,9 @@ def test_time_trace_zero_rate(tmp_path, capsys, t_max_us, code):
     path = _write_config(tmp_path, payload)
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == code
     if code == 0:
-        assert len(_read_csv_rows(tmp_path / "o" / "time_trace.csv")) == 1 + 1024
+        assert len(_read_csv_rows(tmp_path / "o" / csv_name)) == 1 + rows
     else:
-        assert "t_max_us" in capsys.readouterr().err
+        assert "params.t_max_us" in capsys.readouterr().err
 
 
 def test_orthogonality_loss_exits_4(tmp_path, capsys, monkeypatch):
@@ -515,6 +536,48 @@ def test_oracle_mode(tmp_path, capsys):
     rows = _read_csv_rows(tmp_path / "oracle_check.csv")
     deviation = float(rows[1].split(",")[0])
     assert deviation < 1e-6
+
+
+@pytest.mark.parametrize("name", ["fig8-exchange-sweep", "fig9-lifetime-sweep"])
+def test_oracle_checks_the_first_pair_the_scan_runs(tmp_path, monkeypatch, name):
+    cfg = experiment_from_preset(get_preset(name), seed=None)
+    swept, checked = [], []
+    sweep, build = cli.sweep_field_angle, cli.build_rp_hamiltonian
+
+    def recording_sweep(rp, **kwargs):
+        swept.append((_canonical_value(rp), kwargs["b_mT"]))
+        return sweep(rp, **kwargs)
+
+    def recording_build(rp, field):
+        checked.append((_canonical_value(rp), field.magnitude_mT))
+        return build(rp, field)
+
+    monkeypatch.setattr(cli, "sweep_field_angle", recording_sweep)
+    monkeypatch.setattr(cli, "build_rp_hamiltonian", recording_build)
+    run(cfg, tmp_path / "run")
+    run(cfg, tmp_path / "oracle", oracle=True)
+    assert checked == swept[:1]
+
+
+def test_oracle_without_a_pair_exits_2(tmp_path, capsys):
+    assert main(["--preset", "fig3-coupling-map", "--oracle", "--out", str(tmp_path)]) == 2
+    assert "coupling-map" in capsys.readouterr().err
+
+
+def test_readme_params_table_names_every_key():
+    """README's params table under "Configuration files" names exactly config.PARAMS."""
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    section = readme.split("### Configuration files", 1)[1].split("\n## ", 1)[0]
+    documented = {kind: set() for kind in KINDS}
+    kinds = []
+    for line in section.splitlines():
+        if line.startswith("|"):
+            # a row's first cell names its kinds; an empty one continues the row above
+            first, keys = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:3])
+            kinds = first or kinds
+            for kind in kinds:
+                documented.setdefault(kind, set()).update(keys)
+    assert documented == {kind: set(PARAMS[kind]) for kind in KINDS}
 
 
 def test_shipped_example_configs_load():

@@ -187,7 +187,7 @@ def test_contrast_matches_full_space_projectors():
     levels = level_structure(cfg, field, geom)
     contrast = peak_contrast(levels, cfg.initial_state, t)
 
-    prop, rho0 = solve_pair(cfg, field, geom.rotation)
+    prop, rho0 = solve_pair(cfg, field)
     projs = []
     for n in range(levels.n_transitions):
         p1 = np.outer(levels.states_1[:, n], levels.states_1[:, n].conj())
