@@ -4,6 +4,7 @@ Usage (from the root of a checkout):
 
     python3 bench/eigh_drivers.py                      # complex set, writes BENCH_6.json
     python3 bench/eigh_drivers.py --set real           # real set, writes BENCH_10.json
+    python3 bench/eigh_drivers.py --set blocks         # parity blocks, writes BENCH_13.json
     python3 bench/eigh_drivers.py --seconds 4 --out /tmp/eigh.json
 
 The complex set holds, for each dimension, a few radical-pair
@@ -29,6 +30,20 @@ timing spread; on the complex set it backs ``nvrp.dynamics.EVR_MIN_DIM``.
 ``faster_than_numpy`` lists, per dimension, the drivers whose upper
 quartile lies below numpy's lower quartile; on the real set it backs the
 choice of numpy's ``dsyevd`` at every dimension.
+
+The blocks set holds the same systems at theta = 0 (B = 1 mT at a random
+magnitude factor, identity orientation), where every H splits exactly into
+the two parity sectors of ``nvrp.spincore.parity_sectors``.  It times, round
+robin: ``dsyevd`` on the whole matrix against ``dsyevd`` on both sector
+blocks (their gather included); a whole sweep point, ``make_propagator``
+plus the closed-form means of ``integrated_observables``, as one block and
+per sector; and the exact block test alone, ``count_nonzero(H.take(cross))``, timed
+``TEST_REPS`` at a time.
+``test_share_of_point`` is the block test's median over the one-block
+point's, and ``block_min_dim`` the smallest measured d at and above which
+the blocked point is faster beyond the timing spread at every measured d;
+it backs ``nvrp.dynamics.BLOCK_MIN_DIM``.  The blocks set adds d = 36
+(two-nucleus axial3, fig9's system).
 
 The dimensions are the shipped systems (axial3 d = 12, strongcoupling
 d = 64, fadtrp-2n d = 216, fadtrp-3n d = 864); the complex set adds two
@@ -64,9 +79,17 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 import scipy.linalg  # noqa: E402
 
+from nvrp import dynamics  # noqa: E402
+from nvrp.dynamics import _expectation_means, make_propagator, nyquist_samples  # noqa: E402
 from nvrp.ensemble import random_rotation  # noqa: E402
-from nvrp.hamiltonian import FieldConfig, build_rp_hamiltonian  # noqa: E402
-from nvrp.presets import fadtrp_config, one_nucleus_config, strongcoupling_config  # noqa: E402
+from nvrp.hamiltonian import ELECTRON_PAIR_SPIN, FieldConfig, build_rp_hamiltonian  # noqa: E402
+from nvrp.presets import (  # noqa: E402
+    fadtrp_config,
+    one_nucleus_config,
+    strongcoupling_config,
+    two_nucleus_config,
+)
+from nvrp.spincore import parity_sectors  # noqa: E402
 
 DRIVERS = {
     "numpy": lambda h: np.linalg.eigh(h),
@@ -78,16 +101,23 @@ DRIVERS = {
 MATRICES = 3
 #: fewest timed calls per driver and dimension
 MIN_CALLS = 9
+#: block tests per timed call of the blocks set's ``block_test``, whose time is per test
+TEST_REPS = 100
 #: measured dimensions of each matrix set
-SET_DIMS = {"complex": (12, 64, 216, 288, 432, 864), "real": (12, 64, 216, 864)}
+SET_DIMS = {
+    "complex": (12, 64, 216, 288, 432, 864),
+    "real": (12, 64, 216, 864),
+    "blocks": (12, 36, 64, 216, 864),
+}
 #: the file each matrix set writes by default
-SET_OUT = {"complex": "BENCH_6.json", "real": "BENCH_10.json"}
+SET_OUT = {"complex": "BENCH_6.json", "real": "BENCH_10.json", "blocks": "BENCH_13.json"}
 
 
 def _systems() -> dict[int, object]:
     fad3 = fadtrp_config(3)
     return {
         12: one_nucleus_config("axial3"),
+        36: two_nucleus_config("axial3"),
         64: strongcoupling_config(),
         216: fadtrp_config(2),
         288: dataclasses.replace(fad3, nuclei_radical2=fad3.nuclei_radical2[1:]),
@@ -165,6 +195,93 @@ def measure(d: int, cfg, seconds: float, seed: int, real: bool = False) -> dict:
     return {"dim": d, "drivers": drivers, "faster_than_numpy": faster}
 
 
+def _round_robin(cases: dict, seconds: float) -> dict[str, list[float]]:
+    """Wall times per call of each case(i), in a rotating order, for ``seconds`` and MIN_CALLS."""
+    names = list(cases)
+    times = {name: [] for name in names}
+    start = time.perf_counter()
+    i = 0
+    while i < MIN_CALLS or time.perf_counter() - start < seconds:
+        shift = i % len(names)
+        for name in names[shift:] + names[:shift]:
+            t0 = time.perf_counter()
+            cases[name](i % MATRICES)
+            times[name].append(time.perf_counter() - t0)
+        i += 1
+    return times
+
+
+def measure_blocks(d: int, cfg, seconds: float, seed: int) -> dict:
+    """Whole against per-sector ``dsyevd`` and sweep points at theta = 0 (see the module doc).
+
+    ``BLOCK_MIN_DIM`` is lifted for the call, so that every d can take the blocked path.
+    """
+    dynamics.BLOCK_MIN_DIM, min_dim = 0, dynamics.BLOCK_MIN_DIM
+    try:
+        return _measure_blocks(d, cfg, seconds, seed)
+    finally:
+        dynamics.BLOCK_MIN_DIM = min_dim
+
+
+def _measure_blocks(d: int, cfg, seconds: float, seed: int) -> dict:
+    rng = np.random.default_rng([seed, d])
+    sectors = parity_sectors(cfg.layout())
+    index = [(rows[:, None], rows) for rows in sectors[:2]]
+    k = cfg.effective_decay_rate
+    hs = []
+    for _ in range(MATRICES):
+        h = build_rp_hamiltonian(cfg, FieldConfig(10 ** rng.uniform(-0.5, 0.5), 0.0, 0.0))
+        h = np.ascontiguousarray(h.real)
+        assert not np.count_nonzero(h.take(sectors[2]))
+        hs.append(h)
+
+    def point(h, blocked):
+        prop = make_propagator(h, k, sectors if blocked else None)
+        n = nyquist_samples(prop, 5.0 / k)
+        return prop, _expectation_means(prop, cfg.initial_state, ELECTRON_PAIR_SPIN, 5.0 / k / n, n)
+
+    eig_diff, means_diff = [], []
+    for h in hs:
+        (full, m_full), (split, m_split) = point(h, False), point(h, True)
+        assert len(full.blocks) == 1 and len(split.blocks) == 2
+        scale = np.max(np.abs(full.eigenvalues))
+        eig_diff.append(float(np.max(np.abs(split.eigenvalues - full.eigenvalues)) / scale))
+        means_diff.append(float(np.max(np.abs(m_split - m_full)) / np.max(np.abs(m_full))))
+    cases = {
+        "dsyevd_full": lambda i: np.linalg.eigh(hs[i]),
+        "dsyevd_blocks": lambda i: [np.linalg.eigh(hs[i][ix]) for ix in index],
+        "point_full": lambda i: point(hs[i], False),
+        "point_blocks": lambda i: point(hs[i], True),
+        "block_test": lambda i: [np.count_nonzero(hs[i].take(sectors[2])) for _ in range(TEST_REPS)],
+    }
+    times = _round_robin(cases, seconds)
+    times["block_test"] = [t / TEST_REPS for t in times["block_test"]]
+    cases_ms = {name: _quartiles(t) for name, t in times.items()}
+    share = cases_ms["block_test"]["median_ms"] / cases_ms["point_full"]["median_ms"]
+    return {
+        "dim": d,
+        "cases": cases_ms,
+        "test_share_of_point": share,
+        "eigenvalue_diff_rel": max(eig_diff),
+        "means_diff_rel": max(means_diff),
+    }
+
+
+def block_min_dim(rows: list[dict]) -> int | None:
+    """Smallest measured d at and above which the blocked point beats the one-block point.
+
+    Beating means that the blocked point's upper quartile lies below the
+    one-block point's lower quartile at that d and at every larger one.
+    """
+    best = None
+    for row in sorted(rows, key=lambda r: r["dim"], reverse=True):
+        split, full = row["cases"]["point_blocks"], row["cases"]["point_full"]
+        if split["q3_ms"] >= full["q1_ms"]:
+            break
+        best = row["dim"]
+    return best
+
+
 def crossover(rows: list[dict]) -> int | None:
     """Smallest measured d at and above which ``evr`` beats numpy at every measured d.
 
@@ -232,13 +349,21 @@ def main(argv: list[str] | None = None) -> int:
     systems = _systems()
     rows = []
     for d in SET_DIMS[args.set]:
-        row = measure(d, systems[d], args.seconds, args.seed, real)
+        if args.set == "blocks":
+            row = measure_blocks(d, systems[d], args.seconds, args.seed)
+            cells = "  ".join(
+                f"{name} {r['median_ms']:.3f} [{r['q1_ms']:.3f}, {r['q3_ms']:.3f}] ms"
+                for name, r in row["cases"].items()
+            )
+            cells += f"  test/point {row['test_share_of_point']:.2%}"
+        else:
+            row = measure(d, systems[d], args.seconds, args.seed, real)
+            cells = "  ".join(
+                f"{name} {r['median_ms']:.2f} [{r['q1_ms']:.2f}, {r['q3_ms']:.2f}] ms "
+                f"res {r['residual_rel']:.1e} orth {r['orthogonality']:.1e}"
+                for name, r in row["drivers"].items()
+            )
         rows.append(row)
-        cells = "  ".join(
-            f"{name} {r['median_ms']:.2f} [{r['q1_ms']:.2f}, {r['q3_ms']:.2f}] ms "
-            f"res {r['residual_rel']:.1e} orth {r['orthogonality']:.1e}"
-            for name, r in row["drivers"].items()
-        )
         print(f"d = {d}: {cells}", flush=True)
     result = {
         "benchmark": "bench/eigh_drivers.py",
@@ -249,9 +374,13 @@ def main(argv: list[str] | None = None) -> int:
         "matrices_per_dim": MATRICES,
         "environment": env,
         "results": rows,
-        "evr_crossover_dim": crossover(rows),
     }
-    print(f"evr crossover: d = {result['evr_crossover_dim']}")
+    if args.set == "blocks":
+        result["block_min_dim"] = block_min_dim(rows)
+        print(f"smallest blocked dimension: d = {result['block_min_dim']}")
+    else:
+        result["evr_crossover_dim"] = crossover(rows)
+        print(f"evr crossover: d = {result['evr_crossover_dim']}")
     out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 

@@ -92,13 +92,12 @@ def _string(value: Any, where: str, options: tuple[str, ...] | None = None) -> s
 
 
 def _matrix3(value: Any, where: str) -> np.ndarray:
-    try:
-        m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected a 3x3 matrix of numbers") from exc
-    if m.shape != (3, 3):
-        raise ConfigError(f"{where}: expected a 3x3 matrix, got shape {m.shape}")
-    return m
+    if not isinstance(value, (list, tuple)) or len(value) != 3 or any(
+        not isinstance(row, (list, tuple)) or len(row) != 3 for row in value
+    ):
+        raise ConfigError(f"{where}: expected a 3x3 matrix of numbers")
+    return np.array([[_number(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
+                     for i, row in enumerate(value)])
 
 
 def _positive(value: Any, where: str) -> float:

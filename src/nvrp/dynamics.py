@@ -45,6 +45,13 @@ Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)) from there on.  MRRR
 keeps tight clusters less orthogonal, which the residual cannot see, so
 every propagator, real or complex, also checks V^dag (V x) = x on fixed
 probe vectors.  The drivers agree to rounding, not bit for bit.
+
+With the field on z and no tensor entry coupling z to x or y (every shipped
+system at theta = 0 in its molecular frame), H commutes with the pi rotation about
+z of all spins and splits exactly into two parity sectors of d/2 states, which
+``signal.solve_pair`` hands over (``strongcoupling`` does not).  From ``BLOCK_MIN_DIM``
+on, ``eigh`` then runs per sector and the means need d^2/2 weights and 2 (d/2)^3
+flops for their largest product: 151 against 325 ms a point at d = 864 (BENCH_13.json).
 """
 
 from __future__ import annotations
@@ -75,6 +82,11 @@ SERIES_BLOCK_ENTRIES = 1 << 19
 #: 68 against 97 ms at d = 432, 555 against 883 ms at d = 864; overlapping quartiles at
 #: d = 288, zheevd faster at d <= 216.
 EVR_MIN_DIM = 432
+
+#: smallest d at which :func:`make_propagator` diagonalises an exactly split H per sector.
+#: BENCH_13.json (``bench/eigh_drivers.py --set blocks``, one BLAS thread): a theta = 0 point
+#: takes 9.3 against 13.9 ms at d = 216; overlapping quartiles at d = 64, d <= 36 slower.
+BLOCK_MIN_DIM = 216
 
 #: probe vectors of the orthogonality check in :func:`make_propagator`
 PROBE_VECTORS = 4
@@ -114,12 +126,14 @@ class Propagator:
     eigenvalues are in rad/s; ``decay_rate`` is the effective trace-decay
     rate k_eff in 1/s (already doubled for the rate_2k convention).
     ``eigenvectors`` are float64 when the generator was real (see
-    :func:`make_propagator`), complex128 otherwise.
+    :func:`make_propagator`), complex128 otherwise.  ``blocks`` holds one (basis rows as a
+    column, eigen-columns) index per exact block, with V zero outside; else full slices.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     decay_rate: float
+    blocks: tuple = ((slice(None), slice(None)),)
 
     @property
     def dim(self) -> int:
@@ -179,7 +193,7 @@ def _probe_vectors(d: int) -> np.ndarray:
     return x
 
 
-def make_propagator(h: np.ndarray, k_eff: float) -> Propagator:
+def make_propagator(h: np.ndarray, k_eff: float, sectors: tuple | None = None) -> Propagator:
     """Diagonalise a Hermitian Hamiltonian and attach the decay rate.
 
     ``k_eff`` is the trace-decay rate, already resolved for the decay
@@ -192,6 +206,11 @@ def make_propagator(h: np.ndarray, k_eff: float) -> Propagator:
     A generator with an exactly zero imaginary part is diagonalised in real
     arithmetic and gets real eigenvectors; the three checks and their
     bounds are the same for either dtype.
+
+    ``sectors`` (internal; ``spincore.parity_sectors`` of the layout) lets a generator
+    of at least ``BLOCK_MIN_DIM`` rows whose entries between the two sectors are all
+    exactly zero be diagonalised per sector.  The blocks' residuals combine to the whole
+    one, and the probe runs on the assembled V, sorted by eigenvalue.
     """
     h = _real_if_exact(np.asarray(h))
     if k_eff < 0:
@@ -199,18 +218,35 @@ def make_propagator(h: np.ndarray, k_eff: float) -> Propagator:
     hnorm = np.linalg.norm(h)
     if hnorm > 0 and np.linalg.norm(h - h.conj().T) > 1e-10 * hnorm:
         raise PhysicsError("propagator generator must be Hermitian")
-    w, v = _eigh(h)
-    residual = np.linalg.norm((v * w) @ v.conj().T - h)
+    blocks = ((slice(None), slice(None)),)
+    split = sectors is not None and h.shape[0] >= BLOCK_MIN_DIM
+    # a general H shows a nonzero among the first d cross entries, so most tests read only those
+    if split and not any(np.count_nonzero(h.take(c)) for c in (sectors[2][: len(h)], sectors[2])):
+        blocks = tuple((rows[:, None], rows) for rows in sectors[:2])
+    eigs, residual = [], 0.0
+    for ix in blocks:
+        part = h[ix]
+        w, v = _eigh(part)
+        residual = np.hypot(residual, np.linalg.norm((v * w) @ v.conj().T - part))
+        eigs.append((w, v))
     if hnorm > 0 and residual > 1e-8 * hnorm:
         raise NumericalError(
             f"eigendecomposition residual {residual:.3e} exceeds 1e-8 * ||H|| = {1e-8 * hnorm:.3e}"
         )
+    if len(eigs) > 1:  # the sectors have d/2 states each; their columns interleave by eigenvalue
+        w = np.concatenate([e[0] for e in eigs])
+        order = np.argsort(w, kind="stable")
+        w, columns = w[order], np.argsort(order).reshape(2, -1)
+        v = np.zeros(h.shape, dtype=np.result_type(*(e[1] for e in eigs)))
+        blocks = tuple((rows, cols) for (rows, _), cols in zip(blocks, columns))
+        for (rows, cols), (_, vb) in zip(blocks, eigs):
+            v[rows, cols] = vb
     x = _probe_vectors(h.shape[0])
     back = (v.T @ (v @ x).conj()).conj()  # V^dag V x without a conjugated copy of V
     loss = np.max(np.linalg.norm(back - x, axis=0))
     if loss > 1e-8:
         raise NumericalError(f"eigenvector orthogonality loss {loss:.3e} exceeds 1e-8")
-    return Propagator(eigenvalues=w, eigenvectors=v, decay_rate=k_eff)
+    return Propagator(eigenvalues=w, eigenvectors=v, decay_rate=k_eff, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -315,25 +351,22 @@ def _projector_series(
     return out
 
 
-def _geometric_mean_weights(prop: Propagator, dt: float, n: int) -> np.ndarray:
-    """G_nm = (1/n) sum_{j=0}^{n-1} z_nm^j with z_nm = exp((-k - i omega_nm) dt).
+def _geometric_mean_weights(prop: Propagator, dt: float, n: int) -> list[np.ndarray]:
+    """G_nm = (1/n) sum_{j=0}^{n-1} z_nm^j, z_nm = exp((-k - i omega_nm) dt), one matrix per block.
 
-    G is Hermitian, so only the strict upper triangle is evaluated, as
-    (z^n - 1) / expm1(x) / n with x = (-k - i omega_nm) dt; the lower
-    triangle is its conjugate and the diagonal (omega = 0) is real.
-    With T = n dt and k T >= 1 the numerator
-    is the outer product z_nm^n - 1 = exp(-k T) p_n conj(p_m) - 1 of the
-    d phases p = exp(-i lambda T).  Since |z^n| = exp(-k T), forming it
-    adds a relative error of at most about
-    (1 + 4 exp(-k T) / (1 - exp(-k T))) eps: 3.3 eps at k T = 1 and
-    1.03 eps at the default T = 5/k, on top of the rounding of the phase
-    arguments that expm1(n x) carries too.  Below k T = 1 that bound grows
-    like 1/(k T), and the numerator is expm1(n x).
-    Where expm1(x) vanishes (k = 0 and exactly degenerate levels) every
-    z^j is 1, and so is the weight.
+    The means need no weight between two blocks of ``prop``.  G is Hermitian,
+    so only the strict upper triangle is evaluated, as (z^n - 1) / expm1(x) / n
+    with x = (-k - i omega_nm) dt; the lower triangle is its conjugate and the
+    diagonal (omega = 0) is real.  With T = n dt and k T >= 1 the numerator is
+    the outer product z_nm^n - 1 = exp(-k T) p_n conj(p_m) - 1 of the phases
+    p = exp(-i lambda T).  Since |z^n| = exp(-k T), forming it adds a relative
+    error of at most about (1 + 4 exp(-k T) / (1 - exp(-k T))) eps: 3.3 eps at
+    k T = 1 and 1.03 eps at the default T = 5/k, on top of the rounding of the
+    phase arguments that expm1(n x) carries too.  Below k T = 1 that bound
+    grows like 1/(k T), and the numerator is expm1(n x).  Where expm1(x)
+    vanishes (k = 0 and exactly degenerate levels) every z^j is 1, and so is
+    the weight.
     """
-    lam = prop.eigenvalues
-    d = lam.shape[0]
     k_dt = prop.decay_rate * dt
 
     def ratio(x, num):
@@ -345,23 +378,28 @@ def _geometric_mean_weights(prop: Propagator, dt: float, n: int) -> np.ndarray:
         num /= n
         return num
 
-    rows, cols = _upper_triangle(d)
-    x = np.empty(rows.shape[0], dtype=complex)
-    x.real = -k_dt
-    x.imag = (lam[cols] - lam[rows]) * dt
-    if k_dt * n >= 1.0:
-        p = np.exp(-1j * (n * dt) * lam)
-        num = (np.exp(-k_dt * n) * p)[rows] * p.conj()[cols]
-        num -= 1.0
-    else:
-        num = np.expm1(x * n)
-    upper = ratio(x, num)
-    geo = np.empty((d, d), dtype=complex)
-    geo[rows, cols] = upper
-    geo[cols, rows] = upper.conj()
     x_diag = np.array([-k_dt], dtype=complex)
-    geo.flat[:: d + 1] = ratio(x_diag, np.expm1(x_diag * n))
-    return geo
+    out = []
+    for _, block in prop.blocks:
+        lam = prop.eigenvalues[block]
+        d = lam.shape[0]
+        rows, cols = _upper_triangle(d)
+        x = np.empty(rows.shape[0], dtype=complex)
+        x.real = -k_dt
+        x.imag = (lam[cols] - lam[rows]) * dt
+        if k_dt * n >= 1.0:
+            p = np.exp(-1j * (n * dt) * lam)
+            num = (np.exp(-k_dt * n) * p)[rows] * p.conj()[cols]
+            num -= 1.0
+        else:
+            num = np.expm1(x * n)
+        upper = ratio(x, num)
+        geo = np.empty((d, d), dtype=complex)
+        geo[rows, cols] = upper
+        geo[cols, rows] = upper.conj()
+        geo.flat[:: d + 1] = ratio(x_diag, np.expm1(x_diag * n))
+        out.append(geo)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -395,20 +433,24 @@ def _expectation_means(
     E_ab = sum_kn conj(V4[a, k, n]) Y4[b, k, n] and Y = V (rho~ o G).
     With real eigenvectors W and rho~ are real too, and both products are
     real GEMMs on the real and imaginary parts of their complex factor.
+    rho~ o G and Y are formed per block of ``prop`` (rho0 keeps the parity of
+    its basis states, so rho~ is zero between blocks); Y is scattered into d x d.
     """
     v = prop.eigenvectors
     w = _state_factor(prop, state)
     d_nuc = w.shape[0]
-    rho_e = w.T @ (w.conj() / d_nuc)
-    rho_g = _geometric_mean_weights(prop, dt, n)
-    np.multiply(rho_e, rho_g, out=rho_g)
-    v4 = v.reshape(4, -1)
-    if np.iscomplexobj(v):
-        y = v @ rho_g
-        e = v4.conj() @ y.reshape(4, -1).T
-    else:
-        y = _real_times(v, rho_g)
-        e = _real_times(v4, y.reshape(4, -1).T)
+    y = np.zeros(v.shape, dtype=complex) if len(prop.blocks) > 1 else None
+    for (rows, cols), rho_g in zip(prop.blocks, _geometric_mean_weights(prop, dt, n)):
+        wb = w[:, cols]
+        np.multiply(wb.T @ (wb.conj() / d_nuc), rho_g, out=rho_g)
+        vb = v[rows, cols]
+        part = vb @ rho_g if np.iscomplexobj(v) else _real_times(vb, rho_g)
+        if y is None:  # one block: its product is Y, with no d x d copy
+            y = part
+        else:
+            y[rows, cols] = part
+    v4, y4 = v.reshape(4, -1), y.reshape(4, -1).T
+    e = v4.conj() @ y4 if np.iscomplexobj(v) else _real_times(v4, y4)
     return np.real(np.einsum("mab,ab->m", electron_ops, e))
 
 

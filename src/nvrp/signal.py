@@ -43,7 +43,7 @@ from .hamiltonian import (
     build_rp_hamiltonian,
     coupling_geometry,
 )
-from .spincore import Rotation
+from .spincore import Rotation, parity_sectors
 
 #: angular factor guard for theta-corrected signals
 NORMALIZE_EPS = 1e-3
@@ -118,11 +118,13 @@ def solve_pair(
     """The propagator of H_RP with its decay rate, and the initial state rho0.
 
     Every signal, yield and contrast starts from this pair:
-    rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag.
+    rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag.  An H split exactly into the
+    layout's parity sectors is diagonalised per sector (see ``dynamics``).
     """
+    layout = cfg.layout()
     h = build_rp_hamiltonian(cfg, field_cfg, rotation)
-    prop = make_propagator(h, cfg.effective_decay_rate)
-    return prop, initial_state(cfg.initial_state, cfg.layout())
+    prop = make_propagator(h, cfg.effective_decay_rate, parity_sectors(layout))
+    return prop, initial_state(cfg.initial_state, layout)
 
 
 def observable_series(

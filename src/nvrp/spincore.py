@@ -179,6 +179,23 @@ def site_operators(layout: SpinSystemLayout, site: int) -> tuple[np.ndarray, ...
     return ops
 
 
+@lru_cache(maxsize=16)
+def parity_sectors(layout: SpinSystemLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis states of even and odd sum_i (s_i + m_i), and the flat d x d index between them.
+
+    The parity, sum_i (d_i - 1 - j_i) mod 2 over local indices j_i, is a state's sign under
+    the pi rotation about z of every spin.  Each sector holds d/2 states.  Cached, read-only.
+    """
+    label = np.zeros(1, dtype=np.intp)
+    for d in layout.dimensions:
+        label = (label[:, None] + np.arange(d - 1, -1, -1)).ravel()
+    odd = label % 2 == 1
+    out = (np.flatnonzero(~odd), np.flatnonzero(odd), np.flatnonzero(odd[:, None] != odd))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class Rotation:
     """A proper rotation, stored as its 3x3 matrix."""

@@ -107,18 +107,23 @@ def random_pair(rng, spins, initial=InitialElectronState.SINGLET) -> RadicalPair
     return dataclasses.replace(cfg, dipolar_tensor_mT=rng.normal(size=(3, 3)))
 
 
-def skew_null_pair(eigh, eps=1e-3):
+def skew_null_pair(eigh, eps=1e-3, null=None):
     """Wrap an eigensolver so that it returns a non-orthogonal V.
 
     The two eigenvectors of smallest |eigenvalue| are mixed, V' = V (I + E)
     with E_ij = E_ji = eps: V'^dag V' - I = 2E + E^2, while
     V' diag(w) V'^dag - H gains only terms of order eps * (w_i, w_j).  On a
     spectrum with two zero eigenvalues the residual cannot see the change.
+    With ``null`` given, only a matrix whose two smallest |eigenvalues| are at
+    most ``null`` is skewed: of the per-block calls of a split H, that is the
+    block that holds the null pair of the assembled spectrum.
     """
 
     def corrupted(h):
         w, v = eigh(h)
         i, j = np.argsort(np.abs(w))[:2]
+        if null is not None and max(abs(w[i]), abs(w[j])) > null:
+            return w, v
         v = v.copy()
         vi = v[:, i].copy()
         v[:, i] += eps * v[:, j]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvrp import cli, dynamics
+from nvrp import cli, dynamics, signal
 from nvrp.cli import _fmt, experiment_from_preset, main, run
 from nvrp.config import (
     KINDS,
@@ -163,6 +163,19 @@ def test_bad_type_diagnostic(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), True], ids=["nan", "inf", "bool"])
+@pytest.mark.parametrize("key", ["nuclei_radical1[0].tensor_mT", "dipolar_tensor_mT"])
+def test_bad_tensor_entry_exits_2(tmp_path, capsys, key, entry):
+    payload = _minimal_angle_sweep()
+    rp = payload["radical_pair"]
+    rp["dipolar_tensor_mT"] = [[0.1, 0, 0], [0, 0.1, 0], [0, 0, -0.2]]
+    owner = rp if key == "dipolar_tensor_mT" else rp["nuclei_radical1"][0]
+    owner[key.split(".")[-1]][1][2] = entry
+    path = _write_config(tmp_path, payload)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"radical_pair.{key}[1][2]: expected a" in capsys.readouterr().err
+
+
 def test_schema_error_exit_code(tmp_path, capsys):
     # field sweeps run on the sensor axis, so they take no field angles
     field_sweep = _minimal_angle_sweep(
@@ -237,16 +250,19 @@ def test_time_trace_zero_rate(tmp_path, capsys, t_max_us, code, kind):
         assert "params.t_max_us" in capsys.readouterr().err
 
 
-def test_orthogonality_loss_exits_4(tmp_path, capsys, monkeypatch):
-    # Zeeman-only pair: two zero levels, whose mixing the residual cannot see.
-    # At phi = 0 the Hamiltonian is real, so the corrupted V is real too.
+def _orthogonality_loss(tmp_path, capsys, monkeypatch, theta_deg, skew):
+    """Run a Zeeman-only angle sweep with ``skew`` over ``_eigh``; the dtypes it returned.
+
+    The pair has two zero levels, whose mixing the residual cannot see.  At
+    phi = 0 the Hamiltonian is real, so the corrupted V is real too.
+    """
     payload = {
         "kind": "angle-sweep",
         "radical_pair": {"j_exchange_mT": 0.0, "lifetime_us": 5.0},
-        "params": {"b_mT": 0.05, "theta_deg": [0.0, 180.0, 3], "r_nm": 10.0},
+        "params": {"b_mT": 0.05, "theta_deg": theta_deg, "r_nm": 10.0},
     }
     path = _write_config(tmp_path, payload)
-    corrupted = skew_null_pair(dynamics._eigh)
+    corrupted = skew(dynamics._eigh)
     dtypes = []
 
     def recording(h):
@@ -257,6 +273,21 @@ def test_orthogonality_loss_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dynamics, "_eigh", recording)
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4
     assert "orthogonality" in capsys.readouterr().err
+    return dtypes
+
+
+def test_orthogonality_loss_exits_4(tmp_path, capsys, monkeypatch):
+    # At theta = 0 the pair splits into {T+, T-} and {T0, S}, one _eigh call
+    # each; only the block of the two exactly zero levels T0, S is skewed.
+    monkeypatch.setattr(dynamics, "BLOCK_MIN_DIM", 0)
+    skew = lambda eigh: skew_null_pair(eigh, null=0.0)  # noqa: E731
+    dtypes = _orthogonality_loss(tmp_path, capsys, monkeypatch, [0.0, 180.0, 3], skew)
+    assert dtypes == [np.float64, np.float64]
+
+
+def test_orthogonality_loss_exits_4_with_one_block(tmp_path, capsys, monkeypatch):
+    # at theta = 90 degrees the field is off the z axis, so H is one block
+    dtypes = _orthogonality_loss(tmp_path, capsys, monkeypatch, [90.0, 180.0, 2], skew_null_pair)
     assert dtypes == [np.float64]
 
 
@@ -536,6 +567,24 @@ def test_oracle_mode(tmp_path, capsys):
     rows = _read_csv_rows(tmp_path / "oracle_check.csv")
     deviation = float(rows[1].split(",")[0])
     assert deviation < 1e-6
+
+
+def test_oracle_checks_the_blocked_path(tmp_path, monkeypatch):
+    # the oracle's pair sits at theta = 0, where H splits into the two parity sectors
+    monkeypatch.setattr(dynamics, "BLOCK_MIN_DIM", 0)
+    blocks, make_propagator = [], signal.make_propagator
+
+    def spy(*args):
+        prop = make_propagator(*args)
+        blocks.append(len(prop.blocks))
+        return prop
+
+    monkeypatch.setattr(signal, "make_propagator", spy)
+    cfg = experiment_from_preset(get_preset("fig9-lifetime-sweep"), seed=None)
+    run(cfg, tmp_path, oracle=True)
+    assert blocks == [2]
+    rows = _read_csv_rows(tmp_path / "oracle_check.csv")
+    assert float(rows[1].split(",")[0]) < 1e-6
 
 
 @pytest.mark.parametrize("name", ["fig8-exchange-sweep", "fig9-lifetime-sweep"])

@@ -30,13 +30,15 @@ from nvrp.hamiltonian import (
     DecayConvention,
     FieldConfig,
     InitialElectronState,
+    build_coupling_hamiltonian,
     build_rp_hamiltonian,
     coupling_geometry,
 )
 from nvrp.oracle import rk4_evolve
-from nvrp.presets import fadtrp_config
+from nvrp.presets import fadtrp_config, one_nucleus_config, pydma_config, strongcoupling_config
 from nvrp.signal import integrated_observables, observable_series, solve_pair
-from nvrp.spincore import SpinSystemLayout, site_operators
+from nvrp.spincore import SpinSystemLayout, parity_sectors, site_operators, spin_matrices
+from nvrp.strongcoupling import level_structure
 
 from conftest import SPIN1_LAYOUTS, make_pair, random_pair, singlet_projector, skew_null_pair
 
@@ -372,7 +374,7 @@ def test_fused_means_match_dense_definition(seed, spins, state):
 
     v = prop.eigenvectors
     rho_e = v.conj().T @ rho0 @ v
-    geo = _geometric_mean_weights(prop, t_max / n, n)
+    [geo] = _geometric_mean_weights(prop, t_max / n, n)
     eye = np.eye(cfg.layout().nuclear_dimension)
     dense = np.array(
         [np.real(np.sum((v.conj().T @ np.kron(o, eye) @ v).T * rho_e * geo)) for o in electron_ops]
@@ -397,7 +399,7 @@ def test_geometric_weights_match_direct_sum(seed, d, k_t_max):
     lam[2] = lam[0] + 1e-7 / dt  # nearly degenerate
     lam = np.sort(lam)
     prop = Propagator(eigenvalues=lam, eigenvectors=np.eye(d), decay_rate=k)
-    geo = _geometric_mean_weights(prop, dt, n)
+    [geo] = _geometric_mean_weights(prop, dt, n)
     z = np.exp((-k - 1j * (lam[:, None] - lam[None, :])) * dt)
     direct = sum(z**j for j in range(n)) / n
     assert np.array_equal(geo, geo.conj().T)
@@ -416,7 +418,7 @@ def test_phase_numerators_match_expm1_at_sweep_size(fadtrp2):
     t_max = 5.0 / prop.decay_rate
     n = nyquist_samples(prop, t_max)
     dt = t_max / n
-    geo = _geometric_mean_weights(prop, dt, n)
+    [geo] = _geometric_mean_weights(prop, dt, n)
     x = (-prop.decay_rate - 1j * (prop.eigenvalues[:, None] - prop.eigenvalues[None, :])) * dt
     reference = np.expm1(x * n) / np.expm1(x) / n
     assert np.max(np.abs(prop.eigenvalues)) * t_max > 1e4
@@ -430,8 +432,123 @@ def test_geometric_weights_of_zero_generator_are_one():
     assert not np.any(h)
     prop = make_propagator(h, cfg.effective_decay_rate)
     assert prop.decay_rate == 0.0
-    geo = _geometric_mean_weights(prop, 1e-8, 4096)
+    [geo] = _geometric_mean_weights(prop, 1e-8, 4096)
     assert np.array_equal(geo, np.ones((4, 4)))
+
+
+# -- exact parity blocks ------------------------------------------------------
+
+
+@pytest.fixture
+def blocks_at_every_dim(monkeypatch):
+    """Let every dimension take the blocked path, not only d >= BLOCK_MIN_DIM."""
+    monkeypatch.setattr(dynamics, "BLOCK_MIN_DIM", 0)
+
+
+def _pair_means(prop, cfg, t_max):
+    n = nyquist_samples(prop, t_max)
+    ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
+    return _expectation_means(prop, cfg.initial_state, ops, t_max / n, n)
+
+
+@pytest.mark.parametrize(
+    "make_cfg",
+    [lambda: one_nucleus_config("axial3"), strongcoupling_config, pydma_config,
+     lambda: fadtrp_config(2)],
+    ids=["axial3", "strongcoupling", "pydma", "fadtrp-2n"],
+)
+def test_blocked_propagator_matches_one_block(make_cfg, blocks_at_every_dim, monkeypatch):
+    cfg = make_cfg()
+    field = FieldConfig(1.16, 0.0, 0.0)
+    h = build_rp_hamiltonian(cfg, field)
+    k = cfg.effective_decay_rate
+    split = make_propagator(h, k, parity_sectors(cfg.layout()))
+    whole = make_propagator(h, k)
+    assert (len(split.blocks), len(whole.blocks)) == (2, 1)
+    assert np.max(np.abs(split.eigenvalues - whole.eigenvalues)) <= 1e-12 * np.linalg.norm(h)
+    assert np.all(np.diff(split.eigenvalues) >= 0)
+
+    blocked = integrated_observables(cfg, field), singlet_yield_mean(split, S, 5.0 / k, 4096)
+    monkeypatch.setattr(dynamics, "BLOCK_MIN_DIM", h.shape[0] + 1)
+    assert len(solve_pair(cfg, field)[0].blocks) == 1
+    reference = integrated_observables(cfg, field), singlet_yield_mean(whole, S, 5.0 / k, 4096)
+    for a, b in zip(blocked, reference):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_one_nonzero_cross_sector_pair_forces_one_block(axial3_pair, blocks_at_every_dim):
+    sectors = parity_sectors(axial3_pair.layout())
+    even, odd, _ = sectors
+    split = build_rp_hamiltonian(axial3_pair, FieldConfig(1.16, 0.0, 0.0)).real
+    assert len(make_propagator(split, 0.0, sectors).blocks) == 2
+    # in the first two rows, which the test reads first, and in two rows past them
+    for i, j in ((even[0], odd[-1]), (even[-1], odd[-1])):
+        h = split.copy()
+        h[i, j] = h[j, i] = 1e-300
+        assert len(make_propagator(h, 0.0, sectors).blocks) == 1
+
+
+def test_blocks_start_at_the_measured_dimension(axial3_pair, fadtrp2):
+    for cfg, blocks in ((axial3_pair, 1), (fadtrp2, 2)):
+        d = cfg.layout().total_dimension
+        assert (d >= dynamics.BLOCK_MIN_DIM) == (blocks == 2)
+        assert len(solve_pair(cfg, FieldConfig(1.16, 0.0, 0.0))[0].blocks) == blocks
+    # off the sensor axis, or with a rotated molecule, H does not split
+    assert len(solve_pair(fadtrp2, FieldConfig(1.16, 0.3, 0.0))[0].blocks) == 1
+    rotation = random_rotation(np.random.default_rng(4))
+    assert len(solve_pair(fadtrp2, FieldConfig(1.16, 0.0, 0.0), rotation)[0].blocks) == 1
+
+
+@pytest.mark.parametrize("spins", SPIN1_LAYOUTS)
+def test_parity_sectors_are_the_pi_rotation_about_z(spins):
+    """H at theta = 0 commutes with the tensor product of exp(i pi S_z) over every spin."""
+    rng = np.random.default_rng(len(spins[0]) + 3 * len(spins[1]))
+    cfg = make_pair(
+        tensors1=[np.diag(rng.normal(size=3)) for _ in spins[0]],
+        tensors2=[np.diag(rng.normal(size=3)) for _ in spins[1]],
+        spins1=spins[0], spins2=spins[1], j_mT=0.3,
+    )
+    cfg = dataclasses.replace(cfg, dipolar_tensor_mT=np.diag(rng.normal(size=3)))
+    layout = cfg.layout()
+    d = layout.total_dimension
+    even, odd, cross = parity_sectors(layout)
+    assert len(even) == len(odd) == d // 2
+    assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(d))
+    rotation = np.ones(1)
+    for species in layout.species:
+        rotation = np.kron(rotation, np.exp(1j * np.pi * np.diag(spin_matrices(species)[2])))
+    sign = rotation / rotation[even[0]]
+    assert np.allclose(sign[even], 1.0, atol=1e-14) and np.allclose(sign[odd], -1.0, atol=1e-14)
+    h = build_rp_hamiltonian(cfg, FieldConfig(0.7, 0.0, 0.0))
+    commutator = rotation[:, None] * h - h * rotation[None, :]
+    assert np.max(np.abs(commutator)) <= 1e-14 * np.max(np.abs(h))
+    assert not np.count_nonzero(h.take(cross))
+    assert cross.size == d * d // 2
+
+
+def test_blocked_means_at_zero_field_match_one_block(blocks_at_every_dim):
+    """At B = 0 the levels are exactly degenerate, also across the two blocks."""
+    cfg = make_pair(tensors1=[np.eye(3)] * 2, tensors2=[np.eye(3)], spins1=[0.5, 0.5],
+                    spins2=[0.5], j_mT=0.0)
+    h = build_rp_hamiltonian(cfg, FieldConfig(0.0, 0.0, 0.0))
+    k = cfg.effective_decay_rate
+    split = make_propagator(h, k, parity_sectors(cfg.layout()))
+    whole = make_propagator(h, k)
+    assert len(split.blocks) == 2
+    assert np.any(np.diff(split.eigenvalues) == 0.0)  # exact degeneracies
+    blocked, reference = _pair_means(split, cfg, 5.0 / k), _pair_means(whole, cfg, 5.0 / k)
+    assert np.max(np.abs(blocked - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_level_structure_never_blocks(blocks_at_every_dim):
+    cfg = strongcoupling_config()
+    field = FieldConfig(1.0, 0.0, 0.0)
+    assert len(solve_pair(cfg, field)[0].blocks) == 2
+    geom = coupling_geometry(5.0, 0.0)
+    assert not np.count_nonzero(
+        build_coupling_hamiltonian(geom, cfg.layout()).take(parity_sectors(cfg.layout())[2])
+    )
+    assert len(level_structure(cfg, field, geom).propagator.blocks) == 1
 
 
 # -- trace law and positivity -------------------------------------------------
