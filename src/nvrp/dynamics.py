@@ -18,13 +18,25 @@ series, independent of the grid length.
 
 The closed-form mean uses the structure of the model: rho0 = |s><s| x
 I/d_nuc has rank d_nuc = d/4, and every averaged observable is a 4x4
-electron-pair matrix x I_nuc.  A mean then costs one d x d x d product,
-one d x d/4 x d product and O(d^2) work besides, on top of ``eigh`` and
-the reconstruction residual of :func:`make_propagator`; no operator is
-taken to the eigenbasis.  With real eigenvectors (below) the d x d x d
-product is one real d x d x 2d GEMM over the real and imaginary parts of
-its complex factor, half the flops of the complex product, and the
-residual is a real GEMM, a quarter of them.
+electron-pair matrix o x I_nuc, which reads only some of the four electron
+slabs of d/4 basis states each: S_z reads alpha alpha and beta beta, the
+singlet projector alpha beta and beta alpha, S_x and S_y all four.  With r
+the rows of the slabs read (d/2 for S_z or the projector, d with S_x), a
+mean costs the state's product rho~ = W^T conj(W) (d x d/4 x d, half of it
+as a real ``syrk``), d^2/2 weights and one r x d x d product V_r (rho~ o G),
+on top of ``eigh`` and the reconstruction residual of
+:func:`make_propagator`; no operator is taken to the eigenbasis.
+``signal.integrated_observables`` asks only for the components the sensor
+weights (d_ci != 0): S_z alone at theta = 0, S_x and S_z at phi = 0.  With
+real eigenvectors and real operators (every preset but fig5's Haar half)
+only Re G enters, in float64, and every product is a real GEMM: a phi = 0
+point takes a d x d x d GEMM where the previous kernel took d x d x 2d, and
+an S_z point a d/2 x d x d one.  Each weight costs a sine and a cosine
+rather than a complex ``expm1``, in row chunks of ``WEIGHT_CHUNK_ENTRIES``.
+At one BLAS thread a means call takes 2.0 against 4.2 ms at d = 216 and 66
+against 139 ms at d = 864 on such a phi = 0 point, and 105 against 180 ms on
+a Haar-rotated d = 864 point; at d = 12 it is 6% (real) to 15% (complex)
+slower, a few microseconds (BENCH_14.json, ``bench/means.py``).
 
 A time series of T uniform samples costs T d^2 per evaluated operator
 plus one T_b x d phase table exp(-i lambda b dt) per call (T_b <=
@@ -33,7 +45,8 @@ Only the components the sensor weights (d_ci != 0) are evaluated.  A
 transition projector |psi><psi| costs T d^2 / 4 through the rank-d/4 state.
 
 A Hamiltonian whose imaginary part is exactly zero (every shipped system
-at phi = 0 in its molecular frame) is diagonalised as a real symmetric
+at phi = 0 in its molecular frame, which ``build_rp_hamiltonian`` then
+assembles in float64) is diagonalised as a real symmetric
 matrix by LAPACK's ``dsyevd`` (numpy), and its eigenvectors stay real.
 At one BLAS thread ``dsyevd`` takes 6.0 against 16.7 ms for ``zheevd`` at
 d = 216 and 170 against 972 ms at d = 864, and scipy's real ``evd`` and
@@ -50,8 +63,10 @@ With the field on z and no tensor entry coupling z to x or y (every shipped
 system at theta = 0 in its molecular frame), H commutes with the pi rotation about
 z of all spins and splits exactly into two parity sectors of d/2 states, which
 ``signal.solve_pair`` hands over (``strongcoupling`` does not).  From ``BLOCK_MIN_DIM``
-on, ``eigh`` then runs per sector and the means need d^2/2 weights and 2 (d/2)^3
-flops for their largest product: 151 against 325 ms a point at d = 864 (BENCH_13.json).
+on, ``eigh`` then runs per sector.  The means form d^2/4 weights per sector; the state
+has d/8 nonzero rows in each, and S_z reads d/4 of its d/2 rows, so the largest product is
+d/4 x d/2 x d/2 per sector, d^3/8 in all against d^3/2 before: 19.0 against 59.1 ms a
+means call at d = 864, and 1.4 against 2.8 ms at d = 216 (BENCH_14.json).
 """
 
 from __future__ import annotations
@@ -76,6 +91,9 @@ SERIES_CHUNK = 2048
 
 #: most complex entries of one block's product in a time series (8 MB)
 SERIES_BLOCK_ENTRIES = 1 << 19
+
+#: most entries of one row chunk of the closed-form weights (128 kB as complex)
+WEIGHT_CHUNK_ENTRIES = 1 << 13
 
 #: smallest dimension of a complex H diagonalised by ``zheevr`` rather than ``zheevd``; a real
 #: H takes ``dsyevd`` at every d.  BENCH_6.json (``bench/eigh_drivers.py``, one BLAS thread):
@@ -126,8 +144,9 @@ class Propagator:
     eigenvalues are in rad/s; ``decay_rate`` is the effective trace-decay
     rate k_eff in 1/s (already doubled for the rate_2k convention).
     ``eigenvectors`` are float64 when the generator was real (see
-    :func:`make_propagator`), complex128 otherwise.  ``blocks`` holds one (basis rows as a
-    column, eigen-columns) index per exact block, with V zero outside; else full slices.
+    :func:`make_propagator`), complex128 otherwise.  ``blocks`` holds one (basis rows,
+    eigen-columns) pair of ascending indices per exact block, with V zero outside; else
+    full slices.
     """
 
     eigenvalues: np.ndarray
@@ -218,14 +237,14 @@ def make_propagator(h: np.ndarray, k_eff: float, sectors: tuple | None = None) -
     hnorm = np.linalg.norm(h)
     if hnorm > 0 and np.linalg.norm(h - h.conj().T) > 1e-10 * hnorm:
         raise PhysicsError("propagator generator must be Hermitian")
-    blocks = ((slice(None), slice(None)),)
+    rows = [slice(None)]
     split = sectors is not None and h.shape[0] >= BLOCK_MIN_DIM
     # a general H shows a nonzero among the first d cross entries, so most tests read only those
     if split and not any(np.count_nonzero(h.take(c)) for c in (sectors[2][: len(h)], sectors[2])):
-        blocks = tuple((rows[:, None], rows) for rows in sectors[:2])
+        rows = list(sectors[:2])
     eigs, residual = [], 0.0
-    for ix in blocks:
-        part = h[ix]
+    for r in rows:
+        part = h if isinstance(r, slice) else h[r[:, None], r]
         w, v = _eigh(part)
         residual = np.hypot(residual, np.linalg.norm((v * w) @ v.conj().T - part))
         eigs.append((w, v))
@@ -233,14 +252,15 @@ def make_propagator(h: np.ndarray, k_eff: float, sectors: tuple | None = None) -
         raise NumericalError(
             f"eigendecomposition residual {residual:.3e} exceeds 1e-8 * ||H|| = {1e-8 * hnorm:.3e}"
         )
+    blocks = ((slice(None), slice(None)),)
     if len(eigs) > 1:  # the sectors have d/2 states each; their columns interleave by eigenvalue
         w = np.concatenate([e[0] for e in eigs])
         order = np.argsort(w, kind="stable")
         w, columns = w[order], np.argsort(order).reshape(2, -1)
         v = np.zeros(h.shape, dtype=np.result_type(*(e[1] for e in eigs)))
-        blocks = tuple((rows, cols) for (rows, _), cols in zip(blocks, columns))
-        for (rows, cols), (_, vb) in zip(blocks, eigs):
-            v[rows, cols] = vb
+        blocks = tuple(zip(rows, columns))
+        for (r, cols), (_, vb) in zip(blocks, eigs):
+            v[r[:, None], cols] = vb
     x = _probe_vectors(h.shape[0])
     back = (v.T @ (v @ x).conj()).conj()  # V^dag V x without a conjugated copy of V
     loss = np.max(np.linalg.norm(back - x, axis=0))
@@ -351,69 +371,128 @@ def _projector_series(
     return out
 
 
-def _geometric_mean_weights(prop: Propagator, dt: float, n: int) -> list[np.ndarray]:
-    """G_nm = (1/n) sum_{j=0}^{n-1} z_nm^j, z_nm = exp((-k - i omega_nm) dt), one matrix per block.
+def _geometric_mean_weights(
+    lam: np.ndarray, k: float, dt: float, n: int, real: bool = False
+) -> np.ndarray:
+    """G_nm = (1/n) sum_{j=0}^{n-1} z_nm^j, z_nm = exp((-k - i omega_nm) dt), for levels ``lam``.
 
-    The means need no weight between two blocks of ``prop``.  G is Hermitian,
-    so only the strict upper triangle is evaluated, as (z^n - 1) / expm1(x) / n
-    with x = (-k - i omega_nm) dt; the lower triangle is its conjugate and the
-    diagonal (omega = 0) is real.  With T = n dt and k T >= 1 the numerator is
+    G is Hermitian; with ``real`` only Re G is formed, in float64.  It is
+    filled in chunks of rows [lo, hi) against the columns [lo, m), each
+    mirrored into the rows below, so that a temporary holds at most about
+    ``WEIGHT_CHUNK_ENTRIES`` entries.  A chunk evaluates its square
+    [lo, hi) x [lo, hi) from both sides and keeps the mean of the two
+    triangles.  An entry is (z^n - 1) / expm1(x) / n with x = -k dt + i phi,
+    phi = (lambda_m - lambda_n) dt, and expm1(x) = expm1(-k dt)
+    - 2 exp(-k dt) (s^2 - i s c), s = sin(phi / 2), c = cos(phi / 2): its
+    real part sums two terms of one sign, so near-degenerate levels keep
+    their relative accuracy.  With T = n dt and k T >= 1 the numerator is
     the outer product z_nm^n - 1 = exp(-k T) p_n conj(p_m) - 1 of the phases
-    p = exp(-i lambda T).  Since |z^n| = exp(-k T), forming it adds a relative
-    error of at most about (1 + 4 exp(-k T) / (1 - exp(-k T))) eps: 3.3 eps at
-    k T = 1 and 1.03 eps at the default T = 5/k, on top of the rounding of the
-    phase arguments that expm1(n x) carries too.  Below k T = 1 that bound
-    grows like 1/(k T), and the numerator is expm1(n x).  Where expm1(x)
-    vanishes (k = 0 and exactly degenerate levels) every z^j is 1, and so is
-    the weight.
+    p = exp(-i lambda T).  Since |z^n| = exp(-k T), forming it adds a
+    relative error of at most about (1 + 4 exp(-k T) / (1 - exp(-k T))) eps:
+    3.3 eps at k T = 1 and 1.03 eps at the default T = 5/k, on top of the
+    rounding of the phase arguments that expm1(n x) carries too.  Below
+    k T = 1 that bound grows like 1/(k T), and the numerator is expm1(n x)
+    in the same half-angle form.  Where expm1(x) vanishes (k = 0 and exactly
+    degenerate levels) every z^j is 1, and so is the weight.
     """
-    k_dt = prop.decay_rate * dt
-
-    def ratio(x, num):
-        den = np.expm1(x)
-        zero = np.abs(den) < 1e-300
-        num[zero] = n
-        den[zero] = 1.0
-        num /= den
-        num /= n
-        return num
-
-    x_diag = np.array([-k_dt], dtype=complex)
-    out = []
-    for _, block in prop.blocks:
-        lam = prop.eigenvalues[block]
-        d = lam.shape[0]
-        rows, cols = _upper_triangle(d)
-        x = np.empty(rows.shape[0], dtype=complex)
-        x.real = -k_dt
-        x.imag = (lam[cols] - lam[rows]) * dt
-        if k_dt * n >= 1.0:
-            p = np.exp(-1j * (n * dt) * lam)
-            num = (np.exp(-k_dt * n) * p)[rows] * p.conj()[cols]
-            num -= 1.0
+    m = lam.shape[0]
+    k_dt, k_t = k * dt, k * dt * n
+    den_0, den_s = n * np.expm1(-k_dt), -2.0 * n * np.exp(-k_dt)
+    num_0, decay = np.expm1(-k_t), np.exp(-k_t)
+    vanishing = abs(den_0) < n * 1e-300  # else |expm1(x)| >= |expm1(-k dt)| everywhere
+    if k_t >= 1.0:
+        p = np.exp(-1j * (n * dt) * lam)
+        p_k, p_c = decay * p, p.conj()
+    out = np.empty((m, m), dtype=float if real else complex)
+    rows = max(1, WEIGHT_CHUNK_ENTRIES // max(m, 1))
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        half = lam[lo:] - lam[lo:hi, None]
+        half *= 0.5 * dt
+        if k_t >= 1.0:
+            g = np.multiply.outer(p_k[lo:hi], p_c[lo:])
+            g -= 1.0
         else:
-            num = np.expm1(x * n)
-        upper = ratio(x, num)
-        geo = np.empty((d, d), dtype=complex)
-        geo[rows, cols] = upper
-        geo[cols, rows] = upper.conj()
-        geo.flat[:: d + 1] = ratio(x_diag, np.expm1(x_diag * n))
-        out.append(geo)
+            g = _expm1_half_angle(half * n, num_0, -2.0 * decay)
+        den = _expm1_half_angle(half, den_0, den_s)
+        if vanishing:
+            zero = np.abs(den) < n * 1e-300
+            den[zero] = g[zero] = 1.0
+        g /= den
+        w = hi - lo
+        square = g[:, :w]  # holds both triangles: their mean is exactly Hermitian
+        square += square.T.conj()
+        square *= 0.5
+        if real:
+            g = g.real
+        out[lo:hi, lo:] = g
+        if hi < m:
+            out[hi:, lo:hi] = g[:, w:].T.conj()
     return out
 
 
-@lru_cache(maxsize=8)
-def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the strict upper triangle of a d x d matrix."""
-    rows, cols = np.triu_indices(d, 1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+def _expm1_half_angle(half: np.ndarray, re: float, scale: float) -> np.ndarray:
+    """re + scale (s^2 - i s c), s = sin(half), c = cos(half).
+
+    With re = f expm1(a) and scale = -2 f exp(a) for a real a, this is
+    f expm1(a + 2i half).
+    """
+    s = np.sin(half)
+    out = np.empty(half.shape, dtype=complex)
+    np.multiply(s, s, out=out.real)
+    out.real *= scale
+    out.real += re
+    np.cos(half, out=out.imag)
+    out.imag *= s
+    out.imag *= -scale
+    return out
 
 
-def _real_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for real ``a`` and complex ``b``: one real GEMM on b's float view, ``a`` not upcast."""
-    return (a @ np.ascontiguousarray(b).view(float)).view(complex)
+def _slab_rows(v: np.ndarray, block: tuple, slabs: np.ndarray, d_nuc: int) -> np.ndarray:
+    """V's rows in each electron slab of ``slabs`` within one block, shape (len(slabs), r, m).
+
+    Slab a holds the basis states a d_nuc to (a + 1) d_nuc - 1.  In a parity
+    block, slabs of equal parity (alpha alpha and beta beta, or alpha beta and
+    beta alpha) hold the same r nuclear states, in the same order.
+    """
+    rows, cols = block
+    if isinstance(rows, slice):
+        v4 = v.reshape(4, d_nuc, -1)
+        lo, hi = slabs[0], slabs[-1] + 1
+        return v4[lo:hi] if hi - lo == len(slabs) else v4[slabs]
+    bounds = np.searchsorted(rows, np.arange(5) * d_nuc)
+    index = np.stack([rows[bounds[a] : bounds[a + 1]] for a in slabs])
+    return v[index[:, :, None], cols]
+
+
+@lru_cache(maxsize=32)
+def _slab_plan(state: InitialElectronState, shape: tuple, dtype: str, data: bytes) -> tuple:
+    """What the means of ``electron_ops`` (given by shape, dtype and bytes) read, per kind of block.
+
+    Returns (real, held, amplitudes, whole, parity): ``real`` when every
+    operator is real; the slabs ``held`` where the electron state has its
+    ``amplitudes``; and, for a whole and for a parity block, the groups of
+    slabs that pair, each with the operators' entries between them, shape
+    (n_ops, len(group) ** 2).  In a parity block a slab pairs only with
+    slabs of its own parity.  Cached, read-only.
+    """
+    ops = np.frombuffer(data, dtype=dtype).reshape(shape)
+    real = not np.imag(ops).any()
+    ops = ops.real if real else ops
+    reads = ops.any(axis=0)
+    slabs = np.flatnonzero(reads.any(axis=0) | reads.any(axis=1))
+    s = electron_pair_state(state)
+    held = np.flatnonzero(s)
+    amplitudes = s[held]
+
+    def groups(parts):
+        return tuple((g, ops[:, g[:, None], g].reshape(len(ops), -1)) for g in parts if g.size)
+
+    whole = groups([slabs])
+    parity = groups([slabs[np.isin(slabs, pair)] for pair in ((0, 3), (1, 2))])
+    for a in (held, amplitudes, *(a for group in whole + parity for a in group)):
+        a.setflags(write=False)
+    return real, held, amplitudes, whole, parity
 
 
 def _expectation_means(
@@ -431,27 +510,34 @@ def _expectation_means(
     and V4 = V.reshape(4, d_nuc, d).  The mean of O = o x I_nuc is
     Tr(O V (rho~ o G) V^dag) = Re sum_ab o_ab E_ab, where
     E_ab = sum_kn conj(V4[a, k, n]) Y4[b, k, n] and Y = V (rho~ o G).
-    With real eigenvectors W and rho~ are real too, and both products are
-    real GEMMs on the real and imaginary parts of their complex factor.
-    rho~ o G and Y are formed per block of ``prop`` (rho0 keeps the parity of
-    its basis states, so rho~ is zero between blocks); Y is scattered into d x d.
+
+    Only the rows of Y in the electron slabs that some o reads are formed
+    (S_z reads alpha alpha and beta beta, the singlet projector alpha beta
+    and beta alpha, S_x and S_y all four), per block of ``prop`` only that
+    block's rows: rho0 keeps the parity of its basis states, so rho~ is zero
+    between blocks, and so is E_ab between slabs of opposite parity.  With
+    real V and real operators only Re(rho~ o G) = rho~ o Re G enters, and
+    every product is a real GEMM.
     """
+    ops = np.asarray(electron_ops)
+    plan = _slab_plan(state, ops.shape, ops.dtype.str, ops.tobytes())
+    real, held, amplitudes, whole, parity = plan
     v = prop.eigenvectors
-    w = _state_factor(prop, state)
-    d_nuc = w.shape[0]
-    y = np.zeros(v.shape, dtype=complex) if len(prop.blocks) > 1 else None
-    for (rows, cols), rho_g in zip(prop.blocks, _geometric_mean_weights(prop, dt, n)):
-        wb = w[:, cols]
-        np.multiply(wb.T @ (wb.conj() / d_nuc), rho_g, out=rho_g)
-        vb = v[rows, cols]
-        part = vb @ rho_g if np.iscomplexobj(v) else _real_times(vb, rho_g)
-        if y is None:  # one block: its product is Y, with no d x d copy
-            y = part
-        else:
-            y[rows, cols] = part
-    v4, y4 = v.reshape(4, -1), y.reshape(4, -1).T
-    e = v4.conj() @ y4 if np.iscomplexobj(v) else _real_times(v4, y4)
-    return np.real(np.einsum("mab,ab->m", electron_ops, e))
+    real = real and not np.iscomplexobj(v)
+    d_nuc = prop.dim // 4
+    out = np.zeros(ops.shape[0])
+    for block in prop.blocks:
+        vw = _slab_rows(v, block, held, d_nuc)
+        w = (amplitudes @ vw.reshape(len(held), -1)).reshape(vw.shape[1:]).conj()
+        rho_g = _geometric_mean_weights(prop.eigenvalues[block[1]], prop.decay_rate, dt, n, real)
+        rho_g *= w.T @ w if real else w.T @ w.conj()
+        for group, ops_g in whole if isinstance(block[0], slice) else parity:
+            vs = _slab_rows(v, block, group, d_nuc)
+            y = vs.reshape(-1, vs.shape[2]) @ rho_g
+            e = vs.reshape(len(group), -1).conj() @ y.reshape(len(group), -1).T
+            out += np.real(ops_g @ e.ravel())
+    out /= d_nuc
+    return out
 
 
 def _pair_spin_ops(layout: SpinSystemLayout) -> list[np.ndarray]:

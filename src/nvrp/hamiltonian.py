@@ -284,18 +284,11 @@ ELECTRON_PAIR_SPIN = np.stack(
 ELECTRON_PAIR_SPIN.setflags(write=False)
 
 
-def build_rp_hamiltonian(
-    cfg: RadicalPairConfig,
-    field_cfg: FieldConfig,
-    rotation: Rotation | None = None,
-) -> np.ndarray:
-    """Radical-pair Hamiltonian in the sensor frame, rad/s.
-
-    The field stays in the sensor frame; all molecular-frame coupling
-    tensors (hyperfine and dipolar) are rotated by ``rotation``.
-    """
+def _rp_terms(
+    cfg: RadicalPairConfig, field_cfg: FieldConfig, rotation: Rotation | None
+) -> list[tuple[np.ndarray, int, int]]:
+    """The local terms of H_RP, rad/s: (operator, site_a, site_b) for ``add_two_site``."""
     rot = rotation if rotation is not None else Rotation.identity()
-    layout = cfg.layout()
     pair = np.zeros((4, 4), dtype=complex)
 
     b_rad = field_cfg.vector_mT() * MT_TO_RAD_PER_S
@@ -311,15 +304,35 @@ def build_rp_hamiltonian(
     if np.any(dip):
         pair += np.einsum("ab,abij->ij", dip, _PAIR)
 
-    d = layout.total_dimension
-    h = np.zeros((d, d), dtype=complex)
-    add_two_site(h, pair, 0, 1, layout)
+    terms = [(pair, 0, 1)]
     n1 = len(cfg.nuclei_radical1)
     for idx, nuc in enumerate(cfg.nuclei):
         a_rad = rotate_tensor(rot, nuc.tensor_mT) * MT_TO_RAD_PER_S
         if np.any(a_rad):
             local = np.einsum("ab,abij->ij", a_rad, _BASIS[nuc.species.spin])
-            add_two_site(h, local, 0 if idx < n1 else 1, 2 + idx, layout)
+            terms.append((local, 0 if idx < n1 else 1, 2 + idx))
+    return terms
+
+
+def build_rp_hamiltonian(
+    cfg: RadicalPairConfig,
+    field_cfg: FieldConfig,
+    rotation: Rotation | None = None,
+) -> np.ndarray:
+    """Radical-pair Hamiltonian in the sensor frame, rad/s.
+
+    The field stays in the sensor frame; all molecular-frame coupling
+    tensors (hyperfine and dipolar) are rotated by ``rotation``.  The matrix
+    is float64 when no local term has an imaginary part (every shipped system
+    at phi = 0 in its molecular frame), complex128 otherwise.
+    """
+    layout = cfg.layout()
+    terms = _rp_terms(cfg, field_cfg, rotation)
+    real = not any(np.count_nonzero(local.imag) for local, _, _ in terms)
+    d = layout.total_dimension
+    h = np.zeros((d, d), dtype=float if real else complex)
+    for local, site_a, site_b in terms:
+        add_two_site(h, local.real if real else local, site_a, site_b, layout)
     return h
 
 

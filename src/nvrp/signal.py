@@ -153,14 +153,18 @@ def integrated_observables(
 
     Dimensionless; multiply by a prefactor to obtain X_i^I in Tesla.  The
     sample count per point adapts to the spectral spread of H, which
-    leaves the closed-form mean exact for the grid actually used.
+    leaves the closed-form mean exact for the grid actually used.  Only the
+    components with d_ci != 0 are evaluated; the others are +0.0.
     """
     prop, _ = solve_pair(cfg, field_cfg, rotation)
     t_max = t_max if t_max is not None else _default_t_max(cfg)
-    n = nyquist_samples(prop, t_max)
-    means = _expectation_means(prop, cfg.initial_state, ELECTRON_PAIR_SPIN, t_max / n, n)
-    geom = coupling_geometry(1.0, field_cfg.theta, field_cfg.phi)
-    return geom.d_c * means
+    out = coupling_geometry(1.0, field_cfg.theta, field_cfg.phi).d_c + 0.0  # -0.0 becomes +0.0
+    weighted = out != 0
+    if weighted.any():
+        n = nyquist_samples(prop, t_max)
+        ops = ELECTRON_PAIR_SPIN[weighted]
+        out[weighted] *= _expectation_means(prop, cfg.initial_state, ops, t_max / n, n)
+    return out
 
 
 def spectrum(trace: SignalTrace) -> SignalSpectrum:

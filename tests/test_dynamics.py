@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from nvrp import dynamics
 from nvrp.dynamics import (
     SERIES_CHUNK,
-    Propagator,
     _expectation_means,
     _expectation_series,
     _geometric_mean_weights,
@@ -35,7 +34,13 @@ from nvrp.hamiltonian import (
     coupling_geometry,
 )
 from nvrp.oracle import rk4_evolve
-from nvrp.presets import fadtrp_config, one_nucleus_config, pydma_config, strongcoupling_config
+from nvrp.presets import (
+    fadtrp_config,
+    get_preset,
+    one_nucleus_config,
+    pydma_config,
+    strongcoupling_config,
+)
 from nvrp.signal import integrated_observables, observable_series, solve_pair
 from nvrp.spincore import SpinSystemLayout, parity_sectors, site_operators, spin_matrices
 from nvrp.strongcoupling import level_structure
@@ -351,6 +356,17 @@ def test_non_uniform_grid_rejected(axial3_pair):
 # -- closed-form means ---------------------------------------------------------
 
 
+def _dense_means(prop, rho0, layout, electron_ops, dt, n):
+    """Re sum (V^dag O V)^T o (V^dag rho0 V) o G over the whole eigenbasis, complex G."""
+    v = prop.eigenvectors
+    rho_e = v.conj().T @ rho0 @ v
+    geo = _geometric_mean_weights(prop.eigenvalues, prop.decay_rate, dt, n)
+    eye = np.eye(layout.nuclear_dimension)
+    return np.array(
+        [np.real(np.sum((v.conj().T @ np.kron(o, eye) @ v).T * rho_e * geo)) for o in electron_ops]
+    )
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from(SPIN1_LAYOUTS), st.sampled_from([S, T0]))
 @settings(max_examples=30, deadline=None)
 def test_fused_means_match_dense_definition(seed, spins, state):
@@ -371,14 +387,7 @@ def test_fused_means_match_dense_definition(seed, spins, state):
     electron_ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
 
     fused = _expectation_means(prop, state, electron_ops, t_max / n, n)
-
-    v = prop.eigenvectors
-    rho_e = v.conj().T @ rho0 @ v
-    [geo] = _geometric_mean_weights(prop, t_max / n, n)
-    eye = np.eye(cfg.layout().nuclear_dimension)
-    dense = np.array(
-        [np.real(np.sum((v.conj().T @ np.kron(o, eye) @ v).T * rho_e * geo)) for o in electron_ops]
-    )
+    dense = _dense_means(prop, rho0, cfg.layout(), electron_ops, t_max / n, n)
     assert np.max(np.abs(fused - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -398,12 +407,15 @@ def test_geometric_weights_match_direct_sum(seed, d, k_t_max):
     lam[1] = lam[0]  # exactly degenerate
     lam[2] = lam[0] + 1e-7 / dt  # nearly degenerate
     lam = np.sort(lam)
-    prop = Propagator(eigenvalues=lam, eigenvectors=np.eye(d), decay_rate=k)
-    [geo] = _geometric_mean_weights(prop, dt, n)
+    geo = _geometric_mean_weights(lam, k, dt, n)
+    real = _geometric_mean_weights(lam, k, dt, n, real=True)
     z = np.exp((-k - 1j * (lam[:, None] - lam[None, :])) * dt)
     direct = sum(z**j for j in range(n)) / n
     assert np.array_equal(geo, geo.conj().T)
     assert np.max(np.abs(geo - direct)) < 1e-13
+    # Re G alone, in float64, for real eigenvectors and operators
+    assert real.dtype == np.float64 and np.array_equal(real, real.T)
+    assert np.max(np.abs(real - direct.real)) < 1e-13
 
 
 def test_phase_numerators_match_expm1_at_sweep_size(fadtrp2):
@@ -418,7 +430,7 @@ def test_phase_numerators_match_expm1_at_sweep_size(fadtrp2):
     t_max = 5.0 / prop.decay_rate
     n = nyquist_samples(prop, t_max)
     dt = t_max / n
-    [geo] = _geometric_mean_weights(prop, dt, n)
+    geo = _geometric_mean_weights(prop.eigenvalues, prop.decay_rate, dt, n)
     x = (-prop.decay_rate - 1j * (prop.eigenvalues[:, None] - prop.eigenvalues[None, :])) * dt
     reference = np.expm1(x * n) / np.expm1(x) / n
     assert np.max(np.abs(prop.eigenvalues)) * t_max > 1e4
@@ -432,8 +444,98 @@ def test_geometric_weights_of_zero_generator_are_one():
     assert not np.any(h)
     prop = make_propagator(h, cfg.effective_decay_rate)
     assert prop.decay_rate == 0.0
-    [geo] = _geometric_mean_weights(prop, 1e-8, 4096)
-    assert np.array_equal(geo, np.ones((4, 4)))
+    for real in (False, True):
+        geo = _geometric_mean_weights(prop.eigenvalues, prop.decay_rate, 1e-8, 4096, real)
+        assert np.array_equal(geo, np.ones((4, 4)))
+
+
+# -- weighted components only -------------------------------------------------
+
+
+def _weighted_and_dense(cfg, field, rotation=None):
+    """integrated_observables and the singlet yield, and the same from the dense means.
+
+    Checks that a component with d_ci = 0 is exactly +0.0.  Returns the propagator, both
+    signals and both yields.
+    """
+    prop, rho0 = solve_pair(cfg, field, rotation)
+    t_max = 5.0 / cfg.effective_decay_rate
+    n = nyquist_samples(prop, t_max)
+    ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
+    dense = _dense_means(prop, rho0, cfg.layout(), ops, t_max / n, n)
+    d_c = coupling_geometry(1.0, field.theta, field.phi).d_c
+    got = integrated_observables(cfg, field, rotation)
+    unweighted = got[d_c == 0]
+    assert np.all(unweighted == 0.0) and not np.any(np.signbit(unweighted))
+    phi_s = singlet_yield_mean(prop, cfg.initial_state, t_max, n)
+    return prop, got, d_c * dense[:3], phi_s, prop.decay_rate * t_max * dense[3]
+
+
+def _assert_close(got, want):
+    """Within 1e-12 of each column's max|value| (the last axis runs over points)."""
+    got, want = np.atleast_2d(got), np.atleast_2d(want)
+    scale = np.max(np.abs(want), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_weighted_means_over_the_angle_sweep_grid(fadtrp2):
+    """fig4e's 181 angles on axial3 (real, one block); fig4e's own system at four of them.
+
+    At theta = pi/2, d_cx = 1.5 sin(pi) = 1.8e-16 is not zero, so S_x is still evaluated.
+    Each column is compared against its max over the grid, as a sweep's CSV column is.
+    """
+    lo, hi, count = get_preset("fig4e-angle-sweep").params["theta_deg"]
+    thetas = np.deg2rad(np.linspace(lo, hi, count))
+    assert np.pi / 2 in thetas and coupling_geometry(1.0, np.pi / 2).d_cx != 0.0
+    for cfg, grid in ((one_nucleus_config("axial3"), thetas), (fadtrp2, thetas[[0, 37, 90, 143]])):
+        rows = []
+        for theta in grid:
+            prop, *values = _weighted_and_dense(cfg, FieldConfig(1.16, theta, 0.0))
+            assert not np.iscomplexobj(prop.eigenvectors)
+            assert len(prop.blocks) == (2 if theta == 0.0 and prop.dim >= 216 else 1)
+            rows.append(values)
+        got, want, phi_s, phi_want = (np.array(column) for column in zip(*rows))
+        _assert_close(got.T, want.T)
+        _assert_close(phi_s, phi_want)
+
+
+@pytest.mark.parametrize(
+    "make_cfg",
+    [lambda: one_nucleus_config("axial3"), strongcoupling_config, pydma_config],
+    ids=["axial3", "strongcoupling", "pydma"],
+)
+def test_weighted_means_of_parity_blocks(make_cfg, blocks_at_every_dim):
+    prop, got, want, phi_s, phi_want = _weighted_and_dense(make_cfg(), FieldConfig(0.7, 0.0, 0.0))
+    assert len(prop.blocks) == 2
+    _assert_close(got, want)
+    _assert_close(phi_s, phi_want)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [FieldConfig(1.16, 0.0, 0.0), FieldConfig(1.16, 0.6, 1.1), FieldConfig(0.3, 2.2, 4.0)],
+    ids=["axis", "general", "obtuse"],
+)
+def test_weighted_means_of_a_haar_rotated_pair(field, axial3_pair):
+    rotation = random_rotation(np.random.default_rng(11))
+    for cfg in (axial3_pair, one_nucleus_config("rhombic")):
+        prop, got, want, phi_s, phi_want = _weighted_and_dense(cfg, field, rotation)
+        assert np.iscomplexobj(prop.eigenvectors)
+        _assert_close(got, want)
+        _assert_close(phi_s, phi_want)
+
+
+def test_means_of_a_complex_operator_with_real_eigenvectors(axial3_pair):
+    """S_y, which is imaginary, on a real propagator takes complex weights."""
+    prop, rho0 = solve_pair(axial3_pair, FieldConfig(1.16, 0.6, 0.0))
+    assert not np.iscomplexobj(prop.eigenvectors)
+    t_max = 5.0 / prop.decay_rate
+    n = nyquist_samples(prop, t_max)
+    for ops in (ELECTRON_PAIR_SPIN[1:2], ELECTRON_PAIR_SPIN):
+        got = _expectation_means(prop, S, ops, t_max / n, n)
+        want = _dense_means(prop, rho0, axial3_pair.layout(), ops, t_max / n, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert abs(want[1]) > 1e-6 * np.max(np.abs(want))
 
 
 # -- exact parity blocks ------------------------------------------------------

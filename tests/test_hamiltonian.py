@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nvrp.constants import GAMMA_E, MT_TO_RAD_PER_S, dipolar_prefactor
+from nvrp.ensemble import random_rotation
 from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import (
     FieldConfig,
@@ -17,11 +18,19 @@ from nvrp.hamiltonian import (
     SensorParams,
     build_coupling_hamiltonian,
     build_nv_hamiltonian,
+    _rp_terms,
     build_rp_hamiltonian,
     classify_regime,
     coupling_geometry,
 )
-from nvrp.spincore import SpinSpecies, euler_rotation, isotropic_tensor, site_operators
+from nvrp.presets import ANISOTROPY_CASES, SYSTEMS, one_nucleus_config, two_nucleus_config
+from nvrp.spincore import (
+    SpinSpecies,
+    add_two_site,
+    euler_rotation,
+    isotropic_tensor,
+    site_operators,
+)
 
 from conftest import make_pair
 
@@ -170,6 +179,37 @@ def test_assembly_matches_dense_definition(raw, euler, b, theta, phi, j):
     expected_c = geom.d_r * sum(geom.d_c[i] * (s1[i] + s2[i]) for i in range(3))
     h_c = build_coupling_hamiltonian(geom, layout)
     assert np.linalg.norm(h_c - expected_c) <= 1e-13 * np.linalg.norm(expected_c)
+
+
+#: every spin system a preset or shipped config runs
+SHIPPED_SYSTEMS = {
+    **SYSTEMS,
+    **{case: (lambda c=case: one_nucleus_config(c)) for case in ANISOTROPY_CASES},
+    "axial3-2n": lambda: two_nucleus_config("axial3"),
+}
+
+
+def _complex_assembly(cfg, field, rotation=None):
+    layout = cfg.layout()
+    h = np.zeros((layout.total_dimension,) * 2, dtype=complex)
+    for local, site_a, site_b in _rp_terms(cfg, field, rotation):
+        add_two_site(h, local, site_a, site_b, layout)
+    return h
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SYSTEMS))
+def test_real_terms_assemble_in_float64(name):
+    """float64 exactly when every local term is real: phi = 0, identity orientation."""
+    cfg = SHIPPED_SYSTEMS[name]()
+    for field in (FieldConfig(1.16, 0.0, 0.0), FieldConfig(0.05, 0.7, 0.0), FieldConfig(0.0)):
+        h = build_rp_hamiltonian(cfg, field)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, _complex_assembly(cfg, field).real)
+    rotated = (FieldConfig(1.16, 0.0, 0.0), random_rotation(np.random.default_rng(len(name))))
+    for field, rot in ((FieldConfig(1.16, 0.7, 0.5), None), rotated):
+        h = build_rp_hamiltonian(cfg, field, rot)
+        assert h.dtype == np.complex128 and h.imag.any()
+        assert np.array_equal(h, _complex_assembly(cfg, field, rot))
 
 
 # -- secular electron-pair terms ----------------------------------------------
