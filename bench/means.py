@@ -198,7 +198,7 @@ def measure(cfg, case: str, d: int, seconds: float, seed: int) -> dict:
     t_max = 5.0 / cfg.effective_decay_rate
     runs = []
     for field, rotation in _points(cfg, case, d, seed):
-        prop, _ = solve_pair(cfg, field, rotation)
+        prop = solve_pair(cfg, field, rotation)
         n = nyquist_samples(prop, t_max)
         d_c = coupling_geometry(1.0, field.theta, field.phi).d_c
         weighted = np.flatnonzero(d_c)

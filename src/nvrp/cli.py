@@ -18,10 +18,13 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, build_experiment, load_config, read_params
-from .dynamics import _expectation_series, _pair_spin_ops, nyquist_samples, singlet_yield_mean
+from .dynamics import (
+    _expectation_series, _pair_spin_ops, initial_state, nyquist_samples, singlet_yield_mean,
+)
 from .ensemble import EnsembleSpec, OrientationMode, ensemble_sweep
 from .errors import ConfigError, NumericalError, PhysicsError
 from .hamiltonian import (
+    ELECTRON_PAIR_SPIN,
     FieldConfig,
     RadicalPairConfig,
     SensorParams,
@@ -41,7 +44,6 @@ from .signal import (
     _default_t_max,
     aligned_prefactor,
     observable_series,
-    signal_single_molecule,
     single_molecule_prefactor,
     solve_pair,
     spectrum,
@@ -159,15 +161,14 @@ def run_time_trace(cfg: ExperimentConfig, p: Params, out: Path, threads: int) ->
     b, r_nm = p["b_mT"], p["r_nm"]
     theta, phi = np.deg2rad(p["theta_deg"]), np.deg2rad(p["phi_deg"])
     t_grid = np.linspace(0.0, _window(rp, p), p["n_samples"], endpoint=False)
-    series = observable_series(rp, FieldConfig(b, theta, phi), t_grid)
-    trace = signal_single_molecule(series, r_nm)
-    spec = spectrum(trace)
+    x = single_molecule_prefactor(r_nm) * observable_series(rp, FieldConfig(b, theta, phi), t_grid)
+    freq_hz, magnitude = spectrum(t_grid, x)
     comments = _base_comments(cfg) | {"b_mT": b, "r_nm": r_nm}
     header = ["t_s", "X_x_T", "X_y_T", "X_z_T"]
-    p1 = write_csv(out / "time_trace.csv", comments, header, [t_grid, *trace.x])
+    p1 = write_csv(out / "time_trace.csv", comments, header, [t_grid, *x])
     comments |= {"note": "one-sided DFT magnitude, Tesla*s"}
     header = ["freq_hz", "mag_x", "mag_y", "mag_z"]
-    p2 = write_csv(out / "spectrum.csv", comments, header, [spec.freq_hz, *spec.magnitude])
+    p2 = write_csv(out / "spectrum.csv", comments, header, [freq_hz, *magnitude])
     return [p1, p2]
 
 
@@ -301,7 +302,7 @@ def run_parameter_scan(cfg: ExperimentConfig, p: Params, out: Path, threads: int
         parts.append([[value] * len(thetas), *_sweep_columns(result)])
         if summarize:
             peak = float(np.max(np.abs(result.x_integrated)))
-            prop, _ = solve_pair(rp, FieldConfig(b, 0.0, 0.0))  # the singlet yield at theta = 0
+            prop = solve_pair(rp, FieldConfig(b, 0.0, 0.0))  # the singlet yield at theta = 0
             phi_s = singlet_yield_mean(prop, rp.initial_state, t_max, nyquist_samples(prop, t_max))
             summary.append([[value], [peak], [phi_s]])
     stem = cfg.kind.removesuffix("-sweep")
@@ -347,7 +348,7 @@ def run_oracle_check(cfg: ExperimentConfig, p: Params, out: Path) -> list[Path]:
             f"{layout.total_dimension}"
         )
     field = FieldConfig(p.get("b_mT", EARTH_FIELD_MT), 0.0, 0.0)
-    prop, rho0 = solve_pair(rp, field)
+    prop = solve_pair(rp, field)
     h = build_rp_hamiltonian(rp, field)  # RK4 integrates H itself
 
     lam_max = float(np.max(np.abs(prop.eigenvalues)))
@@ -355,9 +356,9 @@ def run_oracle_check(cfg: ExperimentConfig, p: Params, out: Path) -> list[Path]:
     t_max = 2e-6
     n_steps = max(int(round(t_max / dt)), 100)
     dt = t_max / n_steps
-    ops = _pair_spin_ops(layout)
+    rho0, ops = initial_state(rp.initial_state, layout), _pair_spin_ops(layout)
     res = rk4_evolve(rho0, h, rp.effective_decay_rate, dt, t_max, observables=ops)
-    exact = _expectation_series(prop, rho0, ops, res.t_grid)
+    exact = _expectation_series(prop, rp.initial_state, ELECTRON_PAIR_SPIN, res.t_grid)
     deviation = float(np.max(np.abs(exact - res.observables)))
     path = write_csv(
         out / "oracle_check.csv",

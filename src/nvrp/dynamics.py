@@ -38,11 +38,21 @@ against 139 ms at d = 864 on such a phi = 0 point, and 105 against 180 ms on
 a Haar-rotated d = 864 point; at d = 12 it is 6% (real) to 15% (complex)
 slower, a few microseconds (BENCH_14.json, ``bench/means.py``).
 
-A time series of T uniform samples costs T d^2 per evaluated operator
-plus one T_b x d phase table exp(-i lambda b dt) per call (T_b <=
-``SERIES_CHUNK`` rows), reused for every block after a d-phase shift.
-Only the components the sensor weights (d_ci != 0) are evaluated.  A
-transition projector |psi><psi| costs T d^2 / 4 through the rank-d/4 state.
+A time series reads the same state W and the same slab rows as the means,
+per block of d_b levels (d_b = d, or d/2 per parity sector): M = rho~ o O~^T
+is formed in d_b x r x d_b products over the r <= d_b slab rows that rho0 and
+each operator read, and T uniform samples then cost T d_b^2 per
+evaluated operator, plus one T_b x d_b phase table exp(-i lambda b dt) per
+block and call (T_b <= ``SERIES_CHUNK`` rows), reused for every chunk of
+samples after a d_b-phase shift.  Two sectors thus halve the series, T d^2/2
+against T d^2.  Only the components the sensor weights (d_ci != 0) are
+evaluated.  At one BLAS thread fig4a's S_z series (fadtrp-2n at theta = 0,
+d = 216, 32768 samples) takes 245 against 383 ms for the previous kernel,
+which took a dense rho0 and dense operators to the eigenbasis and ran over
+all d levels; one-block series are unchanged within the timing spread
+(BENCH_15.json, ``bench/time_series.py``).  A transition projector
+|psi><psi| costs T d^2 / 4 through the rank-d/4 state.  The dense rho0 of
+:func:`initial_state` serves only ``Propagator.evolve`` and the RK4 oracle.
 
 A Hamiltonian whose imaginary part is exactly zero (every shipped system
 at phi = 0 in its molecular frame, which ``build_rp_hamiltonian`` then
@@ -66,7 +76,8 @@ z of all spins and splits exactly into two parity sectors of d/2 states, which
 on, ``eigh`` then runs per sector.  The means form d^2/4 weights per sector; the state
 has d/8 nonzero rows in each, and S_z reads d/4 of its d/2 rows, so the largest product is
 d/4 x d/2 x d/2 per sector, d^3/8 in all against d^3/2 before: 19.0 against 59.1 ms a
-means call at d = 864, and 1.4 against 2.8 ms at d = 216 (BENCH_14.json).
+means call at d = 864, and 1.4 against 2.8 ms at d = 216 (BENCH_14.json).  A time
+series runs per sector too (above).
 """
 
 from __future__ import annotations
@@ -78,7 +89,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, PhysicsError
-from .hamiltonian import CouplingGeometry, InitialElectronState
+from .hamiltonian import ELECTRON_PAIR_SPIN, InitialElectronState
 from .spincore import SpinSystemLayout, site_operators
 
 _SQRT2 = np.sqrt(2.0)
@@ -108,6 +119,13 @@ BLOCK_MIN_DIM = 216
 
 #: probe vectors of the orthogonality check in :func:`make_propagator`
 PROBE_VECTORS = 4
+
+#: the (basis rows, eigen-columns) index of a propagator that is one block
+WHOLE = (slice(None), slice(None))
+
+#: the electron slabs alpha beta and beta alpha, the only ones where |S0> and |T0> have weight
+_HELD_SLABS = np.arange(1, 3)
+_HELD_SLABS.setflags(write=False)
 
 
 @lru_cache(maxsize=32)
@@ -152,7 +170,7 @@ class Propagator:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     decay_rate: float
-    blocks: tuple = ((slice(None), slice(None)),)
+    blocks: tuple = (WHOLE,)
 
     @property
     def dim(self) -> int:
@@ -165,13 +183,10 @@ class Propagator:
             return 0.0
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
-    def to_eigenbasis(self, op: np.ndarray) -> np.ndarray:
-        return self.eigenvectors.conj().T @ op @ self.eigenvectors
-
     def evolve(self, rho0: np.ndarray, t: float) -> np.ndarray:
         """rho(t) for a single time point."""
         v = self.eigenvectors
-        rho_e = self.to_eigenbasis(rho0)
+        rho_e = v.conj().T @ rho0 @ v
         phase = np.exp(-1j * self.eigenvalues * t)
         rho_t = (phase[:, None] * rho_e) * phase.conj()[None, :]
         return np.exp(-self.decay_rate * t) * (v @ rho_t @ v.conj().T)
@@ -252,7 +267,7 @@ def make_propagator(h: np.ndarray, k_eff: float, sectors: tuple | None = None) -
         raise NumericalError(
             f"eigendecomposition residual {residual:.3e} exceeds 1e-8 * ||H|| = {1e-8 * hnorm:.3e}"
         )
-    blocks = ((slice(None), slice(None)),)
+    blocks = (WHOLE,)
     if len(eigs) > 1:  # the sectors have d/2 states each; their columns interleave by eigenvalue
         w = np.concatenate([e[0] for e in eigs])
         order = np.argsort(w, kind="stable")
@@ -269,18 +284,6 @@ def make_propagator(h: np.ndarray, k_eff: float, sectors: tuple | None = None) -
     return Propagator(eigenvalues=w, eigenvectors=v, decay_rate=k_eff, blocks=blocks)
 
 
-@dataclass(frozen=True)
-class ObservableSeries:
-    """Uniform time grid plus the weighted pair-spin expectations.
-
-    ``s_tilde`` has shape (3, n): s_tilde[i] = d_ci * <S1i + S2i>(t),
-    dimensionless; exactly +0.0 where d_ci = 0.
-    """
-
-    t_grid: np.ndarray
-    s_tilde: np.ndarray
-
-
 def _check_uniform_grid(t_grid: np.ndarray) -> float:
     """Spacing of a uniform 1-D grid, its span over n - 1; ValueError otherwise."""
     t_grid = np.asarray(t_grid, dtype=float)
@@ -292,57 +295,75 @@ def _check_uniform_grid(t_grid: np.ndarray) -> float:
     return float(dt)
 
 
-def _phase_blocks(prop: Propagator, t_grid: np.ndarray, columns: int):
-    """Yield (lo, table, shift), exp(-i lambda t_{lo+b}) = table[b] * shift, on a uniform grid.
+def _phase_blocks(lam: np.ndarray, t_grid: np.ndarray, columns: int):
+    """Yield (lo, table, shift), exp(-i lam t_{lo+b}) = table[b] * shift, on a uniform grid.
 
-    The table exp(-i lambda b dt) is built once per call, the shift
-    exp(-i lambda t_lo) once per block.  A block has at most ``SERIES_CHUNK``
+    The table exp(-i lam b dt) is built once per call, the shift
+    exp(-i lam t_lo) once per block.  A block has at most ``SERIES_CHUNK``
     rows, fewer where ``columns`` entries per row exceed ``SERIES_BLOCK_ENTRIES``.
     """
     dt = _check_uniform_grid(t_grid)
     n = t_grid.shape[0]
     rows = max(1, min(SERIES_CHUNK, SERIES_BLOCK_ENTRIES // max(columns, 1), n))
-    lam = prop.eigenvalues
     table = np.exp(np.outer(np.arange(rows) * dt, -1j * lam))
     for lo in range(0, n, rows):
         yield lo, table[: n - lo], np.exp(-1j * lam * t_grid[lo])
 
 
 def _expectation_series(
-    prop: Propagator, rho0: np.ndarray, ops: list[np.ndarray], t_grid: np.ndarray
+    prop: Propagator, state: InitialElectronState, electron_ops: np.ndarray, t_grid: np.ndarray
 ) -> np.ndarray:
-    """<O_m(t)> for each operator on a uniform grid (else ValueError), shape (m, n_t).
+    """<o_m x I_nuc>(t) on a uniform grid (else ValueError), shape (n_ops, n_t).
 
-    Re sum_nj p_n M_nj conj(p_j) exp(-k t) with p = exp(-i lambda t) and
-    M_nj = rho~_nj O~_jn.  Per block the start phases D are folded into each
-    M as D M D^dag, one GEMM takes the phase table against the stacked M
-    (d x m d), and a row-wise dot with the conjugate table ends each sample.
+    ``electron_ops`` are 4x4 operators on the two electrons, shape (n_ops, 4, 4);
+    rho0 = |s><s| x I/d_nuc for the electron state ``state``.  Per block of ``prop``,
+    <O>(t) = Re sum_nj p_n M_nj conj(p_j) exp(-k t) with p = exp(-i lambda t) and
+    M_nj = rho~_nj O~_jn, where rho~ = W^T conj(W) / d_nuc (W from :func:`_state_factor`)
+    and O~ = sum_ab o_ab V4[a]^dag V4[b] over the slab rows that the operators read
+    (:func:`_slab_plan`): rho~ vanishes between blocks.  Per chunk of samples the start
+    phases D are folded into each M as D M D^dag, one GEMM takes the block's phase table
+    against the stacked M (d_b x n_ops d_b), and a row-wise dot with the conjugate table
+    ends each sample.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    rho_e = prop.to_eigenbasis(rho0)
-    # mats[n, m, j] = O~_m,jn rho~_nj
-    mats = np.stack([prop.to_eigenbasis(op).T * rho_e for op in ops], axis=1)
-    d, m = mats.shape[:2]
-    out = np.empty((m, t_grid.shape[0]))
-    for lo, table, shift in _phase_blocks(prop, t_grid, m * d):
-        folded = (shift[:, None, None] * mats * shift.conj()).reshape(d, m * d)
-        y = (table @ folded).view(float).reshape(-1, m, 2 * d)
-        # Re sum_j y_bmj conj(table_bj): a real dot over the (re, im) pairs
-        dots = np.matmul(y, table.view(float)[:, :, None])
-        out[:, lo : lo + len(table)] = dots[:, :, 0].T
-    out *= np.exp(-prop.decay_rate * t_grid)
+    ops = np.asarray(electron_ops)
+    _, whole, parity = _slab_plan(ops.shape, ops.dtype.str, ops.tobytes())
+    v = prop.eigenvectors
+    d_nuc, m = prop.dim // 4, ops.shape[0]
+    out = np.zeros((m, t_grid.shape[0]))
+    for block in prop.blocks:
+        w = _state_factor(prop, state, block)
+        d_b = w.shape[1]
+        mats = np.zeros((m, d_b, d_b), dtype=complex)  # O~^T, per operator
+        for group, ops_g in whole if isinstance(block[0], slice) else parity:
+            vs = _slab_rows(v, block, group, d_nuc)
+            y = ops_g.reshape(m, len(group), -1) @ vs.reshape(len(group), -1)  # (o x I) V4
+            mats += y.reshape(m, -1, d_b).transpose(0, 2, 1) @ vs.reshape(-1, d_b).conj()
+        # mats[n, m, j] = O~_m,jn rho~_nj d_nuc
+        mats = np.ascontiguousarray((mats * (w.T @ w.conj())).transpose(1, 0, 2))
+        for lo, table, shift in _phase_blocks(prop.eigenvalues[block[1]], t_grid, m * d_b):
+            folded = (shift[:, None, None] * mats * shift.conj()).reshape(d_b, m * d_b)
+            y = (table @ folded).view(float).reshape(-1, m, 2 * d_b)
+            # Re sum_j y_bmj conj(table_bj): a real dot over the (re, im) pairs
+            dots = np.matmul(y, table.view(float)[:, :, None])
+            out[:, lo : lo + len(table)] += dots[:, :, 0].T
+    out *= np.exp(-prop.decay_rate * t_grid) / d_nuc
     return out
 
 
-def _state_factor(prop: Propagator, state: InitialElectronState) -> np.ndarray:
-    """W = sum_a s_a conj(V4[a]), shape (d_nuc, d), with V4 = V.reshape(4, d_nuc, d).
+def _state_factor(
+    prop: Propagator, state: InitialElectronState, block: tuple = WHOLE
+) -> np.ndarray:
+    """W = sum_a s_a conj(V4[a]) within one block of ``prop``, shape (r, d_b).
 
-    For rho0 = |s><s| x I/d_nuc the eigenbasis state is rho~ = W^T conj(W) / d_nuc.
-    W is real when V is.
+    V4[a] are V's rows in electron slab a (:func:`_slab_rows`), r nuclear
+    states each; for the whole V, r = d_nuc and d_b = d.  For
+    rho0 = |s><s| x I/d_nuc the block's eigenbasis state is
+    rho~ = W^T conj(W) / d_nuc.  W is real when V is.
     """
-    d = prop.dim
-    s = electron_pair_state(state)
-    return (s.conj() @ prop.eigenvectors.reshape(4, -1)).conj().reshape(d // 4, d)
+    vw = _slab_rows(prop.eigenvectors, block, _HELD_SLABS, prop.dim // 4)
+    s = electron_pair_state(state)[_HELD_SLABS]
+    return (s @ vw.reshape(len(s), -1)).reshape(vw.shape[1:]).conj()
 
 
 def _projector_series(
@@ -362,7 +383,7 @@ def _projector_series(
     n_cols = coeffs.shape[1]
     z = w.T[:, :, None] * coeffs.conj()[:, None, :]  # (d, d_nuc, n_cols)
     out = np.empty((n_cols, t_grid.shape[0]))
-    for lo, table, shift in _phase_blocks(prop, t_grid, d_nuc * n_cols):
+    for lo, table, shift in _phase_blocks(prop.eigenvalues, t_grid, d_nuc * n_cols):
         a = (table @ (shift[:, None, None] * z).reshape(d, -1)).view(float)
         norms = np.square(a).reshape(-1, d_nuc, 2 * n_cols).sum(axis=1)
         norms = norms.reshape(-1, n_cols, 2).sum(axis=2)
@@ -466,13 +487,12 @@ def _slab_rows(v: np.ndarray, block: tuple, slabs: np.ndarray, d_nuc: int) -> np
 
 
 @lru_cache(maxsize=32)
-def _slab_plan(state: InitialElectronState, shape: tuple, dtype: str, data: bytes) -> tuple:
-    """What the means of ``electron_ops`` (given by shape, dtype and bytes) read, per kind of block.
+def _slab_plan(shape: tuple, dtype: str, data: bytes) -> tuple:
+    """What ``electron_ops`` (given by shape, dtype and bytes) read, per kind of block.
 
-    Returns (real, held, amplitudes, whole, parity): ``real`` when every
-    operator is real; the slabs ``held`` where the electron state has its
-    ``amplitudes``; and, for a whole and for a parity block, the groups of
-    slabs that pair, each with the operators' entries between them, shape
+    Returns (real, whole, parity): ``real`` when every operator is real;
+    and, for a whole and for a parity block, the groups of slabs that pair,
+    each with the operators' entries between them, shape
     (n_ops, len(group) ** 2).  In a parity block a slab pairs only with
     slabs of its own parity.  Cached, read-only.
     """
@@ -481,18 +501,15 @@ def _slab_plan(state: InitialElectronState, shape: tuple, dtype: str, data: byte
     ops = ops.real if real else ops
     reads = ops.any(axis=0)
     slabs = np.flatnonzero(reads.any(axis=0) | reads.any(axis=1))
-    s = electron_pair_state(state)
-    held = np.flatnonzero(s)
-    amplitudes = s[held]
 
     def groups(parts):
         return tuple((g, ops[:, g[:, None], g].reshape(len(ops), -1)) for g in parts if g.size)
 
     whole = groups([slabs])
     parity = groups([slabs[np.isin(slabs, pair)] for pair in ((0, 3), (1, 2))])
-    for a in (held, amplitudes, *(a for group in whole + parity for a in group)):
+    for a in (a for group in whole + parity for a in group):
         a.setflags(write=False)
-    return real, held, amplitudes, whole, parity
+    return real, whole, parity
 
 
 def _expectation_means(
@@ -520,15 +537,13 @@ def _expectation_means(
     every product is a real GEMM.
     """
     ops = np.asarray(electron_ops)
-    plan = _slab_plan(state, ops.shape, ops.dtype.str, ops.tobytes())
-    real, held, amplitudes, whole, parity = plan
+    real, whole, parity = _slab_plan(ops.shape, ops.dtype.str, ops.tobytes())
     v = prop.eigenvectors
     real = real and not np.iscomplexobj(v)
     d_nuc = prop.dim // 4
     out = np.zeros(ops.shape[0])
     for block in prop.blocks:
-        vw = _slab_rows(v, block, held, d_nuc)
-        w = (amplitudes @ vw.reshape(len(held), -1)).reshape(vw.shape[1:]).conj()
+        w = _state_factor(prop, state, block)
         rho_g = _geometric_mean_weights(prop.eigenvalues[block[1]], prop.decay_rate, dt, n, real)
         rho_g *= w.T @ w if real else w.T @ w.conj()
         for group, ops_g in whole if isinstance(block[0], slice) else parity:
@@ -547,18 +562,14 @@ def _pair_spin_ops(layout: SpinSystemLayout) -> list[np.ndarray]:
 
 
 def evolve_observables(
-    rho0: np.ndarray,
-    prop: Propagator,
-    t_grid: np.ndarray,
-    geom: CouplingGeometry,
-    layout: SpinSystemLayout,
-) -> ObservableSeries:
-    """Time series of the coupling-weighted collective spin components.
+    prop: Propagator, state: InitialElectronState, t_grid: np.ndarray, d_c: np.ndarray
+) -> np.ndarray:
+    """Time series of the coupling-weighted collective spin components, shape (3, n_t).
 
-    Returns s_tilde[i](t) = d_ci <S1i + S2i>(t) for i in {x, y, z}.  Only
-    the components with d_ci != 0 are evaluated; the others are +0.0.  The
-    grid must be uniform and resolve the largest eigenvalue gap
-    (dt < pi / spread), otherwise a ValueError reports the required dt.
+    Returns s_tilde[i](t) = d_ci <S1i + S2i>(t) for i in {x, y, z}, dimensionless,
+    from rho0 = |state><state| x I/d_nuc.  Only the components with d_ci != 0 are
+    evaluated; the others are +0.0.  The grid must be uniform and resolve the largest
+    eigenvalue gap (dt < pi / spread), otherwise a ValueError reports the required dt.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dt, spread = _check_uniform_grid(t_grid), prop.spectral_spread
@@ -567,13 +578,12 @@ def evolve_observables(
             f"time grid undersamples the dynamics: dt = {dt:.3e} s but the "
             f"largest eigenvalue gap needs dt < {np.pi / spread:.3e} s"
         )
-    ops = _pair_spin_ops(layout)
-    weighted = np.flatnonzero(geom.d_c)
     s_tilde = np.zeros((3, t_grid.shape[0]))
-    if weighted.size:
-        series = _expectation_series(prop, rho0, [ops[i] for i in weighted], t_grid)
-        s_tilde[weighted] = geom.d_c[weighted, None] * series
-    return ObservableSeries(t_grid=t_grid, s_tilde=s_tilde)
+    weighted = d_c != 0
+    if weighted.any():
+        series = _expectation_series(prop, state, ELECTRON_PAIR_SPIN[weighted], t_grid)
+        s_tilde[weighted] = d_c[weighted, None] * series
+    return s_tilde
 
 
 def nyquist_samples(prop: Propagator, t_max: float) -> int:

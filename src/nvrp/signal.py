@@ -25,12 +25,10 @@ import numpy as np
 
 from .constants import GAMMA_E, HBAR, MU0, dipolar_prefactor
 from .dynamics import (
-    ObservableSeries,
     Propagator,
     _check_uniform_grid,
     _expectation_means,
     evolve_observables,
-    initial_state,
     make_propagator,
     nyquist_samples,
 )
@@ -60,22 +58,6 @@ def _parallel_map(fn, items, threads: int) -> list:
 
 
 @dataclass(frozen=True)
-class SignalTrace:
-    """Time-resolved detectable signal, Tesla per component."""
-
-    t_grid: np.ndarray
-    x: np.ndarray  # shape (3, n)
-
-
-@dataclass(frozen=True)
-class SignalSpectrum:
-    """One-sided DFT magnitude of a trace, Tesla * s per component."""
-
-    freq_hz: np.ndarray
-    magnitude: np.ndarray  # shape (3, n_freq)
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Integrated signal against a swept variable.
 
@@ -100,12 +82,6 @@ def aligned_prefactor(sensor: SensorParams) -> float:
     return 0.5 * density_si * MU0 * GAMMA_E * HBAR * math.log(sensor.r2_nm / sensor.r1_nm)
 
 
-def signal_single_molecule(series: ObservableSeries, r_nm: float) -> SignalTrace:
-    """Signal of a single molecule at distance r, in Tesla."""
-    pref = single_molecule_prefactor(r_nm)
-    return SignalTrace(t_grid=series.t_grid, x=pref * series.s_tilde)
-
-
 def _default_t_max(cfg: RadicalPairConfig) -> float:
     if cfg.effective_decay_rate == 0:
         raise PhysicsError("t_max must be given explicitly when the decay rate is zero")
@@ -114,17 +90,16 @@ def _default_t_max(cfg: RadicalPairConfig) -> float:
 
 def solve_pair(
     cfg: RadicalPairConfig, field_cfg: FieldConfig, rotation: Rotation | None = None
-) -> tuple[Propagator, np.ndarray]:
-    """The propagator of H_RP with its decay rate, and the initial state rho0.
+) -> Propagator:
+    """The propagator of H_RP with its decay rate.
 
-    Every signal, yield and contrast starts from this pair:
-    rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag.  An H split exactly into the
-    layout's parity sectors is diagonalised per sector (see ``dynamics``).
+    Every signal, yield and contrast starts from it and from the pair's
+    initial electron state: rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag.  An H
+    split exactly into the layout's parity sectors is diagonalised per sector
+    (see ``dynamics``).
     """
-    layout = cfg.layout()
     h = build_rp_hamiltonian(cfg, field_cfg, rotation)
-    prop = make_propagator(h, cfg.effective_decay_rate, parity_sectors(layout))
-    return prop, initial_state(cfg.initial_state, layout)
+    return make_propagator(h, cfg.effective_decay_rate, parity_sectors(cfg.layout()))
 
 
 def observable_series(
@@ -132,15 +107,15 @@ def observable_series(
     field_cfg: FieldConfig,
     t_grid: np.ndarray,
     rotation: Rotation | None = None,
-) -> ObservableSeries:
-    """Evolve one molecule and return its s_tilde time series.
+) -> np.ndarray:
+    """Evolve one molecule and return its s_tilde time series, shape (3, n_t).
 
     s_tilde does not depend on the molecule's distance; a distance enters
     only through the prefactor that turns it into Tesla.
     """
-    prop, rho0 = solve_pair(cfg, field_cfg, rotation)
-    geom = coupling_geometry(1.0, field_cfg.theta, field_cfg.phi)
-    return evolve_observables(rho0, prop, t_grid, geom, cfg.layout())
+    prop = solve_pair(cfg, field_cfg, rotation)
+    d_c = coupling_geometry(1.0, field_cfg.theta, field_cfg.phi).d_c
+    return evolve_observables(prop, cfg.initial_state, t_grid, d_c)
 
 
 def integrated_observables(
@@ -156,7 +131,7 @@ def integrated_observables(
     leaves the closed-form mean exact for the grid actually used.  Only the
     components with d_ci != 0 are evaluated; the others are +0.0.
     """
-    prop, _ = solve_pair(cfg, field_cfg, rotation)
+    prop = solve_pair(cfg, field_cfg, rotation)
     t_max = t_max if t_max is not None else _default_t_max(cfg)
     out = coupling_geometry(1.0, field_cfg.theta, field_cfg.phi).d_c + 0.0  # -0.0 becomes +0.0
     weighted = out != 0
@@ -167,12 +142,14 @@ def integrated_observables(
     return out
 
 
-def spectrum(trace: SignalTrace) -> SignalSpectrum:
-    """One-sided DFT magnitude of a uniformly sampled trace; the zero bin is duration * X^I."""
-    dt = _check_uniform_grid(trace.t_grid)
-    mag = np.abs(np.fft.rfft(trace.x, axis=1)) * dt
-    freq = np.fft.rfftfreq(trace.x.shape[1], dt)
-    return SignalSpectrum(freq_hz=freq, magnitude=mag)
+def spectrum(t_grid: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(freq_hz, magnitude) of a trace x, shape (3, n), sampled on the uniform ``t_grid``.
+
+    The one-sided DFT magnitude in Tesla * s per component; the zero bin is
+    duration * X^I.
+    """
+    dt = _check_uniform_grid(t_grid)
+    return np.fft.rfftfreq(x.shape[1], dt), np.abs(np.fft.rfft(x, axis=1)) * dt
 
 
 def sweep_field_magnitude(

@@ -101,11 +101,13 @@ class SpinSystemLayout:
         return self.total_dimension // 4
 
     @classmethod
+    @lru_cache(maxsize=64)
     def for_radical_pair(
         cls,
         nuclei_radical1: tuple[SpinSpecies, ...] = (),
         nuclei_radical2: tuple[SpinSpecies, ...] = (),
     ) -> "SpinSystemLayout":
+        """The layout of two electrons and the given nuclei; one cached instance per species."""
         electrons = (SpinSpecies.electron("e1"), SpinSpecies.electron("e2"))
         return cls(electrons + tuple(nuclei_radical1) + tuple(nuclei_radical2))
 

@@ -88,6 +88,12 @@ def singlet_projector(layout: SpinSystemLayout) -> np.ndarray:
     return np.kron(electron_singlet_projector(), np.eye(layout.nuclear_dimension, dtype=complex))
 
 
+def dense_series(prop, rho0: np.ndarray, ops, t_grid: np.ndarray) -> np.ndarray:
+    """Re Tr(O rho(t)) from ``Propagator.evolve`` at each sample, shape (len(ops), len(t_grid))."""
+    rho_t = np.array([prop.evolve(rho0, t).T for t in t_grid])  # Tr(O rho) = sum O o rho^T
+    return np.real(np.reshape(ops, (len(ops), -1)) @ rho_t.reshape(len(t_grid), -1).T)
+
+
 #: nuclear spins of radicals 1 and 2; every layout has a spin-1 nucleus, d = 12 to 36
 SPIN1_LAYOUTS = [((1.0,), ()), ((1.0,), (0.5,)), ((1.0, 0.5), ()), ((1.0,), (1.0,))]
 

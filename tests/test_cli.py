@@ -406,7 +406,7 @@ def test_exchange_sweep_runner(tmp_path):
     base = one_nucleus_config("axial3", r_rp_nm=2.5)
     for row, j in zip(summary[1:], (0.0, 0.5)):
         rp = with_exchange(base, j)
-        prop, _ = solve_pair(rp, FieldConfig(0.05, 0.0, 0.0))
+        prop = solve_pair(rp, FieldConfig(0.05, 0.0, 0.0))
         k = rp.effective_decay_rate
         t_max = 5.0 / k
         y = singlet_yield_mean(prop, rp.initial_state, t_max, nyquist_samples(prop, t_max))

@@ -15,6 +15,7 @@ from nvrp.dynamics import (
     _expectation_means,
     _expectation_series,
     _geometric_mean_weights,
+    _state_factor,
     electron_singlet_projector,
     evolve_observables,
     initial_state,
@@ -45,7 +46,14 @@ from nvrp.signal import integrated_observables, observable_series, solve_pair
 from nvrp.spincore import SpinSystemLayout, parity_sectors, site_operators, spin_matrices
 from nvrp.strongcoupling import level_structure
 
-from conftest import SPIN1_LAYOUTS, make_pair, random_pair, singlet_projector, skew_null_pair
+from conftest import (
+    SPIN1_LAYOUTS,
+    dense_series,
+    make_pair,
+    random_pair,
+    singlet_projector,
+    skew_null_pair,
+)
 
 S = InitialElectronState.SINGLET
 T0 = InitialElectronState.TRIPLET_ZERO
@@ -179,13 +187,13 @@ def test_drivers_agree_on_integrated_observables(monkeypatch):
 def test_real_generator_takes_the_real_path(fadtrp2):
     """Only an exactly real H (phi = 0, molecular frame) gets float64 eigenvectors."""
     field = FieldConfig(1.0, 0.7, 0.0)
-    prop, rho0 = solve_pair(fadtrp2, field)
+    prop = solve_pair(fadtrp2, field)
     assert prop.eigenvectors.dtype == np.float64
-    assert rho0.dtype == np.float64
+    assert _state_factor(prop, fadtrp2.initial_state).dtype == np.float64
     haar = random_rotation(np.random.default_rng(3))
     for prop in (
-        solve_pair(fadtrp2, field, haar)[0],
-        solve_pair(fadtrp2, FieldConfig(1.0, 0.7, 0.3))[0],
+        solve_pair(fadtrp2, field, haar),
+        solve_pair(fadtrp2, FieldConfig(1.0, 0.7, 0.3)),
     ):
         assert prop.eigenvectors.dtype == np.complex128
 
@@ -199,14 +207,14 @@ def test_real_path_agrees_with_complex_path(fadtrp2, monkeypatch):
     fields = [FieldConfig(b, th, 0.0) for b, th in [(0.05, 0.0), (1.0, 0.7), (3.0, 2.2)]]
     t_max = 5.0 / cfg.effective_decay_rate
     # 512 samples at half the Nyquist interval of each field's real-path spectrum
-    grids = [np.arange(512) * (0.5 * np.pi / solve_pair(cfg, f)[0].spectral_spread) for f in fields]
+    grids = [np.arange(512) * (0.5 * np.pi / solve_pair(cfg, f).spectral_spread) for f in fields]
 
     def results():
         means, series, yields = [], [], []
         for field, t in zip(fields, grids):
             means.append(integrated_observables(cfg, field))
-            prop, _ = solve_pair(cfg, field)
-            series.append(observable_series(cfg, field, t).s_tilde)
+            prop = solve_pair(cfg, field)
+            series.append(observable_series(cfg, field, t))
             n = nyquist_samples(prop, t_max)
             yields.append(singlet_yield_mean(prop, cfg.initial_state, t_max, n))
         return np.array(means), np.concatenate(series, axis=1).T, np.array(yields)[:, None]
@@ -214,7 +222,7 @@ def test_real_path_agrees_with_complex_path(fadtrp2, monkeypatch):
     real = results()
     # the complex path on the same H: zheevd on H cast to complex
     monkeypatch.setattr(dynamics, "_eigh", lambda h: np.linalg.eigh(np.asarray(h, dtype=complex)))
-    assert solve_pair(cfg, fields[1])[0].eigenvectors.dtype == np.complex128
+    assert solve_pair(cfg, fields[1]).eigenvectors.dtype == np.complex128
     for got, ref in zip(real, results()):
         assert np.all(np.abs(got - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
 
@@ -235,25 +243,21 @@ def test_propagator_composition():
 
 
 def test_singlet_initial_observables_vanish(axial3_pair):
-    layout = axial3_pair.layout()
     h = build_rp_hamiltonian(axial3_pair, FieldConfig(0.05, 0.7, 0.0))
     prop = make_propagator(h, axial3_pair.recombination_rate)
-    rho0 = initial_state(S, layout)
     geom = coupling_geometry(10.0, 0.7, 0.0)
     t = np.linspace(0.0, 1e-6, 512, endpoint=False)
-    series = evolve_observables(rho0, prop, t, geom, layout)
-    assert np.all(np.abs(series.s_tilde[:, 0]) < 1e-12)
+    series = evolve_observables(prop, S, t, geom.d_c)
+    assert np.all(np.abs(series[:, 0]) < 1e-12)
 
 
 def test_conserved_z_magnetization_stays_zero():
     # no hyperfine, no dipolar, J = 0, B along z: [H, S1z + S2z] = 0
     cfg = make_pair(j_mT=0.0)
-    layout = cfg.layout()
     h = build_rp_hamiltonian(cfg, FieldConfig(1.0, 0.0, 0.0))
     prop = make_propagator(h, 0.0)
-    rho0 = initial_state(S, layout)
     t = np.linspace(0.0, 2e-6, 1024, endpoint=False)
-    series = _expectation_series(prop, rho0, _pair_ops(layout)[2:], t)
+    series = _expectation_series(prop, S, ELECTRON_PAIR_SPIN[2:], t)
     assert np.max(np.abs(series)) < 1e-12
 
 
@@ -272,40 +276,38 @@ def test_observables_match_rk4_oracle(one_proton_pair):
     dt = t_max / n
     ops = _pair_ops(layout)
     res = rk4_evolve(rho0, h, k, dt, t_max, observables=ops, record_every=8)
-    series = _expectation_series(prop, rho0, ops, res.t_grid)
+    series = _expectation_series(prop, S, ELECTRON_PAIR_SPIN, res.t_grid)
     assert np.max(np.abs(series - res.observables)) < 1e-6
 
 
 def test_undersampled_grid_rejected(axial3_pair):
-    layout = axial3_pair.layout()
     h = build_rp_hamiltonian(axial3_pair, FieldConfig(10.0, 0.0, 0.0))
     prop = make_propagator(h, axial3_pair.recombination_rate)
-    rho0 = initial_state(S, layout)
     geom = coupling_geometry(10.0, 0.0, 0.0)
     t = np.linspace(0.0, 25e-6, 64, endpoint=False)
     with pytest.raises(ValueError, match="dt <"):
-        evolve_observables(rho0, prop, t, geom, layout)
+        evolve_observables(prop, S, t, geom.d_c)
 
 
 def test_time_averaged_matches_materialized_mean(axial3_pair):
     cfg = axial3_pair
     field = FieldConfig(0.05, 0.4, 0.0)
-    prop, rho0 = solve_pair(cfg, field)
+    prop = solve_pair(cfg, field)
     geom = coupling_geometry(10.0, 0.4, 0.0)
     t_max = 5.0 / cfg.recombination_rate
     n = nyquist_samples(prop, t_max)  # the grid integrated_observables averages over
     t = np.linspace(0.0, t_max, n, endpoint=False)
-    series = evolve_observables(rho0, prop, t, geom, cfg.layout())
-    direct = np.mean(series.s_tilde, axis=1)
+    series = evolve_observables(prop, cfg.initial_state, t, geom.d_c)
+    direct = np.mean(series, axis=1)
     closed = integrated_observables(cfg, field, t_max=t_max)
     assert np.allclose(direct, closed, rtol=1e-10, atol=1e-15)
 
 
 def test_series_blocks_join_at_chunk_boundaries(axial3_pair):
-    prop, rho0 = solve_pair(axial3_pair, FieldConfig(0.3, 0.6, 1.0))
-    ops = _pair_ops(axial3_pair.layout())
+    prop = solve_pair(axial3_pair, FieldConfig(0.3, 0.6, 1.0))
+    rho0, ops = initial_state(S, axial3_pair.layout()), _pair_ops(axial3_pair.layout())
     t = np.arange(SERIES_CHUNK + 3) * 2e-9
-    series = _expectation_series(prop, rho0, ops, t)
+    series = _expectation_series(prop, S, ELECTRON_PAIR_SPIN, t)
     for j in (0, SERIES_CHUNK - 1, SERIES_CHUNK, SERIES_CHUNK + 2):
         rho_t = prop.evolve(rho0, t[j])
         direct = [np.real(np.trace(op @ rho_t)) for op in ops]
@@ -316,12 +318,12 @@ def test_series_matches_evolve_at_late_times():
     # fadtrp-2n at 1.16 mT: the last samples reach lambda t ~ 3e4 rad, where the
     # phases are one table row times a block-start phase; 3 SERIES_CHUNK + 5 samples
     cfg = fadtrp_config(2)
-    prop, rho0 = solve_pair(cfg, FieldConfig(1.16, 0.5, 0.2))
-    ops = _pair_ops(cfg.layout())
+    prop = solve_pair(cfg, FieldConfig(1.16, 0.5, 0.2))
+    rho0, ops = initial_state(S, cfg.layout()), _pair_ops(cfg.layout())
     n = 3 * SERIES_CHUNK + 5
     t = np.linspace(0.0, 25e-6, n, endpoint=False)
     assert np.max(np.abs(prop.eigenvalues)) * t[-1] > 1e4
-    series = _expectation_series(prop, rho0, ops, t)
+    series = _expectation_series(prop, S, ELECTRON_PAIR_SPIN, t)
     scale = np.max(np.abs(series))
     for j in (n - 1, n - 2, 2 * SERIES_CHUNK, 2 * SERIES_CHUNK - 1, n // 2 + 7):
         rho_t = prop.evolve(rho0, t[j])
@@ -331,35 +333,74 @@ def test_series_matches_evolve_at_late_times():
 
 def test_unweighted_components_are_exact_zeros(axial3_pair):
     # theta = 0: d_cx = d_cy = 0, only z is evaluated; phi = 0 also zeroes d_cy off-axis
-    layout = axial3_pair.layout()
-    ops = _pair_ops(layout)
     t = np.linspace(0.0, 2e-6, 1000, endpoint=False)
     for theta, zero in ((0.0, [0, 1]), (0.7, [1])):
-        prop, rho0 = solve_pair(axial3_pair, FieldConfig(0.3, theta, 0.0))
+        prop = solve_pair(axial3_pair, FieldConfig(0.3, theta, 0.0))
         geom = coupling_geometry(10.0, theta, 0.0)
-        s_tilde = evolve_observables(rho0, prop, t, geom, layout).s_tilde
+        s_tilde = evolve_observables(prop, S, t, geom.d_c)
         assert np.all(s_tilde[zero] == 0.0) and not np.any(np.signbit(s_tilde[zero]))
         for i in sorted(set(range(3)) - set(zero)):
             # the stacked product may round differently from a single operator's
-            want = geom.d_c[i] * _expectation_series(prop, rho0, [ops[i]], t)[0]
+            want = geom.d_c[i] * _expectation_series(prop, S, ELECTRON_PAIR_SPIN[i : i + 1], t)[0]
             assert np.max(np.abs(s_tilde[i] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_non_uniform_grid_rejected(axial3_pair):
-    prop, rho0 = solve_pair(axial3_pair, FieldConfig(0.3, 0.0, 0.0))
-    ops = _pair_ops(axial3_pair.layout())
+    prop = solve_pair(axial3_pair, FieldConfig(0.3, 0.0, 0.0))
     t = np.linspace(0.0, 1e-6, 64) ** 2 * 1e6
     with pytest.raises(ValueError, match="uniform"):
-        _expectation_series(prop, rho0, ops, t)
+        _expectation_series(prop, S, ELECTRON_PAIR_SPIN, t)
+
+
+@pytest.mark.parametrize(
+    "make_cfg, field, rotation_seed, state",
+    [
+        (lambda: one_nucleus_config("axial3"), FieldConfig(0.7, 0.0, 0.0), None, S),
+        (strongcoupling_config, FieldConfig(0.7, 0.0, 0.0), None, S),
+        (pydma_config, FieldConfig(0.7, 0.0, 0.0), None, S),
+        (lambda: one_nucleus_config("axial3"), FieldConfig(1.16, 0.6, 1.1), 11, S),
+        (lambda: one_nucleus_config("axial3"), FieldConfig(1.16, 0.6, 0.0), None, S),
+        (lambda: one_nucleus_config("rhombic"), FieldConfig(0.7, 0.0, 0.0), None, T0),
+        (lambda: one_nucleus_config("rhombic"), FieldConfig(1.16, 0.6, 1.1), 12, T0),
+    ],
+    ids=["axial3-blocked", "strongcoupling-blocked", "pydma-blocked", "haar", "real-s_y",
+         "triplet-blocked", "triplet-haar"],
+)
+def test_series_match_dense_evolution(make_cfg, field, rotation_seed, state, blocks_at_every_dim):
+    """The blocked, rank-d/4 series equal Re Tr(O rho(t)) from ``Propagator.evolve``.
+
+    All three pair-spin components and the singlet projector (S_y is imaginary, also
+    on real eigenvectors), sampled across the first ``SERIES_CHUNK`` boundary, within
+    1e-12 of each operator's max; a theta = 0 molecule in its own frame splits into two
+    parity blocks.  The components that ``evolve_observables`` does not weight are +0.0.
+    """
+    cfg = make_cfg()
+    rotation = rotation_seed and random_rotation(np.random.default_rng(rotation_seed))
+    prop = solve_pair(cfg, field, rotation)
+    assert len(prop.blocks) == (2 if field.theta == 0.0 and rotation is None else 1)
+    assert np.iscomplexobj(prop.eigenvectors) == (field.phi != 0.0 or rotation is not None)
+    t = np.arange(SERIES_CHUNK + 3) * (0.5 * np.pi / prop.spectral_spread)
+    samples = np.r_[0 : SERIES_CHUNK - 1 : 97, SERIES_CHUNK - 1, SERIES_CHUNK, SERIES_CHUNK + 2]
+    layout = cfg.layout()
+    ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
+    dense_ops = [np.kron(o, np.eye(layout.nuclear_dimension)) for o in ops]
+    want = dense_series(prop, initial_state(state, layout), dense_ops, t[samples])
+    _assert_close(_expectation_series(prop, state, ops, t)[:, samples], want)
+
+    d_c = coupling_geometry(1.0, field.theta, field.phi).d_c
+    s_tilde = evolve_observables(prop, state, t, d_c)
+    unweighted = s_tilde[d_c == 0]
+    assert np.all(unweighted == 0.0) and not np.any(np.signbit(unweighted))
+    _assert_close(s_tilde[:, samples], d_c[:, None] * want[:3])
 
 
 # -- closed-form means ---------------------------------------------------------
 
 
-def _dense_means(prop, rho0, layout, electron_ops, dt, n):
+def _dense_means(prop, state, layout, electron_ops, dt, n):
     """Re sum (V^dag O V)^T o (V^dag rho0 V) o G over the whole eigenbasis, complex G."""
     v = prop.eigenvectors
-    rho_e = v.conj().T @ rho0 @ v
+    rho_e = v.conj().T @ initial_state(state, layout) @ v
     geo = _geometric_mean_weights(prop.eigenvalues, prop.decay_rate, dt, n)
     eye = np.eye(layout.nuclear_dimension)
     return np.array(
@@ -381,13 +422,13 @@ def test_fused_means_match_dense_definition(seed, spins, state):
     field = FieldConfig(
         rng.uniform(0.1, 3.0), rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi)
     )
-    prop, rho0 = solve_pair(cfg, field, random_rotation(rng))
+    prop = solve_pair(cfg, field, random_rotation(rng))
     t_max = 5.0 / cfg.effective_decay_rate
     n = nyquist_samples(prop, t_max)
     electron_ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
 
     fused = _expectation_means(prop, state, electron_ops, t_max / n, n)
-    dense = _dense_means(prop, rho0, cfg.layout(), electron_ops, t_max / n, n)
+    dense = _dense_means(prop, state, cfg.layout(), electron_ops, t_max / n, n)
     assert np.max(np.abs(fused - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -426,7 +467,7 @@ def test_phase_numerators_match_expm1_at_sweep_size(fadtrp2):
     differently (2.5e-14 relative at most here).
     """
     rotation = random_rotation(np.random.default_rng(3))
-    prop, _ = solve_pair(fadtrp2, FieldConfig(1.16, 0.4, 0.0), rotation)
+    prop = solve_pair(fadtrp2, FieldConfig(1.16, 0.4, 0.0), rotation)
     t_max = 5.0 / prop.decay_rate
     n = nyquist_samples(prop, t_max)
     dt = t_max / n
@@ -458,11 +499,11 @@ def _weighted_and_dense(cfg, field, rotation=None):
     Checks that a component with d_ci = 0 is exactly +0.0.  Returns the propagator, both
     signals and both yields.
     """
-    prop, rho0 = solve_pair(cfg, field, rotation)
+    prop = solve_pair(cfg, field, rotation)
     t_max = 5.0 / cfg.effective_decay_rate
     n = nyquist_samples(prop, t_max)
     ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
-    dense = _dense_means(prop, rho0, cfg.layout(), ops, t_max / n, n)
+    dense = _dense_means(prop, cfg.initial_state, cfg.layout(), ops, t_max / n, n)
     d_c = coupling_geometry(1.0, field.theta, field.phi).d_c
     got = integrated_observables(cfg, field, rotation)
     unweighted = got[d_c == 0]
@@ -527,13 +568,13 @@ def test_weighted_means_of_a_haar_rotated_pair(field, axial3_pair):
 
 def test_means_of_a_complex_operator_with_real_eigenvectors(axial3_pair):
     """S_y, which is imaginary, on a real propagator takes complex weights."""
-    prop, rho0 = solve_pair(axial3_pair, FieldConfig(1.16, 0.6, 0.0))
+    prop = solve_pair(axial3_pair, FieldConfig(1.16, 0.6, 0.0))
     assert not np.iscomplexobj(prop.eigenvectors)
     t_max = 5.0 / prop.decay_rate
     n = nyquist_samples(prop, t_max)
     for ops in (ELECTRON_PAIR_SPIN[1:2], ELECTRON_PAIR_SPIN):
         got = _expectation_means(prop, S, ops, t_max / n, n)
-        want = _dense_means(prop, rho0, axial3_pair.layout(), ops, t_max / n, n)
+        want = _dense_means(prop, S, axial3_pair.layout(), ops, t_max / n, n)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert abs(want[1]) > 1e-6 * np.max(np.abs(want))
 
@@ -572,7 +613,7 @@ def test_blocked_propagator_matches_one_block(make_cfg, blocks_at_every_dim, mon
 
     blocked = integrated_observables(cfg, field), singlet_yield_mean(split, S, 5.0 / k, 4096)
     monkeypatch.setattr(dynamics, "BLOCK_MIN_DIM", h.shape[0] + 1)
-    assert len(solve_pair(cfg, field)[0].blocks) == 1
+    assert len(solve_pair(cfg, field).blocks) == 1
     reference = integrated_observables(cfg, field), singlet_yield_mean(whole, S, 5.0 / k, 4096)
     for a, b in zip(blocked, reference):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -594,11 +635,11 @@ def test_blocks_start_at_the_measured_dimension(axial3_pair, fadtrp2):
     for cfg, blocks in ((axial3_pair, 1), (fadtrp2, 2)):
         d = cfg.layout().total_dimension
         assert (d >= dynamics.BLOCK_MIN_DIM) == (blocks == 2)
-        assert len(solve_pair(cfg, FieldConfig(1.16, 0.0, 0.0))[0].blocks) == blocks
+        assert len(solve_pair(cfg, FieldConfig(1.16, 0.0, 0.0)).blocks) == blocks
     # off the sensor axis, or with a rotated molecule, H does not split
-    assert len(solve_pair(fadtrp2, FieldConfig(1.16, 0.3, 0.0))[0].blocks) == 1
+    assert len(solve_pair(fadtrp2, FieldConfig(1.16, 0.3, 0.0)).blocks) == 1
     rotation = random_rotation(np.random.default_rng(4))
-    assert len(solve_pair(fadtrp2, FieldConfig(1.16, 0.0, 0.0), rotation)[0].blocks) == 1
+    assert len(solve_pair(fadtrp2, FieldConfig(1.16, 0.0, 0.0), rotation).blocks) == 1
 
 
 @pytest.mark.parametrize("spins", SPIN1_LAYOUTS)
@@ -645,7 +686,7 @@ def test_blocked_means_at_zero_field_match_one_block(blocks_at_every_dim):
 def test_level_structure_never_blocks(blocks_at_every_dim):
     cfg = strongcoupling_config()
     field = FieldConfig(1.0, 0.0, 0.0)
-    assert len(solve_pair(cfg, field)[0].blocks) == 2
+    assert len(solve_pair(cfg, field).blocks) == 2
     geom = coupling_geometry(5.0, 0.0)
     assert not np.count_nonzero(
         build_coupling_hamiltonian(geom, cfg.layout()).take(parity_sectors(cfg.layout())[2])

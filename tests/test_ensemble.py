@@ -138,7 +138,7 @@ def _field_along(vector_mT: np.ndarray) -> FieldConfig:
 
 
 def _pair_spin_means(cfg, field_cfg, rotation, t_max, n):
-    prop, _ = solve_pair(cfg, field_cfg, rotation)
+    prop = solve_pair(cfg, field_cfg, rotation)
     return _expectation_means(prop, cfg.initial_state, ELECTRON_PAIR_SPIN, t_max / n, n)
 
 
@@ -160,7 +160,7 @@ def test_pair_spin_means_are_rotation_covariant(seed, spins):
     r = rotation.matrix
 
     t_max = 5.0 / cfg.effective_decay_rate
-    n = nyquist_samples(solve_pair(cfg, field, rotation)[0], t_max)
+    n = nyquist_samples(solve_pair(cfg, field, rotation), t_max)
     rotated = _pair_spin_means(cfg, field, rotation, t_max, n)
     back = r @ _pair_spin_means(cfg, _field_along(r.T @ field.vector_mT()), None, t_max, n)
     assert np.linalg.norm(rotated - back) <= 1e-10 * np.linalg.norm(back)

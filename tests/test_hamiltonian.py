@@ -351,3 +351,24 @@ def test_nondipolar_secular_remainder_vanishes():
         + d_s * (3.0 * s1[2] @ s2[2] - s1s2)
     )
     assert np.linalg.norm(h - secular) < 1e-12 * np.linalg.norm(h)
+
+
+def test_layout_is_one_cached_instance_per_species(axial3_pair):
+    """A pair's layout is built once per species tuple, so per-layout caches hit."""
+    import dataclasses
+
+    from nvrp.dynamics import initial_state
+    from nvrp.hamiltonian import InitialElectronState
+    from nvrp.spincore import parity_sectors
+
+    layout = axial3_pair.layout()
+    assert axial3_pair.layout() is layout
+    assert dataclasses.replace(axial3_pair, j_exchange_mT=0.7).layout() is layout
+    assert one_nucleus_config("rhombic").layout() is layout  # the same species, other tensors
+    state = InitialElectronState.SINGLET
+    parity_sectors(layout), initial_state(state, layout)
+    hits = parity_sectors.cache_info().hits, initial_state.cache_info().hits
+    assert parity_sectors(axial3_pair.layout()) is parity_sectors(layout)
+    assert initial_state(state, axial3_pair.layout()) is initial_state(state, layout)
+    assert parity_sectors.cache_info().hits == hits[0] + 2
+    assert initial_state.cache_info().hits == hits[1] + 2

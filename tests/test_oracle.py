@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from nvrp.dynamics import initial_state, make_propagator
-from nvrp.hamiltonian import FieldConfig, InitialElectronState, build_rp_hamiltonian
+from nvrp.hamiltonian import (
+    ELECTRON_PAIR_SPIN,
+    FieldConfig,
+    InitialElectronState,
+    build_rp_hamiltonian,
+)
 from nvrp.oracle import rk4_evolve
 from nvrp.spincore import SpinSystemLayout, site_operators
 
@@ -54,7 +59,7 @@ def _max_observable_error(cfg, dt, t_max=1e-6):
     prop = make_propagator(h, k)
     from nvrp.dynamics import _expectation_series
 
-    exact = _expectation_series(prop, rho0, ops, res.t_grid)
+    exact = _expectation_series(prop, S, ELECTRON_PAIR_SPIN, res.t_grid)
     return float(np.max(np.abs(exact - res.observables)))
 
 

@@ -6,11 +6,9 @@ import pytest
 from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import FieldConfig, SensorParams
 from nvrp.signal import (
-    SignalTrace,
     aligned_prefactor,
     integrated_observables,
     observable_series,
-    signal_single_molecule,
     single_molecule_prefactor,
     spectrum,
     sweep_field_angle,
@@ -23,18 +21,20 @@ from conftest import log_grid, make_pair
 
 def _const_trace(values, n=64, dt=1e-8):
     t = np.arange(n) * dt
-    x = np.tile(np.asarray(values, dtype=float)[:, None], (1, n))
-    return SignalTrace(t_grid=t, x=x)
+    return t, np.tile(np.asarray(values, dtype=float)[:, None], (1, n))
 
 
 # -- prefactors and linear maps ----------------------------------------------
 
 
 def test_zero_series_zero_trace(axial3_pair):
+    # theta = 0: d_cx = d_cy = 0, so the trace's x and y rows are exact zeros
     t = np.linspace(0.0, 5e-6, 1024, endpoint=False)
-    series = observable_series(axial3_pair, FieldConfig(0.05, 0.0, 0.0), t)
-    zeroed = series.__class__(t_grid=series.t_grid, s_tilde=np.zeros_like(series.s_tilde))
-    assert np.all(signal_single_molecule(zeroed, 10.0).x == 0.0)
+    s_tilde = observable_series(axial3_pair, FieldConfig(0.05, 0.0, 0.0), t)
+    assert s_tilde.shape == (3, t.shape[0])
+    x = single_molecule_prefactor(10.0) * s_tilde
+    assert np.all(x[:2] == 0.0) and not np.any(np.signbit(x[:2]))
+    assert np.all(single_molecule_prefactor(10.0) * np.zeros_like(s_tilde) == 0.0)
 
 
 def test_density_linearity():
@@ -93,24 +93,22 @@ def test_spectrum_of_sinusoid():
     t = np.arange(n) * dt
     f0 = 2.0e6
     x = np.stack([np.sin(2 * np.pi * f0 * t)] * 3) * 1e-9
-    spec = spectrum(SignalTrace(t, x))
-    peak = spec.freq_hz[np.argmax(spec.magnitude[0])]
-    assert peak == pytest.approx(f0, abs=spec.freq_hz[1])
+    freq_hz, magnitude = spectrum(t, x)
+    peak = freq_hz[np.argmax(magnitude[0])]
+    assert peak == pytest.approx(f0, abs=freq_hz[1])
 
 
 def test_spectrum_zero_bin_is_duration_times_mean():
-    trace = _const_trace([3.0e-9, 0.0, -1.0e-9], n=256, dt=2e-9)
-    spec = spectrum(trace)
-    assert spec.magnitude[0, 0] == pytest.approx(256 * 2e-9 * 3.0e-9, rel=1e-12)
+    _, magnitude = spectrum(*_const_trace([3.0e-9, 0.0, -1.0e-9], n=256, dt=2e-9))
+    assert magnitude[0, 0] == pytest.approx(256 * 2e-9 * 3.0e-9, rel=1e-12)
 
 
 def test_spectrum_parseval():
     rng = np.random.default_rng(3)
     n, dt = 1024, 1e-8
     x = np.stack([rng.normal(size=n)] * 3) * 1e-9
-    trace = SignalTrace(np.arange(n) * dt, x)
-    spec = spectrum(trace)
-    mags = spec.magnitude[0] / dt
+    _, magnitude = spectrum(np.arange(n) * dt, x)
+    mags = magnitude[0] / dt
     weights = np.full(mags.shape, 2.0)
     weights[0] = 1.0
     if n % 2 == 0:
@@ -124,17 +122,16 @@ def test_spectrum_rejects_non_uniform_trace():
     t = np.arange(64) * 1e-8
     t[40:] += 1e-10
     with pytest.raises(ValueError, match="uniform"):
-        spectrum(SignalTrace(t, np.zeros((3, 64))))
+        spectrum(t, np.zeros((3, 64)))
 
 
 def test_spectrum_band_limited(fadtrp2):
     # oscillation content of the flavin pair at 1.16 mT dies off within tens of MHz
     t = np.linspace(0.0, 25e-6, 32768, endpoint=False)
-    series = observable_series(fadtrp2, FieldConfig(1.16, 0.0, 0.0), t)
-    trace = signal_single_molecule(series, 10.0)
-    spec = spectrum(trace)
-    z = spec.magnitude[2]
-    above = spec.freq_hz > 100e6
+    s_tilde = observable_series(fadtrp2, FieldConfig(1.16, 0.0, 0.0), t)
+    freq_hz, magnitude = spectrum(t, single_molecule_prefactor(10.0) * s_tilde)
+    z = magnitude[2]
+    above = freq_hz > 100e6
     assert np.max(z[above]) < 1e-3 * np.max(z)
 
 

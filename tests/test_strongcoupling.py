@@ -23,7 +23,7 @@ from nvrp.strongcoupling import (
     peak_contrast,
 )
 
-from conftest import make_pair, singlet_projector
+from conftest import dense_series, make_pair, singlet_projector
 
 
 def _geom(r_nm=5.0, theta=0.0):
@@ -118,8 +118,6 @@ def test_contrast_zero_for_maximally_mixed(bare_pair):
     # build the contrast series by hand for a maximally mixed state
     levels = level_structure(cfg, FieldConfig(0.5, 0.0, 0.0), geom)
     rho_mixed = np.eye(4) / 4.0
-    from nvrp.dynamics import _expectation_series
-
     projs = []
     for n in range(levels.n_transitions):
         p1 = np.outer(levels.states_1[:, n], levels.states_1[:, n].conj())
@@ -128,7 +126,7 @@ def test_contrast_zero_for_maximally_mixed(bare_pair):
             levels.states_0[:, levels.pairing[n]].conj(),
         )
         projs.extend([p1, p0])
-    series = _expectation_series(levels.propagator, rho_mixed, projs, t)
+    series = dense_series(levels.propagator, rho_mixed, projs, t)
     contrast = series[0::2] - series[1::2]
     assert np.max(np.abs(contrast)) < 1e-12
 
@@ -172,12 +170,11 @@ def test_contrast_matches_rk4_on_toy_pair(bare_pair):
 
 
 def test_contrast_matches_full_space_projectors():
-    """The eigenbasis projectors c c^dag, c = V^dag psi, reproduce the full-space formula.
+    """The rank-1 contrasts reproduce Re Tr(P rho(t)) of the full-space projectors.
 
     Strong-coupling system (d = 64), off-axis field and coupling, 2048
     samples over five lifetimes as in the peak-count runner.
     """
-    from nvrp.dynamics import _expectation_series
     from nvrp.signal import solve_pair
 
     cfg = strongcoupling_config()
@@ -187,13 +184,14 @@ def test_contrast_matches_full_space_projectors():
     levels = level_structure(cfg, field, geom)
     contrast = peak_contrast(levels, cfg.initial_state, t)
 
-    prop, rho0 = solve_pair(cfg, field)
+    prop = solve_pair(cfg, field)
+    rho0 = initial_state(cfg.initial_state, cfg.layout())
     projs = []
     for n in range(levels.n_transitions):
         p1 = np.outer(levels.states_1[:, n], levels.states_1[:, n].conj())
         p0_state = levels.states_0[:, levels.pairing[n]]
         projs.extend([p1, np.outer(p0_state, p0_state.conj())])
-    series = _expectation_series(prop, rho0, projs, t)
+    series = dense_series(prop, rho0, projs, t)
     reference = series[0::2] - series[1::2]
     assert np.max(np.abs(contrast - reference)) <= 1e-12 * np.max(np.abs(reference))
 
@@ -205,15 +203,11 @@ def test_projector_completeness_tracks_trace():
     levels = level_structure(cfg, field, geom)
     prop = levels.propagator
     k = prop.decay_rate
-    rho0 = initial_state(cfg.initial_state, cfg.layout())
-    from nvrp.dynamics import _expectation_series
+    from nvrp.dynamics import _projector_series
 
     t = np.linspace(0.0, 10e-6, 32)
-    projs = [
-        np.outer(levels.states_0[:, n], levels.states_0[:, n].conj())
-        for n in range(levels.n_transitions)
-    ]
-    series = _expectation_series(prop, rho0, projs, t)
+    coeffs = prop.eigenvectors.conj().T @ levels.states_0[:, : levels.n_transitions]
+    series = _projector_series(prop, cfg.initial_state, coeffs, t)
     totals = np.sum(series, axis=0)
     assert np.max(np.abs(totals - np.exp(-k * t))) < 1e-9
 
