@@ -4,7 +4,7 @@ Usage (from the root of a checkout):
 
     python3 bench/eigh_drivers.py                      # complex set, writes BENCH_6.json
     python3 bench/eigh_drivers.py --set real           # real set, writes BENCH_10.json
-    python3 bench/eigh_drivers.py --set blocks         # parity blocks, writes BENCH_13.json
+    python3 bench/eigh_drivers.py --set blocks         # parity blocks, writes BENCH_16.json
     python3 bench/eigh_drivers.py --seconds 4 --out /tmp/eigh.json
 
 The complex set holds, for each dimension, a few radical-pair
@@ -37,13 +37,25 @@ the two parity sectors of ``nvrp.spincore.parity_sectors``.  It times, round
 robin: ``dsyevd`` on the whole matrix against ``dsyevd`` on both sector
 blocks (their gather included); a whole sweep point, ``make_propagator``
 plus the closed-form means of ``integrated_observables``, as one block and
-per sector; and the exact block test alone, ``count_nonzero(H.take(cross))``, timed
-``TEST_REPS`` at a time.
+per sector; the split propagator of ``make_propagator`` against the previous
+one, kept inline below as ``previous_make_propagator``, which assembled a
+zero-padded d x d V with the sectors' columns interleaved by eigenvalue; and
+the exact block test alone, timed ``TEST_REPS`` at a time, both the current
+one (one even row, then the even x odd block) and the previous
+``count_nonzero(H.take(cross))`` on a flat d^2/2 cross-sector index that this
+script builds once per layout, as the previous ``parity_sectors`` cached it.
+The two propagators are also checked to hold the same eigensystem bit for
+bit, and the tracemalloc peak of one call of each is recorded.
 ``test_share_of_point`` is the block test's median over the one-block
 point's, and ``block_min_dim`` the smallest measured d at and above which
 the blocked point is faster beyond the timing spread at every measured d;
 it backs ``nvrp.dynamics.BLOCK_MIN_DIM``.  The blocks set adds d = 36
 (two-nucleus axial3, fig9's system).
+
+``padded`` turns a propagator into the previous layout (ascending
+eigenvalues, the padded V and one (rows, columns) index pair per block),
+which the previous kernels of ``bench/means.py`` and ``bench/time_series.py``
+read; ``previous_state_factor`` is their previous state factor on that V.
 
 The dimensions are the shipped systems (axial3 d = 12, strongcoupling
 d = 64, fadtrp-2n d = 216, fadtrp-3n d = 864); the complex set adds two
@@ -70,7 +82,9 @@ import math  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import NamedTuple  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -80,7 +94,16 @@ import scipy  # noqa: E402
 import scipy.linalg  # noqa: E402
 
 from nvrp import dynamics  # noqa: E402
-from nvrp.dynamics import _expectation_means, make_propagator, nyquist_samples  # noqa: E402
+from nvrp.dynamics import (  # noqa: E402
+    _eigh,
+    _expectation_means,
+    _probe_vectors,
+    _real_if_exact,
+    electron_pair_state,
+    make_propagator,
+    nyquist_samples,
+)
+from nvrp.errors import NumericalError, PhysicsError  # noqa: E402
 from nvrp.ensemble import random_rotation  # noqa: E402
 from nvrp.hamiltonian import ELECTRON_PAIR_SPIN, FieldConfig, build_rp_hamiltonian  # noqa: E402
 from nvrp.presets import (  # noqa: E402
@@ -110,7 +133,96 @@ SET_DIMS = {
     "blocks": (12, 36, 64, 216, 864),
 }
 #: the file each matrix set writes by default
-SET_OUT = {"complex": "BENCH_6.json", "real": "BENCH_10.json", "blocks": "BENCH_13.json"}
+SET_OUT = {"complex": "BENCH_6.json", "real": "BENCH_10.json", "blocks": "BENCH_16.json"}
+
+#: the previous (basis rows, eigen-columns) index of a propagator that is one block
+WHOLE = (slice(None), slice(None))
+
+
+class PaddedPropagator(NamedTuple):
+    """The previous propagator layout: one d x d V, zero between the blocks' rows and columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    decay_rate: float
+    blocks: tuple = (WHOLE,)
+
+    @property
+    def dim(self) -> int:
+        return self.eigenvalues.shape[0]
+
+
+def padded(prop) -> PaddedPropagator:
+    """``prop`` in the previous layout, assembled as ``previous_make_propagator`` did it."""
+    if len(prop.blocks) == 1:
+        (block,) = prop.blocks
+        return PaddedPropagator(block.eigenvalues, block.eigenvectors, prop.decay_rate)
+    w = np.concatenate([b.eigenvalues for b in prop.blocks])
+    order = np.argsort(w, kind="stable")
+    w, columns = w[order], np.argsort(order).reshape(len(prop.blocks), -1)
+    v = np.zeros((prop.dim,) * 2, dtype=np.result_type(*(b.eigenvectors for b in prop.blocks)))
+    blocks = tuple(zip((b.rows for b in prop.blocks), columns))
+    for (r, cols), b in zip(blocks, prop.blocks):
+        v[r[:, None], cols] = b.eigenvectors
+    return PaddedPropagator(w, v, prop.decay_rate, blocks)
+
+
+def previous_state_factor(prop: PaddedPropagator, state) -> np.ndarray:
+    """The previous ``dynamics._state_factor`` on the whole padded V, verbatim."""
+    d = prop.dim
+    s = electron_pair_state(state)
+    return (s.conj() @ prop.eigenvectors.reshape(4, -1)).conj().reshape(d // 4, d)
+
+
+def previous_sectors(layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The previous ``spincore.parity_sectors``: even and odd states and the flat cross index."""
+    even, odd = parity_sectors(layout)
+    is_odd = np.zeros(len(even) + len(odd), dtype=bool)
+    is_odd[odd] = True
+    return even, odd, np.flatnonzero(is_odd[:, None] != is_odd)
+
+
+def previous_make_propagator(h, k_eff: float, sectors: tuple | None = None) -> PaddedPropagator:
+    """The previous ``dynamics.make_propagator``, verbatim but for its result type.
+
+    ``sectors`` is a triple of :func:`previous_sectors`.
+    """
+    h = _real_if_exact(np.asarray(h))
+    if k_eff < 0:
+        raise PhysicsError(f"decay rate must be >= 0, got {k_eff}")
+    hnorm = np.linalg.norm(h)
+    if hnorm > 0 and np.linalg.norm(h - h.conj().T) > 1e-10 * hnorm:
+        raise PhysicsError("propagator generator must be Hermitian")
+    rows = [slice(None)]
+    split = sectors is not None and h.shape[0] >= dynamics.BLOCK_MIN_DIM
+    # a general H shows a nonzero among the first d cross entries, so most tests read only those
+    if split and not any(np.count_nonzero(h.take(c)) for c in (sectors[2][: len(h)], sectors[2])):
+        rows = list(sectors[:2])
+    eigs, residual = [], 0.0
+    for r in rows:
+        part = h if isinstance(r, slice) else h[r[:, None], r]
+        w, v = _eigh(part)
+        residual = np.hypot(residual, np.linalg.norm((v * w) @ v.conj().T - part))
+        eigs.append((w, v))
+    if hnorm > 0 and residual > 1e-8 * hnorm:
+        raise NumericalError(
+            f"eigendecomposition residual {residual:.3e} exceeds 1e-8 * ||H|| = {1e-8 * hnorm:.3e}"
+        )
+    blocks = (WHOLE,)
+    if len(eigs) > 1:  # the sectors have d/2 states each; their columns interleave by eigenvalue
+        w = np.concatenate([e[0] for e in eigs])
+        order = np.argsort(w, kind="stable")
+        w, columns = w[order], np.argsort(order).reshape(2, -1)
+        v = np.zeros(h.shape, dtype=np.result_type(*(e[1] for e in eigs)))
+        blocks = tuple(zip(rows, columns))
+        for (r, cols), (_, vb) in zip(blocks, eigs):
+            v[r[:, None], cols] = vb
+    x = _probe_vectors(h.shape[0])
+    back = (v.T @ (v @ x).conj()).conj()  # V^dag V x without a conjugated copy of V
+    loss = np.max(np.linalg.norm(back - x, axis=0))
+    if loss > 1e-8:
+        raise NumericalError(f"eigenvector orthogonality loss {loss:.3e} exceeds 1e-8")
+    return PaddedPropagator(eigenvalues=w, eigenvectors=v, decay_rate=k_eff, blocks=blocks)
 
 
 def _systems() -> dict[int, object]:
@@ -150,6 +262,16 @@ def _accuracy(h: np.ndarray, w: np.ndarray, v: np.ndarray, w_ref: np.ndarray) ->
         "orthogonality": float(np.linalg.norm(v.conj().T @ v - np.eye(h.shape[0]))),
         "eigenvalue_diff_rel": float(np.max(np.abs(w - w_ref)) / np.max(np.abs(w_ref))),
     }
+
+
+def _peak_mb(fn) -> float:
+    """tracemalloc peak of one call, above the traced size at its start, in MB."""
+    tracemalloc.start()
+    start = tracemalloc.get_traced_memory()[0]
+    fn()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return (peak - start) / 1e6
 
 
 def _quartiles(times: list[float]) -> dict[str, float]:
@@ -226,41 +348,61 @@ def measure_blocks(d: int, cfg, seconds: float, seed: int) -> dict:
 def _measure_blocks(d: int, cfg, seconds: float, seed: int) -> dict:
     rng = np.random.default_rng([seed, d])
     sectors = parity_sectors(cfg.layout())
-    index = [(rows[:, None], rows) for rows in sectors[:2]]
+    even, odd = sectors
+    old_sectors = previous_sectors(cfg.layout())
+    index = [(rows[:, None], rows) for rows in sectors]
     k = cfg.effective_decay_rate
     hs = []
     for _ in range(MATRICES):
         h = build_rp_hamiltonian(cfg, FieldConfig(10 ** rng.uniform(-0.5, 0.5), 0.0, 0.0))
         h = np.ascontiguousarray(h.real)
-        assert not np.count_nonzero(h.take(sectors[2]))
+        assert not np.count_nonzero(h.take(old_sectors[2]))
         hs.append(h)
+
+    def block_test(h):
+        return not h[even[0]].take(odd).any() and not h.take(even, 0).take(odd, 1).any()
 
     def point(h, blocked):
         prop = make_propagator(h, k, sectors if blocked else None)
         n = nyquist_samples(prop, 5.0 / k)
         return prop, _expectation_means(prop, cfg.initial_state, ELECTRON_PAIR_SPIN, 5.0 / k / n, n)
 
-    eig_diff, means_diff = [], []
+    eig_diff, means_diff, same_eigensystem = [], [], True
     for h in hs:
         (full, m_full), (split, m_split) = point(h, False), point(h, True)
         assert len(full.blocks) == 1 and len(split.blocks) == 2
         scale = np.max(np.abs(full.eigenvalues))
         eig_diff.append(float(np.max(np.abs(split.eigenvalues - full.eigenvalues)) / scale))
         means_diff.append(float(np.max(np.abs(m_split - m_full)) / np.max(np.abs(m_full))))
+        old, new = previous_make_propagator(h, k, old_sectors), padded(split)
+        same_eigensystem &= all(np.array_equal(a, b) for a, b in zip(old[:2], new[:2]))
+        same_eigensystem &= all(np.array_equal(a[1], b[1]) for a, b in zip(old.blocks, new.blocks))
     cases = {
         "dsyevd_full": lambda i: np.linalg.eigh(hs[i]),
         "dsyevd_blocks": lambda i: [np.linalg.eigh(hs[i][ix]) for ix in index],
         "point_full": lambda i: point(hs[i], False),
         "point_blocks": lambda i: point(hs[i], True),
-        "block_test": lambda i: [np.count_nonzero(hs[i].take(sectors[2])) for _ in range(TEST_REPS)],
+        "propagator_previous": lambda i: previous_make_propagator(hs[i], k, old_sectors),
+        "propagator": lambda i: make_propagator(hs[i], k, sectors),
+        "block_test_previous": lambda i: [
+            np.count_nonzero(hs[i].take(old_sectors[2])) for _ in range(TEST_REPS)
+        ],
+        "block_test": lambda i: [block_test(hs[i]) for _ in range(TEST_REPS)],
     }
     times = _round_robin(cases, seconds)
-    times["block_test"] = [t / TEST_REPS for t in times["block_test"]]
+    for name in ("block_test_previous", "block_test"):
+        times[name] = [t / TEST_REPS for t in times[name]]
     cases_ms = {name: _quartiles(t) for name, t in times.items()}
     share = cases_ms["block_test"]["median_ms"] / cases_ms["point_full"]["median_ms"]
     return {
         "dim": d,
         "cases": cases_ms,
+        "propagator_peak_mb": {
+            "previous": _peak_mb(lambda: previous_make_propagator(hs[0], k, old_sectors)),
+            "new": _peak_mb(lambda: make_propagator(hs[0], k, sectors)),
+        },
+        "cross_index_mb": old_sectors[2].nbytes / 1e6,
+        "same_eigensystem": bool(same_eigensystem),
         "test_share_of_point": share,
         "eigenvalue_diff_rel": max(eig_diff),
         "means_diff_rel": max(means_diff),
@@ -355,7 +497,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"{name} {r['median_ms']:.3f} [{r['q1_ms']:.3f}, {r['q3_ms']:.3f}] ms"
                 for name, r in row["cases"].items()
             )
+            peak = row["propagator_peak_mb"]
             cells += f"  test/point {row['test_share_of_point']:.2%}"
+            cells += f"  propagator peak {peak['previous']:.2f} -> {peak['new']:.2f} MB"
+            cells += f"  same eigensystem {row['same_eigensystem']}"
         else:
             row = measure(d, systems[d], args.seconds, args.seed, real)
             cells = "  ".join(

@@ -20,7 +20,9 @@ The previous kernel, kept inline below as ``previous_means`` with its
 weights, evaluated all three pair-spin components of every point, formed
 the whole d x d weight matrix of each block through a gather and scatter of
 its upper triangle, and multiplied complex Y = V (rho~ o G) through real
-GEMMs on the float view.  ``previous_point`` is the previous
+GEMMs on the float view.  It reads the propagator in the previous layout,
+one zero-padded d x d V, which ``eigh_drivers.padded`` assembles from the
+eigen-blocks.  ``previous_point`` is the previous
 ``integrated_observables``: the complex assembly of H, ``make_propagator``
 and the previous means.  The new path is ``_expectation_means`` on the
 weighted components alone, and ``integrated_observables`` itself.
@@ -44,7 +46,6 @@ os.environ.update(BLAS_PINS)
 import argparse  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
-import tracemalloc  # noqa: E402
 from functools import lru_cache  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -54,14 +55,18 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import numpy as np  # noqa: E402
 
-from eigh_drivers import MATRICES, _quartiles, _round_robin, _systems, environment  # noqa: E402
-from nvrp import dynamics  # noqa: E402
-from nvrp.dynamics import (  # noqa: E402
-    _expectation_means,
-    _state_factor,
-    make_propagator,
-    nyquist_samples,
+from eigh_drivers import (  # noqa: E402
+    MATRICES,
+    _peak_mb,
+    _quartiles,
+    _round_robin,
+    _systems,
+    environment,
+    padded,
+    previous_state_factor,
 )
+from nvrp import dynamics  # noqa: E402
+from nvrp.dynamics import _expectation_means, make_propagator, nyquist_samples  # noqa: E402
 from nvrp.ensemble import random_rotation  # noqa: E402
 from nvrp.hamiltonian import (  # noqa: E402
     ELECTRON_PAIR_SPIN,
@@ -129,13 +134,14 @@ def _real_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def previous_means(prop, state, electron_ops, dt: float, n: int) -> np.ndarray:
-    """The previous ``dynamics._expectation_means``, verbatim but for the block rows.
+    """The previous ``dynamics._expectation_means``, verbatim but for the block rows and W.
 
-    The propagator now stores a block's basis rows as a 1-D index; the
-    previous one stored them as a column.
+    ``prop`` is in the previous layout (``eigh_drivers.padded``), which stores a
+    block's basis rows as a 1-D index; the kernel's own propagator stored them as
+    a column.
     """
     v = prop.eigenvectors
-    w = _state_factor(prop, state)
+    w = previous_state_factor(prop, state)
     d_nuc = w.shape[0]
     y = np.zeros(v.shape, dtype=complex) if len(prop.blocks) > 1 else None
     for (rows, cols), rho_g in zip(prop.blocks, previous_weights(prop, dt, n)):
@@ -169,7 +175,7 @@ def previous_point(cfg, field, rotation) -> np.ndarray:
     prop = make_propagator(h, cfg.effective_decay_rate, parity_sectors(cfg.layout()))
     t_max = 5.0 / cfg.effective_decay_rate
     n = nyquist_samples(prop, t_max)
-    means = previous_means(prop, cfg.initial_state, ELECTRON_PAIR_SPIN, t_max / n, n)
+    means = previous_means(padded(prop), cfg.initial_state, ELECTRON_PAIR_SPIN, t_max / n, n)
     return coupling_geometry(1.0, field.theta, field.phi).d_c * means
 
 
@@ -184,16 +190,6 @@ def _points(cfg, case: str, d: int, seed: int) -> list[tuple]:
     return out
 
 
-def _peak_mb(fn) -> float:
-    """tracemalloc peak of one call, above the traced size at its start, in MB."""
-    tracemalloc.start()
-    start = tracemalloc.get_traced_memory()[0]
-    fn()
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    return (peak - start) / 1e6
-
-
 def measure(cfg, case: str, d: int, seconds: float, seed: int) -> dict:
     t_max = 5.0 / cfg.effective_decay_rate
     runs = []
@@ -202,17 +198,17 @@ def measure(cfg, case: str, d: int, seconds: float, seed: int) -> dict:
         n = nyquist_samples(prop, t_max)
         d_c = coupling_geometry(1.0, field.theta, field.phi).d_c
         weighted = np.flatnonzero(d_c)
-        runs.append((cfg, field, rotation, prop, n, weighted))
-    blocks = {len(prop.blocks) for *_, prop, _, _ in runs}
+        runs.append((cfg, field, rotation, prop, padded(prop), n, weighted))
+    blocks = {len(prop.blocks) for *_, prop, _, _, _ in runs}
     assert blocks == ({2} if case == "real_blocked" else {1}), blocks
-    assert np.iscomplexobj(runs[0][3].eigenvectors) == (case == "complex")
+    assert np.iscomplexobj(runs[0][4].eigenvectors) == (case == "complex")
 
     def old(i):
-        _, _, _, prop, n, _ = runs[i]
+        _, _, _, _, prop, n, _ = runs[i]
         return previous_means(prop, cfg.initial_state, ELECTRON_PAIR_SPIN, t_max / n, n)
 
     def new(i):
-        _, _, _, prop, n, weighted = runs[i]
+        _, _, _, prop, _, n, weighted = runs[i]
         ops = ELECTRON_PAIR_SPIN[weighted]
         return _expectation_means(prop, cfg.initial_state, ops, t_max / n, n)
 

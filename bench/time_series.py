@@ -14,7 +14,9 @@ electron state: per block it forms M from the rows of the electron slabs that
 the operators read, through the rank-d/4 state factor, and runs the GEMM over
 that block's levels only.  The contrasts' kernel changed only in where its
 state factor and phase table come from; its previous body is kept as
-``previous_projector_series``.
+``previous_projector_series``.  Both previous kernels read the propagator in
+the previous layout, one zero-padded d x d V, which ``eigh_drivers.padded``
+assembles from the eigen-blocks.
 
 Four cases per dimension, on the shipped systems (axial3 d = 12,
 strongcoupling d = 64, fadtrp-2n d = 216) at 1.16 mT, each evaluating the
@@ -61,7 +63,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import numpy as np  # noqa: E402
 
-from eigh_drivers import _quartiles, environment  # noqa: E402
+from eigh_drivers import _quartiles, environment, padded, previous_state_factor  # noqa: E402
 from nvrp import dynamics  # noqa: E402
 from nvrp.dynamics import (  # noqa: E402
     SERIES_BLOCK_ENTRIES,
@@ -70,7 +72,6 @@ from nvrp.dynamics import (  # noqa: E402
     _expectation_series,
     _pair_spin_ops,
     _projector_series,
-    electron_pair_state,
     initial_state,
 )
 from nvrp.ensemble import random_rotation  # noqa: E402
@@ -123,13 +124,6 @@ def previous_series(prop, rho0, ops, t_grid):
     return out
 
 
-def previous_state_factor(prop, state):
-    """The previous ``dynamics._state_factor``, verbatim."""
-    d = prop.dim
-    s = electron_pair_state(state)
-    return (s.conj() @ prop.eigenvectors.reshape(4, -1)).conj().reshape(d // 4, d)
-
-
 def previous_projector_series(prop, state, coeffs, t_grid):
     """The previous ``dynamics._projector_series``, verbatim but for its two helpers."""
     t_grid = np.asarray(t_grid, dtype=float)
@@ -159,11 +153,12 @@ def case(cfg, name: str) -> tuple:
         field = FieldConfig(1.16, 0.0, 0.0)
         levels = level_structure(cfg, field, coupling_geometry(5.0, 0.0, 0.0))
         prop = levels.propagator
+        old = padded(prop)
         states = np.concatenate([levels.states_1, levels.states_0[:, levels.pairing]], axis=1)
-        coeffs = prop.eigenvectors.conj().T @ states
+        coeffs = old.eigenvectors.conj().T @ states
         t = np.linspace(0.0, t_max, CONTRAST_SAMPLES, endpoint=False)
         return (
-            lambda: previous_projector_series(prop, state, coeffs, t),
+            lambda: previous_projector_series(old, state, coeffs, t),
             lambda: _projector_series(prop, state, coeffs, t),
         )
     theta, phi, rotation = {
@@ -172,14 +167,15 @@ def case(cfg, name: str) -> tuple:
         "complex": (0.6, 1.1, random_rotation(np.random.default_rng(15))),
     }[name]
     prop = solve_pair(cfg, FieldConfig(1.16, theta, phi), rotation)
+    old = padded(prop)
     assert len(prop.blocks) == (2 if name == "blocked" else 1)
-    assert np.iscomplexobj(prop.eigenvectors) == (name == "complex")
+    assert np.iscomplexobj(old.eigenvectors) == (name == "complex")
     weighted = coupling_geometry(1.0, theta, phi).d_c != 0
     rho0 = initial_state(state, cfg.layout())
     ops = [op for op, w in zip(_pair_spin_ops(cfg.layout()), weighted) if w]
     t = np.linspace(0.0, t_max, SERIES_SAMPLES, endpoint=False)
     return (
-        lambda: previous_series(prop, rho0, ops, t),
+        lambda: previous_series(old, rho0, ops, t),
         lambda: _expectation_series(prop, state, ELECTRON_PAIR_SPIN[weighted], t),
     )
 

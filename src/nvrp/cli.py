@@ -18,9 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, build_experiment, load_config, read_params
-from .dynamics import (
-    _expectation_series, _pair_spin_ops, initial_state, nyquist_samples, singlet_yield_mean,
-)
+from .dynamics import _expectation_series, _pair_spin_ops, initial_state, singlet_yield_mean
 from .ensemble import EnsembleSpec, OrientationMode, ensemble_sweep
 from .errors import ConfigError, NumericalError, PhysicsError
 from .hamiltonian import (
@@ -303,7 +301,7 @@ def run_parameter_scan(cfg: ExperimentConfig, p: Params, out: Path, threads: int
         if summarize:
             peak = float(np.max(np.abs(result.x_integrated)))
             prop = solve_pair(rp, FieldConfig(b, 0.0, 0.0))  # the singlet yield at theta = 0
-            phi_s = singlet_yield_mean(prop, rp.initial_state, t_max, nyquist_samples(prop, t_max))
+            phi_s = singlet_yield_mean(prop, rp.initial_state, t_max)
             summary.append([[value], [peak], [phi_s]])
     stem = cfg.kind.removesuffix("-sweep")
     comments = _base_comments(cfg) | {"b_mT": b} | scan_comments

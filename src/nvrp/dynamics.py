@@ -9,9 +9,9 @@ factorises into a scalar decay times a unitary rotation:
 
     rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag,   U(t) = V exp(-i lambda t) V^dag.
 
-The propagator stores the eigendecomposition (lambda, V) of H once; every
-expectation value and every time average is then evaluated in the
-eigenbasis.  Uniform time grids additionally admit a closed-form mean
+The propagator stores the eigendecomposition (lambda, V) of H once, per exact
+block of H (below); every expectation value and every time average is then
+evaluated in the eigenbasis.  Uniform time grids additionally admit a closed-form mean
 over samples (a geometric series per eigenvalue pair), which is what the
 field sweeps use: it is algebraically identical to averaging the sampled
 series, independent of the grid length.
@@ -52,7 +52,7 @@ which took a dense rho0 and dense operators to the eigenbasis and ran over
 all d levels; one-block series are unchanged within the timing spread
 (BENCH_15.json, ``bench/time_series.py``).  A transition projector
 |psi><psi| costs T d^2 / 4 through the rank-d/4 state.  The dense rho0 of
-:func:`initial_state` serves only ``Propagator.evolve`` and the RK4 oracle.
+:func:`initial_state` serves only the RK4 oracle.
 
 A Hamiltonian whose imaginary part is exactly zero (every shipped system
 at phi = 0 in its molecular frame, which ``build_rp_hamiltonian`` then
@@ -73,11 +73,13 @@ With the field on z and no tensor entry coupling z to x or y (every shipped
 system at theta = 0 in its molecular frame), H commutes with the pi rotation about
 z of all spins and splits exactly into two parity sectors of d/2 states, which
 ``signal.solve_pair`` hands over (``strongcoupling`` does not).  From ``BLOCK_MIN_DIM``
-on, ``eigh`` then runs per sector.  The means form d^2/4 weights per sector; the state
-has d/8 nonzero rows in each, and S_z reads d/4 of its d/2 rows, so the largest product is
-d/4 x d/2 x d/2 per sector, d^3/8 in all against d^3/2 before: 19.0 against 59.1 ms a
-means call at d = 864, and 1.4 against 2.8 ms at d = 216 (BENCH_14.json).  A time
-series runs per sector too (above).
+on, ``eigh`` then runs per sector, and the propagator holds one eigen-block per sector,
+its d/2 rows and its own d/2 x d/2 V: d^2/2 eigenvector entries in all, none between
+sectors.  The means form d^2/4 weights per sector; the state has d/8 nonzero rows in
+each, and S_z reads d/4 of its d/2 rows, so the largest product is d/4 x d/2 x d/2 per
+sector, d^3/8 in all against d^3/2 before: 19.0 against 59.1 ms a means call at
+d = 864, and 1.4 against 2.8 ms at d = 216 (BENCH_14.json).  A time series runs per
+sector too (above).
 """
 
 from __future__ import annotations
@@ -120,9 +122,6 @@ BLOCK_MIN_DIM = 216
 #: probe vectors of the orthogonality check in :func:`make_propagator`
 PROBE_VECTORS = 4
 
-#: the (basis rows, eigen-columns) index of a propagator that is one block
-WHOLE = (slice(None), slice(None))
-
 #: the electron slabs alpha beta and beta alpha, the only ones where |S0> and |T0> have weight
 _HELD_SLABS = np.arange(1, 3)
 _HELD_SLABS.setflags(write=False)
@@ -156,40 +155,45 @@ def electron_singlet_projector() -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Propagator:
-    """Eigendecomposition of a Hermitian generator plus a uniform decay rate.
-
-    eigenvalues are in rad/s; ``decay_rate`` is the effective trace-decay
-    rate k_eff in 1/s (already doubled for the rate_2k convention).
-    ``eigenvectors`` are float64 when the generator was real (see
-    :func:`make_propagator`), complex128 otherwise.  ``blocks`` holds one (basis rows,
-    eigen-columns) pair of ascending indices per exact block, with V zero outside; else
-    full slices.
+class EigenBlock:
+    """One exact block of a Hermitian generator: its basis states ``rows`` and its levels
+    (rad/s), both ascending, and its own d_b x d_b V on those rows, column n for level n;
+    V is float64 when the generator was real (see :func:`make_propagator`), else complex128.
     """
 
+    rows: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+@dataclass(frozen=True)
+class Propagator:
+    """The eigen-blocks of a Hermitian generator plus a uniform decay rate.
+
+    ``blocks`` covers the basis once: one block of all d rows for an H diagonalised whole,
+    one per parity sector of an H that splits exactly.  ``decay_rate`` is the effective
+    trace-decay rate k_eff in 1/s (already doubled for the rate_2k convention).
+    """
+
+    blocks: tuple[EigenBlock, ...]
     decay_rate: float
-    blocks: tuple = (WHOLE,)
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return sum(b.rows.shape[0] for b in self.blocks)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Every level of every block in ascending order, rad/s."""
+        return np.sort(np.concatenate([b.eigenvalues for b in self.blocks]))
 
     @property
     def spectral_spread(self) -> float:
         """Largest eigenvalue gap max(lambda) - min(lambda), rad/s."""
         if self.dim == 0:
             return 0.0
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
-    def evolve(self, rho0: np.ndarray, t: float) -> np.ndarray:
-        """rho(t) for a single time point."""
-        v = self.eigenvectors
-        rho_e = v.conj().T @ rho0 @ v
-        phase = np.exp(-1j * self.eigenvalues * t)
-        rho_t = (phase[:, None] * rho_e) * phase.conj()[None, :]
-        return np.exp(-self.decay_rate * t) * (v @ rho_t @ v.conj().T)
+        top = max(b.eigenvalues[-1] for b in self.blocks)
+        return float(top - min(b.eigenvalues[0] for b in self.blocks))
 
 
 def _real_if_exact(h: np.ndarray) -> np.ndarray:
@@ -241,10 +245,10 @@ def make_propagator(h: np.ndarray, k_eff: float, sectors: tuple | None = None) -
     arithmetic and gets real eigenvectors; the three checks and their
     bounds are the same for either dtype.
 
-    ``sectors`` (internal; ``spincore.parity_sectors`` of the layout) lets a generator
-    of at least ``BLOCK_MIN_DIM`` rows whose entries between the two sectors are all
-    exactly zero be diagonalised per sector.  The blocks' residuals combine to the whole
-    one, and the probe runs on the assembled V, sorted by eigenvalue.
+    ``sectors`` (internal; ``spincore.parity_sectors`` of the layout) lets a generator of
+    at least ``BLOCK_MIN_DIM`` rows whose (Hermitian) even x odd block is exactly zero be
+    diagonalised per sector, each block keeping what ``eigh`` returned.  The blocks'
+    residuals, and per probe vector their probe norms, combine to the whole one.
     """
     h = _real_if_exact(np.asarray(h))
     if k_eff < 0:
@@ -252,36 +256,30 @@ def make_propagator(h: np.ndarray, k_eff: float, sectors: tuple | None = None) -
     hnorm = np.linalg.norm(h)
     if hnorm > 0 and np.linalg.norm(h - h.conj().T) > 1e-10 * hnorm:
         raise PhysicsError("propagator generator must be Hermitian")
-    rows = [slice(None)]
-    split = sectors is not None and h.shape[0] >= BLOCK_MIN_DIM
-    # a general H shows a nonzero among the first d cross entries, so most tests read only those
-    if split and not any(np.count_nonzero(h.take(c)) for c in (sectors[2][: len(h)], sectors[2])):
-        rows = list(sectors[:2])
-    eigs, residual = [], 0.0
-    for r in rows:
-        part = h if isinstance(r, slice) else h[r[:, None], r]
+    d = h.shape[0]
+    parts = (np.arange(d),)
+    if sectors is not None and d >= BLOCK_MIN_DIM:
+        even, odd = sectors
+        # a general H shows a nonzero in the first even row, so most tests read only that row
+        if not h[even[0]].take(odd).any() and not h.take(even, 0).take(odd, 1).any():
+            parts = sectors
+    x = _probe_vectors(d)
+    blocks, residual, loss = [], 0.0, 0.0
+    for rows in parts:
+        part, xb = (h, x) if len(parts) == 1 else (h.take(rows, 0).take(rows, 1), x[rows])
         w, v = _eigh(part)
         residual = np.hypot(residual, np.linalg.norm((v * w) @ v.conj().T - part))
-        eigs.append((w, v))
+        back = (v.T @ (v @ xb).conj()).conj()  # V^dag V x without a conjugated copy of V
+        loss = np.hypot(loss, np.linalg.norm(back - xb, axis=0))
+        blocks.append(EigenBlock(rows, w, v))
     if hnorm > 0 and residual > 1e-8 * hnorm:
         raise NumericalError(
             f"eigendecomposition residual {residual:.3e} exceeds 1e-8 * ||H|| = {1e-8 * hnorm:.3e}"
         )
-    blocks = (WHOLE,)
-    if len(eigs) > 1:  # the sectors have d/2 states each; their columns interleave by eigenvalue
-        w = np.concatenate([e[0] for e in eigs])
-        order = np.argsort(w, kind="stable")
-        w, columns = w[order], np.argsort(order).reshape(2, -1)
-        v = np.zeros(h.shape, dtype=np.result_type(*(e[1] for e in eigs)))
-        blocks = tuple(zip(rows, columns))
-        for (r, cols), (_, vb) in zip(blocks, eigs):
-            v[r[:, None], cols] = vb
-    x = _probe_vectors(h.shape[0])
-    back = (v.T @ (v @ x).conj()).conj()  # V^dag V x without a conjugated copy of V
-    loss = np.max(np.linalg.norm(back - x, axis=0))
+    loss = np.max(loss)
     if loss > 1e-8:
         raise NumericalError(f"eigenvector orthogonality loss {loss:.3e} exceeds 1e-8")
-    return Propagator(eigenvalues=w, eigenvectors=v, decay_rate=k_eff, blocks=blocks)
+    return Propagator(blocks=tuple(blocks), decay_rate=k_eff)
 
 
 def _check_uniform_grid(t_grid: np.ndarray) -> float:
@@ -328,20 +326,20 @@ def _expectation_series(
     t_grid = np.asarray(t_grid, dtype=float)
     ops = np.asarray(electron_ops)
     _, whole, parity = _slab_plan(ops.shape, ops.dtype.str, ops.tobytes())
-    v = prop.eigenvectors
+    groups = whole if len(prop.blocks) == 1 else parity
     d_nuc, m = prop.dim // 4, ops.shape[0]
     out = np.zeros((m, t_grid.shape[0]))
     for block in prop.blocks:
-        w = _state_factor(prop, state, block)
+        w = _state_factor(block, state, d_nuc)
         d_b = w.shape[1]
         mats = np.zeros((m, d_b, d_b), dtype=complex)  # O~^T, per operator
-        for group, ops_g in whole if isinstance(block[0], slice) else parity:
-            vs = _slab_rows(v, block, group, d_nuc)
+        for group, ops_g in groups:
+            vs = _slab_rows(block, group, d_nuc)
             y = ops_g.reshape(m, len(group), -1) @ vs.reshape(len(group), -1)  # (o x I) V4
             mats += y.reshape(m, -1, d_b).transpose(0, 2, 1) @ vs.reshape(-1, d_b).conj()
         # mats[n, m, j] = O~_m,jn rho~_nj d_nuc
         mats = np.ascontiguousarray((mats * (w.T @ w.conj())).transpose(1, 0, 2))
-        for lo, table, shift in _phase_blocks(prop.eigenvalues[block[1]], t_grid, m * d_b):
+        for lo, table, shift in _phase_blocks(block.eigenvalues, t_grid, m * d_b):
             folded = (shift[:, None, None] * mats * shift.conj()).reshape(d_b, m * d_b)
             y = (table @ folded).view(float).reshape(-1, m, 2 * d_b)
             # Re sum_j y_bmj conj(table_bj): a real dot over the (re, im) pairs
@@ -351,17 +349,15 @@ def _expectation_series(
     return out
 
 
-def _state_factor(
-    prop: Propagator, state: InitialElectronState, block: tuple = WHOLE
-) -> np.ndarray:
-    """W = sum_a s_a conj(V4[a]) within one block of ``prop``, shape (r, d_b).
+def _state_factor(block: EigenBlock, state: InitialElectronState, d_nuc: int) -> np.ndarray:
+    """W = sum_a s_a conj(V4[a]) within one eigen-block, shape (r, d_b).
 
-    V4[a] are V's rows in electron slab a (:func:`_slab_rows`), r nuclear
-    states each; for the whole V, r = d_nuc and d_b = d.  For
-    rho0 = |s><s| x I/d_nuc the block's eigenbasis state is
+    V4[a] are the block's eigenvector rows in electron slab a
+    (:func:`_slab_rows`), r nuclear states each; for a whole V, r = d_nuc and
+    d_b = d.  For rho0 = |s><s| x I/d_nuc the block's eigenbasis state is
     rho~ = W^T conj(W) / d_nuc.  W is real when V is.
     """
-    vw = _slab_rows(prop.eigenvectors, block, _HELD_SLABS, prop.dim // 4)
+    vw = _slab_rows(block, _HELD_SLABS, d_nuc)
     s = electron_pair_state(state)[_HELD_SLABS]
     return (s @ vw.reshape(len(s), -1)).reshape(vw.shape[1:]).conj()
 
@@ -373,17 +369,18 @@ def _projector_series(
 
     rho0 = |s><s| x I/d_nuc for the electron state ``state``.  With W from
     :func:`_state_factor`, <P>(t) = exp(-k t) / d_nuc * ||W diag(p(t)) conj(c)||^2,
-    p = exp(-i lambda t).  Per block one GEMM takes the phase table against
-    Z[m, (a, c)] = W_am conj(c_m) shift_m (d x d_nuc n_cols): a quarter of
-    the work of the full projectors c c^dag.
+    p = exp(-i lambda t), V the eigenvectors of ``prop``, one block.  Per chunk one GEMM
+    takes the phase table against Z[m, (a, c)] = W_am conj(c_m) shift_m
+    (d x d_nuc n_cols): a quarter of the work of the full projectors c c^dag.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    w = _state_factor(prop, state)
+    (block,) = prop.blocks
+    w = _state_factor(block, state, prop.dim // 4)
     d_nuc, d = w.shape
     n_cols = coeffs.shape[1]
     z = w.T[:, :, None] * coeffs.conj()[:, None, :]  # (d, d_nuc, n_cols)
     out = np.empty((n_cols, t_grid.shape[0]))
-    for lo, table, shift in _phase_blocks(prop.eigenvalues, t_grid, d_nuc * n_cols):
+    for lo, table, shift in _phase_blocks(block.eigenvalues, t_grid, d_nuc * n_cols):
         a = (table @ (shift[:, None, None] * z).reshape(d, -1)).view(float)
         norms = np.square(a).reshape(-1, d_nuc, 2 * n_cols).sum(axis=1)
         norms = norms.reshape(-1, n_cols, 2).sum(axis=2)
@@ -469,21 +466,21 @@ def _expm1_half_angle(half: np.ndarray, re: float, scale: float) -> np.ndarray:
     return out
 
 
-def _slab_rows(v: np.ndarray, block: tuple, slabs: np.ndarray, d_nuc: int) -> np.ndarray:
-    """V's rows in each electron slab of ``slabs`` within one block, shape (len(slabs), r, m).
+def _slab_rows(block: EigenBlock, slabs: np.ndarray, d_nuc: int) -> np.ndarray:
+    """The block's eigenvector rows in each electron slab of ``slabs``, shape (len(slabs), r, d_b).
 
-    Slab a holds the basis states a d_nuc to (a + 1) d_nuc - 1.  In a parity
-    block, slabs of equal parity (alpha alpha and beta beta, or alpha beta and
-    beta alpha) hold the same r nuclear states, in the same order.
+    Slab a holds the basis states a d_nuc to (a + 1) d_nuc - 1: the contiguous
+    run of the block's ascending rows from searchsorted(rows, a d_nuc).  In a
+    parity block, slabs of equal parity (alpha alpha and beta beta, or alpha
+    beta and beta alpha) hold the same r nuclear states, in the same order.
+    A view when ``slabs`` form a range.
     """
-    rows, cols = block
-    if isinstance(rows, slice):
-        v4 = v.reshape(4, d_nuc, -1)
-        lo, hi = slabs[0], slabs[-1] + 1
-        return v4[lo:hi] if hi - lo == len(slabs) else v4[slabs]
-    bounds = np.searchsorted(rows, np.arange(5) * d_nuc)
-    index = np.stack([rows[bounds[a] : bounds[a + 1]] for a in slabs])
-    return v[index[:, :, None], cols]
+    v = block.eigenvectors
+    bounds = block.rows.searchsorted(np.arange(0, 5 * d_nuc, d_nuc))
+    lo, hi = slabs[0], slabs[-1] + 1
+    if hi - lo == len(slabs):
+        return v[bounds[lo] : bounds[hi]].reshape(len(slabs), -1, v.shape[1])
+    return np.stack([v[bounds[a] : bounds[a + 1]] for a in slabs])
 
 
 @lru_cache(maxsize=32)
@@ -524,7 +521,7 @@ def _expectation_means(
     ``electron_ops`` are 4x4 operators on the two electrons, shape
     (n_ops, 4, 4); rho0 = |s><s| x I/d_nuc for the electron state
     ``state``; rho~ = W^T conj(W) / d_nuc with W from :func:`_state_factor`
-    and V4 = V.reshape(4, d_nuc, d).  The mean of O = o x I_nuc is
+    and V4[a] V's rows in slab a (:func:`_slab_rows`).  The mean of O = o x I_nuc is
     Tr(O V (rho~ o G) V^dag) = Re sum_ab o_ab E_ab, where
     E_ab = sum_kn conj(V4[a, k, n]) Y4[b, k, n] and Y = V (rho~ o G).
 
@@ -537,17 +534,17 @@ def _expectation_means(
     every product is a real GEMM.
     """
     ops = np.asarray(electron_ops)
-    real, whole, parity = _slab_plan(ops.shape, ops.dtype.str, ops.tobytes())
-    v = prop.eigenvectors
-    real = real and not np.iscomplexobj(v)
+    real_ops, whole, parity = _slab_plan(ops.shape, ops.dtype.str, ops.tobytes())
+    groups = whole if len(prop.blocks) == 1 else parity
     d_nuc = prop.dim // 4
     out = np.zeros(ops.shape[0])
     for block in prop.blocks:
-        w = _state_factor(prop, state, block)
-        rho_g = _geometric_mean_weights(prop.eigenvalues[block[1]], prop.decay_rate, dt, n, real)
+        real = real_ops and not np.iscomplexobj(block.eigenvectors)
+        w = _state_factor(block, state, d_nuc)
+        rho_g = _geometric_mean_weights(block.eigenvalues, prop.decay_rate, dt, n, real)
         rho_g *= w.T @ w if real else w.T @ w.conj()
-        for group, ops_g in whole if isinstance(block[0], slice) else parity:
-            vs = _slab_rows(v, block, group, d_nuc)
+        for group, ops_g in groups:
+            vs = _slab_rows(block, group, d_nuc)
             y = vs.reshape(-1, vs.shape[2]) @ rho_g
             e = vs.reshape(len(group), -1).conj() @ y.reshape(len(group), -1).T
             out += np.real(ops_g @ e.ravel())
@@ -596,15 +593,15 @@ def nyquist_samples(prop: Propagator, t_max: float) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def singlet_yield_mean(
-    prop: Propagator, state: InitialElectronState, t_max: float, n_samples: int
-) -> float:
+def singlet_yield_mean(prop: Propagator, state: InitialElectronState, t_max: float) -> float:
     """phi_s = k dt sum_j Tr[rho(t_j) P_S], t_j = j dt, dt = t_max / n, k = prop.decay_rate.
 
     The rate-weighted singlet yield from rho0 = |state><state| x I/d_nuc,
-    summed in closed form.  ``t_max`` should reach at least five
-    lifetimes; the truncation error is then below exp(-5).
+    summed in closed form over n = :func:`nyquist_samples` samples.
+    ``t_max`` should reach at least five lifetimes; the truncation error is
+    then below exp(-5).
     """
-    dt = t_max / n_samples
-    mean = _expectation_means(prop, state, electron_singlet_projector()[None], dt, n_samples)[0]
-    return float(prop.decay_rate * dt * mean * n_samples)
+    n = nyquist_samples(prop, t_max)
+    dt = t_max / n
+    mean = _expectation_means(prop, state, electron_singlet_projector()[None], dt, n)[0]
+    return float(prop.decay_rate * dt * mean * n)

@@ -182,8 +182,8 @@ def site_operators(layout: SpinSystemLayout, site: int) -> tuple[np.ndarray, ...
 
 
 @lru_cache(maxsize=16)
-def parity_sectors(layout: SpinSystemLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Basis states of even and odd sum_i (s_i + m_i), and the flat d x d index between them.
+def parity_sectors(layout: SpinSystemLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Basis states of even and odd sum_i (s_i + m_i), each in ascending order.
 
     The parity, sum_i (d_i - 1 - j_i) mod 2 over local indices j_i, is a state's sign under
     the pi rotation about z of every spin.  Each sector holds d/2 states.  Cached, read-only.
@@ -192,7 +192,7 @@ def parity_sectors(layout: SpinSystemLayout) -> tuple[np.ndarray, np.ndarray, np
     for d in layout.dimensions:
         label = (label[:, None] + np.arange(d - 1, -1, -1)).ravel()
     odd = label % 2 == 1
-    out = (np.flatnonzero(~odd), np.flatnonzero(odd), np.flatnonzero(odd[:, None] != odd))
+    out = (np.flatnonzero(~odd), np.flatnonzero(odd))
     for a in out:
         a.setflags(write=False)
     return out

@@ -50,8 +50,8 @@ class LevelStructure:
     ``pairing[n]`` is the index of the |0>-manifold state matched to the
     n-th |1>-manifold state; ``transition_freqs_hz[n]`` is the resonance
     offset (E'_n - E_pairing[n]) / 2 pi from the bare sensor transition.
-    ``propagator`` is that of H_RP at the pair's decay rate; ``states_0`` are
-    its eigenvectors, rotated within degenerate clusters.
+    ``propagator`` is that of H_RP at the pair's decay rate, one eigen-block;
+    ``states_0`` are its eigenvectors, rotated within degenerate clusters.
     """
 
     states_0: np.ndarray
@@ -78,14 +78,15 @@ class PeakSet:
 
 
 def _stabilize_degenerate(prop: Propagator, op: np.ndarray) -> np.ndarray:
-    """The eigenvectors, degenerate clusters rotated to diagonalise ``op`` within.
+    """The eigenvectors of a one-block ``prop``, degenerate clusters rotated to diagonalise ``op``.
 
     The result has the dtype of the eigenvectors and ``op`` together: real
     eigenvectors stay real unless ``op`` has a nonzero imaginary entry.
     """
     op = _real_if_exact(op)
-    w = prop.eigenvalues
-    v = prop.eigenvectors.astype(np.result_type(prop.eigenvectors, op))
+    (block,) = prop.blocks
+    w = block.eigenvalues
+    v = block.eigenvectors.astype(np.result_type(block.eigenvectors, op))
     i = 0
     n = w.shape[0]
     while i < n:
@@ -131,7 +132,8 @@ def level_structure(
     row, col = linear_sum_assignment(-overlap)
     pairing = np.empty(prop1.dim, dtype=int)
     pairing[col] = row
-    freqs = (prop1.eigenvalues - prop.eigenvalues[pairing]) / (2 * np.pi)
+    (block,), (block1,) = prop.blocks, prop1.blocks
+    freqs = (block1.eigenvalues - block.eigenvalues[pairing]) / (2 * np.pi)
     return LevelStructure(
         states_0=v0,
         states_1=v1,
@@ -185,7 +187,8 @@ def peak_contrast(
     prop = levels.propagator
     # eigenbasis coefficients c = V^dag psi of each |psi'_n>, then of its matched |psi_n>
     states = np.concatenate([levels.states_1, levels.states_0[:, levels.pairing]], axis=1)
-    coeffs = prop.eigenvectors.conj().T @ states
+    (block,) = prop.blocks
+    coeffs = block.eigenvectors.conj().T @ states
     series = _projector_series(prop, state, coeffs, t_grid)
     n = levels.n_transitions
     return series[:n] - series[n:]

@@ -88,9 +88,36 @@ def singlet_projector(layout: SpinSystemLayout) -> np.ndarray:
     return np.kron(electron_singlet_projector(), np.eye(layout.nuclear_dimension, dtype=complex))
 
 
+def dense_eigensystem(prop) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, V) of every block of ``prop`` on the whole basis, V zero between blocks.
+
+    The columns run block by block, each block's levels in ascending order.
+    """
+    d = prop.dim
+    lam = np.concatenate([b.eigenvalues for b in prop.blocks])
+    v = np.zeros((d, d), dtype=np.result_type(*(b.eigenvectors for b in prop.blocks)))
+    col = 0
+    for b in prop.blocks:
+        v[b.rows, col : col + len(b.rows)] = b.eigenvectors
+        col += len(b.rows)
+    return lam, v
+
+
+def evolve(prop, rho0: np.ndarray, t: float) -> np.ndarray:
+    """rho(t) = exp(-k t) V exp(-i lambda t) V^dag rho0 V exp(i lambda t) V^dag, densely.
+
+    The reference for the eigen-block kernels, with V assembled from the blocks.
+    """
+    lam, v = dense_eigensystem(prop)
+    rho_e = v.conj().T @ rho0 @ v
+    phase = np.exp(-1j * lam * t)
+    rho_t = (phase[:, None] * rho_e) * phase.conj()[None, :]
+    return np.exp(-prop.decay_rate * t) * (v @ rho_t @ v.conj().T)
+
+
 def dense_series(prop, rho0: np.ndarray, ops, t_grid: np.ndarray) -> np.ndarray:
-    """Re Tr(O rho(t)) from ``Propagator.evolve`` at each sample, shape (len(ops), len(t_grid))."""
-    rho_t = np.array([prop.evolve(rho0, t).T for t in t_grid])  # Tr(O rho) = sum O o rho^T
+    """Re Tr(O rho(t)) from :func:`evolve` at each sample, shape (len(ops), len(t_grid))."""
+    rho_t = np.array([evolve(prop, rho0, t).T for t in t_grid])  # Tr(O rho) = sum O o rho^T
     return np.real(np.reshape(ops, (len(ops), -1)) @ rho_t.reshape(len(t_grid), -1).T)
 
 

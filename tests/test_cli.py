@@ -19,7 +19,7 @@ from nvrp.config import (
     parse_experiment,
     read_params,
 )
-from nvrp.dynamics import nyquist_samples, singlet_yield_mean
+from nvrp.dynamics import singlet_yield_mean
 from nvrp.errors import ConfigError
 from nvrp.hamiltonian import FieldConfig, SensorParams
 from nvrp.presets import ALIASES, PRESETS, get_preset, one_nucleus_config
@@ -409,7 +409,7 @@ def test_exchange_sweep_runner(tmp_path):
         prop = solve_pair(rp, FieldConfig(0.05, 0.0, 0.0))
         k = rp.effective_decay_rate
         t_max = 5.0 / k
-        y = singlet_yield_mean(prop, rp.initial_state, t_max, nyquist_samples(prop, t_max))
+        y = singlet_yield_mean(prop, rp.initial_state, t_max)
         assert row.split(",")[2] == f"{y:.12g}"
 
 

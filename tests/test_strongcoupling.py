@@ -206,7 +206,8 @@ def test_projector_completeness_tracks_trace():
     from nvrp.dynamics import _projector_series
 
     t = np.linspace(0.0, 10e-6, 32)
-    coeffs = prop.eigenvectors.conj().T @ levels.states_0[:, : levels.n_transitions]
+    (block,) = prop.blocks
+    coeffs = block.eigenvectors.conj().T @ levels.states_0[:, : levels.n_transitions]
     series = _projector_series(prop, cfg.initial_state, coeffs, t)
     totals = np.sum(series, axis=0)
     assert np.max(np.abs(totals - np.exp(-k * t))) < 1e-9
@@ -231,7 +232,8 @@ def test_stabilized_states_take_the_operators_dtype(bare_pair, phi, dtype):
     zero-level cluster the stabilised states diagonalise the operator.
     """
     prop = make_propagator(build_rp_hamiltonian(bare_pair, FieldConfig(0.5, 0.0, 0.0)), 0.0)
-    assert prop.eigenvectors.dtype == np.float64
+    (block,) = prop.blocks
+    assert block.eigenvectors.dtype == np.float64
     op = build_coupling_hamiltonian(coupling_geometry(5.0, 0.4, phi), bare_pair.layout())
     v = _stabilize_degenerate(prop, op)
     assert v.dtype == dtype
