@@ -422,6 +422,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--oracle", action="store_true", help="run the RK4 cross-check instead of the experiment"
     )
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print(f"config error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 2
 
     try:
         if args.list or (args.preset is None and args.config is None):

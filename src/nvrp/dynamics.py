@@ -36,7 +36,7 @@ rather than a complex ``expm1``, in row chunks of ``WEIGHT_CHUNK_ENTRIES``.
 At one BLAS thread a means call takes 2.0 against 4.2 ms at d = 216 and 66
 against 139 ms at d = 864 on such a phi = 0 point, and 105 against 180 ms on
 a Haar-rotated d = 864 point; at d = 12 it is 6% (real) to 15% (complex)
-slower, a few microseconds (BENCH_14.json, ``bench/means.py``).
+slower, a few microseconds (BENCH_14.json; ``bench/kernels.py --set stages``).
 
 A time series reads the same state W and the same slab rows as the means,
 per block of d_b levels (d_b = d, or d/2 per parity sector): M = rho~ o O~^T
@@ -50,7 +50,7 @@ evaluated.  At one BLAS thread fig4a's S_z series (fadtrp-2n at theta = 0,
 d = 216, 32768 samples) takes 245 against 383 ms for the previous kernel,
 which took a dense rho0 and dense operators to the eigenbasis and ran over
 all d levels; one-block series are unchanged within the timing spread
-(BENCH_15.json, ``bench/time_series.py``).  A transition projector
+(BENCH_15.json; ``bench/kernels.py --set stages``).  A transition projector
 |psi><psi| costs T d^2 / 4 through the rank-d/4 state.  The dense rho0 of
 :func:`initial_state` serves only the RK4 oracle.
 
@@ -61,7 +61,7 @@ matrix by LAPACK's ``dsyevd`` (numpy), and its eigenvectors stay real.
 At one BLAS thread ``dsyevd`` takes 6.0 against 16.7 ms for ``zheevd`` at
 d = 216 and 170 against 972 ms at d = 864, and scipy's real ``evd`` and
 ``evr`` are no faster beyond the timing spread at any measured d
-(BENCH_10.json, ``bench/eigh_drivers.py --set real``).  Any other
+(BENCH_10.json, ``bench/kernels.py --set real``).  Any other
 Hamiltonian is complex: ``eigh`` is then the divide-and-conquer ``zheevd``
 (numpy) below ``EVR_MIN_DIM`` and the faster MRRR driver ``zheevr`` (scipy;
 Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)) from there on.  MRRR
@@ -109,13 +109,13 @@ SERIES_BLOCK_ENTRIES = 1 << 19
 WEIGHT_CHUNK_ENTRIES = 1 << 13
 
 #: smallest dimension of a complex H diagonalised by ``zheevr`` rather than ``zheevd``; a real
-#: H takes ``dsyevd`` at every d.  BENCH_6.json (``bench/eigh_drivers.py``, one BLAS thread):
-#: 68 against 97 ms at d = 432, 555 against 883 ms at d = 864; overlapping quartiles at
-#: d = 288, zheevd faster at d <= 216.
+#: H takes ``dsyevd`` at every d.  BENCH_6.json (``bench/kernels.py --set complex``, one BLAS
+#: thread): 68 against 97 ms at d = 432, 555 against 883 ms at d = 864; overlapping quartiles
+#: at d = 288, zheevd faster at d <= 216.
 EVR_MIN_DIM = 432
 
 #: smallest d at which :func:`make_propagator` diagonalises an exactly split H per sector.
-#: BENCH_13.json (``bench/eigh_drivers.py --set blocks``, one BLAS thread): a theta = 0 point
+#: BENCH_13.json (``bench/kernels.py --set blocks``, one BLAS thread): a theta = 0 point
 #: takes 9.3 against 13.9 ms at d = 216; overlapping quartiles at d = 64, d <= 36 slower.
 BLOCK_MIN_DIM = 216
 

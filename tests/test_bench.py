@@ -1,14 +1,16 @@
-"""The benchmark scripts under bench/ import against the current sources, and the
-benchmark under perfbench/ still finds the program's names it reads."""
+"""The benchmark scripts under bench/ import against the current sources and measure
+each set, and the benchmark under perfbench/ still finds the program's names it reads."""
 
 import importlib.util
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import nvrp
 from nvrp import oracle, spincore
 from nvrp.hamiltonian import FieldConfig
 from nvrp.presets import one_nucleus_config
@@ -27,7 +29,7 @@ _IMPORT = (
 
 
 def test_bench_scripts_exist():
-    assert {p.name for p in SCRIPTS} >= {"eigh_drivers.py", "means.py", "time_series.py"}
+    assert {p.name for p in SCRIPTS} >= {"kernels.py"}
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[p.stem for p in SCRIPTS])
@@ -37,6 +39,65 @@ def test_bench_script_imports(script):
         [sys.executable, "-c", _IMPORT, str(script)], capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.fixture(scope="module")
+def kernels():
+    """bench/kernels.py as a module, timing one round per measurement."""
+    spec = importlib.util.spec_from_file_location("bench_kernels", BENCH / "kernels.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.MIN_CALLS = 1
+    return module
+
+
+#: the keys of the row each set returns
+ROW_KEYS = {
+    "complex": {"dim", "drivers", "faster_than_numpy"},
+    "real": {"dim", "drivers", "faster_than_numpy"},
+    "blocks": {"dim", "cases", "test_share_of_point", "eigenvalue_diff_rel", "means_diff_rel"},
+    "stages": {"dim", "cases"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_KEYS))
+def test_kernels_measures_each_set_at_d12(kernels, name):
+    assert set(kernels.SETS) == set(ROW_KEYS)
+    row = kernels.measure(name, [kernels.load_tree(kernels.ROOT, "nvrp")], 12, 0.01, 6)
+    assert set(row) == ROW_KEYS[name]
+    json.dumps(row)  # the record is written as JSON
+    if name == "stages":
+        assert set(row["cases"]) == set(kernels.CASES)
+        for stages in row["cases"].values():
+            assert list(stages) == [stage for _, stage in kernels.STAGES]
+            for stage in stages.values():
+                assert set(stage) == {"this"}
+                assert set(stage["this"]) == {"median_ms", "q1_ms", "q3_ms", "calls", "peak_mb"}
+
+
+def test_kernels_against_its_own_checkout_deviates_by_nothing(kernels):
+    """Both trees built from one checkout give bit-identical outputs at every stage and case.
+
+    Each tree builds its own inputs; one tree's config handed to the other would pass an
+    enum that fails the other's identity checks and change the result (see kernels.py).
+    """
+    this = kernels.load_tree(kernels.ROOT, "nvrp")
+    against = kernels.load_tree(kernels.ROOT, kernels.AGAINST)
+    assert this is nvrp and against.dynamics is not nvrp.dynamics
+    row = kernels.measure("stages", [this, against], 12, 0.01, 6)
+    json.dumps(row)
+    for case, stages in row["cases"].items():
+        for name, stage in stages.items():
+            assert "this_tree_only" not in stage, (case, name)
+            assert stage["max_deviation_rel"] == 0.0, (case, name)
+    assert nvrp.dynamics.BLOCK_MIN_DIM == against.dynamics.BLOCK_MIN_DIM == 216
+
+
+def test_kernels_requires_out(kernels, capsys):
+    with pytest.raises(SystemExit) as exc:
+        kernels.main(["--set", "real"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_perfbench_finds_the_layers_it_traces():

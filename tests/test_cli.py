@@ -524,6 +524,14 @@ def test_threads_do_not_change_output(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    out = tmp_path / "o"
+    assert main(["--preset", "fig3-coupling-map", "--threads", threads, "--out", str(out)]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- documented spec defect -------------------------------------------------------
 
 
