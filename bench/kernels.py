@@ -5,11 +5,10 @@ overwrites a committed record by default):
 
     python3 bench/kernels.py --set complex --out BENCH_6.json
     python3 bench/kernels.py --set real --out BENCH_10.json
-    python3 bench/kernels.py --set blocks --out BENCH_16.json
     python3 bench/kernels.py --set stages --against ../parent --out /tmp/stages.json
 
-The sets ``complex``, ``real`` and ``blocks`` measure this tree alone and
-back three of its constants.
+The sets ``complex`` and ``real`` measure this tree alone and back its choice
+of eigensolver driver.
 
 ``complex`` holds, for each dimension, a few radical-pair Hamiltonians with
 B = 1 mT in a random direction and a Haar-random molecular rotation (fixed
@@ -28,15 +27,6 @@ quartile; on the real set it backs the choice of ``dsyevd`` at every d.
 ``evr_crossover_dim``, the smallest measured d from which ``evr`` is faster
 than numpy in that sense at every larger one, backs ``nvrp.dynamics.EVR_MIN_DIM``.
 
-``blocks`` holds the same systems at theta = 0, where every H splits into
-the two parity sectors of ``spincore.parity_sectors``.  It times ``dsyevd``
-on the whole H against both sector blocks (their gather included), a sweep
-point (``make_propagator`` plus the closed-form means of all three
-components) as one block and per sector, and the exact block test alone,
-``TEST_REPS`` at a time.  ``block_min_dim``, the smallest d at and above
-which the blocked point is faster beyond the timing spread at every measured
-d, backs ``nvrp.dynamics.BLOCK_MIN_DIM``.  It adds d = 36 (fig9's system).
-
 ``stages`` times the program's entry points per stage: ``build_rp_hamiltonian``,
 ``make_propagator`` (with the tree's own ``parity_sectors``),
 ``integrated_observables``, ``observable_series`` (fig4a's grid of 32768
@@ -44,8 +34,9 @@ samples over five lifetimes, d <= 216), ``peak_contrast`` (fig6c's 2048
 samples with a 5 nm coupling along the field, d <= 64) and
 ``singlet_yield_mean``, each with the tracemalloc peak of one call, at
 1.16 mT in three cases: ``real_one_block`` (theta = 0.6, phi = 0),
-``real_blocked`` (theta = 0, each tree's own ``BLOCK_MIN_DIM`` lifted, so
-that every d splits) and ``complex`` (a Haar rotation, theta = 0.6,
+``real_blocked`` (theta = 0, where every d splits; a tree that still splits
+only from a ``BLOCK_MIN_DIM`` on has it lifted, so that both trees run the
+same arithmetic) and ``complex`` (a Haar rotation, theta = 0.6,
 phi = 1.1).  ``level_structure`` takes no rotation and never splits, so the
 contrast of the complex case is complex through phi alone.
 
@@ -54,14 +45,17 @@ package, ``nvrp_against``, in the same interpreter (nvrp imports itself
 only relatively), times both trees round robin in alternating order, so
 that the machine's drift falls on both alike, and records the largest
 deviation of this tree's output from the other's, per row relative to the
-row's max|value| (a propagator is compared by its levels).  Every input is
+row's max|value| (a propagator is compared by its levels).  A stage reads
+``resolved`` when one tree was faster in at least 9 of 10 paired rounds, over
+at least 10 rounds, and the two trees' quartiles lie apart.  Every input is
 built from each tree's own modules: an enum or a config of one tree passed
 to the other fails identity checks such as ``kind is
 InitialElectronState.SINGLET`` and silently changes the result.  A stage
 whose entry point takes other parameters in the two trees is timed on this
 tree alone and marked ``this_tree_only``; it is never adapted.
 
-Every record names both trees' paths and commits.  BLAS is pinned to one
+Every record names both trees' paths and commits, a commit marked ``+dirty``
+when the tree's tracked files differ from it.  BLAS is pinned to one
 thread in both bundled OpenBLAS copies (numpy's and scipy's) when the script
 runs: the thread variables are set before numpy is imported, and the
 libraries' own thread counts are read back and recorded.
@@ -108,15 +102,15 @@ DRIVERS = {
 SETS = {
     "complex": ((12, 64, 216, 288, 432, 864), 8.0),
     "real": ((12, 64, 216, 864), 8.0),
-    "blocks": ((12, 36, 64, 216, 864), 8.0),
     "stages": ((12, 64, 216, 864), 2.0),
 }
-#: Hamiltonians per dimension of the driver and block sets; the timed calls cycle through them
+#: Hamiltonians per dimension of the driver sets; the timed calls cycle through them
 MATRICES = 3
 #: fewest timed rounds of every measurement
-MIN_CALLS = 9
-#: block tests per timed call of the blocks set's ``block_test``, whose time is per test
-TEST_REPS = 100
+MIN_CALLS = 10
+#: a stage reads ``resolved`` only with at least this many paired rounds, one tree faster
+#: in at least this share of them, and the two trees' quartiles apart
+RESOLVED_ROUNDS, RESOLVED_SHARE = 10, 0.9
 #: the modules of a tree that the sets read
 MODULES = ("dynamics", "ensemble", "hamiltonian", "presets", "signal", "spincore", "strongcoupling")
 #: the package name of the ``--against`` tree, and the names of the two sides of a record
@@ -161,15 +155,22 @@ def load_tree(root: Path, name: str):
 
 
 def commit(root: Path) -> str:
-    """``git rev-parse HEAD`` of the checkout at ``root``, or "unknown" if it is not one."""
+    """``git rev-parse HEAD`` of the checkout at ``root``, or "unknown" if it is not one.
+
+    ``+dirty`` is appended when a tracked file differs from ``HEAD``, staged or not.
+    """
+    git = ["git", "-C", str(root)]
     try:
         top, head = subprocess.run(
-            ["git", "-C", str(root), "rev-parse", "--show-toplevel", "HEAD"],
+            [*git, "rev-parse", "--show-toplevel", "HEAD"],
             capture_output=True, text=True, check=True,
         ).stdout.splitlines()
     except (OSError, ValueError, subprocess.CalledProcessError):
         return "unknown"
-    return head if Path(top).resolve() == root.resolve() else "unknown"
+    if Path(top).resolve() != root.resolve():
+        return "unknown"
+    dirty = subprocess.run([*git, "diff", "--quiet", "HEAD", "--"], capture_output=True)
+    return head + ("+dirty" if dirty.returncode else "")
 
 
 def _systems(nv) -> dict[int, object]:
@@ -188,14 +189,19 @@ def _systems(nv) -> dict[int, object]:
 
 @contextmanager
 def _blocks_lifted(trees):
-    """Each tree's own ``BLOCK_MIN_DIM`` at 0 for the block, so that every d can split."""
-    saved = [nv.dynamics.BLOCK_MIN_DIM for nv in trees]
-    for nv in trees:
+    """``BLOCK_MIN_DIM`` at 0 for the block in each tree that still defines one.
+
+    Such a tree splits an exact H only from that d on; lifted, it splits at every d, as
+    this tree does.
+    """
+    lifted = [nv for nv in trees if hasattr(nv.dynamics, "BLOCK_MIN_DIM")]
+    saved = [nv.dynamics.BLOCK_MIN_DIM for nv in lifted]
+    for nv in lifted:
         nv.dynamics.BLOCK_MIN_DIM = 0
     try:
         yield
     finally:
-        for nv, min_dim in zip(trees, saved):
+        for nv, min_dim in zip(lifted, saved):
             nv.dynamics.BLOCK_MIN_DIM = min_dim
 
 
@@ -283,59 +289,6 @@ def measure_drivers(nv, d: int, seconds: float, seed: int, real: bool) -> dict:
     return {"dim": d, "drivers": drivers, "faster_than_numpy": faster}
 
 
-def measure_blocks(nv, d: int, seconds: float, seed: int) -> dict:
-    """Whole against per-sector ``dsyevd`` and sweep points at theta = 0 (see the module doc)."""
-    dyn, cfg = nv.dynamics, _systems(nv)[d]
-    rng = np.random.default_rng([seed, d])
-    sectors = nv.spincore.parity_sectors(cfg.layout())
-    even, odd = sectors
-    index = [(rows[:, None], rows) for rows in sectors]
-    k, t_max = cfg.effective_decay_rate, 5.0 / cfg.effective_decay_rate
-
-    def block_test(h):
-        return not h[even[0]].take(odd).any() and not h.take(even, 0).take(odd, 1).any()
-
-    def point(h, blocked):
-        prop = dyn.make_propagator(h, k, sectors if blocked else None)
-        n = dyn.nyquist_samples(prop, t_max)
-        ops = nv.hamiltonian.ELECTRON_PAIR_SPIN
-        return prop, dyn._expectation_means(prop, cfg.initial_state, ops, t_max / n, n)
-
-    hs = []
-    for _ in range(MATRICES):
-        field = nv.hamiltonian.FieldConfig(10 ** rng.uniform(-0.5, 0.5), 0.0, 0.0)
-        h = np.ascontiguousarray(nv.hamiltonian.build_rp_hamiltonian(cfg, field).real)
-        assert block_test(h)
-        hs.append(h)
-    with _blocks_lifted([nv]):
-        eig_diff, means_diff = [], []
-        for h in hs:
-            (full, m_full), (split, m_split) = point(h, False), point(h, True)
-            assert len(full.blocks) == 1 and len(split.blocks) == 2
-            scale = np.max(np.abs(full.eigenvalues))
-            eig_diff.append(float(np.max(np.abs(split.eigenvalues - full.eigenvalues)) / scale))
-            means_diff.append(float(np.max(np.abs(m_split - m_full)) / np.max(np.abs(m_full))))
-        times = _round_robin(
-            {
-                "dsyevd_full": lambda i: np.linalg.eigh(hs[i % MATRICES]),
-                "dsyevd_blocks": lambda i: [np.linalg.eigh(hs[i % MATRICES][ix]) for ix in index],
-                "point_full": lambda i: point(hs[i % MATRICES], False),
-                "point_blocks": lambda i: point(hs[i % MATRICES], True),
-                "block_test": lambda i: [block_test(hs[i % MATRICES]) for _ in range(TEST_REPS)],
-            },
-            seconds,
-        )
-    times["block_test"] = [t / TEST_REPS for t in times["block_test"]]
-    cases = {name: _quartiles(t) for name, t in times.items()}
-    return {
-        "dim": d,
-        "cases": cases,
-        "test_share_of_point": cases["block_test"]["median_ms"] / cases["point_full"]["median_ms"],
-        "eigenvalue_diff_rel": max(eig_diff),
-        "means_diff_rel": max(means_diff),
-    }
-
-
 def _stage_calls(nv, d: int, case: str, seed: int) -> dict:
     """Each stage at the case's point as a call without arguments, from ``nv``'s own inputs."""
     theta, phi, haar = CASES[case]
@@ -407,9 +360,21 @@ def _time_stage(fns: list, seconds: float) -> dict:
     if len(sides) == 2:
         this, other = stage["this"], stage["against"]
         stage["median_ratio"] = this["median_ms"] / other["median_ms"]
-        stage["resolved"] = bool(this["q3_ms"] < other["q1_ms"] or other["q3_ms"] < this["q1_ms"])
+        stage["resolved"] = _resolved(times["this"], times["against"])
         stage["max_deviation_rel"] = _deviation(outputs["this"], outputs["against"])
     return stage
+
+
+def _resolved(this: list[float], other: list[float]) -> bool:
+    """Whether one tree is faster beyond the spread (see RESOLVED_ROUNDS); rounds are paired."""
+    rounds = len(this)
+    wins = sum(a < b for a, b in zip(this, other))
+    (q1, q3), (p1, p3) = np.percentile(this, [25, 75]), np.percentile(other, [25, 75])
+    return bool(
+        rounds >= RESOLVED_ROUNDS
+        and max(wins, rounds - wins) >= RESOLVED_SHARE * rounds
+        and (q3 < p1 or p3 < q1)
+    )
 
 
 def _summary(stage: dict) -> str:
@@ -429,36 +394,20 @@ def _summary(stage: dict) -> str:
     return "; ".join(cells)
 
 
-def _first_of_a_run(rows: list[dict], wins) -> int | None:
-    """Smallest measured d at and above which ``wins(row)`` holds at every measured d."""
+def crossover(rows: list[dict]) -> int | None:
+    """Smallest d from which ``evr``'s upper quartile lies below numpy's lower quartile."""
     best = None
     for row in sorted(rows, key=lambda r: r["dim"], reverse=True):
-        if not wins(row):
+        if not row["drivers"]["evr"]["q3_ms"] < row["drivers"]["numpy"]["q1_ms"]:
             break
         best = row["dim"]
     return best
-
-
-def crossover(rows: list[dict]) -> int | None:
-    """Smallest d from which ``evr``'s upper quartile lies below numpy's lower quartile."""
-    return _first_of_a_run(
-        rows, lambda r: r["drivers"]["evr"]["q3_ms"] < r["drivers"]["numpy"]["q1_ms"]
-    )
-
-
-def block_min_dim(rows: list[dict]) -> int | None:
-    """Smallest d from which the blocked point's upper quartile lies below the whole one's lower."""
-    return _first_of_a_run(
-        rows, lambda r: r["cases"]["point_blocks"]["q3_ms"] < r["cases"]["point_full"]["q1_ms"]
-    )
 
 
 def measure(name: str, trees, d: int, seconds: float, seed: int) -> dict:
     """One row of the set ``name`` at dimension d; only ``stages`` reads a second tree."""
     if name == "stages":
         return measure_stages(trees, d, seconds, seed)
-    if name == "blocks":
-        return measure_blocks(trees[0], d, seconds, seed)
     return measure_drivers(trees[0], d, seconds, seed, real=name == "real")
 
 
@@ -527,11 +476,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"res {r['residual_rel']:.1e} orth {r['orthogonality']:.1e}"
                 for name, r in row["drivers"].items()
             ), flush=True)
-        elif args.set == "blocks":
-            print(f"d = {d}: " + "  ".join(
-                f"{name} {r['median_ms']:.3f} [{r['q1_ms']:.3f}, {r['q3_ms']:.3f}] ms"
-                for name, r in row["cases"].items()
-            ) + f"  test/point {row['test_share_of_point']:.2%}", flush=True)
         rows.append(row)
     result = {
         "benchmark": "bench/kernels.py",
@@ -546,9 +490,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.set == "stages":
         result.update(field_mT=FIELD_MT, cases=CASES, series_samples=SERIES_SAMPLES,
                       contrast_samples=CONTRAST_SAMPLES)
-    elif args.set == "blocks":
-        result["block_min_dim"] = block_min_dim(rows)
-        print(f"smallest blocked dimension: d = {result['block_min_dim']}")
     else:
         result["evr_crossover_dim"] = crossover(rows)
         print(f"evr crossover: d = {result['evr_crossover_dim']}")

@@ -53,23 +53,17 @@ from .signal import (
 from .strongcoupling import count_resolved_peaks, level_structure, peak_contrast
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, (float, np.floating)):
-        # -0.0 (e.g. d_ci = 0 times a negative mean) carries only the sign of round-off
-        return "0" if value == 0 else f"{value:.12g}"
-    return str(value)
-
-
 #: rows formatted and written at a time by :func:`write_csv`
 CSV_BLOCK_ROWS = 4096
 
 
 def _format_column(values: Any) -> list[str]:
-    """``_fmt`` of every value; float arrays are formatted whole."""
+    """Every value as text: floats with 12 significant digits, anything else by ``str``."""
     col = np.asarray(values)
     if col.dtype.kind != "f":
-        return [_fmt(v) for v in values]
-    # + 0.0 turns -0.0 into 0.0, which ".12g" writes as "0"
+        return [str(v) for v in values]
+    # + 0.0 turns -0.0 (e.g. d_ci = 0 times a negative mean), which carries only the sign
+    # of round-off, into 0.0, which ".12g" writes as "0"
     return [format(v, ".12g") for v in (col + 0.0).tolist()]
 
 

@@ -72,8 +72,8 @@ probe vectors.  The drivers agree to rounding, not bit for bit.
 With the field on z and no tensor entry coupling z to x or y (every shipped
 system at theta = 0 in its molecular frame), H commutes with the pi rotation about
 z of all spins and splits exactly into two parity sectors of d/2 states, which
-``signal.solve_pair`` hands over (``strongcoupling`` does not).  From ``BLOCK_MIN_DIM``
-on, ``eigh`` then runs per sector, and the propagator holds one eigen-block per sector,
+``signal.solve_pair`` hands over (``strongcoupling`` does not).  At every d, ``eigh``
+then runs per sector, and the propagator holds one eigen-block per sector,
 its d/2 rows and its own d/2 x d/2 V: d^2/2 eigenvector entries in all, none between
 sectors.  The means form d^2/4 weights per sector; the state has d/8 nonzero rows in
 each, and S_z reads d/4 of its d/2 rows, so the largest product is d/4 x d/2 x d/2 per
@@ -113,11 +113,6 @@ WEIGHT_CHUNK_ENTRIES = 1 << 13
 #: thread): 68 against 97 ms at d = 432, 555 against 883 ms at d = 864; overlapping quartiles
 #: at d = 288, zheevd faster at d <= 216.
 EVR_MIN_DIM = 432
-
-#: smallest d at which :func:`make_propagator` diagonalises an exactly split H per sector.
-#: BENCH_13.json (``bench/kernels.py --set blocks``, one BLAS thread): a theta = 0 point
-#: takes 9.3 against 13.9 ms at d = 216; overlapping quartiles at d = 64, d <= 36 slower.
-BLOCK_MIN_DIM = 216
 
 #: probe vectors of the orthogonality check in :func:`make_propagator`
 PROBE_VECTORS = 4
@@ -245,20 +240,22 @@ def make_propagator(h: np.ndarray, k_eff: float, sectors: tuple | None = None) -
     arithmetic and gets real eigenvectors; the three checks and their
     bounds are the same for either dtype.
 
-    ``sectors`` (internal; ``spincore.parity_sectors`` of the layout) lets a generator of
-    at least ``BLOCK_MIN_DIM`` rows whose (Hermitian) even x odd block is exactly zero be
-    diagonalised per sector, each block keeping what ``eigh`` returned.  The blocks'
+    ``sectors`` (internal; ``spincore.parity_sectors`` of the layout) lets a generator
+    whose (Hermitian) even x odd block is exactly zero be diagonalised per sector, each
+    block keeping what ``eigh`` returned.  The blocks'
     residuals, and per probe vector their probe norms, combine to the whole one.
     """
     h = _real_if_exact(np.asarray(h))
-    if k_eff < 0:
+    if not k_eff >= 0:  # NaN fails too
         raise PhysicsError(f"decay rate must be >= 0, got {k_eff}")
     hnorm = np.linalg.norm(h)
+    if not np.isfinite(hnorm):  # the bounds below scale with ||H||, so none could fire
+        raise NumericalError(f"||H|| = {hnorm} is not finite")
     if hnorm > 0 and np.linalg.norm(h - h.conj().T) > 1e-10 * hnorm:
         raise PhysicsError("propagator generator must be Hermitian")
     d = h.shape[0]
     parts = (np.arange(d),)
-    if sectors is not None and d >= BLOCK_MIN_DIM:
+    if sectors is not None:
         even, odd = sectors
         # a general H shows a nonzero in the first even row, so most tests read only that row
         if not h[even[0]].take(odd).any() and not h.take(even, 0).take(odd, 1).any():

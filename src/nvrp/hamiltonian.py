@@ -173,7 +173,7 @@ class FieldConfig:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.magnitude_mT < 0:
+        if not self.magnitude_mT >= 0:  # NaN fails too
             raise PhysicsError(f"field magnitude must be >= 0, got {self.magnitude_mT}")
         if not 0.0 <= self.theta <= math.pi:
             raise PhysicsError(f"theta must lie in [0, pi], got {self.theta}")

@@ -55,7 +55,6 @@ def kernels():
 ROW_KEYS = {
     "complex": {"dim", "drivers", "faster_than_numpy"},
     "real": {"dim", "drivers", "faster_than_numpy"},
-    "blocks": {"dim", "cases", "test_share_of_point", "eigenvalue_diff_rel", "means_diff_rel"},
     "stages": {"dim", "cases"},
 }
 
@@ -90,7 +89,35 @@ def test_kernels_against_its_own_checkout_deviates_by_nothing(kernels):
         for name, stage in stages.items():
             assert "this_tree_only" not in stage, (case, name)
             assert stage["max_deviation_rel"] == 0.0, (case, name)
-    assert nvrp.dynamics.BLOCK_MIN_DIM == against.dynamics.BLOCK_MIN_DIM == 216
+            assert not stage["resolved"], (case, name)
+    # neither tree has a size threshold for the parity blocks left to lift
+    for nv in (this, against):
+        assert not [name for name in vars(nv.dynamics) if name.startswith("BLOCK")]
+
+
+def test_kernels_resolves_a_stage_by_its_paired_rounds(kernels):
+    fast, slow = [1.0 + 0.01 * i for i in range(10)], [2.0 + 0.01 * i for i in range(10)]
+    assert kernels._resolved(fast, slow) and kernels._resolved(slow, fast)
+    assert not kernels._resolved(fast[:9], slow[:9])  # too few rounds
+    # quartiles apart, but the slow side wins 2 of the 10 paired rounds
+    assert not kernels._resolved(fast[:8] + [9.0, 9.0], slow)
+
+
+def test_kernels_marks_a_modified_checkout_dirty(kernels, tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), *args], check=True, capture_output=True)
+
+    assert kernels.commit(tmp_path) == "unknown"
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "one")
+    head = kernels.commit(tmp_path)
+    assert len(head) == 40 and "+" not in head
+    (tmp_path / "untracked.txt").write_text("not a tracked file\n")
+    assert kernels.commit(tmp_path) == head
+    (tmp_path / "a.txt").write_text("two\n")
+    assert kernels.commit(tmp_path) == head + "+dirty"
 
 
 def test_kernels_requires_out(kernels, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nvrp import cli, dynamics, signal
-from nvrp.cli import _fmt, experiment_from_preset, main, run
+from nvrp.cli import experiment_from_preset, main, run
 from nvrp.config import (
     KINDS,
     PARAMS,
@@ -176,6 +176,16 @@ def test_bad_tensor_entry_exits_2(tmp_path, capsys, key, entry):
     assert f"radical_pair.{key}[1][2]: expected a" in capsys.readouterr().err
 
 
+def test_overflowing_tensor_entry_exits_4(tmp_path, capsys):
+    """A finite entry whose H has an infinite norm fails the numerical checks."""
+    payload = _minimal_angle_sweep()
+    payload["radical_pair"]["nuclei_radical1"][0]["tensor_mT"][0][0] = 1e200
+    path = _write_config(tmp_path, payload)
+    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's, from the norm
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert "||H|| = inf is not finite" in capsys.readouterr().err
+
+
 def test_schema_error_exit_code(tmp_path, capsys):
     # field sweeps run on the sensor axis, so they take no field angles
     field_sweep = _minimal_angle_sweep(
@@ -279,7 +289,6 @@ def _orthogonality_loss(tmp_path, capsys, monkeypatch, theta_deg, skew):
 def test_orthogonality_loss_exits_4(tmp_path, capsys, monkeypatch):
     # At theta = 0 the pair splits into {T+, T-} and {T0, S}, one _eigh call
     # each; only the block of the two exactly zero levels T0, S is skewed.
-    monkeypatch.setattr(dynamics, "BLOCK_MIN_DIM", 0)
     skew = lambda eigh: skew_null_pair(eigh, null=0.0)  # noqa: E731
     dtypes = _orthogonality_loss(tmp_path, capsys, monkeypatch, [0.0, 180.0, 3], skew)
     assert dtypes == [np.float64, np.float64]
@@ -378,16 +387,6 @@ def test_params_system_resolves_like_a_preset(tmp_path, capsys):
     path = _write_config(tmp_path, payload)
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "params.system" in capsys.readouterr().err
-
-
-def test_fmt_writes_signed_zero_as_zero():
-    assert _fmt(-0.0) == "0"
-    assert _fmt(np.float64(-0.0)) == "0"
-    assert _fmt(0.0 * -1.5e-9) == "0"
-    assert _fmt(-1e-300) == "-1e-300"
-    assert _fmt(-0.25) == "-0.25"
-    assert _fmt(1.0 / 3.0) == "0.333333333333"
-    assert _fmt(-3) == "-3"
 
 
 def test_exchange_sweep_runner(tmp_path):
@@ -579,7 +578,6 @@ def test_oracle_mode(tmp_path, capsys):
 
 def test_oracle_checks_the_blocked_path(tmp_path, monkeypatch):
     # the oracle's pair sits at theta = 0, where H splits into the two parity sectors
-    monkeypatch.setattr(dynamics, "BLOCK_MIN_DIM", 0)
     blocks, make_propagator = [], signal.make_propagator
 
     def spy(*args):
@@ -655,8 +653,9 @@ def test_missing_radical_pair_is_config_error(tmp_path, capsys):
 def test_write_csv_matches_row_writer(tmp_path):
     """Column-wise formatting writes the bytes of csv.writer over the per-value rule.
 
-    Mixed columns: signed zeros, NaN, infinities, 1e-300, ints and the
-    fig5 mode strings, over more rows than one block.
+    Mixed columns: signed zeros, NaN, infinities, +-1e-300, ints and the
+    fig5 mode strings, over more rows than one block.  A -0.0 (e.g. d_ci = 0 times
+    a negative mean) carries only the sign of round-off and is written "0".
     """
     import csv
 
@@ -668,8 +667,9 @@ def test_write_csv_matches_row_writer(tmp_path):
     n = cli.CSV_BLOCK_ROWS + 5
     rng = np.random.default_rng(3)
     floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
-    floats[:6] = [-0.0, 0.0, np.nan, 1e-300, -np.inf, 1.0 / 3.0]
+    floats[:9] = [-0.0, 0.0, np.nan, 1e-300, -np.inf, 1.0 / 3.0, -1e-300, -0.25, 0.0 * -1.5e-9]
     ints = rng.integers(-5, 40, n)
+    ints[0] = -3
     modes = np.array(["aligned", "haar"])[rng.integers(0, 2, n)]
     seeds = [7] * n
     columns = [floats, ints, list(modes), seeds, np.full(n, -0.0)]

@@ -272,6 +272,11 @@ def test_geff_r_cubed_scaling():
     assert g2.g_eff == pytest.approx(g1.g_eff / 8.0, rel=1e-12)
 
 
+def test_nan_field_magnitude_rejected():
+    with pytest.raises(PhysicsError, match="field magnitude"):
+        FieldConfig(float("nan"))
+
+
 def test_zero_distance_rejected():
     with pytest.raises(PhysicsError, match="positive"):
         coupling_geometry(0.0, 0.0, 0.0)
