@@ -34,18 +34,18 @@ samples over five lifetimes, d <= 216), ``peak_contrast`` (fig6c's 2048
 samples with a 5 nm coupling along the field, d <= 64) and
 ``singlet_yield_mean``, each with the tracemalloc peak of one call, at
 1.16 mT in three cases: ``real_one_block`` (theta = 0.6, phi = 0),
-``real_blocked`` (theta = 0, where every d splits; a tree that still splits
-only from a ``BLOCK_MIN_DIM`` on has it lifted, so that both trees run the
-same arithmetic) and ``complex`` (a Haar rotation, theta = 0.6,
-phi = 1.1).  ``level_structure`` takes no rotation and never splits, so the
-contrast of the complex case is complex through phi alone.
+``real_blocked`` (theta = 0, where every d splits) and ``complex`` (a Haar
+rotation, theta = 0.6, phi = 1.1).  ``level_structure`` takes no rotation and
+never splits, so the contrast of the complex case is complex through phi alone.
 
-``--against <checkout>`` loads that checkout's ``src/nvrp`` as a second
-package, ``nvrp_against``, in the same interpreter (nvrp imports itself
-only relatively), times both trees round robin in alternating order, so
-that the machine's drift falls on both alike, and records the largest
-deviation of this tree's output from the other's, per row relative to the
-row's max|value| (a propagator is compared by its levels).  A stage reads
+``--against <checkout>`` takes a tree that, like this one, splits an exact
+theta = 0 H at every d (one without ``BLOCK_MIN_DIM``), so that the
+``real_blocked`` case runs the same arithmetic in both.  It loads that
+checkout's ``src/nvrp`` as a second package, ``nvrp_against``, in the same
+interpreter (nvrp imports itself only relatively), times both trees round
+robin in alternating order, so that the machine's drift falls on both alike,
+and records the largest deviation of this tree's output from the other's, per
+row relative to the row's max|value| (a propagator is compared by its levels).  A stage reads
 ``resolved`` when one tree was faster in at least 9 of 10 paired rounds, over
 at least 10 rounds, and the two trees' quartiles lie apart.  Every input is
 built from each tree's own modules: an enum or a config of one tree passed
@@ -83,7 +83,6 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
-from contextlib import contextmanager  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -185,24 +184,6 @@ def _systems(nv) -> dict[int, object]:
         432: dataclasses.replace(fad3, nuclei_radical2=p.fadtrp_config(2).nuclei_radical2),
         864: fad3,
     }
-
-
-@contextmanager
-def _blocks_lifted(trees):
-    """``BLOCK_MIN_DIM`` at 0 for the block in each tree that still defines one.
-
-    Such a tree splits an exact H only from that d on; lifted, it splits at every d, as
-    this tree does.
-    """
-    lifted = [nv for nv in trees if hasattr(nv.dynamics, "BLOCK_MIN_DIM")]
-    saved = [nv.dynamics.BLOCK_MIN_DIM for nv in lifted]
-    for nv in lifted:
-        nv.dynamics.BLOCK_MIN_DIM = 0
-    try:
-        yield
-    finally:
-        for nv, min_dim in zip(lifted, saved):
-            nv.dynamics.BLOCK_MIN_DIM = min_dim
 
 
 def _peak_mb(fn) -> float:
@@ -335,19 +316,18 @@ def measure_stages(trees, d: int, seconds: float, seed: int) -> dict:
     """Every stage of every case at one d, on this tree or on both (see the module doc)."""
     row = {"dim": d, "cases": {}}
     for case in CASES:
-        with _blocks_lifted(trees if case == "real_blocked" else ()):
-            calls = [_stage_calls(nv, d, case, seed) for nv in trees]
-            stages = {}
-            for module, name in STAGES:
-                if name not in calls[0]:
-                    continue
-                shared = len(trees) > 1 and _same_entry(trees, module, name)
-                stage = _time_stage([c[name] for c in calls][: 2 if shared else 1], seconds)
-                if len(trees) > 1 and not shared:
-                    stage["this_tree_only"] = "the entry point takes other parameters in each tree"
-                stages[name] = stage
-                print(f"d = {d} {case} {name}: {_summary(stage)}", flush=True)
-            row["cases"][case] = stages
+        calls = [_stage_calls(nv, d, case, seed) for nv in trees]
+        stages = {}
+        for module, name in STAGES:
+            if name not in calls[0]:
+                continue
+            shared = len(trees) > 1 and _same_entry(trees, module, name)
+            stage = _time_stage([c[name] for c in calls][: 2 if shared else 1], seconds)
+            if len(trees) > 1 and not shared:
+                stage["this_tree_only"] = "the entry point takes other parameters in each tree"
+            stages[name] = stage
+            print(f"d = {d} {case} {name}: {_summary(stage)}", flush=True)
+        row["cases"][case] = stages
     return row
 
 

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .dynamics import Propagator, evolve_observables, make_propagator, singlet_yield_mean
+from .dynamics import Propagator, make_propagator, singlet_yield_mean
 from .ensemble import EnsembleSpec, EnsembleStatistics, OrientationMode, ensemble_sweep
 from .errors import ConfigError, NumericalError, PhysicsError
 from .hamiltonian import (

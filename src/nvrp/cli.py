@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, build_experiment, load_config, read_params
-from .dynamics import _expectation_series, _pair_spin_ops, initial_state, singlet_yield_mean
+from .dynamics import _expectation_series, initial_state, singlet_yield_mean
 from .ensemble import EnsembleSpec, OrientationMode, ensemble_sweep
 from .errors import ConfigError, NumericalError, PhysicsError
 from .hamiltonian import (
@@ -348,7 +348,8 @@ def run_oracle_check(cfg: ExperimentConfig, p: Params, out: Path) -> list[Path]:
     t_max = 2e-6
     n_steps = max(int(round(t_max / dt)), 100)
     dt = t_max / n_steps
-    rho0, ops = initial_state(rp.initial_state, layout), _pair_spin_ops(layout)
+    rho0 = initial_state(rp.initial_state, layout)
+    ops = [np.kron(o, np.eye(layout.nuclear_dimension)) for o in ELECTRON_PAIR_SPIN]
     res = rk4_evolve(rho0, h, rp.effective_decay_rate, dt, t_max, observables=ops)
     exact = _expectation_series(prop, rp.initial_state, ELECTRON_PAIR_SPIN, res.t_grid)
     deviation = float(np.max(np.abs(exact - res.observables)))

@@ -39,7 +39,7 @@ def dipolar_prefactor(r_nm: float) -> float:
     float
         Signed angular frequency in rad/s (negative for this convention).
     """
-    if r_nm <= 0:
+    if not r_nm > 0:  # NaN fails too
         raise ValueError(f"dipolar prefactor requires r > 0, got r = {r_nm} nm")
     r = r_nm * NM
     return -MU0 * GAMMA_E**2 * HBAR / (4.0 * math.pi * r**3)

@@ -27,16 +27,13 @@ as a real ``syrk``), d^2/2 weights and one r x d x d product V_r (rho~ o G),
 on top of ``eigh`` and the reconstruction residual of
 :func:`make_propagator`; no operator is taken to the eigenbasis.
 ``signal.integrated_observables`` asks only for the components the sensor
-weights (d_ci != 0): S_z alone at theta = 0, S_x and S_z at phi = 0.  With
-real eigenvectors and real operators (every preset but fig5's Haar half)
-only Re G enters, in float64, and every product is a real GEMM: a phi = 0
-point takes a d x d x d GEMM where the previous kernel took d x d x 2d, and
-an S_z point a d/2 x d x d one.  Each weight costs a sine and a cosine
-rather than a complex ``expm1``, in row chunks of ``WEIGHT_CHUNK_ENTRIES``.
-At one BLAS thread a means call takes 2.0 against 4.2 ms at d = 216 and 66
-against 139 ms at d = 864 on such a phi = 0 point, and 105 against 180 ms on
-a Haar-rotated d = 864 point; at d = 12 it is 6% (real) to 15% (complex)
-slower, a few microseconds (BENCH_14.json; ``bench/kernels.py --set stages``).
+weights (d_ci != 0): S_z alone at theta = 0, S_x and S_z at phi = 0.  The
+mean runs over the n = :func:`nyquist_samples` samples of the window, a
+count that only this module picks.  With real eigenvectors and real operators
+(every preset but fig5's Haar half) only Re G enters, in float64, and every
+product is a real GEMM: d x d x d at a phi = 0 point, d/2 x d x d at an S_z
+point.  Each weight costs a sine and a cosine, in row chunks of
+``WEIGHT_CHUNK_ENTRIES``.
 
 A time series reads the same state W and the same slab rows as the means,
 per block of d_b levels (d_b = d, or d/2 per parity sector): M = rho~ o O~^T
@@ -45,24 +42,21 @@ each operator read, and T uniform samples then cost T d_b^2 per
 evaluated operator, plus one T_b x d_b phase table exp(-i lambda b dt) per
 block and call (T_b <= ``SERIES_CHUNK`` rows), reused for every chunk of
 samples after a d_b-phase shift.  Two sectors thus halve the series, T d^2/2
-against T d^2.  Only the components the sensor weights (d_ci != 0) are
-evaluated.  At one BLAS thread fig4a's S_z series (fadtrp-2n at theta = 0,
-d = 216, 32768 samples) takes 245 against 383 ms for the previous kernel,
-which took a dense rho0 and dense operators to the eigenbasis and ran over
-all d levels; one-block series are unchanged within the timing spread
-(BENCH_15.json; ``bench/kernels.py --set stages``).  A transition projector
+against T d^2.  ``signal.observable_series`` asks only for the components the
+sensor weights (d_ci != 0) and checks that its grid resolves the spectrum; the
+kernel reads exact samples on any uniform grid.  A transition projector
 |psi><psi| costs T d^2 / 4 through the rank-d/4 state.  The dense rho0 of
 :func:`initial_state` serves only the RK4 oracle.
 
-A Hamiltonian whose imaginary part is exactly zero (every shipped system
-at phi = 0 in its molecular frame, which ``build_rp_hamiltonian`` then
-assembles in float64) is diagonalised as a real symmetric
-matrix by LAPACK's ``dsyevd`` (numpy), and its eigenvectors stay real.
+The dtype of the Hamiltonian picks the arithmetic, and ``hamiltonian``'s builders
+pick the dtype: float64 exactly when no local term has an imaginary entry (every
+shipped system at phi = 0 in its molecular frame).  A float64 H is diagonalised as a
+real symmetric matrix by LAPACK's ``dsyevd`` (numpy), and its eigenvectors stay real.
 At one BLAS thread ``dsyevd`` takes 6.0 against 16.7 ms for ``zheevd`` at
 d = 216 and 170 against 972 ms at d = 864, and scipy's real ``evd`` and
 ``evr`` are no faster beyond the timing spread at any measured d
-(BENCH_10.json, ``bench/kernels.py --set real``).  Any other
-Hamiltonian is complex: ``eigh`` is then the divide-and-conquer ``zheevd``
+(BENCH_10.json, ``bench/kernels.py --set real``).  For a complex128
+Hamiltonian ``eigh`` is the divide-and-conquer ``zheevd``
 (numpy) below ``EVR_MIN_DIM`` and the faster MRRR driver ``zheevr`` (scipy;
 Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)) from there on.  MRRR
 keeps tight clusters less orthogonal, which the residual cannot see, so
@@ -77,8 +71,7 @@ then runs per sector, and the propagator holds one eigen-block per sector,
 its d/2 rows and its own d/2 x d/2 V: d^2/2 eigenvector entries in all, none between
 sectors.  The means form d^2/4 weights per sector; the state has d/8 nonzero rows in
 each, and S_z reads d/4 of its d/2 rows, so the largest product is d/4 x d/2 x d/2 per
-sector, d^3/8 in all against d^3/2 before: 19.0 against 59.1 ms a means call at
-d = 864, and 1.4 against 2.8 ms at d = 216 (BENCH_14.json).  A time series runs per
+sector, d^3/8 in all against d^3/2 for one block of all d rows.  A time series runs per
 sector too (above).
 """
 
@@ -91,8 +84,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, PhysicsError
-from .hamiltonian import ELECTRON_PAIR_SPIN, InitialElectronState
-from .spincore import SpinSystemLayout, site_operators
+from .hamiltonian import InitialElectronState
+from .spincore import SpinSystemLayout
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -153,7 +146,7 @@ def electron_singlet_projector() -> np.ndarray:
 class EigenBlock:
     """One exact block of a Hermitian generator: its basis states ``rows`` and its levels
     (rad/s), both ascending, and its own d_b x d_b V on those rows, column n for level n;
-    V is float64 when the generator was real (see :func:`make_propagator`), else complex128.
+    V is float64 when the generator was (see :func:`make_propagator`), else complex128.
     """
 
     rows: np.ndarray
@@ -191,26 +184,15 @@ class Propagator:
         return float(top - min(b.eigenvalues[0] for b in self.blocks))
 
 
-def _real_if_exact(h: np.ndarray) -> np.ndarray:
-    """``h`` as float64 when its imaginary part is exactly zero, else ``h`` itself.
-
-    The one choice between real and complex arithmetic, without tolerance.
-    """
-    if np.iscomplexobj(h):
-        return np.ascontiguousarray(h.real) if not h.imag.any() else h
-    return np.asarray(h, dtype=float)
-
-
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors of a Hermitian matrix.
 
-    A matrix with an exactly zero imaginary part is real symmetric and goes
-    to ``dsyevd`` (numpy), with real eigenvectors.  A complex one goes to
-    ``zheevd`` (numpy) below ``EVR_MIN_DIM`` and to ``zheevr`` (scipy) from it
-    on.  The eigenvectors are C-ordered either way: scipy returns them
-    Fortran-ordered, and the means' row reshapes would copy them.
+    The dtype of ``h`` picks the arithmetic.  A real matrix goes to ``dsyevd``
+    (numpy), with real eigenvectors.  A complex one goes to ``zheevd`` (numpy)
+    below ``EVR_MIN_DIM`` and to ``zheevr`` (scipy) from it on, even where its
+    imaginary part is zero.  The eigenvectors are C-ordered either way: scipy
+    returns them Fortran-ordered, and the means' row reshapes would copy them.
     """
-    h = _real_if_exact(h)
     if not np.iscomplexobj(h) or h.shape[0] < EVR_MIN_DIM:
         return np.linalg.eigh(h)
     w, v = scipy.linalg.eigh(h, check_finite=False, driver="evr")
@@ -236,16 +218,18 @@ def make_propagator(h: np.ndarray, k_eff: float, sectors: tuple | None = None) -
     probe vector.  The residual is blind to a loss of orthogonality
     among eigenvectors of eigenvalues near zero (V = Q (I + E) changes it
     only by Q (E Lambda + Lambda E^dag) Q^dag); the O(d^2) probe sees it.
-    A generator with an exactly zero imaginary part is diagonalised in real
-    arithmetic and gets real eigenvectors; the three checks and their
-    bounds are the same for either dtype.
+    The dtype of ``h`` picks the arithmetic: a float64 generator (as
+    ``hamiltonian``'s builders return one whenever no local term has an
+    imaginary entry) is diagonalised in real arithmetic and gets real
+    eigenvectors, a complex one in complex arithmetic; the three checks and
+    their bounds are the same for either dtype.
 
     ``sectors`` (internal; ``spincore.parity_sectors`` of the layout) lets a generator
     whose (Hermitian) even x odd block is exactly zero be diagonalised per sector, each
     block keeping what ``eigh`` returned.  The blocks'
     residuals, and per probe vector their probe norms, combine to the whole one.
     """
-    h = _real_if_exact(np.asarray(h))
+    h = np.asarray(h)
     if not k_eff >= 0:  # NaN fails too
         raise PhysicsError(f"decay rate must be >= 0, got {k_eff}")
     hnorm = np.linalg.norm(h)
@@ -510,15 +494,15 @@ def _expectation_means(
     prop: Propagator,
     state: InitialElectronState,
     electron_ops: np.ndarray,
-    dt: float,
-    n: int,
+    t_max: float,
 ) -> np.ndarray:
-    """Mean over the n uniform samples of <o_m x I_nuc>(t_j), t_j = j dt.
+    """Mean over n uniform samples of <o_m x I_nuc>(t_j), t_j = j dt, dt = t_max / n.
 
-    ``electron_ops`` are 4x4 operators on the two electrons, shape
-    (n_ops, 4, 4); rho0 = |s><s| x I/d_nuc for the electron state
-    ``state``; rho~ = W^T conj(W) / d_nuc with W from :func:`_state_factor`
-    and V4[a] V's rows in slab a (:func:`_slab_rows`).  The mean of O = o x I_nuc is
+    n is :func:`nyquist_samples` of ``prop`` and ``t_max``.  ``electron_ops``
+    are 4x4 operators on the two electrons, shape (n_ops, 4, 4); rho0 =
+    |s><s| x I/d_nuc for the electron state ``state``; rho~ = W^T conj(W) /
+    d_nuc with W from :func:`_state_factor` and V4[a] V's rows in slab a
+    (:func:`_slab_rows`).  The mean of O = o x I_nuc is
     Tr(O V (rho~ o G) V^dag) = Re sum_ab o_ab E_ab, where
     E_ab = sum_kn conj(V4[a, k, n]) Y4[b, k, n] and Y = V (rho~ o G).
 
@@ -534,6 +518,8 @@ def _expectation_means(
     real_ops, whole, parity = _slab_plan(ops.shape, ops.dtype.str, ops.tobytes())
     groups = whole if len(prop.blocks) == 1 else parity
     d_nuc = prop.dim // 4
+    n = nyquist_samples(prop, t_max)
+    dt = t_max / n
     out = np.zeros(ops.shape[0])
     for block in prop.blocks:
         real = real_ops and not np.iscomplexobj(block.eigenvectors)
@@ -547,37 +533,6 @@ def _expectation_means(
             out += np.real(ops_g @ e.ravel())
     out /= d_nuc
     return out
-
-
-def _pair_spin_ops(layout: SpinSystemLayout) -> list[np.ndarray]:
-    s1 = site_operators(layout, 0)
-    s2 = site_operators(layout, 1)
-    return [s1[i] + s2[i] for i in range(3)]
-
-
-def evolve_observables(
-    prop: Propagator, state: InitialElectronState, t_grid: np.ndarray, d_c: np.ndarray
-) -> np.ndarray:
-    """Time series of the coupling-weighted collective spin components, shape (3, n_t).
-
-    Returns s_tilde[i](t) = d_ci <S1i + S2i>(t) for i in {x, y, z}, dimensionless,
-    from rho0 = |state><state| x I/d_nuc.  Only the components with d_ci != 0 are
-    evaluated; the others are +0.0.  The grid must be uniform and resolve the largest
-    eigenvalue gap (dt < pi / spread), otherwise a ValueError reports the required dt.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt, spread = _check_uniform_grid(t_grid), prop.spectral_spread
-    if spread > 0 and dt >= np.pi / spread:
-        raise ValueError(
-            f"time grid undersamples the dynamics: dt = {dt:.3e} s but the "
-            f"largest eigenvalue gap needs dt < {np.pi / spread:.3e} s"
-        )
-    s_tilde = np.zeros((3, t_grid.shape[0]))
-    weighted = d_c != 0
-    if weighted.any():
-        series = _expectation_series(prop, state, ELECTRON_PAIR_SPIN[weighted], t_grid)
-        s_tilde[weighted] = d_c[weighted, None] * series
-    return s_tilde
 
 
 def nyquist_samples(prop: Propagator, t_max: float) -> int:
@@ -594,11 +549,10 @@ def singlet_yield_mean(prop: Propagator, state: InitialElectronState, t_max: flo
     """phi_s = k dt sum_j Tr[rho(t_j) P_S], t_j = j dt, dt = t_max / n, k = prop.decay_rate.
 
     The rate-weighted singlet yield from rho0 = |state><state| x I/d_nuc,
-    summed in closed form over n = :func:`nyquist_samples` samples.
+    summed in closed form over n = :func:`nyquist_samples` samples: k t_max
+    times their mean (n dt = t_max exactly, n being a power of two).
     ``t_max`` should reach at least five lifetimes; the truncation error is
     then below exp(-5).
     """
-    n = nyquist_samples(prop, t_max)
-    dt = t_max / n
-    mean = _expectation_means(prop, state, electron_singlet_projector()[None], dt, n)[0]
-    return float(prop.decay_rate * dt * mean * n)
+    mean = _expectation_means(prop, state, electron_singlet_projector()[None], t_max)[0]
+    return float(prop.decay_rate * t_max * mean)

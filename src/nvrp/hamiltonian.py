@@ -57,7 +57,7 @@ class NVParams:
     gamma_e: float = GAMMA_E
 
     def __post_init__(self) -> None:
-        if self.d_zfs <= 0:
+        if not self.d_zfs > 0:  # NaN fails too
             raise PhysicsError(f"zero-field splitting must be positive, got {self.d_zfs}")
 
 
@@ -120,7 +120,7 @@ class RadicalPairConfig:
     decay_convention: DecayConvention = DecayConvention.RATE_K
 
     def __post_init__(self) -> None:
-        if self.recombination_rate < 0:
+        if not self.recombination_rate >= 0:  # NaN fails too
             raise PhysicsError(f"recombination rate must be >= 0, got {self.recombination_rate}")
         for side, nuclei in (("1", self.nuclei_radical1), ("2", self.nuclei_radical2)):
             if len(nuclei) > 3:
@@ -135,7 +135,7 @@ class RadicalPairConfig:
                 raise PhysicsError("dipolar tensor must be a finite 3x3 matrix")
             t.setflags(write=False)
             object.__setattr__(self, "dipolar_tensor_mT", t)
-        if self.r_rp_nm is not None and self.r_rp_nm <= 0:
+        if self.r_rp_nm is not None and not self.r_rp_nm > 0:
             raise PhysicsError(f"inter-radical distance must be positive, got {self.r_rp_nm}")
         object.__setattr__(self, "nuclei_radical1", tuple(self.nuclei_radical1))
         object.__setattr__(self, "nuclei_radical2", tuple(self.nuclei_radical2))
@@ -197,13 +197,13 @@ class SensorParams:
     density_per_nm3: float = 5e-2
 
     def __post_init__(self) -> None:
-        if self.t2 <= 0:
+        if not self.t2 > 0:  # NaN fails too
             raise PhysicsError(f"T2 must be positive, got {self.t2}")
-        if self.r1_nm <= 0 or self.r2_nm <= self.r1_nm:
+        if not (self.r1_nm > 0 and self.r2_nm > self.r1_nm):
             raise PhysicsError(
                 f"sensing shell needs r2 > r1 > 0, got r1={self.r1_nm}, r2={self.r2_nm}"
             )
-        if self.density_per_nm3 < 0:
+        if not self.density_per_nm3 >= 0:
             raise PhysicsError("density must be >= 0")
 
     @property
@@ -237,7 +237,7 @@ class CouplingGeometry:
 
 def coupling_geometry(r_nm: float, theta: float, phi: float = 0.0) -> CouplingGeometry:
     """Geometry record for a molecule at distance r with field at (theta, phi)."""
-    if r_nm <= 0:
+    if not r_nm > 0:  # NaN fails too
         raise PhysicsError(f"sensor-molecule distance must be positive, got {r_nm} nm")
     d_r = dipolar_prefactor(r_nm)
     d_cx = 1.5 * math.sin(2 * theta) * math.cos(phi)
@@ -314,6 +314,21 @@ def _rp_terms(
     return terms
 
 
+def _assemble(terms: list[tuple[np.ndarray, int, int]], layout: SpinSystemLayout) -> np.ndarray:
+    """The sum of the local terms (operator, site_a, site_b), added in place on the full space.
+
+    The one choice between real and complex arithmetic: float64 exactly when no
+    local term has a nonzero imaginary entry, complex128 otherwise.  ``dynamics``
+    diagonalises in the dtype it is given.
+    """
+    real = not any(np.count_nonzero(local.imag) for local, _, _ in terms)
+    d = layout.total_dimension
+    h = np.zeros((d, d), dtype=float if real else complex)
+    for local, site_a, site_b in terms:
+        add_two_site(h, local.real if real else local, site_a, site_b, layout)
+    return h
+
+
 def build_rp_hamiltonian(
     cfg: RadicalPairConfig,
     field_cfg: FieldConfig,
@@ -324,16 +339,9 @@ def build_rp_hamiltonian(
     The field stays in the sensor frame; all molecular-frame coupling
     tensors (hyperfine and dipolar) are rotated by ``rotation``.  The matrix
     is float64 when no local term has an imaginary part (every shipped system
-    at phi = 0 in its molecular frame), complex128 otherwise.
+    at phi = 0 in its molecular frame), complex128 otherwise (:func:`_assemble`).
     """
-    layout = cfg.layout()
-    terms = _rp_terms(cfg, field_cfg, rotation)
-    real = not any(np.count_nonzero(local.imag) for local, _, _ in terms)
-    d = layout.total_dimension
-    h = np.zeros((d, d), dtype=float if real else complex)
-    for local, site_a, site_b in terms:
-        add_two_site(h, local.real if real else local, site_a, site_b, layout)
-    return h
+    return _assemble(_rp_terms(cfg, field_cfg, rotation), cfg.layout())
 
 
 def build_coupling_hamiltonian(
@@ -342,16 +350,15 @@ def build_coupling_hamiltonian(
     """Sensor-conditioned coupling operator D_r sum_i d_ci (S1i + S2i).
 
     This is the radical-pair factor multiplying Jz; the x and y cross
-    terms are kept in full (they are never negligible at low field).
+    terms are kept in full (they are never negligible at low field).  Only
+    S_y is imaginary, so the operator is float64 where d_cy = 0 (phi = 0),
+    complex128 otherwise (:func:`_assemble`).
     """
     pair = np.zeros((4, 4), dtype=complex)
     for i, d_ci in enumerate(geom.d_c):
         if d_ci:
             pair += geom.d_r * d_ci * ELECTRON_PAIR_SPIN[i]
-    d = layout.total_dimension
-    h = np.zeros((d, d), dtype=complex)
-    add_two_site(h, pair, 0, 1, layout)
-    return h
+    return _assemble([(pair, 0, 1)], layout)
 
 
 class Regime(enum.Enum):

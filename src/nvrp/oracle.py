@@ -23,11 +23,10 @@ STABILITY_BOUND = 0.1
 
 @dataclass(frozen=True)
 class OracleResult:
-    """RK4 output: grid, observable series, optional state snapshots."""
+    """RK4 output: grid and observable series."""
 
     t_grid: np.ndarray
     observables: np.ndarray | None
-    states: list[np.ndarray] | None
     dt: float
 
 
@@ -38,7 +37,6 @@ def rk4_evolve(
     dt: float,
     t_max: float,
     observables: list[np.ndarray] | None = None,
-    store_states: bool = False,
     record_every: int = 1,
 ) -> OracleResult:
     """Integrate the master equation with fixed-step RK4.
@@ -54,7 +52,7 @@ def rk4_evolve(
     dim = h.shape[0]
     if dim > MAX_DIM:
         raise ValueError(f"oracle handles dim <= {MAX_DIM}, got {dim}")
-    if k < 0:
+    if not k >= 0:  # NaN fails too
         raise PhysicsError(f"decay rate must be >= 0, got {k}")
 
     lam_max = float(np.max(np.abs(np.linalg.eigvalsh(h)))) if dim else 0.0
@@ -71,7 +69,6 @@ def rk4_evolve(
     n_steps = int(round(t_max / dt))
     t_rec = [0.0]
     obs_rec = [[float(np.real(np.trace(o @ rho))) for o in observables]] if observables else None
-    states = [rho.copy()] if store_states else None
 
     for step in range(1, n_steps + 1):
         k1 = rhs(rho)
@@ -84,12 +81,9 @@ def rk4_evolve(
             t_rec.append(step * dt)
             if observables:
                 obs_rec.append([float(np.real(np.trace(o @ rho))) for o in observables])
-            if store_states:
-                states.append(rho.copy())
 
     return OracleResult(
         t_grid=np.asarray(t_rec),
         observables=np.asarray(obs_rec).T if observables else None,
-        states=states,
         dt=dt,
     )

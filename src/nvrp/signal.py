@@ -28,9 +28,8 @@ from .dynamics import (
     Propagator,
     _check_uniform_grid,
     _expectation_means,
-    evolve_observables,
+    _expectation_series,
     make_propagator,
-    nyquist_samples,
 )
 from .errors import PhysicsError
 from .hamiltonian import (
@@ -110,12 +109,30 @@ def observable_series(
 ) -> np.ndarray:
     """Evolve one molecule and return its s_tilde time series, shape (3, n_t).
 
-    s_tilde does not depend on the molecule's distance; a distance enters
-    only through the prefactor that turns it into Tesla.
+    s_tilde[i](t) = d_ci <S1i + S2i>(t) for i in {x, y, z}, dimensionless.  It
+    does not depend on the molecule's distance; a distance enters only through
+    the prefactor that turns it into Tesla.  Only the components with d_ci != 0
+    are evaluated; the others are +0.0.  The grid must be uniform and resolve
+    the largest eigenvalue gap (dt < pi / spread), otherwise a ValueError
+    reports the required dt: a trace is Fourier-transformed (:func:`spectrum`).
     """
     prop = solve_pair(cfg, field_cfg, rotation)
+    t_grid = np.asarray(t_grid, dtype=float)
+    dt, spread = _check_uniform_grid(t_grid), prop.spectral_spread
+    if spread > 0 and dt >= np.pi / spread:
+        raise ValueError(
+            f"time grid undersamples the dynamics: dt = {dt:.3e} s but the "
+            f"largest eigenvalue gap needs dt < {np.pi / spread:.3e} s"
+        )
     d_c = coupling_geometry(1.0, field_cfg.theta, field_cfg.phi).d_c
-    return evolve_observables(prop, cfg.initial_state, t_grid, d_c)
+    out = np.zeros((3, t_grid.shape[0]))
+    weighted = d_c != 0
+    if weighted.any():
+        ops = ELECTRON_PAIR_SPIN[weighted]
+        out[weighted] = d_c[weighted, None] * _expectation_series(
+            prop, cfg.initial_state, ops, t_grid
+        )
+    return out
 
 
 def integrated_observables(
@@ -136,9 +153,8 @@ def integrated_observables(
     out = coupling_geometry(1.0, field_cfg.theta, field_cfg.phi).d_c + 0.0  # -0.0 becomes +0.0
     weighted = out != 0
     if weighted.any():
-        n = nyquist_samples(prop, t_max)
         ops = ELECTRON_PAIR_SPIN[weighted]
-        out[weighted] *= _expectation_means(prop, cfg.initial_state, ops, t_max / n, n)
+        out[weighted] *= _expectation_means(prop, cfg.initial_state, ops, t_max)
     return out
 
 
@@ -229,6 +245,6 @@ def with_exchange(cfg: RadicalPairConfig, j_mT: float) -> RadicalPairConfig:
 
 def with_lifetime(cfg: RadicalPairConfig, tau_s: float) -> RadicalPairConfig:
     """Copy of a configuration with lifetime tau (k = 1/tau)."""
-    if tau_s <= 0:
+    if not tau_s > 0:  # NaN fails too
         raise PhysicsError(f"lifetime must be positive, got {tau_s}")
     return replace(cfg, recombination_rate=1.0 / tau_s)

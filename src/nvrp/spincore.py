@@ -208,7 +208,7 @@ class Rotation:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"rotation matrix must be 3x3, got shape {m.shape}")
-        if np.linalg.norm(m.T @ m - np.eye(3)) > 1e-12:
+        if not np.linalg.norm(m.T @ m - np.eye(3)) <= 1e-12:  # NaN fails too
             raise ValueError("rotation matrix is not orthogonal to 1e-12")
         if np.linalg.det(m) < 0:
             raise ValueError("rotation matrix has determinant -1 (improper rotation)")

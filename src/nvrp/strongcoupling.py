@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .dynamics import Propagator, _eigh, _projector_series, _real_if_exact, make_propagator
+from .dynamics import Propagator, _eigh, _projector_series, make_propagator
 from .errors import PhysicsError
 from .hamiltonian import (
     CouplingGeometry,
@@ -81,9 +81,9 @@ def _stabilize_degenerate(prop: Propagator, op: np.ndarray) -> np.ndarray:
     """The eigenvectors of a one-block ``prop``, degenerate clusters rotated to diagonalise ``op``.
 
     The result has the dtype of the eigenvectors and ``op`` together: real
-    eigenvectors stay real unless ``op`` has a nonzero imaginary entry.
+    eigenvectors stay real unless ``op`` is complex, as the coupling operator
+    is only where phi != 0.
     """
-    op = _real_if_exact(op)
     (block,) = prop.blocks
     w = block.eigenvalues
     v = block.eigenvectors.astype(np.result_type(block.eigenvectors, op))
@@ -149,7 +149,7 @@ def count_resolved_peaks(freqs_hz: np.ndarray, gamma_hz: float) -> PeakSet:
     Transitions are swept in ascending frequency; a new cluster opens when
     the gap to the current cluster's running center exceeds ``gamma_hz``.
     """
-    if gamma_hz <= 0:
+    if not gamma_hz > 0:  # NaN fails too
         raise PhysicsError(f"resolution linewidth must be positive, got {gamma_hz}")
     freqs = np.sort(freqs_hz)
     centers: list[float] = []

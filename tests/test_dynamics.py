@@ -17,7 +17,6 @@ from nvrp.dynamics import (
     _geometric_mean_weights,
     _state_factor,
     electron_singlet_projector,
-    evolve_observables,
     initial_state,
     make_propagator,
     nyquist_samples,
@@ -141,11 +140,13 @@ def test_non_hermitian_rejected():
 
 
 def test_nan_decay_rate_and_infinite_norm_rejected(axial3_pair):
-    """NaN fails the decay rate's bound, and an H whose norm overflows fails before eigh."""
+    """NaN fails the decay rate's bound, and an H whose norm overflows fails before eigh.
+
+    A config already rejects a NaN recombination rate (``test_nan_rejected``).
+    """
     h = build_rp_hamiltonian(axial3_pair, FieldConfig(1.16, 0.0, 0.0))
-    nan_rate = dataclasses.replace(axial3_pair, recombination_rate=math.nan)
     with pytest.raises(PhysicsError, match="decay rate"):
-        integrated_observables(nan_rate, FieldConfig(1.16, 0.0, 0.0), t_max=25e-6)
+        make_propagator(h, math.nan)
     # finite entries of up to about 1e208, whose squares overflow
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match=r"\|\|H\|\| = inf"):
         make_propagator(1e200 * h, 0.0)
@@ -259,11 +260,8 @@ def test_propagator_composition():
 
 
 def test_singlet_initial_observables_vanish(axial3_pair):
-    h = build_rp_hamiltonian(axial3_pair, FieldConfig(0.05, 0.7, 0.0))
-    prop = make_propagator(h, axial3_pair.recombination_rate)
-    geom = coupling_geometry(10.0, 0.7, 0.0)
     t = np.linspace(0.0, 1e-6, 512, endpoint=False)
-    series = evolve_observables(prop, S, t, geom.d_c)
+    series = observable_series(axial3_pair, FieldConfig(0.05, 0.7, 0.0), t)
     assert np.all(np.abs(series[:, 0]) < 1e-12)
 
 
@@ -297,23 +295,19 @@ def test_observables_match_rk4_oracle(one_proton_pair):
 
 
 def test_undersampled_grid_rejected(axial3_pair):
-    h = build_rp_hamiltonian(axial3_pair, FieldConfig(10.0, 0.0, 0.0))
-    prop = make_propagator(h, axial3_pair.recombination_rate)
-    geom = coupling_geometry(10.0, 0.0, 0.0)
     t = np.linspace(0.0, 25e-6, 64, endpoint=False)
     with pytest.raises(ValueError, match="dt <"):
-        evolve_observables(prop, S, t, geom.d_c)
+        observable_series(axial3_pair, FieldConfig(10.0, 0.0, 0.0), t)
 
 
 def test_time_averaged_matches_materialized_mean(axial3_pair):
     cfg = axial3_pair
     field = FieldConfig(0.05, 0.4, 0.0)
     prop = solve_pair(cfg, field)
-    geom = coupling_geometry(10.0, 0.4, 0.0)
     t_max = 5.0 / cfg.recombination_rate
     n = nyquist_samples(prop, t_max)  # the grid integrated_observables averages over
     t = np.linspace(0.0, t_max, n, endpoint=False)
-    series = evolve_observables(prop, cfg.initial_state, t, geom.d_c)
+    series = observable_series(cfg, field, t)
     direct = np.mean(series, axis=1)
     closed = integrated_observables(cfg, field, t_max=t_max)
     assert np.allclose(direct, closed, rtol=1e-10, atol=1e-15)
@@ -351,9 +345,10 @@ def test_unweighted_components_are_exact_zeros(axial3_pair):
     # theta = 0: d_cx = d_cy = 0, only z is evaluated; phi = 0 also zeroes d_cy off-axis
     t = np.linspace(0.0, 2e-6, 1000, endpoint=False)
     for theta, zero in ((0.0, [0, 1]), (0.7, [1])):
-        prop = solve_pair(axial3_pair, FieldConfig(0.3, theta, 0.0))
+        field = FieldConfig(0.3, theta, 0.0)
+        prop = solve_pair(axial3_pair, field)
         geom = coupling_geometry(10.0, theta, 0.0)
-        s_tilde = evolve_observables(prop, S, t, geom.d_c)
+        s_tilde = observable_series(axial3_pair, field, t)
         assert np.all(s_tilde[zero] == 0.0) and not np.any(np.signbit(s_tilde[zero]))
         for i in sorted(set(range(3)) - set(zero)):
             # the stacked product may round differently from a single operator's
@@ -388,9 +383,9 @@ def test_series_match_dense_evolution(make_cfg, field, rotation_seed, state):
     All three pair-spin components and the singlet projector (S_y is imaginary, also
     on real eigenvectors), sampled across the first ``SERIES_CHUNK`` boundary, within
     1e-12 of each operator's max; a theta = 0 molecule in its own frame splits into two
-    parity blocks.  The components that ``evolve_observables`` does not weight are +0.0.
+    parity blocks.  The components that ``observable_series`` does not weight are +0.0.
     """
-    cfg = make_cfg()
+    cfg = dataclasses.replace(make_cfg(), initial_state=state)
     rotation = rotation_seed and random_rotation(np.random.default_rng(rotation_seed))
     prop = solve_pair(cfg, field, rotation)
     assert len(prop.blocks) == (2 if field.theta == 0.0 and rotation is None else 1)
@@ -405,7 +400,7 @@ def test_series_match_dense_evolution(make_cfg, field, rotation_seed, state):
     _assert_close(_expectation_series(prop, state, ops, t)[:, samples], want)
 
     d_c = coupling_geometry(1.0, field.theta, field.phi).d_c
-    s_tilde = evolve_observables(prop, state, t, d_c)
+    s_tilde = observable_series(cfg, field, t, rotation)
     unweighted = s_tilde[d_c == 0]
     assert np.all(unweighted == 0.0) and not np.any(np.signbit(unweighted))
     _assert_close(s_tilde[:, samples], d_c[:, None] * want[:3])
@@ -444,7 +439,7 @@ def test_fused_means_match_dense_definition(seed, spins, state):
     n = nyquist_samples(prop, t_max)
     electron_ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
 
-    fused = _expectation_means(prop, state, electron_ops, t_max / n, n)
+    fused = _expectation_means(prop, state, electron_ops, t_max)
     dense = _dense_means(prop, state, cfg.layout(), electron_ops, t_max / n, n)
     assert np.max(np.abs(fused - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -592,7 +587,7 @@ def test_means_of_a_complex_operator_with_real_eigenvectors(axial3_pair):
     t_max = 5.0 / prop.decay_rate
     n = nyquist_samples(prop, t_max)
     for ops in (ELECTRON_PAIR_SPIN[1:2], ELECTRON_PAIR_SPIN):
-        got = _expectation_means(prop, S, ops, t_max / n, n)
+        got = _expectation_means(prop, S, ops, t_max)
         want = _dense_means(prop, S, axial3_pair.layout(), ops, t_max / n, n)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert abs(want[1]) > 1e-6 * np.max(np.abs(want))
@@ -602,9 +597,8 @@ def test_means_of_a_complex_operator_with_real_eigenvectors(axial3_pair):
 
 
 def _pair_means(prop, cfg, t_max):
-    n = nyquist_samples(prop, t_max)
     ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
-    return _expectation_means(prop, cfg.initial_state, ops, t_max / n, n)
+    return _expectation_means(prop, cfg.initial_state, ops, t_max)
 
 
 #: the shipped systems up to d = 216 (d = 12, 36, 64, 96 and 216); fadtrp-3n (d = 864) is

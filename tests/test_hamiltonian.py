@@ -23,14 +23,18 @@ from nvrp.hamiltonian import (
     classify_regime,
     coupling_geometry,
 )
+from nvrp.oracle import rk4_evolve
 from nvrp.presets import ANISOTROPY_CASES, SYSTEMS, one_nucleus_config, two_nucleus_config
+from nvrp.signal import with_lifetime
 from nvrp.spincore import (
+    Rotation,
     SpinSpecies,
     add_two_site,
     euler_rotation,
     isotropic_tensor,
     site_operators,
 )
+from nvrp.strongcoupling import count_resolved_peaks
 
 from conftest import make_pair
 
@@ -277,6 +281,35 @@ def test_nan_field_magnitude_rejected():
         FieldConfig(float("nan"))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: SensorParams(t2=NAN), PhysicsError),
+        (lambda: SensorParams(r1_nm=NAN), PhysicsError),
+        (lambda: SensorParams(r2_nm=NAN), PhysicsError),
+        (lambda: SensorParams(density_per_nm3=NAN), PhysicsError),
+        (lambda: RadicalPairConfig(recombination_rate=NAN), PhysicsError),
+        (lambda: RadicalPairConfig(r_rp_nm=NAN), PhysicsError),
+        (lambda: NVParams(d_zfs=NAN), PhysicsError),
+        (lambda: coupling_geometry(NAN, 0.0), PhysicsError),
+        (lambda: with_lifetime(make_pair(), NAN), PhysicsError),
+        (lambda: dipolar_prefactor(NAN), ValueError),
+        (lambda: rk4_evolve(np.eye(4) / 4, np.zeros((4, 4)), NAN, 1e-9, 1e-8), PhysicsError),
+        (lambda: Rotation(np.full((3, 3), NAN)), ValueError),
+        (lambda: count_resolved_peaks(np.array([0.0, 1e3]), NAN), PhysicsError),
+    ],
+    ids=["t2", "r1", "r2", "density", "recombination_rate", "r_rp", "d_zfs", "geometry_r",
+         "lifetime", "dipolar_prefactor", "rk4_k", "rotation", "peak_resolution"],
+)
+def test_nan_rejected(make, error):
+    """Each check is written so that NaN fails it, with the check's own exception type."""
+    with pytest.raises(error):
+        make()
+
+
 def test_zero_distance_rejected():
     with pytest.raises(PhysicsError, match="positive"):
         coupling_geometry(0.0, 0.0, 0.0)
@@ -307,6 +340,16 @@ def test_coupling_trace_norm_matches_geff(theta, phi):
     h = build_coupling_hamiltonian(g, layout)
     trace_norm = np.sum(np.abs(np.linalg.eigvalsh(h)))
     assert trace_norm == pytest.approx(g.g_eff, rel=1e-10, abs=1e-12)
+
+
+def test_coupling_is_float64_exactly_where_phi_is_zero():
+    """Only S_y is imaginary, so d_cy = 0 leaves a float64 operator, and fig6c's sum too."""
+    cfg = one_nucleus_config("axial3")
+    h0 = build_rp_hamiltonian(cfg, FieldConfig(1.0, 0.0, 0.0))
+    for phi, dtype in ((0.0, np.float64), (0.3, np.complex128)):
+        h = build_coupling_hamiltonian(coupling_geometry(5.0, 0.7, phi), cfg.layout())
+        assert h.dtype == dtype and (h0 + h).dtype == dtype
+    assert h.imag.any()
 
 
 def test_coupling_annihilates_singlet():

@@ -21,16 +21,19 @@ S = InitialElectronState.SINGLET
 def test_zero_generator_exact():
     layout = SpinSystemLayout.for_radical_pair()
     rho0 = initial_state(S, layout)
-    res = rk4_evolve(rho0, np.zeros((4, 4)), 0.0, 1e-7, 1e-5, store_states=True)
-    assert np.array_equal(res.states[-1], rho0)
+    # Re Tr(E_ab rho) = Re rho_ba and Re Tr(i E_ab rho) = -Im rho_ba: every entry of rho
+    units = np.eye(16).reshape(16, 4, 4)
+    res = rk4_evolve(rho0, np.zeros((4, 4)), 0.0, 1e-7, 1e-5, observables=[*units, *(1j * units)])
+    re, im = res.observables[:, -1].reshape(2, 4, 4)
+    assert np.array_equal(re.T, rho0) and not im.any()
 
 
 def test_pure_decay():
     layout = SpinSystemLayout.for_radical_pair()
     rho0 = initial_state(S, layout)
     k = 2e5
-    res = rk4_evolve(rho0, np.zeros((4, 4)), k, 1.0 / (100 * k), 5.0 / k, store_states=True)
-    assert np.real(np.trace(res.states[-1])) == pytest.approx(np.exp(-5.0), abs=1e-10)
+    res = rk4_evolve(rho0, np.zeros((4, 4)), k, 1.0 / (100 * k), 5.0 / k, observables=[np.eye(4)])
+    assert res.observables[0, -1] == pytest.approx(np.exp(-5.0), abs=1e-10)
 
 
 def test_dimension_bound():
