@@ -1,33 +1,12 @@
-"""Time nvrp's eigenbasis kernels on this tree, or on two trees side by side.
+"""Time nvrp's entry points stage by stage on this tree, or on two trees side by side.
 
 Usage (from the root of a checkout; ``--out`` is required, so that no run
 overwrites a committed record by default):
 
-    python3 bench/kernels.py --set complex --out BENCH_6.json
-    python3 bench/kernels.py --set real --out BENCH_10.json
-    python3 bench/kernels.py --set stages --against ../parent --out /tmp/stages.json
+    python3 bench/kernels.py --out /tmp/stages.json
+    python3 bench/kernels.py --against ../parent --out /tmp/stages.json
 
-The sets ``complex`` and ``real`` measure this tree alone and back its choice
-of eigensolver driver.
-
-``complex`` holds, for each dimension, a few radical-pair Hamiltonians with
-B = 1 mT in a random direction and a Haar-random molecular rotation (fixed
-seed).  ``real`` holds the same systems at a random polar angle, phi = 0 and
-the identity orientation: every shipped tensor is diagonal in the molecular
-frame, so these Hamiltonians are real symmetric float64 matrices.  Each is
-diagonalised with numpy's ``eigh`` (``zheevd``, or ``dsyevd`` on the real
-set) and with ``scipy.linalg.eigh(check_finite=False)`` using the ``evd``
-and MRRR ``evr`` drivers; on the real set ``numpy_complex`` times ``zheevd``
-on the same matrices stored as complex.  Each driver records the median and
-quartiles of its wall time per call, the relative reconstruction residual,
-the orthogonality error ||V^dag V - I|| and the largest eigenvalue
-difference from numpy's, relative to max|w|.  ``faster_than_numpy`` lists
-per dimension the drivers whose upper quartile lies below numpy's lower
-quartile; on the real set it backs the choice of ``dsyevd`` at every d.
-``evr_crossover_dim``, the smallest measured d from which ``evr`` is faster
-than numpy in that sense at every larger one, backs ``nvrp.dynamics.EVR_MIN_DIM``.
-
-``stages`` times the program's entry points per stage: ``build_rp_hamiltonian``,
+The script times the program's entry points per stage: ``build_rp_hamiltonian``,
 ``make_propagator`` (with the tree's own ``parity_sectors``),
 ``integrated_observables``, ``observable_series`` (fig4a's grid of 32768
 samples over five lifetimes, d <= 216), ``peak_contrast`` (fig6c's 2048
@@ -56,8 +35,9 @@ tree alone and marked ``this_tree_only``; it is never adapted.
 
 Every record names both trees' paths and commits, a commit marked ``+dirty``
 when the tree's tracked files differ from it.  BLAS is pinned to one
-thread in both bundled OpenBLAS copies (numpy's and scipy's) when the script
-runs: the thread variables are set before numpy is imported, and the
+thread in both bundled OpenBLAS copies when the script runs: numpy's, which
+runs every LAPACK call of the program, and scipy's, which ``scipy.optimize``
+loads.  The thread variables are set before numpy is imported, and the
 libraries' own thread counts are read back and recorded.
 """
 
@@ -71,13 +51,11 @@ if __name__ == "__main__":  # before numpy loads; importing this module changes 
 
 import argparse  # noqa: E402
 import ctypes  # noqa: E402
-import dataclasses  # noqa: E402
 import glob  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import inspect  # noqa: E402
 import json  # noqa: E402
-import math  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -87,30 +65,17 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-import scipy.linalg  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 
-DRIVERS = {
-    "numpy": lambda h: np.linalg.eigh(h),
-    "evd": lambda h: scipy.linalg.eigh(h, check_finite=False, driver="evd"),
-    "evr": lambda h: scipy.linalg.eigh(h, check_finite=False, driver="evr"),
-}
-
-#: set -> (measured dimensions, default timing budget in s per driver row or per stage)
-SETS = {
-    "complex": ((12, 64, 216, 288, 432, 864), 8.0),
-    "real": ((12, 64, 216, 864), 8.0),
-    "stages": ((12, 64, 216, 864), 2.0),
-}
-#: Hamiltonians per dimension of the driver sets; the timed calls cycle through them
-MATRICES = 3
+#: measured dimensions, and the default timing budget in s per stage
+DIMS, SECONDS = (12, 64, 216, 864), 2.0
 #: fewest timed rounds of every measurement
 MIN_CALLS = 10
 #: a stage reads ``resolved`` only with at least this many paired rounds, one tree faster
 #: in at least this share of them, and the two trees' quartiles apart
 RESOLVED_ROUNDS, RESOLVED_SHARE = 10, 0.9
-#: the modules of a tree that the sets read
+#: the modules of a tree that the stages read
 MODULES = ("dynamics", "ensemble", "hamiltonian", "presets", "signal", "spincore", "strongcoupling")
 #: the package name of the ``--against`` tree, and the names of the two sides of a record
 AGAINST = "nvrp_against"
@@ -174,15 +139,11 @@ def commit(root: Path) -> str:
 
 def _systems(nv) -> dict[int, object]:
     p = nv.presets
-    fad3 = p.fadtrp_config(3)
     return {
         12: p.one_nucleus_config("axial3"),
-        36: p.two_nucleus_config("axial3"),
         64: p.strongcoupling_config(),
         216: p.fadtrp_config(2),
-        288: dataclasses.replace(fad3, nuclei_radical2=fad3.nuclei_radical2[1:]),
-        432: dataclasses.replace(fad3, nuclei_radical2=p.fadtrp_config(2).nuclei_radical2),
-        864: fad3,
+        864: p.fadtrp_config(3),
     }
 
 
@@ -215,59 +176,6 @@ def _round_robin(calls: dict, seconds: float) -> dict[str, list[float]]:
             times[name].append(time.perf_counter() - t0)
         i += 1
     return times
-
-
-def _hamiltonians(nv, d: int, seed: int, real: bool) -> list[np.ndarray]:
-    rng = np.random.default_rng([seed, d])
-    cfg, out = _systems(nv)[d], []
-    for _ in range(MATRICES):
-        theta = math.acos(rng.uniform(-1.0, 1.0))
-        if real:
-            field = nv.hamiltonian.FieldConfig(1.0, theta, 0.0)
-            h = nv.hamiltonian.build_rp_hamiltonian(cfg, field)
-            assert not h.imag.any()
-            h = np.ascontiguousarray(h.real)
-        else:
-            field = nv.hamiltonian.FieldConfig(1.0, theta, rng.uniform(0.0, 2 * math.pi))
-            h = nv.hamiltonian.build_rp_hamiltonian(cfg, field, nv.ensemble.random_rotation(rng))
-        assert h.shape == (d, d)
-        out.append(h)
-    return out
-
-
-def _accuracy(h: np.ndarray, w: np.ndarray, v: np.ndarray, w_ref: np.ndarray) -> dict[str, float]:
-    hnorm = np.linalg.norm(h)
-    return {
-        "residual_rel": float(np.linalg.norm((v * w) @ v.conj().T - h) / hnorm),
-        "orthogonality": float(np.linalg.norm(v.conj().T @ v - np.eye(h.shape[0]))),
-        "eigenvalue_diff_rel": float(np.max(np.abs(w - w_ref)) / np.max(np.abs(w_ref))),
-    }
-
-
-def measure_drivers(nv, d: int, seconds: float, seed: int, real: bool) -> dict:
-    """The eigensolver drivers on the complex or real set at one d (see the module doc)."""
-    hs = _hamiltonians(nv, d, seed, real)
-    # driver -> (solver, the matrices it is given)
-    cases = {name: (fn, hs) for name, fn in DRIVERS.items()}
-    if real:
-        cases["numpy_complex"] = (DRIVERS["numpy"], [h.astype(complex) for h in hs])
-    refs = [np.linalg.eigh(h)[0] for h in hs]
-    accuracy = {name: [] for name in cases}
-    for k, (h, w_ref) in enumerate(zip(hs, refs)):
-        for name, (fn, mats) in cases.items():
-            w, v = fn(mats[k])
-            accuracy[name].append(_accuracy(h, w, v, w_ref))
-    times = _round_robin(
-        {name: lambda i, fn=fn, m=mats: fn(m[i % MATRICES]) for name, (fn, mats) in cases.items()},
-        seconds,
-    )
-    drivers = {
-        name: dict(_quartiles(times[name]), **{key: max(a[key] for a in acc) for key in acc[0]})
-        for name, acc in accuracy.items()
-    }
-    ref = drivers["numpy"]
-    faster = [name for name, r in drivers.items() if r["q3_ms"] < ref["q1_ms"]]
-    return {"dim": d, "drivers": drivers, "faster_than_numpy": faster}
 
 
 def _stage_calls(nv, d: int, case: str, seed: int) -> dict:
@@ -374,23 +282,6 @@ def _summary(stage: dict) -> str:
     return "; ".join(cells)
 
 
-def crossover(rows: list[dict]) -> int | None:
-    """Smallest d from which ``evr``'s upper quartile lies below numpy's lower quartile."""
-    best = None
-    for row in sorted(rows, key=lambda r: r["dim"], reverse=True):
-        if not row["drivers"]["evr"]["q3_ms"] < row["drivers"]["numpy"]["q1_ms"]:
-            break
-        best = row["dim"]
-    return best
-
-
-def measure(name: str, trees, d: int, seconds: float, seed: int) -> dict:
-    """One row of the set ``name`` at dimension d; only ``stages`` reads a second tree."""
-    if name == "stages":
-        return measure_stages(trees, d, seconds, seed)
-    return measure_drivers(trees[0], d, seconds, seed, real=name == "real")
-
-
 def _openblas(lib_dir: Path) -> list[dict]:
     """Version string and live thread count of each OpenBLAS copy in a bundled-library folder."""
     out = []
@@ -430,49 +321,32 @@ def environment() -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--set", choices=list(SETS), default="complex", help="what to measure")
-    parser.add_argument("--seconds", type=float, default=None, help="budget per row or stage")
+    parser.add_argument("--seconds", type=float, default=SECONDS, help="budget per stage")
     parser.add_argument("--seed", type=int, default=6)
     parser.add_argument("--out", type=Path, required=True, help="the JSON record to write")
-    parser.add_argument("--against", type=Path, default=None, help="a checkout (stages only)")
+    parser.add_argument("--against", type=Path, default=None, help="a checkout to compare with")
     args = parser.parse_args(argv)
-    if args.against is not None and args.set != "stages":
-        parser.error("--against compares two trees on --set stages only")
     if args.against is not None and not (args.against / "src" / "nvrp" / "__init__.py").is_file():
         parser.error(f"--against {args.against}: no src/nvrp/__init__.py there")
-    dims, seconds = SETS[args.set]
-    seconds = args.seconds if args.seconds is not None else seconds
 
     roots = [ROOT] + ([args.against.resolve()] if args.against is not None else [])
     trees = [load_tree(root, name) for root, name in zip(roots, ("nvrp", AGAINST))]
     env = environment()
     print(json.dumps(env))
-    rows = []
-    for d in dims:
-        row = measure(args.set, trees, d, seconds, args.seed)
-        if args.set in ("complex", "real"):
-            print(f"d = {d}: " + "  ".join(
-                f"{name} {r['median_ms']:.2f} [{r['q1_ms']:.2f}, {r['q3_ms']:.2f}] ms "
-                f"res {r['residual_rel']:.1e} orth {r['orthogonality']:.1e}"
-                for name, r in row["drivers"].items()
-            ), flush=True)
-        rows.append(row)
+    rows = [measure_stages(trees, d, args.seconds, args.seed) for d in DIMS]
     result = {
         "benchmark": "bench/kernels.py",
         "command": " ".join(["python3", "bench/kernels.py", *(argv or sys.argv[1:])]),
-        "set": args.set,
-        "seconds": seconds,
+        "seconds": args.seconds,
         "seed": args.seed,
         "environment": env,
         "trees": {side: {"path": str(r), "commit": commit(r)} for side, r in zip(SIDES, roots)},
         "results": rows,
+        "field_mT": FIELD_MT,
+        "cases": CASES,
+        "series_samples": SERIES_SAMPLES,
+        "contrast_samples": CONTRAST_SAMPLES,
     }
-    if args.set == "stages":
-        result.update(field_mT=FIELD_MT, cases=CASES, series_samples=SERIES_SAMPLES,
-                      contrast_samples=CONTRAST_SAMPLES)
-    else:
-        result["evr_crossover_dim"] = crossover(rows)
-        print(f"evr crossover: d = {result['evr_crossover_dim']}")
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 

@@ -26,5 +26,5 @@ from .signal import (
     sweep_field_angle,
     sweep_field_magnitude,
 )
-from .spincore import Rotation, euler_rotation
+from .spincore import Rotation
 from .strongcoupling import LevelStructure, count_resolved_peaks, level_structure, peak_contrast

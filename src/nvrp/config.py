@@ -107,6 +107,19 @@ def _positive(value: Any, where: str) -> float:
     return x
 
 
+def _within(lo: float, hi: float, closed: bool = True) -> Parser:
+    """A number in [lo, hi], or in [lo, hi) unless ``closed``."""
+    bounds = f"[{lo:g}, {hi:g}{']' if closed else ')'}"
+
+    def parse(value: Any, where: str) -> float:
+        x = _number(value, where)
+        if not (lo <= x and (x <= hi if closed else x < hi)):
+            raise ConfigError(f"{where}: must lie in {bounds}, got {value!r}")
+        return x
+
+    return parse
+
+
 def _count(minimum: int) -> Parser:
     def parse(value: Any, where: str) -> int:
         n = _integer(value, where)
@@ -177,6 +190,10 @@ _SYSTEM = (_optional(_choice(*SYSTEMS)), None)
 _SCALE = (_choice("single_molecule", "max_aligned"), "single_molecule")
 _T_MAX = (_optional(_positive), None)
 _CASE = _choice(*ANISOTROPY_CASES)
+#: a pair's field, magnitude (mT) and direction (degrees), in the ranges ``FieldConfig`` takes
+_B_MT = _within(0.0, math.inf)
+_THETA_DEG = _within(0.0, 180.0)
+_PHI_DEG = _within(0.0, 360.0, closed=False)
 
 #: kind -> the keys of its ``params`` object; every key is optional
 PARAMS: dict[str, Fields] = {
@@ -186,9 +203,9 @@ PARAMS: dict[str, Fields] = {
     },
     "time-trace": {
         "system": _SYSTEM,
-        "b_mT": (_number, 1.16),
-        "theta_deg": (_number, 0.0),
-        "phi_deg": (_number, 0.0),
+        "b_mT": (_B_MT, 1.16),
+        "theta_deg": (_THETA_DEG, 0.0),
+        "phi_deg": (_PHI_DEG, 0.0),
         "r_nm": (_positive, 10.0),
         "n_samples": (_count(2), 32768),
         "t_max_us": _T_MAX,
@@ -203,9 +220,9 @@ PARAMS: dict[str, Fields] = {
     },
     "angle-sweep": {
         "system": _SYSTEM,
-        "b_mT": (_number, 1.16),
-        "theta_deg": (_grid(_number), [0.0, 180.0, 181]),
-        "phi_deg": (_number, 0.0),
+        "b_mT": (_B_MT, 1.16),
+        "theta_deg": (_grid(_THETA_DEG), [0.0, 180.0, 181]),
+        "phi_deg": (_PHI_DEG, 0.0),
         "scale": _SCALE,
         "r_nm": (_positive, 10.0),
         "normalize": (_flag, True),
@@ -222,29 +239,29 @@ PARAMS: dict[str, Fields] = {
         "system": _SYSTEM,
         "r_nm": (_positive, 5.0),
         "b_grid": (_grid(_positive, log=True), [0.05, 10.0, 24]),
-        "theta_deg": (_number, 0.0),
-        "phi_deg": (_number, 0.0),
+        "theta_deg": (_THETA_DEG, 0.0),
+        "phi_deg": (_PHI_DEG, 0.0),
     },
     "anisotropy-sweep": {
         "cases": (_list(_CASE), list(ANISOTROPY_CASES)),
-        "b_mT": (_number, 0.05),
+        "b_mT": (_B_MT, 0.05),
         "j_mT": (_number, 0.25),
-        "theta_deg": (_grid(_number), [0.0, 180.0, 181]),
+        "theta_deg": (_grid(_THETA_DEG), [0.0, 180.0, 181]),
         "r_nm": (_positive, 10.0),
     },
     "exchange-sweep": {
         "case": (_CASE, "axial3"),
         "j_grid_mT": (_list(_number), [0.0, 0.25, 0.5, 1.0]),
         "r_rp_nm": (_optional(_positive), 2.5),
-        "b_mT": (_number, 0.05),
-        "theta_deg": (_grid(_number), [0.0, 180.0, 61]),
+        "b_mT": (_B_MT, 0.05),
+        "theta_deg": (_grid(_THETA_DEG), [0.0, 180.0, 61]),
         "r_nm": (_positive, 10.0),
     },
     "lifetime-sweep": {
         "case": (_CASE, "axial3"),
         "tau_us": (_list(_positive, increasing=True), [1.0, 2.5, 5.0, 10.0, 25.0]),
-        "b_mT": (_number, 0.05),
-        "theta_deg": (_grid(_number), [0.0, 180.0, 61]),
+        "b_mT": (_B_MT, 0.05),
+        "theta_deg": (_grid(_THETA_DEG), [0.0, 180.0, 61]),
         "r_nm": (_positive, 10.0),
     },
 }

@@ -50,18 +50,13 @@ kernel reads exact samples on any uniform grid.  A transition projector
 
 The dtype of the Hamiltonian picks the arithmetic, and ``hamiltonian``'s builders
 pick the dtype: float64 exactly when no local term has an imaginary entry (every
-shipped system at phi = 0 in its molecular frame).  A float64 H is diagonalised as a
-real symmetric matrix by LAPACK's ``dsyevd`` (numpy), and its eigenvectors stay real.
-At one BLAS thread ``dsyevd`` takes 6.0 against 16.7 ms for ``zheevd`` at
-d = 216 and 170 against 972 ms at d = 864, and scipy's real ``evd`` and
-``evr`` are no faster beyond the timing spread at any measured d
-(BENCH_10.json, ``bench/kernels.py --set real``).  For a complex128
-Hamiltonian ``eigh`` is the divide-and-conquer ``zheevd``
-(numpy) below ``EVR_MIN_DIM`` and the faster MRRR driver ``zheevr`` (scipy;
-Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)) from there on.  MRRR
-keeps tight clusters less orthogonal, which the residual cannot see, so
-every propagator, real or complex, also checks V^dag (V x) = x on fixed
-probe vectors.  The drivers agree to rounding, not bit for bit.
+shipped system at phi = 0 in its molecular frame).  numpy's ``eigh`` diagonalises every
+H at every d: a float64 H as a real symmetric matrix by LAPACK's divide-and-conquer
+``dsyevd``, with real eigenvectors, and a complex128 one by ``zheevd``.  At one BLAS
+thread ``dsyevd`` takes 6.0 against 16.7 ms for ``zheevd`` at d = 216 and 170 against
+972 ms at d = 864 (BENCH_10.json).  The residual cannot see orthogonality lost among
+eigenvectors of near-zero eigenvalues, so every propagator also checks V^dag (V x) = x
+on fixed probe vectors.
 
 With the field on z and no tensor entry coupling z to x or y (every shipped
 system at theta = 0 in its molecular frame), H commutes with the pi rotation about
@@ -81,7 +76,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, PhysicsError
 from .hamiltonian import InitialElectronState
@@ -100,12 +94,6 @@ SERIES_BLOCK_ENTRIES = 1 << 19
 
 #: most entries of one row chunk of the closed-form weights (128 kB as complex)
 WEIGHT_CHUNK_ENTRIES = 1 << 13
-
-#: smallest dimension of a complex H diagonalised by ``zheevr`` rather than ``zheevd``; a real
-#: H takes ``dsyevd`` at every d.  BENCH_6.json (``bench/kernels.py --set complex``, one BLAS
-#: thread): 68 against 97 ms at d = 432, 555 against 883 ms at d = 864; overlapping quartiles
-#: at d = 288, zheevd faster at d <= 216.
-EVR_MIN_DIM = 432
 
 #: probe vectors of the orthogonality check in :func:`make_propagator`
 PROBE_VECTORS = 4
@@ -185,18 +173,13 @@ class Propagator:
 
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of a Hermitian matrix.
+    """Ascending eigenvalues and eigenvectors of a Hermitian matrix: numpy's ``eigh``.
 
-    The dtype of ``h`` picks the arithmetic.  A real matrix goes to ``dsyevd``
-    (numpy), with real eigenvectors.  A complex one goes to ``zheevd`` (numpy)
-    below ``EVR_MIN_DIM`` and to ``zheevr`` (scipy) from it on, even where its
-    imaginary part is zero.  The eigenvectors are C-ordered either way: scipy
-    returns them Fortran-ordered, and the means' row reshapes would copy them.
+    ``dsyevd`` for float64, with real eigenvectors, and ``zheevd`` for complex128.  The
+    one name through which every diagonalisation runs, so that a test can substitute a
+    corrupted decomposition.
     """
-    if not np.iscomplexobj(h) or h.shape[0] < EVR_MIN_DIM:
-        return np.linalg.eigh(h)
-    w, v = scipy.linalg.eigh(h, check_finite=False, driver="evr")
-    return w, np.ascontiguousarray(v)
+    return np.linalg.eigh(h)
 
 
 @lru_cache(maxsize=8)
@@ -220,9 +203,9 @@ def make_propagator(h: np.ndarray, k_eff: float, sectors: tuple | None = None) -
     only by Q (E Lambda + Lambda E^dag) Q^dag); the O(d^2) probe sees it.
     The dtype of ``h`` picks the arithmetic: a float64 generator (as
     ``hamiltonian``'s builders return one whenever no local term has an
-    imaginary entry) is diagonalised in real arithmetic and gets real
-    eigenvectors, a complex one in complex arithmetic; the three checks and
-    their bounds are the same for either dtype.
+    imaginary entry) is diagonalised in real arithmetic (``dsyevd``) and gets
+    real eigenvectors, a complex one in complex arithmetic (``zheevd``), at
+    every d; the three checks and their bounds are the same for either dtype.
 
     ``sectors`` (internal; ``spincore.parity_sectors`` of the layout) lets a generator
     whose (Hermitian) even x odd block is exactly zero be diagonalised per sector, each

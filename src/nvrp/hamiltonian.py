@@ -239,6 +239,8 @@ def coupling_geometry(r_nm: float, theta: float, phi: float = 0.0) -> CouplingGe
     """Geometry record for a molecule at distance r with field at (theta, phi)."""
     if not r_nm > 0:  # NaN fails too
         raise PhysicsError(f"sensor-molecule distance must be positive, got {r_nm} nm")
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise PhysicsError(f"field angles must be finite, got theta = {theta}, phi = {phi}")
     d_r = dipolar_prefactor(r_nm)
     d_cx = 1.5 * math.sin(2 * theta) * math.cos(phi)
     d_cy = 1.5 * math.sin(2 * theta) * math.sin(phi)

@@ -224,23 +224,6 @@ _IDENTITY = Rotation(np.eye(3))
 _IDENTITY.matrix.setflags(write=False)
 
 
-def _axis_rotation(axis: int, angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    m = np.eye(3)
-    i, j = [(1, 2), (2, 0), (0, 1)][axis]
-    m[i, i] = c
-    m[j, j] = c
-    m[i, j] = -s
-    m[j, i] = s
-    return m
-
-
-def euler_rotation(alpha: float, beta: float, gamma: float) -> Rotation:
-    """Rotation Rx(alpha) . Ry(beta) . Rz(gamma); identity at zero angles."""
-    m = _axis_rotation(0, alpha) @ _axis_rotation(1, beta) @ _axis_rotation(2, gamma)
-    return Rotation(m)
-
-
 def rotate_tensor(rotation: Rotation, tensor: np.ndarray) -> np.ndarray:
     """Transform a 3x3 coupling tensor into the rotated frame: R T R^T."""
     t = np.asarray(tensor, dtype=float)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation as ScipyRotation
 
 from nvrp.dynamics import electron_singlet_projector
 from nvrp.hamiltonian import (
@@ -15,7 +16,7 @@ from nvrp.hamiltonian import (
     SensorParams,
 )
 from nvrp.presets import fadtrp_config, one_nucleus_config
-from nvrp.spincore import SpinSpecies, SpinSystemLayout, isotropic_tensor
+from nvrp.spincore import Rotation, SpinSpecies, SpinSystemLayout, isotropic_tensor
 
 
 @pytest.fixture
@@ -53,6 +54,11 @@ def earth_field() -> FieldConfig:
 @pytest.fixture
 def sensor() -> SensorParams:
     return SensorParams()
+
+
+def rotation_xyz(alpha: float, beta: float, gamma: float) -> Rotation:
+    """Rx(alpha) Ry(beta) Rz(gamma): scipy's intrinsic "XYZ" Euler angles."""
+    return Rotation(ScipyRotation.from_euler("XYZ", [alpha, beta, gamma]).as_matrix())
 
 
 def log_grid(lo: float, hi: float, n: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """The benchmark scripts under bench/ import against the current sources and measure
-each set, and the benchmark under perfbench/ still finds the program's names it reads."""
+every stage, and the benchmark under perfbench/ still finds the program's names it reads."""
 
 import importlib.util
 import inspect
@@ -52,26 +52,20 @@ def kernels():
 
 
 #: the keys of the row each set returns
-ROW_KEYS = {
-    "complex": {"dim", "drivers", "faster_than_numpy"},
-    "real": {"dim", "drivers", "faster_than_numpy"},
-    "stages": {"dim", "cases"},
-}
+ROW_KEYS = {"stages": {"dim", "cases"}}
 
 
 @pytest.mark.parametrize("name", sorted(ROW_KEYS))
 def test_kernels_measures_each_set_at_d12(kernels, name):
-    assert set(kernels.SETS) == set(ROW_KEYS)
-    row = kernels.measure(name, [kernels.load_tree(kernels.ROOT, "nvrp")], 12, 0.01, 6)
+    row = kernels.measure_stages([kernels.load_tree(kernels.ROOT, "nvrp")], 12, 0.01, 6)
     assert set(row) == ROW_KEYS[name]
     json.dumps(row)  # the record is written as JSON
-    if name == "stages":
-        assert set(row["cases"]) == set(kernels.CASES)
-        for stages in row["cases"].values():
-            assert list(stages) == [stage for _, stage in kernels.STAGES]
-            for stage in stages.values():
-                assert set(stage) == {"this"}
-                assert set(stage["this"]) == {"median_ms", "q1_ms", "q3_ms", "calls", "peak_mb"}
+    assert set(row["cases"]) == set(kernels.CASES)
+    for stages in row["cases"].values():
+        assert list(stages) == [stage for _, stage in kernels.STAGES]
+        for stage in stages.values():
+            assert set(stage) == {"this"}
+            assert set(stage["this"]) == {"median_ms", "q1_ms", "q3_ms", "calls", "peak_mb"}
 
 
 def test_kernels_against_its_own_checkout_deviates_by_nothing(kernels):
@@ -83,7 +77,7 @@ def test_kernels_against_its_own_checkout_deviates_by_nothing(kernels):
     this = kernels.load_tree(kernels.ROOT, "nvrp")
     against = kernels.load_tree(kernels.ROOT, kernels.AGAINST)
     assert this is nvrp and against.dynamics is not nvrp.dynamics
-    row = kernels.measure("stages", [this, against], 12, 0.01, 6)
+    row = kernels.measure_stages([this, against], 12, 0.01, 6)
     json.dumps(row)
     for case, stages in row["cases"].items():
         for name, stage in stages.items():

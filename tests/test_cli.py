@@ -350,6 +350,10 @@ _BAD_PARAMS = [
     ("lifetime-sweep", {"tau_us": [0.0, 2.5]}, "tau_us"),
     ("anisotropy-sweep", {"b_mT": float("nan")}, "b_mT"),
     ("coupling-map", {"r_nm": [5.0, float("inf"), 3]}, "r_nm"),
+    ("angle-sweep", {"theta_deg": [0, 200, 3]}, "theta_deg"),
+    ("time-trace", {"theta_deg": -10}, "theta_deg"),
+    ("lifetime-sweep", {"b_mT": -1.0}, "b_mT"),
+    ("peak-count", {"phi_deg": 360}, "phi_deg"),
 ]
 
 

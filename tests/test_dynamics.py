@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,35 +167,6 @@ def test_orthogonality_probe_catches_what_the_residual_misses(monkeypatch):
             patched.setattr(dynamics, "_eigh", corrupted)
             with pytest.raises(NumericalError, match="orthogonality"):
                 make_propagator(h, cfg.effective_decay_rate)
-
-
-def test_drivers_agree_on_integrated_observables(monkeypatch):
-    """zheevr (scipy) and zheevd (numpy) give the same means at d >= EVR_MIN_DIM.
-
-    fadtrp-3n nuclei on the flavin, fadtrp-2n nuclei on the tryptophan
-    (d = 432), Haar rotation, two fields.
-    """
-    fad3 = fadtrp_config(3)
-    cfg = dataclasses.replace(fad3, nuclei_radical2=fadtrp_config(2).nuclei_radical2)
-    d = cfg.layout().total_dimension
-    assert d >= dynamics.EVR_MIN_DIM
-    rotation = random_rotation(np.random.default_rng(6))
-    fields = [FieldConfig(0.4, 0.7, 2.1), FieldConfig(2.5, 2.0, 0.4)]
-
-    drivers = []
-    real_eigh = scipy.linalg.eigh
-
-    def spy(*args, **kwargs):
-        drivers.append(kwargs["driver"])
-        return real_eigh(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
-    evr = np.array([integrated_observables(cfg, f, rotation) for f in fields])
-    assert drivers == ["evr", "evr"]
-    monkeypatch.setattr(dynamics, "EVR_MIN_DIM", d + 1)
-    evd = np.array([integrated_observables(cfg, f, rotation) for f in fields])
-    assert drivers == ["evr", "evr"]
-    assert np.all(np.abs(evr - evd) <= 1e-12 * np.max(np.abs(evd), axis=0))
 
 
 def test_real_generator_takes_the_real_path(fadtrp2):

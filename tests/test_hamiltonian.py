@@ -30,13 +30,12 @@ from nvrp.spincore import (
     Rotation,
     SpinSpecies,
     add_two_site,
-    euler_rotation,
     isotropic_tensor,
     site_operators,
 )
 from nvrp.strongcoupling import count_resolved_peaks
 
-from conftest import make_pair
+from conftest import make_pair, rotation_xyz
 
 ANGLES = st.floats(0.0, np.pi, allow_nan=False)
 
@@ -131,7 +130,7 @@ def test_rotation_preserves_spectrum():
     )
     field = FieldConfig(0.0, 0.0, 0.0)  # zero field: rotating tensors is a unitary change
     h0 = build_rp_hamiltonian(cfg, field)
-    h1 = build_rp_hamiltonian(cfg, field, euler_rotation(0.3, 1.1, -0.7))
+    h1 = build_rp_hamiltonian(cfg, field, rotation_xyz(0.3, 1.1, -0.7))
     assert np.allclose(
         np.linalg.eigvalsh(h0), np.linalg.eigvalsh(h1), atol=1e-9 * np.linalg.norm(h0)
     )
@@ -161,7 +160,7 @@ def test_assembly_matches_dense_definition(raw, euler, b, theta, phi, j):
         j_exchange_mT=j,
         dipolar_tensor_mT=t[4],
     )
-    rot = euler_rotation(*euler)
+    rot = rotation_xyz(*euler)
     field = FieldConfig(b, theta, phi)
     layout = cfg.layout()
     assert layout.total_dimension == 144
@@ -295,6 +294,8 @@ NAN = float("nan")
         (lambda: RadicalPairConfig(r_rp_nm=NAN), PhysicsError),
         (lambda: NVParams(d_zfs=NAN), PhysicsError),
         (lambda: coupling_geometry(NAN, 0.0), PhysicsError),
+        (lambda: coupling_geometry(10.0, NAN), PhysicsError),
+        (lambda: coupling_geometry(10.0, 0.3, NAN), PhysicsError),
         (lambda: with_lifetime(make_pair(), NAN), PhysicsError),
         (lambda: dipolar_prefactor(NAN), ValueError),
         (lambda: rk4_evolve(np.eye(4) / 4, np.zeros((4, 4)), NAN, 1e-9, 1e-8), PhysicsError),
@@ -302,6 +303,7 @@ NAN = float("nan")
         (lambda: count_resolved_peaks(np.array([0.0, 1e3]), NAN), PhysicsError),
     ],
     ids=["t2", "r1", "r2", "density", "recombination_rate", "r_rp", "d_zfs", "geometry_r",
+         "geometry_theta", "geometry_phi",
          "lifetime", "dipolar_prefactor", "rk4_k", "rotation", "peak_resolution"],
 )
 def test_nan_rejected(make, error):
@@ -313,6 +315,11 @@ def test_nan_rejected(make, error):
 def test_zero_distance_rejected():
     with pytest.raises(PhysicsError, match="positive"):
         coupling_geometry(0.0, 0.0, 0.0)
+
+
+def test_infinite_angle_rejected():
+    with pytest.raises(PhysicsError, match="finite"):
+        coupling_geometry(10.0, 0.3, float("inf"))
 
 
 # -- coupling Hamiltonian ---------------------------------------------------

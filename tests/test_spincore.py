@@ -12,11 +12,12 @@ from nvrp.spincore import (
     add_two_site,
     diagonal_tensor,
     embed,
-    euler_rotation,
     isotropic_tensor,
     rotate_tensor,
     spin_matrices,
 )
+
+from conftest import rotation_xyz
 
 ANGLES = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 
@@ -135,23 +136,6 @@ def test_add_two_site_rejects_bad_input(site_a, site_b, local_dim, h_order, matc
         add_two_site(h, np.eye(local_dim), site_a, site_b, layout)
 
 
-def test_euler_identity():
-    assert np.allclose(euler_rotation(0.0, 0.0, 0.0).matrix, np.eye(3))
-
-
-def test_euler_z_quarter_turn_maps_x_to_y():
-    r = euler_rotation(0.0, 0.0, np.pi / 2)
-    assert np.allclose(r.matrix @ np.array([1.0, 0, 0]), [0.0, 1.0, 0.0], atol=1e-15)
-
-
-@given(ANGLES, ANGLES, ANGLES)
-@settings(max_examples=50, deadline=None)
-def test_euler_is_proper_rotation(a, b, g):
-    r = euler_rotation(a, b, g)
-    assert abs(np.linalg.det(r.matrix) - 1.0) < 1e-12
-    assert np.linalg.norm(r.matrix.T @ r.matrix - np.eye(3)) < 1e-12
-
-
 def test_rotation_rejects_reflection():
     with pytest.raises(ValueError, match="determinant"):
         Rotation(np.diag([1.0, 1.0, -1.0]))
@@ -173,13 +157,13 @@ def test_rotate_tensor_identity():
 @settings(max_examples=25, deadline=None)
 def test_rotate_isotropic_invariant(a, b, g):
     t = isotropic_tensor(0.7)
-    assert np.allclose(rotate_tensor(euler_rotation(a, b, g), t), t, atol=1e-12)
+    assert np.allclose(rotate_tensor(rotation_xyz(a, b, g), t), t, atol=1e-12)
 
 
 def test_rotate_axial_quarter_turn_swaps_zz_xx():
     # R = Ry(pi/2) carries the z axis onto x: diag(a, a, c) -> diag(c, a, a)
     t = diagonal_tensor(-0.39, -0.39, 1.76)
-    rotated = rotate_tensor(euler_rotation(0.0, np.pi / 2, 0.0), t)
+    rotated = rotate_tensor(rotation_xyz(0.0, np.pi / 2, 0.0), t)
     assert np.allclose(rotated, diagonal_tensor(1.76, -0.39, -0.39), atol=1e-12)
 
 
@@ -187,7 +171,7 @@ def test_rotate_axial_quarter_turn_swaps_zz_xx():
 @settings(max_examples=25, deadline=None)
 def test_rotate_preserves_principal_components(a, b, g):
     t = diagonal_tensor(-0.2, 0.1, 1.5)
-    rotated = rotate_tensor(euler_rotation(a, b, g), t)
+    rotated = rotate_tensor(rotation_xyz(a, b, g), t)
     assert np.allclose(
         np.sort(np.linalg.eigvalsh(rotated)), np.sort(np.diag(t)), atol=1e-10
     )
@@ -197,8 +181,8 @@ def test_rotate_preserves_principal_components(a, b, g):
 @settings(max_examples=25, deadline=None)
 def test_rotate_tensor_group_action(a1, b1, g1, a2, b2, g2):
     t = diagonal_tensor(0.3, -0.8, 1.1)
-    r1 = euler_rotation(a1, b1, g1)
-    r2 = euler_rotation(a2, b2, g2)
+    r1 = rotation_xyz(a1, b1, g1)
+    r2 = rotation_xyz(a2, b2, g2)
     chained = rotate_tensor(r2, rotate_tensor(r1, t))
     composed = rotate_tensor(Rotation(r2.matrix @ r1.matrix), t)
     assert np.allclose(chained, composed, atol=1e-10)
