@@ -294,7 +294,9 @@ def run_parameter_scan(cfg: ExperimentConfig, p: Params, out: Path, threads: int
         parts.append([[value] * len(thetas), *_sweep_columns(result)])
         if summarize:
             peak = float(np.max(np.abs(result.x_integrated)))
-            prop = solve_pair(rp, FieldConfig(b, 0.0, 0.0))  # the singlet yield at theta = 0
+            prop = result.theta0  # the singlet yield at theta = 0, on the sweep's propagator
+            if prop is None:
+                prop = solve_pair(rp, FieldConfig(b, 0.0, 0.0))
             phi_s = singlet_yield_mean(prop, rp.initial_state, t_max)
             summary.append([[value], [peak], [phi_s]])
     stem = cfg.kind.removesuffix("-sweep")

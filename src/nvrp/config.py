@@ -22,6 +22,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .ensemble import MAX_MOLECULES
 from .errors import ConfigError
 from .hamiltonian import (
     DecayConvention,
@@ -120,11 +121,13 @@ def _within(lo: float, hi: float, closed: bool = True) -> Parser:
     return parse
 
 
-def _count(minimum: int) -> Parser:
+def _count(minimum: int, maximum: float = math.inf) -> Parser:
     def parse(value: Any, where: str) -> int:
         n = _integer(value, where)
         if n < minimum:
             raise ConfigError(f"{where}: must be at least {minimum}, got {n}")
+        if n > maximum:
+            raise ConfigError(f"{where}: must be at most {maximum}, got {n}")
         return n
 
     return parse
@@ -232,7 +235,7 @@ PARAMS: dict[str, Fields] = {
         "system": _SYSTEM,
         "b_grid": (_grid(_positive, log=True), [0.05, 10.0, 10]),
         "n_realizations": (_count(1), 50),
-        "n_molecules": (_optional(_count(1)), None),
+        "n_molecules": (_optional(_count(1, MAX_MOLECULES)), None),
         "r_range_nm": (_optional(_list(_positive, size=2, increasing=True)), None),
     },
     "peak-count": {

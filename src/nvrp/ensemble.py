@@ -27,7 +27,7 @@ from .hamiltonian import FieldConfig, RadicalPairConfig
 from .signal import _parallel_map, integrated_observables, single_molecule_prefactor
 from .spincore import Rotation
 
-#: cap on the Poisson-drawn molecule count of one realization
+#: most molecules in one realization: caps the Poisson draw and bounds ``params.n_molecules``
 MAX_MOLECULES = 100
 
 

@@ -346,6 +346,16 @@ def build_rp_hamiltonian(
     return _assemble(_rp_terms(cfg, field_cfg, rotation), cfg.layout())
 
 
+def mirror_symmetric(cfg: RadicalPairConfig, phi: float) -> bool:
+    """Whether the pi rotation of every spin about x maps H_RP(theta) to H_RP(pi - theta).
+
+    (Sx, Sy, Sz) -> (Sx, -Sy, -Sz) leaves rho0 alone.  It maps the field exactly when phi == 0
+    (not pi: sin(pi) != 0 in floats), and a tensor when its xy, yx, xz and zx entries are 0.
+    """
+    tensors = [nuc.tensor_mT for nuc in cfg.nuclei] + [cfg.dipolar_mT()]
+    return phi == 0.0 and not any(np.any(t[[0, 1, 0, 2], [1, 0, 2, 0]]) for t in tensors)
+
+
 def build_coupling_hamiltonian(
     geom: CouplingGeometry, layout: SpinSystemLayout
 ) -> np.ndarray:

@@ -39,6 +39,7 @@ from .hamiltonian import (
     SensorParams,
     build_rp_hamiltonian,
     coupling_geometry,
+    mirror_symmetric,
 )
 from .spincore import Rotation, parity_sectors
 
@@ -62,12 +63,14 @@ class SweepResult:
 
     ``x_integrated`` has shape (3, n) in Tesla.  ``normalized`` divides
     each component by its angular factor d_ci where |d_ci| > 1e-3 and is
-    NaN elsewhere (angle sweeps only).
+    NaN elsewhere (angle sweeps only).  ``theta0`` is the propagator at
+    theta = 0 of an angle sweep whose grid starts there.
     """
 
     grid: np.ndarray
     x_integrated: np.ndarray
     normalized: np.ndarray | None = None
+    theta0: Propagator | None = None
 
 
 def single_molecule_prefactor(r_nm: float) -> float:
@@ -140,15 +143,17 @@ def integrated_observables(
     field_cfg: FieldConfig,
     rotation: Rotation | None = None,
     t_max: float | None = None,
+    prop: Propagator | None = None,
 ) -> np.ndarray:
     """Sample-mean of s_tilde over a Nyquist-resolved uniform grid.
 
     Dimensionless; multiply by a prefactor to obtain X_i^I in Tesla.  The
     sample count per point adapts to the spectral spread of H, which
     leaves the closed-form mean exact for the grid actually used.  Only the
-    components with d_ci != 0 are evaluated; the others are +0.0.
+    components with d_ci != 0 are evaluated; the others are +0.0.  ``prop``,
+    if given, is :func:`solve_pair` of the same arguments, already built.
     """
-    prop = solve_pair(cfg, field_cfg, rotation)
+    prop = prop if prop is not None else solve_pair(cfg, field_cfg, rotation)
     t_max = t_max if t_max is not None else _default_t_max(cfg)
     out = coupling_geometry(1.0, field_cfg.theta, field_cfg.phi).d_c + 0.0  # -0.0 becomes +0.0
     weighted = out != 0
@@ -221,13 +226,33 @@ def sweep_field_angle(
     With ``normalize``, each component is divided by its angular factor
     d_ci(theta, phi) wherever |d_ci| > 1e-3; undefined points are NaN.
     ``prefactor`` is the Tesla scale, as in :func:`sweep_field_magnitude`.
+
+    Where :func:`hamiltonian.mirror_symmetric` holds (phi == 0 and no tensor
+    with an xy or xz entry: every preset and shipped config), X(pi - theta) =
+    -X(theta) exactly.  A point theta > pi/2 whose mirror image pi - theta is on
+    the grid (to 4 ulp) then takes its negated value, so X_x^I at theta = pi is
+    exactly 0, and only the other points are diagonalised.  Any other pair
+    computes every point.
     """
     thetas = np.asarray(theta_grid, dtype=float)
+    source = np.full(thetas.shape, -1)  # per point, the grid index of its mirror image
+    if mirror_symmetric(cfg, phi):
+        low = np.flatnonzero(thetas <= np.pi / 2)
+        for j in np.flatnonzero(thetas > np.pi / 2):
+            near = low[np.abs(thetas[low] + thetas[j] - np.pi) <= 4 * np.spacing(np.pi)]
+            if near.size:
+                source[j] = near[0]
+    theta0 = solve_pair(cfg, FieldConfig(b_mT, 0.0, phi)) if thetas[0] == 0.0 else None
 
-    def point(th: float) -> np.ndarray:
-        return prefactor * integrated_observables(cfg, FieldConfig(b_mT, th, phi), t_max=t_max)
+    def point(i: int) -> np.ndarray:
+        field = FieldConfig(b_mT, thetas[i], phi)
+        prop = theta0 if i == 0 else None
+        return prefactor * integrated_observables(cfg, field, t_max=t_max, prop=prop)
 
-    values = np.stack(_parallel_map(point, thetas, threads), axis=1)
+    computed, mirrored = np.flatnonzero(source < 0), np.flatnonzero(source >= 0)
+    values = np.empty((3, thetas.shape[0]))
+    values[:, computed] = np.stack(_parallel_map(point, computed, threads), axis=1)
+    values[:, mirrored] = 0.0 - values[:, source[mirrored]]  # 0.0 - 0.0 is +0.0
     normalized = None
     if normalize:
         d_c = np.stack(
@@ -235,7 +260,7 @@ def sweep_field_angle(
         )
         with np.errstate(divide="ignore", invalid="ignore"):
             normalized = np.where(np.abs(d_c) > NORMALIZE_EPS, values / d_c, np.nan)
-    return SweepResult(grid=thetas, x_integrated=values, normalized=normalized)
+    return SweepResult(grid=thetas, x_integrated=values, normalized=normalized, theta0=theta0)
 
 
 def with_exchange(cfg: RadicalPairConfig, j_mT: float) -> RadicalPairConfig:

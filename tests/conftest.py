@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
+from nvrp import signal
 from nvrp.dynamics import electron_singlet_projector
 from nvrp.hamiltonian import (
     FieldConfig,
@@ -170,3 +171,15 @@ def skew_null_pair(eigh, eps=1e-3, null=None):
         return w, v
 
     return corrupted
+
+
+def count_propagators(monkeypatch) -> list[int]:
+    """A list that gets the dimension of each H that ``signal`` hands to ``make_propagator``."""
+    built, make_propagator = [], signal.make_propagator
+
+    def counting(*args):
+        built.append(args[0].shape[0])
+        return make_propagator(*args)
+
+    monkeypatch.setattr(signal, "make_propagator", counting)
+    return built

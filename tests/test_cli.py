@@ -20,12 +20,13 @@ from nvrp.config import (
     read_params,
 )
 from nvrp.dynamics import singlet_yield_mean
+from nvrp.ensemble import MAX_MOLECULES
 from nvrp.errors import ConfigError
 from nvrp.hamiltonian import FieldConfig, SensorParams
 from nvrp.presets import ALIASES, PRESETS, get_preset, one_nucleus_config
 from nvrp.signal import solve_pair, with_exchange
 
-from conftest import skew_null_pair
+from conftest import count_propagators, skew_null_pair
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -354,6 +355,7 @@ _BAD_PARAMS = [
     ("time-trace", {"theta_deg": -10}, "theta_deg"),
     ("lifetime-sweep", {"b_mT": -1.0}, "b_mT"),
     ("peak-count", {"phi_deg": 360}, "phi_deg"),
+    ("ensemble", {"n_molecules": MAX_MOLECULES + 1}, "n_molecules"),
 ]
 
 
@@ -414,6 +416,44 @@ def test_exchange_sweep_runner(tmp_path):
         t_max = 5.0 / k
         y = singlet_yield_mean(prop, rp.initial_state, t_max)
         assert row.split(",")[2] == f"{y:.12g}"
+
+
+@pytest.mark.parametrize(
+    "name, propagators",
+    [
+        ("fig4e-angle-sweep", 91),
+        ("fig7-hyperfine-anisotropy", 455),
+        ("fig8-exchange-sweep", 124),
+        ("fig9-lifetime-sweep", 155),
+        ("pydma_angle_sweep.json", 46),
+        ("fadtrp_2n_angle_sweep.json", 91),
+        ("fadtrp_2n_field_sweep.json", 68),
+    ],
+)
+def test_propagators_per_run(tmp_path, monkeypatch, name, propagators):
+    """Angle sweeps diagonalise theta <= pi/2 only, and the scans' yields reuse theta = 0."""
+    if name.endswith(".json"):
+        cfg = load_config(CONFIG_DIR / name)
+    else:
+        cfg = experiment_from_preset(get_preset(name), seed=None)
+    built = count_propagators(monkeypatch)
+    run(cfg, tmp_path)
+    assert len(built) == propagators
+
+
+def test_scan_yield_off_a_grid_without_theta0(tmp_path, monkeypatch):
+    """A grid that starts off theta = 0 solves the yield's pair itself, with the same bytes."""
+    params = {"j_grid_mT": [0.0, 0.5], "theta_deg": [0.0, 180.0, 5]}
+    run(parse_experiment({"kind": "exchange-sweep", "params": params}), tmp_path / "at0")
+    built = count_propagators(monkeypatch)
+    params["theta_deg"] = [10.0, 170.0, 5]  # 10, 50 and 90 computed; 130 and 170 mirrored
+    run(parse_experiment({"kind": "exchange-sweep", "params": params}), tmp_path / "off0")
+    assert len(built) == 2 * (3 + 1)
+    yields = [
+        [row.split(",")[2] for row in _read_csv_rows(tmp_path / d / "exchange_summary.csv")]
+        for d in ("at0", "off0")
+    ]
+    assert yields[0] == yields[1]
 
 
 def test_run_angle_sweep_config(tmp_path):

@@ -1,7 +1,10 @@
 """Hamiltonian builders, coupling geometry, and regime classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -22,6 +25,7 @@ from nvrp.hamiltonian import (
     build_rp_hamiltonian,
     classify_regime,
     coupling_geometry,
+    mirror_symmetric,
 )
 from nvrp.oracle import rk4_evolve
 from nvrp.presets import ANISOTROPY_CASES, SYSTEMS, one_nucleus_config, two_nucleus_config
@@ -32,6 +36,7 @@ from nvrp.spincore import (
     add_two_site,
     isotropic_tensor,
     site_operators,
+    spin_matrices,
 )
 from nvrp.strongcoupling import count_resolved_peaks
 
@@ -213,6 +218,48 @@ def test_real_terms_assemble_in_float64(name):
         h = build_rp_hamiltonian(cfg, field, rot)
         assert h.dtype == np.complex128 and h.imag.any()
         assert np.array_equal(h, _complex_assembly(cfg, field, rot))
+
+
+def _pi_about_x(layout):
+    """exp(-i pi sum_k S_x^k): the pi rotation of every spin about x, on the full space."""
+    u = np.ones((1, 1))
+    for species in layout.species:
+        u = np.kron(u, scipy.linalg.expm(-1j * np.pi * spin_matrices(species)[0]))
+    return u
+
+
+def _mirror_error(cfg, theta):
+    """max |U H(theta) U^dag - H(pi - theta)| / max |H(theta)|, U the pi rotation about x."""
+    u = _pi_about_x(cfg.layout())
+    h = build_rp_hamiltonian(cfg, FieldConfig(1.16, theta, 0.0))
+    mirrored = build_rp_hamiltonian(cfg, FieldConfig(1.16, np.pi - theta, 0.0))
+    return np.max(np.abs(u @ h @ u.conj().T - mirrored)) / np.max(np.abs(h))
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SYSTEMS))
+def test_shipped_systems_are_mirror_symmetric(name):
+    """At phi = 0 the pi rotation of every spin about x takes H(theta) to H(pi - theta)."""
+    cfg = SHIPPED_SYSTEMS[name]()
+    assert mirror_symmetric(cfg, 0.0)
+    # exact: at phi = pi, sin(pi) != 0 gives B a y component
+    assert not mirror_symmetric(cfg, np.pi) and not mirror_symmetric(cfg, 0.3)
+    for theta in (0.0, 0.4, np.pi / 2):
+        assert _mirror_error(cfg, theta) <= 1e-12
+
+
+@pytest.mark.parametrize("entry, symmetric", [((1, 2), True), ((0, 1), False), ((0, 2), False)])
+def test_mirror_symmetry_reads_every_tensor(entry, symmetric):
+    """An xy or xz entry of a hyperfine or a given dipolar tensor breaks it; a yz entry does not."""
+    diag, off = np.diag([-0.39, -0.39, 1.76]), np.zeros((3, 3))
+    off[entry] = off[entry[::-1]] = 0.3
+    hyperfine = make_pair([diag + off], spins1=[1.0], j_mT=0.25, r_rp_nm=2.5)
+    dipolar = dataclasses.replace(
+        make_pair([diag], spins1=[1.0], j_mT=0.25),
+        dipolar_tensor_mT=np.diag([-1.0, -1.0, 2.0]) + off,
+    )
+    for cfg in (hyperfine, dipolar):
+        assert mirror_symmetric(cfg, 0.0) == symmetric
+        assert (_mirror_error(cfg, 0.4) <= 1e-12) == symmetric
 
 
 # -- secular electron-pair terms ----------------------------------------------

@@ -1,11 +1,17 @@
 """Signal conversion, spectra, and the field sweeps."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nvrp.config import load_config, read_params
 from nvrp.errors import PhysicsError
-from nvrp.hamiltonian import FieldConfig, SensorParams
+from nvrp.hamiltonian import FieldConfig, Nucleus, SensorParams, coupling_geometry
+from nvrp.presets import one_nucleus_config, two_nucleus_config
 from nvrp.signal import (
+    NORMALIZE_EPS,
     aligned_prefactor,
     integrated_observables,
     observable_series,
@@ -16,7 +22,7 @@ from nvrp.signal import (
 )
 from nvrp.spincore import isotropic_tensor
 
-from conftest import log_grid, make_pair
+from conftest import count_propagators, log_grid, make_pair, rotation_xyz
 
 
 def _const_trace(values, n=64, dt=1e-8):
@@ -219,6 +225,96 @@ def test_angle_sweep_zeros_and_normalization(axial3_pair, sensor):
     # normalization gaps where |d_c| < eps
     assert np.isnan(res.normalized[0, 0])
     assert np.isfinite(res.normalized[2, 0])
+
+
+def _pydma_sweep():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "pydma_angle_sweep.json")
+    p = read_params(cfg.kind, cfg.params)
+    return cfg.radical_pair, p["b_mT"], np.deg2rad(p["theta_deg"])
+
+
+#: system -> (pair, field in mT, theta grid in rad): d = 12, 36 and 96
+MIRROR_SYSTEMS = {
+    "axial3": lambda: (one_nucleus_config("axial3"), 0.05, np.deg2rad(np.linspace(0, 180, 181))),
+    "axial3-2n": lambda: (two_nucleus_config("axial3"), 0.05, np.deg2rad(np.linspace(0, 180, 61))),
+    "pydma": _pydma_sweep,
+}
+
+
+def _counted_sweep(monkeypatch, rp, b, thetas, phi):
+    """sweep_field_angle with normalisation, and the number of propagators it built."""
+    built = count_propagators(monkeypatch)
+    res = sweep_field_angle(rp, b, thetas, phi, single_molecule_prefactor(10.0), normalize=True)
+    return res, len(built)
+
+
+def _assert_direct(res, rp, b, phi, points):
+    """The sweep's raw and normalised columns at ``points`` against direct calls there."""
+    pref = single_molecule_prefactor(10.0)
+    raw_max = np.max(np.abs(res.x_integrated), axis=1)
+    norm_max = np.nanmax(np.abs(res.normalized), axis=1, initial=0.0)
+    for j in points:
+        theta = res.grid[j]
+        direct = pref * integrated_observables(rp, FieldConfig(b, theta, phi))
+        d_c = coupling_geometry(1.0, theta, phi).d_c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            normalized = np.where(np.abs(d_c) > NORMALIZE_EPS, direct / d_c, np.nan)
+        assert np.all(np.abs(res.x_integrated[:, j] - direct) <= 1e-12 * raw_max)
+        assert np.array_equal(np.isnan(res.normalized[:, j]), np.isnan(normalized))
+        assert np.all(np.abs(np.nan_to_num(res.normalized[:, j] - normalized)) <= 1e-12 * norm_max)
+
+
+@pytest.mark.parametrize("system", sorted(MIRROR_SYSTEMS))
+def test_mirrored_points_match_direct_calls(monkeypatch, system):
+    """At phi = 0, only theta <= pi/2 is diagonalised, and every other point is what a
+    direct call there gives, to 1e-12 of its column's max."""
+    rp, b, thetas = MIRROR_SYSTEMS[system]()
+    res, built = _counted_sweep(monkeypatch, rp, b, thetas, 0.0)
+    assert built == np.count_nonzero(thetas <= np.pi / 2)
+    _assert_direct(res, rp, b, 0.0, np.flatnonzero(thetas > np.pi / 2))
+    # d_cx = 1.5 sin(2 pi) != 0 at theta = pi, but the mirror of theta = 0 is exactly 0
+    assert res.x_integrated[0, -1] == 0.0 and not np.signbit(res.x_integrated[0, -1])
+    assert not np.any(np.signbit(res.x_integrated[1]))
+
+
+def _tilted_axial3():
+    """axial3 with its tensor turned 30 degrees about y: a nonzero xz entry."""
+    rp = one_nucleus_config("axial3")
+    nuc = rp.nuclei_radical1[0]
+    r = rotation_xyz(0.0, np.deg2rad(30.0), 0.0).matrix
+    return dataclasses.replace(rp, nuclei_radical1=(Nucleus(nuc.species, r @ nuc.tensor_mT @ r.T),))
+
+
+def test_tilted_tensor_runs_every_point(monkeypatch):
+    rp = _tilted_axial3()
+    thetas = np.deg2rad(np.linspace(0, 180, 37))
+    res, built = _counted_sweep(monkeypatch, rp, 0.05, thetas, 0.0)
+    assert built == thetas.size
+    _assert_direct(res, rp, 0.05, 0.0, range(thetas.size))
+    # without the symmetry, X(pi - theta) = -X(theta) fails: the predicate is not vacuous
+    x = res.x_integrated
+    assert np.max(np.abs(x + x[:, ::-1])) > 1e-6 * np.max(np.abs(x))
+
+
+def test_phi_off_zero_runs_every_point(monkeypatch):
+    thetas = np.deg2rad(np.linspace(0, 180, 37))
+    rp = one_nucleus_config("axial3")
+    res, built = _counted_sweep(monkeypatch, rp, 0.05, thetas, np.pi / 4)
+    assert built == thetas.size
+    _assert_direct(res, rp, 0.05, np.pi / 4, range(thetas.size))
+
+
+@pytest.mark.parametrize(
+    "theta_deg, computed",
+    [(np.linspace(0, 150, 6), 4), ([0.0, 40.0, 90.0, 100.0, 140.0, 175.0], 5)],
+)
+def test_only_points_with_a_mirror_on_the_grid_are_paired(monkeypatch, theta_deg, computed):
+    """150 and 120 pair with 30 and 60; 100 and 175 have no mirror (80, 5) on the grid."""
+    rp = one_nucleus_config("axial3")
+    thetas = np.deg2rad(theta_deg)
+    res, built = _counted_sweep(monkeypatch, rp, 0.05, thetas, 0.0)
+    assert built == computed
+    _assert_direct(res, rp, 0.05, 0.0, range(thetas.size))
 
 
 def test_angle_sweep_spike_presence(sensor):
