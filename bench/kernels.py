@@ -10,12 +10,16 @@ The script times the program's entry points per stage: ``build_rp_hamiltonian``,
 ``make_propagator`` (with the tree's own ``parity_sectors``),
 ``integrated_observables``, ``observable_series`` (fig4a's grid of 32768
 samples over five lifetimes, d <= 216), ``peak_contrast`` (fig6c's 2048
-samples with a 5 nm coupling along the field, d <= 64) and
-``singlet_yield_mean``, each with the tracemalloc peak of one call, at
-1.16 mT in three cases: ``real_one_block`` (theta = 0.6, phi = 0),
-``real_blocked`` (theta = 0, where every d splits) and ``complex`` (a Haar
-rotation, theta = 0.6, phi = 1.1).  ``level_structure`` takes no rotation and
-never splits, so the contrast of the complex case is complex through phi alone.
+samples with a 5 nm coupling along the field, d <= 64),
+``singlet_yield_mean`` and ``sweep_field_angle`` (d <= 64), each with the
+tracemalloc peak of one call, at 1.16 mT in three cases: ``real_one_block``
+(theta = 0.6, phi = 0), ``real_blocked`` (theta = 0, where every d splits) and
+``complex`` (a Haar rotation, theta = 0.6, phi = 1.1).  ``level_structure`` and
+``sweep_field_angle`` take no rotation, so the contrast and the sweep of the
+complex case are complex through phi alone.  The sweep's times are per grid
+point: 90 angles in (0, 90] degrees at the case's phi (theta = 0 alone for
+``real_blocked``), which a tree that batches its points runs as one stack and
+one that does not runs point by point.
 
 ``--against <checkout>`` takes a tree that, like this one, splits an exact
 theta = 0 H at every d (one without ``BLOCK_MIN_DIM``), so that the
@@ -69,7 +73,7 @@ import scipy  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 
 #: measured dimensions, and the default timing budget in s per stage
-DIMS, SECONDS = (12, 64, 216, 864), 2.0
+DIMS, SECONDS = (12, 36, 64, 216, 864), 2.0
 #: fewest timed rounds of every measurement
 MIN_CALLS = 10
 #: a stage reads ``resolved`` only with at least this many paired rounds, one tree faster
@@ -96,12 +100,15 @@ STAGES = (
     ("signal", "observable_series"),
     ("strongcoupling", "peak_contrast"),
     ("dynamics", "singlet_yield_mean"),
+    ("signal", "sweep_field_angle"),
 )
 #: samples of the series grid (fig4a) and of the contrast grid (fig6c), and their largest d
 SERIES_SAMPLES, SERIES_MAX_DIM = 32768, 216
 CONTRAST_SAMPLES, CONTRAST_MAX_DIM = 2048, 64
 #: sensor distance of the contrasts' coupling, nm
 CONTRAST_R_NM = 5.0
+#: angles of the sweep off theta = 0, and its largest d
+SWEEP_POINTS, SWEEP_MAX_DIM = 90, 64
 
 
 def load_tree(root: Path, name: str):
@@ -141,6 +148,7 @@ def _systems(nv) -> dict[int, object]:
     p = nv.presets
     return {
         12: p.one_nucleus_config("axial3"),
+        36: p.two_nucleus_config("axial3"),
         64: p.strongcoupling_config(),
         216: p.fadtrp_config(2),
         864: p.fadtrp_config(3),
@@ -203,7 +211,18 @@ def _stage_calls(nv, d: int, case: str, seed: int) -> dict:
         levels = nv.strongcoupling.level_structure(cfg, field, geometry)
         t_c = np.linspace(0.0, 5.0 / k, CONTRAST_SAMPLES, endpoint=False)
         calls["peak_contrast"] = lambda: nv.strongcoupling.peak_contrast(levels, state, t_c)
+    if d <= SWEEP_MAX_DIM:
+        grid = _sweep_grid(case)
+        sweep = nv.signal.sweep_field_angle
+        calls["sweep_field_angle"] = lambda: sweep(cfg, FIELD_MT, grid, phi, 1.0).x_integrated
     return calls
+
+
+def _sweep_grid(case: str) -> np.ndarray:
+    """The sweep's polar angles in rad: SWEEP_POINTS in (0, 90] degrees, or theta = 0 alone."""
+    if CASES[case][0] == 0.0:
+        return np.zeros(1)
+    return np.deg2rad(np.linspace(90.0 / SWEEP_POINTS, 90.0, SWEEP_POINTS))
 
 
 def _same_entry(trees, module: str, name: str) -> bool:
@@ -230,7 +249,8 @@ def measure_stages(trees, d: int, seconds: float, seed: int) -> dict:
             if name not in calls[0]:
                 continue
             shared = len(trees) > 1 and _same_entry(trees, module, name)
-            stage = _time_stage([c[name] for c in calls][: 2 if shared else 1], seconds)
+            points = len(_sweep_grid(case)) if name == "sweep_field_angle" else 1
+            stage = _time_stage([c[name] for c in calls][: 2 if shared else 1], seconds, points)
             if len(trees) > 1 and not shared:
                 stage["this_tree_only"] = "the entry point takes other parameters in each tree"
             stages[name] = stage
@@ -239,11 +259,13 @@ def measure_stages(trees, d: int, seconds: float, seed: int) -> dict:
     return row
 
 
-def _time_stage(fns: list, seconds: float) -> dict:
-    """Quartiles and peak of each side's call; with two sides, their ratio and deviation."""
+def _time_stage(fns: list, seconds: float, points: int = 1) -> dict:
+    """Quartiles (per point of a call over ``points``) and peak of each side's call; with two
+    sides, their ratio and deviation."""
     sides = dict(zip(SIDES, fns))
     outputs = {side: fn() for side, fn in sides.items()}
     times = _round_robin({side: lambda i, fn=fn: fn() for side, fn in sides.items()}, seconds)
+    times = {side: [t / points for t in ts] for side, ts in times.items()}
     stage = {side: dict(_quartiles(times[side]), peak_mb=_peak_mb(sides[side])) for side in sides}
     if len(sides) == 2:
         this, other = stage["this"], stage["against"]

@@ -1,7 +1,6 @@
 """Command-line runner: presets, config files, CSV and manifest emission.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible physics,
-4 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 infeasible physics, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .signal import (
     _default_t_max,
     aligned_prefactor,
     observable_series,
+    scan_field_angle,
     single_molecule_prefactor,
     solve_pair,
     spectrum,
@@ -57,16 +57,6 @@ from .strongcoupling import count_resolved_peaks, level_structure, peak_contrast
 CSV_BLOCK_ROWS = 4096
 
 
-def _format_column(values: Any) -> list[str]:
-    """Every value as text: floats with 12 significant digits, anything else by ``str``."""
-    col = np.asarray(values)
-    if col.dtype.kind != "f":
-        return [str(v) for v in values]
-    # + 0.0 turns -0.0 (e.g. d_ci = 0 times a negative mean), which carries only the sign
-    # of round-off, into 0.0, which ".12g" writes as "0"
-    return [format(v, ".12g") for v in (col + 0.0).tolist()]
-
-
 def write_csv(
     path: Path,
     comments: dict[str, Any],
@@ -75,10 +65,13 @@ def write_csv(
 ) -> Path:
     """CSV with a leading '# key: value' comment block; one entry of ``columns`` per header.
 
-    Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time, as the
-    bytes ``csv.writer`` would write: comma-separated, CRLF-terminated.
-    No field is quoted; numbers never need it, and the only string
-    columns hold names from fixed option sets (``config.PARAMS``).
+    Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time, as the bytes ``csv.writer``
+    would write: comma-separated, CRLF-terminated.  Floats take 12 significant digits, anything
+    else ``str``; a block is one ``%`` format of a row template repeated over its rows.  A float
+    column gets ``+ 0.0`` first: it turns -0.0 (e.g. d_ci = 0 times a negative mean), which
+    carries only the sign of round-off, into 0.0, which "%.12g" writes as "0".  No field is
+    quoted; numbers never need it, and the only string columns hold names from fixed option sets
+    (``config.PARAMS``).
     """
     n = len(columns[0])
     with open(path, "w", newline="") as fh:
@@ -86,8 +79,11 @@ def write_csv(
             fh.write(f"# {key}: {value}\n")
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, n, CSV_BLOCK_ROWS):
-            block = [_format_column(col[lo : lo + CSV_BLOCK_ROWS]) for col in columns]
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*block))
+            block = [np.asarray(col[lo : lo + CSV_BLOCK_ROWS]) for col in columns]
+            floats = [col.dtype.kind == "f" for col in block]
+            row = ",".join("%.12g" if f else "%s" for f in floats) + "\r\n"
+            cells = [(col + 0.0 if f else col).tolist() for col, f in zip(block, floats)]
+            fh.write(row * len(cells[0]) % tuple(v for r in zip(*cells) for v in r))
     return path
 
 
@@ -278,25 +274,23 @@ _SCANS = {
 
 
 def run_parameter_scan(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
-    """One angle sweep per value of a scanned pair parameter (see ``_SCANS``)."""
+    """One angle sweep per value of a scanned pair parameter (see ``_SCANS``), in one scan."""
     column, make_cases, summarize = _SCANS[cfg.kind]
     pairs, scan_comments = make_cases(p)
     b = p["b_mT"]
-    thetas = np.deg2rad(p["theta_deg"])
-    pref = single_molecule_prefactor(p["r_nm"])
+    t_maxes = [_window(rp, p) for _, rp in pairs]
+    results = scan_field_angle(
+        [rp for _, rp in pairs], b_mT=b, theta_grid=np.deg2rad(p["theta_deg"]), phi=0.0,
+        prefactor=single_molecule_prefactor(p["r_nm"]), t_maxes=t_maxes,
+        normalize=not summarize, threads=threads,
+    )
     parts, summary = [], []
-    for value, rp in pairs:
-        t_max = _window(rp, p)
-        result = sweep_field_angle(
-            rp, b_mT=b, theta_grid=thetas, phi=0.0, prefactor=pref, t_max=t_max,
-            normalize=not summarize, threads=threads,
-        )
-        parts.append([[value] * len(thetas), *_sweep_columns(result)])
+    for (value, rp), t_max, result in zip(pairs, t_maxes, results):
+        parts.append([[value] * len(result.grid), *_sweep_columns(result)])
         if summarize:
             peak = float(np.max(np.abs(result.x_integrated)))
-            prop = result.theta0  # the singlet yield at theta = 0, on the sweep's propagator
-            if prop is None:
-                prop = solve_pair(rp, FieldConfig(b, 0.0, 0.0))
+            # the singlet yield at theta = 0, on the sweep's propagator where it built one
+            prop = result.theta0 or solve_pair(rp, FieldConfig(b, 0.0, 0.0))
             phi_s = singlet_yield_mean(prop, rp.initial_state, t_max)
             summary.append([[value], [peak], [phi_s]])
     stem = cfg.kind.removesuffix("-sweep")

@@ -1,18 +1,16 @@
 """Sensor-detectable magnetic signals and the field sweeps built on them.
 
-The radical pair's coupling-weighted magnetisation s_tilde_i(t) converts
-to a magnetic field at the sensor (in Tesla) through one of two linear
-scales:
+The radical pair's coupling-weighted magnetisation s_tilde_i(t) converts to a magnetic field at the
+sensor (in Tesla) through one of two linear scales:
 
 * per molecule at distance r:   x_i(t) = |D_r(r)| / gamma_e * s_tilde_i(t)
 * aligned shell of density xi:  x_i(t) = (xi mu0 gamma_e hbar / 2)
                                           * log(r2/r1) * s_tilde_i(t)
 
-The second form is the single-molecule scale integrated over a shell
-r1 < r < r2 of aligned molecules; its radial part is analytic because
-the r^-3 prefactor meets the r^2 volume element.  The time-integrated
-signal X_i^I is the plain sample mean of a trace (units Tesla): "per
-second" in the quantity's name is a label, not an extra 1/s factor.
+The second form is the single-molecule scale integrated over a shell r1 < r < r2 of aligned
+molecules; its radial part is analytic because the r^-3 prefactor meets the r^2 volume element.
+The time-integrated signal X_i^I is the plain sample mean of a trace (units Tesla): "per second" in
+the quantity's name is a label, not an extra 1/s factor.
 """
 
 from __future__ import annotations
@@ -46,6 +44,10 @@ from .spincore import Rotation, parity_sectors
 #: angular factor guard for theta-corrected signals
 NORMALIZE_EPS = 1e-3
 
+#: most entries of H in one batch of sweep points: 455 points at d = 12, 50 at d = 36,
+#: 16 at d = 64, 7 at d = 96 and one from d = 216 on, as before batching
+BATCH_ENTRIES = 1 << 16
+
 
 def _parallel_map(fn, items, threads: int) -> list:
     """Order-preserving map, optionally on a thread pool (BLAS releases the GIL)."""
@@ -61,10 +63,9 @@ def _parallel_map(fn, items, threads: int) -> list:
 class SweepResult:
     """Integrated signal against a swept variable.
 
-    ``x_integrated`` has shape (3, n) in Tesla.  ``normalized`` divides
-    each component by its angular factor d_ci where |d_ci| > 1e-3 and is
-    NaN elsewhere (angle sweeps only).  ``theta0`` is the propagator at
-    theta = 0 of an angle sweep whose grid starts there.
+    ``x_integrated`` has shape (3, n) in Tesla.  ``normalized`` divides each component by its
+    angular factor d_ci where |d_ci| > 1e-3 and is NaN elsewhere (angle sweeps only).  ``theta0``
+    is the propagator at theta = 0 of an angle sweep whose grid starts there.
     """
 
     grid: np.ndarray
@@ -91,14 +92,13 @@ def _default_t_max(cfg: RadicalPairConfig) -> float:
 
 
 def solve_pair(
-    cfg: RadicalPairConfig, field_cfg: FieldConfig, rotation: Rotation | None = None
+    cfg: RadicalPairConfig, field_cfg: FieldConfig | Sequence[FieldConfig], rotation=None
 ) -> Propagator:
-    """The propagator of H_RP with its decay rate.
+    """The propagator of H_RP with its decay rate; for a sequence of fields, their batch.
 
-    Every signal, yield and contrast starts from it and from the pair's
-    initial electron state: rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag.  An H
-    split exactly into the layout's parity sectors is diagonalised per sector
-    (see ``dynamics``).
+    Every signal, yield and contrast starts from it and from the pair's initial electron state:
+    rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag.  An H split exactly into the layout's parity sectors
+    is diagonalised per sector (see ``dynamics``).
     """
     h = build_rp_hamiltonian(cfg, field_cfg, rotation)
     return make_propagator(h, cfg.effective_decay_rate, parity_sectors(cfg.layout()))
@@ -112,11 +112,10 @@ def observable_series(
 ) -> np.ndarray:
     """Evolve one molecule and return its s_tilde time series, shape (3, n_t).
 
-    s_tilde[i](t) = d_ci <S1i + S2i>(t) for i in {x, y, z}, dimensionless.  It
-    does not depend on the molecule's distance; a distance enters only through
-    the prefactor that turns it into Tesla.  Only the components with d_ci != 0
-    are evaluated; the others are +0.0.  The grid must be uniform and resolve
-    the largest eigenvalue gap (dt < pi / spread), otherwise a ValueError
+    s_tilde[i](t) = d_ci <S1i + S2i>(t) for i in {x, y, z}, dimensionless.  It does not depend on
+    the molecule's distance; a distance enters only through the prefactor that turns it into Tesla.
+    Only the components with d_ci != 0 are evaluated; the others are +0.0.  The grid must be
+    uniform and resolve the largest eigenvalue gap (dt < pi / spread), otherwise a ValueError
     reports the required dt: a trace is Fourier-transformed (:func:`spectrum`).
     """
     prop = solve_pair(cfg, field_cfg, rotation)
@@ -140,37 +139,79 @@ def observable_series(
 
 def integrated_observables(
     cfg: RadicalPairConfig,
-    field_cfg: FieldConfig,
+    field_cfg: FieldConfig | Sequence[FieldConfig],
     rotation: Rotation | None = None,
     t_max: float | None = None,
     prop: Propagator | None = None,
 ) -> np.ndarray:
-    """Sample-mean of s_tilde over a Nyquist-resolved uniform grid.
+    """Sample-mean of s_tilde over a Nyquist-resolved uniform grid, shape (3,).
 
-    Dimensionless; multiply by a prefactor to obtain X_i^I in Tesla.  The
-    sample count per point adapts to the spectral spread of H, which
-    leaves the closed-form mean exact for the grid actually used.  Only the
-    components with d_ci != 0 are evaluated; the others are +0.0.  ``prop``,
-    if given, is :func:`solve_pair` of the same arguments, already built.
+    Dimensionless; multiply by a prefactor to obtain X_i^I in Tesla.  The sample count per point
+    adapts to the spectral spread of H, which leaves the closed-form mean exact for the grid
+    actually used.  Only the components with d_ci != 0 are evaluated; the others are +0.0.
+    ``prop``, if given, is :func:`solve_pair` of the same arguments, already built.  A sequence of
+    N fields is one batch (``prop`` a batch too), shape (N, 3).
     """
     prop = prop if prop is not None else solve_pair(cfg, field_cfg, rotation)
     t_max = t_max if t_max is not None else _default_t_max(cfg)
-    out = coupling_geometry(1.0, field_cfg.theta, field_cfg.phi).d_c + 0.0  # -0.0 becomes +0.0
-    weighted = out != 0
+    fields = [field_cfg] if isinstance(field_cfg, FieldConfig) else field_cfg
+    out = np.array([coupling_geometry(1.0, f.theta, f.phi).d_c for f in fields]) + 0.0
+    weighted = out.any(axis=0)
     if weighted.any():
-        ops = ELECTRON_PAIR_SPIN[weighted]
-        out[weighted] *= _expectation_means(prop, cfg.initial_state, ops, t_max)
-    return out
+        means = _expectation_means(prop, cfg.initial_state, ELECTRON_PAIR_SPIN[weighted], t_max)
+        out[:, weighted] *= means.reshape(len(fields), -1)
+        out += 0.0  # -0.0 becomes +0.0 where a point weights less than the batch
+    return out[0] if isinstance(field_cfg, FieldConfig) else out
 
 
 def spectrum(t_grid: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(freq_hz, magnitude) of a trace x, shape (3, n), sampled on the uniform ``t_grid``.
 
-    The one-sided DFT magnitude in Tesla * s per component; the zero bin is
-    duration * X^I.
+    The one-sided DFT magnitude in Tesla * s per component; the zero bin is duration * X^I.
     """
     dt = _check_uniform_grid(t_grid)
     return np.fft.rfftfreq(x.shape[1], dt), np.abs(np.fft.rfft(x, axis=1)) * dt
+
+
+def _evaluate(
+    cfgs: Sequence[RadicalPairConfig], fields: list[FieldConfig], t_maxes: list, threads: int,
+    keep: int | None = None,
+) -> tuple[np.ndarray, list[Propagator] | None]:
+    """s_tilde means of every pair at every field, shape (n_pairs, n_fields, 3), by batches.
+
+    A batch (at most BATCH_ENTRIES entries of H, the grid alone fixes it) shares the block
+    structure and dtype of H: its fields all lie on the z axis or all off it, and all have B_y = 0
+    or all not.  Per batch the pairs run in turn; a pair whose stack of H equals the pair's before
+    it (a lifetime scan's) takes that eigensystem with its own decay rate.  With ``keep``, also
+    each pair's propagator at ``fields[keep]``.
+    """
+    b = np.array([f.vector_mT() for f in fields]).reshape(-1, 3)
+    kind = 2 * ((b[:, 0] == 0) & (b[:, 1] == 0)) + (b[:, 1] != 0)
+    size = max(1, BATCH_ENTRIES // cfgs[0].layout().total_dimension ** 2)
+    groups = (np.flatnonzero(kind == k) for k in dict.fromkeys(kind.tolist()))
+    batches = [g[lo : lo + size] for g in groups for lo in range(0, g.size, size)]
+    sectors = parity_sectors(cfgs[0].layout())
+
+    def run(points: np.ndarray) -> tuple[np.ndarray, list[Propagator]]:
+        batch = [fields[i] for i in points]
+        out, kept, h_prev, prop = [], [], None, None
+        for cfg, t_max in zip(cfgs, t_maxes):
+            h = build_rp_hamiltonian(cfg, batch)
+            k = cfg.effective_decay_rate
+            if h_prev is not None and np.array_equal(h, h_prev):
+                prop = replace(prop, decay_rate=k)  # H does not depend on the decay
+            else:
+                prop, h_prev = make_propagator(h, k, sectors), h
+            out.append(integrated_observables(cfg, batch, t_max=t_max, prop=prop))
+            kept += [prop[i] for i in np.flatnonzero(points == keep)[:1]]
+        return np.stack(out), kept
+
+    values = np.empty((len(cfgs), len(fields), 3))
+    kept = None
+    for points, (vals, props) in zip(batches, _parallel_map(run, batches, threads)):
+        values[:, points] = vals
+        kept = props or kept
+    return values, kept
 
 
 def sweep_field_magnitude(
@@ -183,18 +224,18 @@ def sweep_field_magnitude(
 ) -> SweepResult:
     """X_i^I against field magnitude, with the field on the sensor axis.
 
-    The field stays at theta = 0: large transverse fields break the
-    two-level sensor approximation.  With ``densify`` a second pass adds
-    a 5x denser patch of points around the detected maximum of |X_z^I|.
-    ``prefactor`` is the Tesla scale (:func:`single_molecule_prefactor` or
+    The field stays at theta = 0: large transverse fields break the two-level sensor approximation.
+    With ``densify`` a second pass adds a 5x denser patch of points around the detected maximum of
+    |X_z^I|.  ``prefactor`` is the Tesla scale (:func:`single_molecule_prefactor` or
     :func:`aligned_prefactor`).
     """
     b_grid = np.asarray(b_grid_mT, dtype=float)
 
-    def point(b: float) -> np.ndarray:
-        return prefactor * integrated_observables(cfg, FieldConfig(b, 0.0, 0.0), t_max=t_max)
+    def points(grid: np.ndarray) -> np.ndarray:
+        fields = [FieldConfig(b, 0.0, 0.0) for b in grid]
+        return prefactor * _evaluate([cfg], fields, [t_max], threads)[0][0].T
 
-    values = np.stack(_parallel_map(point, b_grid, threads), axis=1)
+    values = points(b_grid)
 
     if densify and b_grid.shape[0] >= 3:
         i = int(np.argmax(np.abs(values[2])))
@@ -203,10 +244,9 @@ def sweep_field_magnitude(
         extra = np.logspace(math.log10(lo), math.log10(hi), 5 * 2 + 1)[1:-1]
         extra = np.setdiff1d(np.round(extra, 12), np.round(b_grid, 12))
         if extra.size:
-            extra_vals = np.stack(_parallel_map(point, extra, threads), axis=1)
             order = np.argsort(np.concatenate([b_grid, extra]))
             b_grid = np.concatenate([b_grid, extra])[order]
-            values = np.concatenate([values, extra_vals], axis=1)[:, order]
+            values = np.concatenate([values, points(extra)], axis=1)[:, order]
 
     return SweepResult(grid=b_grid, x_integrated=values)
 
@@ -223,44 +263,47 @@ def sweep_field_angle(
 ) -> SweepResult:
     """X_i^I against the field polar angle at fixed magnitude.
 
-    With ``normalize``, each component is divided by its angular factor
-    d_ci(theta, phi) wherever |d_ci| > 1e-3; undefined points are NaN.
-    ``prefactor`` is the Tesla scale, as in :func:`sweep_field_magnitude`.
+    With ``normalize``, each component is divided by its angular factor d_ci(theta, phi) wherever
+    |d_ci| > 1e-3; undefined points are NaN.  ``prefactor`` is the Tesla scale, as in
+    :func:`sweep_field_magnitude`.
 
-    Where :func:`hamiltonian.mirror_symmetric` holds (phi == 0 and no tensor
-    with an xy or xz entry: every preset and shipped config), X(pi - theta) =
-    -X(theta) exactly.  A point theta > pi/2 whose mirror image pi - theta is on
-    the grid (to 4 ulp) then takes its negated value, so X_x^I at theta = pi is
-    exactly 0, and only the other points are diagonalised.  Any other pair
-    computes every point.
+    Where :func:`hamiltonian.mirror_symmetric` holds (phi == 0 and no tensor with an xy or xz
+    entry: every preset and shipped config), X(pi - theta) = -X(theta) exactly.  A point
+    theta > pi/2 whose mirror image pi - theta is on the grid (to 4 ulp) then takes its negated
+    value, so X_x^I at theta = pi is exactly 0, and only the other points are diagonalised.  Any
+    other pair computes every point.
     """
+    return scan_field_angle([cfg], b_mT, theta_grid, phi, prefactor, [t_max], normalize, threads)[0]
+
+
+def scan_field_angle(
+    cfgs: Sequence[RadicalPairConfig], b_mT: float, theta_grid: Sequence[float], phi: float,
+    prefactor: float, t_maxes: Sequence[float | None], normalize: bool = False, threads: int = 1,
+) -> list[SweepResult]:
+    """:func:`sweep_field_angle` of each pair of ``cfgs``, with its window in ``t_maxes``,
+    run batch by batch (:func:`_evaluate`); points mirror only if every pair is symmetric."""
     thetas = np.asarray(theta_grid, dtype=float)
     source = np.full(thetas.shape, -1)  # per point, the grid index of its mirror image
-    if mirror_symmetric(cfg, phi):
+    if all(mirror_symmetric(cfg, phi) for cfg in cfgs):
         low = np.flatnonzero(thetas <= np.pi / 2)
         for j in np.flatnonzero(thetas > np.pi / 2):
             near = low[np.abs(thetas[low] + thetas[j] - np.pi) <= 4 * np.spacing(np.pi)]
             if near.size:
                 source[j] = near[0]
-    theta0 = solve_pair(cfg, FieldConfig(b_mT, 0.0, phi)) if thetas[0] == 0.0 else None
-
-    def point(i: int) -> np.ndarray:
-        field = FieldConfig(b_mT, thetas[i], phi)
-        prop = theta0 if i == 0 else None
-        return prefactor * integrated_observables(cfg, field, t_max=t_max, prop=prop)
-
     computed, mirrored = np.flatnonzero(source < 0), np.flatnonzero(source >= 0)
-    values = np.empty((3, thetas.shape[0]))
-    values[:, computed] = np.stack(_parallel_map(point, computed, threads), axis=1)
-    values[:, mirrored] = 0.0 - values[:, source[mirrored]]  # 0.0 - 0.0 is +0.0
-    normalized = None
-    if normalize:
-        d_c = np.stack(
-            [coupling_geometry(1.0, th, phi).d_c for th in thetas], axis=1
-        )
+    fields = [FieldConfig(b_mT, thetas[i], phi) for i in computed]
+    keep = 0 if thetas[0] == 0.0 else None
+    raw, theta0 = _evaluate(cfgs, fields, t_maxes, threads, keep)
+    d_c = np.stack([coupling_geometry(1.0, th, phi).d_c for th in thetas], axis=1)
+    results = []
+    for raw_c, prop in zip(raw, theta0 or [None] * len(cfgs)):
+        values = np.empty((3, thetas.shape[0]))
+        values[:, computed] = prefactor * raw_c.T
+        values[:, mirrored] = 0.0 - values[:, source[mirrored]]  # 0.0 - 0.0 is +0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             normalized = np.where(np.abs(d_c) > NORMALIZE_EPS, values / d_c, np.nan)
-    return SweepResult(grid=thetas, x_integrated=values, normalized=normalized, theta0=theta0)
+        results.append(SweepResult(thetas, values, normalized if normalize else None, prop))
+    return results
 
 
 def with_exchange(cfg: RadicalPairConfig, j_mT: float) -> RadicalPairConfig:

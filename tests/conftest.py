@@ -156,10 +156,13 @@ def skew_null_pair(eigh, eps=1e-3, null=None):
     spectrum with two zero eigenvalues the residual cannot see the change.
     With ``null`` given, only a matrix whose two smallest |eigenvalues| are at
     most ``null`` is skewed: of the per-block calls of a split H, that is the
-    block that holds the null pair of the assembled spectrum.
+    block that holds the null pair of the assembled spectrum.  A stack of matrices,
+    as ``make_propagator`` diagonalises a batch, is corrupted matrix by matrix.
     """
 
     def corrupted(h):
+        if np.ndim(h) == 3:
+            return tuple(np.stack(a) for a in zip(*map(corrupted, h)))
         w, v = eigh(h)
         i, j = np.argsort(np.abs(w))[:2]
         if null is not None and max(abs(w[i]), abs(w[j])) > null:
@@ -174,11 +177,15 @@ def skew_null_pair(eigh, eps=1e-3, null=None):
 
 
 def count_propagators(monkeypatch) -> list[int]:
-    """A list that gets the dimension of each H that ``signal`` hands to ``make_propagator``."""
+    """A list that gets the dimension of each H that ``signal`` hands to ``make_propagator``.
+
+    A stack of N matrices, a batch, adds N entries: the list counts diagonalised matrices.
+    """
     built, make_propagator = [], signal.make_propagator
 
     def counting(*args):
-        built.append(args[0].shape[0])
+        h = args[0]
+        built.extend([h.shape[-1]] * (h.shape[0] if h.ndim == 3 else 1))
         return make_propagator(*args)
 
     monkeypatch.setattr(signal, "make_propagator", counting)

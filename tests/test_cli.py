@@ -235,6 +235,18 @@ def test_physics_error_exit_code(tmp_path, capsys, kind, params, rate, message):
     assert message in capsys.readouterr().err.lower()
 
 
+def test_non_finite_sample_count_exits_4(tmp_path, capsys):
+    """A rate of 1e-300 /s gives the window T = 5e300 s, over which no finite sample count
+    resolves the spectrum: a numerical failure naming the window and the spread."""
+    payload = _minimal_angle_sweep()
+    payload["radical_pair"]["recombination_rate"] = 1e-300
+    del payload["radical_pair"]["lifetime_us"]
+    path = _write_config(tmp_path, payload)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "window" in err and "spectral spread" in err and "Traceback" not in err
+
+
 #: a small run of each kind that takes params.t_max_us, and the CSV it writes
 _WINDOWED = {
     "time-trace": ({"b_mT": 0.05, "n_samples": 1024}, "time_trace.csv", 1024),
@@ -299,6 +311,30 @@ def test_orthogonality_loss_exits_4_with_one_block(tmp_path, capsys, monkeypatch
     # at theta = 90 degrees the field is off the z axis, so H is one block
     dtypes = _orthogonality_loss(tmp_path, capsys, monkeypatch, [90.0, 180.0, 2], skew_null_pair)
     assert dtypes == [np.float64]
+
+
+def test_residual_at_one_point_of_a_stack_exits_4(tmp_path, capsys, monkeypatch):
+    """A decomposition that misses the residual bound at one point of a batch fails the run.
+
+    The 19-point sweep diagonalises theta = 0 alone and the 9 points 10 to 90 degrees as
+    one stack; the fourth of them gets one eigenvalue off by 1e-6 ||H_p||.
+    """
+    path = _write_config(tmp_path, _minimal_angle_sweep())
+    eigh, stacks = dynamics._eigh, []
+
+    def corrupted(h):
+        w, v = eigh(h)
+        stacks.append(h.shape[0])
+        if h.shape[0] > 1:
+            w = w.copy()
+            w[3, 0] += 1e-6 * np.linalg.norm(h[3])
+        return w, v
+
+    monkeypatch.setattr(dynamics, "_eigh", corrupted)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert stacks == [1, 1, 9]  # theta = 0 per parity sector, then the stack
+    err = capsys.readouterr().err
+    assert "residual" in err and "at point 3 of a batch of 9" in err
 
 
 @pytest.mark.parametrize(
@@ -424,14 +460,15 @@ def test_exchange_sweep_runner(tmp_path):
         ("fig4e-angle-sweep", 91),
         ("fig7-hyperfine-anisotropy", 455),
         ("fig8-exchange-sweep", 124),
-        ("fig9-lifetime-sweep", 155),
+        ("fig9-lifetime-sweep", 31),
         ("pydma_angle_sweep.json", 46),
         ("fadtrp_2n_angle_sweep.json", 91),
         ("fadtrp_2n_field_sweep.json", 68),
     ],
 )
 def test_propagators_per_run(tmp_path, monkeypatch, name, propagators):
-    """Angle sweeps diagonalise theta <= pi/2 only, and the scans' yields reuse theta = 0."""
+    """Diagonalised matrices per run: angle sweeps diagonalise theta <= pi/2 only, the scans'
+    yields reuse theta = 0, and fig9's five lifetimes share one eigensystem per batch."""
     if name.endswith(".json"):
         cfg = load_config(CONFIG_DIR / name)
     else:
@@ -488,6 +525,18 @@ def test_same_seed_byte_identical(tmp_path):
     assert (tmp_path / "a" / "ensemble.csv").read_bytes() == (
         tmp_path / "b" / "ensemble.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["fig7-hyperfine-anisotropy", "fig9-lifetime-sweep"])
+def test_scans_byte_identical_across_threads(tmp_path, name):
+    """The batches follow the grid alone, so the worker count changes no byte."""
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        assert main(["--preset", name, "--out", str(out), "--threads", str(threads)]) == 0
+    csvs = sorted(p.name for p in (tmp_path / "1").glob("*.csv"))
+    assert csvs
+    for csv_name in csvs:
+        assert (tmp_path / "1" / csv_name).read_bytes() == (tmp_path / "2" / csv_name).read_bytes()
 
 
 def test_seed_option_reaches_ensemble(tmp_path, monkeypatch):
@@ -641,17 +690,17 @@ def test_oracle_checks_the_blocked_path(tmp_path, monkeypatch):
 def test_oracle_checks_the_first_pair_the_scan_runs(tmp_path, monkeypatch, name):
     cfg = experiment_from_preset(get_preset(name), seed=None)
     swept, checked = [], []
-    sweep, build = cli.sweep_field_angle, cli.build_rp_hamiltonian
+    scan, build = cli.scan_field_angle, cli.build_rp_hamiltonian
 
-    def recording_sweep(rp, **kwargs):
-        swept.append((_canonical_value(rp), kwargs["b_mT"]))
-        return sweep(rp, **kwargs)
+    def recording_scan(rps, **kwargs):
+        swept.extend((_canonical_value(rp), kwargs["b_mT"]) for rp in rps)
+        return scan(rps, **kwargs)
 
     def recording_build(rp, field):
         checked.append((_canonical_value(rp), field.magnitude_mT))
         return build(rp, field)
 
-    monkeypatch.setattr(cli, "sweep_field_angle", recording_sweep)
+    monkeypatch.setattr(cli, "scan_field_angle", recording_scan)
     monkeypatch.setattr(cli, "build_rp_hamiltonian", recording_build)
     run(cfg, tmp_path / "run")
     run(cfg, tmp_path / "oracle", oracle=True)
@@ -728,4 +777,29 @@ def test_write_csv_matches_row_writer(tmp_path):
         writer.writerow(header)
         for row in zip(*columns):
             writer.writerow([fmt(v) for v in row])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_mixes_kinds_in_one_block(tmp_path):
+    """One short block whose row template holds float and str cells: NaN, +-inf, -0.0,
+    numpy and Python ints and strings, written as csv.writer writes the per-value rule."""
+    import csv
+
+    columns = [
+        np.array([np.nan, np.inf, -np.inf, -0.0, 2.5e-7]),
+        np.array([3, -1, 0, 7, 12]),
+        ["aligned", "haar", "aligned", "haar", "x%sy"],
+        [5, 5, 5, 5, 5],
+        [0.0, -0.0, 1.0 / 3.0, -2.0, 1e300],
+    ]
+    header = ["f", "i", "mode", "seed", "g"]
+    path = cli.write_csv(tmp_path / "new.csv", {"kind": "test"}, header, columns)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        fh.write("# kind: test\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow(
+                ["0" if v == 0 else f"{v:.12g}" if isinstance(v, float) else str(v) for v in row]
+            )
     assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()

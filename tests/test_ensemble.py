@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from nvrp.ensemble import (
     realization_rngs,
     sample_realization,
 )
+from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import ELECTRON_PAIR_SPIN, FieldConfig
 from nvrp.presets import one_nucleus_config
 from nvrp.signal import integrated_observables, single_molecule_prefactor, solve_pair
@@ -43,6 +45,17 @@ def test_aligned_mode_gives_identity_rotations():
     for r_nm, rotation in sample_realization(spec, rng):
         assert rotation is Rotation.identity()
         assert 5.0 <= r_nm <= 20.0
+
+
+@pytest.mark.parametrize("count", [0, MAX_MOLECULES + 1, 2**63])
+def test_fixed_molecule_count_is_capped(count):
+    """A library caller's count outside [1, MAX_MOLECULES] fails when the spec is built.
+
+    Only the construction runs: a spec of 2**63 molecules would sample until killed.
+    """
+    with pytest.raises(PhysicsError, match="molecule count"):
+        _spec(n_molecules=count)
+    assert _spec(n_molecules=MAX_MOLECULES).n_molecules == MAX_MOLECULES
 
 
 def test_same_seed_bitwise_identical():

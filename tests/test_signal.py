@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nvrp import signal
 from nvrp.config import load_config, read_params
+from nvrp.dynamics import singlet_yield_mean
 from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import FieldConfig, Nucleus, SensorParams, coupling_geometry
 from nvrp.presets import one_nucleus_config, two_nucleus_config
@@ -15,10 +17,13 @@ from nvrp.signal import (
     aligned_prefactor,
     integrated_observables,
     observable_series,
+    scan_field_angle,
     single_molecule_prefactor,
+    solve_pair,
     spectrum,
     sweep_field_angle,
     sweep_field_magnitude,
+    with_lifetime,
 )
 from nvrp.spincore import isotropic_tensor
 
@@ -329,3 +334,101 @@ def test_angle_sweep_spike_presence(sensor):
     i90 = int(np.argmin(np.abs(thetas - np.pi / 2)))
     near = z[max(i90 - 25, 0) : i90 + 26]
     assert np.max(near) > 2.0 * z[0]
+
+
+# -- batches ---------------------------------------------------------------------
+
+
+def _stack_sizes(monkeypatch) -> list[int]:
+    """A list that gets the number of matrices of each stack ``signal`` diagonalises."""
+    sizes, make_propagator = [], signal.make_propagator
+
+    def recording(h, *args):
+        sizes.append(h.shape[0] if h.ndim == 3 else 1)
+        return make_propagator(h, *args)
+
+    monkeypatch.setattr(signal, "make_propagator", recording)
+    return sizes
+
+
+_DEG = np.deg2rad
+
+#: case -> (sweep of a pair with the field at (b, theta, phi), its points, t_max)
+BATCH_CASES = {
+    # a field sweep: every point on the z axis, one stack of parity-blocked H
+    "theta0-blocked": lambda rp: (
+        sweep_field_magnitude(rp, [0.05, 0.3, 1.16, 5.0], 1.0),
+        [(b, 0.0, 0.0) for b in (0.05, 0.3, 1.16, 5.0)], None,
+    ),
+    "one-block": lambda rp: (
+        sweep_field_angle(rp, 1.16, _DEG(np.linspace(0, 180, 13)), 0.0, 1.0),
+        [(1.16, th, 0.0) for th in _DEG(np.linspace(0, 180, 13))], None,
+    ),
+    "complex": lambda rp: (
+        sweep_field_angle(rp, 1.16, _DEG(np.linspace(0, 180, 13)), 1.1, 1.0),
+        [(1.16, th, 1.1) for th in _DEG(np.linspace(0, 180, 13))], None,
+    ),
+    # k T = 0.2: the weights take the expm1 numerators
+    "short-window": lambda rp: (
+        sweep_field_angle(rp, 0.05, _DEG(np.linspace(0, 180, 13)), 0.0, 1.0, t_max=1e-6),
+        [(0.05, th, 0.0) for th in _DEG(np.linspace(0, 180, 13))], 1e-6,
+    ),
+    # B = 0 and k = 0: every point is the same H, whose exactly degenerate levels take the
+    # weights' vanishing-denominator case, and only d_c changes
+    "zero-field": lambda rp: (
+        sweep_field_angle(
+            dataclasses.replace(rp, recombination_rate=0.0), 0.0,
+            _DEG(np.linspace(0, 90, 7)), 0.0, 1.0, t_max=5e-6,
+        ),
+        [(0.0, th, 0.0) for th in _DEG(np.linspace(0, 90, 7))], 5e-6,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+@pytest.mark.parametrize(
+    "make_pair", [lambda: one_nucleus_config("axial3"), lambda: two_nucleus_config("axial3")],
+    ids=["d12", "d36"],
+)
+def test_batched_sweep_matches_batches_of_one(monkeypatch, make_pair, case):
+    """Every point of a sweep run in stacks equals a batch-of-one call there, to 1e-12 of
+    its column's max, with unweighted components +0.0."""
+    rp = make_pair()
+    sizes = _stack_sizes(monkeypatch)
+    res, points, t_max = BATCH_CASES[case](rp)
+    assert max(sizes) > 1  # the sweep did run a stack
+    if case == "zero-field":
+        rp = dataclasses.replace(rp, recombination_rate=0.0)
+    direct = np.array(
+        [integrated_observables(rp, FieldConfig(*point), t_max=t_max) for point in points]
+    ).T
+    scale = np.max(np.abs(direct), axis=1, keepdims=True)
+    if case == "zero-field":
+        # H and rho0 are time-reversal invariant at B = 0, so every mean is 0 but for
+        # round-off: both sides must be that small, on the O(1) scale of s_tilde
+        scale = np.maximum(scale, 1.0)
+        assert np.max(np.abs(res.x_integrated)) <= 1e-12 and np.max(np.abs(direct)) <= 1e-12
+    assert np.all(np.abs(res.x_integrated - direct) <= 1e-12 * scale)
+    unweighted = res.x_integrated[direct == 0.0]
+    assert np.all(unweighted == 0.0) and not np.any(np.signbit(unweighted))
+
+
+def test_lifetimes_share_each_batch_eigensystem(monkeypatch):
+    """fig9's five lifetimes diagonalise 31 matrices, one eigensystem per batch, and every
+    point and theta = 0 yield equals that of each lifetime's own propagators to 1e-12."""
+    base = two_nucleus_config("axial3")
+    cases = [with_lifetime(base, tau * 1e-6) for tau in (1.0, 2.5, 5.0, 10.0, 25.0)]
+    thetas = _DEG(np.linspace(0, 180, 61))
+    built = count_propagators(monkeypatch)
+    results = scan_field_angle(cases, 0.05, thetas, 0.0, 1.0, [None] * len(cases))
+    assert len(built) == 31
+    for rp, res in zip(cases, results):
+        fields = [FieldConfig(0.05, th, 0.0) for th in thetas]
+        own = np.array([integrated_observables(rp, f, prop=solve_pair(rp, f)) for f in fields]).T
+        scale = np.max(np.abs(own), axis=1, keepdims=True)
+        assert np.all(np.abs(res.x_integrated - own) <= 1e-12 * scale)
+        t_max = 5.0 / rp.effective_decay_rate
+        shared = singlet_yield_mean(res.theta0, rp.initial_state, t_max)
+        alone = singlet_yield_mean(solve_pair(rp, fields[0]), rp.initial_state, t_max)
+        assert res.theta0.decay_rate == rp.effective_decay_rate
+        assert abs(shared - alone) <= 1e-12 * abs(alone)

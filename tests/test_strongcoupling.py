@@ -251,12 +251,12 @@ def test_level_structure_checks_the_coupled_manifold(monkeypatch):
     h1 = build_rp_hamiltonian(cfg, field) + build_coupling_hamiltonian(geom, cfg.layout())
     real_eigh = dynamics._eigh
 
-    def corrupted(h):
+    def corrupted(h):  # make_propagator diagonalises a stack: here one matrix
         w, v = real_eigh(h)
-        if np.array_equal(h, h1):
+        if np.array_equal(h, h1[None]):
             assert v.dtype == np.float64
             w = w.copy()
-            w[0] += 1e-6 * np.linalg.norm(h)
+            w[:, 0] += 1e-6 * np.linalg.norm(h1)
         return w, v
 
     level_structure(cfg, field, geom)
@@ -276,7 +276,7 @@ def test_peak_count_diagonalises_each_manifold_once(tmp_path, monkeypatch):
 
     def counting(eigh):
         def spy(h):
-            if h.shape[0] == d:
+            if h.shape[-1] == d:
                 callers.append(sys._getframe(1).f_code.co_name)
             return eigh(h)
 
