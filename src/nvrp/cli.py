@@ -1,6 +1,7 @@
 """Command-line runner: presets, config files, CSV and manifest emission.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible physics, 4 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 infeasible physics,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -65,13 +66,12 @@ def write_csv(
 ) -> Path:
     """CSV with a leading '# key: value' comment block; one entry of ``columns`` per header.
 
-    Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time, as the bytes ``csv.writer``
-    would write: comma-separated, CRLF-terminated.  Floats take 12 significant digits, anything
-    else ``str``; a block is one ``%`` format of a row template repeated over its rows.  A float
-    column gets ``+ 0.0`` first: it turns -0.0 (e.g. d_ci = 0 times a negative mean), which
-    carries only the sign of round-off, into 0.0, which "%.12g" writes as "0".  No field is
-    quoted; numbers never need it, and the only string columns hold names from fixed option sets
-    (``config.PARAMS``).
+    Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time, as the
+    bytes ``csv.writer`` would write: comma-separated, CRLF-terminated.
+    No field is quoted; numbers never need it, and the only string
+    columns hold names from fixed option sets (``config.PARAMS``).  A block
+    is one ``%`` format of a row template: floats with 12 significant
+    digits, anything else by ``str``.
     """
     n = len(columns[0])
     with open(path, "w", newline="") as fh:
@@ -82,6 +82,8 @@ def write_csv(
             block = [np.asarray(col[lo : lo + CSV_BLOCK_ROWS]) for col in columns]
             floats = [col.dtype.kind == "f" for col in block]
             row = ",".join("%.12g" if f else "%s" for f in floats) + "\r\n"
+            # + 0.0 turns -0.0 (e.g. d_ci = 0 times a negative mean), which carries only the
+            # sign of round-off, into 0.0, which "%.12g" writes as "0"
             cells = [(col + 0.0 if f else col).tolist() for col, f in zip(block, floats)]
             fh.write(row * len(cells[0]) % tuple(v for r in zip(*cells) for v in r))
     return path
@@ -278,19 +280,21 @@ def run_parameter_scan(cfg: ExperimentConfig, p: Params, out: Path, threads: int
     column, make_cases, summarize = _SCANS[cfg.kind]
     pairs, scan_comments = make_cases(p)
     b = p["b_mT"]
+    thetas = np.deg2rad(p["theta_deg"])
     t_maxes = [_window(rp, p) for _, rp in pairs]
     results = scan_field_angle(
-        [rp for _, rp in pairs], b_mT=b, theta_grid=np.deg2rad(p["theta_deg"]), phi=0.0,
+        [rp for _, rp in pairs], b_mT=b, theta_grid=thetas, phi=0.0,
         prefactor=single_molecule_prefactor(p["r_nm"]), t_maxes=t_maxes,
         normalize=not summarize, threads=threads,
     )
     parts, summary = [], []
     for (value, rp), t_max, result in zip(pairs, t_maxes, results):
-        parts.append([[value] * len(result.grid), *_sweep_columns(result)])
+        parts.append([[value] * len(thetas), *_sweep_columns(result)])
         if summarize:
             peak = float(np.max(np.abs(result.x_integrated)))
-            # the singlet yield at theta = 0, on the sweep's propagator where it built one
-            prop = result.theta0 or solve_pair(rp, FieldConfig(b, 0.0, 0.0))
+            prop = result.theta0  # the singlet yield at theta = 0, on the sweep's propagator
+            if prop is None:
+                prop = solve_pair(rp, FieldConfig(b, 0.0, 0.0))
             phi_s = singlet_yield_mean(prop, rp.initial_state, t_max)
             summary.append([[value], [peak], [phi_s]])
     stem = cfg.kind.removesuffix("-sweep")

@@ -1,11 +1,13 @@
 """Experiment configuration: strict parsing, canonical form, hashing.
 
-Config files are JSON with sections mirroring the domain types.  Every JSON object is read by one
-table-driven reader: each section declares its keys once, with a value parser and a default per key
-(:data:`EXPERIMENT`, :data:`RADICAL_PAIR`, :data:`NUCLEUS`, :data:`SENSOR` and, per experiment
-kind, :data:`PARAMS`).  The reader rejects unknown and missing required keys, every diagnostic
-names the failing field (JSONPath-style), and the canonical dictionary used for round-trip
-comparison and hashing takes its keys from the same tables.
+Config files are JSON with sections mirroring the domain types.  Every
+JSON object is read by one table-driven reader: each section declares its
+keys once, with a value parser and a default per key (:data:`EXPERIMENT`,
+:data:`RADICAL_PAIR`, :data:`NUCLEUS`, :data:`SENSOR` and, per experiment
+kind, :data:`PARAMS`).  The reader rejects unknown and missing required
+keys, every diagnostic names the failing field (JSONPath-style), and the
+canonical dictionary used for round-trip comparison and hashing takes its
+keys from the same tables.
 """
 
 from __future__ import annotations
@@ -376,8 +378,8 @@ def _canonical_value(value: Any) -> Any:
 def read_params(kind: str, params: dict[str, Any]) -> dict[str, Any]:
     """Every parameter of ``kind``, parsed, with the defaults of absent keys filled in.
 
-    Keys that ``kind`` does not take are ignored here; :func:`build_experiment` rejects them before
-    a run.
+    Keys that ``kind`` does not take are ignored here; :func:`build_experiment`
+    rejects them before a run.
     """
     return _read(PARAMS[kind], {k: v for k, v in params.items() if k in PARAMS[kind]}, "params")
 
@@ -391,9 +393,10 @@ def build_experiment(
 ) -> ExperimentConfig:
     """The checked experiment that presets and config files both become.
 
-    Rejects ``params`` keys that ``kind`` does not take and ill-typed or out-of-range values, and
-    resolves ``params.system`` into the radical pair, which a given ``radical_pair`` must then
-    equal.  ``params`` is kept as given, so the config hash covers exactly what was written.
+    Rejects ``params`` keys that ``kind`` does not take and ill-typed or
+    out-of-range values, and resolves ``params.system`` into the radical
+    pair, which a given ``radical_pair`` must then equal.  ``params`` is
+    kept as given, so the config hash covers exactly what was written.
     """
     system = _read(PARAMS[kind], params, "params").get("system")
     if system is not None:

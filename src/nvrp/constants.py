@@ -1,8 +1,9 @@
 """Physical constants and unit conversions.
 
-All coupling strengths enter the package in mT and are converted to angular frequency (rad/s)
-exactly once, via ``MT_TO_RAD_PER_S``.  Keeping a single declared conversion constant avoids silent
-factor-of-2pi mistakes between MHz- and mT-quoted couplings.
+All coupling strengths enter the package in mT and are converted to
+angular frequency (rad/s) exactly once, via ``MT_TO_RAD_PER_S``.  Keeping a
+single declared conversion constant avoids silent factor-of-2pi mistakes
+between MHz- and mT-quoted couplings.
 """
 
 from __future__ import annotations

@@ -1,40 +1,81 @@
 """Density-matrix propagation with uniform recombination decay.
 
-With equal singlet and triplet recombination rates the dissipator commutes with the coherent part,
-so the solution of d rho / dt = -i [H, rho] - L_rec[rho] factorises:
+With equal singlet and triplet recombination rates the dissipator
+commutes with the coherent part, so the solution of
+
+    d rho / dt = -i [H, rho] - L_rec[rho]
+
+factorises into a scalar decay times a unitary rotation:
 
     rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag,   U(t) = V exp(-i lambda t) V^dag.
 
-A propagator stores the eigendecomposition (lambda, V) of H once, per exact block of H, and every
-expectation value and time average is evaluated in the eigenbasis.  A window mean over uniform
-samples is a geometric series per eigenvalue pair, summed in closed form over the
-n = :func:`nyquist_samples` samples, a count that only this module picks.
+The propagator stores the eigendecomposition (lambda, V) of H once, per exact
+block of H (below); every expectation value and every time average is then
+evaluated in the eigenbasis.  Uniform time grids additionally admit a closed-form mean
+over samples (a geometric series per eigenvalue pair), which is what the
+field sweeps use: it is algebraically identical to averaging the sampled
+series, independent of the grid length.
 
-The kernels use the structure of the model: rho0 = |s><s| x I/d_nuc has rank d/4, and every
-observable is a 4x4 electron-pair matrix o x I_nuc that reads some of the four electron slabs of
-d/4 basis states (S_z alpha alpha and beta beta, the singlet projector alpha beta and beta alpha,
-S_x and S_y all four).  A mean costs the state's product rho~ = W^T conj(W), d^2/2 weights (a sine
-and a cosine each, in row chunks of ``WEIGHT_CHUNK_ENTRIES``) and one r x d x d product over the r
-slab rows read, all real GEMMs for real V and real operators.  A time series reads the same state
-and slab rows: T samples cost T d_b^2 per operator and block of d_b levels, and a transition
-projector T d^2 / 4.  The dense rho0 of :func:`initial_state` serves only the RK4 oracle.
+The closed-form mean uses the structure of the model: rho0 = |s><s| x
+I/d_nuc has rank d_nuc = d/4, and every averaged observable is a 4x4
+electron-pair matrix o x I_nuc, which reads only some of the four electron
+slabs of d/4 basis states each: S_z reads alpha alpha and beta beta, the
+singlet projector alpha beta and beta alpha, S_x and S_y all four.  With r
+the rows of the slabs read (d/2 for S_z or the projector, d with S_x), a
+mean costs the state's product rho~ = W^T conj(W) (d x d/4 x d, half of it
+as a real ``syrk``), d^2/2 weights and one r x d x d product V_r (rho~ o G),
+on top of ``eigh`` and the reconstruction residual of
+:func:`make_propagator`; no operator is taken to the eigenbasis.
+``signal.integrated_observables`` asks only for the components the sensor
+weights (d_ci != 0): S_z alone at theta = 0, S_x and S_z at phi = 0.  The
+mean runs over the n = :func:`nyquist_samples` samples of the window, a
+count that only this module picks.  With real eigenvectors and real operators
+(every preset but fig5's Haar half) only Re G enters, in float64, and every
+product is a real GEMM: d x d x d at a phi = 0 point, d/2 x d x d at an S_z
+point.  Each weight costs a sine and a cosine, in row chunks of
+``WEIGHT_CHUNK_ENTRIES``.
 
-The dtype of H picks the arithmetic (``hamiltonian``'s builders pick the dtype): numpy's ``eigh``
-runs ``dsyevd`` for float64, with real eigenvectors, and ``zheevd`` for complex128.  The residual
-cannot see orthogonality lost among eigenvectors of near-zero eigenvalues, so every propagator
-also checks V^dag (V x) = x on fixed probe vectors.
+A time series reads the same state W and the same slab rows as the means,
+per block of d_b levels (d_b = d, or d/2 per parity sector): M = rho~ o O~^T
+is formed in d_b x r x d_b products over the r <= d_b slab rows that rho0 and
+each operator read, and T uniform samples then cost T d_b^2 per
+evaluated operator, plus one T_b x d_b phase table exp(-i lambda b dt) per
+block and call (T_b <= ``SERIES_CHUNK`` rows), reused for every chunk of
+samples after a d_b-phase shift.  Two sectors thus halve the series, T d^2/2
+against T d^2.  ``signal.observable_series`` asks only for the components the
+sensor weights (d_ci != 0) and checks that its grid resolves the spectrum; the
+kernel reads exact samples on any uniform grid.  A transition projector
+|psi><psi| costs T d^2 / 4 through the rank-d/4 state.  The dense rho0 of
+:func:`initial_state` serves only the RK4 oracle.
 
-With the field on z and no tensor entry coupling z to x or y, H commutes with the pi rotation about
+The dtype of the Hamiltonian picks the arithmetic, and ``hamiltonian``'s builders
+pick the dtype: float64 exactly when no local term has an imaginary entry (every
+shipped system at phi = 0 in its molecular frame).  numpy's ``eigh`` diagonalises every
+H at every d: a float64 H as a real symmetric matrix by LAPACK's divide-and-conquer
+``dsyevd``, with real eigenvectors, and a complex128 one by ``zheevd``.  At one BLAS
+thread ``dsyevd`` takes 6.0 against 16.7 ms for ``zheevd`` at d = 216 and 170 against
+972 ms at d = 864 (BENCH_10.json).  The residual cannot see orthogonality lost among
+eigenvectors of near-zero eigenvalues, so every propagator also checks V^dag (V x) = x
+on fixed probe vectors.
+
+With the field on z and no tensor entry coupling z to x or y (every shipped
+system at theta = 0 in its molecular frame), H commutes with the pi rotation about
 z of all spins and splits exactly into two parity sectors of d/2 states, which
-``signal.solve_pair`` hands over.  ``eigh`` then runs per sector, and the propagator holds one
-eigen-block per sector: the means' largest product falls from d^3/2 to d^3/8, a series from
-T d^2 to T d^2/2.
+``signal.solve_pair`` hands over (``strongcoupling`` does not).  At every d, ``eigh``
+then runs per sector, and the propagator holds one eigen-block per sector,
+its d/2 rows and its own d/2 x d/2 V: d^2/2 eigenvector entries in all, none between
+sectors.  The means form d^2/4 weights per sector; the state has d/8 nonzero rows in
+each, and S_z reads d/4 of its d/2 rows, so the largest product is d/4 x d/2 x d/2 per
+sector, d^3/8 in all against d^3/2 for one block of all d rows.  A time series runs per
+sector too (above).
 
-Sweeps run in batches (``signal.BATCH_ENTRIES``): :func:`make_propagator` takes a stack (N, d, d)
-of one dtype and one block structure, diagonalises it by one stacked ``eigh`` per block and holds
-every matrix to its own ||H_p|| in the Hermiticity, residual and probe checks, with the bounds of a
-single H.  The sample counts, the weights and the slab products of the means then run over all N
-points as stacked arithmetic.  One H is a batch of one, on the same path.
+Sweeps run in batches of at most ``signal.BATCH_ENTRIES`` entries of H (455 points at
+d = 12, 50 at d = 36, one from d = 216 on), each of one dtype and one block structure.
+:func:`make_propagator` takes the stack (N, d, d), diagonalises it by one stacked
+``eigh`` per block, and holds every matrix to its own ||H_p|| in the Hermiticity,
+residual and probe checks, with the bounds of a single H.  The means take only such a
+batch: the sample counts, the weights and the slab products run over its N points as
+stacked arithmetic, and one propagator enters them as a batch of one (``prop[None]``).
 """
 
 from __future__ import annotations
@@ -99,9 +140,9 @@ def electron_singlet_projector() -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenBlock:
-    """One exact block of a Hermitian generator: its basis states ``rows`` and its levels (rad/s),
-    both ascending, and its own d_b x d_b V on those rows, column n for level n; V is float64 when
-    the generator was (see :func:`make_propagator`), else complex128.
+    """One exact block of a Hermitian generator: its basis states ``rows`` and its levels
+    (rad/s), both ascending, and its own d_b x d_b V on those rows, column n for level n;
+    V is float64 when the generator was (see :func:`make_propagator`), else complex128.
     """
 
     rows: np.ndarray
@@ -113,17 +154,18 @@ class EigenBlock:
 class Propagator:
     """The eigen-blocks of a Hermitian generator plus a uniform decay rate.
 
-    ``blocks`` covers the basis once: one block of all d rows for an H diagonalised whole, one per
-    parity sector of an H that splits exactly.  ``decay_rate`` is the effective trace-decay rate
-    k_eff in 1/s (already doubled for the rate_2k convention).  A batch of N generators on the same
-    blocks holds a leading axis of N in every block's eigenvalues and eigenvectors; ``prop[i]`` is
-    its i-th point, and ``prop[None]`` one propagator as a batch of one.
+    ``blocks`` covers the basis once: one block of all d rows for an H diagonalised whole,
+    one per parity sector of an H that splits exactly.  ``decay_rate`` is the effective
+    trace-decay rate k_eff in 1/s (already doubled for the rate_2k convention).  A batch
+    of N generators on the same blocks holds a leading axis of N in every block's
+    eigenvalues and eigenvectors; ``prop[i]`` is its i-th point, and ``prop[None]`` one
+    propagator as a batch of one.
     """
 
     blocks: tuple[EigenBlock, ...]
     decay_rate: float
 
-    def __getitem__(self, i: int) -> "Propagator":
+    def __getitem__(self, i) -> "Propagator":
         blocks = (EigenBlock(b.rows, b.eigenvalues[i], b.eigenvectors[i]) for b in self.blocks)
         return Propagator(blocks=tuple(blocks), decay_rate=self.decay_rate)
 
@@ -144,11 +186,11 @@ class Propagator:
 
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of a stack of Hermitian matrices: numpy's ``eigh``.
+    """Ascending eigenvalues and eigenvectors of a stack (N, d, d) of Hermitian matrices.
 
-    ``dsyevd`` for float64, with real eigenvectors, and ``zheevd`` for complex128, once per matrix
-    of the stack (N, d, d).  The one name through which every diagonalisation runs, so that a test
-    can substitute a corrupted decomposition.
+    numpy's ``eigh``: ``dsyevd`` for float64, with real eigenvectors, and ``zheevd`` for
+    complex128, once per matrix.  The one name through which every diagonalisation runs,
+    so that a test can substitute a corrupted decomposition.
     """
     return np.linalg.eigh(h)
 
@@ -165,15 +207,26 @@ def _probe_vectors(d: int) -> np.ndarray:
 def make_propagator(h: np.ndarray, k_eff: float, sectors: tuple | None = None) -> Propagator:
     """Diagonalise a Hermitian Hamiltonian, or a stack (N, d, d) of them, and attach the decay rate.
 
-    ``k_eff`` is the trace-decay rate, already resolved for the decay convention
-    (``RadicalPairConfig.effective_decay_rate``).  Rejects non-Hermitian input and aborts when the
-    reconstruction residual exceeds 1e-8 * ||H|| or when ||V^dag (V x) - x|| exceeds 1e-8 on any
-    probe vector: the residual is blind to a loss of orthogonality among eigenvectors of
-    eigenvalues near zero (V = Q (I + E) changes it only by Q (E Lambda + Lambda E^dag) Q^dag).  A
-    stack gives a batch (:class:`Propagator`), each matrix held to its own ||H_p||.  ``sectors``
-    (internal; ``spincore.parity_sectors`` of the layout) lets generators whose even x odd block
-    is exactly zero in every matrix be diagonalised per sector; the blocks' residuals and probe
-    norms combine to the whole one.
+    ``k_eff`` is the trace-decay rate, already resolved for the decay
+    convention (``RadicalPairConfig.effective_decay_rate``).  Rejects
+    non-Hermitian input and aborts when the reconstruction residual
+    exceeds 1e-8 * ||H|| or when ||V^dag (V x) - x|| exceeds 1e-8 on any
+    probe vector.  The residual is blind to a loss of orthogonality
+    among eigenvectors of eigenvalues near zero (V = Q (I + E) changes it
+    only by Q (E Lambda + Lambda E^dag) Q^dag); the O(d^2) probe sees it.
+    The dtype of ``h`` picks the arithmetic: a float64 generator (as
+    ``hamiltonian``'s builders return one whenever no local term has an
+    imaginary entry) is diagonalised in real arithmetic (``dsyevd``) and gets
+    real eigenvectors, a complex one in complex arithmetic (``zheevd``), at
+    every d; the three checks and their bounds are the same for either dtype.
+
+    ``sectors`` (internal; ``spincore.parity_sectors`` of the layout) lets a generator
+    whose (Hermitian) even x odd block is exactly zero be diagonalised per sector, each
+    block keeping what ``eigh`` returned.  The blocks'
+    residuals, and per probe vector their probe norms, combine to the whole one.
+
+    A stack gives a batch (:class:`Propagator`): it splits into sectors only where every
+    matrix does, and each matrix is held to its own ||H_p|| with the same bounds.
     """
     h = np.asarray(h)
     if h.ndim == 2:
@@ -234,9 +287,9 @@ def _check_uniform_grid(t_grid: np.ndarray) -> float:
 def _phase_blocks(lam: np.ndarray, t_grid: np.ndarray, columns: int):
     """Yield (lo, table, shift), exp(-i lam t_{lo+b}) = table[b] * shift, on a uniform grid.
 
-    The table exp(-i lam b dt) is built once per call, the shift exp(-i lam t_lo) once per block.
-    A block has at most ``SERIES_CHUNK`` rows, fewer where ``columns`` entries per row exceed
-    ``SERIES_BLOCK_ENTRIES``.
+    The table exp(-i lam b dt) is built once per call, the shift
+    exp(-i lam t_lo) once per block.  A block has at most ``SERIES_CHUNK``
+    rows, fewer where ``columns`` entries per row exceed ``SERIES_BLOCK_ENTRIES``.
     """
     dt = _check_uniform_grid(t_grid)
     n = t_grid.shape[0]
@@ -252,13 +305,14 @@ def _expectation_series(
     """<o_m x I_nuc>(t) on a uniform grid (else ValueError), shape (n_ops, n_t).
 
     ``electron_ops`` are 4x4 operators on the two electrons, shape (n_ops, 4, 4);
-    rho0 = |s><s| x I/d_nuc for the electron state ``state``.  Per block of ``prop``, <O>(t) = Re
-    sum_nj p_n M_nj conj(p_j) exp(-k t) with p = exp(-i lambda t) and M_nj = rho~_nj O~_jn, where
-    rho~ = W^T conj(W) / d_nuc (W from :func:`_state_factor`) and O~ = sum_ab o_ab V4[a]^dag V4[b]
-    over the slab rows that the operators read (:func:`_slab_plan`): rho~ vanishes between blocks.
-    Per chunk of samples the start phases D are folded into each M as D M D^dag, one GEMM takes the
-    block's phase table against the stacked M (d_b x n_ops d_b), and a row-wise dot with the
-    conjugate table ends each sample.
+    rho0 = |s><s| x I/d_nuc for the electron state ``state``.  Per block of ``prop``,
+    <O>(t) = Re sum_nj p_n M_nj conj(p_j) exp(-k t) with p = exp(-i lambda t) and
+    M_nj = rho~_nj O~_jn, where rho~ = W^T conj(W) / d_nuc (W from :func:`_state_factor`)
+    and O~ = sum_ab o_ab V4[a]^dag V4[b] over the slab rows that the operators read
+    (:func:`_slab_plan`): rho~ vanishes between blocks.  Per chunk of samples the start
+    phases D are folded into each M as D M D^dag, one GEMM takes the block's phase table
+    against the stacked M (d_b x n_ops d_b), and a row-wise dot with the conjugate table
+    ends each sample.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     ops = np.asarray(electron_ops)
@@ -287,11 +341,12 @@ def _expectation_series(
 
 
 def _state_factor(block: EigenBlock, state: InitialElectronState, d_nuc: int) -> np.ndarray:
-    """W = sum_a s_a conj(V4[a]) within one eigen-block, shape (r, d_b), or (N, r, d_b) for a batch.
+    """W = sum_a s_a conj(V4[a]) within one eigen-block, shape (r, d_b), or (N, r, d_b).
 
-    V4[a] are the block's eigenvector rows in electron slab a (:func:`_slab_rows`), r nuclear
-    states each; for a whole V, r = d_nuc and d_b = d.  For rho0 = |s><s| x I/d_nuc the block's
-    eigenbasis state is rho~ = W^T conj(W) / d_nuc.  W is real when V is.
+    V4[a] are the block's eigenvector rows in electron slab a
+    (:func:`_slab_rows`), r nuclear states each; for a whole V, r = d_nuc and
+    d_b = d.  For rho0 = |s><s| x I/d_nuc the block's eigenbasis state is
+    rho~ = W^T conj(W) / d_nuc.  W is real when V is.
     """
     vw = _slab_rows(block, _HELD_SLABS, d_nuc)
     s = electron_pair_state(state)[_HELD_SLABS]
@@ -304,11 +359,11 @@ def _projector_series(
 ) -> np.ndarray:
     """<|psi><psi|>(t) for each column c = V^dag psi of ``coeffs``, shape (n_cols, n_t).
 
-    rho0 = |s><s| x I/d_nuc for the electron state ``state``.  With W from :func:`_state_factor`,
-    <P>(t) = exp(-k t) / d_nuc * ||W diag(p(t)) conj(c)||^2, p = exp(-i lambda t), V the
-    eigenvectors of ``prop``, one block.  Per chunk one GEMM takes the phase table against Z[m,
-    (a, c)] = W_am conj(c_m) shift_m (d x d_nuc n_cols): a quarter of the work of the full
-    projectors c c^dag.
+    rho0 = |s><s| x I/d_nuc for the electron state ``state``.  With W from
+    :func:`_state_factor`, <P>(t) = exp(-k t) / d_nuc * ||W diag(p(t)) conj(c)||^2,
+    p = exp(-i lambda t), V the eigenvectors of ``prop``, one block.  Per chunk one GEMM
+    takes the phase table against Z[m, (a, c)] = W_am conj(c_m) shift_m
+    (d x d_nuc n_cols): a quarter of the work of the full projectors c c^dag.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     (block,) = prop.blocks
@@ -326,43 +381,42 @@ def _projector_series(
     return out
 
 
-def _geometric_mean_weights(lam: np.ndarray, k: float, dt, n, real: bool = False) -> np.ndarray:
+def _geometric_mean_weights(
+    lam: np.ndarray, k: float, dt: np.ndarray, n: np.ndarray, real: bool = False
+) -> np.ndarray:
     """G_nm = (1/n) sum_{j=0}^{n-1} z_nm^j, z_nm = exp((-k - i omega_nm) dt), for levels ``lam``.
 
-    ``lam`` may be a batch (N, m) with a ``dt`` and an ``n`` per point; G is then (N, m, m).  G is
-    Hermitian; with ``real`` only Re G is formed, in float64.  It is filled in chunks of rows [lo,
-    hi) against the columns [lo, m), each mirrored into the rows below, so that a temporary holds
-    about ``WEIGHT_CHUNK_ENTRIES`` entries over the whole batch; a chunk evaluates its square [lo,
-    hi) x [lo, hi) from both sides and keeps the mean of the two triangles.  An entry is
-    (z^n - 1) / expm1(x) / n with x = -k dt + i phi, phi = (lambda_m - lambda_n) dt, and
-    expm1(x) = expm1(-k dt) - 2 exp(-k dt) (s^2 - i s c), s = sin(phi / 2), c = cos(phi / 2): its
-    real part sums two terms of one sign, so near-degenerate levels keep their relative accuracy.
-    With T = n dt and k T >= 1 (at every point: a batch shares T) the numerator is the outer
-    product z_nm^n - 1 = exp(-k T) p_n conj(p_m) - 1 of the phases p = exp(-i lambda T).  Since
-    |z^n| = exp(-k T), that adds a relative error of at most about (1 + 4
-    exp(-k T) / (1 - exp(-k T))) eps: 3.3 eps at k T = 1 and 1.03 eps at the default T = 5/k, on
-    top of the rounding of the phase arguments that expm1(n x) carries too.  Below k T = 1 that
-    bound grows like 1/(k T), and the numerator is expm1(n x) in the same half-angle form.  Where
-    expm1(x) vanishes (k = 0 and exactly degenerate levels) every z^j is 1, and so is the weight.
+    A batch: ``lam`` is (N, m) with a ``dt`` and an ``n`` per point, and G is
+    (N, m, m).  G is Hermitian; with ``real`` only Re G is formed, in float64.
+    It is filled in chunks of rows [lo, hi) against the columns [lo, m), each
+    mirrored into the rows below, so that a temporary holds at most about
+    ``WEIGHT_CHUNK_ENTRIES`` entries over the whole batch.  A chunk evaluates
+    its square [lo, hi) x [lo, hi) from both sides and keeps the mean of the
+    two triangles.  An entry is (z^n - 1) / expm1(x) / n with x = -k dt + i phi,
+    phi = (lambda_m - lambda_n) dt, and expm1(x) = expm1(-k dt)
+    - 2 exp(-k dt) (s^2 - i s c), s = sin(phi / 2), c = cos(phi / 2): its
+    real part sums two terms of one sign, so near-degenerate levels keep
+    their relative accuracy.  With T = n dt and k T >= 1 at every point (the
+    points of a batch share T) the numerator is the outer product
+    z_nm^n - 1 = exp(-k T) p_n conj(p_m) - 1 of the phases p = exp(-i lambda T).
+    Since |z^n| = exp(-k T), forming it adds a relative error of at most about
+    (1 + 4 exp(-k T) / (1 - exp(-k T))) eps:
+    3.3 eps at k T = 1 and 1.03 eps at the default T = 5/k, on top of the
+    rounding of the phase arguments that expm1(n x) carries too.  Below
+    k T = 1 that bound grows like 1/(k T), and the numerator is expm1(n x)
+    in the same half-angle form.  Where expm1(x) vanishes (k = 0 and exactly
+    degenerate levels) every z^j is 1, and so is the weight.
     """
-    lam = np.asarray(lam)
-    if lam.ndim == 1:
-        return _geometric_mean_weights(lam[None], k, dt, n, real)[0]
     b, m = lam.shape
-    dt, n = (np.asarray(a, dtype=float).reshape(-1) for a in (dt, n))
-    if (dt == dt[0]).all() and (n == n[0]).all():  # one window for every point
-        dt, n = dt[0], n[0]
-    else:  # per point, shaped to broadcast against a chunk (b, rows, columns)
-        dt, n = dt[:, None, None], n[:, None, None]
-    k_dt = k * dt
-    k_t = k_dt * n
+    dt, n = (np.reshape(a, (-1, 1, 1)).astype(float) for a in (dt, n))  # against (b, rows, m)
+    k_dt, k_t = k * dt, k * dt * n
     den_0, den_s = n * np.expm1(-k_dt), -2.0 * n * np.exp(-k_dt)
     num_0, decay = np.expm1(-k_t), np.exp(-k_t)
     vanishing = np.any(np.abs(den_0) < n * 1e-300)  # else |expm1(x)| >= |expm1(-k dt)|
-    phases = bool(np.all(k_t >= 1.0))  # a batch shares T = n dt, so all points or none
+    phases = bool(np.all(k_t >= 1.0))
     if phases:
-        p = np.exp(-1j * np.reshape(n * dt, (-1, 1)) * lam)
-        p_k, p_c = np.reshape(decay, (-1, 1)) * p, p.conj()
+        p = np.exp(-1j * (n * dt)[:, 0] * lam)
+        p_k, p_c = decay[:, 0] * p, p.conj()
     out = np.empty((b, m, m), dtype=float if real else complex)
     rows = max(1, WEIGHT_CHUNK_ENTRIES // max(b * m, 1))
     for lo in range(0, m, rows):
@@ -394,7 +448,8 @@ def _geometric_mean_weights(lam: np.ndarray, k: float, dt, n, real: bool = False
 def _expm1_half_angle(half: np.ndarray, re: float, scale: float) -> np.ndarray:
     """re + scale (s^2 - i s c), s = sin(half), c = cos(half).
 
-    With re = f expm1(a) and scale = -2 f exp(a) for a real a, this is f expm1(a + 2i half).
+    With re = f expm1(a) and scale = -2 f exp(a) for a real a, this is
+    f expm1(a + 2i half).
     """
     s = np.sin(half)
     out = np.empty(half.shape, dtype=complex)
@@ -410,11 +465,12 @@ def _expm1_half_angle(half: np.ndarray, re: float, scale: float) -> np.ndarray:
 def _slab_rows(block: EigenBlock, slabs: np.ndarray, d_nuc: int) -> np.ndarray:
     """The block's eigenvector rows in each electron slab of ``slabs``, shape (len(slabs), r, d_b).
 
-    Slab a holds the basis states a d_nuc to (a + 1) d_nuc - 1: the contiguous run of the block's
-    ascending rows from searchsorted(rows, a d_nuc).  In a parity block, slabs of equal parity
-    (alpha alpha and beta beta, or alpha beta and beta alpha) hold the same r nuclear states, in
-    the same order.  A view when ``slabs`` form a range.  A batch keeps its leading axis: (N,
-    len(slabs), r, d_b).
+    Slab a holds the basis states a d_nuc to (a + 1) d_nuc - 1: the contiguous
+    run of the block's ascending rows from searchsorted(rows, a d_nuc).  In a
+    parity block, slabs of equal parity (alpha alpha and beta beta, or alpha
+    beta and beta alpha) hold the same r nuclear states, in the same order.
+    A view when ``slabs`` form a range.  A batch keeps its leading axis:
+    (N, len(slabs), r, d_b).
     """
     v = block.eigenvectors
     bounds = block.rows.searchsorted(np.arange(0, 5 * d_nuc, d_nuc))
@@ -429,10 +485,11 @@ def _slab_rows(block: EigenBlock, slabs: np.ndarray, d_nuc: int) -> np.ndarray:
 def _slab_plan(shape: tuple, dtype: str, data: bytes) -> tuple:
     """What ``electron_ops`` (given by shape, dtype and bytes) read, per kind of block.
 
-    Returns (real, whole, parity): ``real`` when every operator is real; and, for a whole and for a
-    parity block, the groups of slabs that pair, each with the operators' entries between them,
-    shape (n_ops, len(group) ** 2).  In a parity block a slab pairs only with slabs of its own
-    parity.  Cached, read-only.
+    Returns (real, whole, parity): ``real`` when every operator is real;
+    and, for a whole and for a parity block, the groups of slabs that pair,
+    each with the operators' entries between them, shape
+    (n_ops, len(group) ** 2).  In a parity block a slab pairs only with
+    slabs of its own parity.  Cached, read-only.
     """
     ops = np.frombuffer(data, dtype=dtype).reshape(shape)
     real = not np.imag(ops).any()
@@ -451,24 +508,30 @@ def _slab_plan(shape: tuple, dtype: str, data: bytes) -> tuple:
 
 
 def _expectation_means(
-    prop: Propagator, state: InitialElectronState, electron_ops: np.ndarray, t_max: float
+    prop: Propagator,
+    state: InitialElectronState,
+    electron_ops: np.ndarray,
+    t_max: float,
 ) -> np.ndarray:
     """Mean over n uniform samples of <o_m x I_nuc>(t_j), t_j = j dt, dt = t_max / n.
 
-    n is :func:`nyquist_samples` of ``prop`` and ``t_max``, per point of a batch; the result has
-    shape (n_ops,), or (N, n_ops) for a batch.  ``electron_ops`` are 4x4 operators on the two
-    electrons, shape (n_ops, 4, 4); rho0 = |s><s| x I/d_nuc for the electron state ``state``;
-    rho~ = W^T conj(W) / d_nuc with W from :func:`_state_factor` and V4[a] V's rows in slab a
-    (:func:`_slab_rows`).  The mean of O = o x I_nuc is Tr(O V (rho~ o G) V^dag) =
-    Re sum_ab o_ab E_ab, where E_ab = sum_kn conj(V4[a, k, n]) Y4[b, k, n] and Y = V (rho~ o G).
+    ``prop`` is a batch of N points, with n per point :func:`nyquist_samples` of
+    ``prop`` and ``t_max``; the result has shape (N, n_ops).  ``electron_ops``
+    are 4x4 operators on the two electrons, shape (n_ops, 4, 4); rho0 =
+    |s><s| x I/d_nuc for the electron state ``state``; rho~ = W^T conj(W) /
+    d_nuc with W from :func:`_state_factor` and V4[a] V's rows in slab a
+    (:func:`_slab_rows`).  The mean of O = o x I_nuc is
+    Tr(O V (rho~ o G) V^dag) = Re sum_ab o_ab E_ab, where
+    E_ab = sum_kn conj(V4[a, k, n]) Y4[b, k, n] and Y = V (rho~ o G).
 
-    Only the rows of Y in the electron slabs that some o reads are formed, per block of ``prop``
-    only that block's rows: rho0 keeps the parity of its basis states, so rho~ is zero between
-    blocks, and so is E_ab between slabs of opposite parity.  With real V and real operators only
-    Re(rho~ o G) = rho~ o Re G enters.  A batch runs every step as one stacked operation.
+    Only the rows of Y in the electron slabs that some o reads are formed
+    (S_z reads alpha alpha and beta beta, the singlet projector alpha beta
+    and beta alpha, S_x and S_y all four), per block of ``prop`` only that
+    block's rows: rho0 keeps the parity of its basis states, so rho~ is zero
+    between blocks, and so is E_ab between slabs of opposite parity.  With
+    real V and real operators only Re(rho~ o G) = rho~ o Re G enters, and
+    every product is a real GEMM, stacked over the batch.
     """
-    if prop.blocks[0].eigenvalues.ndim == 1:  # one propagator, as a batch of one
-        return _expectation_means(prop[None], state, electron_ops, t_max)[0]
     ops = np.asarray(electron_ops)
     real_ops, whole, parity = _slab_plan(ops.shape, ops.dtype.str, ops.tobytes())
     groups = whole if len(prop.blocks) == 1 else parity
@@ -491,31 +554,33 @@ def _expectation_means(
     return out
 
 
-def nyquist_samples(prop: Propagator, t_max: float):
+def nyquist_samples(prop: Propagator, t_max: float) -> np.ndarray:
     """Smallest power-of-two count, at least MIN_SAMPLES, resolving the spectral spread.
 
-    An int for one propagator; for a batch one count per point, as float64 (which holds every
-    power of two exactly).  A count that is not finite raises NumericalError.
+    One count per point of the batch ``prop``, as float64 (which holds every power of two
+    exactly).  A count that is not finite raises NumericalError.
     """
     spread = prop.spectral_spread
     with np.errstate(over="ignore"):  # an overflow is reported below
         required = np.ceil(1.05 * t_max * spread / np.pi) + 1
+    # a finite count is below DBL_MAX / pi + 1 < 2^1023 (the product overflows before the
+    # division), so the power of two above it is finite too
     if not np.all(np.isfinite(required)):
         raise NumericalError(
             f"the signal window T = {t_max:.3e} s over the spectral spread "
             f"{np.max(spread):.3e} rad/s needs a sample count that is not finite"
         )
-    n = np.ldexp(1.0, np.frexp(np.maximum(required, MIN_SAMPLES) - 1)[1])
-    return n if np.ndim(n) else int(n)
+    return np.ldexp(1.0, np.frexp(np.maximum(required, MIN_SAMPLES) - 1)[1])
 
 
 def singlet_yield_mean(prop: Propagator, state: InitialElectronState, t_max: float) -> float:
     """phi_s = k dt sum_j Tr[rho(t_j) P_S], t_j = j dt, dt = t_max / n, k = prop.decay_rate.
 
-    The rate-weighted singlet yield from rho0 = |state><state| x I/d_nuc, summed in closed form
-    over n = :func:`nyquist_samples` samples: k t_max times their mean (n dt = t_max exactly, n
-    being a power of two).  ``t_max`` should reach at least five lifetimes; the truncation error is
+    The rate-weighted singlet yield from rho0 = |state><state| x I/d_nuc,
+    summed in closed form over n = :func:`nyquist_samples` samples: k t_max
+    times their mean (n dt = t_max exactly, n being a power of two).
+    ``t_max`` should reach at least five lifetimes; the truncation error is
     then below exp(-5).
     """
-    mean = _expectation_means(prop, state, electron_singlet_projector()[None], t_max)[0]
-    return float(prop.decay_rate * t_max * mean)
+    mean = _expectation_means(prop[None], state, electron_singlet_projector()[None], t_max)
+    return float(prop.decay_rate * t_max * mean[0, 0])

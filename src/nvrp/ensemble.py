@@ -1,15 +1,17 @@
 """Monte Carlo statistics of the signal from many molecules.
 
-Each realization draws a set of molecules in the sensing shell: a distance uniform in ``r_range``
-and an orientation that is either the identity (aligned mode) or Haar-random on SO(3)
-(via uniform quaternions).  The sensor couples to a molecule through its distance and its
-orientation only (the d_c coefficients follow the field direction), so no position angles are
-drawn.
+Each realization draws a set of molecules in the sensing shell: a
+distance uniform in ``r_range`` and an orientation that is either the
+identity (aligned mode) or Haar-random on SO(3) (via uniform
+quaternions).  The sensor couples to a molecule through its distance and
+its orientation only (the d_c coefficients follow the field direction),
+so no position angles are drawn.
 
-A realization's signal is the sum of its molecules' signals (the map from magnetisation to field is
-linear); statistics are taken across realizations.  Per-realization RNG streams are spawned from
-(seed, realization index), so results are bit-reproducible for a fixed seed and independent of
-evaluation order.
+A realization's signal is the sum of its molecules' signals (the map
+from magnetisation to field is linear); statistics are taken across
+realizations.  Per-realization RNG streams are spawned from
+(seed, realization index), so results are bit-reproducible for a fixed
+seed and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ def sample_realization(
 ) -> list[tuple[float, Rotation]]:
     """Draw one realization's molecules as (distance in nm, rotation) pairs.
 
-    Distances are uniform in ``r_range``; the rotation follows the orientation mode.
+    Distances are uniform in ``r_range``; the rotation follows the
+    orientation mode.
     """
     out = []
     for _ in range(_molecule_count(spec, rng)):
@@ -126,9 +129,10 @@ def ensemble_sweep(
 ) -> EnsembleStatistics:
     """Mean and variance of the summed molecular signal against field magnitude.
 
-    The field lies on the sensor axis (theta = 0).  Every molecule contributes its own rotated
-    evolution scaled by the point-dipole factor at its distance; aligned molecules share one
-    evolution per field, computed before the workers start.
+    The field lies on the sensor axis (theta = 0).  Every molecule
+    contributes its own rotated evolution scaled by the point-dipole
+    factor at its distance; aligned molecules share one evolution per
+    field, computed before the workers start.
     """
     grid = np.asarray(b_grid_mT, dtype=float)
     fields = [FieldConfig(b, 0.0, 0.0) for b in grid]

@@ -1,7 +1,8 @@
 """Spin Hamiltonians of the sensor, the radical pair, and their coupling.
 
-All builders return dense Hermitian matrices in angular-frequency units (rad/s).  Coupling tensors
-and field magnitudes are supplied in mT and converted once via ``constants.MT_TO_RAD_PER_S``.
+All builders return dense Hermitian matrices in angular-frequency units
+(rad/s).  Coupling tensors and field magnitudes are supplied in mT and
+converted once via ``constants.MT_TO_RAD_PER_S``.
 
 The radical-pair Hamiltonian is
 
@@ -10,9 +11,10 @@ The radical-pair Hamiltonian is
 
 with every tensor optionally rotated into the sensor frame.
 
-Every term acts on at most two spins, so each is assembled on its local space (the 4-dimensional
-electron pair, or one electron and one nucleus) and added into the full matrix in place with
-``spincore.add_two_site``.  The electron terms are summed into one 4x4 block first.  The same path
+Every term acts on at most two spins, so each is assembled on its local
+space (the 4-dimensional electron pair, or one electron and one nucleus)
+and added into the full matrix in place with ``spincore.add_two_site``.
+The electron terms are summed into one 4x4 block first.  The same path
 serves every dimension; no d x d product is formed.
 """
 
@@ -46,8 +48,9 @@ _SECULAR_PATTERN = np.diag([-1.0, -1.0, 2.0])
 class NVParams:
     """NV-center level parameters (frequencies in Hz).
 
-    Only the secular terms survive near zero field: H_NV = (D_zfs + gamma_e B0z) Jz + A_N_parallel
-    Jz I_Nz on the two-level {|0>, |1>} space tensored with the nitrogen spin-1.
+    Only the secular terms survive near zero field:
+    H_NV = (D_zfs + gamma_e B0z) Jz + A_N_parallel Jz I_Nz on the
+    two-level {|0>, |1>} space tensored with the nitrogen spin-1.
     """
 
     d_zfs: float = 2.87e9
@@ -88,10 +91,11 @@ class InitialElectronState(enum.Enum):
 class DecayConvention(enum.Enum):
     """Trace-decay reading of the uniform recombination Lindbladian.
 
-    RATE_K: trace(rho(t)) = exp(-k t), i.e. lifetime tau = 1/k.  This is the projector-sum form of
-    the recombination dissipator with equal singlet and triplet rates, and matches a 5 us lifetime
-    quoted together with k = 2e5 1/s.  RATE_2K doubles the decay, the literal reading of the
-    anticommutator shorthand -k {I, rho}.
+    RATE_K: trace(rho(t)) = exp(-k t), i.e. lifetime tau = 1/k.  This is
+    the projector-sum form of the recombination dissipator with equal
+    singlet and triplet rates, and matches a 5 us lifetime quoted together
+    with k = 2e5 1/s.  RATE_2K doubles the decay, the literal reading of
+    the anticommutator shorthand -k {I, rho}.
     """
 
     RATE_K = "rate_k"
@@ -102,9 +106,9 @@ class DecayConvention(enum.Enum):
 class RadicalPairConfig:
     """Radical-pair couplings in the molecular frame.
 
-    ``dipolar_tensor_mT`` and ``r_rp_nm`` are two entry paths for the inter-radical dipolar
-    coupling: provide the full 3x3 tensor, or a distance from which the secular point-dipole form
-    is generated.
+    ``dipolar_tensor_mT`` and ``r_rp_nm`` are two entry paths for the
+    inter-radical dipolar coupling: provide the full 3x3 tensor, or a
+    distance from which the secular point-dipole form is generated.
     """
 
     nuclei_radical1: tuple[Nucleus, ...] = ()
@@ -213,10 +217,11 @@ class SensorParams:
 class CouplingGeometry:
     """Sensor-molecule geometry and the derived coupling coefficients.
 
-    d_r is the signed point-dipole prefactor at distance r; the d_c coefficients depend on the
-    applied-field direction (theta, phi): d_cx = (3/2) sin(2 theta) cos(phi), d_cy = (3/2)
-    sin(2 theta) sin(phi), d_cz = 3 cos^2(theta) - 1.  g_eff is the trace norm 2 |d_r|
-    sqrt(d_cx^2 + d_cy^2 + d_cz^2).
+    d_r is the signed point-dipole prefactor at distance r; the d_c
+    coefficients depend on the applied-field direction (theta, phi):
+    d_cx = (3/2) sin(2 theta) cos(phi), d_cy = (3/2) sin(2 theta) sin(phi),
+    d_cz = 3 cos^2(theta) - 1.  g_eff is the trace norm
+    2 |d_r| sqrt(d_cx^2 + d_cy^2 + d_cz^2).
     """
 
     r_nm: float
@@ -248,8 +253,8 @@ def coupling_geometry(r_nm: float, theta: float, phi: float = 0.0) -> CouplingGe
 def build_nv_hamiltonian(nv: NVParams, b0z_mT: float) -> np.ndarray:
     """Secular NV Hamiltonian on {|0>, |1>} x {nitrogen spin 1}, rad/s.
 
-    H = (D_zfs + gamma_e B0z) Jz + A_N_par Jz I_Nz, with Jz = diag(0, 1) on the two-level subspace.
-    Callers assert |B0x|, |B0y| << B0z.
+    H = (D_zfs + gamma_e B0z) Jz + A_N_par Jz I_Nz, with Jz = diag(0, 1)
+    on the two-level subspace.  Callers assert |B0x|, |B0y| << B0z.
     """
     jz = np.diag([0.0, 1.0]).astype(complex)
     i_nz = spin_matrices(SpinSpecies("N14", 1.0))[2]
@@ -283,21 +288,19 @@ ELECTRON_PAIR_SPIN.setflags(write=False)
 
 
 def _rp_terms(
-    cfg: RadicalPairConfig, field_cfg: FieldConfig | Sequence[FieldConfig], rotation
+    cfg: RadicalPairConfig, fields: Sequence[FieldConfig], rotation: Rotation | None
 ) -> list[tuple[np.ndarray, int, int]]:
     """The local terms of H_RP, rad/s: (operator, site_a, site_b) for ``add_two_site``.
 
-    For a sequence of N fields the electron-pair term is a stack (N, 4, 4), one per field; the
-    hyperfine terms do not depend on the field and serve every matrix of the stack.
+    The electron-pair term is a stack (N, 4, 4), one per field; the hyperfine
+    terms do not depend on the field and serve every matrix of the stack.
     """
     rot = rotation if rotation is not None else Rotation.identity()
-    one = isinstance(field_cfg, FieldConfig)
-    b_rad = np.array([f.vector_mT() for f in ([field_cfg] if one else field_cfg)]).reshape(-1, 3)
-    b_rad = (b_rad[0] if one else b_rad) * MT_TO_RAD_PER_S
-    pair = np.zeros(b_rad.shape[:-1] + (4, 4), dtype=complex)
+    b_rad = np.array([f.vector_mT() for f in fields]).reshape(-1, 3) * MT_TO_RAD_PER_S
+    pair = np.zeros((len(b_rad), 4, 4), dtype=complex)
     for i in range(3):
-        if b_rad[..., i].any():
-            pair -= b_rad[..., i, None, None] * ELECTRON_PAIR_SPIN[i]
+        if b_rad[:, i].any():
+            pair -= b_rad[:, i, None, None] * ELECTRON_PAIR_SPIN[i]
 
     j_rad = cfg.j_exchange_mT * MT_TO_RAD_PER_S
     if j_rad:
@@ -320,9 +323,10 @@ def _rp_terms(
 def _assemble(terms: list[tuple[np.ndarray, int, int]], layout: SpinSystemLayout) -> np.ndarray:
     """The sum of the local terms (operator, site_a, site_b), added in place on the full space.
 
-    A stack of local terms (..., 4, 4) gives a stack of matrices (..., d, d).  The one choice
-    between real and complex arithmetic: float64 exactly when no local term has a nonzero imaginary
-    entry, complex128 otherwise.  ``dynamics`` diagonalises in the dtype it is given.
+    A stack of local terms (..., 4, 4) gives a stack of matrices (..., d, d).
+    The one choice between real and complex arithmetic: float64 exactly when no
+    local term has a nonzero imaginary entry, complex128 otherwise.  ``dynamics``
+    diagonalises in the dtype it is given.
     """
     real = not any(np.count_nonzero(local.imag) for local, _, _ in terms)
     d = layout.total_dimension
@@ -334,25 +338,29 @@ def _assemble(terms: list[tuple[np.ndarray, int, int]], layout: SpinSystemLayout
 
 
 def build_rp_hamiltonian(
-    cfg: RadicalPairConfig, field_cfg: FieldConfig | Sequence[FieldConfig], rotation=None
+    cfg: RadicalPairConfig,
+    field_cfg: FieldConfig | Sequence[FieldConfig],
+    rotation: Rotation | None = None,
 ) -> np.ndarray:
     """Radical-pair Hamiltonian in the sensor frame, rad/s.
 
-    The field stays in the sensor frame; all molecular-frame coupling tensors
-    (hyperfine and dipolar) are rotated by ``rotation``.  The matrix is float64 when no local term
-    has an imaginary part (every shipped system at phi = 0 in its molecular frame), complex128
-    otherwise (:func:`_assemble`).  A sequence of N fields gives the stack (N, d, d) of their
-    Hamiltonians, in one dtype: complex128 if any of them has an imaginary part.
+    The field stays in the sensor frame; all molecular-frame coupling
+    tensors (hyperfine and dipolar) are rotated by ``rotation``.  The matrix
+    is float64 when no local term has an imaginary part (every shipped system
+    at phi = 0 in its molecular frame), complex128 otherwise (:func:`_assemble`).
+    A sequence of N fields gives the stack (N, d, d) of their Hamiltonians, in
+    one dtype: complex128 if any of them has an imaginary part.
     """
-    return _assemble(_rp_terms(cfg, field_cfg, rotation), cfg.layout())
+    one = isinstance(field_cfg, FieldConfig)
+    h = _assemble(_rp_terms(cfg, [field_cfg] if one else field_cfg, rotation), cfg.layout())
+    return h[0] if one else h
 
 
 def mirror_symmetric(cfg: RadicalPairConfig, phi: float) -> bool:
     """Whether the pi rotation of every spin about x maps H_RP(theta) to H_RP(pi - theta).
 
-    (Sx, Sy, Sz) -> (Sx, -Sy, -Sz) leaves rho0 alone.  It maps the field exactly when phi ==
-    0 (not pi: sin(pi) != 0 in floats), and a tensor when its xy, yx, xz and zx entries are
-    0.
+    (Sx, Sy, Sz) -> (Sx, -Sy, -Sz) leaves rho0 alone.  It maps the field exactly when phi == 0
+    (not pi: sin(pi) != 0 in floats), and a tensor when its xy, yx, xz and zx entries are 0.
     """
     tensors = [nuc.tensor_mT for nuc in cfg.nuclei] + [cfg.dipolar_mT()]
     return phi == 0.0 and not any(np.any(t[[0, 1, 0, 2], [1, 0, 2, 0]]) for t in tensors)
@@ -363,9 +371,10 @@ def build_coupling_hamiltonian(
 ) -> np.ndarray:
     """Sensor-conditioned coupling operator D_r sum_i d_ci (S1i + S2i).
 
-    This is the radical-pair factor multiplying Jz; the x and y cross terms are kept in full
-    (they are never negligible at low field).  Only S_y is imaginary, so the operator is float64
-    where d_cy = 0 (phi = 0), complex128 otherwise (:func:`_assemble`).
+    This is the radical-pair factor multiplying Jz; the x and y cross
+    terms are kept in full (they are never negligible at low field).  Only
+    S_y is imaginary, so the operator is float64 where d_cy = 0 (phi = 0),
+    complex128 otherwise (:func:`_assemble`).
     """
     pair = np.zeros((4, 4), dtype=complex)
     for i, d_ci in enumerate(geom.d_c):

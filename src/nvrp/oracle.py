@@ -1,8 +1,9 @@
 """Brute-force reference integrator for cross-validating the propagator.
 
-Classical fixed-step fourth-order Runge-Kutta on the vectorised linear master equation
-d rho / dt = -i [H, rho] - k rho.  Deterministic, simple to order-check by step halving, and
-deliberately independent of the eigendecomposition path it validates.
+Classical fixed-step fourth-order Runge-Kutta on the vectorised linear
+master equation d rho / dt = -i [H, rho] - k rho.  Deterministic, simple
+to order-check by step halving, and deliberately independent of the
+eigendecomposition path it validates.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ def rk4_evolve(
 ) -> OracleResult:
     """Integrate the master equation with fixed-step RK4.
 
-    Records every ``record_every``-th step (step 0 included).  The density matrix is re-symmetrised
-    after each step, rho <- (rho + rho^dag)/2.
+    Records every ``record_every``-th step (step 0 included).  The density
+    matrix is re-symmetrised after each step, rho <- (rho + rho^dag)/2.
 
-    Raises when dim > 64 or when dt violates the stability bound dt * lambda_max < 0.1
-    (the message suggests a compliant dt).
+    Raises when dim > 64 or when dt violates the stability bound
+    dt * lambda_max < 0.1 (the message suggests a compliant dt).
     """
     h = np.asarray(h, dtype=complex)
     rho = np.asarray(rho0, dtype=complex).copy()

@@ -1,15 +1,19 @@
 """Named experiment presets and the representative molecular data they use.
 
-Hyperfine values for the flavin-tryptophan and pyrene-dimethylaniline pairs are REPRESENTATIVE:
-plausible principal components of the usual nuclei (N5, N10, H6 / N1, H1, H-beta1; pyrene and DMA
-ring protons), not authoritative literature tensors.  Quantitative outputs therefore track the
-model, not any specific published dataset; edit the tensors via a config file for serious use.
+Hyperfine values for the flavin-tryptophan and pyrene-dimethylaniline
+pairs are REPRESENTATIVE: plausible principal components of the usual
+nuclei (N5, N10, H6 / N1, H1, H-beta1; pyrene and DMA ring protons), not
+authoritative literature tensors.  Quantitative outputs therefore track
+the model, not any specific published dataset; edit the tensors via a
+config file for serious use.
 
-The simple one-nucleus model used by the anisotropy, exchange, and lifetime studies couples a
-single spin-1 nucleus to the first radical: with the tensor on both radicals the characteristic
-near-90-degree spike trends wash out, and with zero exchange AND zero dipolar coupling the
-detectable signal vanishes identically (the two radicals evolve independently and a maximally mixed
-nuclear bath leaves every single-radical observable at zero).
+The simple one-nucleus model used by the anisotropy, exchange, and
+lifetime studies couples a single spin-1 nucleus to the first radical:
+with the tensor on both radicals the characteristic near-90-degree spike
+trends wash out, and with zero exchange AND zero dipolar coupling the
+detectable signal vanishes identically (the two radicals evolve
+independently and a maximally mixed nuclear bath leaves every
+single-radical observable at zero).
 """
 
 from __future__ import annotations
@@ -125,8 +129,9 @@ def two_nucleus_config(
 def strongcoupling_config() -> RadicalPairConfig:
     """Proton-only pair (two spin-1/2 nuclei per radical, dim 64).
 
-    Strong-coupling peak counting uses the proton set so the 2^(N+2) level-count bound is the exact
-    Hilbert dimension; spin-1 nitrogens would exceed the spin-1/2 counting the bound presumes.
+    Strong-coupling peak counting uses the proton set so the 2^(N+2)
+    level-count bound is the exact Hilbert dimension; spin-1 nitrogens
+    would exceed the spin-1/2 counting the bound presumes.
     """
     return RadicalPairConfig(
         nuclei_radical1=(

@@ -1,16 +1,18 @@
 """Sensor-detectable magnetic signals and the field sweeps built on them.
 
-The radical pair's coupling-weighted magnetisation s_tilde_i(t) converts to a magnetic field at the
-sensor (in Tesla) through one of two linear scales:
+The radical pair's coupling-weighted magnetisation s_tilde_i(t) converts
+to a magnetic field at the sensor (in Tesla) through one of two linear
+scales:
 
 * per molecule at distance r:   x_i(t) = |D_r(r)| / gamma_e * s_tilde_i(t)
 * aligned shell of density xi:  x_i(t) = (xi mu0 gamma_e hbar / 2)
                                           * log(r2/r1) * s_tilde_i(t)
 
-The second form is the single-molecule scale integrated over a shell r1 < r < r2 of aligned
-molecules; its radial part is analytic because the r^-3 prefactor meets the r^2 volume element.
-The time-integrated signal X_i^I is the plain sample mean of a trace (units Tesla): "per second" in
-the quantity's name is a label, not an extra 1/s factor.
+The second form is the single-molecule scale integrated over a shell
+r1 < r < r2 of aligned molecules; its radial part is analytic because
+the r^-3 prefactor meets the r^2 volume element.  The time-integrated
+signal X_i^I is the plain sample mean of a trace (units Tesla): "per
+second" in the quantity's name is a label, not an extra 1/s factor.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .spincore import Rotation, parity_sectors
 #: angular factor guard for theta-corrected signals
 NORMALIZE_EPS = 1e-3
 
-#: most entries of H in one batch of sweep points: 455 points at d = 12, 50 at d = 36,
-#: 16 at d = 64, 7 at d = 96 and one from d = 216 on, as before batching
+#: most entries of H in one batch of sweep points: 455 points at d = 12, 50 at
+#: d = 36, 16 at d = 64, 7 at d = 96 and one from d = 216 on, as before batching
 BATCH_ENTRIES = 1 << 16
 
 
@@ -63,9 +65,10 @@ def _parallel_map(fn, items, threads: int) -> list:
 class SweepResult:
     """Integrated signal against a swept variable.
 
-    ``x_integrated`` has shape (3, n) in Tesla.  ``normalized`` divides each component by its
-    angular factor d_ci where |d_ci| > 1e-3 and is NaN elsewhere (angle sweeps only).  ``theta0``
-    is the propagator at theta = 0 of an angle sweep whose grid starts there.
+    ``x_integrated`` has shape (3, n) in Tesla.  ``normalized`` divides
+    each component by its angular factor d_ci where |d_ci| > 1e-3 and is
+    NaN elsewhere (angle sweeps only).  ``theta0`` is the propagator at
+    theta = 0 of an angle sweep whose grid starts there.
     """
 
     grid: np.ndarray
@@ -92,13 +95,16 @@ def _default_t_max(cfg: RadicalPairConfig) -> float:
 
 
 def solve_pair(
-    cfg: RadicalPairConfig, field_cfg: FieldConfig | Sequence[FieldConfig], rotation=None
+    cfg: RadicalPairConfig,
+    field_cfg: FieldConfig | Sequence[FieldConfig],
+    rotation: Rotation | None = None,
 ) -> Propagator:
     """The propagator of H_RP with its decay rate; for a sequence of fields, their batch.
 
-    Every signal, yield and contrast starts from it and from the pair's initial electron state:
-    rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag.  An H split exactly into the layout's parity sectors
-    is diagonalised per sector (see ``dynamics``).
+    Every signal, yield and contrast starts from it and from the pair's
+    initial electron state: rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag.  An H
+    split exactly into the layout's parity sectors is diagonalised per sector
+    (see ``dynamics``).
     """
     h = build_rp_hamiltonian(cfg, field_cfg, rotation)
     return make_propagator(h, cfg.effective_decay_rate, parity_sectors(cfg.layout()))
@@ -112,10 +118,11 @@ def observable_series(
 ) -> np.ndarray:
     """Evolve one molecule and return its s_tilde time series, shape (3, n_t).
 
-    s_tilde[i](t) = d_ci <S1i + S2i>(t) for i in {x, y, z}, dimensionless.  It does not depend on
-    the molecule's distance; a distance enters only through the prefactor that turns it into Tesla.
-    Only the components with d_ci != 0 are evaluated; the others are +0.0.  The grid must be
-    uniform and resolve the largest eigenvalue gap (dt < pi / spread), otherwise a ValueError
+    s_tilde[i](t) = d_ci <S1i + S2i>(t) for i in {x, y, z}, dimensionless.  It
+    does not depend on the molecule's distance; a distance enters only through
+    the prefactor that turns it into Tesla.  Only the components with d_ci != 0
+    are evaluated; the others are +0.0.  The grid must be uniform and resolve
+    the largest eigenvalue gap (dt < pi / spread), otherwise a ValueError
     reports the required dt: a trace is Fourier-transformed (:func:`spectrum`).
     """
     prop = solve_pair(cfg, field_cfg, rotation)
@@ -146,44 +153,55 @@ def integrated_observables(
 ) -> np.ndarray:
     """Sample-mean of s_tilde over a Nyquist-resolved uniform grid, shape (3,).
 
-    Dimensionless; multiply by a prefactor to obtain X_i^I in Tesla.  The sample count per point
-    adapts to the spectral spread of H, which leaves the closed-form mean exact for the grid
-    actually used.  Only the components with d_ci != 0 are evaluated; the others are +0.0.
-    ``prop``, if given, is :func:`solve_pair` of the same arguments, already built.  A sequence of
-    N fields is one batch (``prop`` a batch too), shape (N, 3).
+    Dimensionless; multiply by a prefactor to obtain X_i^I in Tesla.  The
+    sample count per point adapts to the spectral spread of H, which
+    leaves the closed-form mean exact for the grid actually used.  Only the
+    components with d_ci != 0 are evaluated; the others are +0.0.  ``prop``,
+    if given, is :func:`solve_pair` of the same arguments, already built.  A
+    sequence of N fields is one batch (``prop`` a batch too), shape (N, 3);
+    one field is a batch of one.
     """
-    prop = prop if prop is not None else solve_pair(cfg, field_cfg, rotation)
+    one = isinstance(field_cfg, FieldConfig)
+    fields = [field_cfg] if one else field_cfg
+    if prop is None:
+        prop = solve_pair(cfg, fields, rotation)
+    elif one:
+        prop = prop[None]
     t_max = t_max if t_max is not None else _default_t_max(cfg)
-    fields = [field_cfg] if isinstance(field_cfg, FieldConfig) else field_cfg
     out = np.array([coupling_geometry(1.0, f.theta, f.phi).d_c for f in fields]) + 0.0
     weighted = out.any(axis=0)
     if weighted.any():
-        means = _expectation_means(prop, cfg.initial_state, ELECTRON_PAIR_SPIN[weighted], t_max)
-        out[:, weighted] *= means.reshape(len(fields), -1)
-        out += 0.0  # -0.0 becomes +0.0 where a point weights less than the batch
-    return out[0] if isinstance(field_cfg, FieldConfig) else out
+        ops = ELECTRON_PAIR_SPIN[weighted]
+        out[:, weighted] *= _expectation_means(prop, cfg.initial_state, ops, t_max)
+        out += 0.0  # -0.0 becomes +0.0, also where a point weights less than the batch
+    return out[0] if one else out
 
 
 def spectrum(t_grid: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(freq_hz, magnitude) of a trace x, shape (3, n), sampled on the uniform ``t_grid``.
 
-    The one-sided DFT magnitude in Tesla * s per component; the zero bin is duration * X^I.
+    The one-sided DFT magnitude in Tesla * s per component; the zero bin is
+    duration * X^I.
     """
     dt = _check_uniform_grid(t_grid)
     return np.fft.rfftfreq(x.shape[1], dt), np.abs(np.fft.rfft(x, axis=1)) * dt
 
 
 def _evaluate(
-    cfgs: Sequence[RadicalPairConfig], fields: list[FieldConfig], t_maxes: list, threads: int,
+    cfgs: Sequence[RadicalPairConfig],
+    fields: list[FieldConfig],
+    t_maxes: Sequence[float | None],
+    threads: int,
     keep: int | None = None,
 ) -> tuple[np.ndarray, list[Propagator] | None]:
     """s_tilde means of every pair at every field, shape (n_pairs, n_fields, 3), by batches.
 
-    A batch (at most BATCH_ENTRIES entries of H, the grid alone fixes it) shares the block
-    structure and dtype of H: its fields all lie on the z axis or all off it, and all have B_y = 0
-    or all not.  Per batch the pairs run in turn; a pair whose stack of H equals the pair's before
-    it (a lifetime scan's) takes that eigensystem with its own decay rate.  With ``keep``, also
-    each pair's propagator at ``fields[keep]``.
+    A batch (at most BATCH_ENTRIES entries of H; the grid alone fixes it) shares
+    the block structure and dtype of H: its fields all lie on the z axis or all
+    off it, and all have B_y = 0 or all not.  Per batch the pairs run in turn; a
+    pair whose stack of H equals the pair's before it (a lifetime scan's) takes
+    that eigensystem with its own decay rate.  With ``keep``, also each pair's
+    propagator at ``fields[keep]``.
     """
     b = np.array([f.vector_mT() for f in fields]).reshape(-1, 3)
     kind = 2 * ((b[:, 0] == 0) & (b[:, 1] == 0)) + (b[:, 1] != 0)
@@ -224,9 +242,10 @@ def sweep_field_magnitude(
 ) -> SweepResult:
     """X_i^I against field magnitude, with the field on the sensor axis.
 
-    The field stays at theta = 0: large transverse fields break the two-level sensor approximation.
-    With ``densify`` a second pass adds a 5x denser patch of points around the detected maximum of
-    |X_z^I|.  ``prefactor`` is the Tesla scale (:func:`single_molecule_prefactor` or
+    The field stays at theta = 0: large transverse fields break the
+    two-level sensor approximation.  With ``densify`` a second pass adds
+    a 5x denser patch of points around the detected maximum of |X_z^I|.
+    ``prefactor`` is the Tesla scale (:func:`single_molecule_prefactor` or
     :func:`aligned_prefactor`).
     """
     b_grid = np.asarray(b_grid_mT, dtype=float)
@@ -263,25 +282,35 @@ def sweep_field_angle(
 ) -> SweepResult:
     """X_i^I against the field polar angle at fixed magnitude.
 
-    With ``normalize``, each component is divided by its angular factor d_ci(theta, phi) wherever
-    |d_ci| > 1e-3; undefined points are NaN.  ``prefactor`` is the Tesla scale, as in
-    :func:`sweep_field_magnitude`.
+    With ``normalize``, each component is divided by its angular factor
+    d_ci(theta, phi) wherever |d_ci| > 1e-3; undefined points are NaN.
+    ``prefactor`` is the Tesla scale, as in :func:`sweep_field_magnitude`.
 
-    Where :func:`hamiltonian.mirror_symmetric` holds (phi == 0 and no tensor with an xy or xz
-    entry: every preset and shipped config), X(pi - theta) = -X(theta) exactly.  A point
-    theta > pi/2 whose mirror image pi - theta is on the grid (to 4 ulp) then takes its negated
-    value, so X_x^I at theta = pi is exactly 0, and only the other points are diagonalised.  Any
-    other pair computes every point.
+    Where :func:`hamiltonian.mirror_symmetric` holds (phi == 0 and no tensor
+    with an xy or xz entry: every preset and shipped config), X(pi - theta) =
+    -X(theta) exactly.  A point theta > pi/2 whose mirror image pi - theta is on
+    the grid (to 4 ulp) then takes its negated value, so X_x^I at theta = pi is
+    exactly 0, and only the other points are diagonalised.  Any other pair
+    computes every point.
     """
     return scan_field_angle([cfg], b_mT, theta_grid, phi, prefactor, [t_max], normalize, threads)[0]
 
 
 def scan_field_angle(
-    cfgs: Sequence[RadicalPairConfig], b_mT: float, theta_grid: Sequence[float], phi: float,
-    prefactor: float, t_maxes: Sequence[float | None], normalize: bool = False, threads: int = 1,
+    cfgs: Sequence[RadicalPairConfig],
+    b_mT: float,
+    theta_grid: Sequence[float],
+    phi: float,
+    prefactor: float,
+    t_maxes: Sequence[float | None],
+    normalize: bool = False,
+    threads: int = 1,
 ) -> list[SweepResult]:
-    """:func:`sweep_field_angle` of each pair of ``cfgs``, with its window in ``t_maxes``,
-    run batch by batch (:func:`_evaluate`); points mirror only if every pair is symmetric."""
+    """:func:`sweep_field_angle` of each pair of ``cfgs``, with its window in ``t_maxes``.
+
+    The pairs run batch by batch (:func:`_evaluate`), and points mirror only
+    where every pair is mirror-symmetric.
+    """
     thetas = np.asarray(theta_grid, dtype=float)
     source = np.full(thetas.shape, -1)  # per point, the grid index of its mirror image
     if all(mirror_symmetric(cfg, phi) for cfg in cfgs):

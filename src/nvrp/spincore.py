@@ -1,8 +1,9 @@
 """Spin-operator algebra for multi-spin radical-pair systems.
 
-Single-spin angular momentum matrices (spin 1/2 and spin 1), Kronecker embedding into a product
-Hilbert space, in-place addition of two-site operators, and rotation of 3x3 coupling tensors
-between molecular and sensor frames.
+Single-spin angular momentum matrices (spin 1/2 and spin 1), Kronecker
+embedding into a product Hilbert space, in-place addition of two-site
+operators, and rotation of 3x3 coupling tensors between molecular and
+sensor frames.
 
 Conventions
 -----------
@@ -46,8 +47,8 @@ _SPIN_ONE = (
 class SpinSpecies:
     """A spin-carrying particle: an electron or a nucleus.
 
-    ``spin`` is the spin quantum number, restricted to 1/2 (electrons, protons) and 1
-    (e.g. nitrogen-14).
+    ``spin`` is the spin quantum number, restricted to 1/2 (electrons,
+    protons) and 1 (e.g. nitrogen-14).
     """
 
     label: str
@@ -121,7 +122,8 @@ def spin_matrices(species: SpinSpecies) -> tuple[np.ndarray, np.ndarray, np.ndar
 def embed(local: np.ndarray, site: int, layout: SpinSystemLayout) -> np.ndarray:
     """Embed a single-site operator: I x ... x local x ... x I.
 
-    Raises ``ValueError`` when the site index or the local dimension does not match the layout.
+    Raises ``ValueError`` when the site index or the local dimension does
+    not match the layout.
     """
     dims = layout.dimensions
     if not 0 <= site < len(dims):
@@ -143,11 +145,12 @@ def add_two_site(
 ) -> None:
     """Add a two-site operator into ``h`` in place: h += local x I(elsewhere).
 
-    ``local`` acts on the product space of ``site_a`` (major factor) and ``site_b`` (minor factor),
-    with ``site_a < site_b``.  The sum runs through a writeable diagonal view of ``h``, so only the
-    d * d_a * d_b entries the operator can reach are touched.  ``h`` may be a stack (..., d, d),
-    and ``local`` one operator for every matrix of it or a stack of its own that broadcasts against
-    it.
+    ``local`` acts on the product space of ``site_a`` (major factor) and
+    ``site_b`` (minor factor), with ``site_a < site_b``.  The sum runs
+    through a writeable diagonal view of ``h``, so only the d * d_a * d_b
+    entries the operator can reach are touched.  ``h`` may be a stack
+    (..., d, d), and ``local`` one operator for every matrix of it or a
+    stack of its own that broadcasts against it.
     """
     dims = layout.dimensions
     if not 0 <= site_a < site_b < len(dims):
@@ -183,8 +186,8 @@ def site_operators(layout: SpinSystemLayout, site: int) -> tuple[np.ndarray, ...
 def parity_sectors(layout: SpinSystemLayout) -> tuple[np.ndarray, np.ndarray]:
     """Basis states of even and odd sum_i (s_i + m_i), each in ascending order.
 
-    The parity, sum_i (d_i - 1 - j_i) mod 2 over local indices j_i, is a state's sign under the pi
-    rotation about z of every spin.  Each sector holds d/2 states.  Cached, read-only.
+    The parity, sum_i (d_i - 1 - j_i) mod 2 over local indices j_i, is a state's sign under
+    the pi rotation about z of every spin.  Each sector holds d/2 states.  Cached, read-only.
     """
     label = np.zeros(1, dtype=np.intp)
     for d in layout.dimensions:

@@ -1,7 +1,7 @@
 """Strong-coupling level analysis: conditional spectra and peak contrasts.
 
-Everything here is per molecule: one ``CouplingGeometry`` fixes its distance and the field
-direction.
+Everything here is per molecule: one ``CouplingGeometry`` fixes its
+distance and the field direction.
 
 When the coupling exceeds the dephasing linewidth, the sensor transition
 splits into resonances at offsets f_n = (E'_n - E_n) / 2 pi, where E_n
@@ -12,9 +12,9 @@ two manifolds are matched by maximum overlap (Hungarian assignment on
 the coupling operator inside the cluster first, which makes the matching
 stable.
 
-Each manifold is diagonalised once, by the checked ``make_propagator``; the contrasts evolve under
-the |0>-manifold propagator the ``LevelStructure`` keeps, so nothing here builds or diagonalises a
-Hamiltonian twice.
+Each manifold is diagonalised once, by the checked ``make_propagator``; the
+contrasts evolve under the |0>-manifold propagator the ``LevelStructure``
+keeps, so nothing here builds or diagonalises a Hamiltonian twice.
 """
 
 from __future__ import annotations
@@ -47,9 +47,10 @@ DEGENERACY_GAP = 1e-6
 class LevelStructure:
     """Eigen systems of the two sensor-state manifolds plus transitions.
 
-    ``pairing[n]`` is the index of the |0>-manifold state matched to the n-th |1>-manifold state;
-    ``transition_freqs_hz[n]`` is the resonance offset (E'_n - E_pairing[n]) / 2 pi from the bare
-    sensor transition.  ``propagator`` is that of H_RP at the pair's decay rate, one eigen-block;
+    ``pairing[n]`` is the index of the |0>-manifold state matched to the
+    n-th |1>-manifold state; ``transition_freqs_hz[n]`` is the resonance
+    offset (E'_n - E_pairing[n]) / 2 pi from the bare sensor transition.
+    ``propagator`` is that of H_RP at the pair's decay rate, one eigen-block;
     ``states_0`` are its eigenvectors, rotated within degenerate clusters.
     """
 
@@ -79,8 +80,9 @@ class PeakSet:
 def _stabilize_degenerate(prop: Propagator, op: np.ndarray) -> np.ndarray:
     """The eigenvectors of a one-block ``prop``, degenerate clusters rotated to diagonalise ``op``.
 
-    The result has the dtype of the eigenvectors and ``op`` together: real eigenvectors stay real
-    unless ``op`` is complex, as the coupling operator is only where phi != 0.
+    The result has the dtype of the eigenvectors and ``op`` together: real
+    eigenvectors stay real unless ``op`` is complex, as the coupling operator
+    is only where phi != 0.
     """
     (block,) = prop.blocks
     w = block.eigenvalues
@@ -108,9 +110,10 @@ def level_structure(
 ) -> LevelStructure:
     """Conditional level structure of the coupled sensor-pair system.
 
-    The |0>-manifold generator is H_RP; the |1>-manifold generator is H_RP + D_r sum_i d_ci
-    (S1i + S2i).  In the strong-coupling analysis the caller should be in the strong regime; with a
-    ``sensor`` given, a weak-regime geometry draws a warning.
+    The |0>-manifold generator is H_RP; the |1>-manifold generator is
+    H_RP + D_r sum_i d_ci (S1i + S2i).  In the strong-coupling analysis
+    the caller should be in the strong regime; with a ``sensor`` given,
+    a weak-regime geometry draws a warning.
     """
     if sensor is not None and classify_regime(geom.g_eff, sensor) is not Regime.STRONG:
         warnings.warn(
@@ -143,8 +146,8 @@ def level_structure(
 def count_resolved_peaks(freqs_hz: np.ndarray, gamma_hz: float) -> PeakSet:
     """Greedy clustering of transition frequencies at resolution Gamma.
 
-    Transitions are swept in ascending frequency; a new cluster opens when the gap to the current
-    cluster's running center exceeds ``gamma_hz``.
+    Transitions are swept in ascending frequency; a new cluster opens when
+    the gap to the current cluster's running center exceeds ``gamma_hz``.
     """
     if not gamma_hz > 0:  # NaN fails too
         raise PhysicsError(f"resolution linewidth must be positive, got {gamma_hz}")
@@ -172,12 +175,14 @@ def peak_contrast(
 ) -> np.ndarray:
     """Population-difference contrast C_n(t) per transition, shape (d, n_t).
 
-    The pair starts from |state><state| x I/d_nuc and evolves under ``levels.propagator``: H_RP
-    alone (the pulsed scheme keeps the sensor in |0>, no backaction) with the uniform recombination
-    decay.  C_n(t) = <P_psi'_n>(t) - <P_psi_n>(t) for the molecule ``levels`` describes.  Each
-    sample is exact, and ``t_grid`` need not resolve the spectrum: fig6c's 2048 samples over five
-    lifetimes have dt = 12.2 ns against pi / spread = 6.9 ns (1.76x the Nyquist interval), so its
-    C_n(t) must not be Fourier-transformed.
+    The pair starts from |state><state| x I/d_nuc and evolves under
+    ``levels.propagator``: H_RP alone (the pulsed scheme keeps the sensor
+    in |0>, no backaction) with the uniform recombination decay.
+    C_n(t) = <P_psi'_n>(t) - <P_psi_n>(t) for the molecule ``levels`` describes.
+    Each sample is exact, and ``t_grid`` need not resolve the spectrum:
+    fig6c's 2048 samples over five lifetimes have dt = 12.2 ns against
+    pi / spread = 6.9 ns (1.76x the Nyquist interval), so its C_n(t) must
+    not be Fourier-transformed.
     """
     prop = levels.propagator
     # eigenbasis coefficients c = V^dag psi of each |psi'_n>, then of its matched |psi_n>

@@ -235,11 +235,16 @@ def test_physics_error_exit_code(tmp_path, capsys, kind, params, rate, message):
     assert message in capsys.readouterr().err.lower()
 
 
-def test_non_finite_sample_count_exits_4(tmp_path, capsys):
-    """A rate of 1e-300 /s gives the window T = 5e300 s, over which no finite sample count
-    resolves the spectrum: a numerical failure naming the window and the spread."""
+@pytest.mark.parametrize("rate", [1e-300, 4e-300])
+def test_non_finite_sample_count_exits_4(tmp_path, capsys, rate):
+    """No finite sample count resolves the spectrum over the window T = 5 / rate: a numerical
+    failure naming the window and the spread.
+
+    At 4e-300 /s the count 1.05 T spread / pi would be 1.6e308, finite, and the power of two above
+    it 2^1024, not; the product 1.05 T spread overflows first, as it does at 1e-300 /s.
+    """
     payload = _minimal_angle_sweep()
-    payload["radical_pair"]["recombination_rate"] = 1e-300
+    payload["radical_pair"]["recombination_rate"] = rate
     del payload["radical_pair"]["lifetime_us"]
     path = _write_config(tmp_path, payload)
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4

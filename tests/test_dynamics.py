@@ -60,6 +60,21 @@ S = InitialElectronState.SINGLET
 T0 = InitialElectronState.TRIPLET_ZERO
 
 
+def _samples(prop, t_max):
+    """nyquist_samples of one propagator, as a batch of one; an int."""
+    return int(nyquist_samples(prop[None], t_max)[0])
+
+
+def _means(prop, state, electron_ops, t_max):
+    """_expectation_means of one propagator, as a batch of one."""
+    return _expectation_means(prop[None], state, electron_ops, t_max)[0]
+
+
+def _weights(lam, k, dt, n, real=False):
+    """_geometric_mean_weights of one set of levels, as a batch of one."""
+    return _geometric_mean_weights(lam[None], k, dt, n, real)[0]
+
+
 def _pair_ops(layout):
     s1 = site_operators(layout, 0)
     s2 = site_operators(layout, 1)
@@ -275,7 +290,7 @@ def test_time_averaged_matches_materialized_mean(axial3_pair):
     field = FieldConfig(0.05, 0.4, 0.0)
     prop = solve_pair(cfg, field)
     t_max = 5.0 / cfg.recombination_rate
-    n = nyquist_samples(prop, t_max)  # the grid integrated_observables averages over
+    n = _samples(prop, t_max)  # the grid integrated_observables averages over
     t = np.linspace(0.0, t_max, n, endpoint=False)
     series = observable_series(cfg, field, t)
     direct = np.mean(series, axis=1)
@@ -383,7 +398,7 @@ def _dense_means(prop, state, layout, electron_ops, dt, n):
     """Re sum (V^dag O V)^T o (V^dag rho0 V) o G over the whole eigenbasis, complex G."""
     lam, v = dense_eigensystem(prop)
     rho_e = v.conj().T @ initial_state(state, layout) @ v
-    geo = _geometric_mean_weights(lam, prop.decay_rate, dt, n)
+    geo = _weights(lam, prop.decay_rate, dt, n)
     eye = np.eye(layout.nuclear_dimension)
     return np.array(
         [np.real(np.sum((v.conj().T @ np.kron(o, eye) @ v).T * rho_e * geo)) for o in electron_ops]
@@ -406,10 +421,10 @@ def test_fused_means_match_dense_definition(seed, spins, state):
     )
     prop = solve_pair(cfg, field, random_rotation(rng))
     t_max = 5.0 / cfg.effective_decay_rate
-    n = nyquist_samples(prop, t_max)
+    n = _samples(prop, t_max)
     electron_ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
 
-    fused = _expectation_means(prop, state, electron_ops, t_max)
+    fused = _means(prop, state, electron_ops, t_max)
     dense = _dense_means(prop, state, cfg.layout(), electron_ops, t_max / n, n)
     assert np.max(np.abs(fused - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -430,8 +445,8 @@ def test_geometric_weights_match_direct_sum(seed, d, k_t_max):
     lam[1] = lam[0]  # exactly degenerate
     lam[2] = lam[0] + 1e-7 / dt  # nearly degenerate
     lam = np.sort(lam)
-    geo = _geometric_mean_weights(lam, k, dt, n)
-    real = _geometric_mean_weights(lam, k, dt, n, real=True)
+    geo = _weights(lam, k, dt, n)
+    real = _weights(lam, k, dt, n, real=True)
     z = np.exp((-k - 1j * (lam[:, None] - lam[None, :])) * dt)
     direct = sum(z**j for j in range(n)) / n
     assert np.array_equal(geo, geo.conj().T)
@@ -451,9 +466,9 @@ def test_phase_numerators_match_expm1_at_sweep_size(fadtrp2):
     rotation = random_rotation(np.random.default_rng(3))
     prop = solve_pair(fadtrp2, FieldConfig(1.16, 0.4, 0.0), rotation)
     t_max = 5.0 / prop.decay_rate
-    n = nyquist_samples(prop, t_max)
+    n = _samples(prop, t_max)
     dt = t_max / n
-    geo = _geometric_mean_weights(prop.eigenvalues, prop.decay_rate, dt, n)
+    geo = _weights(prop.eigenvalues, prop.decay_rate, dt, n)
     x = (-prop.decay_rate - 1j * (prop.eigenvalues[:, None] - prop.eigenvalues[None, :])) * dt
     reference = np.expm1(x * n) / np.expm1(x) / n
     assert np.max(np.abs(prop.eigenvalues)) * t_max > 1e4
@@ -468,7 +483,7 @@ def test_geometric_weights_of_zero_generator_are_one():
     prop = make_propagator(h, cfg.effective_decay_rate)
     assert prop.decay_rate == 0.0
     for real in (False, True):
-        geo = _geometric_mean_weights(prop.eigenvalues, prop.decay_rate, 1e-8, 4096, real)
+        geo = _weights(prop.eigenvalues, prop.decay_rate, 1e-8, 4096, real)
         assert np.array_equal(geo, np.ones((4, 4)))
 
 
@@ -483,7 +498,7 @@ def _weighted_and_dense(cfg, field, rotation=None):
     """
     prop = solve_pair(cfg, field, rotation)
     t_max = 5.0 / cfg.effective_decay_rate
-    n = nyquist_samples(prop, t_max)
+    n = _samples(prop, t_max)
     ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
     dense = _dense_means(prop, cfg.initial_state, cfg.layout(), ops, t_max / n, n)
     d_c = coupling_geometry(1.0, field.theta, field.phi).d_c
@@ -555,9 +570,9 @@ def test_means_of_a_complex_operator_with_real_eigenvectors(axial3_pair):
     (block,) = prop.blocks
     assert not np.iscomplexobj(block.eigenvectors)
     t_max = 5.0 / prop.decay_rate
-    n = nyquist_samples(prop, t_max)
+    n = _samples(prop, t_max)
     for ops in (ELECTRON_PAIR_SPIN[1:2], ELECTRON_PAIR_SPIN):
-        got = _expectation_means(prop, S, ops, t_max)
+        got = _means(prop, S, ops, t_max)
         want = _dense_means(prop, S, axial3_pair.layout(), ops, t_max / n, n)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert abs(want[1]) > 1e-6 * np.max(np.abs(want))
@@ -568,7 +583,7 @@ def test_means_of_a_complex_operator_with_real_eigenvectors(axial3_pair):
 
 def _pair_means(prop, cfg, t_max):
     ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
-    return _expectation_means(prop, cfg.initial_state, ops, t_max)
+    return _means(prop, cfg.initial_state, ops, t_max)
 
 
 #: the shipped systems up to d = 216 (d = 12, 36, 64, 96 and 216); fadtrp-3n (d = 864) is
@@ -758,7 +773,7 @@ def test_yield_saturates_for_singlet_conserving_hamiltonian():
         prop = make_propagator(h, k)
         t_max = 5.0 / k
         ys = singlet_yield_mean(prop, S, t_max)
-        k_dt = k * t_max / nyquist_samples(prop, t_max)
+        k_dt = k * t_max / _samples(prop, t_max)
         # the left-endpoint Riemann sum, which overshoots 1 - e^(-k T) by ~k dt / 2
         expected = (1.0 - np.exp(-k * t_max)) * k_dt / -np.expm1(-k_dt)
         assert ys == pytest.approx(expected, rel=2e-4)
@@ -783,7 +798,7 @@ def test_yield_against_rk4_oracle(axial3_pair):
     rho0 = initial_state(S, layout)
 
     t_max = 5.0 / k
-    n = nyquist_samples(prop, t_max)
+    n = _samples(prop, t_max)
     dt_grid = t_max / n
     ys_eigen = singlet_yield_mean(prop, S, t_max)
 
@@ -801,7 +816,7 @@ def test_yield_against_rk4_oracle(axial3_pair):
 def test_nyquist_samples_power_of_two(axial3_pair):
     h = build_rp_hamiltonian(axial3_pair, FieldConfig(50.0, 0.0, 0.0))
     prop = make_propagator(h, axial3_pair.recombination_rate)
-    n = nyquist_samples(prop, 25e-6)
+    n = _samples(prop, 25e-6)
     assert n & (n - 1) == 0
     assert 25e-6 / n < np.pi / prop.spectral_spread
 

@@ -171,7 +171,8 @@ def test_pair_spin_means_are_rotation_covariant(seed, spins):
     prop = solve_pair(cfg, field, rotation)
     prop_back = solve_pair(cfg, _field_along(r.T @ field.vector_mT()))
     # both means sample the window at one n
-    assert nyquist_samples(prop, t_max) == nyquist_samples(prop_back, t_max)
+    prop, prop_back = prop[None], prop_back[None]  # each a batch of one
+    assert np.array_equal(nyquist_samples(prop, t_max), nyquist_samples(prop_back, t_max))
     rotated = _expectation_means(prop, cfg.initial_state, ELECTRON_PAIR_SPIN, t_max)
-    back = r @ _expectation_means(prop_back, cfg.initial_state, ELECTRON_PAIR_SPIN, t_max)
+    back = _expectation_means(prop_back, cfg.initial_state, ELECTRON_PAIR_SPIN, t_max) @ r.T
     assert np.linalg.norm(rotated - back) <= 1e-10 * np.linalg.norm(back)

@@ -199,10 +199,10 @@ SHIPPED_SYSTEMS = {
 
 def _complex_assembly(cfg, field, rotation=None):
     layout = cfg.layout()
-    h = np.zeros((layout.total_dimension,) * 2, dtype=complex)
-    for local, site_a, site_b in _rp_terms(cfg, field, rotation):
+    h = np.zeros((1,) + (layout.total_dimension,) * 2, dtype=complex)
+    for local, site_a, site_b in _rp_terms(cfg, [field], rotation):
         add_two_site(h, local, site_a, site_b, layout)
-    return h
+    return h[0]
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_SYSTEMS))
