@@ -40,6 +40,20 @@ Parser = Callable[[Any, str], Any]
 #: a JSON object's keys: key -> (value parser, default); a default of ``...`` marks a required key
 Fields = dict[str, tuple[Parser, Any]]
 
+#: distances in nm: r^3 is then a finite normal float both in m^3 (the point-dipole
+#: prefactor, ~1/r^3) and in nm^3 (the ensemble's shell volume)
+DISTANCE_NM = (1e-93, 1e102)
+
+#: most points in one grid: 55 times the largest shipped grid (181 angles)
+MAX_GRID_POINTS = 10_000
+
+#: most samples in a time trace: 128 times the default; about 100 B of arrays a sample
+MAX_SAMPLES = 2**22
+
+#: most realizations in an ensemble: 200 times fig5's; each one's generator (about 1 KB)
+#: is spawned before the first molecule is drawn
+MAX_REALIZATIONS = 10_000
+
 
 def _ctx(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
@@ -108,6 +122,14 @@ def _positive(value: Any, where: str) -> float:
     return x
 
 
+def _distance(value: Any, where: str) -> float:
+    x = _number(value, where)
+    lo, hi = DISTANCE_NM
+    if not lo <= x <= hi:
+        raise ConfigError(f"{where}: a distance must lie in [{lo:g}, {hi:g}] nm, got {value!r}")
+    return x
+
+
 def _within(lo: float, hi: float, closed: bool = True) -> Parser:
     """A number in [lo, hi], or in [lo, hi) unless ``closed``."""
     bounds = f"[{lo:g}, {hi:g}{']' if closed else ')'}"
@@ -173,15 +195,20 @@ def _list(
 
 
 def _grid(item: Parser, log: bool = False) -> Parser:
-    """[lo, hi, n >= 1] -> n points from lo to hi, evenly spaced (in log10 if ``log``)."""
+    """[lo, hi, n] -> n points from lo to hi, evenly spaced (in log10 if ``log``).
+
+    n is an integer from 1 to ``MAX_GRID_POINTS``.
+    """
+    count = _count(1, MAX_GRID_POINTS)
 
     def parse(value: Any, where: str) -> np.ndarray:
         if not isinstance(value, (list, tuple)) or len(value) != 3:
             raise ConfigError(f"{where}: expected a grid [lo, hi, n], got {value!r}")
         lo, hi = item(value[0], f"{where}[0]"), item(value[1], f"{where}[1]")
-        n = _integer(value[2], f"{where}[2]")
-        if n < 1:
-            raise ConfigError(f"{where}: grid {list(value)} must have at least one point, got {n}")
+        try:
+            n = count(value[2], f"{where}[2]")
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} (grid {list(value)})") from None
         if log:
             return np.logspace(math.log10(lo), math.log10(hi), n)
         return np.linspace(lo, hi, n)
@@ -201,7 +228,7 @@ _PHI_DEG = _within(0.0, 360.0, closed=False)
 #: kind -> the keys of its ``params`` object; every key is optional
 PARAMS: dict[str, Fields] = {
     "coupling-map": {
-        "r_nm": (_grid(_positive), [5.0, 30.0, 26]),
+        "r_nm": (_grid(_distance), [5.0, 30.0, 26]),
         "theta_deg": (_grid(_number), [0.0, 180.0, 37]),
     },
     "time-trace": {
@@ -209,15 +236,15 @@ PARAMS: dict[str, Fields] = {
         "b_mT": (_B_MT, 1.16),
         "theta_deg": (_THETA_DEG, 0.0),
         "phi_deg": (_PHI_DEG, 0.0),
-        "r_nm": (_positive, 10.0),
-        "n_samples": (_count(2), 32768),
+        "r_nm": (_distance, 10.0),
+        "n_samples": (_count(2, MAX_SAMPLES), 32768),
         "t_max_us": _T_MAX,
     },
     "field-sweep": {
         "system": _SYSTEM,
         "b_grid": (_grid(_positive, log=True), [0.01, 50.0, 60]),
         "scale": _SCALE,
-        "r_nm": (_positive, 10.0),
+        "r_nm": (_distance, 10.0),
         "densify": (_flag, False),
         "t_max_us": _T_MAX,
     },
@@ -227,20 +254,20 @@ PARAMS: dict[str, Fields] = {
         "theta_deg": (_grid(_THETA_DEG), [0.0, 180.0, 181]),
         "phi_deg": (_PHI_DEG, 0.0),
         "scale": _SCALE,
-        "r_nm": (_positive, 10.0),
+        "r_nm": (_distance, 10.0),
         "normalize": (_flag, True),
         "t_max_us": _T_MAX,
     },
     "ensemble": {
         "system": _SYSTEM,
         "b_grid": (_grid(_positive, log=True), [0.05, 10.0, 10]),
-        "n_realizations": (_count(1), 50),
+        "n_realizations": (_count(1, MAX_REALIZATIONS), 50),
         "n_molecules": (_optional(_count(1, MAX_MOLECULES)), None),
-        "r_range_nm": (_optional(_list(_positive, size=2, increasing=True)), None),
+        "r_range_nm": (_optional(_list(_distance, size=2, increasing=True)), None),
     },
     "peak-count": {
         "system": _SYSTEM,
-        "r_nm": (_positive, 5.0),
+        "r_nm": (_distance, 5.0),
         "b_grid": (_grid(_positive, log=True), [0.05, 10.0, 24]),
         "theta_deg": (_THETA_DEG, 0.0),
         "phi_deg": (_PHI_DEG, 0.0),
@@ -250,22 +277,22 @@ PARAMS: dict[str, Fields] = {
         "b_mT": (_B_MT, 0.05),
         "j_mT": (_number, 0.25),
         "theta_deg": (_grid(_THETA_DEG), [0.0, 180.0, 181]),
-        "r_nm": (_positive, 10.0),
+        "r_nm": (_distance, 10.0),
     },
     "exchange-sweep": {
         "case": (_CASE, "axial3"),
         "j_grid_mT": (_list(_number), [0.0, 0.25, 0.5, 1.0]),
-        "r_rp_nm": (_optional(_positive), 2.5),
+        "r_rp_nm": (_optional(_distance), 2.5),
         "b_mT": (_B_MT, 0.05),
         "theta_deg": (_grid(_THETA_DEG), [0.0, 180.0, 61]),
-        "r_nm": (_positive, 10.0),
+        "r_nm": (_distance, 10.0),
     },
     "lifetime-sweep": {
         "case": (_CASE, "axial3"),
         "tau_us": (_list(_positive, increasing=True), [1.0, 2.5, 5.0, 10.0, 25.0]),
         "b_mT": (_B_MT, 0.05),
         "theta_deg": (_grid(_THETA_DEG), [0.0, 180.0, 61]),
-        "r_nm": (_positive, 10.0),
+        "r_nm": (_distance, 10.0),
     },
 }
 
@@ -310,15 +337,18 @@ RADICAL_PAIR: Fields = {
     "nuclei_radical2": (_list(_parse_nucleus, empty=True), []),
     "j_exchange_mT": (_number, 0.0),
     "dipolar_tensor_mT": (_optional(_matrix3), None),
-    "r_rp_nm": (_optional(_number), None),
+    "r_rp_nm": (_optional(_distance), None),
     "recombination_rate": (_optional(_number), None),
     "lifetime_us": (_optional(_positive), None),
     "initial_state": (_member(InitialElectronState), "singlet"),
     "decay_convention": (_member(DecayConvention), "rate_k"),
 }
 
-#: every field of ``SensorParams``, with its default
-SENSOR: Fields = {f.name: (_number, f.default) for f in fields(SensorParams)}
+#: every field of ``SensorParams``, with its default; the shell radii are distances
+SENSOR: Fields = {
+    f.name: (_distance if f.name in ("r1_nm", "r2_nm") else _number, f.default)
+    for f in fields(SensorParams)
+}
 
 EXPERIMENT: Fields = {
     "notes": (_string, ""),

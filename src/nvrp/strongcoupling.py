@@ -10,7 +10,9 @@ Hamiltonian plus the conditional coupling operator.  Eigenstates of the
 two manifolds are matched by maximum overlap (Hungarian assignment on
 |<psi_m|psi'_n>|^2); nearly degenerate clusters are rotated to diagonalise
 the coupling operator inside the cluster first, which makes the matching
-stable.
+stable.  scipy's ``linear_sum_assignment`` solves the assignment; it is
+imported inside :func:`level_structure`, so scipy is loaded only when a
+peak-count run matches levels, and ``import nvrp`` loads none of it.
 
 Each manifold is diagonalised once, by the checked ``make_propagator``; the
 contrasts evolve under the |0>-manifold propagator the ``LevelStructure``
@@ -23,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dynamics import Propagator, _eigh, _projector_series, make_propagator
 from .errors import PhysicsError
@@ -127,6 +128,9 @@ def level_structure(
     prop1 = make_propagator(h0 + coupling, cfg.effective_decay_rate)
     v0 = _stabilize_degenerate(prop, coupling)
     v1 = _stabilize_degenerate(prop1, coupling)
+
+    # imported here, not at module level: 0.4 s and a second OpenBLAS only peak-count needs
+    from scipy.optimize import linear_sum_assignment
 
     overlap = np.abs(v0.conj().T @ v1) ** 2  # overlap[m, n] = |<psi_m|psi'_n>|^2
     row, col = linear_sum_assignment(-overlap)

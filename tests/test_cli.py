@@ -12,6 +12,9 @@ from nvrp import cli, dynamics, signal
 from nvrp.cli import experiment_from_preset, main, run
 from nvrp.config import (
     KINDS,
+    MAX_GRID_POINTS,
+    MAX_REALIZATIONS,
+    MAX_SAMPLES,
     PARAMS,
     ExperimentConfig,
     _canonical_value,
@@ -201,6 +204,9 @@ def test_schema_error_exit_code(tmp_path, capsys):
     not_a_list["radical_pair"]["nuclei_radical1"] = 5
     del no_spin["radical_pair"]["nuclei_radical1"][0]["spin"]
     zero_lifetime["radical_pair"]["lifetime_us"] = 0.0
+    # distances whose cube in m^3 overflows or underflows
+    near_pair = _minimal_angle_sweep()
+    near_pair["radical_pair"]["r_rp_nm"] = 1e-300
     for payload, key in (
         ({"kind": "angle-sweep", "bogus": 1}, "bogus"),
         (field_sweep, "params.theta_deg"),
@@ -210,6 +216,9 @@ def test_schema_error_exit_code(tmp_path, capsys):
         (no_spin, "radical_pair.nuclei_radical1[0].spin:"),
         (zero_lifetime, "radical_pair.lifetime_us:"),
         (_minimal_angle_sweep(sensor={"t2": "long"}), "sensor.t2:"),
+        (_minimal_angle_sweep(sensor={"r1_nm": 1e200, "r2_nm": 2e200}), "sensor.r1_nm:"),
+        (_minimal_angle_sweep(sensor={"r2_nm": 1e200}), "sensor.r2_nm:"),
+        (near_pair, "radical_pair.r_rp_nm:"),
     ):
         path = _write_config(tmp_path, payload)
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -397,6 +406,12 @@ _BAD_PARAMS = [
     ("lifetime-sweep", {"b_mT": -1.0}, "b_mT"),
     ("peak-count", {"phi_deg": 360}, "phi_deg"),
     ("ensemble", {"n_molecules": MAX_MOLECULES + 1}, "n_molecules"),
+    # distances whose cube in m^3 underflows (ZeroDivisionError) or overflows
+    ("time-trace", {"r_nm": 1e-300}, "r_nm"),
+    ("time-trace", {"r_nm": 1e200}, "r_nm"),
+    ("coupling-map", {"r_nm": [1e-300, 1.0, 3]}, "r_nm"),
+    ("exchange-sweep", {"r_rp_nm": 1e-300}, "r_rp_nm"),
+    ("ensemble", {"r_range_nm": [1.0, 1e200], "n_molecules": 1}, "r_range_nm"),
 ]
 
 
@@ -408,6 +423,32 @@ def _bad_config_exits_2(tmp_path, capsys, kind, params, key):
 
 @pytest.mark.parametrize("kind, params, key", _BAD_PARAMS)
 def test_bad_param_value_exits_2(tmp_path, capsys, kind, params, key):
+    _bad_config_exits_2(tmp_path, capsys, kind, params, key)
+
+
+@pytest.mark.parametrize(
+    "kind, params, key",
+    [
+        ("coupling-map", {"r_nm": [5.0, 30.0, MAX_GRID_POINTS + 1]}, "r_nm"),
+        ("coupling-map", {"theta_deg": [0.0, 90.0, 2**62]}, "theta_deg"),
+        ("field-sweep", {"b_grid": [0.1, 1.0, 2**63]}, "b_grid"),
+        ("time-trace", {"n_samples": MAX_SAMPLES + 1}, "n_samples"),
+        ("time-trace", {"n_samples": 2**63}, "n_samples"),
+        ("ensemble", {"n_realizations": MAX_REALIZATIONS + 1}, "n_realizations"),
+        ("ensemble", {"n_realizations": 2**63}, "n_realizations"),
+    ],
+)
+def test_count_above_its_cap_exits_2_at_config_read(
+    tmp_path, capsys, monkeypatch, kind, params, key
+):
+    """Rejected while the config is read: no run starts, so no time grid is allocated and no
+    generator spawned.  A grid count of 2**62 or 2**63 fails inside np.linspace or
+    np.logspace unless it is checked first."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", refuse)
     _bad_config_exits_2(tmp_path, capsys, kind, params, key)
 
 

@@ -1,10 +1,13 @@
 """Conditional level structure, peak clustering, and contrasts."""
 
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nvrp
 from nvrp import cli, dynamics, strongcoupling
 from nvrp.config import ExperimentConfig
 from nvrp.dynamics import initial_state, make_propagator
@@ -286,3 +289,38 @@ def test_peak_count_diagonalises_each_manifold_once(tmp_path, monkeypatch):
     monkeypatch.setattr(strongcoupling, "_eigh", counting(strongcoupling._eigh))
     cli.run(cfg, tmp_path)
     assert callers == ["make_propagator"] * 10
+
+
+#: a fresh interpreter: imports the package and runs one d = 12 point, lists the scipy
+#: modules loaded by then, and then matches the strong-coupling levels
+_IMPORT_GRAPH = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import nvrp, nvrp.cli
+from nvrp.hamiltonian import FieldConfig, coupling_geometry
+from nvrp.presets import one_nucleus_config, strongcoupling_config
+from nvrp.signal import integrated_observables
+from nvrp.strongcoupling import level_structure
+
+integrated_observables(one_nucleus_config("axial3"), FieldConfig(0.5, 0.3, 0.0))
+print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+levels = level_structure(strongcoupling_config(), FieldConfig(0.5, 0.0, 0.0),
+                         coupling_geometry(5.0, 0.0, 0.0))
+print(levels.n_transitions, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_only_level_matching_imports_scipy():
+    """``import nvrp`` and a point load no scipy; ``level_structure`` imports it and runs.
+
+    A fresh interpreter, since this suite's conftest imports scipy.
+    """
+    src = Path(nvrp.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH, str(src)], capture_output=True, text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded, levels = result.stdout.splitlines()
+    assert loaded == "[]"
+    assert levels == f"{strongcoupling_config().layout().total_dimension} True"
