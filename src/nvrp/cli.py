@@ -57,6 +57,9 @@ from .strongcoupling import count_resolved_peaks, level_structure, peak_contrast
 #: rows formatted and written at a time by :func:`write_csv`
 CSV_BLOCK_ROWS = 4096
 
+#: the only columns that may hold NaN: a normalised signal where |d_ci| <= NORMALIZE_EPS
+NAN_COLUMNS = ("X_x_I_norm", "X_z_I_norm")
+
 
 def write_csv(
     path: Path,
@@ -71,8 +74,14 @@ def write_csv(
     No field is quoted; numbers never need it, and the only string
     columns hold names from fixed option sets (``config.PARAMS``).  A block
     is one ``%`` format of a row template: floats with 12 significant
-    digits, anything else by ``str``.
+    digits, anything else by ``str``.  A float column holding inf, or NaN outside
+    ``NAN_COLUMNS``, raises :class:`NumericalError` before the file is opened.
     """
+    for name, col in zip(header, map(np.asarray, columns)):
+        if col.dtype.kind == "f":
+            bad = ~np.isfinite(col) & ~(np.isnan(col) & (name in NAN_COLUMNS))
+            if bad.any():
+                raise NumericalError(f"{path}: column {name} holds {bad.sum()} non-finite values")
     n = len(columns[0])
     with open(path, "w", newline="") as fh:
         for key, value in comments.items():

@@ -61,7 +61,7 @@ on fixed probe vectors.
 With the field on z and no tensor entry coupling z to x or y (every shipped
 system at theta = 0 in its molecular frame), H commutes with the pi rotation about
 z of all spins and splits exactly into two parity sectors of d/2 states, which
-``signal.solve_pair`` hands over (``strongcoupling`` does not).  At every d, ``eigh``
+``signal`` hands over (``strongcoupling`` does not).  At every d, ``eigh``
 then runs per sector, and the propagator holds one eigen-block per sector,
 its d/2 rows and its own d/2 x d/2 V: d^2/2 eigenvector entries in all, none between
 sectors.  The means form d^2/4 weights per sector; the state has d/8 nonzero rows in

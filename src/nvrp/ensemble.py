@@ -9,9 +9,11 @@ so no position angles are drawn.
 
 A realization's signal is the sum of its molecules' signals (the map
 from magnetisation to field is linear); statistics are taken across
-realizations.  Per-realization RNG streams are spawned from
-(seed, realization index), so results are bit-reproducible for a fixed
-seed and independent of evaluation order.
+realizations.  A molecule's signal over the whole field grid is one
+``integrated_observables`` call, run in the sweep batches like any other
+X^I; aligned molecules share one such call.  Per-realization RNG
+streams are spawned from (seed, realization index), so results are
+bit-reproducible for a fixed seed and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .spincore import Rotation
 
 #: most molecules in one realization: caps the Poisson draw and bounds ``params.n_molecules``
 MAX_MOLECULES = 100
+
+#: the largest mean ``Generator.poisson`` accepts; numpy rejects any above it
+POISSON_MAX_MEAN = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 class OrientationMode(enum.Enum):
@@ -93,6 +98,8 @@ def _molecule_count(spec: EnsembleSpec, rng: np.random.Generator) -> int:
     if spec.n_molecules is not None:
         return spec.n_molecules
     mean = spec.density_per_nm3 * spec.shell_volume_nm3()
+    if mean > POISSON_MAX_MEAN:  # a draw there would be far above the cap
+        return MAX_MOLECULES
     return int(min(max(rng.poisson(mean), 1), MAX_MOLECULES))
 
 
@@ -130,30 +137,25 @@ def ensemble_sweep(
     """Mean and variance of the summed molecular signal against field magnitude.
 
     The field lies on the sensor axis (theta = 0).  Every molecule
-    contributes its own rotated evolution scaled by the point-dipole
-    factor at its distance; aligned molecules share one evolution per
-    field, computed before the workers start.
+    contributes its own rotated evolution over the whole grid, one
+    :func:`integrated_observables` call in the sweep's batches, scaled by the
+    point-dipole factor at its distance; aligned molecules share one call over
+    the grid, made before the workers start.
     """
     grid = np.asarray(b_grid_mT, dtype=float)
     fields = [FieldConfig(b, 0.0, 0.0) for b in grid]
     realizations = [sample_realization(spec, rng) for rng in realization_rngs(spec)]
 
     aligned = spec.orientation_mode is OrientationMode.ALIGNED
-    shared = [integrated_observables(cfg, f) for f in fields] if aligned else []
-
-    def molecule_signal(r_nm: float, rotation: Rotation, i_field: int) -> np.ndarray:
-        if aligned:
-            raw = shared[i_field]
-        else:
-            raw = integrated_observables(cfg, fields[i_field], rotation)
-        return single_molecule_prefactor(r_nm) * raw
+    unrotated = integrated_observables(cfg, fields) if aligned else None
 
     def realization_total(molecules: list[tuple[float, Rotation]]) -> np.ndarray:
-        out = np.zeros((3, grid.shape[0]))
-        for i_field in range(grid.shape[0]):
-            contributions = [molecule_signal(r, rot, i_field) for r, rot in molecules]
-            out[:, i_field] = np.sum(contributions, axis=0)
-        return out
+        signals = [
+            single_molecule_prefactor(r_nm)
+            * (unrotated if aligned else integrated_observables(cfg, fields, rotation))
+            for r_nm, rotation in molecules
+        ]
+        return np.sum(signals, axis=0).T
 
     totals = np.stack(_parallel_map(realization_total, realizations, threads))
 

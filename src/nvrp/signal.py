@@ -95,16 +95,14 @@ def _default_t_max(cfg: RadicalPairConfig) -> float:
 
 
 def solve_pair(
-    cfg: RadicalPairConfig,
-    field_cfg: FieldConfig | Sequence[FieldConfig],
-    rotation: Rotation | None = None,
+    cfg: RadicalPairConfig, field_cfg: FieldConfig, rotation: Rotation | None = None
 ) -> Propagator:
-    """The propagator of H_RP with its decay rate; for a sequence of fields, their batch.
+    """The propagator of H_RP at one field, with its decay rate.
 
-    Every signal, yield and contrast starts from it and from the pair's
+    Every series, yield and contrast starts from it and from the pair's
     initial electron state: rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag.  An H
     split exactly into the layout's parity sectors is diagonalised per sector
-    (see ``dynamics``).
+    (see ``dynamics``).  X^I is taken by sweep batches instead (:func:`_evaluate`).
     """
     h = build_rp_hamiltonian(cfg, field_cfg, rotation)
     return make_propagator(h, cfg.effective_decay_rate, parity_sectors(cfg.layout()))
@@ -156,17 +154,17 @@ def integrated_observables(
     Dimensionless; multiply by a prefactor to obtain X_i^I in Tesla.  The
     sample count per point adapts to the spectral spread of H, which
     leaves the closed-form mean exact for the grid actually used.  Only the
-    components with d_ci != 0 are evaluated; the others are +0.0.  ``prop``,
-    if given, is :func:`solve_pair` of the same arguments, already built.  A
-    sequence of N fields is one batch (``prop`` a batch too), shape (N, 3);
-    one field is a batch of one.
+    components with d_ci != 0 are evaluated; the others are +0.0.  A
+    sequence of N fields gives shape (N, 3); without ``prop`` it runs in
+    :func:`_evaluate`'s batches, as every sweep does.  ``prop``, passed only by
+    :func:`_evaluate`, is the propagator of those fields, already built.
     """
     one = isinstance(field_cfg, FieldConfig)
     fields = [field_cfg] if one else field_cfg
     if prop is None:
-        prop = solve_pair(cfg, fields, rotation)
-    elif one:
-        prop = prop[None]
+        out = _evaluate([cfg], fields, [t_max], 1, rotation=rotation)[0][0]
+        return out[0] if one else out
+    prop = prop[None] if one else prop
     t_max = t_max if t_max is not None else _default_t_max(cfg)
     out = np.array([coupling_geometry(1.0, f.theta, f.phi).d_c for f in fields]) + 0.0
     weighted = out.any(axis=0)
@@ -193,6 +191,7 @@ def _evaluate(
     t_maxes: Sequence[float | None],
     threads: int,
     keep: int | None = None,
+    rotation: Rotation | None = None,
 ) -> tuple[np.ndarray, list[Propagator] | None]:
     """s_tilde means of every pair at every field, shape (n_pairs, n_fields, 3), by batches.
 
@@ -201,7 +200,7 @@ def _evaluate(
     off it, and all have B_y = 0 or all not.  Per batch the pairs run in turn; a
     pair whose stack of H equals the pair's before it (a lifetime scan's) takes
     that eigensystem with its own decay rate.  With ``keep``, also each pair's
-    propagator at ``fields[keep]``.
+    propagator at ``fields[keep]``.  ``rotation`` turns every pair's tensors.
     """
     b = np.array([f.vector_mT() for f in fields]).reshape(-1, 3)
     kind = 2 * ((b[:, 0] == 0) & (b[:, 1] == 0)) + (b[:, 1] != 0)
@@ -214,7 +213,7 @@ def _evaluate(
         batch = [fields[i] for i in points]
         out, kept, h_prev, prop = [], [], None, None
         for cfg, t_max in zip(cfgs, t_maxes):
-            h = build_rp_hamiltonian(cfg, batch)
+            h = build_rp_hamiltonian(cfg, batch, rotation)
             k = cfg.effective_decay_rate
             if h_prev is not None and np.array_equal(h, h_prev):
                 prop = replace(prop, decay_rate=k)  # H does not depend on the decay

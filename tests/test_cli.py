@@ -24,7 +24,7 @@ from nvrp.config import (
 )
 from nvrp.dynamics import singlet_yield_mean
 from nvrp.ensemble import MAX_MOLECULES
-from nvrp.errors import ConfigError
+from nvrp.errors import ConfigError, NumericalError
 from nvrp.hamiltonian import FieldConfig, SensorParams
 from nvrp.presets import ALIASES, PRESETS, get_preset, one_nucleus_config
 from nvrp.signal import solve_pair, with_exchange
@@ -259,6 +259,39 @@ def test_non_finite_sample_count_exits_4(tmp_path, capsys, rate):
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert "window" in err and "spectral spread" in err and "Traceback" not in err
+
+
+#: runs with non-finite outputs, and the CSV and column the failure names: ensemble molecules at
+#: the smallest accepted distance square a summed signal of about 1e276 T into inf, and a
+#: peak-count pair decaying at 1e-300 /s gives NaN contrast traces over its 5e300 s window
+_NON_FINITE_RUNS = {
+    "ensemble": (
+        {"kind": "ensemble",
+         "params": {"b_grid": [0.5, 1.0, 2], "n_realizations": 2, "n_molecules": 2,
+                    "r_range_nm": [1e-93, 2e-93]}},
+        "ensemble.csv", "var_X_z_I",
+    ),
+    "peak-count": (
+        {"kind": "peak-count", "params": {"b_grid": [0.5, 1.0, 2], "r_nm": 5.0}},
+        "peak_contrast.csv", "C_0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_RUNS))
+def test_non_finite_output_exits_4(tmp_path, capsys, case):
+    """A CSV column with inf, or NaN outside the normalised columns, is a numerical failure
+    that names the file and the column; the file is not written."""
+    overrides, csv_name, column = _NON_FINITE_RUNS[case]
+    payload = _minimal_angle_sweep(**overrides)
+    if case == "peak-count":
+        payload["radical_pair"]["recombination_rate"] = 1e-300
+        del payload["radical_pair"]["lifetime_us"]
+    path = _write_config(tmp_path, payload)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert f"{csv_name}: column {column} holds" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / csv_name).exists()
 
 
 #: a small run of each kind that takes params.t_max_us, and the CSV it writes
@@ -500,6 +533,12 @@ def test_exchange_sweep_runner(tmp_path):
         assert row.split(",")[2] == f"{y:.12g}"
 
 
+#: preset params replaced for a short run: fig5 with 4 realizations x 5 molecules at 3 fields
+_REDUCED_PARAMS = {
+    "fig5-ensemble": {"n_realizations": 4, "n_molecules": 5, "b_grid": [0.1, 5.0, 3]},
+}
+
+
 @pytest.mark.parametrize(
     "name, propagators",
     [
@@ -510,15 +549,20 @@ def test_exchange_sweep_runner(tmp_path):
         ("pydma_angle_sweep.json", 46),
         ("fadtrp_2n_angle_sweep.json", 91),
         ("fadtrp_2n_field_sweep.json", 68),
+        ("fig5-ensemble", 63),
     ],
 )
 def test_propagators_per_run(tmp_path, monkeypatch, name, propagators):
     """Diagonalised matrices per run: angle sweeps diagonalise theta <= pi/2 only, the scans'
-    yields reuse theta = 0, and fig9's five lifetimes share one eigensystem per batch."""
+    yields reuse theta = 0, and fig9's five lifetimes share one eigensystem per batch.  The
+    reduced fig5 diagonalises each Haar molecule's 3 fields and the aligned grid once:
+    (4 x 5 + 1) x 3."""
     if name.endswith(".json"):
         cfg = load_config(CONFIG_DIR / name)
     else:
-        cfg = experiment_from_preset(get_preset(name), seed=None)
+        preset = get_preset(name)
+        params = dict(preset.params, **_REDUCED_PARAMS.get(name, {}))
+        cfg = experiment_from_preset(dataclasses.replace(preset, params=params), seed=None)
     built = count_propagators(monkeypatch)
     run(cfg, tmp_path)
     assert len(built) == propagators
@@ -792,9 +836,10 @@ def test_missing_radical_pair_is_config_error(tmp_path, capsys):
 def test_write_csv_matches_row_writer(tmp_path):
     """Column-wise formatting writes the bytes of csv.writer over the per-value rule.
 
-    Mixed columns: signed zeros, NaN, infinities, +-1e-300, ints and the
-    fig5 mode strings, over more rows than one block.  A -0.0 (e.g. d_ci = 0 times
-    a negative mean) carries only the sign of round-off and is written "0".
+    Mixed columns: signed zeros, NaN (in a normalised column, the only kind that may hold
+    it), +-1e-300, -1e300, ints and the fig5 mode strings, over more rows than one block.
+    A -0.0 (e.g. d_ci = 0 times a negative mean) carries only the sign of round-off and is
+    written "0".  An infinity fails before the file is opened.
     """
     import csv
 
@@ -806,13 +851,13 @@ def test_write_csv_matches_row_writer(tmp_path):
     n = cli.CSV_BLOCK_ROWS + 5
     rng = np.random.default_rng(3)
     floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
-    floats[:9] = [-0.0, 0.0, np.nan, 1e-300, -np.inf, 1.0 / 3.0, -1e-300, -0.25, 0.0 * -1.5e-9]
+    floats[:9] = [-0.0, 0.0, np.nan, 1e-300, -1e300, 1.0 / 3.0, -1e-300, -0.25, 0.0 * -1.5e-9]
     ints = rng.integers(-5, 40, n)
     ints[0] = -3
     modes = np.array(["aligned", "haar"])[rng.integers(0, 2, n)]
     seeds = [7] * n
     columns = [floats, ints, list(modes), seeds, np.full(n, -0.0)]
-    header = ["x", "count", "mode", "seed", "zero"]
+    header = ["X_x_I_norm", "count", "mode", "seed", "zero"]
     comments = {"kind": "test", "units": "none"}
 
     path = cli.write_csv(tmp_path / "new.csv", comments, header, columns)
@@ -824,21 +869,25 @@ def test_write_csv_matches_row_writer(tmp_path):
         for row in zip(*columns):
             writer.writerow([fmt(v) for v in row])
     assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    floats[4] = -np.inf
+    with pytest.raises(NumericalError, match="column X_x_I_norm holds 1 non-finite"):
+        cli.write_csv(tmp_path / "inf.csv", comments, header, columns)
+    assert not (tmp_path / "inf.csv").exists()
 
 
 def test_write_csv_mixes_kinds_in_one_block(tmp_path):
-    """One short block whose row template holds float and str cells: NaN, +-inf, -0.0,
+    """One short block whose row template holds float and str cells: NaN, +-1e308, -0.0,
     numpy and Python ints and strings, written as csv.writer writes the per-value rule."""
     import csv
 
     columns = [
-        np.array([np.nan, np.inf, -np.inf, -0.0, 2.5e-7]),
+        np.array([np.nan, 1e308, -1e308, -0.0, 2.5e-7]),
         np.array([3, -1, 0, 7, 12]),
         ["aligned", "haar", "aligned", "haar", "x%sy"],
         [5, 5, 5, 5, 5],
         [0.0, -0.0, 1.0 / 3.0, -2.0, 1e300],
     ]
-    header = ["f", "i", "mode", "seed", "g"]
+    header = ["X_z_I_norm", "i", "mode", "seed", "g"]
     path = cli.write_csv(tmp_path / "new.csv", {"kind": "test"}, header, columns)
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         fh.write("# kind: test\n")

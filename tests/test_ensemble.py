@@ -90,6 +90,18 @@ def test_poisson_count_clamped():
     assert len(mols) == MAX_MOLECULES
 
 
+def test_poisson_mean_numpy_cannot_draw_takes_the_cap():
+    """A Poisson mean above numpy's limit (about 9.2e18) is not drawn: the count is the cap,
+    and the distances start at the stream's first draw."""
+    spec = EnsembleSpec(
+        n_realizations=1, r_range_nm=(1e-93, 1e102), seed=1, density_per_nm3=5e-2,
+    )
+    assert spec.density_per_nm3 * spec.shell_volume_nm3() > 1e300
+    mols = sample_realization(spec, realization_rngs(spec)[0])
+    assert len(mols) == MAX_MOLECULES
+    assert mols[0][0] == realization_rngs(spec)[0].uniform(*spec.r_range_nm)
+
+
 def test_degenerate_aligned_ensemble_equals_single_molecule():
     cfg = one_nucleus_config("axial3")
     spec = EnsembleSpec(
@@ -107,16 +119,20 @@ def test_degenerate_aligned_ensemble_equals_single_molecule():
 
 
 def test_realization_linearity():
+    """Each Haar molecule's grid runs as one batch; the realization's total is still the
+    sum over molecules of their per-point signals."""
     cfg = one_nucleus_config("axial3")
     spec = _spec(n_realizations=1, n_molecules=3)
     rng = realization_rngs(spec)[0]
     molecules = sample_realization(spec, rng)
-    total = np.zeros(3)
+    grid = [0.5, 1.2]
+    total = np.zeros((3, len(grid)))
     for r_nm, rotation in molecules:
-        raw = integrated_observables(cfg, FieldConfig(1.2, 0.0, 0.0), rotation)
-        total += single_molecule_prefactor(r_nm) * raw
-    stats = ensemble_sweep(cfg, spec, b_grid_mT=[1.2])
-    assert np.allclose(stats.mean[:, 0], total, rtol=1e-10)
+        for i, b in enumerate(grid):
+            raw = integrated_observables(cfg, FieldConfig(b, 0.0, 0.0), rotation)
+            total[:, i] += single_molecule_prefactor(r_nm) * raw
+    stats = ensemble_sweep(cfg, spec, b_grid_mT=grid)
+    np.testing.assert_allclose(stats.mean, total, rtol=1e-10, atol=0.0)
 
 
 def test_random_orientation_variance_positive_two_seed_sets():
