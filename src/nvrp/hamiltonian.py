@@ -1,4 +1,6 @@
-"""Spin Hamiltonians of the sensor, the radical pair, and their coupling.
+"""Spin Hamiltonians of the radical pair and of its coupling to the sensor.
+
+The NV centre's own Hamiltonian cancels out of every level offset; none is built.
 
 All builders return dense Hermitian matrices in angular-frequency units
 (rad/s).  Coupling tensors and field magnitudes are supplied in mT and
@@ -22,13 +24,12 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .constants import GAMMA_E, MT_TO_RAD_PER_S, dipolar_prefactor, dipolar_prefactor_mT
+from .constants import MT_TO_RAD_PER_S, dipolar_prefactor, dipolar_prefactor_mT
 from .errors import PhysicsError
 from .spincore import (
     Rotation,
@@ -37,7 +38,6 @@ from .spincore import (
     add_two_site,
     rotate_tensor,
     spin_matrices,
-    symmetrize,
 )
 
 #: secular point-dipole pattern: S1 . diag(-1,-1,2) . S2 = 3 S1z S2z - S1.S2
@@ -45,26 +45,11 @@ _SECULAR_PATTERN = np.diag([-1.0, -1.0, 2.0])
 
 
 @dataclass(frozen=True)
-class NVParams:
-    """NV-center level parameters (frequencies in Hz).
-
-    Only the secular terms survive near zero field:
-    H_NV = (D_zfs + gamma_e B0z) Jz + A_N_parallel Jz I_Nz on the
-    two-level {|0>, |1>} space tensored with the nitrogen spin-1.
-    """
-
-    d_zfs: float = 2.87e9
-    a_n_parallel: float = -2.16e6
-    gamma_e: float = GAMMA_E
-
-    def __post_init__(self) -> None:
-        if not self.d_zfs > 0:  # NaN fails too
-            raise PhysicsError(f"zero-field splitting must be positive, got {self.d_zfs}")
-
-
-@dataclass(frozen=True)
 class Nucleus:
-    """One nuclear spin and its hyperfine tensor (mT, molecular frame)."""
+    """One nuclear spin and its hyperfine tensor (mT, molecular frame), stored read-only.
+
+    A tensor with |T - T^T| above 1e-12 * max(1, max|T|) anywhere is stored as (T + T^T) / 2.
+    """
 
     species: SpinSpecies
     tensor_mT: np.ndarray
@@ -78,7 +63,7 @@ class Nucleus:
         if not np.all(np.isfinite(t)):
             raise PhysicsError(f"hyperfine tensor for {self.species.label!r} is not finite")
         if np.max(np.abs(t - t.T)) > 1e-12 * max(1.0, np.max(np.abs(t))):
-            t = symmetrize(t)
+            t = 0.5 * (t + t.T)
         t.setflags(write=False)
         object.__setattr__(self, "tensor_mT", t)
 
@@ -250,20 +235,6 @@ def coupling_geometry(r_nm: float, theta: float, phi: float = 0.0) -> CouplingGe
     return CouplingGeometry(r_nm=r_nm, d_r=d_r, d_cx=d_cx, d_cy=d_cy, d_cz=d_cz, g_eff=g_eff)
 
 
-def build_nv_hamiltonian(nv: NVParams, b0z_mT: float) -> np.ndarray:
-    """Secular NV Hamiltonian on {|0>, |1>} x {nitrogen spin 1}, rad/s.
-
-    H = (D_zfs + gamma_e B0z) Jz + A_N_par Jz I_Nz, with Jz = diag(0, 1)
-    on the two-level subspace.  Callers assert |B0x|, |B0y| << B0z.
-    """
-    jz = np.diag([0.0, 1.0]).astype(complex)
-    i_nz = spin_matrices(SpinSpecies("N14", 1.0))[2]
-    eye_n = np.eye(3, dtype=complex)
-    omega = 2 * math.pi * nv.d_zfs + nv.gamma_e * b0z_mT * 1e-3
-    a_par = 2 * math.pi * nv.a_n_parallel
-    return omega * np.kron(jz, eye_n) + a_par * np.kron(jz, i_nz)
-
-
 def _bilinear_basis(partner_spin: float) -> np.ndarray:
     """(3, 3, 2m, 2m) stack of s_a x i_b: an electron and one partner spin."""
     s = spin_matrices(SpinSpecies.electron())
@@ -389,13 +360,5 @@ class Regime(enum.Enum):
 
 
 def classify_regime(g_eff: float, sensor: SensorParams) -> Regime:
-    """Weak iff g_eff < Gamma = 1/(pi T2); ties classify weak with a warning."""
-    gamma = sensor.gamma_hz
-    if g_eff == gamma:
-        warnings.warn(
-            "g_eff equals the dephasing linewidth Gamma; classifying as weak "
-            "(boundary case)",
-            stacklevel=2,
-        )
-        return Regime.WEAK
-    return Regime.WEAK if g_eff < gamma else Regime.STRONG
+    """Weak iff g_eff / 2pi <= Gamma = 1/(pi T2): g_eff is in rad/s, Gamma in Hz."""
+    return Regime.WEAK if g_eff / (2 * math.pi) <= sensor.gamma_hz else Regime.STRONG

@@ -26,8 +26,7 @@ class OracleResult:
     """RK4 output: grid and observable series."""
 
     t_grid: np.ndarray
-    observables: np.ndarray | None
-    dt: float
+    observables: np.ndarray
 
 
 def rk4_evolve(
@@ -36,13 +35,15 @@ def rk4_evolve(
     k: float,
     dt: float,
     t_max: float,
-    observables: list[np.ndarray] | None = None,
+    observables: list[np.ndarray],
     record_every: int = 1,
 ) -> OracleResult:
     """Integrate the master equation with fixed-step RK4.
 
-    Records every ``record_every``-th step (step 0 included).  The density
-    matrix is re-symmetrised after each step, rho <- (rho + rho^dag)/2.
+    Records Re Tr[O rho] of every observable O at every ``record_every``-th
+    step (step 0 included); ``observables`` of the result has shape
+    (n_observables, n_records).  The density matrix is re-symmetrised after
+    each step, rho <- (rho + rho^dag)/2.
 
     Raises when dim > 64 or when dt violates the stability bound
     dt * lambda_max < 0.1 (the message suggests a compliant dt).
@@ -68,7 +69,7 @@ def rk4_evolve(
 
     n_steps = int(round(t_max / dt))
     t_rec = [0.0]
-    obs_rec = [[float(np.real(np.trace(o @ rho))) for o in observables]] if observables else None
+    obs_rec = [[float(np.real(np.trace(o @ rho))) for o in observables]]
 
     for step in range(1, n_steps + 1):
         k1 = rhs(rho)
@@ -79,11 +80,6 @@ def rk4_evolve(
         rho = 0.5 * (rho + rho.conj().T)
         if step % record_every == 0:
             t_rec.append(step * dt)
-            if observables:
-                obs_rec.append([float(np.real(np.trace(o @ rho))) for o in observables])
+            obs_rec.append([float(np.real(np.trace(o @ rho))) for o in observables])
 
-    return OracleResult(
-        t_grid=np.asarray(t_rec),
-        observables=np.asarray(obs_rec).T if observables else None,
-        dt=dt,
-    )
+    return OracleResult(t_grid=np.asarray(t_rec), observables=np.asarray(obs_rec).T)

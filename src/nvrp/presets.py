@@ -98,7 +98,6 @@ def one_nucleus_config(
     case: str = "axial3",
     j_exchange_mT: float = 0.25,
     r_rp_nm: float | None = None,
-    lifetime_s: float = 5e-6,
 ) -> RadicalPairConfig:
     """One spin-1 nucleus on radical 1 with a named hyperfine variant."""
     if case not in ANISOTROPY_CASES:
@@ -107,21 +106,19 @@ def one_nucleus_config(
         nuclei_radical1=(Nucleus(N14("N5"), diagonal_tensor(*ANISOTROPY_CASES[case])),),
         j_exchange_mT=j_exchange_mT,
         r_rp_nm=r_rp_nm,
-        recombination_rate=1.0 / lifetime_s,
+        recombination_rate=1.0 / 5e-6,  # 5 us: 199999.99999999997, not 2e5, in config hashes
         initial_state=InitialElectronState.SINGLET,
     )
 
 
-def two_nucleus_config(
-    case: str = "axial3", j_exchange_mT: float = 0.25, lifetime_s: float = 5e-6
-) -> RadicalPairConfig:
+def two_nucleus_config(case: str = "axial3") -> RadicalPairConfig:
     """Equal spin-1 nuclei on both radicals (A1 = A2), used by the lifetime study."""
     tensor = diagonal_tensor(*ANISOTROPY_CASES[case])
     return RadicalPairConfig(
         nuclei_radical1=(Nucleus(N14("N5a"), tensor),),
         nuclei_radical2=(Nucleus(N14("N5b"), tensor),),
-        j_exchange_mT=j_exchange_mT,
-        recombination_rate=1.0 / lifetime_s,
+        j_exchange_mT=0.25,
+        recombination_rate=1.0 / 5e-6,  # 5 us: 199999.99999999997, not 2e5, in config hashes
         initial_state=InitialElectronState.SINGLET,
     )
 

@@ -18,6 +18,7 @@ second" in the quantity's name is a label, not an extra 1/s factor.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -52,12 +53,12 @@ BATCH_ENTRIES = 1 << 16
 
 
 def _parallel_map(fn, items, threads: int) -> list:
-    """Order-preserving map, optionally on a thread pool (BLAS releases the GIL)."""
+    """Order-preserving map on at most ``os.cpu_count()`` threads (BLAS releases the GIL)."""
     if threads <= 1:
         return [fn(x) for x in items]
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, items))
 
 
@@ -212,13 +213,15 @@ def _evaluate(
     def run(points: np.ndarray) -> tuple[np.ndarray, list[Propagator]]:
         batch = [fields[i] for i in points]
         out, kept, h_prev, prop = [], [], None, None
-        for cfg, t_max in zip(cfgs, t_maxes):
+        for j, (cfg, t_max) in enumerate(zip(cfgs, t_maxes), 1):
             h = build_rp_hamiltonian(cfg, batch, rotation)
             k = cfg.effective_decay_rate
             if h_prev is not None and np.array_equal(h, h_prev):
                 prop = replace(prop, decay_rate=k)  # H does not depend on the decay
             else:
-                prop, h_prev = make_propagator(h, k, sectors), h
+                prop = make_propagator(h, k, sectors)
+            h_prev = h if j < len(cfgs) else None  # H is kept only for a later pair to share
+            del h
             out.append(integrated_observables(cfg, batch, t_max=t_max, prop=prop))
             kept += [prop[i] for i in np.flatnonzero(points == keep)[:1]]
         return np.stack(out), kept

@@ -242,9 +242,3 @@ def isotropic_tensor(a: float) -> np.ndarray:
 def diagonal_tensor(axx: float, ayy: float, azz: float) -> np.ndarray:
     """Diagonal coupling tensor with the given principal components (mT)."""
     return np.diag([axx, ayy, azz]).astype(float)
-
-
-def symmetrize(tensor: np.ndarray) -> np.ndarray:
-    """Symmetric part (T + T^T) / 2 of a coupling tensor."""
-    t = np.asarray(tensor, dtype=float)
-    return 0.5 * (t + t.T)

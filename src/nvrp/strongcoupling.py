@@ -114,12 +114,12 @@ def level_structure(
     The |0>-manifold generator is H_RP; the |1>-manifold generator is
     H_RP + D_r sum_i d_ci (S1i + S2i).  In the strong-coupling analysis
     the caller should be in the strong regime; with a ``sensor`` given,
-    a weak-regime geometry draws a warning.
+    a weak-regime geometry (g_eff/2pi <= Gamma) draws a warning.
     """
     if sensor is not None and classify_regime(geom.g_eff, sensor) is not Regime.STRONG:
         warnings.warn(
             "level_structure called in the weak-coupling regime "
-            "(g_eff <= Gamma); peaks will not be resolvable",
+            "(g_eff/2pi <= Gamma); peaks will not be resolvable",
             stacklevel=2,
         )
     h0 = build_rp_hamiltonian(cfg, field_cfg)

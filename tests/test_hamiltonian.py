@@ -15,12 +15,10 @@ from nvrp.errors import PhysicsError
 from nvrp.hamiltonian import (
     FieldConfig,
     Nucleus,
-    NVParams,
     RadicalPairConfig,
     Regime,
     SensorParams,
     build_coupling_hamiltonian,
-    build_nv_hamiltonian,
     _rp_terms,
     build_rp_hamiltonian,
     classify_regime,
@@ -45,38 +43,18 @@ from conftest import make_pair, rotation_xyz
 ANGLES = st.floats(0.0, np.pi, allow_nan=False)
 
 
-# -- NV Hamiltonian ---------------------------------------------------------
-
-
-def test_nv_gap_at_zero_field_is_zfs():
-    h = build_nv_hamiltonian(NVParams(), b0z_mT=0.0)
-    # |0> states sit at 0; nitrogen m = 0 row of the |1> block is the bare gap
-    gap = np.real(h[4, 4] - h[1, 1])
-    assert gap == pytest.approx(2 * np.pi * 2.87e9, rel=1e-12)
-
-
-def test_nv_diagonal_without_nitrogen_coupling():
-    h = build_nv_hamiltonian(NVParams(a_n_parallel=0.0), b0z_mT=0.5)
-    assert np.allclose(h, np.diag(np.diag(h)))
-    ones = np.diag(h)[3:]
-    assert np.allclose(ones, ones[0])
-
-
-def test_nv_one_mT_shift():
-    h0 = build_nv_hamiltonian(NVParams(), b0z_mT=0.0)
-    h1 = build_nv_hamiltonian(NVParams(), b0z_mT=1.0)
-    shift = np.real(h1[4, 4] - h0[4, 4])
-    # gamma_e * 1 mT = 1.760859630e8 rad/s = 2 pi * 28.0247 MHz
-    assert shift == pytest.approx(1.760859630e8, rel=1e-12)
-    assert shift / (2 * np.pi) == pytest.approx(28.02495e6, rel=1e-4)
-
-
-def test_nv_hermitian():
-    h = build_nv_hamiltonian(NVParams(), b0z_mT=0.3)
-    assert np.linalg.norm(h - h.conj().T) < 1e-10 * np.linalg.norm(h)
-
-
 # -- radical-pair Hamiltonian ----------------------------------------------
+
+
+def test_nucleus_stores_the_symmetric_part_read_only():
+    n14 = SpinSpecies("N", 1.0)
+    t = np.arange(9.0).reshape(3, 3)
+    nuc = Nucleus(n14, t)
+    assert np.array_equal(nuc.tensor_mT, 0.5 * (t + t.T))
+    assert not nuc.tensor_mT.flags.writeable
+    near = np.diag([1.0, 2.0, 3.0])
+    near[0, 1] = 1e-13  # within the 1e-12 tolerance: kept as given
+    assert np.array_equal(Nucleus(n14, near).tensor_mT, near)
 
 
 def test_empty_hamiltonian_is_zero():
@@ -339,17 +317,17 @@ NAN = float("nan")
         (lambda: SensorParams(density_per_nm3=NAN), PhysicsError),
         (lambda: RadicalPairConfig(recombination_rate=NAN), PhysicsError),
         (lambda: RadicalPairConfig(r_rp_nm=NAN), PhysicsError),
-        (lambda: NVParams(d_zfs=NAN), PhysicsError),
         (lambda: coupling_geometry(NAN, 0.0), PhysicsError),
         (lambda: coupling_geometry(10.0, NAN), PhysicsError),
         (lambda: coupling_geometry(10.0, 0.3, NAN), PhysicsError),
         (lambda: with_lifetime(make_pair(), NAN), PhysicsError),
         (lambda: dipolar_prefactor(NAN), ValueError),
-        (lambda: rk4_evolve(np.eye(4) / 4, np.zeros((4, 4)), NAN, 1e-9, 1e-8), PhysicsError),
+        (lambda: rk4_evolve(np.eye(4) / 4, np.zeros((4, 4)), NAN, 1e-9, 1e-8, observables=[]),
+         PhysicsError),
         (lambda: Rotation(np.full((3, 3), NAN)), ValueError),
         (lambda: count_resolved_peaks(np.array([0.0, 1e3]), NAN), PhysicsError),
     ],
-    ids=["t2", "r1", "r2", "density", "recombination_rate", "r_rp", "d_zfs", "geometry_r",
+    ids=["t2", "r1", "r2", "density", "recombination_rate", "r_rp", "geometry_r",
          "geometry_theta", "geometry_phi",
          "lifetime", "dipolar_prefactor", "rk4_k", "rotation", "peak_resolution"],
 )
@@ -431,10 +409,14 @@ def test_classify_strong():
     assert classify_regime(2 * np.pi * 10e3, sensor) is Regime.STRONG
 
 
-def test_classify_tie_is_weak_with_warning():
-    sensor = SensorParams(t2=10e-6)
-    with pytest.warns(UserWarning, match="boundary"):
-        assert classify_regime(sensor.gamma_hz, sensor) is Regime.WEAK
+def test_classify_compares_g_eff_over_2pi_with_gamma():
+    """g_eff is in rad/s and Gamma in Hz: weak iff g_eff / 2pi <= Gamma."""
+    sensor = SensorParams(t2=10e-6)  # Gamma ~ 31.8 kHz
+    geom = coupling_geometry(20.0, 0.0)  # g_eff / 2pi ~ 26.0 kHz, g_eff ~ 1.6e5 rad/s
+    assert classify_regime(geom.g_eff, sensor) is Regime.WEAK
+    boundary = 2 * np.pi * sensor.gamma_hz
+    assert classify_regime(boundary * (1 - 1e-9), sensor) is Regime.WEAK
+    assert classify_regime(boundary * (1 + 1e-9), sensor) is Regime.STRONG
 
 
 def test_nondipolar_secular_remainder_vanishes():

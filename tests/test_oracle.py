@@ -38,13 +38,13 @@ def test_pure_decay():
 
 def test_dimension_bound():
     with pytest.raises(ValueError, match="dim <= 64"):
-        rk4_evolve(np.eye(128) / 128, np.zeros((128, 128)), 0.0, 1e-9, 1e-8)
+        rk4_evolve(np.eye(128) / 128, np.zeros((128, 128)), 0.0, 1e-9, 1e-8, observables=[])
 
 
 def test_stability_bound_suggests_dt():
     h = np.diag([0.0, 1e9])
     with pytest.raises(ValueError, match="use dt <"):
-        rk4_evolve(np.eye(2) / 2, h, 0.0, 1e-9, 1e-7)
+        rk4_evolve(np.eye(2) / 2, h, 0.0, 1e-9, 1e-7, observables=[])
 
 
 def _max_observable_error(cfg, dt, t_max=1e-6):

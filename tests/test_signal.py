@@ -1,6 +1,9 @@
 """Signal conversion, spectra, and the field sweeps."""
 
+import concurrent.futures
 import dataclasses
+import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -432,3 +435,47 @@ def test_lifetimes_share_each_batch_eigensystem(monkeypatch):
         alone = singlet_yield_mean(solve_pair(rp, fields[0]), rp.initial_state, t_max)
         assert res.theta0.decay_rate == rp.effective_decay_rate
         assert abs(shared - alone) <= 1e-12 * abs(alone)
+
+
+def test_single_point_frees_h_before_the_means(monkeypatch):
+    """No later pair can share a lone pair's H, so the means run without it."""
+    built, alive = [], []
+    build, means = signal.build_rp_hamiltonian, signal._expectation_means
+
+    def building(*args):
+        h = build(*args)
+        built.append(weakref.ref(h))
+        return h
+
+    def averaging(*args):
+        alive.append(built[-1]() is not None)
+        return means(*args)
+
+    monkeypatch.setattr(signal, "build_rp_hamiltonian", building)
+    monkeypatch.setattr(signal, "_expectation_means", averaging)
+    integrated_observables(one_nucleus_config("axial3"), FieldConfig(1.16, 0.6, 0.0))
+    assert alive == [False]
+
+
+def test_parallel_map_asks_for_at_most_cpu_count_workers(monkeypatch):
+    """A stand-in pool records ``max_workers`` and maps serially: no thread is started."""
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert signal._parallel_map(abs, [-1, 2, -3], 10_000) == [1, 2, 3]
+    assert signal._parallel_map(abs, [-1, 2], 2) == [1, 2]
+    assert asked == [3, 2]

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,12 @@ from nvrp.dynamics import initial_state, make_propagator
 from nvrp.errors import NumericalError, PhysicsError
 from nvrp.hamiltonian import (
     FieldConfig,
+    SensorParams,
     build_coupling_hamiltonian,
     build_rp_hamiltonian,
     coupling_geometry,
 )
-from nvrp.presets import STRONG_SENSOR, strongcoupling_config
+from nvrp.presets import STRONG_SENSOR, one_nucleus_config, strongcoupling_config
 from nvrp.strongcoupling import (
     _stabilize_degenerate,
     count_resolved_peaks,
@@ -41,6 +43,16 @@ def test_zero_coupling_zero_offsets(bare_pair):
     geom = coupling_geometry(1e6, 0.3, 0.0)  # effectively infinite distance
     levels = level_structure(bare_pair, FieldConfig(0.5, 0.3, 0.0), geom)
     assert np.max(np.abs(levels.transition_freqs_hz)) < 1e-6
+
+
+def test_weak_geometry_warns_and_fig6c_does_not():
+    """g_eff / 2pi = 26.0 kHz at r = 20 nm is below Gamma = 31.8 kHz at T2 = 10 us."""
+    cfg, field = one_nucleus_config("axial3"), FieldConfig(0.5, 0.0, 0.0)
+    with pytest.warns(UserWarning, match="weak-coupling"):
+        level_structure(cfg, field, _geom(20.0), SensorParams(t2=10e-6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        level_structure(cfg, field, _geom(5.0), STRONG_SENSOR)  # fig6c's r and T2
 
 
 def test_no_nuclei_at_most_four_transitions(bare_pair):
