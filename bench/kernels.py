@@ -41,8 +41,7 @@ Every record names both trees' paths and commits, a commit marked ``+dirty``
 when the tree's tracked files differ from it.  BLAS is pinned to one
 thread in both bundled OpenBLAS copies when the script runs: numpy's, which
 runs every LAPACK call of the program, and scipy's, which this script
-imports (the program itself imports ``scipy.optimize`` only when
-``level_structure`` matches levels).  The thread variables are set before
+imports for its version (the program imports no scipy).  The thread variables are set before
 numpy is imported, and the libraries' own thread counts are read back and
 recorded.
 """

@@ -111,6 +111,9 @@ def _base_comments(cfg: ExperimentConfig) -> dict[str, Any]:
 #: an experiment's params as ``config.read_params`` returns them
 Params = dict[str, Any]
 
+#: what a runner measured of its own numerical margins, the manifest's ``numerics``
+Numerics = dict[str, Any]
+
 
 def _prefactor(cfg: ExperimentConfig, p: Params) -> float:
     if p["scale"] == "max_aligned":
@@ -145,7 +148,9 @@ def _concat_columns(parts: Sequence[Sequence[Any]]) -> list[np.ndarray]:
 _SWEEP_HEADER = ["sweep_value", "X_x_I", "X_y_I", "X_z_I", "X_x_I_norm", "X_z_I_norm"]
 
 
-def run_coupling_map(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
+def run_coupling_map(
+    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
+) -> list[Path]:
     thetas = np.deg2rad(p["theta_deg"])
     r_col, th_col = (a.ravel() for a in np.meshgrid(p["r_nm"], thetas, indexing="ij"))
     g_col = [coupling_geometry(float(r), float(th), 0.0).g_eff / (2 * np.pi)
@@ -155,7 +160,9 @@ def run_coupling_map(cfg: ExperimentConfig, p: Params, out: Path, threads: int) 
     return [write_csv(out / "coupling_map.csv", comments, header, [r_col, th_col, g_col])]
 
 
-def run_time_trace(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
+def run_time_trace(
+    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
+) -> list[Path]:
     rp = cfg.radical_pair
     b, r_nm = p["b_mT"], p["r_nm"]
     theta, phi = np.deg2rad(p["theta_deg"]), np.deg2rad(p["phi_deg"])
@@ -171,7 +178,9 @@ def run_time_trace(cfg: ExperimentConfig, p: Params, out: Path, threads: int) ->
     return [p1, p2]
 
 
-def run_field_sweep(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
+def run_field_sweep(
+    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
+) -> list[Path]:
     rp = cfg.radical_pair
     result = sweep_field_magnitude(
         rp,
@@ -185,7 +194,9 @@ def run_field_sweep(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -
     return [write_csv(out / "field_sweep.csv", comments, _SWEEP_HEADER, _sweep_columns(result))]
 
 
-def run_angle_sweep(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
+def run_angle_sweep(
+    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
+) -> list[Path]:
     rp = cfg.radical_pair
     b = p["b_mT"]
     result = sweep_field_angle(
@@ -202,7 +213,9 @@ def run_angle_sweep(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -
     return [write_csv(out / "angle_sweep.csv", comments, _SWEEP_HEADER, _sweep_columns(result))]
 
 
-def run_ensemble(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
+def run_ensemble(
+    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
+) -> list[Path]:
     n_mol = p["n_molecules"]
     r_range = tuple(p["r_range_nm"] or (cfg.sensor.r1_nm, cfg.sensor.r2_nm))
     parts = []
@@ -224,25 +237,30 @@ def run_ensemble(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> l
     return [write_csv(out / "ensemble.csv", comments, header, _concat_columns(parts))]
 
 
-def run_peak_count(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
+def run_peak_count(
+    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
+) -> list[Path]:
     rp = cfg.radical_pair
     r_nm, grid = p["r_nm"], p["b_grid"]
     theta, phi = np.deg2rad(p["theta_deg"]), np.deg2rad(p["phi_deg"])
     t_max = _window(rp, p)
     gamma = cfg.sensor.gamma_hz
     geom = coupling_geometry(r_nm, theta, phi)
-    i_mid = len(grid) // 2  # the contrast traces are taken at the central field point
-    parts = []
-    for i, b in enumerate(grid):
-        levels = level_structure(rp, FieldConfig(float(b), theta, phi), geom, cfg.sensor)
-        if i == i_mid:
-            mid_levels = levels
+    fields = [FieldConfig(float(b), theta, phi) for b in grid]
+    all_levels = level_structure(rp, fields, geom, cfg.sensor)
+    parts, matching = [], []
+    for b, levels in zip(grid, all_levels):
         peaks = count_resolved_peaks(levels.transition_freqs_hz, gamma)
         parts.append([np.full(peaks.count, b), peaks.centers_hz, peaks.multiplicities])
+        m = levels.matching
+        matching.append({"b_mT": float(b), "min_column_max": m.min_column_max,
+                         "rule": m.rule, "k": m.k})
+    numerics["level_matching"] = matching
     comments = _base_comments(cfg) | {"gamma_hz": gamma, "r_nm": r_nm}
     header = ["b_mT", "peak_center_offset_hz", "multiplicity"]
     p1 = write_csv(out / "peak_count.csv", comments, header, _concat_columns(parts))
-    b_mid = float(grid[i_mid])
+    i_mid = len(grid) // 2  # the contrast traces are taken at the central field point
+    mid_levels, b_mid = all_levels[i_mid], float(grid[i_mid])
     t_grid = np.linspace(0.0, t_max, 2048, endpoint=False)
     contrasts = peak_contrast(mid_levels, rp.initial_state, t_grid)
     step = t_grid[1] * mid_levels.propagator.spectral_spread / np.pi
@@ -284,7 +302,9 @@ _SCANS = {
 }
 
 
-def run_parameter_scan(cfg: ExperimentConfig, p: Params, out: Path, threads: int) -> list[Path]:
+def run_parameter_scan(
+    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
+) -> list[Path]:
     """One angle sweep per value of a scanned pair parameter (see ``_SCANS``), in one scan."""
     column, make_cases, summarize = _SCANS[cfg.kind]
     pairs, scan_comments = make_cases(p)
@@ -393,10 +413,11 @@ def run(
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    numerics: Numerics = {}
     if oracle:
         files = run_oracle_check(cfg, p, out)
     else:
-        files = _RUNNERS[cfg.kind](cfg, p, out, threads)
+        files = _RUNNERS[cfg.kind](cfg, p, out, threads, numerics)
     manifest = {
         "config_hash": cfg.config_hash(),
         "config": cfg.canonical_dict(),
@@ -405,6 +426,8 @@ def run(
         "wall_time_s": round(time.time() - started, 3),
         "outputs": [f.name for f in files],
     }
+    if numerics:
+        manifest["numerics"] = numerics
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return files + [manifest_path]

@@ -55,7 +55,7 @@ class Nucleus:
     tensor_mT: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.tensor_mT, dtype=float)
+        t = np.array(self.tensor_mT, dtype=float)  # a copy: the caller's array stays writeable
         if t.shape != (3, 3):
             raise PhysicsError(
                 f"hyperfine tensor for {self.species.label!r} must be 3x3, got {t.shape}"
@@ -116,7 +116,7 @@ class RadicalPairConfig:
         if self.dipolar_tensor_mT is not None and self.r_rp_nm is not None:
             raise PhysicsError("give either dipolar_tensor_mT or r_rp_nm, not both")
         if self.dipolar_tensor_mT is not None:
-            t = np.asarray(self.dipolar_tensor_mT, dtype=float)
+            t = np.array(self.dipolar_tensor_mT, dtype=float)
             if t.shape != (3, 3) or not np.all(np.isfinite(t)):
                 raise PhysicsError("dipolar tensor must be a finite 3x3 matrix")
             t.setflags(write=False)

@@ -186,6 +186,19 @@ def spectrum(t_grid: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.fft.rfftfreq(x.shape[1], dt), np.abs(np.fft.rfft(x, axis=1)) * dt
 
 
+def field_batches(fields: Sequence[FieldConfig], dim: int) -> list[np.ndarray]:
+    """The indices of ``fields`` cut into batches of at most BATCH_ENTRIES entries of H.
+
+    A batch shares the block structure and dtype of H at dimension ``dim``: its fields
+    all lie on the z axis or all off it, and all have B_y = 0 or all not.
+    """
+    b = np.array([f.vector_mT() for f in fields]).reshape(-1, 3)
+    kind = 2 * ((b[:, 0] == 0) & (b[:, 1] == 0)) + (b[:, 1] != 0)
+    size = max(1, BATCH_ENTRIES // dim ** 2)
+    groups = (np.flatnonzero(kind == k) for k in dict.fromkeys(kind.tolist()))
+    return [g[lo : lo + size] for g in groups for lo in range(0, g.size, size)]
+
+
 def _evaluate(
     cfgs: Sequence[RadicalPairConfig],
     fields: list[FieldConfig],
@@ -196,18 +209,13 @@ def _evaluate(
 ) -> tuple[np.ndarray, list[Propagator] | None]:
     """s_tilde means of every pair at every field, shape (n_pairs, n_fields, 3), by batches.
 
-    A batch (at most BATCH_ENTRIES entries of H; the grid alone fixes it) shares
-    the block structure and dtype of H: its fields all lie on the z axis or all
-    off it, and all have B_y = 0 or all not.  Per batch the pairs run in turn; a
+    A batch (:func:`field_batches`; the grid alone fixes it) shares the block
+    structure and dtype of H.  Per batch the pairs run in turn; a
     pair whose stack of H equals the pair's before it (a lifetime scan's) takes
     that eigensystem with its own decay rate.  With ``keep``, also each pair's
     propagator at ``fields[keep]``.  ``rotation`` turns every pair's tensors.
     """
-    b = np.array([f.vector_mT() for f in fields]).reshape(-1, 3)
-    kind = 2 * ((b[:, 0] == 0) & (b[:, 1] == 0)) + (b[:, 1] != 0)
-    size = max(1, BATCH_ENTRIES // cfgs[0].layout().total_dimension ** 2)
-    groups = (np.flatnonzero(kind == k) for k in dict.fromkeys(kind.tolist()))
-    batches = [g[lo : lo + size] for g in groups for lo in range(0, g.size, size)]
+    batches = field_batches(fields, cfgs[0].layout().total_dimension)
     sectors = parity_sectors(cfgs[0].layout())
 
     def run(points: np.ndarray) -> tuple[np.ndarray, list[Propagator]]:

@@ -7,15 +7,16 @@ When the coupling exceeds the dephasing linewidth, the sensor transition
 splits into resonances at offsets f_n = (E'_n - E_n) / 2 pi, where E_n
 and E'_n are eigenvalues of the pair Hamiltonian alone and of the pair
 Hamiltonian plus the conditional coupling operator.  Eigenstates of the
-two manifolds are matched by maximum overlap (Hungarian assignment on
-|<psi_m|psi'_n>|^2); nearly degenerate clusters are rotated to diagonalise
-the coupling operator inside the cluster first, which makes the matching
-stable.  scipy's ``linear_sum_assignment`` solves the assignment; it is
-imported inside :func:`level_structure`, so scipy is loaded only when a
-peak-count run matches levels, and ``import nvrp`` loads none of it.
+two manifolds are matched by maximum total overlap, a linear assignment on
+O_mn = |<psi_m|psi'_n>|^2; nearly degenerate clusters are rotated to
+diagonalise the coupling operator inside the cluster first, which makes the
+matching stable.  :func:`match_levels` solves the assignment exactly in
+numpy: O is doubly stochastic, which settles most columns by rule, and a
+shortest-augmenting-path solver takes the rest.  No run imports scipy.
 
-Each manifold is diagonalised once, by the checked ``make_propagator``; the
-contrasts evolve under the |0>-manifold propagator the ``LevelStructure``
+Each manifold is diagonalised once per field, by the checked ``make_propagator``,
+in stacks of at most ``signal.BATCH_ENTRIES`` entries of H (16 fields at d = 64);
+the contrasts evolve under the |0>-manifold propagator the ``LevelStructure``
 keeps, so nothing here builds or diagonalises a Hamiltonian twice.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,9 +41,27 @@ from .hamiltonian import (
     build_rp_hamiltonian,
     classify_regime,
 )
+from .signal import field_batches
 
 #: eigenvalue gap below which states count as one degenerate cluster, rad/s
 DEGENERACY_GAP = 1e-6
+
+
+@dataclass(frozen=True)
+class Matching:
+    """An optimal pairing of the two manifolds' levels and how :func:`match_levels` found it.
+
+    ``pairing[n]`` is the |0>-manifold state matched to the n-th |1>-manifold state.
+    ``rule`` is "argmax" (the per-column argmax is a permutation; k = 0), "fixing" (the
+    2/3 rule fixed d - k columns, the exact solver took the k x k rest) or "exact"
+    (nothing fixed; k = d).  ``min_column_max`` is the smallest column maximum of the
+    overlaps: below 1/2 some |psi'_n> has no dominant partner.
+    """
+
+    pairing: np.ndarray
+    rule: str
+    k: int
+    min_column_max: float
 
 
 @dataclass(frozen=True)
@@ -49,17 +69,21 @@ class LevelStructure:
     """Eigen systems of the two sensor-state manifolds plus transitions.
 
     ``pairing[n]`` is the index of the |0>-manifold state matched to the
-    n-th |1>-manifold state; ``transition_freqs_hz[n]`` is the resonance
-    offset (E'_n - E_pairing[n]) / 2 pi from the bare sensor transition.
-    ``propagator`` is that of H_RP at the pair's decay rate, one eigen-block;
-    ``states_0`` are its eigenvectors, rotated within degenerate clusters.
+    n-th |1>-manifold state (``matching`` says how); ``transition_freqs_hz[n]``
+    is the resonance offset (E'_n - E_pairing[n]) / 2 pi from the bare sensor
+    transition.  ``propagator`` is that of H_RP at the pair's decay rate, one
+    eigen-block; ``states_0`` are its eigenvectors, rotated within degenerate clusters.
     """
 
     states_0: np.ndarray
     states_1: np.ndarray
-    pairing: np.ndarray
+    matching: Matching
     transition_freqs_hz: np.ndarray
     propagator: Propagator
+
+    @property
+    def pairing(self) -> np.ndarray:
+        return self.matching.pairing
 
     @property
     def n_transitions(self) -> int:
@@ -103,18 +127,107 @@ def _stabilize_degenerate(prop: Propagator, op: np.ndarray) -> np.ndarray:
     return v
 
 
+def _solve_assignment(profit: np.ndarray) -> np.ndarray:
+    """``row[j]`` per column j of a square ``profit``, maximising sum_j profit[row[j], j].
+
+    Shortest augmenting paths with dual potentials (Kuhn, Naval Res. Logist. Q. 2, 83
+    (1955), in the form of Jonker and Volgenant): rows join one at a time, each by a
+    Dijkstra search over reduced costs that the potentials keep >= 0, so every partial
+    assignment is optimal.  O(k^3) for k rows, each search step vectorised over columns;
+    column k is the virtual start of a search.
+    """
+    cost = -np.asarray(profit, dtype=float)
+    k = cost.shape[0]
+    u, v = np.zeros(k), np.zeros(k + 1)
+    row = np.full(k + 1, -1)  # row[j]: the row assigned to column j
+    way = np.zeros(k + 1, dtype=int)  # way[j]: the column before j on the search path
+    for i in range(k):
+        row[k], j0 = i, k
+        dist = np.full(k + 1, np.inf)
+        used = np.zeros(k + 1, dtype=bool)
+        while row[j0] >= 0:
+            used[j0] = True
+            free = ~used[:k]
+            reduced = cost[row[j0]] - u[row[j0]] - v[:k]
+            closer = free & (reduced < dist[:k])
+            dist[:k][closer] = reduced[closer]
+            way[:k][closer] = j0
+            j0 = int(np.argmin(np.where(free, dist[:k], np.inf)))
+            delta = dist[j0]
+            u[row[used]] += delta
+            v[used] -= delta
+            dist[:k][free] -= delta
+        while j0 != k:  # augment along the path back to the virtual column
+            row[j0] = row[way[j0]]
+            j0 = way[j0]
+    return row[:k]
+
+
+def _fixed_columns(overlap: np.ndarray) -> np.ndarray:
+    """The columns whose largest overlap exceeds 2/3 + delta (see :func:`match_levels`)."""
+    sums = np.concatenate([overlap.sum(axis=0), overlap.sum(axis=1)])
+    delta = np.max(np.abs(sums - 1.0)) + overlap.shape[0] * np.finfo(float).eps
+    return overlap.max(axis=0) > 2.0 / 3.0 + delta
+
+
+def match_levels(overlap: np.ndarray) -> Matching:
+    """The assignment maximising sum_n O[pairing[n], n] over the overlaps O, exactly.
+
+    Argmax rule: the sum of the column maxima bounds every assignment, so where
+    the per-column argmax is a permutation it attains the bound (the only optimum
+    when every column maximum is strict).  Fixing rule: with every row and
+    column sum within delta of 1 (delta = the largest measured deviation plus d
+    eps for the rounding of the sums; at most 5e-15 at fig6c before that term),
+    an entry O_ij > 2/3 + delta is in every optimal assignment.  An assignment
+    without it pairs row i with some column b and column j with some row a, and
+    the 2-swap to (i, j), (a, b) adds O_ij + O_ab - O_ib - O_aj >=
+    O_ij - 2 (1 + delta - O_ij) > 0.  :func:`_solve_assignment` takes the k
+    columns left.  Each rule holds for O as computed, rounding included.
+    """
+    d = overlap.shape[0]
+    best = overlap.argmax(axis=0)
+    margin = float(overlap.max(axis=0).min())
+    if np.bincount(best, minlength=d).max() == 1:
+        return Matching(best, "argmax", 0, margin)
+    fixed = _fixed_columns(overlap)
+    rows = np.setdiff1d(np.arange(d), best[fixed])
+    cols = np.flatnonzero(~fixed)
+    pairing = best.copy()
+    pairing[cols] = rows[_solve_assignment(overlap[np.ix_(rows, cols)])]
+    return Matching(pairing, "fixing" if fixed.any() else "exact", cols.size, margin)
+
+
+def _levels(prop: Propagator, prop1: Propagator, coupling: np.ndarray) -> LevelStructure:
+    """The matched level structure at one field from the propagators of both manifolds."""
+    v0 = _stabilize_degenerate(prop, coupling)
+    v1 = _stabilize_degenerate(prop1, coupling)
+    overlap = np.abs(v0.conj().T @ v1) ** 2  # overlap[m, n] = |<psi_m|psi'_n>|^2
+    matching = match_levels(overlap)
+    (block,), (block1,) = prop.blocks, prop1.blocks
+    freqs = (block1.eigenvalues - block.eigenvalues[matching.pairing]) / (2 * np.pi)
+    return LevelStructure(
+        states_0=v0,
+        states_1=v1,
+        matching=matching,
+        transition_freqs_hz=freqs,
+        propagator=prop,
+    )
+
+
 def level_structure(
     cfg: RadicalPairConfig,
-    field_cfg: FieldConfig,
+    field_cfg: FieldConfig | Sequence[FieldConfig],
     geom: CouplingGeometry,
     sensor: SensorParams | None = None,
-) -> LevelStructure:
+) -> LevelStructure | list[LevelStructure]:
     """Conditional level structure of the coupled sensor-pair system.
 
     The |0>-manifold generator is H_RP; the |1>-manifold generator is
     H_RP + D_r sum_i d_ci (S1i + S2i).  In the strong-coupling analysis
     the caller should be in the strong regime; with a ``sensor`` given,
-    a weak-regime geometry (g_eff/2pi <= Gamma) draws a warning.
+    a weak-regime geometry (g_eff/2pi <= Gamma) draws a warning.  A
+    sequence of fields gives one structure per field, in order; both
+    manifolds are diagonalised in stacks (``signal.field_batches``).
     """
     if sensor is not None and classify_regime(geom.g_eff, sensor) is not Regime.STRONG:
         warnings.warn(
@@ -122,29 +235,17 @@ def level_structure(
             "(g_eff/2pi <= Gamma); peaks will not be resolvable",
             stacklevel=2,
         )
-    h0 = build_rp_hamiltonian(cfg, field_cfg)
+    one = isinstance(field_cfg, FieldConfig)
+    fields = [field_cfg] if one else list(field_cfg)
     coupling = build_coupling_hamiltonian(geom, cfg.layout())
-    prop = make_propagator(h0, cfg.effective_decay_rate)
-    prop1 = make_propagator(h0 + coupling, cfg.effective_decay_rate)
-    v0 = _stabilize_degenerate(prop, coupling)
-    v1 = _stabilize_degenerate(prop1, coupling)
-
-    # imported here, not at module level: 0.4 s and a second OpenBLAS only peak-count needs
-    from scipy.optimize import linear_sum_assignment
-
-    overlap = np.abs(v0.conj().T @ v1) ** 2  # overlap[m, n] = |<psi_m|psi'_n>|^2
-    row, col = linear_sum_assignment(-overlap)
-    pairing = np.empty(prop1.dim, dtype=int)
-    pairing[col] = row
-    (block,), (block1,) = prop.blocks, prop1.blocks
-    freqs = (block1.eigenvalues - block.eigenvalues[pairing]) / (2 * np.pi)
-    return LevelStructure(
-        states_0=v0,
-        states_1=v1,
-        pairing=pairing,
-        transition_freqs_hz=freqs,
-        propagator=prop,
-    )
+    k = cfg.effective_decay_rate
+    out: list[LevelStructure] = [None] * len(fields)
+    for points in field_batches(fields, cfg.layout().total_dimension):
+        h0 = build_rp_hamiltonian(cfg, [fields[i] for i in points])
+        prop, prop1 = make_propagator(h0, k), make_propagator(h0 + coupling, k)
+        for j, i in enumerate(points):
+            out[i] = _levels(prop[j], prop1[j], coupling)
+    return out[0] if one else out
 
 
 def count_resolved_peaks(freqs_hz: np.ndarray, gamma_hz: float) -> PeakSet:
@@ -152,25 +253,31 @@ def count_resolved_peaks(freqs_hz: np.ndarray, gamma_hz: float) -> PeakSet:
 
     Transitions are swept in ascending frequency; a new cluster opens when
     the gap to the current cluster's running center exceeds ``gamma_hz``.
+    The center is ``np.mean`` of the cluster.  A running sum decides each
+    gap; where it lies within rounding of ``gamma_hz`` (the sum and
+    ``np.mean`` differ by at most about n eps max|f| for n members), the
+    cluster's ``np.mean`` decides instead.
     """
     if not gamma_hz > 0:  # NaN fails too
         raise PhysicsError(f"resolution linewidth must be positive, got {gamma_hz}")
     freqs = np.sort(freqs_hz)
-    centers: list[float] = []
-    counts: list[int] = []
-    members: list[float] = []
-    for f in freqs:
-        if members and f - np.mean(members) > gamma_hz:
-            centers.append(float(np.mean(members)))
-            counts.append(len(members))
-            members = []
-        members.append(f)
-    if members:
-        centers.append(float(np.mean(members)))
-        counts.append(len(members))
+    scale = 4.0 * np.finfo(float).eps * float(np.max(np.abs(freqs), initial=0.0))
+    starts = [0] if freqs.size else []
+    total = 0.0
+    for i, f in enumerate(freqs.tolist()):
+        n = i - starts[-1]
+        if n:
+            gap = f - total / n
+            if abs(gap - gamma_hz) <= (n + 2) * scale:
+                gap = f - np.mean(freqs[starts[-1] : i])
+            if gap > gamma_hz:
+                starts.append(i)
+                total = 0.0
+        total += f
+    bounds = list(zip(starts, starts[1:] + [freqs.size]))
     return PeakSet(
-        centers_hz=np.asarray(centers),
-        multiplicities=np.asarray(counts, dtype=int),
+        centers_hz=np.array([np.mean(freqs[lo:hi]) for lo, hi in bounds]),
+        multiplicities=np.array([hi - lo for lo, hi in bounds], dtype=int),
     )
 
 

@@ -57,6 +57,18 @@ def test_nucleus_stores_the_symmetric_part_read_only():
     assert np.array_equal(Nucleus(n14, near).tensor_mT, near)
 
 
+def test_stored_tensors_leave_the_callers_arrays_writeable():
+    """Each config freezes its own copy; the caller may go on writing to its float64 arrays."""
+    t = np.diag([1.0, 2.0, 3.0])
+    nuc = Nucleus(SpinSpecies("H", 0.5), t)
+    d = np.diag([-1.0, -1.0, 2.0])
+    cfg = RadicalPairConfig(nuclei_radical1=(nuc,), dipolar_tensor_mT=d)
+    assert t.flags.writeable and d.flags.writeable
+    assert not nuc.tensor_mT.flags.writeable and not cfg.dipolar_tensor_mT.flags.writeable
+    t[0, 0] = d[0, 0] = 5.0
+    assert nuc.tensor_mT[0, 0] == 1.0 and cfg.dipolar_tensor_mT[0, 0] == -1.0
+
+
 def test_empty_hamiltonian_is_zero():
     cfg = make_pair()
     h = build_rp_hamiltonian(cfg, FieldConfig(0.0, 0.0, 0.0))

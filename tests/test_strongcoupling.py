@@ -1,5 +1,6 @@
 """Conditional level structure, peak clustering, and contrasts."""
 
+import json
 import subprocess
 import sys
 import warnings
@@ -7,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nvrp
 from nvrp import cli, dynamics, strongcoupling
-from nvrp.config import ExperimentConfig
+from nvrp.config import ExperimentConfig, read_params
 from nvrp.dynamics import initial_state, make_propagator
 from nvrp.errors import NumericalError, PhysicsError
 from nvrp.hamiltonian import (
@@ -20,11 +23,12 @@ from nvrp.hamiltonian import (
     build_rp_hamiltonian,
     coupling_geometry,
 )
-from nvrp.presets import STRONG_SENSOR, one_nucleus_config, strongcoupling_config
+from nvrp.presets import STRONG_SENSOR, get_preset, one_nucleus_config, strongcoupling_config
 from nvrp.strongcoupling import (
     _stabilize_degenerate,
     count_resolved_peaks,
     level_structure,
+    match_levels,
     peak_contrast,
 )
 
@@ -281,7 +285,7 @@ def test_level_structure_checks_the_coupled_manifold(monkeypatch):
 
 
 def test_peak_count_diagonalises_each_manifold_once(tmp_path, monkeypatch):
-    """Five field points: one checked eigh per manifold and point, none for the contrast."""
+    """Five field points: one stacked, checked eigh per manifold, none for the contrast."""
     cfg = ExperimentConfig(
         kind="peak-count", radical_pair=strongcoupling_config(), sensor=STRONG_SENSOR,
         params={"r_nm": 5.0, "b_grid": [0.5, 2.0, 5]},
@@ -300,39 +304,255 @@ def test_peak_count_diagonalises_each_manifold_once(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "_eigh", counting(dynamics._eigh))
     monkeypatch.setattr(strongcoupling, "_eigh", counting(strongcoupling._eigh))
     cli.run(cfg, tmp_path)
-    assert callers == ["make_propagator"] * 10
+    assert callers == ["make_propagator"] * 2  # one stack of five fields per manifold
 
 
-#: a fresh interpreter: imports the package and runs one d = 12 point, lists the scipy
-#: modules loaded by then, and then matches the strong-coupling levels
+#: a fresh interpreter: imports the package, runs one d = 12 point, matches the
+#: strong-coupling levels and runs fig6c, listing the scipy modules loaded after each
 _IMPORT_GRAPH = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import nvrp, nvrp.cli
 from nvrp.hamiltonian import FieldConfig, coupling_geometry
-from nvrp.presets import one_nucleus_config, strongcoupling_config
+from nvrp.presets import get_preset, one_nucleus_config, strongcoupling_config
 from nvrp.signal import integrated_observables
 from nvrp.strongcoupling import level_structure
 
+def scipy_modules():
+    print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
+
 integrated_observables(one_nucleus_config("axial3"), FieldConfig(0.5, 0.3, 0.0))
-print([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")])
-levels = level_structure(strongcoupling_config(), FieldConfig(0.5, 0.0, 0.0),
-                         coupling_geometry(5.0, 0.0, 0.0))
-print(levels.n_transitions, "scipy.optimize" in sys.modules)
+scipy_modules()
+level_structure(strongcoupling_config(), FieldConfig(0.5, 0.0, 0.0),
+                coupling_geometry(5.0, 0.0, 0.0))
+scipy_modules()
+nvrp.cli.run(nvrp.cli.experiment_from_preset(get_preset("fig6c-peak-count"), None), sys.argv[2])
+scipy_modules()
 """
 
 
-def test_only_level_matching_imports_scipy():
-    """``import nvrp`` and a point load no scipy; ``level_structure`` imports it and runs.
+def test_no_run_imports_scipy(tmp_path):
+    """``import nvrp``, a point, ``level_structure`` and a whole fig6c run load no scipy.
 
     A fresh interpreter, since this suite's conftest imports scipy.
     """
     src = Path(nvrp.__file__).resolve().parent.parent
     result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GRAPH, str(src)], capture_output=True, text=True,
-        timeout=300,
+        [sys.executable, "-c", _IMPORT_GRAPH, str(src), str(tmp_path)], capture_output=True,
+        text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    loaded, levels = result.stdout.splitlines()
-    assert loaded == "[]"
-    assert levels == f"{strongcoupling_config().layout().total_dimension} True"
+    assert result.stdout.splitlines() == ["[]"] * 3
+    assert (tmp_path / "peak_count.csv").exists()
+
+
+# -- level matching --------------------------------------------------------------
+
+
+def _scipy_pairing(overlap):
+    """scipy's optimal pairing (pairing[n] = m) and its total overlap."""
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(overlap, maximize=True)
+    pairing = np.empty(overlap.shape[1], dtype=int)
+    pairing[cols] = rows
+    return pairing, float(overlap[rows, cols].sum())
+
+
+def _second_best_gap(overlap, pairing):
+    """Total overlap of ``pairing`` less the best assignment that leaves out one of its pairs."""
+    from scipy.optimize import linear_sum_assignment
+
+    best = overlap[pairing, np.arange(overlap.shape[1])].sum()
+    runner_up = -np.inf
+    for n, m in enumerate(pairing):
+        barred = overlap.copy()
+        barred[m, n] = -overlap.shape[0]  # never worth taking
+        rows, cols = linear_sum_assignment(barred, maximize=True)
+        runner_up = max(runner_up, barred[rows, cols].sum())
+    return best - runner_up
+
+
+def _random_overlaps(n, seed, spread, clusters, tilt):
+    """|U_mn|^2 of a random unitary: near-degenerate clusters after exp(i s A), columns permuted.
+
+    ``spread`` s scales a GUE generator A (0: no rotation, 3: nearly Haar).  The
+    ``clusters`` alternate between pairs rotated by pi/4 + ``tilt`` x (two levels split
+    evenly between two partners; a tie at tilt 0) and Haar-random triples.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, v = np.linalg.eigh((a + a.conj().T) / (2 * np.sqrt(n)))
+    u = (v * np.exp(1j * spread * w)) @ v.conj().T
+    lo = 0
+    for c in range(clusters):
+        size = 2 + c % 2
+        if lo + size > n:
+            break
+        if size == 2:
+            angle = np.pi / 4 + tilt * rng.standard_normal()
+            mix = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        else:
+            mix = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        u[:, lo : lo + size] = u[:, lo : lo + size] @ mix
+        lo += size
+    return np.abs(u[:, rng.permutation(n)]) ** 2
+
+
+@given(
+    st.integers(1, 64), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05, 0.3, 1.0, 3.0]),
+    st.integers(0, 24), st.sampled_from([0.0, 1e-9, 1e-3]),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_match_levels_against_scipy(n, seed, spread, clusters, tilt):
+    """The optimum equals scipy's; so does the pairing where the optimum is unique.
+
+    Every column the 2/3 rule fixes is matched to its argmax row in scipy's assignment.
+    """
+    overlap = _random_overlaps(n, seed, spread, clusters, tilt)
+    match = match_levels(overlap)
+    assert np.array_equal(np.sort(match.pairing), np.arange(n))
+    reference, best = _scipy_pairing(overlap)
+    assert abs(overlap[match.pairing, np.arange(n)].sum() - best) <= 1e-12
+    if _second_best_gap(overlap, reference) > 1e-9:
+        assert np.array_equal(match.pairing, reference)
+    fixed = strongcoupling._fixed_columns(overlap)
+    assert np.array_equal(reference[fixed], overlap.argmax(axis=0)[fixed])
+    assert match.rule == "argmax" or match.k == n - fixed.sum()
+    assert match.min_column_max == np.min(np.max(overlap, axis=0))
+
+
+#: column 0's largest overlap, 0.505 in row 2, is above 1/2 but not in the optimum (0.98
+#: against 0.935 on the two columns that the 2/3 rule leaves open)
+_HALF_IS_NOT_ENOUGH = np.array([[0.485, 0.43, 0.085], [0.01, 0.075, 0.915], [0.505, 0.495, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "overlap, rule, k, pairing",
+    [
+        (np.eye(3), "argmax", 0, [0, 1, 2]),
+        (np.full((2, 2), 0.5), "exact", 2, None),
+        (np.block([[np.eye(1), np.zeros((1, 2))], [np.zeros((2, 1)), np.full((2, 2), 0.5)]]),
+         "fixing", 2, None),
+        (_HALF_IS_NOT_ENOUGH, "fixing", 2, [0, 2, 1]),
+    ],
+)
+def test_match_levels_names_its_rule(overlap, rule, k, pairing):
+    match = match_levels(overlap)
+    assert (match.rule, match.k) == (rule, k)
+    assert np.array_equal(np.sort(match.pairing), np.arange(overlap.shape[0]))
+    if pairing is not None:
+        assert match.pairing.tolist() == pairing
+
+
+def _fig6c():
+    cfg = cli.experiment_from_preset(get_preset("fig6c-peak-count"), None)
+    p = read_params(cfg.kind, cfg.params)
+    theta, phi = np.deg2rad(p["theta_deg"]), np.deg2rad(p["phi_deg"])
+    fields = [FieldConfig(float(b), theta, phi) for b in p["b_grid"]]
+    return cfg.radical_pair, fields, coupling_geometry(p["r_nm"], theta, phi)
+
+
+def test_fig6c_pairing_equals_scipys_at_every_field():
+    rp, fields, geom = _fig6c()
+    levels = level_structure(rp, fields, geom)
+    assert len(levels) == 24
+    for lv in levels:
+        overlap = np.abs(lv.states_0.conj().T @ lv.states_1) ** 2
+        assert np.array_equal(lv.pairing, _scipy_pairing(overlap)[0])
+    assert {lv.matching.rule for lv in levels} == {"argmax", "fixing"}
+
+
+def test_level_structure_of_a_sequence_equals_one_field_at_a_time(monkeypatch):
+    """Stacks give every field's levels bit for bit, in order, dtype included.
+
+    phi = 0.3 makes B_y != 0 complex, while b = 0 stays real: two stacks of one dtype each.
+    """
+    cfg = one_nucleus_config("axial3")
+    geom = coupling_geometry(5.0, 0.4, 0.3)
+    fields = [FieldConfig(b, 0.4, 0.3) for b in (0.5, 0.0, 1.0, 2.0)]
+    calls = []
+    real_make = strongcoupling.make_propagator
+    monkeypatch.setattr(
+        strongcoupling, "make_propagator", lambda h, k: calls.append(h.shape) or real_make(h, k)
+    )
+    levels = level_structure(cfg, fields, geom)
+    assert calls == [(3, 12, 12)] * 2 + [(1, 12, 12)] * 2
+    for field, stacked in zip(fields, levels):
+        single = level_structure(cfg, field, geom)
+        for name in ("states_0", "states_1", "pairing", "transition_freqs_hz"):
+            a, b = getattr(stacked, name), getattr(single, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        (block,), (block1,) = stacked.propagator.blocks, single.propagator.blocks
+        assert np.array_equal(block.eigenvectors, block1.eigenvectors)
+    assert levels[1].states_0.dtype == np.complex128  # the coupling is complex at phi != 0
+    assert level_structure(cfg, [], geom) == []
+
+
+def test_peak_count_manifest_states_the_matching_margins(tmp_path):
+    cfg = ExperimentConfig(
+        kind="peak-count", radical_pair=strongcoupling_config(), sensor=STRONG_SENSOR,
+        params={"r_nm": 5.0, "b_grid": [0.05, 0.5, 3]},
+    )
+    cli.run(cfg, tmp_path)
+    rows = json.loads((tmp_path / "manifest.json").read_text())["numerics"]["level_matching"]
+    assert [r["b_mT"] for r in rows] == pytest.approx([0.05, np.sqrt(0.05 * 0.5), 0.5])
+    for r in rows:
+        assert r["rule"] in ("argmax", "fixing", "exact")
+        assert 0 < r["min_column_max"] <= 1 + 1e-12
+        assert (r["k"] == 0) == (r["rule"] == "argmax")
+    assert rows[0]["rule"] == "fixing" and rows[0]["min_column_max"] < 0.5
+
+
+# -- peak clustering ---------------------------------------------------------------
+
+
+def _greedy_reference(freqs_hz, gamma_hz):
+    """The clustering as first written: np.mean of the growing cluster for every frequency."""
+    centers, counts, members = [], [], []
+    for f in np.sort(freqs_hz):
+        if members and f - np.mean(members) > gamma_hz:
+            centers.append(float(np.mean(members)))
+            counts.append(len(members))
+            members = []
+        members.append(f)
+    if members:
+        centers.append(float(np.mean(members)))
+        counts.append(len(members))
+    return centers, counts
+
+
+#: ten frequencies whose sequential sum and ``np.mean`` (pairwise) differ in the last bit
+_TEN = np.array([
+    2738.500170148095, 33585.57530546436, 175655.620602559, 299711.8905373848,
+    422687.22119765845, 541461.2202490917, 729655.446429944, 815853.5541215321,
+    857404.2765875694, 863178.9223498866,
+])
+
+
+def test_cluster_gap_of_exactly_gamma_joins():
+    """A member at exactly gamma from np.mean of ten joins; one ulp of gamma less splits."""
+    f = 1294769.38352483
+    gamma = f - np.mean(_TEN)
+    assert sum(_TEN.tolist()) / 10 != np.mean(_TEN)  # a running sum alone would split
+    freqs = np.append(_TEN, f)
+    peaks = count_resolved_peaks(freqs, gamma)
+    assert peaks.multiplicities.tolist() == [11]
+    assert peaks.centers_hz.tolist() == [np.mean(freqs)]
+    peaks = count_resolved_peaks(freqs, np.nextafter(gamma, 0.0))
+    assert peaks.multiplicities.tolist() == [10, 1]
+    assert peaks.centers_hz.tolist() == [np.mean(_TEN), f]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clustering_matches_the_growing_mean(seed):
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-5e4, 5e4, 30)
+    freqs = np.concatenate([rng.normal(c, 40.0, rng.integers(1, 12)) for c in centres])
+    for gamma in (10.0, 318.0, 3e3):
+        peaks = count_resolved_peaks(freqs, gamma)
+        centers, counts = _greedy_reference(freqs, gamma)
+        assert peaks.centers_hz.tolist() == centers
+        assert peaks.multiplicities.tolist() == counts
+    empty = count_resolved_peaks(np.array([]), 1.0)
+    assert empty.count == 0 and empty.multiplicities.dtype == int
