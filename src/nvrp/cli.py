@@ -61,6 +61,15 @@ CSV_BLOCK_ROWS = 4096
 NAN_COLUMNS = ("X_x_I_norm", "X_z_I_norm")
 
 
+def check_finite(path: Path, header: Sequence[str], columns: Sequence[Any]) -> None:
+    """Raise :class:`NumericalError` if a float column holds inf, or NaN outside ``NAN_COLUMNS``."""
+    for name, col in zip(header, map(np.asarray, columns)):
+        if col.dtype.kind == "f":
+            bad = ~np.isfinite(col) & ~(np.isnan(col) & (name in NAN_COLUMNS))
+            if bad.any():
+                raise NumericalError(f"{path}: column {name} holds {bad.sum()} non-finite values")
+
+
 def write_csv(
     path: Path,
     comments: dict[str, Any],
@@ -74,14 +83,9 @@ def write_csv(
     No field is quoted; numbers never need it, and the only string
     columns hold names from fixed option sets (``config.PARAMS``).  A block
     is one ``%`` format of a row template: floats with 12 significant
-    digits, anything else by ``str``.  A float column holding inf, or NaN outside
-    ``NAN_COLUMNS``, raises :class:`NumericalError` before the file is opened.
+    digits, anything else by ``str``.  :func:`check_finite` runs before the file is opened.
     """
-    for name, col in zip(header, map(np.asarray, columns)):
-        if col.dtype.kind == "f":
-            bad = ~np.isfinite(col) & ~(np.isnan(col) & (name in NAN_COLUMNS))
-            if bad.any():
-                raise NumericalError(f"{path}: column {name} holds {bad.sum()} non-finite values")
+    check_finite(path, header, columns)
     n = len(columns[0])
     with open(path, "w", newline="") as fh:
         for key, value in comments.items():
@@ -111,8 +115,9 @@ def _base_comments(cfg: ExperimentConfig) -> dict[str, Any]:
 #: an experiment's params as ``config.read_params`` returns them
 Params = dict[str, Any]
 
-#: what a runner measured of its own numerical margins, the manifest's ``numerics``
-Numerics = dict[str, Any]
+#: a runner's CSVs in writing order: file name -> (comments after ``_base_comments``,
+#: header, columns); peak-count adds the manifest's ``numerics`` under "numerics"
+Tables = dict[str, Any]
 
 
 def _prefactor(cfg: ExperimentConfig, p: Params) -> float:
@@ -148,39 +153,31 @@ def _concat_columns(parts: Sequence[Sequence[Any]]) -> list[np.ndarray]:
 _SWEEP_HEADER = ["sweep_value", "X_x_I", "X_y_I", "X_z_I", "X_x_I_norm", "X_z_I_norm"]
 
 
-def run_coupling_map(
-    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
-) -> list[Path]:
+def run_coupling_map(cfg: ExperimentConfig, p: Params, threads: int) -> Tables:
     thetas = np.deg2rad(p["theta_deg"])
     r_col, th_col = (a.ravel() for a in np.meshgrid(p["r_nm"], thetas, indexing="ij"))
     g_col = [coupling_geometry(float(r), float(th), 0.0).g_eff / (2 * np.pi)
              for r, th in zip(r_col, th_col)]
     header = ["r_nm", "theta_rad", "g_eff_over_2pi_hz"]
-    comments = _base_comments(cfg) | {"columns": ", ".join(header)}
-    return [write_csv(out / "coupling_map.csv", comments, header, [r_col, th_col, g_col])]
+    return {"coupling_map.csv": ({"columns": ", ".join(header)}, header, [r_col, th_col, g_col])}
 
 
-def run_time_trace(
-    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
-) -> list[Path]:
+def run_time_trace(cfg: ExperimentConfig, p: Params, threads: int) -> Tables:
     rp = cfg.radical_pair
     b, r_nm = p["b_mT"], p["r_nm"]
     theta, phi = np.deg2rad(p["theta_deg"]), np.deg2rad(p["phi_deg"])
     t_grid = np.linspace(0.0, _window(rp, p), p["n_samples"], endpoint=False)
     x = single_molecule_prefactor(r_nm) * observable_series(rp, FieldConfig(b, theta, phi), t_grid)
     freq_hz, magnitude = spectrum(t_grid, x)
-    comments = _base_comments(cfg) | {"b_mT": b, "r_nm": r_nm}
-    header = ["t_s", "X_x_T", "X_y_T", "X_z_T"]
-    p1 = write_csv(out / "time_trace.csv", comments, header, [t_grid, *x])
-    comments |= {"note": "one-sided DFT magnitude, Tesla*s"}
-    header = ["freq_hz", "mag_x", "mag_y", "mag_z"]
-    p2 = write_csv(out / "spectrum.csv", comments, header, [freq_hz, *magnitude])
-    return [p1, p2]
+    comments = {"b_mT": b, "r_nm": r_nm}
+    return {
+        "time_trace.csv": (comments, ["t_s", "X_x_T", "X_y_T", "X_z_T"], [t_grid, *x]),
+        "spectrum.csv": (comments | {"note": "one-sided DFT magnitude, Tesla*s"},
+                         ["freq_hz", "mag_x", "mag_y", "mag_z"], [freq_hz, *magnitude]),
+    }
 
 
-def run_field_sweep(
-    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
-) -> list[Path]:
+def run_field_sweep(cfg: ExperimentConfig, p: Params, threads: int) -> Tables:
     rp = cfg.radical_pair
     result = sweep_field_magnitude(
         rp,
@@ -190,13 +187,11 @@ def run_field_sweep(
         densify=p["densify"],
         threads=threads,
     )
-    comments = _base_comments(cfg) | {"sweep": "field magnitude, mT"}
-    return [write_csv(out / "field_sweep.csv", comments, _SWEEP_HEADER, _sweep_columns(result))]
+    comments = {"sweep": "field magnitude, mT"}
+    return {"field_sweep.csv": (comments, _SWEEP_HEADER, _sweep_columns(result))}
 
 
-def run_angle_sweep(
-    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
-) -> list[Path]:
+def run_angle_sweep(cfg: ExperimentConfig, p: Params, threads: int) -> Tables:
     rp = cfg.radical_pair
     b = p["b_mT"]
     result = sweep_field_angle(
@@ -209,13 +204,11 @@ def run_angle_sweep(
         normalize=p["normalize"],
         threads=threads,
     )
-    comments = _base_comments(cfg) | {"sweep": "field polar angle, rad", "b_mT": b}
-    return [write_csv(out / "angle_sweep.csv", comments, _SWEEP_HEADER, _sweep_columns(result))]
+    comments = {"sweep": "field polar angle, rad", "b_mT": b}
+    return {"angle_sweep.csv": (comments, _SWEEP_HEADER, _sweep_columns(result))}
 
 
-def run_ensemble(
-    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
-) -> list[Path]:
+def run_ensemble(cfg: ExperimentConfig, p: Params, threads: int) -> Tables:
     n_mol = p["n_molecules"]
     r_range = tuple(p["r_range_nm"] or (cfg.sensor.r1_nm, cfg.sensor.r2_nm))
     parts = []
@@ -232,14 +225,11 @@ def run_ensemble(
         n = len(stats.grid)
         parts.append([stats.grid, stats.mean[0], stats.variance[0], stats.mean[2],
                       stats.variance[2], [mode.value] * n, [cfg.seed] * n])
-    comments = _base_comments(cfg) | {"sweep": "field magnitude, mT"}
     header = ["sweep_value", "mean_X_x_I", "var_X_x_I", "mean_X_z_I", "var_X_z_I", "mode", "seed"]
-    return [write_csv(out / "ensemble.csv", comments, header, _concat_columns(parts))]
+    return {"ensemble.csv": ({"sweep": "field magnitude, mT"}, header, _concat_columns(parts))}
 
 
-def run_peak_count(
-    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
-) -> list[Path]:
+def run_peak_count(cfg: ExperimentConfig, p: Params, threads: int) -> Tables:
     rp = cfg.radical_pair
     r_nm, grid = p["r_nm"], p["b_grid"]
     theta, phi = np.deg2rad(p["theta_deg"]), np.deg2rad(p["phi_deg"])
@@ -253,26 +243,25 @@ def run_peak_count(
         peaks = count_resolved_peaks(levels.transition_freqs_hz, gamma)
         parts.append([np.full(peaks.count, b), peaks.centers_hz, peaks.multiplicities])
         m = levels.matching
-        matching.append({"b_mT": float(b), "min_column_max": m.min_column_max,
-                         "rule": m.rule, "k": m.k})
-    numerics["level_matching"] = matching
-    comments = _base_comments(cfg) | {"gamma_hz": gamma, "r_nm": r_nm}
-    header = ["b_mT", "peak_center_offset_hz", "multiplicity"]
-    p1 = write_csv(out / "peak_count.csv", comments, header, _concat_columns(parts))
+        matching.append({"b_mT": float(b), "min_column_max": m.min_column_max, "k": m.k})
     i_mid = len(grid) // 2  # the contrast traces are taken at the central field point
     mid_levels, b_mid = all_levels[i_mid], float(grid[i_mid])
     t_grid = np.linspace(0.0, t_max, 2048, endpoint=False)
     contrasts = peak_contrast(mid_levels, rp.initial_state, t_grid)
     step = t_grid[1] * mid_levels.propagator.spectral_spread / np.pi
-    comments = _base_comments(cfg) | {
+    comments = {
         "b_mT": b_mid,
         "note": "C_n(t) per transition",
         "sampling": f"t_s step {step:.3g}x the Nyquist interval pi/spread: the samples are "
         "exact, but above 1x C_n aliases under a Fourier transform",
     }
-    header = ["t_s"] + [f"C_{n}" for n in range(contrasts.shape[0])]
-    p2 = write_csv(out / "peak_contrast.csv", comments, header, [t_grid, *contrasts])
-    return [p1, p2]
+    header = ["b_mT", "peak_center_offset_hz", "multiplicity"]
+    return {
+        "peak_count.csv": ({"gamma_hz": gamma, "r_nm": r_nm}, header, _concat_columns(parts)),
+        "peak_contrast.csv": (comments, ["t_s"] + [f"C_{n}" for n in range(contrasts.shape[0])],
+                              [t_grid, *contrasts]),
+        "numerics": {"level_matching": matching},
+    }
 
 
 def _anisotropy_cases(p: Params) -> tuple[list, dict[str, Any]]:
@@ -302,9 +291,7 @@ _SCANS = {
 }
 
 
-def run_parameter_scan(
-    cfg: ExperimentConfig, p: Params, out: Path, threads: int, numerics: Numerics
-) -> list[Path]:
+def run_parameter_scan(cfg: ExperimentConfig, p: Params, threads: int) -> Tables:
     """One angle sweep per value of a scanned pair parameter (see ``_SCANS``), in one scan."""
     column, make_cases, summarize = _SCANS[cfg.kind]
     pairs, scan_comments = make_cases(p)
@@ -327,15 +314,13 @@ def run_parameter_scan(
             phi_s = singlet_yield_mean(prop, rp.initial_state, t_max)
             summary.append([[value], [peak], [phi_s]])
     stem = cfg.kind.removesuffix("-sweep")
-    comments = _base_comments(cfg) | {"b_mT": b} | scan_comments
     header = [column] + _SWEEP_HEADER
-    files = [write_csv(out / f"{stem}_sweep.csv", comments, header, _concat_columns(parts))]
+    tables = {f"{stem}_sweep.csv": ({"b_mT": b} | scan_comments, header, _concat_columns(parts))}
     if summarize:
         note = {"note": "max over theta grid and both components"}
         header = [column, "max_abs_X_I", "singlet_yield_theta0"]
-        path = out / f"{stem}_summary.csv"
-        files.append(write_csv(path, _base_comments(cfg) | note, header, _concat_columns(summary)))
-    return files
+        tables[f"{stem}_summary.csv"] = (note, header, _concat_columns(summary))
+    return tables
 
 
 _RUNNERS = {
@@ -349,8 +334,8 @@ _RUNNERS = {
 }
 
 
-def run_oracle_check(cfg: ExperimentConfig, p: Params, out: Path) -> list[Path]:
-    """Cross-check the eigen-propagator against the RK4 reference.
+def run_oracle_check(cfg: ExperimentConfig, p: Params, threads: int) -> Tables:
+    """Cross-check the eigen-propagator against the RK4 reference; raise above 1e-6.
 
     The pair checked is the first one the experiment runs, at its ``b_mT``
     (the Earth's field for kinds without one), with the field on the z axis.
@@ -382,18 +367,14 @@ def run_oracle_check(cfg: ExperimentConfig, p: Params, out: Path) -> list[Path]:
     res = rk4_evolve(rho0, h, rp.effective_decay_rate, dt, t_max, observables=ops)
     exact = _expectation_series(prop, rp.initial_state, ELECTRON_PAIR_SPIN, res.t_grid)
     deviation = float(np.max(np.abs(exact - res.observables)))
-    path = write_csv(
-        out / "oracle_check.csv",
-        _base_comments(cfg) | {"dt_s": dt, "t_max_s": t_max},
-        ["max_abs_deviation", "dt_s", "n_steps"],
-        [[deviation], [dt], [n_steps]],
-    )
     print(f"oracle cross-check: max observable deviation {deviation:.3e}")
     if deviation > 1e-6:
         raise NumericalError(
             f"eigen-propagator and RK4 oracle disagree: {deviation:.3e} > 1e-6"
         )
-    return [path]
+    header = ["max_abs_deviation", "dt_s", "n_steps"]
+    return {"oracle_check.csv": ({"dt_s": dt, "t_max_s": t_max}, header,
+                                 [[deviation], [dt], [n_steps]])}
 
 
 def experiment_from_preset(preset: Preset, seed: int | None) -> ExperimentConfig:
@@ -404,20 +385,26 @@ def experiment_from_preset(preset: Preset, seed: int | None) -> ExperimentConfig
 def run(
     cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1, oracle: bool = False
 ) -> list[Path]:
-    """Execute one experiment; returns the list of written files."""
+    """Execute one experiment; returns the list of written files.
+
+    Every table is computed and checked (:func:`check_finite`) before the first file is
+    written, so a run that fails writes nothing.
+    """
     started = time.time()
     p = read_params(cfg.kind, cfg.params)
     if "system" in p and cfg.radical_pair is None:
         raise ConfigError(
             f"radical_pair: required for kind {cfg.kind!r} (give the section or params.system)"
         )
+    tables = (run_oracle_check if oracle else _RUNNERS[cfg.kind])(cfg, p, threads)
+    numerics = tables.pop("numerics", None)
     out = Path(out_dir)
+    for name, (_, header, columns) in tables.items():
+        check_finite(out / name, header, columns)
     out.mkdir(parents=True, exist_ok=True)
-    numerics: Numerics = {}
-    if oracle:
-        files = run_oracle_check(cfg, p, out)
-    else:
-        files = _RUNNERS[cfg.kind](cfg, p, out, threads, numerics)
+    base = _base_comments(cfg)
+    files = [write_csv(out / name, base | comments, header, columns)
+             for name, (comments, header, columns) in tables.items()]
     manifest = {
         "config_hash": cfg.config_hash(),
         "config": cfg.canonical_dict(),
@@ -426,7 +413,7 @@ def run(
         "wall_time_s": round(time.time() - started, 3),
         "outputs": [f.name for f in files],
     }
-    if numerics:
+    if numerics is not None:
         manifest["numerics"] = numerics
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))

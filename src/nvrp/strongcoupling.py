@@ -11,8 +11,9 @@ two manifolds are matched by maximum total overlap, a linear assignment on
 O_mn = |<psi_m|psi'_n>|^2; nearly degenerate clusters are rotated to
 diagonalise the coupling operator inside the cluster first, which makes the
 matching stable.  :func:`match_levels` solves the assignment exactly in
-numpy: O is doubly stochastic, which settles most columns by rule, and a
-shortest-augmenting-path solver takes the rest.  No run imports scipy.
+numpy: column reduction pairs each level with its largest overlap where that
+is free, and shortest augmenting paths place the k levels it leaves.  No run
+imports scipy.
 
 Each manifold is diagonalised once per field, by the checked ``make_propagator``,
 in stacks of at most ``signal.BATCH_ENTRIES`` entries of H (16 fields at d = 64);
@@ -49,17 +50,16 @@ DEGENERACY_GAP = 1e-6
 
 @dataclass(frozen=True)
 class Matching:
-    """An optimal pairing of the two manifolds' levels and how :func:`match_levels` found it.
+    """An optimal pairing of the two manifolds' levels, as :func:`match_levels` found it.
 
     ``pairing[n]`` is the |0>-manifold state matched to the n-th |1>-manifold state.
-    ``rule`` is "argmax" (the per-column argmax is a permutation; k = 0), "fixing" (the
-    2/3 rule fixed d - k columns, the exact solver took the k x k rest) or "exact"
-    (nothing fixed; k = d).  ``min_column_max`` is the smallest column maximum of the
-    overlaps: below 1/2 some |psi'_n> has no dominant partner.
+    ``k`` is the number of |0>-manifold states that are no column's largest overlap,
+    each placed by one augmenting path; k = 0 exactly when the per-column argmax is a
+    permutation, and then it is the pairing.  ``min_column_max`` is the smallest column
+    maximum of the overlaps: below 1/2 some |psi'_n> has no dominant partner.
     """
 
     pairing: np.ndarray
-    rule: str
     k: int
     min_column_max: float
 
@@ -127,74 +127,51 @@ def _stabilize_degenerate(prop: Propagator, op: np.ndarray) -> np.ndarray:
     return v
 
 
-def _solve_assignment(profit: np.ndarray) -> np.ndarray:
-    """``row[j]`` per column j of a square ``profit``, maximising sum_j profit[row[j], j].
+def _solve_assignment(profit: np.ndarray) -> tuple[np.ndarray, int]:
+    """``row[j]`` per column j of a square ``profit``, maximising sum_j profit[row[j], j], and k.
 
-    Shortest augmenting paths with dual potentials (Kuhn, Naval Res. Logist. Q. 2, 83
-    (1955), in the form of Jonker and Volgenant): rows join one at a time, each by a
-    Dijkstra search over reduced costs that the potentials keep >= 0, so every partial
-    assignment is optimal.  O(k^3) for k rows, each search step vectorised over columns;
-    column k is the virtual start of a search.
+    Jonker and Volgenant's column reduction (Computing 38, 325 (1987)) starts the dual:
+    each column's potential is its best entry, and each row that is the best of some
+    column takes the first such column.  That start is feasible and tight, so each of the
+    k rows it leaves free joins by one shortest augmenting path (Kuhn, Naval Res. Logist.
+    Q. 2, 83 (1955)), a Dijkstra search over reduced costs that the potentials keep >= 0.
+    O(k d^2), each step vectorised over columns; column d is a search's virtual start.
     """
     cost = -np.asarray(profit, dtype=float)
-    k = cost.shape[0]
-    u, v = np.zeros(k), np.zeros(k + 1)
-    row = np.full(k + 1, -1)  # row[j]: the row assigned to column j
-    way = np.zeros(k + 1, dtype=int)  # way[j]: the column before j on the search path
-    for i in range(k):
-        row[k], j0 = i, k
-        dist = np.full(k + 1, np.inf)
-        used = np.zeros(k + 1, dtype=bool)
+    d = cost.shape[0]
+    u, v = np.zeros(d), np.append(cost.min(axis=0), 0.0)
+    first = np.full(d, d)  # first[i]: the first column whose best row is i, d if none
+    np.minimum.at(first, cost.argmin(axis=0), np.arange(d))
+    row = np.full(d + 1, -1)  # row[j]: the row assigned to column j
+    free_rows = np.flatnonzero(first == d)
+    row[first[first < d]] = np.flatnonzero(first < d)
+    way = np.zeros(d + 1, dtype=int)  # way[j]: the column before j on the search path
+    for i in free_rows:
+        row[d], j0 = i, d
+        dist = np.full(d + 1, np.inf)
+        used = np.zeros(d + 1, dtype=bool)
         while row[j0] >= 0:
             used[j0] = True
-            free = ~used[:k]
-            reduced = cost[row[j0]] - u[row[j0]] - v[:k]
-            closer = free & (reduced < dist[:k])
-            dist[:k][closer] = reduced[closer]
-            way[:k][closer] = j0
-            j0 = int(np.argmin(np.where(free, dist[:k], np.inf)))
+            free = ~used[:d]
+            reduced = cost[row[j0]] - u[row[j0]] - v[:d]
+            closer = free & (reduced < dist[:d])
+            dist[:d][closer] = reduced[closer]
+            way[:d][closer] = j0
+            j0 = int(np.argmin(np.where(free, dist[:d], np.inf)))
             delta = dist[j0]
             u[row[used]] += delta
             v[used] -= delta
-            dist[:k][free] -= delta
-        while j0 != k:  # augment along the path back to the virtual column
+            dist[:d][free] -= delta
+        while j0 != d:  # augment along the path back to the virtual column
             row[j0] = row[way[j0]]
             j0 = way[j0]
-    return row[:k]
-
-
-def _fixed_columns(overlap: np.ndarray) -> np.ndarray:
-    """The columns whose largest overlap exceeds 2/3 + delta (see :func:`match_levels`)."""
-    sums = np.concatenate([overlap.sum(axis=0), overlap.sum(axis=1)])
-    delta = np.max(np.abs(sums - 1.0)) + overlap.shape[0] * np.finfo(float).eps
-    return overlap.max(axis=0) > 2.0 / 3.0 + delta
+    return row[:d], free_rows.size
 
 
 def match_levels(overlap: np.ndarray) -> Matching:
-    """The assignment maximising sum_n O[pairing[n], n] over the overlaps O, exactly.
-
-    Argmax rule: the sum of the column maxima bounds every assignment, so where
-    the per-column argmax is a permutation it attains the bound (the only optimum
-    when every column maximum is strict).  Fixing rule: with every row and
-    column sum within delta of 1 (delta = the largest measured deviation plus d
-    eps for the rounding of the sums; at most 5e-15 at fig6c before that term),
-    an entry O_ij > 2/3 + delta is in every optimal assignment.  An assignment
-    without it pairs row i with some column b and column j with some row a, and
-    the 2-swap to (i, j), (a, b) adds O_ij + O_ab - O_ib - O_aj >=
-    O_ij - 2 (1 + delta - O_ij) > 0.  :func:`_solve_assignment` takes the k
-    columns left.  Each rule holds for O as computed, rounding included.
-    """
-    d = overlap.shape[0]
-    best = overlap.argmax(axis=0)
-    margin = float(overlap.max(axis=0).min())
-    if np.bincount(best, minlength=d).max() == 1:
-        return Matching(best, "argmax", 0, margin)
-    fixed = _fixed_columns(overlap)
-    rows = np.setdiff1d(np.arange(d), best[fixed])
-    cols = np.flatnonzero(~fixed)
-    pairing = best.copy()
-    pairing[cols] = rows[_solve_assignment(overlap[np.ix_(rows, cols)])]
-    return Matching(pairing, "fixing" if fixed.any() else "exact", cols.size, margin)
+    """The assignment maximising sum_n O[pairing[n], n] over the overlaps O as computed."""
+    pairing, k = _solve_assignment(overlap)
+    return Matching(pairing, k, float(overlap.max(axis=0).min()))
 
 
 def _levels(prop: Propagator, prop1: Propagator, coupling: np.ndarray) -> LevelStructure:

@@ -29,7 +29,44 @@ _IMPORT = (
 
 
 def test_bench_scripts_exist():
-    assert {p.name for p in SCRIPTS} >= {"kernels.py"}
+    assert {p.name for p in SCRIPTS} >= {"kernels.py", "outputs.py"}
+
+
+def test_outputs_against_its_own_checkout_reads_every_csv_identical(tmp_path):
+    """bench/outputs.py runs two small presets on this checkout twice, in fresh processes."""
+    record = tmp_path / "outputs.json"
+    runs = ["fig3-coupling-map", "fig7-hyperfine-anisotropy-iso"]
+    result = subprocess.run(
+        [sys.executable, str(BENCH / "outputs.py"), "--against", str(BENCH.parent),
+         "--out", str(record), "--runs", *runs],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    rows = json.loads(record.read_text())["runs"]
+    assert list(rows) == runs
+    assert {name: run["csv"] for name, run in rows.items()} == {
+        "fig3-coupling-map": {"coupling_map.csv": "identical"},
+        "fig7-hyperfine-anisotropy-iso": {"anisotropy_sweep.csv": "identical"},
+    }
+    assert all(run["exit"] == [0, 0] and run["manifest"] == [] for run in rows.values())
+
+
+def test_outputs_measures_each_differing_column_against_its_max(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_outputs", BENCH / "outputs.py")
+    outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outputs)
+    this, against = tmp_path / "this.csv", tmp_path / "against.csv"
+    this.write_text("# seed: 0\r\nx,y,mode\r\n1,-4,a\r\n2,3,b\r\n")
+    against.write_text("# seed: 0\r\nx,y,mode\r\n1,-4.002,a\r\n2,3,c\r\n")
+    assert outputs.compare_csv(this, this) == "identical"
+    deviations = outputs.compare_csv(this, against)
+    assert deviations == {"y": pytest.approx(0.002 / 4.002), "mode": float("inf")}
+    manifest = {"wall_time_s": 1.0, "numerics": {"level_matching": [{"k": 1}]}}
+    other = {"wall_time_s": 2.0, "numerics": {"level_matching": [{"k": 4, "rule": "fixing"}]}}
+    assert outputs.diff_manifests(manifest, other) == [
+        {"key": ".numerics.level_matching[0].k", "this": 1, "against": 4},
+        {"key": ".numerics.level_matching[0].rule", "this": "(absent)", "against": "fixing"},
+    ]
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[p.stem for p in SCRIPTS])

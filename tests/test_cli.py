@@ -281,7 +281,7 @@ _NON_FINITE_RUNS = {
 @pytest.mark.parametrize("case", sorted(_NON_FINITE_RUNS))
 def test_non_finite_output_exits_4(tmp_path, capsys, case):
     """A CSV column with inf, or NaN outside the normalised columns, is a numerical failure
-    that names the file and the column; the file is not written."""
+    that names the file and the column; no file is written, the run's other CSVs included."""
     overrides, csv_name, column = _NON_FINITE_RUNS[case]
     payload = _minimal_angle_sweep(**overrides)
     if case == "peak-count":
@@ -291,7 +291,7 @@ def test_non_finite_output_exits_4(tmp_path, capsys, case):
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert f"{csv_name}: column {column} holds" in err and "Traceback" not in err
-    assert not (tmp_path / "o" / csv_name).exists()
+    assert not list((tmp_path / "o").glob("*"))
 
 
 #: a small run of each kind that takes params.t_max_us, and the CSV it writes
@@ -795,6 +795,24 @@ def test_oracle_checks_the_first_pair_the_scan_runs(tmp_path, monkeypatch, name)
     run(cfg, tmp_path / "run")
     run(cfg, tmp_path / "oracle", oracle=True)
     assert checked == swept[:1]
+
+
+def test_oracle_disagreement_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    """A deviation above 1e-6 is a numerical failure raised before any file is written."""
+    rk4 = cli.rk4_evolve
+
+    def off(*args, **kwargs):
+        res = rk4(*args, **kwargs)
+        return dataclasses.replace(res, observables=res.observables + 2e-6)
+
+    monkeypatch.setattr(cli, "rk4_evolve", off)
+    out = tmp_path / "o"
+    argv = ["--preset", "fig7-hyperfine-anisotropy-axial3", "--oracle", "--out", str(out)]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert "oracle cross-check: max observable deviation 2.0" in captured.out
+    assert "RK4 oracle disagree" in captured.err
+    assert not list(out.glob("*"))
 
 
 def test_oracle_without_a_pair_exits_2(tmp_path, capsys):
