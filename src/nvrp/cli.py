@@ -54,8 +54,8 @@ from .signal import (
 from .strongcoupling import count_resolved_peaks, level_structure, peak_contrast
 
 
-#: rows formatted and written at a time by :func:`write_csv`
-CSV_BLOCK_ROWS = 4096
+#: most cells formatted and written at a time by :func:`write_csv`
+CSV_BLOCK_CELLS = 1 << 14
 
 #: the only columns that may hold NaN: a normalised signal where |d_ci| <= NORMALIZE_EPS
 NAN_COLUMNS = ("X_x_I_norm", "X_z_I_norm")
@@ -78,21 +78,21 @@ def write_csv(
 ) -> Path:
     """CSV with a leading '# key: value' comment block; one entry of ``columns`` per header.
 
-    Rows are formatted and written ``CSV_BLOCK_ROWS`` at a time, as the
-    bytes ``csv.writer`` would write: comma-separated, CRLF-terminated.
-    No field is quoted; numbers never need it, and the only string
+    Rows are formatted and written in blocks of at most ``CSV_BLOCK_CELLS`` cells (at
+    least one row), as the bytes ``csv.writer`` would write: comma-separated,
+    CRLF-terminated.  No field is quoted; numbers never need it, and the only string
     columns hold names from fixed option sets (``config.PARAMS``).  A block
     is one ``%`` format of a row template: floats with 12 significant
     digits, anything else by ``str``.  :func:`check_finite` runs before the file is opened.
     """
     check_finite(path, header, columns)
-    n = len(columns[0])
+    n, rows = len(columns[0]), max(1, CSV_BLOCK_CELLS // len(columns))
     with open(path, "w", newline="") as fh:
         for key, value in comments.items():
             fh.write(f"# {key}: {value}\n")
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, n, CSV_BLOCK_ROWS):
-            block = [np.asarray(col[lo : lo + CSV_BLOCK_ROWS]) for col in columns]
+        for lo in range(0, n, rows):
+            block = [np.asarray(col[lo : lo + rows]) for col in columns]
             floats = [col.dtype.kind == "f" for col in block]
             row = ",".join("%.12g" if f else "%s" for f in floats) + "\r\n"
             # + 0.0 turns -0.0 (e.g. d_ci = 0 times a negative mean), which carries only the

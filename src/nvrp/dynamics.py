@@ -40,13 +40,19 @@ per block of d_b levels (d_b = d, or d/2 per parity sector): M = rho~ o O~^T
 is formed in d_b x r x d_b products over the r <= d_b slab rows that rho0 and
 each operator read, and T uniform samples then cost T d_b^2 per
 evaluated operator, plus one T_b x d_b phase table exp(-i lambda b dt) per
-block and call (T_b <= ``SERIES_CHUNK`` rows), reused for every chunk of
-samples after a d_b-phase shift.  Two sectors thus halve the series, T d^2/2
-against T d^2.  ``signal.observable_series`` asks only for the components the
-sensor weights (d_ci != 0) and checks that its grid resolves the spectrum; the
-kernel reads exact samples on any uniform grid.  A transition projector
-|psi><psi| costs T d^2 / 4 through the rank-d/4 state.  The dense rho0 of
-:func:`initial_state` serves only the RK4 oracle.
+block and call, reused for every chunk of samples after a d_b-phase shift
+folded into M.  Two sectors thus halve the series, T d^2/2 against T d^2.
+``signal.observable_series`` asks only for the components the sensor weights
+(d_ci != 0) and checks that its grid resolves the spectrum; the kernel reads
+exact samples on any uniform grid.  A transition projector |psi><psi| costs
+T d^2 / 4 through the rank-d/4 state, in real arithmetic: the cos and sin tables
+(the phase table's real and imaginary parts), turned to each chunk's start by angle
+addition, go through one real GEMM per chunk against Re Z, and against Im Z only
+where it is nonzero (phi != 0, or a Haar molecule).  A chunk holds at most
+``SERIES_CHUNK`` = 512 samples and a product of at most ``SERIES_BLOCK_ENTRIES``
+float64 entries (2 MB), so the working set does not grow with T: one fig6c contrast
+call peaks at 5.7 MB of tracemalloc, one fig4a trace at 4.4 MB with its ``eigh``.
+The dense rho0 of :func:`initial_state` serves only the RK4 oracle.
 
 The dtype of the Hamiltonian picks the arithmetic, and ``hamiltonian``'s builders
 pick the dtype: float64 exactly when no local term has an imaginary entry (every
@@ -94,11 +100,11 @@ _SQRT2 = np.sqrt(2.0)
 #: fewest samples of a closed-form mean, a power of two
 MIN_SAMPLES = 4096
 
-#: most time samples per block of a time-series evaluation
-SERIES_CHUNK = 2048
+#: most time samples per chunk of a time-series evaluation
+SERIES_CHUNK = 512
 
-#: most complex entries of one block's product in a time series (8 MB)
-SERIES_BLOCK_ENTRIES = 1 << 19
+#: most float64 entries of one chunk's product in a time series (2 MB)
+SERIES_BLOCK_ENTRIES = 1 << 18
 
 #: most entries of one row chunk of the closed-form weights (128 kB as complex)
 WEIGHT_CHUNK_ENTRIES = 1 << 13
@@ -287,9 +293,10 @@ def _check_uniform_grid(t_grid: np.ndarray) -> float:
 def _phase_blocks(lam: np.ndarray, t_grid: np.ndarray, columns: int):
     """Yield (lo, table, shift), exp(-i lam t_{lo+b}) = table[b] * shift, on a uniform grid.
 
-    The table exp(-i lam b dt) is built once per call, the shift
-    exp(-i lam t_lo) once per block.  A block has at most ``SERIES_CHUNK``
-    rows, fewer where ``columns`` entries per row exceed ``SERIES_BLOCK_ENTRIES``.
+    The table exp(-i lam b dt), whose real and imaginary parts are the cos and -sin
+    tables, is built once per call, the shift exp(-i lam t_lo) once per chunk.  A chunk
+    has at most ``SERIES_CHUNK`` rows, fewer where a row of the caller's product holds
+    ``columns`` float64 entries and the chunk's would exceed ``SERIES_BLOCK_ENTRIES``.
     """
     dt = _check_uniform_grid(t_grid)
     n = t_grid.shape[0]
@@ -330,7 +337,7 @@ def _expectation_series(
             mats += y.reshape(m, -1, d_b).transpose(0, 2, 1) @ vs.reshape(-1, d_b).conj()
         # mats[n, m, j] = O~_m,jn rho~_nj d_nuc
         mats = np.ascontiguousarray((mats * (w.T @ w.conj())).transpose(1, 0, 2))
-        for lo, table, shift in _phase_blocks(block.eigenvalues, t_grid, m * d_b):
+        for lo, table, shift in _phase_blocks(block.eigenvalues, t_grid, 2 * m * d_b):
             folded = (shift[:, None, None] * mats * shift.conj()).reshape(d_b, m * d_b)
             y = (table @ folded).view(float).reshape(-1, m, 2 * d_b)
             # Re sum_j y_bmj conj(table_bj): a real dot over the (re, im) pairs
@@ -361,22 +368,42 @@ def _projector_series(
 
     rho0 = |s><s| x I/d_nuc for the electron state ``state``.  With W from
     :func:`_state_factor`, <P>(t) = exp(-k t) / d_nuc * ||W diag(p(t)) conj(c)||^2,
-    p = exp(-i lambda t), V the eigenvectors of ``prop``, one block.  Per chunk one GEMM
-    takes the phase table against Z[m, (a, c)] = W_am conj(c_m) shift_m
-    (d x d_nuc n_cols): a quarter of the work of the full projectors c c^dag.
+    p = exp(-i lambda t) = cos - i sin, V the eigenvectors of ``prop``, one block.
+    The sum runs in real arithmetic against Z[m, (c, a)] = W_am conj(c_m), d x n_cols
+    d_nuc: a quarter of the work of the full projectors c c^dag.  Per chunk of k samples
+    the phases of :func:`_phase_blocks` are turned to the chunk's start on the table, and
+    one real GEMM takes [cos; -sin] (2k x d) against Re Z, or [cos, sin; -sin, cos]
+    (2k x 2d) against [Re Z; Im Z] where Z has a nonzero imaginary part (phi != 0, or a
+    Haar molecule), into one product buffer that every chunk reuses: the real and
+    imaginary parts of the sum, squared and added in place.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     (block,) = prop.blocks
     w = _state_factor(block, state, prop.dim // 4)
     d_nuc, d = w.shape
     n_cols = coeffs.shape[1]
-    z = w.T[:, :, None] * coeffs.conj()[:, None, :]  # (d, d_nuc, n_cols)
+    z = (coeffs.conj()[:, :, None] * w.T[:, None, :]).reshape(d, -1)
+    if np.iscomplexobj(z) and z.imag.any():
+        z = np.concatenate((z.real, z.imag))
+    else:
+        z = np.ascontiguousarray(z.real)
+    cols = z.shape[1]
     out = np.empty((n_cols, t_grid.shape[0]))
-    for lo, table, shift in _phase_blocks(block.eigenvalues, t_grid, d_nuc * n_cols):
-        a = (table @ (shift[:, None, None] * z).reshape(d, -1)).view(float)
-        norms = np.square(a).reshape(-1, d_nuc, 2 * n_cols).sum(axis=1)
-        norms = norms.reshape(-1, n_cols, 2).sum(axis=2)
-        out[:, lo : lo + len(table)] = norms.T
+    phases = None
+    for lo, table, shift in _phase_blocks(block.eigenvalues, t_grid, 2 * cols):
+        k = len(table)
+        if phases is None or len(phases) != k:  # the first chunk, and a shorter last one
+            phases = np.empty((k, d), dtype=complex)
+            lhs, prod = np.empty((2, k, len(z))), np.empty((2 * k, cols))
+        np.multiply(table, shift, out=phases)  # cos - i sin at the chunk's samples
+        lhs[0, :, :d], lhs[1, :, :d] = phases.real, phases.imag
+        if len(z) > d:
+            np.negative(phases.imag, out=lhs[0, :, d:])
+            lhs[1, :, d:] = phases.real
+        np.matmul(lhs.reshape(2 * k, -1), z, out=prod)
+        np.square(prod, out=prod)
+        prod[:k] += prod[k:]
+        out[:, lo : lo + k] = prod[:k].reshape(k, n_cols, d_nuc).sum(axis=2).T
     out *= np.exp(-prop.decay_rate * t_grid) / d_nuc
     return out
 

@@ -271,7 +271,11 @@ def sweep_field_magnitude(
         lo = b_grid[max(i - 1, 0)]
         hi = b_grid[min(i + 1, b_grid.shape[0] - 1)]
         extra = np.logspace(math.log10(lo), math.log10(hi), 5 * 2 + 1)[1:-1]
-        extra = np.setdiff1d(np.round(extra, 12), np.round(b_grid, 12))
+        # the sorted extra fields not on the grid at 12 digits: np.setdiff1d without
+        # numpy.ma, which its first call imports (about 1.5 MB of peak RSS)
+        extra, grid = np.sort(np.round(extra, 12)), np.sort(np.round(b_grid, 12))
+        extra = extra[np.r_[True, extra[1:] != extra[:-1]]]
+        extra = extra[grid[grid.searchsorted(extra).clip(max=grid.size - 1)] != extra]
         if extra.size:
             order = np.argsort(np.concatenate([b_grid, extra]))
             b_grid = np.concatenate([b_grid, extra])[order]

@@ -866,7 +866,7 @@ def test_write_csv_matches_row_writer(tmp_path):
             return "0" if value == 0 else f"{value:.12g}"
         return str(value)
 
-    n = cli.CSV_BLOCK_ROWS + 5
+    n = cli.CSV_BLOCK_CELLS // 5 + 5  # five columns: one block and five rows of the next
     rng = np.random.default_rng(3)
     floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
     floats[:9] = [-0.0, 0.0, np.nan, 1e-300, -1e300, 1.0 / 3.0, -1e-300, -0.25, 0.0 * -1.5e-9]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ from conftest import (
     dense_eigensystem,
     dense_series,
     evolve,
+    log_grid,
     make_pair,
     random_pair,
     singlet_projector,
@@ -389,6 +391,93 @@ def test_series_match_dense_evolution(make_cfg, field, rotation_seed, state):
     unweighted = s_tilde[d_c == 0]
     assert np.all(unweighted == 0.0) and not np.any(np.signbit(unweighted))
     _assert_close(s_tilde[:, samples], d_c[:, None] * want[:3])
+
+
+def _fig6c_coeffs(theta=0.0, phi=0.0):
+    """fig6c's propagator at its central field and its 2d projector columns c = V^dag psi,
+    as ``peak_contrast`` forms them; complex through phi when theta != 0."""
+    params = get_preset("fig6c-peak-count").params
+    grid = log_grid(*params["b_grid"])
+    b = grid[len(grid) // 2]
+    levels = level_structure(
+        strongcoupling_config(), FieldConfig(b, theta, phi),
+        coupling_geometry(params["r_nm"], theta, phi),
+    )
+    (block,) = levels.propagator.blocks
+    states = np.concatenate([levels.states_1, levels.states_0[:, levels.pairing]], axis=1)
+    return levels.propagator, block.eigenvectors.conj().T @ states
+
+
+def _direct_projectors(prop, state, coeffs, t):
+    """exp(-k t) / d_nuc ||W diag(p) conj(c)||^2 per column and sample, p = exp(-i lambda t)."""
+    (block,) = prop.blocks
+    d_nuc = prop.dim // 4
+    w = _state_factor(block, state, d_nuc)
+    y = (w * np.exp(-1j * np.outer(t, block.eigenvalues))[:, None, :]) @ coeffs.conj()
+    return (np.sum(np.abs(y) ** 2, axis=1) * np.exp(-prop.decay_rate * t)[:, None]).T / d_nuc
+
+
+@pytest.mark.parametrize("case", ["real", "phi", "random-complex"])
+def test_projector_series_matches_direct_formula(monkeypatch, case):
+    """``_projector_series`` equals the direct exp(-k t) / d_nuc ||W diag(p) conj(c)||^2
+    within 1e-12 of each column's max: fig6c's real columns at phi = 0, complex ones
+    through phi = 1.1, and random complex c on the real propagator.  The grid holds
+    3 rows + 5 samples, every sample on either side of each chunk boundary, and reaches
+    lambda t > 1e4, where the chunks' start phases carry the time.
+    """
+    prop, coeffs = _fig6c_coeffs(*((0.6, 1.1) if case == "phi" else (0.0, 0.0)))
+    if case == "random-complex":
+        rng = np.random.default_rng(4)
+        coeffs = rng.standard_normal(coeffs.shape) + 1j * rng.standard_normal(coeffs.shape)
+    (block,) = prop.blocks
+    assert np.iscomplexobj(coeffs) == (case != "real")
+    assert np.iscomplexobj(block.eigenvectors) == (case == "phi")
+    # one row of the product holds the real and imaginary parts of d_nuc n_cols sums
+    cols = prop.dim // 4 * coeffs.shape[1]
+    rows = min(dynamics.SERIES_CHUNK, dynamics.SERIES_BLOCK_ENTRIES // (2 * cols))
+    t = np.linspace(0.0, 100e-6, 3 * rows + 5, endpoint=False)
+    assert np.max(np.abs(block.eigenvalues)) * t[-1] > 1e4
+    starts, blocks = [], dynamics._phase_blocks
+
+    def spy(lam, t_grid, columns):
+        for lo, table, shift in blocks(lam, t_grid, columns):
+            starts.append(lo)
+            yield lo, table, shift
+
+    monkeypatch.setattr(dynamics, "_phase_blocks", spy)
+    got = dynamics._projector_series(prop, S, coeffs, t)
+    assert starts == [0, rows, 2 * rows, 3 * rows]
+    _assert_close(got, _direct_projectors(prop, S, coeffs, t))
+
+
+def _traced_peak(fn):
+    """The tracemalloc peak of one call above its start, in MB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_contrast_series_runs_in_a_bounded_working_set():
+    """One contrast call at fig6c's size (d = 64, 128 columns, 2048 samples) peaks at
+    <= 8 MB of tracemalloc: one chunk's phase table and product, no copy of Z per chunk."""
+    prop, coeffs = _fig6c_coeffs()
+    assert (prop.dim, coeffs.shape[1]) == (64, 128)
+    t = np.linspace(0.0, 5.0 / prop.decay_rate, 2048, endpoint=False)
+    assert _traced_peak(lambda: dynamics._projector_series(prop, S, coeffs, t)) <= 8.0
+
+
+def test_observable_series_runs_in_a_bounded_working_set():
+    """One fig4a ``observable_series`` call (d = 216 in two sectors, 32768 samples) peaks
+    at <= 5 MB of tracemalloc, the H build and ``eigh`` included."""
+    cfg = fadtrp_config(2)
+    n = get_preset("fig4a-time-trace").params["n_samples"]
+    t = np.linspace(0.0, 5.0 / cfg.effective_decay_rate, n, endpoint=False)
+    field = FieldConfig(1.16, 0.0, 0.0)
+    assert _traced_peak(lambda: observable_series(cfg, field, t)) <= 5.0
 
 
 # -- closed-form means ---------------------------------------------------------

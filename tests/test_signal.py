@@ -3,6 +3,8 @@
 import concurrent.futures
 import dataclasses
 import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -211,6 +213,54 @@ def test_densify_adds_points(axial3_pair, sensor):
     res = sweep_field_magnitude(axial3_pair, grid, aligned_prefactor(sensor), densify=True)
     assert res.grid.shape[0] > 10
     assert np.all(np.diff(res.grid) > 0)
+
+
+@pytest.mark.parametrize(
+    "grid, added", [(log_grid(0.1, 5.0, 10), 8), (np.linspace(0.02, 3.0, 7), 9)]
+)
+def test_densified_grid_matches_setdiff1d(axial3_pair, sensor, grid, added):
+    """The densified grid and values equal those of the set difference at 12 digits.
+
+    On a log grid the middle extra field lies on the grid and is dropped.  The reference
+    is the former ``np.setdiff1d`` expression, its extra fields evaluated as one sweep.
+    """
+    prefactor = aligned_prefactor(sensor)
+    res = sweep_field_magnitude(axial3_pair, grid, prefactor, densify=True)
+    base = sweep_field_magnitude(axial3_pair, grid, prefactor).x_integrated
+    i = int(np.argmax(np.abs(base[2])))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.shape[0] - 1)]
+    extra = np.logspace(np.log10(lo), np.log10(hi), 11)[1:-1]
+    extra = np.setdiff1d(np.round(extra, 12), np.round(grid, 12))
+    assert extra.size == added
+    order = np.argsort(np.concatenate([grid, extra]))
+    want = sweep_field_magnitude(axial3_pair, extra, prefactor).x_integrated
+    assert np.array_equal(res.grid, np.concatenate([grid, extra])[order])
+    assert np.array_equal(res.x_integrated, np.concatenate([base, want], axis=1)[:, order])
+
+
+#: a fresh interpreter runs a densified field sweep and lists the numpy.ma modules loaded
+_DENSIFY_MODULES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from nvrp.presets import one_nucleus_config
+from nvrp.signal import sweep_field_magnitude
+
+res = sweep_field_magnitude(one_nucleus_config("axial3"), [0.1, 0.3, 1.0, 3.0], 1.0, densify=True)
+assert res.grid.size > 4
+print([m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")])
+"""
+
+
+def test_densified_sweep_leaves_numpy_ma_unloaded():
+    """A densified sweep imports no ``numpy.ma`` (about 1.5 MB of peak RSS), which the
+    first ``np.setdiff1d`` or ``np.unique`` of a process would.  A fresh interpreter."""
+    src = Path(signal.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", _DENSIFY_MODULES, str(src)], capture_output=True, text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]"]
 
 
 # -- angle sweep ----------------------------------------------------------------
