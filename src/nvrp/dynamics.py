@@ -35,24 +35,23 @@ product is a real GEMM: d x d x d at a phi = 0 point, d/2 x d x d at an S_z
 point.  Each weight costs a sine and a cosine, in row chunks of
 ``WEIGHT_CHUNK_ENTRIES``.
 
-A time series reads the same state W and the same slab rows as the means,
-per block of d_b levels (d_b = d, or d/2 per parity sector): M = rho~ o O~^T
-is formed in d_b x r x d_b products over the r <= d_b slab rows that rho0 and
-each operator read, and T uniform samples then cost T d_b^2 per
-evaluated operator, plus one T_b x d_b phase table exp(-i lambda b dt) per
-block and call, reused for every chunk of samples after a d_b-phase shift
-folded into M.  Two sectors thus halve the series, T d^2/2 against T d^2.
-``signal.observable_series`` asks only for the components the sensor weights
-(d_ci != 0) and checks that its grid resolves the spectrum; the kernel reads
-exact samples on any uniform grid.  A transition projector |psi><psi| costs
-T d^2 / 4 through the rank-d/4 state, in real arithmetic: the cos and sin tables
-(the phase table's real and imaginary parts), turned to each chunk's start by angle
-addition, go through one real GEMM per chunk against Re Z, and against Im Z only
-where it is nonzero (phi != 0, or a Haar molecule).  A chunk holds at most
-``SERIES_CHUNK`` = 512 samples and a product of at most ``SERIES_BLOCK_ENTRIES``
-float64 entries (2 MB), so the working set does not grow with T: one fig6c contrast
-call peaks at 5.7 MB of tracemalloc, one fig4a trace at 4.4 MB with its ``eigh``.
-The dense rho0 of :func:`initial_state` serves only the RK4 oracle.
+Both time series run through one engine, :func:`_phase_series`, per block of d_b levels
+(d_b = d, or d/2 per parity sector): the phase table exp(-i lambda b dt), built once per
+block and call and turned to each chunk's start by angle addition, gives cos and sin, and
+one real GEMM per chunk takes [cos; -sin] against a real operand R, or [cos, sin; -sin,
+cos] against [Re R; Im R] where R has a nonzero imaginary part (phi != 0, S_y in one
+block, or a Haar molecule): 2 T d_b real multiply-adds per column of R over T samples,
+twice that when stacked.  An expectation value reads the state W and slab rows of the
+means, R = M = rho~ o O~^T (d_b columns per operator), and ends each sample with a
+row-wise dot against (cos, -sin); two sectors thus halve it.  A transition projector
+|psi><psi| reads R = Z = W^T o conj(c) (d/4 columns) and squares and adds its sums.
+``signal.observable_series`` asks only for the components the sensor weights (d_ci != 0)
+and checks that its grid resolves the spectrum; the engine reads exact samples on any
+uniform grid.  A chunk holds at most ``SERIES_CHUNK`` = 512 samples, and its table,
+turned phases, lhs and product at most ``SERIES_BLOCK_ENTRIES`` float64 entries (2 MB),
+so the working set does not grow with T: one fig6c contrast call peaks at 5.5 MB of
+tracemalloc, one fig4a trace at 4.3 MB with its ``eigh``.  The dense rho0 of
+:func:`initial_state` serves only the RK4 oracle.
 
 The dtype of the Hamiltonian picks the arithmetic, and ``hamiltonian``'s builders
 pick the dtype: float64 exactly when no local term has an imaginary entry (every
@@ -103,7 +102,7 @@ MIN_SAMPLES = 4096
 #: most time samples per chunk of a time-series evaluation
 SERIES_CHUNK = 512
 
-#: most float64 entries of one chunk's product in a time series (2 MB)
+#: most float64 entries of one time-series chunk's table, phases, lhs and product (2 MB)
 SERIES_BLOCK_ENTRIES = 1 << 18
 
 #: most entries of one row chunk of the closed-form weights (128 kB as complex)
@@ -290,20 +289,38 @@ def _check_uniform_grid(t_grid: np.ndarray) -> float:
     return float(dt)
 
 
-def _phase_blocks(lam: np.ndarray, t_grid: np.ndarray, columns: int):
-    """Yield (lo, table, shift), exp(-i lam t_{lo+b}) = table[b] * shift, on a uniform grid.
+def _phase_series(lam: np.ndarray, t_grid: np.ndarray, r: np.ndarray, reduce, out: np.ndarray):
+    """Add reduce(prod, lhs) to out[:, chunk] per chunk of a uniform grid (else ValueError).
 
-    The table exp(-i lam b dt), whose real and imaginary parts are the cos and -sin
-    tables, is built once per call, the shift exp(-i lam t_lo) once per chunk.  A chunk
-    has at most ``SERIES_CHUNK`` rows, fewer where a row of the caller's product holds
-    ``columns`` float64 entries and the chunk's would exceed ``SERIES_BLOCK_ENTRIES``.
+    R has shape (d, ...); prod[0] and prod[1] are the real and imaginary parts of p^T R at
+    the chunk's k samples, p = exp(-i lam t) = cos - i sin, shape (2, k, ...), and
+    lhs[:, :, :d] is [cos; -sin].  One real GEMM per chunk forms prod: [cos; -sin] (2k x d)
+    against Re R, or [cos, sin; -sin, cos] (2k x 2d) against [Re R; Im R] where R has a
+    nonzero imaginary part.  The table exp(-i lam b dt) is built once per call and turned
+    to each chunk's start by angle addition, into buffers that every chunk reuses.  A chunk
+    has at most ``SERIES_CHUNK`` samples, fewer where its table, turned phases, lhs and
+    product would hold more than ``SERIES_BLOCK_ENTRIES`` float64 entries.  A complex R is
+    stacked here, so a caller that passes it unnamed holds one copy, not two.
     """
     dt = _check_uniform_grid(t_grid)
-    n = t_grid.shape[0]
-    rows = max(1, min(SERIES_CHUNK, SERIES_BLOCK_ENTRIES // max(columns, 1), n))
+    stack = np.iscomplexobj(r) and r.imag.any()
+    r = np.concatenate((r.real, r.imag)) if stack else np.ascontiguousarray(r.real)
+    n, d, depth, cols = t_grid.shape[0], lam.shape[0], r.shape[0], r[0].size
+    rows = max(1, min(SERIES_CHUNK, SERIES_BLOCK_ENTRIES // (4 * d + 2 * depth + 2 * cols), n))
     table = np.exp(np.outer(np.arange(rows) * dt, -1j * lam))
+    phase_buf, lhs_buf = np.empty(rows * d, dtype=complex), np.empty(2 * rows * depth)
+    prod_buf = np.empty(2 * rows * cols)
     for lo in range(0, n, rows):
-        yield lo, table[: n - lo], np.exp(-1j * lam * t_grid[lo])
+        k = min(rows, n - lo)  # a shorter last chunk takes the buffers' contiguous heads
+        phases, lhs = phase_buf[: k * d].reshape(k, d), lhs_buf[: 2 * k * depth].reshape(2, k, -1)
+        prod = prod_buf[: 2 * k * cols].reshape((2, k) + r.shape[1:])
+        np.multiply(table[:k], np.exp(-1j * lam * t_grid[lo]), out=phases)  # cos - i sin
+        lhs[0, :, :d], lhs[1, :, :d] = phases.real, phases.imag
+        if stack:
+            np.negative(lhs[1, :, :d], out=lhs[0, :, d:])
+            lhs[1, :, d:] = lhs[0, :, :d]
+        np.matmul(lhs.reshape(2 * k, depth), r.reshape(depth, cols), out=prod.reshape(2 * k, cols))
+        out[:, lo : lo + k] += reduce(prod, lhs)
 
 
 def _expectation_series(
@@ -313,36 +330,37 @@ def _expectation_series(
 
     ``electron_ops`` are 4x4 operators on the two electrons, shape (n_ops, 4, 4);
     rho0 = |s><s| x I/d_nuc for the electron state ``state``.  Per block of ``prop``,
-    <O>(t) = Re sum_nj p_n M_nj conj(p_j) exp(-k t) with p = exp(-i lambda t) and
-    M_nj = rho~_nj O~_jn, where rho~ = W^T conj(W) / d_nuc (W from :func:`_state_factor`)
-    and O~ = sum_ab o_ab V4[a]^dag V4[b] over the slab rows that the operators read
-    (:func:`_slab_plan`): rho~ vanishes between blocks.  Per chunk of samples the start
-    phases D are folded into each M as D M D^dag, one GEMM takes the block's phase table
-    against the stacked M (d_b x n_ops d_b), and a row-wise dot with the conjugate table
-    ends each sample.
+    <O>(t) = Re sum_j q_j conj(p_j) exp(-k t) / d_nuc, p = exp(-i lambda t), q = p^T M,
+    M_nj = rho~_nj O~_jn d_nuc with rho~ = W^T conj(W) / d_nuc (:func:`_state_factor`) and
+    O~ = sum_ab o_ab V4[a]^dag V4[b] over the slab rows that the operators read
+    (:func:`_slab_plan`): rho~ vanishes between blocks.  :func:`_phase_series` forms q for
+    all operators at once against M (d_b x n_ops x d_b, float64 where V and the operators
+    are real), and a row-wise dot of (Re q, Im q) with (cos, -sin) ends each sample.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     ops = np.asarray(electron_ops)
-    _, whole, parity = _slab_plan(ops.shape, ops.dtype.str, ops.tobytes())
+    real, whole, parity = _slab_plan(ops.shape, ops.dtype.str, ops.tobytes())
     groups = whole if len(prop.blocks) == 1 else parity
     d_nuc, m = prop.dim // 4, ops.shape[0]
     out = np.zeros((m, t_grid.shape[0]))
-    for block in prop.blocks:
+
+    def operand(block):  # M[n, m, j], a view
         w = _state_factor(block, state, d_nuc)
         d_b = w.shape[1]
-        mats = np.zeros((m, d_b, d_b), dtype=complex)  # O~^T, per operator
+        mats = np.zeros((m, d_b, d_b), dtype=float if real and w.dtype == float else complex)
         for group, ops_g in groups:
             vs = _slab_rows(block, group, d_nuc)
             y = ops_g.reshape(m, len(group), -1) @ vs.reshape(len(group), -1)  # (o x I) V4
             mats += y.reshape(m, -1, d_b).transpose(0, 2, 1) @ vs.reshape(-1, d_b).conj()
-        # mats[n, m, j] = O~_m,jn rho~_nj d_nuc
-        mats = np.ascontiguousarray((mats * (w.T @ w.conj())).transpose(1, 0, 2))
-        for lo, table, shift in _phase_blocks(block.eigenvalues, t_grid, 2 * m * d_b):
-            folded = (shift[:, None, None] * mats * shift.conj()).reshape(d_b, m * d_b)
-            y = (table @ folded).view(float).reshape(-1, m, 2 * d_b)
-            # Re sum_j y_bmj conj(table_bj): a real dot over the (re, im) pairs
-            dots = np.matmul(y, table.view(float)[:, :, None])
-            out[:, lo : lo + len(table)] += dots[:, :, 0].T
+        mats *= w.T @ w.conj()
+        return mats.transpose(1, 0, 2)
+
+    def dot(prod, lhs):  # Re sum_j q_j conj(p_j): rows (Re q; Im q) against (cos; -sin)
+        q, cs = prod.reshape(-1, m, prod.shape[3]), lhs.reshape(2 * lhs.shape[1], -1)
+        return np.einsum("kmj,kj->mk", q, cs[:, : q.shape[2]]).reshape(m, 2, -1).sum(axis=1)
+
+    for block in prop.blocks:  # M goes in unnamed: see _phase_series
+        _phase_series(block.eigenvalues, t_grid, operand(block), dot, out)
     out *= np.exp(-prop.decay_rate * t_grid) / d_nuc
     return out
 
@@ -368,42 +386,23 @@ def _projector_series(
 
     rho0 = |s><s| x I/d_nuc for the electron state ``state``.  With W from
     :func:`_state_factor`, <P>(t) = exp(-k t) / d_nuc * ||W diag(p(t)) conj(c)||^2,
-    p = exp(-i lambda t) = cos - i sin, V the eigenvectors of ``prop``, one block.
-    The sum runs in real arithmetic against Z[m, (c, a)] = W_am conj(c_m), d x n_cols
-    d_nuc: a quarter of the work of the full projectors c c^dag.  Per chunk of k samples
-    the phases of :func:`_phase_blocks` are turned to the chunk's start on the table, and
-    one real GEMM takes [cos; -sin] (2k x d) against Re Z, or [cos, sin; -sin, cos]
-    (2k x 2d) against [Re Z; Im Z] where Z has a nonzero imaginary part (phi != 0, or a
-    Haar molecule), into one product buffer that every chunk reuses: the real and
-    imaginary parts of the sum, squared and added in place.
+    p = exp(-i lambda t), V the eigenvectors of ``prop``, one block.  The sums run in
+    real arithmetic (:func:`_phase_series`) against Z[m, c, a] = W_am conj(c_m),
+    d x n_cols x d_nuc: a quarter of the work of the full projectors c c^dag.  The real and
+    imaginary parts of p^T Z are squared and added in place, then summed over d_nuc.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    (block,) = prop.blocks
-    w = _state_factor(block, state, prop.dim // 4)
-    d_nuc, d = w.shape
-    n_cols = coeffs.shape[1]
-    z = (coeffs.conj()[:, :, None] * w.T[:, None, :]).reshape(d, -1)
-    if np.iscomplexobj(z) and z.imag.any():
-        z = np.concatenate((z.real, z.imag))
-    else:
-        z = np.ascontiguousarray(z.real)
-    cols = z.shape[1]
-    out = np.empty((n_cols, t_grid.shape[0]))
-    phases = None
-    for lo, table, shift in _phase_blocks(block.eigenvalues, t_grid, 2 * cols):
-        k = len(table)
-        if phases is None or len(phases) != k:  # the first chunk, and a shorter last one
-            phases = np.empty((k, d), dtype=complex)
-            lhs, prod = np.empty((2, k, len(z))), np.empty((2 * k, cols))
-        np.multiply(table, shift, out=phases)  # cos - i sin at the chunk's samples
-        lhs[0, :, :d], lhs[1, :, :d] = phases.real, phases.imag
-        if len(z) > d:
-            np.negative(phases.imag, out=lhs[0, :, d:])
-            lhs[1, :, d:] = phases.real
-        np.matmul(lhs.reshape(2 * k, -1), z, out=prod)
+    (block,), d_nuc = prop.blocks, prop.dim // 4
+    w = _state_factor(block, state, d_nuc)
+    out = np.zeros((coeffs.shape[1], t_grid.shape[0]))
+
+    def norms(prod, lhs):
         np.square(prod, out=prod)
-        prod[:k] += prod[k:]
-        out[:, lo : lo + k] = prod[:k].reshape(k, n_cols, d_nuc).sum(axis=2).T
+        prod[0] += prod[1]
+        return prod[0].sum(axis=2).T
+
+    # Z goes in unnamed: see _phase_series
+    _phase_series(block.eigenvalues, t_grid, coeffs.conj()[..., None] * w.T[:, None], norms, out)
     out *= np.exp(-prop.decay_rate * t_grid) / d_nuc
     return out
 

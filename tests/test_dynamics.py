@@ -417,6 +417,29 @@ def _direct_projectors(prop, state, coeffs, t):
     return (np.sum(np.abs(y) ** 2, axis=1) * np.exp(-prop.decay_rate * t)[:, None]).T / d_nuc
 
 
+def _chunk_rows(d, depth, cols):
+    """Samples per chunk of ``_phase_series`` for d levels and a real operand of ``depth``
+    rows and ``cols`` columns: its table, turned phases, lhs and product hold
+    4 d + 2 depth + 2 cols float64 entries per sample."""
+    per_sample = 4 * d + 2 * depth + 2 * cols
+    return min(dynamics.SERIES_CHUNK, dynamics.SERIES_BLOCK_ENTRIES // per_sample)
+
+
+def _spy_chunks(monkeypatch):
+    """(samples, lhs columns) of every chunk that ``_phase_series`` hands to a reduction."""
+    sizes, engine = [], dynamics._phase_series
+
+    def spy(lam, t_grid, r, reduce, out):
+        def counted(prod, lhs):
+            sizes.append(lhs.shape[1:])
+            return reduce(prod, lhs)
+
+        engine(lam, t_grid, r, counted, out)
+
+    monkeypatch.setattr(dynamics, "_phase_series", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("case", ["real", "phi", "random-complex"])
 def test_projector_series_matches_direct_formula(monkeypatch, case):
     """``_projector_series`` equals the direct exp(-k t) / d_nuc ||W diag(p) conj(c)||^2
@@ -432,22 +455,58 @@ def test_projector_series_matches_direct_formula(monkeypatch, case):
     (block,) = prop.blocks
     assert np.iscomplexobj(coeffs) == (case != "real")
     assert np.iscomplexobj(block.eigenvectors) == (case == "phi")
-    # one row of the product holds the real and imaginary parts of d_nuc n_cols sums
-    cols = prop.dim // 4 * coeffs.shape[1]
-    rows = min(dynamics.SERIES_CHUNK, dynamics.SERIES_BLOCK_ENTRIES // (2 * cols))
+    # Z holds d_nuc n_cols columns, and [Re Z; Im Z] 2d rows where Z is complex
+    d = prop.dim
+    depth = d if case == "real" else 2 * d
+    rows = _chunk_rows(d, depth, d // 4 * coeffs.shape[1])
     t = np.linspace(0.0, 100e-6, 3 * rows + 5, endpoint=False)
     assert np.max(np.abs(block.eigenvalues)) * t[-1] > 1e4
-    starts, blocks = [], dynamics._phase_blocks
-
-    def spy(lam, t_grid, columns):
-        for lo, table, shift in blocks(lam, t_grid, columns):
-            starts.append(lo)
-            yield lo, table, shift
-
-    monkeypatch.setattr(dynamics, "_phase_blocks", spy)
+    sizes = _spy_chunks(monkeypatch)
     got = dynamics._projector_series(prop, S, coeffs, t)
-    assert starts == [0, rows, 2 * rows, 3 * rows]
+    assert sizes == [(rows, depth)] * 3 + [(5, depth)]
     _assert_close(got, _direct_projectors(prop, S, coeffs, t))
+
+
+_PAIR_OPS = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
+
+
+@pytest.mark.parametrize(
+    "field, ops, stacked",
+    [
+        (FieldConfig(1.16, 0.0, 0.0), ELECTRON_PAIR_SPIN[2:], False),
+        (FieldConfig(1.16, 0.6, 0.0), ELECTRON_PAIR_SPIN[::2], False),
+        (FieldConfig(1.16, 0.6, 1.1), ELECTRON_PAIR_SPIN, True),
+        # S_x and S_y flip one spin, so they vanish within a parity sector: M is real there
+        (FieldConfig(1.16, 0.0, 0.0), _PAIR_OPS, False),
+        (FieldConfig(1.16, 0.6, 0.0), _PAIR_OPS, True),
+    ],
+    ids=["sectors-z", "one-block-xz", "complex-v", "complex-ops", "one-block-complex-ops"],
+)
+def test_expectation_series_matches_direct_formula(monkeypatch, field, ops, stacked):
+    """``_expectation_series`` equals Re Tr(O rho(t)) from the dense ``evolve`` within 1e-12
+    of each row's max, on fadtrp-2n at 1.16 mT: fig4a's two real sectors with S_z; one real
+    block with S_x and S_z; complex V with all three S_i; and real V with complex operators
+    (all three S_i and the singlet projector, as ``--oracle`` passes them), in two sectors
+    and in one block.  M goes through [Re M; Im M] exactly where ``stacked``.  The grid
+    holds 3 chunks + 5 samples, checked on either side of each chunk boundary, and reaches
+    lambda t > 1e4, where the chunks' start phases carry the time.
+    """
+    cfg = fadtrp_config(2)
+    prop = solve_pair(cfg, field)
+    d_b = prop.blocks[0].eigenvalues.shape[0]
+    assert len(prop.blocks) == (2 if field.theta == 0.0 else 1)
+    depth = 2 * d_b if stacked else d_b
+    rows = _chunk_rows(d_b, depth, len(ops) * d_b)
+    n = 3 * rows + 5
+    t = np.linspace(0.0, 25e-6, n, endpoint=False)
+    assert np.max(np.abs(prop.eigenvalues)) * t[-1] > 1e4
+    sizes = _spy_chunks(monkeypatch)
+    series = dynamics._expectation_series(prop, S, ops, t)
+    assert sizes == ([(rows, depth)] * 3 + [(5, depth)]) * len(prop.blocks)
+    samples = np.r_[0, 1, rows - 1, rows, 2 * rows - 1, 2 * rows, 3 * rows - 1, 3 * rows, n - 1]
+    dense_ops = [np.kron(o, np.eye(cfg.layout().nuclear_dimension)) for o in ops]
+    want = dense_series(prop, initial_state(S, cfg.layout()), dense_ops, t[samples])
+    _assert_close(series[:, samples], want)
 
 
 def _traced_peak(fn):
@@ -478,6 +537,18 @@ def test_observable_series_runs_in_a_bounded_working_set():
     t = np.linspace(0.0, 5.0 / cfg.effective_decay_rate, n, endpoint=False)
     field = FieldConfig(1.16, 0.0, 0.0)
     assert _traced_peak(lambda: observable_series(cfg, field, t)) <= 5.0
+
+
+def test_one_block_trace_runs_in_a_bounded_working_set():
+    """One ``observable_series`` call on fadtrp-2n at 1.16 mT and theta = 0.6 (d = 216 in one
+    real block, S_x and S_z, fig4a's 32768 samples) peaks at <= 8 MB of tracemalloc, the H
+    build and ``eigh`` included."""
+    cfg = fadtrp_config(2)
+    n = get_preset("fig4a-time-trace").params["n_samples"]
+    t = np.linspace(0.0, 5.0 / cfg.effective_decay_rate, n, endpoint=False)
+    field = FieldConfig(1.16, 0.6, 0.0)
+    assert _traced_peak(lambda: observable_series(cfg, field, t)) <= 8.0
+    assert len(solve_pair(cfg, field).blocks) == 1
 
 
 # -- closed-form means ---------------------------------------------------------
