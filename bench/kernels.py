@@ -7,11 +7,13 @@ overwrites a committed record by default):
     python3 bench/kernels.py --against ../parent --out /tmp/stages.json
 
 The script times the program's entry points per stage: ``build_rp_hamiltonian``,
-``make_propagator`` (with the tree's own ``parity_sectors``),
-``integrated_observables``, ``observable_series`` (fig4a's grid of 32768
-samples over five lifetimes, d <= 216), ``peak_contrast`` (fig6c's 2048
-samples with a 5 nm coupling along the field, d <= 64),
-``singlet_yield_mean`` and ``sweep_field_angle`` (d <= 64), each with the
+``make_propagator`` (on the exact blocks of the tree's own assembler, or on H and
+the tree's ``parity_sectors`` in a tree that takes them), ``solve_pair`` (assembly
+and ``make_propagator`` as one stage, H to a propagator, with the same signature in
+trees before and after the block assembler), ``integrated_observables``,
+``observable_series`` (fig4a's grid of 32768 samples over five lifetimes,
+d <= 216), ``peak_contrast`` (fig6c's 2048 samples with a 5 nm coupling along the
+field, d <= 64), ``singlet_yield_mean`` and ``sweep_field_angle`` (d <= 64), each with the
 tracemalloc peak of one call, at 1.16 mT in three cases: ``real_one_block``
 (theta = 0.6, phi = 0), ``real_blocked`` (theta = 0, where every d splits) and
 ``complex`` (a Haar rotation, theta = 0.6, phi = 1.1).  ``level_structure`` and
@@ -97,6 +99,7 @@ CASES = {
 STAGES = (
     ("hamiltonian", "build_rp_hamiltonian"),
     ("dynamics", "make_propagator"),
+    ("signal", "solve_pair"),
     ("signal", "integrated_observables"),
     ("signal", "observable_series"),
     ("strongcoupling", "peak_contrast"),
@@ -194,13 +197,19 @@ def _stage_calls(nv, d: int, case: str, seed: int) -> dict:
     field = nv.hamiltonian.FieldConfig(FIELD_MT, theta, phi)
     rotation = nv.ensemble.random_rotation(np.random.default_rng([seed, d])) if haar else None
     k, state = cfg.effective_decay_rate, cfg.initial_state
-    h = nv.hamiltonian.build_rp_hamiltonian(cfg, field, rotation)
-    sectors = nv.spincore.parity_sectors(cfg.layout())
     prop = nv.signal.solve_pair(cfg, field, rotation)
     assert len(prop.blocks) == (2 if case == "real_blocked" else 1)
+    if "sectors" in inspect.signature(nv.dynamics.make_propagator).parameters:
+        h = nv.hamiltonian.build_rp_hamiltonian(cfg, field, rotation)
+        generator = lambda: (h, k, nv.spincore.parity_sectors(cfg.layout()))  # noqa: E731
+    else:  # the exact blocks, as ``solve_pair`` passes them; each call empties its list
+        terms = nv.hamiltonian._rp_terms(cfg, [field], rotation)
+        blocks = nv.hamiltonian._assemble(terms, cfg.layout(), split=True)
+        generator = lambda: (list(blocks), k)  # noqa: E731
     calls = {
         "build_rp_hamiltonian": lambda: nv.hamiltonian.build_rp_hamiltonian(cfg, field, rotation),
-        "make_propagator": lambda: nv.dynamics.make_propagator(h, k, sectors),
+        "make_propagator": lambda: nv.dynamics.make_propagator(*generator()),
+        "solve_pair": lambda: nv.signal.solve_pair(cfg, field, rotation),
         "integrated_observables": lambda: nv.signal.integrated_observables(cfg, field, rotation),
         "singlet_yield_mean": lambda: nv.dynamics.singlet_yield_mean(prop, state, 5.0 / k),
     }

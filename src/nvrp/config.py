@@ -50,6 +50,9 @@ MAX_GRID_POINTS = 10_000
 #: most samples in a time trace: 128 times the default; about 100 B of arrays a sample
 MAX_SAMPLES = 2**22
 
+#: longest window T = 5/k, s, that a decay may set: lambda T of a 1e9 rad/s spread keeps 7 digits
+MAX_WINDOW_S = 1.0
+
 #: most realizations in an ensemble: 200 times fig5's; each one's generator (about 1 KB)
 #: is spawned before the first molecule is drawn
 MAX_REALIZATIONS = 10_000
@@ -317,7 +320,11 @@ def parse_radical_pair(raw: Any, where: str) -> RadicalPairConfig:
     k, tau = f.pop("recombination_rate"), f.pop("lifetime_us")
     if (k is None) == (tau is None):
         raise ConfigError(f"{where}: give exactly one of recombination_rate and lifetime_us")
-    return RadicalPairConfig(**f, recombination_rate=k if tau is None else 1.0 / (tau * 1e-6))
+    key, k = ("lifetime_us", 1 / max(tau * 1e-6, 5e-324)) if tau else ("recombination_rate", k)
+    if k > 0 and not 0 < 5.0 / k <= MAX_WINDOW_S:  # k = 0 needs params.t_max_us; inf gives T = 0
+        window = f"the signal window 5/k = {5.0 / k:.3g} s must lie in (0, {MAX_WINDOW_S:g}] s"
+        raise ConfigError(f"{_ctx(where, key)}: {window}")
+    return RadicalPairConfig(**f, recombination_rate=k)
 
 
 def parse_sensor(raw: Any, where: str) -> SensorParams:

@@ -66,27 +66,28 @@ on fixed probe vectors.
 With the field on z and no tensor entry coupling z to x or y (every shipped
 system at theta = 0 in its molecular frame), H commutes with the pi rotation about
 z of all spins and splits exactly into two parity sectors of d/2 states, which
-``signal`` hands over (``strongcoupling`` does not).  At every d, ``eigh``
-then runs per sector, and the propagator holds one eigen-block per sector,
-its d/2 rows and its own d/2 x d/2 V: d^2/2 eigenvector entries in all, none between
-sectors.  The means form d^2/4 weights per sector; the state has d/8 nonzero rows in
-each, and S_z reads d/4 of its d/2 rows, so the largest product is d/4 x d/2 x d/2 per
-sector, d^3/8 in all against d^3/2 for one block of all d rows.  A time series runs per
-sector too (above).
+``hamiltonian._assemble`` finds on the local terms and fills directly when ``signal``
+asks (``strongcoupling`` and the oracle do not).  At every d, ``eigh`` then runs per
+sector, and the propagator holds one eigen-block per sector, its d/2 rows and its own
+d/2 x d/2 V: d^2/2 eigenvector entries in all, none between sectors.  The means form
+d^2/4 weights per sector; the state has d/8 nonzero rows in each, and S_z reads d/4 of
+its d/2 rows, so the largest product is d/4 x d/2 x d/2 per sector, d^3/8 in all
+against d^3/2 for one block of all d rows.  A time series runs per sector too (above).
 
 Sweeps run in batches of at most ``signal.BATCH_ENTRIES`` entries of H (455 points at
 d = 12, 50 at d = 36, one from d = 216 on), each of one dtype and one block structure.
-:func:`make_propagator` takes the stack (N, d, d), diagonalises it by one stacked
-``eigh`` per block, and holds every matrix to its own ||H_p|| in the Hermiticity,
-residual and probe checks, with the bounds of a single H.  The means take only such a
-batch: the sample counts, the weights and the slab products run over its N points as
-stacked arithmetic, and one propagator enters them as a batch of one (``prop[None]``).
+:func:`make_propagator` takes the blocks of such a stack, diagonalises them by one
+stacked ``eigh`` per block, and holds every matrix to its own ||H_p|| in the
+Hermiticity, residual and probe checks, with the bounds of a single H.  The means take
+only such a batch: the sample counts, the weights and the slab products run over its
+N points as stacked arithmetic, and one propagator enters them as a batch of one
+(``prop[None]``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -209,57 +210,51 @@ def _probe_vectors(d: int) -> np.ndarray:
     return x
 
 
-def make_propagator(h: np.ndarray, k_eff: float, sectors: tuple | None = None) -> Propagator:
+def make_propagator(h: np.ndarray | list, k_eff: float) -> Propagator:
     """Diagonalise a Hermitian Hamiltonian, or a stack (N, d, d) of them, and attach the decay rate.
 
-    ``k_eff`` is the trace-decay rate, already resolved for the decay
+    ``h`` is a matrix, a stack, or the exact blocks of a stack as a list of (rows, stack)
+    pairs (``hamiltonian._assemble``, which alone decides a split), diagonalised block by
+    block; the list is emptied meanwhile, so a block no caller holds is freed before the
+    next ``eigh``.  ``k_eff`` is the trace-decay rate, already resolved for the decay
     convention (``RadicalPairConfig.effective_decay_rate``).  Rejects
     non-Hermitian input and aborts when the reconstruction residual
     exceeds 1e-8 * ||H|| or when ||V^dag (V x) - x|| exceeds 1e-8 on any
     probe vector.  The residual is blind to a loss of orthogonality
     among eigenvectors of eigenvalues near zero (V = Q (I + E) changes it
     only by Q (E Lambda + Lambda E^dag) Q^dag); the O(d^2) probe sees it.
-    The dtype of ``h`` picks the arithmetic: a float64 generator (as
-    ``hamiltonian``'s builders return one whenever no local term has an
+    ||H||, the Hermiticity error, the residual and each probe norm combine over the blocks
+    in quadrature to the whole matrix's.  The dtype of ``h`` picks the arithmetic: a float64
+    generator (as ``hamiltonian``'s builders return one whenever no local term has an
     imaginary entry) is diagonalised in real arithmetic (``dsyevd``) and gets
     real eigenvectors, a complex one in complex arithmetic (``zheevd``), at
     every d; the three checks and their bounds are the same for either dtype.
-
-    ``sectors`` (internal; ``spincore.parity_sectors`` of the layout) lets a generator
-    whose (Hermitian) even x odd block is exactly zero be diagonalised per sector, each
-    block keeping what ``eigh`` returned.  The blocks'
-    residuals, and per probe vector their probe norms, combine to the whole one.
-
-    A stack gives a batch (:class:`Propagator`): it splits into sectors only where every
-    matrix does, and each matrix is held to its own ||H_p|| with the same bounds.
+    A stack gives a batch (:class:`Propagator`), each matrix held to its own ||H_p||.
     """
-    h = np.asarray(h)
-    if h.ndim == 2:
-        return make_propagator(h[None], k_eff, sectors)[0]
+    if not isinstance(h, list):
+        h = np.asarray(h)
+        if h.ndim == 2:
+            return make_propagator(h[None], k_eff)[0]
+        h = [(np.arange(h.shape[-1]), h)]
     if not k_eff >= 0:  # NaN fails too
         raise PhysicsError(f"decay rate must be >= 0, got {k_eff}")
-    hnorm = np.linalg.norm(h.reshape(h.shape[0], -1), axis=1)  # numpy warns on an overflow
+    n = h[0][1].shape[0]
+    hnorm = reduce(np.hypot, [np.linalg.norm(b.reshape(n, -1), axis=1) for _, b in h])
     if not np.all(np.isfinite(hnorm)):  # the bounds below scale with ||H||, so none could fire
-        raise NumericalError(f"||H|| = {np.max(hnorm)} is not finite")
-    if np.any((hnorm > 0) & (_norms(h - h.conj().swapaxes(1, 2)) > 1e-10 * hnorm)):
+        raise NumericalError(f"||H|| = {np.max(hnorm)} is not finite")  # numpy warned on it
+    asymmetry = reduce(np.hypot, [_norms(b - b.conj().swapaxes(1, 2)) for _, b in h])
+    if np.any((hnorm > 0) & (asymmetry > 1e-10 * hnorm)):
         raise PhysicsError("propagator generator must be Hermitian")
-    d = h.shape[1]
-    parts = (np.arange(d),)
-    if sectors is not None:
-        even, odd = sectors
-        # a general H shows a nonzero in the first even row, so most tests read only that row
-        if not h[:, even[0]].take(odd, 1).any() and not h.take(even, 1).take(odd, 2).any():
-            parts = sectors
-    x = _probe_vectors(d)
+    x = _probe_vectors(sum(rows.size for rows, _ in h))
     blocks, residual, loss = [], 0.0, 0.0
-    for rows in parts:
-        part, xb = (h, x) if len(parts) == 1 else (h.take(rows, 1).take(rows, 2), x[rows])
+    for rows, part in map(h.pop, [0] * len(h)):  # empties h block by block
+        xb = x[rows]
         w, v = _eigh(part)
         residual = np.hypot(residual, _norms((v * w[:, None]) @ v.conj().swapaxes(1, 2) - part))
         back = (v.swapaxes(1, 2) @ (v @ xb).conj()).conj()  # V^dag V x, no conjugated copy of V
         loss = np.hypot(loss, np.linalg.norm(back - xb, axis=1))
         blocks.append(EigenBlock(rows, w, v))
-    where = "" if h.shape[0] == 1 else f" at point {{}} of a batch of {h.shape[0]}"
+    where = "" if n == 1 else f" at point {{}} of a batch of {n}"
     for i in np.flatnonzero((hnorm > 0) & (residual > 1e-8 * hnorm))[:1]:
         raise NumericalError(
             f"eigendecomposition residual {residual[i]:.3e} exceeds 1e-8 * ||H|| = "

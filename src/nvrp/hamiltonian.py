@@ -15,9 +15,9 @@ with every tensor optionally rotated into the sensor frame.
 
 Every term acts on at most two spins, so each is assembled on its local
 space (the 4-dimensional electron pair, or one electron and one nucleus)
-and added into the full matrix in place with ``spincore.add_two_site``.
-The electron terms are summed into one 4x4 block first.  The same path
-serves every dimension; no d x d product is formed.
+and added in place with ``spincore.add_two_site`` into the exact blocks of H
+(:func:`_assemble`).  The electron terms are summed into one 4x4 block first.
+The same path serves every dimension; no d x d product is formed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from .spincore import (
     Rotation,
     SpinSpecies,
     SpinSystemLayout,
+    _two_site_slots,
     add_two_site,
+    parity_sectors,
     rotate_tensor,
     spin_matrices,
 )
@@ -291,21 +293,29 @@ def _rp_terms(
     return terms
 
 
-def _assemble(terms: list[tuple[np.ndarray, int, int]], layout: SpinSystemLayout) -> np.ndarray:
-    """The sum of the local terms (operator, site_a, site_b), added in place on the full space.
+def _assemble(terms: list, layout: SpinSystemLayout, split: bool = False) -> list:
+    """The sum of the local terms (operator, site_a, site_b), as its exact blocks (rows, stack).
 
-    A stack of local terms (..., 4, 4) gives a stack of matrices (..., d, d).
-    The one choice between real and complex arithmetic: float64 exactly when no
-    local term has a nonzero imaginary entry, complex128 otherwise.  ``dynamics``
-    diagonalises in the dtype it is given.
+    One block of all d rows, or with ``split`` the two parity sectors where no term joins
+    local states of unequal parity (no field off z, no tensor entry coupling z to x or y),
+    each term added straight into them, so that a block is the whole H on its rows bit for
+    bit.  Local stacks (..., 4, 4) give stacks (..., d_b, d_b), float64 exactly when no
+    local term has a nonzero imaginary entry, complex128 otherwise.
     """
     real = not any(np.count_nonzero(local.imag) for local, _, _ in terms)
-    d = layout.total_dimension
+    # split where no entry of a term leaves the even sector (then none leaves the odd one)
+    leaves = (_two_site_slots(layout, a, b, 0)[2] for _, a, b in terms)
+    split = split and not any(local[..., m].any() for (local, _, _), m in zip(terms, leaves))
     lead = np.broadcast_shapes(*(local.shape[:-2] for local, _, _ in terms))
-    h = np.zeros(lead + (d, d), dtype=float if real else complex)
-    for local, site_a, site_b in terms:
-        add_two_site(h, local.real if real else local, site_a, site_b, layout)
-    return h
+    d = layout.total_dimension
+    parts = enumerate(parity_sectors(layout)) if split else [(None, np.arange(d))]
+    blocks = []
+    for sector, rows in parts:
+        h = np.zeros(lead + (rows.size,) * 2, dtype=float if real else complex)
+        for local, site_a, site_b in terms:
+            add_two_site(h, local.real if real else local, site_a, site_b, layout, sector)
+        blocks.append((rows, h))
+    return blocks
 
 
 def build_rp_hamiltonian(
@@ -313,17 +323,18 @@ def build_rp_hamiltonian(
     field_cfg: FieldConfig | Sequence[FieldConfig],
     rotation: Rotation | None = None,
 ) -> np.ndarray:
-    """Radical-pair Hamiltonian in the sensor frame, rad/s.
+    """Radical-pair Hamiltonian in the sensor frame, rad/s: :func:`_assemble`'s one block.
 
     The field stays in the sensor frame; all molecular-frame coupling
     tensors (hyperfine and dipolar) are rotated by ``rotation``.  The matrix
     is float64 when no local term has an imaginary part (every shipped system
-    at phi = 0 in its molecular frame), complex128 otherwise (:func:`_assemble`).
+    at phi = 0 in its molecular frame), complex128 otherwise.
     A sequence of N fields gives the stack (N, d, d) of their Hamiltonians, in
     one dtype: complex128 if any of them has an imaginary part.
     """
     one = isinstance(field_cfg, FieldConfig)
-    h = _assemble(_rp_terms(cfg, [field_cfg] if one else field_cfg, rotation), cfg.layout())
+    terms = _rp_terms(cfg, [field_cfg] if one else field_cfg, rotation)
+    ((_, h),) = _assemble(terms, cfg.layout())
     return h[0] if one else h
 
 
@@ -351,7 +362,7 @@ def build_coupling_hamiltonian(
     for i, d_ci in enumerate(geom.d_c):
         if d_ci:
             pair += geom.d_r * d_ci * ELECTRON_PAIR_SPIN[i]
-    return _assemble([(pair, 0, 1)], layout)
+    return _assemble([(pair, 0, 1)], layout)[0][1]
 
 
 class Regime(enum.Enum):

@@ -38,11 +38,12 @@ from .hamiltonian import (
     FieldConfig,
     RadicalPairConfig,
     SensorParams,
-    build_rp_hamiltonian,
+    _assemble,
+    _rp_terms,
     coupling_geometry,
     mirror_symmetric,
 )
-from .spincore import Rotation, parity_sectors
+from .spincore import Rotation
 
 #: angular factor guard for theta-corrected signals
 NORMALIZE_EPS = 1e-3
@@ -101,12 +102,12 @@ def solve_pair(
     """The propagator of H_RP at one field, with its decay rate.
 
     Every series, yield and contrast starts from it and from the pair's
-    initial electron state: rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag.  An H
-    split exactly into the layout's parity sectors is diagonalised per sector
-    (see ``dynamics``).  X^I is taken by sweep batches instead (:func:`_evaluate`).
+    initial electron state: rho(t) = exp(-k_eff t) U(t) rho0 U(t)^dag.  H is built as its
+    exact blocks (``hamiltonian._assemble``) and diagonalised per block (see ``dynamics``).
+    X^I is taken by sweep batches instead (:func:`_evaluate`).
     """
-    h = build_rp_hamiltonian(cfg, field_cfg, rotation)
-    return make_propagator(h, cfg.effective_decay_rate, parity_sectors(cfg.layout()))
+    terms = _rp_terms(cfg, [field_cfg], rotation)
+    return make_propagator(_assemble(terms, cfg.layout(), split=True), cfg.effective_decay_rate)[0]
 
 
 def observable_series(
@@ -210,26 +211,26 @@ def _evaluate(
     """s_tilde means of every pair at every field, shape (n_pairs, n_fields, 3), by batches.
 
     A batch (:func:`field_batches`; the grid alone fixes it) shares the block
-    structure and dtype of H.  Per batch the pairs run in turn; a
-    pair whose stack of H equals the pair's before it (a lifetime scan's) takes
-    that eigensystem with its own decay rate.  With ``keep``, also each pair's
-    propagator at ``fields[keep]``.  ``rotation`` turns every pair's tensors.
+    structure and dtype of H, built as in :func:`solve_pair`.  Per batch the pairs run in
+    turn; a pair whose local terms (so H) equal the pair's before it (a lifetime scan's)
+    takes that eigensystem with its own decay rate, and no H outlives its propagator.
+    With ``keep``, also each pair's propagator at ``fields[keep]``.  ``rotation`` turns
+    every pair's tensors.
     """
     batches = field_batches(fields, cfgs[0].layout().total_dimension)
-    sectors = parity_sectors(cfgs[0].layout())
 
     def run(points: np.ndarray) -> tuple[np.ndarray, list[Propagator]]:
         batch = [fields[i] for i in points]
-        out, kept, h_prev, prop = [], [], None, None
-        for j, (cfg, t_max) in enumerate(zip(cfgs, t_maxes), 1):
-            h = build_rp_hamiltonian(cfg, batch, rotation)
+        out, kept, prev, prop = [], [], None, None
+        for cfg, t_max in zip(cfgs, t_maxes):
+            terms = _rp_terms(cfg, batch, rotation)
+            key = [(a, b, t.shape, t.dtype.str, t.tobytes()) for t, a, b in terms]  # exact
             k = cfg.effective_decay_rate
-            if h_prev is not None and np.array_equal(h, h_prev):
+            if key == prev:
                 prop = replace(prop, decay_rate=k)  # H does not depend on the decay
             else:
-                prop = make_propagator(h, k, sectors)
-            h_prev = h if j < len(cfgs) else None  # H is kept only for a later pair to share
-            del h
+                prop = make_propagator(_assemble(terms, cfg.layout(), split=True), k)
+            prev = key
             out.append(integrated_observables(cfg, batch, t_max=t_max, prop=prop))
             kept += [prop[i] for i in np.flatnonzero(points == keep)[:1]]
         return np.stack(out), kept

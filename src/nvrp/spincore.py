@@ -141,36 +141,52 @@ def embed(local: np.ndarray, site: int, layout: SpinSystemLayout) -> np.ndarray:
 
 
 def add_two_site(
-    h: np.ndarray, local: np.ndarray, site_a: int, site_b: int, layout: SpinSystemLayout
+    h: np.ndarray, local: np.ndarray, site_a: int, site_b: int, layout: SpinSystemLayout,
+    sector: int | None = None,
 ) -> None:
-    """Add a two-site operator into ``h`` in place: h += local x I(elsewhere).
+    """Add a two-site operator into ``h`` in place: h += local x I(elsewhere), on one block.
 
-    ``local`` acts on the product space of ``site_a`` (major factor) and
-    ``site_b`` (minor factor), with ``site_a < site_b``.  The sum runs
-    through a writeable diagonal view of ``h``, so only the d * d_a * d_b
-    entries the operator can reach are touched.  ``h`` may be a stack
-    (..., d, d), and ``local`` one operator for every matrix of it or a
-    stack of its own that broadcasts against it.
+    ``local`` acts on the product space of ``site_a`` (major factor) and ``site_b`` (minor
+    factor), with ``site_a < site_b``.  ``h`` is the block on the states
+    :func:`parity_sectors` ``[sector]``, or on all d for None; entries that leave it are
+    dropped.  Only the entries the operator reaches are touched, by cached flat indices.
+    ``h`` may be a stack (..., d_b, d_b), and ``local`` one operator for every matrix of
+    it or a stack of its own that broadcasts against it.
     """
     dims = layout.dimensions
     if not 0 <= site_a < site_b < len(dims):
-        raise ValueError(
-            f"sites ({site_a}, {site_b}) must satisfy 0 <= a < b < {len(dims)}"
-        )
+        raise ValueError(f"sites ({site_a}, {site_b}) must satisfy 0 <= a < b < {len(dims)}")
     da, db = dims[site_a], dims[site_b]
     if local.shape[-2:] != (da * db, da * db):
         raise ValueError(
             f"operator of shape {local.shape} does not fit sites ({site_a}, {site_b}) "
             f"with dimensions ({da}, {db})"
         )
-    if h.shape[-2:] != (math.prod(dims),) * 2 or not h.flags.c_contiguous:
-        raise ValueError("h must be a C-contiguous d x d array for the layout")
-    pre = math.prod(dims[:site_a])
-    mid = math.prod(dims[site_a + 1 : site_b])
-    post = math.prod(dims[site_b + 1 :])
-    shape = h.shape[:-2] + (pre, da, mid, db, post, pre, da, mid, db, post)
-    blocks = np.einsum("...pambqpAmBq->...pmqabAB", h.reshape(shape))
-    blocks += local.reshape(local.shape[:-2] + (1, 1, 1, da, db, da, db))
+    d = math.prod(dims) if sector is None else parity_sectors(layout)[sector].size
+    if h.shape[-2:] != (d, d) or not h.flags.c_contiguous:
+        raise ValueError("h must be a C-contiguous d x d array for the layout's block")
+    source, target, _ = _two_site_slots(layout, site_a, site_b, sector)
+    flat = local.reshape(local.shape[:-2] + (-1,))
+    h.reshape(h.shape[:-2] + (-1,))[..., target] += flat[..., source]
+
+
+@lru_cache(maxsize=64)
+def _two_site_slots(layout: SpinSystemLayout, site_a: int, site_b: int, sector) -> tuple:
+    """Flat indices (into local, into the block) of the entries of local x I in a block,
+    and the mask of the local entries (i, j) that join a state in it to one outside it."""
+    dims = layout.dimensions
+    d, da, db = math.prod(dims), dims[site_a], dims[site_b]
+    shape = (math.prod(dims[:site_a]), da, math.prod(dims[site_a + 1 : site_b]), db, -1)
+    # the basis state of (spectators, local state), shape (d / (da db), da db)
+    states = np.arange(d).reshape(shape).transpose(0, 2, 4, 1, 3).reshape(-1, da * db)
+    rows = np.arange(d) if sector is None else parity_sectors(layout)[sector]
+    at = np.full(d, -1)
+    at[rows] = np.arange(rows.size)
+    at = at[states]
+    inside = at >= 0
+    s, i, j = np.nonzero(inside[:, :, None] & inside[:, None, :])
+    leaves = (inside[:, :, None] != inside[:, None, :]).any(axis=0)
+    return i * (da * db) + j, at[s, i] * rows.size + at[s, j], leaves
 
 
 @lru_cache(maxsize=64)

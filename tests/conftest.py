@@ -176,6 +176,14 @@ def skew_null_pair(eigh, eps=1e-3, null=None):
     return corrupted
 
 
+def block_sizes(h):
+    """(d, the first stack) of what ``make_propagator`` takes: a matrix, a stack or a list of
+    exact blocks (rows, stack)."""
+    if isinstance(h, list):
+        return sum(rows.size for rows, _ in h), h[0][1]
+    return np.shape(h)[-1], np.asarray(h)
+
+
 def count_propagators(monkeypatch) -> list[int]:
     """A list that gets the dimension of each H that ``signal`` hands to ``make_propagator``.
 
@@ -183,10 +191,10 @@ def count_propagators(monkeypatch) -> list[int]:
     """
     built, make_propagator = [], signal.make_propagator
 
-    def counting(*args):
-        h = args[0]
-        built.extend([h.shape[-1]] * (h.shape[0] if h.ndim == 3 else 1))
-        return make_propagator(*args)
+    def counting(h, *args):
+        d, stack = block_sizes(h)
+        built.extend([d] * (stack.shape[0] if stack.ndim == 3 else 1))
+        return make_propagator(h, *args)
 
     monkeypatch.setattr(signal, "make_propagator", counting)
     return built

@@ -159,7 +159,8 @@ def test_kernels_requires_out(kernels, capsys):
 
 
 def test_perfbench_finds_the_layers_it_traces():
-    """perfbench's tracer binds every layer but ``nvrp.cli.make_propagator``, which cli never had.
+    """perfbench's tracer binds every layer but ``nvrp.cli.make_propagator``, which cli never
+    had, and ``nvrp.signal.build_rp_hamiltonian``: signal assembles H as its exact blocks.
 
     A rename that the benchmark would no longer see fails here, and so does one of the
     other names its child process reads: the per-layout cache counters and the oracle's
@@ -171,13 +172,13 @@ def test_perfbench_finds_the_layers_it_traces():
     tr = tracer.Tracer()
     tr.install()
     try:
-        assert tr.missing == ["nvrp.cli.make_propagator"]
+        assert tr.missing == ["nvrp.signal.build_rp_hamiltonian", "nvrp.cli.make_propagator"]
         solve_pair(one_nucleus_config("axial3"), FieldConfig(1.16, 0.0, 0.0))
     finally:
         tr.uninstall()
     sizes = {(span.name, span.size) for span in tr.take()}
     assert ("dynamics.make_propagator", 12) in sizes  # the span reads Propagator.dim
-    assert tr.missing == ["nvrp.cli.make_propagator"]
+    assert tr.missing == ["nvrp.signal.build_rp_hamiltonian", "nvrp.cli.make_propagator"]
     info = spincore.site_operators.cache_info()
     assert info.hits >= 0 and info.misses >= 0
     assert "record_every" in inspect.signature(oracle.rk4_evolve).parameters

@@ -15,6 +15,7 @@ from nvrp.config import (
     MAX_GRID_POINTS,
     MAX_REALIZATIONS,
     MAX_SAMPLES,
+    MAX_WINDOW_S,
     PARAMS,
     ExperimentConfig,
     _canonical_value,
@@ -246,24 +247,47 @@ def test_physics_error_exit_code(tmp_path, capsys, kind, params, rate, message):
 
 @pytest.mark.parametrize("rate", [1e-300, 4e-300])
 def test_non_finite_sample_count_exits_4(tmp_path, capsys, rate):
-    """No finite sample count resolves the spectrum over the window T = 5 / rate: a numerical
-    failure naming the window and the spread.
+    """No finite sample count resolves the spectrum over a window T = 5 / rate, given as
+    ``params.t_max_us`` (a decay rate that sets it exits 2): a numerical failure naming the
+    window and the spread.
 
     At 4e-300 /s the count 1.05 T spread / pi would be 1.6e308, finite, and the power of two above
     it 2^1024, not; the product 1.05 T spread overflows first, as it does at 1e-300 /s.
     """
     payload = _minimal_angle_sweep()
-    payload["radical_pair"]["recombination_rate"] = rate
-    del payload["radical_pair"]["lifetime_us"]
+    payload["params"]["t_max_us"] = 5.0 / rate * 1e6
     path = _write_config(tmp_path, payload)
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert "window" in err and "spectral spread" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, value, code",
+    [("recombination_rate", 1e-300, 2), ("recombination_rate", 4.99, 2),
+     ("recombination_rate", 5.0, 0), ("lifetime_us", 2e5, 0), ("lifetime_us", 2.01e5, 2),
+     ("lifetime_us", 1e300, 2), ("lifetime_us", 1e-320, 2)],
+)
+def test_decay_window_beyond_its_cap_exits_2(tmp_path, capsys, key, value, code):
+    """A decay rate whose window T = 5/k exceeds ``MAX_WINDOW_S`` (1 s), is not finite, or is
+    0 (a lifetime of 1e-320 us, whose rate overflows), exits 2 naming its key, in the shipped
+    fadtrp-2n field sweep (reduced to one field)."""
+    payload = json.loads((CONFIG_DIR / "fadtrp_2n_field_sweep.json").read_text())
+    payload["params"].update(b_grid=[1.0, 1.0, 1], densify=False)
+    del payload["radical_pair"]["recombination_rate"]
+    payload["radical_pair"][key] = value
+    path = _write_config(tmp_path, payload)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert f"radical_pair.{key}: the signal window 5/k" in err and "in (0, 1] s" in err
+        assert not list((tmp_path / "o").glob("*"))
+    assert MAX_WINDOW_S == 5.0 / 5.0  # rate 5 /s and lifetime 2e5 us sit on the cap
+
+
 #: runs with non-finite outputs, and the CSV and column the failure names: ensemble molecules at
 #: the smallest accepted distance square a summed signal of about 1e276 T into inf, and a
-#: peak-count pair decaying at 1e-300 /s gives NaN contrast traces over its 5e300 s window
+#: peak-count run whose contrast traces are made NaN in the test
 _NON_FINITE_RUNS = {
     "ensemble": (
         {"kind": "ensemble",
@@ -279,14 +303,14 @@ _NON_FINITE_RUNS = {
 
 
 @pytest.mark.parametrize("case", sorted(_NON_FINITE_RUNS))
-def test_non_finite_output_exits_4(tmp_path, capsys, case):
+def test_non_finite_output_exits_4(tmp_path, capsys, monkeypatch, case):
     """A CSV column with inf, or NaN outside the normalised columns, is a numerical failure
     that names the file and the column; no file is written, the run's other CSVs included."""
     overrides, csv_name, column = _NON_FINITE_RUNS[case]
     payload = _minimal_angle_sweep(**overrides)
-    if case == "peak-count":
-        payload["radical_pair"]["recombination_rate"] = 1e-300
-        del payload["radical_pair"]["lifetime_us"]
+    if case == "peak-count":  # no config reaches it: a window that could is capped (exit 2)
+        contrast = cli.peak_contrast
+        monkeypatch.setattr(cli, "peak_contrast", lambda *args: contrast(*args) * np.nan)
     path = _write_config(tmp_path, payload)
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
@@ -358,6 +382,30 @@ def test_orthogonality_loss_exits_4_with_one_block(tmp_path, capsys, monkeypatch
     # at theta = 90 degrees the field is off the z axis, so H is one block
     dtypes = _orthogonality_loss(tmp_path, capsys, monkeypatch, [90.0, 180.0, 2], skew_null_pair)
     assert dtypes == [np.float64]
+
+
+@pytest.mark.parametrize("sector", [0, 1], ids=["even", "odd"])
+def test_residual_in_either_sector_of_a_split_point_exits_4(tmp_path, capsys, monkeypatch, sector):
+    """A field sweep on the sensor axis diagonalises each parity block of its batch by itself;
+    one eigenvalue off by 1e-6 ||H_b|| at the first point, in either block, fails the run."""
+    params = {"b_grid": [0.1, 1.0, 2], "r_nm": 10.0}
+    path = _write_config(tmp_path, _minimal_angle_sweep(kind="field-sweep", params=params))
+    eigh, shapes = dynamics._eigh, []
+
+    def corrupted(h):
+        w, v = eigh(h)
+        if len(shapes) == sector:
+            w = w.copy()
+            w[0, 0] += 1e-6 * np.linalg.norm(h[0])
+        shapes.append(h.shape)
+        return w, v
+
+    monkeypatch.setattr(dynamics, "_eigh", corrupted)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert shapes == [(2, 6, 6), (2, 6, 6)]  # both fields, one stack per parity block
+    err = capsys.readouterr().err
+    assert "residual" in err and "at point 0 of a batch of 2" in err
+    assert not list((tmp_path / "o").glob("*"))
 
 
 def test_residual_at_one_point_of_a_stack_exits_4(tmp_path, capsys, monkeypatch):

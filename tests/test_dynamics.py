@@ -29,6 +29,8 @@ from nvrp.hamiltonian import (
     DecayConvention,
     FieldConfig,
     InitialElectronState,
+    _assemble,
+    _rp_terms,
     build_coupling_hamiltonian,
     build_rp_hamiltonian,
     coupling_geometry,
@@ -539,6 +541,16 @@ def test_observable_series_runs_in_a_bounded_working_set():
     assert _traced_peak(lambda: observable_series(cfg, field, t)) <= 5.0
 
 
+def test_split_point_never_holds_the_whole_h():
+    """One fadtrp-3n point on the sensor axis (d = 864, two blocks of 432) peaks at <= 10 MB
+    of tracemalloc: 8.6 MB with its blocks of H, ``eigh``, the checks and the means.  A
+    whole H of 6.0 MB, its Hermiticity temporary and the copied sectors took it to 13.5 MB."""
+    cfg = fadtrp_config(3)
+    field = FieldConfig(1.16, 0.0, 0.0)
+    integrated_observables(cfg, [field])  # the per-layout caches, which later points share
+    assert _traced_peak(lambda: integrated_observables(cfg, [field])) <= 10.0
+
+
 def test_one_block_trace_runs_in_a_bounded_working_set():
     """One ``observable_series`` call on fadtrp-2n at 1.16 mT and theta = 0.6 (d = 216 in one
     real block, S_x and S_z, fig4a's 32768 samples) peaks at <= 8 MB of tracemalloc, the H
@@ -763,7 +775,7 @@ def test_blocked_propagator_matches_one_block(make_cfg):
     field = FieldConfig(1.16, 0.0, 0.0)
     h = build_rp_hamiltonian(cfg, field)
     k = cfg.effective_decay_rate
-    split = make_propagator(h, k, parity_sectors(cfg.layout()))
+    split = solve_pair(cfg, field)
     whole = make_propagator(h, k)
     assert (len(split.blocks), len(whole.blocks)) == (2, 1)
     assert sum(b.eigenvectors.size for b in split.blocks) == h.size // 2
@@ -782,15 +794,19 @@ def test_blocked_propagator_matches_one_block(make_cfg):
 
 
 def test_one_nonzero_cross_sector_pair_forces_one_block(axial3_pair):
-    sectors = parity_sectors(axial3_pair.layout())
-    even, odd = sectors
-    split = build_rp_hamiltonian(axial3_pair, FieldConfig(1.16, 0.0, 0.0)).real
-    assert len(make_propagator(split, 0.0, sectors).blocks) == 2
-    # in the first even row, which the test reads first, and in a row past it
-    for i, j in ((even[0], odd[-1]), (even[-1], odd[-1])):
-        h = split.copy()
-        h[i, j] = h[j, i] = 1e-300
-        assert len(make_propagator(h, 0.0, sectors).blocks) == 1
+    """One local entry between states of unequal parity, in any term, keeps H whole."""
+    layout = axial3_pair.layout()
+    terms = _rp_terms(axial3_pair, [FieldConfig(1.16, 0.0, 0.0)], None)
+    assert [rows.size for rows, _ in _assemble(terms, layout, split=True)] == [6, 6]
+    # in the electron pair term (local states 0 and 2) and in the hyperfine term (0 and 3),
+    # the entry of S1x alone: between basis states 0 and 6, which no other term reaches
+    for t, (i, j) in ((0, (0, 2)), (1, (0, 3))):
+        changed = list(terms)
+        local = changed[t][0].copy()
+        local[..., i, j] = local[..., j, i] = 1e-300
+        changed[t] = (local,) + changed[t][1:]
+        ((rows, h),) = _assemble(changed, layout, split=True)
+        assert rows.size == 12 and h[..., 0, 6] == 1e-300
 
 
 @SHIPPED_SYSTEMS
@@ -802,7 +818,7 @@ def test_solve_pair_splits_every_shipped_system_at_theta_0(make_cfg):
     assert len(solve_pair(cfg, FieldConfig(1.16, 0.3, 0.0)).blocks) == 1
     rotation = random_rotation(np.random.default_rng(4))
     assert len(solve_pair(cfg, field, rotation).blocks) == 1
-    # nor does the strong-coupling level analysis, which never hands over the sectors
+    # nor does the strong-coupling level analysis, which takes H as one block
     levels = level_structure(cfg, field, coupling_geometry(5.0, 0.0))
     assert len(levels.propagator.blocks) == 1
 
@@ -876,10 +892,10 @@ def test_blocked_means_at_zero_field_match_one_block():
     """At B = 0 the levels are exactly degenerate, also across the two blocks."""
     cfg = make_pair(tensors1=[np.eye(3)] * 2, tensors2=[np.eye(3)], spins1=[0.5, 0.5],
                     spins2=[0.5], j_mT=0.0)
-    h = build_rp_hamiltonian(cfg, FieldConfig(0.0, 0.0, 0.0))
+    field = FieldConfig(0.0, 0.0, 0.0)
     k = cfg.effective_decay_rate
-    split = make_propagator(h, k, parity_sectors(cfg.layout()))
-    whole = make_propagator(h, k)
+    split = solve_pair(cfg, field)
+    whole = make_propagator(build_rp_hamiltonian(cfg, field), k)
     assert len(split.blocks) == 2
     assert np.any(np.diff(split.eigenvalues) == 0.0)  # exact degeneracies
     blocked, reference = _pair_means(split, cfg, 5.0 / k), _pair_means(whole, cfg, 5.0 / k)

@@ -1,6 +1,7 @@
 """Hamiltonian builders, coupling geometry, and regime classification."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from nvrp.config import load_config
 from nvrp.constants import GAMMA_E, MT_TO_RAD_PER_S, dipolar_prefactor
 from nvrp.ensemble import random_rotation
 from nvrp.errors import PhysicsError
@@ -18,8 +20,9 @@ from nvrp.hamiltonian import (
     RadicalPairConfig,
     Regime,
     SensorParams,
-    build_coupling_hamiltonian,
+    _assemble,
     _rp_terms,
+    build_coupling_hamiltonian,
     build_rp_hamiltonian,
     classify_regime,
     coupling_geometry,
@@ -33,6 +36,7 @@ from nvrp.spincore import (
     SpinSpecies,
     add_two_site,
     isotropic_tensor,
+    parity_sectors,
     site_operators,
     spin_matrices,
 )
@@ -208,6 +212,65 @@ def test_real_terms_assemble_in_float64(name):
         h = build_rp_hamiltonian(cfg, field, rot)
         assert h.dtype == np.complex128 and h.imag.any()
         assert np.array_equal(h, _complex_assembly(cfg, field, rot))
+
+
+#: the pairs of the three shipped configs
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIG_SYSTEMS = {
+    path.stem: (lambda path=path: load_config(path).radical_pair)
+    for path in sorted(CONFIG_DIR.glob("*.json"))
+}
+
+#: (field (b, theta, phi), seed of a Haar rotation or None): the sensor axis, off it at
+#: phi = 0 and at phi = 1.1, and a Haar-rotated molecule on the axis
+BLOCK_POINTS = [
+    ((1.16, 0.0, 0.0), None), ((1.16, 0.6, 0.0), None), ((1.16, 0.6, 1.1), None),
+    ((1.16, 0.0, 0.0), 7),
+]
+
+
+@pytest.mark.parametrize("name", sorted({**SHIPPED_SYSTEMS, **CONFIG_SYSTEMS}))
+def test_blocks_are_the_whole_matrix_on_their_rows(name):
+    """The split assembly's blocks equal the whole H on their rows bit for bit, and H splits
+    exactly where its cross blocks are exactly zero: on the axis, in the molecular frame."""
+    cfg = {**SHIPPED_SYSTEMS, **CONFIG_SYSTEMS}[name]()
+    layout = cfg.layout()
+    even, odd = parity_sectors(layout)
+    assert len(CONFIG_SYSTEMS) == 3
+    for (b, theta, phi), seed in BLOCK_POINTS:
+        fields = [FieldConfig(b, theta, phi)]
+        rotation = None if seed is None else random_rotation(np.random.default_rng(seed))
+        blocks = _assemble(_rp_terms(cfg, fields, rotation), layout, split=True)
+        h = build_rp_hamiltonian(cfg, fields, rotation)
+        cross_zero = not h[:, even[:, None], odd].any()
+        assert len(blocks) == (2 if cross_zero else 1)
+        assert cross_zero == (theta == 0.0 and seed is None)
+        for rows, block in blocks:
+            want = h[:, rows[:, None], rows]
+            assert block.dtype == want.dtype and block.tobytes() == want.tobytes()
+        rows = np.concatenate([rows for rows, _ in blocks])
+        assert np.array_equal(np.sort(rows), np.arange(layout.total_dimension))
+
+
+@pytest.mark.parametrize("entry", [(0, 2), (1, 2)], ids=["xz", "yz"])
+@pytest.mark.parametrize("where", ["hyperfine", "dipolar"])
+def test_a_tensor_coupling_z_to_x_or_y_keeps_one_block(entry, where):
+    """One tensor entry between z and x (or y) at theta = 0 leaves H one block: its cross
+    blocks are nonzero at every field of the stack."""
+    t = np.diag([-0.39, -0.39, 1.76])
+    t[entry] = t[entry[::-1]] = 0.05
+    cfg = make_pair(tensors1=[t if where == "hyperfine" else np.diag([-0.39, -0.39, 1.76])],
+                    spins1=[1.0], j_mT=0.25)
+    if where == "dipolar":
+        cfg = dataclasses.replace(cfg, dipolar_tensor_mT=t)
+    fields = [FieldConfig(b, 0.0, 0.0) for b in (0.05, 1.16)]
+    ((rows, h),) = _assemble(_rp_terms(cfg, fields, None), cfg.layout(), split=True)
+    even, odd = parity_sectors(cfg.layout())
+    assert np.array_equal(rows, np.arange(12))
+    assert h[:, even[:, None], odd].any(axis=(1, 2)).all()
+    t[entry] = t[entry[::-1]] = 0.0  # without the entry the same pair splits
+    plain = make_pair(tensors1=[t], spins1=[1.0], j_mT=0.25)
+    assert len(_assemble(_rp_terms(plain, fields, None), cfg.layout(), split=True)) == 2
 
 
 def _pi_about_x(layout):

@@ -32,7 +32,7 @@ from nvrp.signal import (
 )
 from nvrp.spincore import isotropic_tensor
 
-from conftest import count_propagators, log_grid, make_pair, rotation_xyz
+from conftest import block_sizes, count_propagators, log_grid, make_pair, rotation_xyz
 
 
 def _const_trace(values, n=64, dt=1e-8):
@@ -397,7 +397,8 @@ def _stack_sizes(monkeypatch) -> list[int]:
     sizes, make_propagator = [], signal.make_propagator
 
     def recording(h, *args):
-        sizes.append(h.shape[0] if h.ndim == 3 else 1)
+        stack = block_sizes(h)[1]
+        sizes.append(stack.shape[0] if stack.ndim == 3 else 1)
         return make_propagator(h, *args)
 
     monkeypatch.setattr(signal, "make_propagator", recording)
@@ -487,24 +488,48 @@ def test_lifetimes_share_each_batch_eigensystem(monkeypatch):
         assert abs(shared - alone) <= 1e-12 * abs(alone)
 
 
-def test_single_point_frees_h_before_the_means(monkeypatch):
-    """No later pair can share a lone pair's H, so the means run without it."""
+def _h_alive_at_each_mean(monkeypatch) -> tuple[list, list[bool]]:
+    """(the blocks of every H ``signal`` assembles, per ``_expectation_means`` call whether
+    any of them is still alive), as weak references to each block's stack."""
     built, alive = [], []
-    build, means = signal.build_rp_hamiltonian, signal._expectation_means
+    assemble, means = signal._assemble, signal._expectation_means
 
-    def building(*args):
-        h = build(*args)
-        built.append(weakref.ref(h))
-        return h
+    def assembling(*args, **kwargs):
+        blocks = assemble(*args, **kwargs)
+        built.append([weakref.ref(h) for _, h in blocks])
+        return blocks
 
     def averaging(*args):
-        alive.append(built[-1]() is not None)
+        alive.append(any(ref() is not None for refs in built for ref in refs))
         return means(*args)
 
-    monkeypatch.setattr(signal, "build_rp_hamiltonian", building)
+    monkeypatch.setattr(signal, "_assemble", assembling)
     monkeypatch.setattr(signal, "_expectation_means", averaging)
+    return built, alive
+
+
+def test_single_point_frees_h_before_the_means(monkeypatch):
+    """No later pair can share a lone pair's H, so the means run without it."""
+    built, alive = _h_alive_at_each_mean(monkeypatch)
     integrated_observables(one_nucleus_config("axial3"), FieldConfig(1.16, 0.6, 0.0))
-    assert alive == [False]
+    assert [len(refs) for refs in built] == [1] and alive == [False]
+
+
+def test_lifetime_scan_shares_eigensystems_without_keeping_h(monkeypatch):
+    """Pairs that differ only in their decay share one eigensystem per batch, found by
+    comparing their local terms: no H outlives its propagator, split or not."""
+    built, alive = _h_alive_at_each_mean(monkeypatch)
+    base = two_nucleus_config("axial3")
+    cfgs = [with_lifetime(base, tau) for tau in (1e-6, 5e-6, 25e-6)]
+    thetas = [0.0, 0.3, 0.6]
+    results = scan_field_angle(cfgs, 0.05, thetas, 0.0, 1.0, [None] * 3)
+    # theta = 0 is one batch of two parity blocks, theta = 0.3 and 0.6 one of one block each
+    assert [len(refs) for refs in built] == [2, 1] and alive == [False] * 6
+    for cfg, res in zip(cfgs, results):
+        fields = [FieldConfig(0.05, th, 0.0) for th in thetas]
+        alone = np.array([integrated_observables(cfg, f) for f in fields]).T
+        scale = np.max(np.abs(alone), axis=1, keepdims=True)
+        assert np.all(np.abs(res.x_integrated - alone) <= 1e-12 * scale)
 
 
 def test_parallel_map_asks_for_at_most_cpu_count_workers(monkeypatch):
