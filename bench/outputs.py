@@ -16,9 +16,14 @@ thread count).
 Per CSV the record reads "identical", or gives for each column that differs
 the largest |this - against| relative to the column's max|value| over both
 trees: inf where a cell is not a number in both or the shapes differ, and a
-"comments" entry where the comment blocks differ.  Per run it lists every
-difference between the two manifests but ``wall_time_s``.  The exit status is
-1 when any CSV differs or is missing from either tree, or a run exits non-zero.
+"comments" entry where the comment blocks differ.  Beside it, under "float64",
+the same for each float column of the runner's table at full precision, as
+each tree's ``nvrp.cli.write_csv`` received it (the child records the columns
+before it writes them): a move that ``%.12g`` rounds away reads here, and a
+flip of the 12th digit shows its true size.  NaN matches NaN, and -0.0 matches
+0.0, as in the CSV.  Per run it lists every difference between the two
+manifests but ``wall_time_s``.  The exit status is 1 when any CSV differs or is
+missing from either tree, or a run exits non-zero.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from kernels import BLAS_PINS, ROOT, commit  # noqa: E402
@@ -51,15 +58,25 @@ REDUCED_FIG5 = {
                "n_molecules": 5},
 }
 
-#: runs every label of its argv list through one tree's ``nvrp.cli.main``; prints the exit codes
+#: runs every label of its argv list through one tree's ``nvrp.cli.main``; prints the exit codes.
+#: Each CSV's float columns are kept beside it, as ``<name>.npz`` (keys ``col_<header>``).
 _CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
+import numpy as np
 import nvrp
-from nvrp.cli import main
+from nvrp import cli
 if not nvrp.__file__.startswith(sys.argv[1]):
     raise SystemExit(f"nvrp imported from {nvrp.__file__}, not from {sys.argv[1]}")
-codes = {label: main(argv + ["--threads", "1", "--out", f"{sys.argv[3]}/{label}"])
+write_csv = cli.write_csv
+
+def keep_columns(path, comments, header, columns):
+    arrays = {f"col_{h}": np.asarray(c) for h, c in zip(header, columns)}
+    np.savez(str(path) + ".npz", **{k: a for k, a in arrays.items() if a.dtype.kind == "f"})
+    return write_csv(path, comments, header, columns)
+
+cli.write_csv = keep_columns
+codes = {label: cli.main(argv + ["--threads", "1", "--out", f"{sys.argv[3]}/{label}"])
          for label, argv in json.loads(sys.argv[2])}
 print(json.dumps(codes))
 """
@@ -124,6 +141,26 @@ def compare_csv(this: Path, against: Path) -> str | dict[str, float]:
     return out
 
 
+def compare_columns(this: Path, against: Path) -> str | dict[str, float]:
+    """ "identical", or each float column's largest move at float64 (see the module)."""
+    with np.load(this) as a, np.load(against) as b:
+        out: dict[str, float] = {}
+        for key in sorted(set(a.files) | set(b.files)):
+            name = key.removeprefix("col_")
+            if key not in a.files or key not in b.files or a[key].shape != b[key].shape:
+                out[name] = math.inf
+                continue
+            x, y = a[key], b[key]
+            nan = np.isnan(x)
+            if np.any(nan != np.isnan(y)):
+                out[name] = math.inf
+            elif np.any(x[~nan] != y[~nan]):
+                x, y = x[~nan], y[~nan]
+                scale, worst = max(np.max(np.abs(x)), np.max(np.abs(y))), np.max(np.abs(x - y))
+                out[name] = float(worst / scale) if scale > 0 and np.isfinite(worst) else math.inf
+    return out or "identical"
+
+
 def diff_manifests(this, against, key: str = "") -> list[dict]:
     """Every leaf where two manifests differ, ``wall_time_s`` left out."""
     if isinstance(this, dict) and isinstance(against, dict):
@@ -150,10 +187,13 @@ def compare(against: Path, labels: list[str] | None = None) -> dict:
             names = sorted({p.name for p in a.glob("*.csv")} | {p.name for p in b.glob("*.csv")})
             csvs = {n: compare_csv(a / n, b / n) if (a / n).exists() and (b / n).exists()
                     else "missing" for n in names}
+            tables = {n: compare_columns(a / f"{n}.npz", b / f"{n}.npz")
+                      for n in names if csvs[n] != "missing"}
             manifests = [json.loads(m.read_text()) if m.exists() else None
                          for m in (a / "manifest.json", b / "manifest.json")]
             record[label] = {"exit": [codes["this"][label], codes["against"][label]],
-                             "csv": csvs, "manifest": diff_manifests(*manifests)}
+                             "csv": csvs, "float64": tables,
+                             "manifest": diff_manifests(*manifests)}
     return record
 
 
@@ -168,8 +208,14 @@ def main(argv: list[str] | None = None) -> int:
     record = compare(args.against.resolve(), args.runs)
     csvs = [(f"{label}/{name}", r) for label, run in record.items()
             for name, r in run["csv"].items()]
+
+    def moved(r) -> str:
+        return r if isinstance(r, str) else f"deviates by {max(r.values()):.3g}"
+
     for name, r in csvs:
-        print(f"{name}: {r if isinstance(r, str) else f'deviates by {max(r.values()):.3g}'}")
+        label, csv = name.split("/")
+        full = record[label]["float64"].get(csv, "missing")
+        print(f"{name}: {moved(r)}; float64 columns: {moved(full)}")
     result = {
         "benchmark": "bench/outputs.py",
         "trees": {"this": {"path": str(ROOT), "commit": commit(ROOT)},

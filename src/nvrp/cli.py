@@ -83,7 +83,9 @@ def write_csv(
     CRLF-terminated.  No field is quoted; numbers never need it, and the only string
     columns hold names from fixed option sets (``config.PARAMS``).  A block
     is one ``%`` format of a row template: floats with 12 significant
-    digits, anything else by ``str``.  :func:`check_finite` runs before the file is opened.
+    digits, anything else by ``str``; a float column that holds only +-0.0 in the block is
+    the literal "0" in the template.  A block of float columns alone is flattened row by
+    row as one stacked array.  :func:`check_finite` runs before the file is opened.
     """
     check_finite(path, header, columns)
     n, rows = len(columns[0]), max(1, CSV_BLOCK_CELLS // len(columns))
@@ -93,12 +95,18 @@ def write_csv(
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, n, rows):
             block = [np.asarray(col[lo : lo + rows]) for col in columns]
-            floats = [col.dtype.kind == "f" for col in block]
-            row = ",".join("%.12g" if f else "%s" for f in floats) + "\r\n"
+            cells = ["%s" if c.dtype.kind != "f" else "%.12g" if c.any() else "0" for c in block]
+            row = ",".join(cells) + "\r\n"
             # + 0.0 turns -0.0 (e.g. d_ci = 0 times a negative mean), which carries only the
             # sign of round-off, into 0.0, which "%.12g" writes as "0"
-            cells = [(col + 0.0 if f else col).tolist() for col, f in zip(block, floats)]
-            fh.write(row * len(cells[0]) % tuple(v for r in zip(*cells) for v in r))
+            if "%s" in cells:
+                parts = [(col + 0.0 if c == "%.12g" else col).tolist()
+                         for col, c in zip(block, cells) if c != "0"]
+                values = [v for r in zip(*parts) for v in r]
+            else:
+                floats = [col for col, c in zip(block, cells) if c != "0"]
+                values = (np.stack(floats, axis=1) + 0.0).ravel().tolist() if floats else []
+            fh.write(row * len(block[0]) % tuple(values))
     return path
 
 

@@ -50,7 +50,8 @@ MAX_GRID_POINTS = 10_000
 #: most samples in a time trace: 128 times the default; about 100 B of arrays a sample
 MAX_SAMPLES = 2**22
 
-#: longest window T = 5/k, s, that a decay may set: lambda T of a 1e9 rad/s spread keeps 7 digits
+#: longest signal window T, s, that a decay (T = 5/k) or ``params.t_max_us`` may set:
+#: lambda T of a 1e9 rad/s spread keeps 7 digits
 MAX_WINDOW_S = 1.0
 
 #: most realizations in an ensemble: 200 times fig5's; each one's generator (about 1 KB)
@@ -123,6 +124,34 @@ def _positive(value: Any, where: str) -> float:
     if not x > 0:
         raise ConfigError(f"{where}: must be positive, got {value!r}")
     return x
+
+
+def _check_window(window: float, where: str, spelled: str) -> None:
+    """ConfigError naming ``where`` unless the signal window (s) lies in (0, MAX_WINDOW_S]."""
+    if not 0 < window <= MAX_WINDOW_S:
+        raise ConfigError(
+            f"{where}: the signal window {spelled} = {window:.6g} s must lie in "
+            f"(0, {MAX_WINDOW_S:g}] s"
+        )
+
+
+def _lifetime_rate(tau_us: float) -> float:
+    """k = 1/tau in 1/s; a lifetime whose product tau * 1e-6 underflows to 0 gives k = inf."""
+    return 1 / max(tau_us * 1e-6, 5e-324)
+
+
+def _lifetime(value: Any, where: str) -> float:
+    """A lifetime in us whose window 5/k (k = 1/tau) lies in (0, MAX_WINDOW_S]."""
+    tau = _positive(value, where)
+    _check_window(5.0 / _lifetime_rate(tau), where, "5/k")
+    return tau
+
+
+def _window_us(value: Any, where: str) -> float:
+    """A signal window in us that lies in (0, MAX_WINDOW_S] in s."""
+    t_max = _positive(value, where)
+    _check_window(t_max * 1e-6, where, "t_max")
+    return t_max
 
 
 def _distance(value: Any, where: str) -> float:
@@ -221,7 +250,7 @@ def _grid(item: Parser, log: bool = False) -> Parser:
 
 _SYSTEM = (_optional(_choice(*SYSTEMS)), None)
 _SCALE = (_choice("single_molecule", "max_aligned"), "single_molecule")
-_T_MAX = (_optional(_positive), None)
+_T_MAX = (_optional(_window_us), None)
 _CASE = _choice(*ANISOTROPY_CASES)
 #: a pair's field, magnitude (mT) and direction (degrees), in the ranges ``FieldConfig`` takes
 _B_MT = _within(0.0, math.inf)
@@ -292,7 +321,7 @@ PARAMS: dict[str, Fields] = {
     },
     "lifetime-sweep": {
         "case": (_CASE, "axial3"),
-        "tau_us": (_list(_positive, increasing=True), [1.0, 2.5, 5.0, 10.0, 25.0]),
+        "tau_us": (_list(_lifetime, increasing=True), [1.0, 2.5, 5.0, 10.0, 25.0]),
         "b_mT": (_B_MT, 0.05),
         "theta_deg": (_grid(_THETA_DEG), [0.0, 180.0, 61]),
         "r_nm": (_distance, 10.0),
@@ -320,10 +349,9 @@ def parse_radical_pair(raw: Any, where: str) -> RadicalPairConfig:
     k, tau = f.pop("recombination_rate"), f.pop("lifetime_us")
     if (k is None) == (tau is None):
         raise ConfigError(f"{where}: give exactly one of recombination_rate and lifetime_us")
-    key, k = ("lifetime_us", 1 / max(tau * 1e-6, 5e-324)) if tau else ("recombination_rate", k)
-    if k > 0 and not 0 < 5.0 / k <= MAX_WINDOW_S:  # k = 0 needs params.t_max_us; inf gives T = 0
-        window = f"the signal window 5/k = {5.0 / k:.3g} s must lie in (0, {MAX_WINDOW_S:g}] s"
-        raise ConfigError(f"{_ctx(where, key)}: {window}")
+    key, k = ("lifetime_us", _lifetime_rate(tau)) if tau else ("recombination_rate", k)
+    if k > 0:  # k = 0 needs params.t_max_us; inf gives T = 0
+        _check_window(5.0 / k, _ctx(where, key), "5/k")
     return RadicalPairConfig(**f, recombination_rate=k)
 
 

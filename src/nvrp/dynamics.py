@@ -35,23 +35,23 @@ product is a real GEMM: d x d x d at a phi = 0 point, d/2 x d x d at an S_z
 point.  Each weight costs a sine and a cosine, in row chunks of
 ``WEIGHT_CHUNK_ENTRIES``.
 
-Both time series run through one engine, :func:`_phase_series`, per block of d_b levels
-(d_b = d, or d/2 per parity sector): the phase table exp(-i lambda b dt), built once per
-block and call and turned to each chunk's start by angle addition, gives cos and sin, and
-one real GEMM per chunk takes [cos; -sin] against a real operand R, or [cos, sin; -sin,
-cos] against [Re R; Im R] where R has a nonzero imaginary part (phi != 0, S_y in one
-block, or a Haar molecule): 2 T d_b real multiply-adds per column of R over T samples,
-twice that when stacked.  An expectation value reads the state W and slab rows of the
-means, R = M = rho~ o O~^T (d_b columns per operator), and ends each sample with a
-row-wise dot against (cos, -sin); two sectors thus halve it.  A transition projector
-|psi><psi| reads R = Z = W^T o conj(c) (d/4 columns) and squares and adds its sums.
-``signal.observable_series`` asks only for the components the sensor weights (d_ci != 0)
-and checks that its grid resolves the spectrum; the engine reads exact samples on any
-uniform grid.  A chunk holds at most ``SERIES_CHUNK`` = 512 samples, and its table,
-turned phases, lhs and product at most ``SERIES_BLOCK_ENTRIES`` float64 entries (2 MB),
-so the working set does not grow with T: one fig6c contrast call peaks at 5.5 MB of
-tracemalloc, one fig4a trace at 4.3 MB with its ``eigh``.  The dense rho0 of
-:func:`initial_state` serves only the RK4 oracle.
+Both time series read exact samples on any uniform grid of T samples.  An expectation
+value is a sum of K = sum_b d_b (d_b - 1) / 2 level-pair exponentials per operator (d_b = d,
+or d/2 per parity sector; :func:`_pair_terms`), which :func:`_phase_sums` evaluates by FFT:
+each pair's phase step is binned to the nearest frequency of an N-point transform (N the
+smallest power of two >= T) and the rest is a Taylor series of P orders derived from T (22
+at fig4a's 32768 samples): P (K + N log N) work per operator in O(T + K) memory, within a
+few (max bin count + log2 N) eps sum |c| of the exact sum.  fig4a's trace takes about 13 ms
+against 91 ms for the T K phase products as GEMMs.  The transforms do not shrink with d, so
+at d = 12 a trace is x1.6 to x2.9 slower than those products were (``BENCH_31.json``); no
+shipped trace runs below d = 216.  A transition projector (:func:`_projector_series`, fig6c's 128
+contrasts) is a squared norm over d_nuc states per column, not a pair sum of few terms, so
+it stays one real GEMM per chunk of the grid against Z = W^T o conj(c), in at most
+``SERIES_BLOCK_ENTRIES`` float64 entries (2 MB) per chunk.  ``signal.observable_series``
+asks only for the components the sensor weights (d_ci != 0) and checks that its grid
+resolves the spectrum.  One fig6c contrast call peaks at 5.5 MB of tracemalloc, one fig4a
+trace at 3.3 MB with its ``eigh``.  The dense rho0 of :func:`initial_state` serves only the
+RK4 oracle.
 
 The dtype of the Hamiltonian picks the arithmetic, and ``hamiltonian``'s builders
 pick the dtype: float64 exactly when no local term has an imaginary entry (every
@@ -72,7 +72,8 @@ sector, and the propagator holds one eigen-block per sector, its d/2 rows and it
 d/2 x d/2 V: d^2/2 eigenvector entries in all, none between sectors.  The means form
 d^2/4 weights per sector; the state has d/8 nonzero rows in each, and S_z reads d/4 of
 its d/2 rows, so the largest product is d/4 x d/2 x d/2 per sector, d^3/8 in all
-against d^3/2 for one block of all d rows.  A time series runs per sector too (above).
+against d^3/2 for one block of all d rows.  A time series has d^2/4 pairs instead of
+d^2/2 with two sectors (above).
 
 Sweeps run in batches of at most ``signal.BATCH_ENTRIES`` entries of H (455 points at
 d = 12, 50 at d = 36, one from d = 216 on), each of one dtype and one block structure.
@@ -100,10 +101,10 @@ _SQRT2 = np.sqrt(2.0)
 #: fewest samples of a closed-form mean, a power of two
 MIN_SAMPLES = 4096
 
-#: most time samples per chunk of a time-series evaluation
+#: most time samples per chunk of a projector series (:func:`_projector_series`)
 SERIES_CHUNK = 512
 
-#: most float64 entries of one time-series chunk's table, phases, lhs and product (2 MB)
+#: most float64 entries of one projector-series chunk's table, phases, lhs and product (2 MB)
 SERIES_BLOCK_ENTRIES = 1 << 18
 
 #: most entries of one row chunk of the closed-form weights (128 kB as complex)
@@ -284,38 +285,72 @@ def _check_uniform_grid(t_grid: np.ndarray) -> float:
     return float(dt)
 
 
-def _phase_series(lam: np.ndarray, t_grid: np.ndarray, r: np.ndarray, reduce, out: np.ndarray):
-    """Add reduce(prod, lhs) to out[:, chunk] per chunk of a uniform grid (else ValueError).
+def _phase_sums(c: np.ndarray, omega: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """Re sum_k c[:, k] exp(i omega_k t_j) on a uniform grid (else ValueError), shape (m, n_t).
 
-    R has shape (d, ...); prod[0] and prod[1] are the real and imaginary parts of p^T R at
-    the chunk's k samples, p = exp(-i lam t) = cos - i sin, shape (2, k, ...), and
-    lhs[:, :, :d] is [cos; -sin].  One real GEMM per chunk forms prod: [cos; -sin] (2k x d)
-    against Re R, or [cos, sin; -sin, cos] (2k x 2d) against [Re R; Im R] where R has a
-    nonzero imaginary part.  The table exp(-i lam b dt) is built once per call and turned
-    to each chunk's start by angle addition, into buffers that every chunk reuses.  A chunk
-    has at most ``SERIES_CHUNK`` samples, fewer where its table, turned phases, lhs and
-    product would hold more than ``SERIES_BLOCK_ENTRIES`` float64 entries.  A complex R is
-    stacked here, so a caller that passes it unnamed holds one copy, not two.
+    ``c`` has shape (m, K), ``omega`` (K,) in rad/s.  With t_j = t_0 + j dt and
+    theta = omega dt taken into [-pi, pi] (exp(i j theta) has period 2 pi in theta), a
+    term with theta < 0 becomes (conj c, -omega), so every theta lies in [0, pi].  Each is
+    binned to l = round(theta N / 2 pi) on the smallest power of two N >= n_t, leaving
+    |delta| <= pi / N, and exp(i j theta) = exp(2 pi i j l / N) exp(i j_c delta)
+    exp(i x delta j_c) with j_c = (n_t - 1) / 2 and x = (j - j_c) / j_c in [-1, 1]; the
+    phases of t_0 and of j_c delta go into the coefficients.  The last factor is its Taylor
+    series to order P - 1: per operator and order p, two ``np.bincount`` calls bin the real
+    and imaginary parts of c (i delta j_c)^p / p!, one Hermitian ``np.fft.irfft`` of N
+    sums them, and x^p times its first n_t samples is added.  P is the smallest order with
+    r^P e^r / P! <= eps, r = pi j_c / N < pi / 2, which bounds the remainder by
+    eps sum_k |c_k|: 22 orders at fig4a's 32768 samples, 17 at T = 2.  m P (K + N log N)
+    work in all, in O(n_t + K) memory beyond ``c`` and the result.
     """
     dt = _check_uniform_grid(t_grid)
-    stack = np.iscomplexobj(r) and r.imag.any()
-    r = np.concatenate((r.real, r.imag)) if stack else np.ascontiguousarray(r.real)
-    n, d, depth, cols = t_grid.shape[0], lam.shape[0], r.shape[0], r[0].size
-    rows = max(1, min(SERIES_CHUNK, SERIES_BLOCK_ENTRIES // (4 * d + 2 * depth + 2 * cols), n))
-    table = np.exp(np.outer(np.arange(rows) * dt, -1j * lam))
-    phase_buf, lhs_buf = np.empty(rows * d, dtype=complex), np.empty(2 * rows * depth)
-    prod_buf = np.empty(2 * rows * cols)
-    for lo in range(0, n, rows):
-        k = min(rows, n - lo)  # a shorter last chunk takes the buffers' contiguous heads
-        phases, lhs = phase_buf[: k * d].reshape(k, d), lhs_buf[: 2 * k * depth].reshape(2, k, -1)
-        prod = prod_buf[: 2 * k * cols].reshape((2, k) + r.shape[1:])
-        np.multiply(table[:k], np.exp(-1j * lam * t_grid[lo]), out=phases)  # cos - i sin
-        lhs[0, :, :d], lhs[1, :, :d] = phases.real, phases.imag
-        if stack:
-            np.negative(lhs[1, :, :d], out=lhs[0, :, d:])
-            lhs[1, :, d:] = lhs[0, :, :d]
-        np.matmul(lhs.reshape(2 * k, depth), r.reshape(depth, cols), out=prod.reshape(2 * k, cols))
-        out[:, lo : lo + k] += reduce(prod, lhs)
+    n = t_grid.shape[0]
+    size, half = 1 << (n - 1).bit_length(), 0.5 * (n - 1)
+    step = omega * dt
+    step -= 2.0 * np.pi * np.rint(step / (2.0 * np.pi))
+    flip = step < 0
+    np.abs(step, out=step)
+    index = np.rint(step * (size / (2.0 * np.pi)))
+    step -= index * (2.0 * np.pi / size)
+    step *= half  # delta j_c, |delta j_c| <= r
+    index = index.astype(np.intp)
+    # the phase of t_0 and j_c delta, halved: with both end bins doubled below, the
+    # transform is 2 Re sum
+    angle = np.where(flip, -omega, omega)
+    angle *= t_grid[0]
+    angle += step
+    cos, sin = np.cos(angle), np.sin(angle, out=angle)
+    cos *= 0.5
+    sin *= 0.5
+    r, orders = np.pi * half / size, 0
+    tail = np.exp(r)
+    while tail > np.finfo(float).eps:
+        orders += 1
+        tail *= r / orders
+    x = (np.arange(n) - half) / half
+    spectrum = np.empty(size // 2 + 1, dtype=complex)
+    out = np.zeros((c.shape[0], n))
+    for row, coeff in zip(out, c):
+        # (re, im) = (conj) c times (cos, sin)
+        re, im = coeff.real * cos, coeff.real * sin
+        if np.iscomplexobj(coeff):
+            imag = np.where(flip, -coeff.imag, coeff.imag)
+            re -= imag * sin
+            im += imag * cos
+        power = np.ones(n)
+        for p in range(orders):
+            if p:  # times i delta j_c / p: (re, im) -> (-im, re) delta j_c / p
+                re, im = im, re
+                re *= step
+                re *= -1.0 / p
+                im *= step
+                im *= 1.0 / p
+                power *= x
+            spectrum.real = np.bincount(index, re, spectrum.size)
+            spectrum.imag = np.bincount(index, im, spectrum.size)
+            spectrum[0] *= 2.0  # irfft counts l = 0 and N / 2 once, every other bin twice
+            spectrum[-1] *= 2.0
+            row += np.fft.irfft(spectrum, size, norm="forward")[:n] * power
+    return out
 
 
 def _expectation_series(
@@ -325,39 +360,60 @@ def _expectation_series(
 
     ``electron_ops`` are 4x4 operators on the two electrons, shape (n_ops, 4, 4);
     rho0 = |s><s| x I/d_nuc for the electron state ``state``.  Per block of ``prop``,
-    <O>(t) = Re sum_j q_j conj(p_j) exp(-k t) / d_nuc, p = exp(-i lambda t), q = p^T M,
-    M_nj = rho~_nj O~_jn d_nuc with rho~ = W^T conj(W) / d_nuc (:func:`_state_factor`) and
-    O~ = sum_ab o_ab V4[a]^dag V4[b] over the slab rows that the operators read
-    (:func:`_slab_plan`): rho~ vanishes between blocks.  :func:`_phase_series` forms q for
-    all operators at once against M (d_b x n_ops x d_b, float64 where V and the operators
-    are real), and a row-wise dot of (Re q, Im q) with (cos, -sin) ends each sample.
+    <O>(t) = exp(-k t) / d_nuc (sum_n M_nn + Re sum_{n<j} (M_nj + conj M_jn)
+    exp(i (lambda_j - lambda_n) t)) (:func:`_pair_terms`); the pairs of every block and
+    operator go through one :func:`_phase_sums`.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     ops = np.asarray(electron_ops)
     real, whole, parity = _slab_plan(ops.shape, ops.dtype.str, ops.tobytes())
     groups = whole if len(prop.blocks) == 1 else parity
-    d_nuc, m = prop.dim // 4, ops.shape[0]
-    out = np.zeros((m, t_grid.shape[0]))
-
-    def operand(block):  # M[n, m, j], a view
-        w = _state_factor(block, state, d_nuc)
-        d_b = w.shape[1]
-        mats = np.zeros((m, d_b, d_b), dtype=float if real and w.dtype == float else complex)
-        for group, ops_g in groups:
-            vs = _slab_rows(block, group, d_nuc)
-            y = ops_g.reshape(m, len(group), -1) @ vs.reshape(len(group), -1)  # (o x I) V4
-            mats += y.reshape(m, -1, d_b).transpose(0, 2, 1) @ vs.reshape(-1, d_b).conj()
-        mats *= w.T @ w.conj()
-        return mats.transpose(1, 0, 2)
-
-    def dot(prod, lhs):  # Re sum_j q_j conj(p_j): rows (Re q; Im q) against (cos; -sin)
-        q, cs = prod.reshape(-1, m, prod.shape[3]), lhs.reshape(2 * lhs.shape[1], -1)
-        return np.einsum("kmj,kj->mk", q, cs[:, : q.shape[2]]).reshape(m, 2, -1).sum(axis=1)
-
-    for block in prop.blocks:  # M goes in unnamed: see _phase_series
-        _phase_series(block.eigenvalues, t_grid, operand(block), dot, out)
+    real = real and not any(np.iscomplexobj(b.eigenvectors) for b in prop.blocks)
+    d_nuc = prop.dim // 4
+    ends = np.cumsum([0] + [b.rows.shape[0] * (b.rows.shape[0] - 1) // 2 for b in prop.blocks])
+    coeffs = np.empty((ops.shape[0], ends[-1]), dtype=float if real else complex)
+    omegas, diagonal = np.empty(ends[-1]), np.zeros(ops.shape[0])
+    for block, lo, hi in zip(prop.blocks, ends, ends[1:]):
+        diagonal += _pair_terms(block, state, groups, d_nuc, coeffs[:, lo:hi], omegas[lo:hi])
+    out = _phase_sums(coeffs, omegas, t_grid)
+    out += diagonal[:, None]
     out *= np.exp(-prop.decay_rate * t_grid) / d_nuc
     return out
+
+
+def _pair_terms(
+    block: EigenBlock,
+    state: InitialElectronState,
+    groups: tuple,
+    d_nuc: int,
+    coeffs: np.ndarray,
+    omegas: np.ndarray,
+) -> np.ndarray:
+    """One block's terms of :func:`_expectation_series`; returns sum_n M_nn per operator.
+
+    M_nj = rho~_nj O~_jn d_nuc, with rho~ = W^T conj(W) / d_nuc (:func:`_state_factor`)
+    and O~ = sum_ab o_ab V4[a]^dag V4[b] over the slab rows that the operators read
+    (``groups`` of :func:`_slab_plan`): rho~ vanishes between blocks.  For the pairs
+    n < j in row-major order, writes M_nj + conj M_jn into ``coeffs`` (n_ops,
+    d_b (d_b - 1) / 2) and lambda_j - lambda_n into ``omegas``.  One operator's d_b x d_b
+    M at a time.
+    """
+    w = _state_factor(block, state, d_nuc)
+    rho = w.T @ w.conj()
+    d_b = rho.shape[0]
+    n, j = np.triu_indices(d_b, 1)
+    np.subtract(block.eigenvalues[j], block.eigenvalues[n], out=omegas)
+    slabs = [(ops_g, _slab_rows(block, g, d_nuc).reshape(len(g), -1)) for g, ops_g in groups]
+    diagonal = np.empty(coeffs.shape[0])
+    for i, row in enumerate(coeffs):
+        mat = np.zeros((d_b, d_b), dtype=coeffs.dtype)
+        for ops_g, vs in slabs:
+            y = ops_g[i].reshape(vs.shape[0], -1) @ vs  # (o x I) V4
+            mat += y.reshape(-1, d_b).T @ vs.reshape(-1, d_b).conj()
+        mat *= rho
+        np.add(mat[n, j], mat[j, n].conj(), out=row)
+        diagonal[i] = np.trace(mat).real
+    return diagonal
 
 
 def _state_factor(block: EigenBlock, state: InitialElectronState, d_nuc: int) -> np.ndarray:
@@ -381,23 +437,43 @@ def _projector_series(
 
     rho0 = |s><s| x I/d_nuc for the electron state ``state``.  With W from
     :func:`_state_factor`, <P>(t) = exp(-k t) / d_nuc * ||W diag(p(t)) conj(c)||^2,
-    p = exp(-i lambda t), V the eigenvectors of ``prop``, one block.  The sums run in
-    real arithmetic (:func:`_phase_series`) against Z[m, c, a] = W_am conj(c_m),
-    d x n_cols x d_nuc: a quarter of the work of the full projectors c c^dag.  The real and
-    imaginary parts of p^T Z are squared and added in place, then summed over d_nuc.
+    p = exp(-i lambda t) = cos - i sin, V the eigenvectors of ``prop``, one block.  The
+    sums p^T Z run against Z[m, c, a] = W_am conj(c_m), d x n_cols x d_nuc: a quarter of
+    the work of the full projectors c c^dag.  One real GEMM per chunk of the uniform grid
+    (else ValueError) takes [cos; -sin] (2k x d) against Re Z, or [cos, sin; -sin, cos]
+    (2k x 2d) against [Re Z; Im Z] where Z has a nonzero imaginary part; the real and
+    imaginary parts of p^T Z are squared and added in place, then summed over d_nuc.  The
+    table exp(-i lambda b dt) is built once per call and turned to each chunk's start by
+    angle addition, into buffers that every chunk reuses.  A chunk has at most
+    ``SERIES_CHUNK`` samples, fewer where its table, turned phases, lhs and product would
+    hold more than ``SERIES_BLOCK_ENTRIES`` float64 entries.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    dt = _check_uniform_grid(t_grid)
     (block,), d_nuc = prop.blocks, prop.dim // 4
-    w = _state_factor(block, state, d_nuc)
-    out = np.zeros((coeffs.shape[1], t_grid.shape[0]))
-
-    def norms(prod, lhs):
+    lam, w = block.eigenvalues, _state_factor(block, state, d_nuc)
+    z = coeffs.conj()[..., None] * w.T[:, None]
+    stack = np.iscomplexobj(z) and z.imag.any()
+    z = np.concatenate((z.real, z.imag)) if stack else np.ascontiguousarray(z.real)
+    n, d, depth, cols = t_grid.shape[0], lam.shape[0], z.shape[0], z[0].size
+    rows = max(1, min(SERIES_CHUNK, SERIES_BLOCK_ENTRIES // (4 * d + 2 * depth + 2 * cols), n))
+    table = np.exp(np.outer(np.arange(rows) * dt, -1j * lam))
+    phase_buf, lhs_buf = np.empty(rows * d, dtype=complex), np.empty(2 * rows * depth)
+    prod_buf = np.empty(2 * rows * cols)
+    out = np.zeros((coeffs.shape[1], n))
+    for lo in range(0, n, rows):
+        k = min(rows, n - lo)  # a shorter last chunk takes the buffers' contiguous heads
+        phases, lhs = phase_buf[: k * d].reshape(k, d), lhs_buf[: 2 * k * depth].reshape(2, k, -1)
+        prod = prod_buf[: 2 * k * cols].reshape((2, k) + z.shape[1:])
+        np.multiply(table[:k], np.exp(-1j * lam * t_grid[lo]), out=phases)  # cos - i sin
+        lhs[0, :, :d], lhs[1, :, :d] = phases.real, phases.imag
+        if stack:
+            np.negative(lhs[1, :, :d], out=lhs[0, :, d:])
+            lhs[1, :, d:] = lhs[0, :, :d]
+        np.matmul(lhs.reshape(2 * k, depth), z.reshape(depth, cols), out=prod.reshape(2 * k, cols))
         np.square(prod, out=prod)
         prod[0] += prod[1]
-        return prod[0].sum(axis=2).T
-
-    # Z goes in unnamed: see _phase_series
-    _phase_series(block.eigenvalues, t_grid, coeffs.conj()[..., None] * w.T[:, None], norms, out)
+        out[:, lo : lo + k] += prod[0].sum(axis=2).T
     out *= np.exp(-prop.decay_rate * t_grid) / d_nuc
     return out
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nvrp
@@ -49,6 +50,10 @@ def test_outputs_against_its_own_checkout_reads_every_csv_identical(tmp_path):
         "fig7-hyperfine-anisotropy-iso": {"anisotropy_sweep.csv": "identical"},
     }
     assert all(run["exit"] == [0, 0] and run["manifest"] == [] for run in rows.values())
+    assert {name: run["float64"] for name, run in rows.items()} == {
+        "fig3-coupling-map": {"coupling_map.csv": "identical"},
+        "fig7-hyperfine-anisotropy-iso": {"anisotropy_sweep.csv": "identical"},
+    }
 
 
 def test_outputs_measures_each_differing_column_against_its_max(tmp_path):
@@ -61,6 +66,16 @@ def test_outputs_measures_each_differing_column_against_its_max(tmp_path):
     assert outputs.compare_csv(this, this) == "identical"
     deviations = outputs.compare_csv(this, against)
     assert deviations == {"y": pytest.approx(0.002 / 4.002), "mode": float("inf")}
+    # float64 columns: a move below the 12th digit, a NaN in one tree only, -0.0 against 0.0
+    np.savez(tmp_path / "this.npz", col_x=[1.0, -0.0, np.nan], col_y=[4.0, 3.0, 1.0],
+             col_z=[1.0, np.nan, 2.0])
+    np.savez(tmp_path / "against.npz", col_x=[1.0, 0.0, np.nan], col_y=[4.0, 3.0 + 4e-15, 1.0],
+             col_z=[1.0, 5.0, 2.0])
+    this_npz, against_npz = tmp_path / "this.npz", tmp_path / "against.npz"
+    assert outputs.compare_columns(this_npz, this_npz) == "identical"
+    assert outputs.compare_columns(this_npz, against_npz) == {
+        "y": pytest.approx(4e-15 / 4.0, rel=0.2), "z": float("inf"),
+    }
     manifest = {"wall_time_s": 1.0, "numerics": {"level_matching": [{"k": 1}]}}
     other = {"wall_time_s": 2.0, "numerics": {"level_matching": [{"k": 4, "rule": "fixing"}]}}
     assert outputs.diff_manifests(manifest, other) == [

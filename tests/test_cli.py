@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nvrp import cli, dynamics, signal
+from nvrp import cli, config, dynamics, signal
 from nvrp.cli import experiment_from_preset, main, run
 from nvrp.config import (
     KINDS,
@@ -246,14 +247,16 @@ def test_physics_error_exit_code(tmp_path, capsys, kind, params, rate, message):
 
 
 @pytest.mark.parametrize("rate", [1e-300, 4e-300])
-def test_non_finite_sample_count_exits_4(tmp_path, capsys, rate):
+def test_non_finite_sample_count_exits_4(tmp_path, capsys, monkeypatch, rate):
     """No finite sample count resolves the spectrum over a window T = 5 / rate, given as
-    ``params.t_max_us`` (a decay rate that sets it exits 2): a numerical failure naming the
-    window and the spread.
+    ``params.t_max_us``: a numerical failure naming the window and the spread.  The window
+    cap turns such a config into exit 2 (``test_window_beyond_its_cap_exits_2``), so the cap
+    is lifted here to reach the guard of ``dynamics.nyquist_samples`` behind it.
 
     At 4e-300 /s the count 1.05 T spread / pi would be 1.6e308, finite, and the power of two above
     it 2^1024, not; the product 1.05 T spread overflows first, as it does at 1e-300 /s.
     """
+    monkeypatch.setattr(config, "MAX_WINDOW_S", math.inf)
     payload = _minimal_angle_sweep()
     payload["params"]["t_max_us"] = 5.0 / rate * 1e6
     path = _write_config(tmp_path, payload)
@@ -283,6 +286,47 @@ def test_decay_window_beyond_its_cap_exits_2(tmp_path, capsys, key, value, code)
         assert f"radical_pair.{key}: the signal window 5/k" in err and "in (0, 1] s" in err
         assert not list((tmp_path / "o").glob("*"))
     assert MAX_WINDOW_S == 5.0 / 5.0  # rate 5 /s and lifetime 2e5 us sit on the cap
+
+
+@pytest.mark.parametrize(
+    "tau_us, code",
+    [(2e5, 0), (2.01e5, 2), (1e300, 2), (1e-310, 2), (1e-320, 2)],
+)
+def test_lifetime_scan_window_beyond_its_cap_exits_2(tmp_path, capsys, tau_us, code):
+    """A lifetime scan checks the window T = 5/k of every ``params.tau_us`` entry as a pair's
+    ``lifetime_us`` is checked: beyond ``MAX_WINDOW_S`` (1 s), or 0 (a lifetime whose rate
+    overflows, 1e-310 us, or whose product tau * 1e-6 underflows, 1e-320 us), it exits 2
+    naming the entry and writes nothing.  tau = 1e300 us exited 0 with a singlet yield of
+    2.758; 2e5 us sits on the cap.  The scan's first entry is 1 us, or the value itself where
+    it is larger, so that the list increases."""
+    taus = [1.0, tau_us] if tau_us > 1.0 else [tau_us, 1.0]
+    payload = {"kind": "lifetime-sweep", "params": {"tau_us": taus, "theta_deg": [0.0, 90.0, 2]}}
+    path = _write_config(tmp_path, payload)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == code
+    if code == 2:
+        where = f"params.tau_us[{taus.index(tau_us)}]"
+        assert f"{where}: the signal window 5/k" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*"))
+    else:
+        summary = (tmp_path / "o" / "lifetime_summary.csv").read_text().splitlines()[-1]
+        assert 0.0 <= float(summary.split(",")[2]) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "t_max_us, code", [(1e6, 0), (1.01e6, 2), (1e300, 2), (1e-320, 2)],
+)
+def test_window_beyond_its_cap_exits_2(tmp_path, capsys, t_max_us, code):
+    """``params.t_max_us`` sets the window T itself, and it must lie in (0, ``MAX_WINDOW_S``]
+    as a decay's 5/k must: beyond 1 s, or 0 (1e-320 us underflows), exits 2 naming the key
+    and writes nothing.  1e300 us exited 4 on the sample count without naming it; 1e6 us
+    sits on the cap (d = 12 angle sweep, two angles)."""
+    payload = _minimal_angle_sweep()
+    payload["params"].update(t_max_us=t_max_us, theta_deg=[0.0, 90.0, 2])
+    path = _write_config(tmp_path, payload)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == code
+    if code == 2:
+        assert "params.t_max_us: the signal window t_max" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*"))
 
 
 #: runs with non-finite outputs, and the CSV and column the failure names: ensemble molecules at
@@ -902,10 +946,14 @@ def test_missing_radical_pair_is_config_error(tmp_path, capsys):
 def test_write_csv_matches_row_writer(tmp_path):
     """Column-wise formatting writes the bytes of csv.writer over the per-value rule.
 
-    Mixed columns: signed zeros, NaN (in a normalised column, the only kind that may hold
-    it), +-1e-300, -1e300, ints and the fig5 mode strings, over more rows than one block.
-    A -0.0 (e.g. d_ci = 0 times a negative mean) carries only the sign of round-off and is
-    written "0".  An infinity fails before the file is opened.
+    Columns: signed zeros, NaN (in a normalised column, the only kind that may hold
+    it), +-1e-300, -1e300; a column of mixed -0.0 and +0.0 and one of -0.0 alone (each the
+    literal "0" in a block's template); a normalised column of NaN alone; and one that is
+    zero in the first block only.  Two tables: float columns alone (the stacked path), and
+    the same with ints, the fig5 mode strings and a list of Python ints (the per-cell path),
+    each over one block and five rows of the next.  A -0.0 (e.g. d_ci = 0 times a negative
+    mean) carries only the sign of round-off and is written "0".  An infinity fails before
+    the file is opened.
     """
     import csv
 
@@ -914,31 +962,38 @@ def test_write_csv_matches_row_writer(tmp_path):
             return "0" if value == 0 else f"{value:.12g}"
         return str(value)
 
-    n = cli.CSV_BLOCK_CELLS // 5 + 5  # five columns: one block and five rows of the next
-    rng = np.random.default_rng(3)
-    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
-    floats[:9] = [-0.0, 0.0, np.nan, 1e-300, -1e300, 1.0 / 3.0, -1e-300, -0.25, 0.0 * -1.5e-9]
-    ints = rng.integers(-5, 40, n)
-    ints[0] = -3
-    modes = np.array(["aligned", "haar"])[rng.integers(0, 2, n)]
-    seeds = [7] * n
-    columns = [floats, ints, list(modes), seeds, np.full(n, -0.0)]
-    header = ["X_x_I_norm", "count", "mode", "seed", "zero"]
     comments = {"kind": "test", "units": "none"}
+    for width in (6, 9):
+        rows = cli.CSV_BLOCK_CELLS // width
+        n = rows + 5
+        rng = np.random.default_rng(3)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        floats[:9] = [-0.0, 0.0, np.nan, 1e-300, -1e300, 1.0 / 3.0, -1e-300, -0.25, 0.0 * -1.5e-9]
+        signed_zeros = np.where(rng.integers(0, 2, n) == 1, -0.0, 0.0)
+        late = np.where(np.arange(n) < rows, -0.0, rng.standard_normal(n))
+        columns = [floats, signed_zeros, np.full(n, np.nan), late, np.full(n, -0.0), 2 * late]
+        header = ["X_x_I_norm", "signed_zeros", "X_z_I_norm", "late", "zero", "twice_late"]
+        if width == 9:
+            ints = rng.integers(-5, 40, n)
+            ints[0] = -3
+            modes = np.array(["aligned", "haar"])[rng.integers(0, 2, n)]
+            columns += [ints, list(modes), [7] * n]
+            header += ["count", "mode", "seed"]
+        assert len(columns) == width
 
-    path = cli.write_csv(tmp_path / "new.csv", comments, header, columns)
-    with open(tmp_path / "ref.csv", "w", newline="") as fh:
-        for key, value in comments.items():
-            fh.write(f"# {key}: {value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([fmt(v) for v in row])
-    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    floats[4] = -np.inf
-    with pytest.raises(NumericalError, match="column X_x_I_norm holds 1 non-finite"):
-        cli.write_csv(tmp_path / "inf.csv", comments, header, columns)
-    assert not (tmp_path / "inf.csv").exists()
+        path = cli.write_csv(tmp_path / "new.csv", comments, header, columns)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            for key, value in comments.items():
+                fh.write(f"# {key}: {value}\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in zip(*columns):
+                writer.writerow([fmt(v) for v in row])
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        floats[4] = -np.inf
+        with pytest.raises(NumericalError, match="column X_x_I_norm holds 1 non-finite"):
+            cli.write_csv(tmp_path / "inf.csv", comments, header, columns)
+        assert not (tmp_path / "inf.csv").exists()
 
 
 def test_write_csv_mixes_kinds_in_one_block(tmp_path):

@@ -420,25 +420,23 @@ def _direct_projectors(prop, state, coeffs, t):
 
 
 def _chunk_rows(d, depth, cols):
-    """Samples per chunk of ``_phase_series`` for d levels and a real operand of ``depth``
-    rows and ``cols`` columns: its table, turned phases, lhs and product hold
+    """Samples per chunk of ``_projector_series`` for d levels and a real operand of
+    ``depth`` rows and ``cols`` columns: its table, turned phases, lhs and product hold
     4 d + 2 depth + 2 cols float64 entries per sample."""
     per_sample = 4 * d + 2 * depth + 2 * cols
     return min(dynamics.SERIES_CHUNK, dynamics.SERIES_BLOCK_ENTRIES // per_sample)
 
 
 def _spy_chunks(monkeypatch):
-    """(samples, lhs columns) of every chunk that ``_phase_series`` hands to a reduction."""
-    sizes, engine = [], dynamics._phase_series
+    """(samples, lhs columns) of every chunk GEMM ``np.matmul(lhs, Z, out=...)`` that
+    ``_projector_series`` runs, lhs of shape (2 samples, lhs columns)."""
+    sizes, matmul = [], np.matmul
 
-    def spy(lam, t_grid, r, reduce, out):
-        def counted(prod, lhs):
-            sizes.append(lhs.shape[1:])
-            return reduce(prod, lhs)
+    def spy(a, b, **kwargs):
+        sizes.append((a.shape[0] // 2, a.shape[1]))
+        return matmul(a, b, **kwargs)
 
-        engine(lam, t_grid, r, counted, out)
-
-    monkeypatch.setattr(dynamics, "_phase_series", spy)
+    monkeypatch.setattr(dynamics.np, "matmul", spy)
     return sizes
 
 
@@ -484,14 +482,15 @@ _PAIR_OPS = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[Non
     ],
     ids=["sectors-z", "one-block-xz", "complex-v", "complex-ops", "one-block-complex-ops"],
 )
-def test_expectation_series_matches_direct_formula(monkeypatch, field, ops, stacked):
+def test_expectation_series_matches_direct_formula(field, ops, stacked):
     """``_expectation_series`` equals Re Tr(O rho(t)) from the dense ``evolve`` within 1e-12
     of each row's max, on fadtrp-2n at 1.16 mT: fig4a's two real sectors with S_z; one real
     block with S_x and S_z; complex V with all three S_i; and real V with complex operators
     (all three S_i and the singlet projector, as ``--oracle`` passes them), in two sectors
-    and in one block.  M goes through [Re M; Im M] exactly where ``stacked``.  The grid
-    holds 3 chunks + 5 samples, checked on either side of each chunk boundary, and reaches
-    lambda t > 1e4, where the chunks' start phases carry the time.
+    and in one block; M is complex exactly where ``stacked``.  The grid holds 3 rows + 5
+    samples for the chunk length ``rows`` of a GEMM over [Re M; Im M] (a length that is not
+    a power of two), checked at both ends and at interior samples, and reaches
+    lambda t > 1e4, where the phase of the grid's start enters every coefficient.
     """
     cfg = fadtrp_config(2)
     prop = solve_pair(cfg, field)
@@ -500,15 +499,164 @@ def test_expectation_series_matches_direct_formula(monkeypatch, field, ops, stac
     depth = 2 * d_b if stacked else d_b
     rows = _chunk_rows(d_b, depth, len(ops) * d_b)
     n = 3 * rows + 5
+    assert n & (n - 1)
     t = np.linspace(0.0, 25e-6, n, endpoint=False)
     assert np.max(np.abs(prop.eigenvalues)) * t[-1] > 1e4
-    sizes = _spy_chunks(monkeypatch)
     series = dynamics._expectation_series(prop, S, ops, t)
-    assert sizes == ([(rows, depth)] * 3 + [(5, depth)]) * len(prop.blocks)
     samples = np.r_[0, 1, rows - 1, rows, 2 * rows - 1, 2 * rows, 3 * rows - 1, 3 * rows, n - 1]
     dense_ops = [np.kron(o, np.eye(cfg.layout().nuclear_dimension)) for o in ops]
     want = dense_series(prop, initial_state(S, cfg.layout()), dense_ops, t[samples])
     _assert_close(series[:, samples], want)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _direct_phase_sums(c, omega, t):
+    """Re sum_k c[:, k] exp(i omega_k t_j) term by term, in extended precision (long double)."""
+    phase = np.outer(t.astype(np.longdouble), omega.astype(np.longdouble))
+    re, im = (np.asarray(part, dtype=np.longdouble) for part in (np.real(c), np.imag(c)))
+    return (re @ np.cos(phase).T - im @ np.sin(phase).T).astype(float)
+
+
+def _phase_sum_bound(c, omega, t):
+    """A priori bound on |``_phase_sums`` - exact| per row and sample, for t_j = t_0 + j dt
+    held exactly (dt a power of two, so that theta = omega dt is exact).  Per term k:
+
+    - the Taylor remainder, at most eps |c_k| by the choice of P;
+    - binning and transform: order p bins c_k (delta j_c)^p / p!, and sum_p r^p / p! <= e^r;
+      ``bincount`` adds a bin's n_l terms in order (at most n_l eps of their magnitudes) and
+      an N-point FFT adds at most about 2 log2(N) eps of its input's magnitude, so
+      e^r (max_l n_l + 2 log2 N) eps |c_k| in all;
+    - phases: theta taken into [-pi, pi], its bin and delta = theta - 2 pi l / N each carry
+      at most eps (|theta_k| + pi), which j samples carry to 2 (j + 1) eps (|theta_k| + pi),
+      and the phase of t_0 at most 2 eps |omega_k t_0|.
+
+    The sum over k of |c_k| times (1 + e^r (max_l n_l + 2 log2 N) + 2 |omega_k t_0|
+    + 2 (j + 1) (|theta_k| + pi)), times eps.
+    """
+    n = t.shape[0]
+    size = 1 << (n - 1).bit_length()
+    theta = omega * ((t[-1] - t[0]) / (n - 1))
+    folded = np.abs(theta - 2.0 * np.pi * np.rint(theta / (2.0 * np.pi)))
+    crowd = np.bincount(np.rint(folded * size / (2.0 * np.pi)).astype(int)).max()
+    fixed = 1.0 + np.exp(np.pi * (n - 1) / (2 * size)) * (crowd + 2.0 * np.log2(size))
+    weight = np.abs(c)
+    per_term = fixed + 2.0 * np.abs(omega * t[0])
+    grows = weight @ (2.0 * (np.abs(theta) + np.pi))
+    return _EPS * (weight @ per_term[:, None] + np.outer(grows, np.arange(1, n + 1)))
+
+
+def _phase_case(name):
+    """(c, omega, t) of one case of ``test_phase_sums_match_direct_sums``: two rows of
+    coefficients, K = 300 terms, dt = 2^-26 s."""
+    rng = np.random.default_rng(7)
+    dt, n, t_0, k = 2.0**-26, 1000, 0.0, 300
+    theta = rng.uniform(0.0, np.pi, k)
+    c = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+    if name == "two-samples":
+        n = 2
+    elif name == "late-start":  # and frequencies of both signs
+        t_0, theta = 3.0 * 2.0**-10, rng.uniform(-np.pi, np.pi, k)  # t_0 = 196608 dt
+    elif name == "undersampled":
+        theta = rng.uniform(-40.0, 40.0, k)
+    elif name == "degenerate":
+        # a third exactly degenerate (theta = 0), a third one shared level spacing, and
+        # the bin edges: theta = pi (l = N / 2) and a bin centre 2 pi 3 / N
+        theta[: k // 3] = 0.0
+        theta[k // 3 : 2 * k // 3] = theta[2 * k // 3]
+        theta[-2:] = np.pi, 2.0 * np.pi * 3 / 1024
+    elif name == "real":
+        c = c.real.copy()
+    t = t_0 + np.arange(n) * dt
+    return c, theta / dt, t
+
+
+@pytest.mark.parametrize(
+    "name", ["not-a-power-of-two", "two-samples", "late-start", "undersampled", "degenerate",
+             "real"],
+)
+def test_phase_sums_match_direct_sums(name):
+    """``_phase_sums`` equals the direct sum Re sum_k c_k exp(i omega_k t_j), taken term by
+    term in long double, within the bound of :func:`_phase_sum_bound` at every sample: on
+    1000 samples (N = 1024, not T), on T = 2, from t_0 = 196608 dt with frequencies of both
+    signs, on an undersampled grid (|theta| up to 40 rad, both signs), with exactly
+    degenerate and equally spaced levels and both edge bins, and with real coefficients."""
+    c, omega, t = _phase_case(name)
+    got = dynamics._phase_sums(c, omega, t)
+    want = _direct_phase_sums(c, omega, t)
+    assert got.shape == want.shape == (2, t.shape[0])
+    assert np.all(np.abs(got - want) <= _phase_sum_bound(c, omega, t))
+
+
+@pytest.mark.parametrize("n, orders", [(2, 17), (1000, 22), (4097, 17), (32768, 22)])
+def test_phase_sums_take_the_smallest_sufficient_order(monkeypatch, n, orders):
+    """P, the number of transforms per row, is the smallest order with r^P e^r / P! <= eps,
+    r = pi (T - 1) / (2 N): derived from T alone (22 at fig4a's 32768 samples)."""
+    r = np.pi * (n - 1) / (2 * (1 << (n - 1).bit_length()))
+    tail = [r**p * np.exp(r) / math.factorial(p) for p in (orders - 1, orders)]
+    assert tail[0] > _EPS >= tail[1]
+    calls, irfft = [], np.fft.irfft
+    monkeypatch.setattr(dynamics.np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+    dynamics._phase_sums(np.ones((1, 3)), np.array([0.0, 1.0, 2.0]), np.arange(n) * 0.25)
+    assert len(calls) == orders
+
+
+@pytest.mark.parametrize(
+    "make_cfg, field, rotation_seed",
+    [
+        (lambda: one_nucleus_config("axial3"), FieldConfig(0.7, 0.0, 0.0), None),
+        (lambda: two_nucleus_config("rhombic"), FieldConfig(1.16, 0.6, 0.0), None),
+        (lambda: one_nucleus_config("rhombic"), FieldConfig(1.16, 0.6, 1.1), 12),
+    ],
+    ids=["blocked", "one-block", "haar-complex"],
+)
+def test_expectation_series_is_its_direct_pair_sum(make_cfg, field, rotation_seed):
+    """``_expectation_series`` equals exp(-k t) / d_nuc (sum_n M_nn + Re sum_{n<j} c_nj
+    exp(i omega_nj t)), the pairs of ``_pair_terms`` summed term by term in long double,
+    within :func:`_phase_sum_bound` scaled by exp(-k t) / d_nuc plus 4 eps of the exact value
+    (the diagonal and the scaling): two parity sectors, one real block, and a complex Haar
+    block, for all three S_i and the singlet projector on 1000 samples of dt = a power of
+    two below pi / spread."""
+    cfg = make_cfg()
+    rotation = rotation_seed and random_rotation(np.random.default_rng(rotation_seed))
+    prop = solve_pair(cfg, field, rotation)
+    assert len(prop.blocks) == (2 if field.theta == 0.0 else 1)
+    assert np.iscomplexobj(prop.blocks[0].eigenvectors) == (rotation is not None)
+    dt = 2.0 ** np.floor(np.log2(0.5 * np.pi / prop.spectral_spread))
+    t = np.arange(1000) * dt
+    ops = np.concatenate([ELECTRON_PAIR_SPIN, electron_singlet_projector()[None]])
+    got = _expectation_series(prop, S, ops, t)
+
+    real, whole, parity = dynamics._slab_plan(ops.shape, ops.dtype.str, ops.tobytes())
+    d_nuc = prop.dim // 4
+    want, bound = np.zeros_like(got), np.zeros_like(got)
+    for block in prop.blocks:
+        d_b = block.eigenvalues.shape[0]
+        c = np.empty((len(ops), d_b * (d_b - 1) // 2), dtype=complex)
+        omega = np.empty(c.shape[1])
+        groups = whole if len(prop.blocks) == 1 else parity
+        diagonal = dynamics._pair_terms(block, S, groups, d_nuc, c, omega)
+        want += diagonal[:, None] + _direct_phase_sums(c, omega, t)
+        bound += _phase_sum_bound(c, omega, t)
+    scale = np.exp(-prop.decay_rate * t) / d_nuc
+    want *= scale
+    bound = bound * scale + 4.0 * _EPS * np.abs(want)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_fig4a_fft_trace_runs_in_a_bounded_working_set():
+    """One fig4a ``observable_series`` call (d = 216 in two sectors, S_z, 32768 samples),
+    after a first call has filled the per-layout caches, peaks at <= 3.5 MB of tracemalloc:
+    the H build, ``eigh``, the pair terms and the transforms, with no table of P x N.  The
+    bound lies below the 3.56 MB that a GEMM over 2 MB chunks of the T K phase products
+    takes on the same call (``BENCH_31.json``)."""
+    cfg = fadtrp_config(2)
+    n = get_preset("fig4a-time-trace").params["n_samples"]
+    t = np.linspace(0.0, 5.0 / cfg.effective_decay_rate, n, endpoint=False)
+    field = FieldConfig(1.16, 0.0, 0.0)
+    observable_series(cfg, field, t)
+    assert _traced_peak(lambda: observable_series(cfg, field, t)) <= 3.5
 
 
 def _traced_peak(fn):
